@@ -18,11 +18,12 @@ two properties:
   like the event backend's receive task does.
 * Per-connection contributions are first materialized into full-shape
   arrays, then folded into the residual **in the event backend's per-PE
-  arrival order** (the IR's probed fold schedule,
-  :mod:`repro.ir.schedule`): round ``k`` adds, for each connection, the
-  contribution of every PE whose ``k``-th arrival is that connection.
-  Each PE appears at most once per round, so its residual sees its
-  contributions in exactly its arrival order.  The one rewrite — the
+  arrival order** (the IR's fold schedule, :mod:`repro.ir.schedule`:
+  at most 16 classes of PEs, each a stride-2 rectangle): round ``k``
+  adds, with one basic-slice ``+=`` per class, the connection that
+  arrives ``k``-th at that class's PEs.  Each PE appears at most once
+  per round, so its residual sees its contributions in exactly its
+  arrival order.  The one rewrite — the
   contribution array holds ``0.0 + f`` rather than ``f`` — only flips
   the sign of zero contributions, and a residual accumulated from
   ``+0.0`` can never be ``-0.0``, so the flipped bit is unobservable
@@ -54,7 +55,7 @@ from repro.dataflow.flux_pe import (
 from repro.dataflow.program import padded_trans_fields
 from repro.ir.builder import derive_ir
 from repro.ir.schema import KIND_PROGRAM, FabricProgramIR
-from repro.ir.schedule import arrival_schedule
+from repro.ir.schedule import arrival_schedule, schedule_classes
 from repro.obs.spans import span
 from repro.wse.dsd import DsdEngine
 
@@ -136,21 +137,20 @@ class FusedFluxComputation:
         self.record = record
 
         t0 = perf_counter()
-        if ir is None:
-            ir = derive_ir(
-                mesh,
-                dtype=self.dtype,
-                reuse_buffers=reuse_buffers,
-                vectorized=vectorized,
-                compute_fluxes=compute_fluxes,
-                overlap_compute=overlap_compute,
-            )
+        with span("fused.ir_build"):
+            if ir is None:
+                ir = derive_ir(
+                    mesh,
+                    dtype=self.dtype,
+                    reuse_buffers=reuse_buffers,
+                    vectorized=vectorized,
+                    compute_fluxes=compute_fluxes,
+                    overlap_compute=overlap_compute,
+                )
         self.ir_build_seconds = perf_counter() - t0
         _check_ir_lowerable(ir, mesh, self.dtype)
         self.ir = ir
         params = ir.params
-        self._reuse_buffers = params["reuse_buffers"]
-        self._overlap_compute = params["overlap_compute"]
         self._vectorized = ir.vectorized
         self.compute_fluxes = params["compute_fluxes"]
 
@@ -169,17 +169,19 @@ class FusedFluxComputation:
         self._fabric_loads = 0
         self._fabric_word_hops = 0
 
-        # the probed fold schedule is a derived annotation: it amortizes
-        # like a backend compile step and stays out of the content hash
+        # the fold schedule is a derived annotation: it amortizes like a
+        # backend compile step and stays out of the content hash
+        options = {
+            "reuse_buffers": params["reuse_buffers"],
+            "overlap_compute": params["overlap_compute"],
+            "vectorized": self._vectorized,
+        }
         t1 = perf_counter()
-        schedule = arrival_schedule(
-            mesh.nx,
-            mesh.ny,
-            reuse_buffers=self._reuse_buffers,
-            overlap_compute=self._overlap_compute,
-            vectorized=self._vectorized,
-        )
-        self._rounds = _fold_rounds(schedule)
+        with span("fused.schedule"):
+            self._rounds = _fold_rounds(
+                schedule_classes(mesh.nx, mesh.ny, **options)
+            )
+            schedule = arrival_schedule(mesh.nx, mesh.ny, **options)
         self.schedule_seconds = perf_counter() - t1
         ir.annotate(
             "fold_schedule",
@@ -281,8 +283,9 @@ class FusedFluxComputation:
                             words * self._words_per_element * hops
                         )
 
-                # serial fold: event arrival order, one scatter-add per
-                # (round, connection) group
+            # serial fold: event arrival order, one basic-slice add per
+            # (round, schedule class)
+            with span("fused.fold"):
                 for groups in self._rounds:
                     for conn, ys, xs in groups:
                         residual[:, :, ys, xs] += contributions[conn][
@@ -332,7 +335,8 @@ def _check_ir_lowerable(
     if ir.remap is not None:
         raise ValueError(
             "fused backend does not support spare-column remapping "
-            "(the fold schedule is probed on the unmapped fabric)"
+            "(the fold schedule is tiled from a probe of the unmapped "
+            "fabric; bypass columns break its period-2 law)"
         )
     if ir.mesh_shape != (mesh.nx, mesh.ny, mesh.nz):
         raise ValueError(
@@ -347,31 +351,20 @@ def _check_ir_lowerable(
         raise ValueError("IR carries no exchange plan to lower")
 
 
-def _fold_rounds(schedule) -> list[list[tuple[Connection, np.ndarray, np.ndarray]]]:
-    """Regroup the per-PE arrival schedule into scatter-add rounds.
+def _fold_rounds(classes) -> list[list[tuple[Connection, slice, slice]]]:
+    """Regroup the schedule's classes into basic-slice fold rounds.
 
-    Round ``k`` holds, per connection, the index arrays of every PE whose
-    ``k``-th arrival is that connection; a PE appears at most once per
-    round, so adding rounds in order replays each PE's serial fold.
+    Round ``k`` holds one ``(connection, y-slice, x-slice)`` per class
+    that has a ``k``-th arrival; the classes partition the fabric, so a
+    PE appears at most once per round and adding rounds in order replays
+    each PE's serial fold.
     """
-    if not schedule:
-        return []
-    depth = max(len(order) for order in schedule.values())
-    rounds = []
-    for k in range(depth):
-        groups: dict[str, list[tuple[int, int]]] = {}
-        for coord in sorted(schedule):
-            order = schedule[coord]
-            if k < len(order):
-                groups.setdefault(order[k], []).append(coord)
-        rounds.append(
-            [
-                (
-                    Connection[name],
-                    np.array([c[1] for c in coords], dtype=np.intp),
-                    np.array([c[0] for c in coords], dtype=np.intp),
-                )
-                for name, coords in groups.items()
-            ]
-        )
-    return rounds
+    depth = max((len(order) for order, _ys, _xs in classes), default=0)
+    return [
+        [
+            (Connection[order[k]], ys, xs)
+            for order, ys, xs in classes
+            if k < len(order)
+        ]
+        for k in range(depth)
+    ]

@@ -84,6 +84,35 @@ class TestLoweringsAgree:
         assert (r_event == r_lock).all()
         assert (r_event == r_fused).all()
 
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 1, 3),
+            (1, 5, 2),
+            (3, 1, 2),
+            (2, 2, 1),
+            (5, 5, 2),
+            (6, 5, 2),
+            (7, 9, 2),
+            (25, 24, 2),
+        ],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_event_fused_bytes_at_and_past_the_tiling_threshold(
+        self, shape, dtype
+    ):
+        """Odd/even mixes, degenerate axes, and footprints at and just
+        past the <=5 reduction threshold of ``repro.ir.schedule``."""
+        mesh = make_geomodel(*shape, kind="channelized", seed=sum(shape))
+        fluid = FluidProperties()
+        ir = derive_ir(mesh, dtype=dtype)
+        pressure = random_pressure(mesh, seed=5)
+        r_event = lower_to_event(ir, mesh, fluid).run_single(pressure).residual
+        r_fused = lower_to_fused(ir, mesh, fluid).run([pressure]).residual
+        assert r_event.dtype == r_fused.dtype == np.dtype(dtype)
+        assert r_event.tobytes() == r_fused.tobytes()
+
     def test_ir_lowered_event_matches_the_plain_event_driver(self):
         """Consuming IR-carried routes must not change the event bits."""
         mesh = make_geomodel(4, 3, 4, kind="channelized", seed=3)

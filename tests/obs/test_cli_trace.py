@@ -71,6 +71,19 @@ class TestOtherBackends:
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
+    def test_fused_shows_setup_and_fold_lines(self, tmp_path):
+        code, _ = run_cli(
+            ["trace", "--backend", "fused", "--nx", "7", "--ny", "6",
+             "--nz", "3", "--applications", "2", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert "fused" in doc["metrics"]
+        assert {
+            "fused.ir_build", "fused.schedule", "fused.run",
+            "fused.local", "fused.rounds", "fused.fold",
+        } <= set(doc["spans"])
+
     def test_gpu(self, tmp_path):
         code, _ = run_cli(
             ["trace", "--backend", "gpu", "--variant", "raja", "--nx", "4",

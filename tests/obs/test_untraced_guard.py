@@ -1,10 +1,11 @@
-"""Guard: ``trace=False`` must add zero per-event work or allocations.
+"""Guard: disabled observability must add zero work or allocations.
 
 The runtime's hot paths (_transmit/_deliver) carry a trace branch; when
 tracing is off that branch must be a single predictable bool test — no
 sink object, no record tuples, no aggregate updates.  The poison test
 proves the branch is never entered: any attribute access or call on the
-planted objects raises.
+planted objects raises.  The same holds for phase spans: with no
+recorder installed, a fused construction + run must never build a span.
 """
 
 import numpy as np
@@ -101,3 +102,20 @@ class TestUntracedDefaults:
         rt.reset()
         assert rt.trace_sink.deliveries == 0
         assert rt.trace_log == []
+
+
+class TestUnrecordedSpans:
+    def test_fused_setup_and_fold_never_build_a_span(self, monkeypatch):
+        from repro.core import CartesianMesh3D, FluidProperties
+        from repro.ir import FusedFluxComputation
+        from repro.obs import spans
+
+        assert spans.get_recorder() is None
+        # plant poison where an installed recorder would construct spans
+        monkeypatch.setattr(spans, "Span", _Poison())
+        monkeypatch.setattr(spans, "_SpanContext", _Poison())
+        mesh = CartesianMesh3D(7, 6, 2)
+        drv = FusedFluxComputation(mesh, FluidProperties())
+        result = drv.run([np.full(mesh.shape_zyx, 1.0e7)])
+        assert result.applications == 1
+        assert drv.schedule_seconds >= 0.0  # perf_counter timing stays
