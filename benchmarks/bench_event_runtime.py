@@ -782,26 +782,21 @@ def run_check(path: Path, repeats: int) -> int:
     )
     # The fused backend's whole reason to exist is beating the phased
     # lockstep simulation while staying bit-identical to event; gate
-    # throughput and the fold schedule's set-up cost together.  Wall-clock
-    # ratios on a loaded host are noisy in fused's disfavour, so retry a
-    # few times before declaring a regression.
-    for attempt in range(3):
-        lockstep = bench_lockstep(**MAIN_WORKLOAD, repeats=repeats)
-        fused = bench_fused(**MAIN_WORKLOAD, repeats=repeats)
-        fused_fast = fused["mcells_per_sec"] >= lockstep["mcells_per_sec"]
-        schedule_cheap = fused["schedule_seconds"] < fused["ir_build_seconds"]
-        fused_ok = fused_fast and schedule_cheap
-        print(
-            f"check: fused {fused['mcells_per_sec']:.3f} Mcell/s vs "
-            f"lockstep {lockstep['mcells_per_sec']:.3f} "
-            f"-> {'ok' if fused_fast else 'REGRESSION'}; fold schedule "
-            f"{fused['schedule_seconds'] * 1e3:.1f}ms vs IR build "
-            f"{fused['ir_build_seconds'] * 1e3:.1f}ms (limit: below it) "
-            f"-> {'ok' if schedule_cheap else 'REGRESSION'}"
-            + (f" [attempt {attempt + 1}]" if attempt else "")
-        )
-        if fused_ok:
-            break
+    # throughput and the fold schedule's set-up cost together.  One
+    # attempt: the margin is ~2x here, well clear of host noise.
+    lockstep = bench_lockstep(**MAIN_WORKLOAD, repeats=repeats)
+    fused = bench_fused(**MAIN_WORKLOAD, repeats=repeats)
+    fused_fast = fused["mcells_per_sec"] >= lockstep["mcells_per_sec"]
+    schedule_cheap = fused["schedule_seconds"] < fused["ir_build_seconds"]
+    fused_ok = fused_fast and schedule_cheap
+    print(
+        f"check: fused {fused['mcells_per_sec']:.3f} Mcell/s vs "
+        f"lockstep {lockstep['mcells_per_sec']:.3f} "
+        f"-> {'ok' if fused_fast else 'REGRESSION'}; fold schedule "
+        f"{fused['schedule_seconds'] * 1e3:.1f}ms vs IR build "
+        f"{fused['ir_build_seconds'] * 1e3:.1f}ms (limit: below it) "
+        f"-> {'ok' if schedule_cheap else 'REGRESSION'}"
+    )
     par = bench_par_runtime(**PAR_WORKLOAD, repeats=max(1, repeats - 1))
     par_ok = par["bit_identical"] and par["distinct_pids"] >= 2
     print(

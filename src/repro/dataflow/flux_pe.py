@@ -42,19 +42,6 @@ __all__ = ["FluxScratch", "compute_face_flux_column", "evaluate_density_column"]
 #: evaluated once per cell per application and is excluded from Table 4.
 DENSITY_EXP_CYCLES_PER_ELEMENT = 12.0
 
-#: Reusable boolean buffers for the upwind-select predicate, one per
-#: column shape (the simulator is single-threaded, so sharing is safe).
-#: Avoids two fresh allocations per kernel call.
-_MASK_CACHE: dict[tuple[int, ...], np.ndarray] = {}
-
-
-def _mask_for(shape: tuple[int, ...]) -> np.ndarray:
-    mask = _MASK_CACHE.get(shape)
-    if mask is None:
-        mask = _MASK_CACHE[shape] = np.empty(shape, dtype=bool)
-    return mask
-
-
 # module-level ufunc bindings: the kernel issues ~14 ufunc calls per
 # column and runs thousands of times per application, so even the
 # global/attribute loads are measurable
@@ -63,6 +50,9 @@ _mul = np.multiply
 _add = np.add
 _gt = np.greater
 _copyto = np.copyto
+_neg = np.negative
+_xor = np.bitwise_xor
+_and = np.bitwise_and
 
 
 class FluxScratch:
@@ -73,7 +63,7 @@ class FluxScratch:
     and X-Y faces (length ``nz``) share the same storage.
     """
 
-    __slots__ = ("dp", "gz", "a", "b", "mask", "_views")
+    __slots__ = ("dp", "gz", "a", "b", "mask", "sel", "_views")
 
     def __init__(
         self,
@@ -81,15 +71,18 @@ class FluxScratch:
         gz: np.ndarray,
         a: np.ndarray,
         b: np.ndarray,
-        mask: np.ndarray | None = None,
+        sel: np.ndarray | None = None,
     ):
         self.dp = dp
         self.gz = gz
         self.a = a
         self.b = b
-        #: Optional matching bool buffer for the upwind predicate; when
-        #: absent the kernel falls back to the shared per-shape cache.
-        self.mask = mask
+        #: Upwind-select buffer, one of two: whole-array scratch passes
+        #: ``sel``, an unsigned-integer array of dp's shape and item
+        #: width, and gets the bit-select; per-PE column scratch gets a
+        #: bool ``mask`` for the masked copy.
+        self.sel = sel
+        self.mask = np.empty(dp.shape, dtype=bool) if sel is None else None
         self._views: dict[int, FluxScratch] | None = None
 
     @classmethod
@@ -100,7 +93,6 @@ class FluxScratch:
             memory.alloc_array("scratch_gz", n, dtype),
             memory.alloc_array("scratch_a", n, dtype),
             memory.alloc_array("scratch_b", n, dtype),
-            np.empty(n, dtype=bool),
         )
 
     def view(self, n: int) -> "FluxScratch":
@@ -113,11 +105,7 @@ class FluxScratch:
         sv = views.get(n)
         if sv is None:
             sv = views[n] = FluxScratch(
-                self.dp[:n],
-                self.gz[:n],
-                self.a[:n],
-                self.b[:n],
-                np.empty(n, dtype=bool),
+                self.dp[:n], self.gz[:n], self.a[:n], self.b[:n]
             )
         return sv
 
@@ -183,12 +171,12 @@ def compute_face_flux_column(
         # the full sequence; account_flux_column books all 14 steps.
         # dp doubles as dphi, and the select (8-9) targets the otherwise
         # unused ``a`` so dphi survives for step 12.
-        mask = s.mask
-        if mask is None:
-            mask = _mask_for(dp.shape)
-        _gt(dp, 0.0, mask)
-        _copyto(a, rho_l)
-        _copyto(a, rho_k, where=mask)
+        if s.sel is None:
+            _gt(dp, 0.0, s.mask)
+            _copyto(a, rho_l)
+            _copyto(a, rho_k, where=s.mask)
+        else:
+            _bit_select(s.sel, dp, rho_k, rho_l, a)
         _mul(a, inv_viscosity, a)                   # 10: FMUL lambda_upw
         _mul(a, trans, a)                           # 11: FMUL Upsilon*lambda
         _mul(a, dp, a)                              # 12: FMUL F = ...*dphi
@@ -205,13 +193,13 @@ def compute_face_flux_column(
     # 8: FSUB cmp = -dphi; 9: SEL rho_upw (Eq. 4).  The FSUB is folded
     # into the predicate — ``(0 - dphi) < 0`` iff ``dphi > 0`` exactly
     # (incl. signed zeros and NaN) — and the select writes through a
-    # cached mask, so steps 8-9 allocate nothing.
-    mask = s.mask
-    if mask is None:
-        mask = _mask_for(b.shape)
-    _gt(b, 0.0, mask)
-    _copyto(dp, rho_l)
-    _copyto(dp, rho_k, where=mask)
+    # scratch-owned buffer, so steps 8-9 allocate nothing.
+    if s.sel is None:
+        _gt(b, 0.0, s.mask)
+        _copyto(dp, rho_l)
+        _copyto(dp, rho_k, where=s.mask)
+    else:
+        _bit_select(s.sel, b, rho_k, rho_l, dp)
     _mul(dp, inv_viscosity, dp)                     # 10: FMUL lambda_upw
     _mul(dp, trans, dp)                             # 11: FMUL Upsilon*lambda
     _mul(dp, b, dp)                                 # 12: FMUL F = ...*dphi
@@ -222,6 +210,23 @@ def compute_face_flux_column(
     # the folded FSUB (8) and FNEG (13) are still *booked*: the hardware
     # executes all 14 steps and Table 4 counts them
     engine.account_flux_column(residual.size)
+
+
+def _bit_select(sel, dphi, rho_k, rho_l, out) -> None:
+    """``out = rho_k if dphi > 0 else rho_l`` without a masked copy.
+
+    On same-width unsigned views, ``rho_L ^ ((rho_K ^ rho_L) & m)`` with
+    ``m = -(dphi > 0)`` (all ones or zero) returns the bits of exactly
+    one operand per element — the masked copy's result for every input,
+    NaN included — in four contiguous integer passes after the compare.
+    """
+    u = sel.dtype
+    k, l, o = rho_k.view(u), rho_l.view(u), out.view(u)
+    _gt(dphi, 0.0, sel)
+    _neg(sel, sel)
+    _xor(k, l, o)
+    _and(o, sel, o)
+    _xor(o, l, o)
 
 
 def evaluate_density_column(

@@ -111,6 +111,7 @@ class LockstepWseSimulation:
         self._residual = np.zeros(shape, self.dtype)
         self._halo = np.zeros((2,) + shape, self.dtype)  # shared (p, rho) window
         self._scratch_full = tuple(np.zeros(shape, self.dtype) for _ in range(4))
+        self._select = np.zeros(shape, f"u{self.dtype.itemsize}")
         self._elev = np.ascontiguousarray(mesh.elevation, dtype=self.dtype)
         self._inv_mu = 1.0 / fluid.viscosity
         self._applications = 0
@@ -136,7 +137,9 @@ class LockstepWseSimulation:
     # ------------------------------------------------------------------ #
     def _scratch_for(self, local) -> FluxScratch:
         a, b, c, d = self._scratch_full
-        return FluxScratch(a[local], b[local], c[local], d[local])
+        return FluxScratch(
+            a[local], b[local], c[local], d[local], sel=self._select[local]
+        )
 
     def run_application(self, pressure: np.ndarray) -> np.ndarray:
         """One application of Algorithm 1; returns the residual field."""

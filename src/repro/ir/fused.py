@@ -7,6 +7,15 @@ a leading axis and executes each per-color communication round as one
 whole-array NumPy kernel call — the ufunc count is independent of the
 number of applications.
 
+Batched arrays are x/y-halo-padded and flat,
+``(batch, nz*(ny+2)*(nx+2))``: every neighbour is a constant flat
+shift, so every ufunc of every round is a contiguous 2-D op.  Halo
+faces carry zero transmissibility and halo pressure is finite, so halo
+lanes compute finite zeros that the fold — which only touches classes
+that have the neighbour — never reads (DESIGN.md §16).  Inputs and
+scratch persist in a per-instance workspace; what a run accumulates
+into is zero-allocated per run.
+
 Bit-identity with the event backend (same conform fold class) comes from
 two properties:
 
@@ -45,9 +54,10 @@ import numpy as np
 from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import Connection, interior_slices
+from repro.core.stencil import Connection
 from repro.core.transmissibility import Transmissibility
 from repro.dataflow.flux_pe import (
+    DENSITY_EXP_CYCLES_PER_ELEMENT,
     FluxScratch,
     compute_face_flux_column,
     evaluate_density_column,
@@ -158,9 +168,10 @@ class FusedFluxComputation:
             trans = Transmissibility(mesh, dtype=self.dtype)
         elif trans.mesh is not mesh:
             raise ValueError("trans was built for a different mesh")
-        self.trans_fields = padded_trans_fields(mesh, trans, self.dtype)
         self.engine = DsdEngine(vectorized=self._vectorized)
-        self._elev = np.ascontiguousarray(mesh.elevation, dtype=self.dtype)
+        #: books the padded lanes the kernels sweep, and is never read:
+        #: run() books the true face and cell counts on ``engine``
+        self._lanes = DsdEngine(vectorized=self._vectorized)
         _scalar = self.dtype.type
         self._inv_viscosity = _scalar(1.0 / fluid.viscosity)
         self._gravity = _scalar(gravity)
@@ -168,6 +179,40 @@ class FusedFluxComputation:
         self._applications = 0
         self._fabric_loads = 0
         self._fabric_word_hops = 0
+
+        # x/y-halo-padded flat layout: cell (z, y, x) sits at
+        # z*plane + (y+1)*row + (x+1), so a connection is the constant
+        # flat shift dz*plane + dy*row + dx.  Halo faces get zero Upsilon:
+        # halo lanes compute finite zeros nobody reads.
+        nz, ny, nx = mesh.shape_zyx
+        row, plane = nx + 2, (ny + 2) * (nx + 2)
+        self._padded_shape = (nz, ny + 2, row)
+
+        elev = np.zeros(self._padded_shape, self.dtype)
+        elev[:, 1:-1, 1:-1] = mesh.elevation
+        self._elev_flat = elev.ravel()
+        self._trans_flat = {
+            conn: field.ravel()
+            for conn, field in padded_trans_fields(
+                mesh, trans, self.dtype, xy_halo=1
+            ).items()
+        }
+        self.trans_fields = {
+            conn: _interior(field, self._padded_shape)
+            for conn, field in self._trans_flat.items()
+        }
+        #: per connection (first lane, lanes swept, neighbour shift): X-Y
+        #: sweeps run from the first interior cell to the last, vertical
+        #: ones over all planes but one; and the true faces among them
+        self._spans, self._faces = {}, {}
+        for conn in Connection:
+            dx, dy, dz = conn.offset
+            lo, lanes = row + 1, nz * plane - 2 * (row + 1)
+            if dz:
+                lo, lanes = (0 if dz > 0 else plane), (nz - 1) * plane
+            self._spans[conn] = (lo, lanes, dz * plane + dy * row + dx)
+            self._faces[conn] = (nz - abs(dz)) * (ny - abs(dy)) * (nx - abs(dx))
+        self._workspace: _Workspace | None = None
 
         # the fold schedule is a derived annotation: it amortizes like a
         # backend compile step and stays out of the content hash
@@ -199,52 +244,37 @@ class FusedFluxComputation:
             mesh.validate_field(field, name="pressure")
         started = perf_counter()
         batch = len(fields)
-        shape = mesh.shape_zyx
-        nz, ny, nx = shape
-        engine = self.engine
+        engine, padded = self.engine, self._padded_shape
+        cells = mesh.nx * mesh.ny * mesh.nz
 
         with span("fused.run", backend="fused", applications=batch):
-            p = np.empty((batch,) + shape, self.dtype)
+            ws = self._workspace
+            if ws is None or ws.batch != batch:
+                ws = self._workspace = _Workspace(self, batch)
             for i, field in enumerate(fields):
-                p[i] = field  # cast, exactly like load_pressure
-            rho = np.empty_like(p)
-            residual = np.zeros_like(p)
-            scratch_full = tuple(
-                np.zeros((batch,) + shape, self.dtype) for _ in range(4)
-            )
-
-            def scratch_for(index):
-                a, b, c, d = scratch_full
-                return FluxScratch(a[index], b[index], c[index], d[index])
+                ws.pressure[i] = field  # cast, exactly like load_pressure
+            # what a run accumulates into must start from zero anyway: it
+            # is allocated here and dropped with the run, so it neither
+            # aliases a later run nor stays resident between runs
+            residual = np.zeros_like(ws.p)
 
             with span("fused.local"):
                 evaluate_density_column(
-                    engine,
-                    p,
-                    rho,
+                    self._lanes,
+                    ws.p,
+                    ws.rho,
                     compressibility=self.fluid.compressibility,
                     reference_density=self.fluid.reference_density,
                     reference_pressure=self.fluid.reference_pressure,
                 )
+                engine.aux(
+                    "FEXP",
+                    cells * batch,
+                    cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT,
+                )
                 if self.compute_fluxes:
                     for conn in (Connection.UP, Connection.DOWN):
-                        local, neigh = interior_slices(shape, conn)
-                        bl = (slice(None),) + local
-                        bn = (slice(None),) + neigh
-                        compute_face_flux_column(
-                            engine,
-                            scratch_for(bl),
-                            p[bl],
-                            p[bn],
-                            self._elev[local],
-                            self._elev[neigh],
-                            rho[bl],
-                            rho[bn],
-                            self.trans_fields[conn][local],
-                            residual[bl],
-                            gravity=self._gravity,
-                            inv_viscosity=self._inv_viscosity,
-                        )
+                        self._face_kernel(ws, conn, residual)
 
             # per-connection contribution arrays, one whole-array kernel
             # call each; traffic booked from the IR's exchange plan
@@ -252,51 +282,28 @@ class FusedFluxComputation:
             with span("fused.rounds"):
                 for connections, hops, _phase in self.ir.exchange_plan:
                     for conn in connections:
-                        local, neigh = interior_slices(shape, conn)
-                        bl = (slice(None),) + local
-                        contribution = np.zeros_like(p)
+                        contribution = np.zeros_like(ws.p)
                         if self.compute_fluxes:
-                            # X-Y neighbours share the elevation column:
-                            # same view object twice -> collapsed branch,
-                            # exactly like the event receive task
-                            elev_view = self._elev[local]
-                            compute_face_flux_column(
-                                engine,
-                                scratch_for(bl),
-                                p[bl],
-                                p[(slice(None),) + neigh],
-                                elev_view,
-                                elev_view,
-                                rho[bl],
-                                rho[(slice(None),) + neigh],
-                                self.trans_fields[conn][local],
-                                contribution[bl],
-                                gravity=self._gravity,
-                                inv_viscosity=self._inv_viscosity,
-                            )
-                        contributions[conn] = contribution
-                        dx, dy, _dz = conn.offset
-                        faces = (ny - abs(dy)) * (nx - abs(dx))
-                        words = 2 * nz * faces * batch
+                            self._face_kernel(ws, conn, contribution)
+                        contributions[conn] = _interior(contribution, padded)
+                        words = 2 * self._faces[conn] * batch
                         self._fabric_loads += words
-                        self._fabric_word_hops += (
-                            words * self._words_per_element * hops
-                        )
+                        self._fabric_word_hops += words * self._words_per_element * hops
 
             # serial fold: event arrival order, one basic-slice add per
             # (round, schedule class)
             with span("fused.fold"):
+                residual = _interior(residual, padded)
                 for groups in self._rounds:
                     for conn, ys, xs in groups:
-                        residual[:, :, ys, xs] += contributions[conn][
-                            :, :, ys, xs
-                        ]
+                        residual[:, :, ys, xs] += contributions[conn][:, :, ys, xs]
 
         self._applications += batch
         if self.record is not None:
             for i, field in enumerate(fields):
                 self.record.record_step(field, residual[i])
         elapsed = perf_counter() - started
+        # results are contiguous copies: they do not pin the padded batch
         residuals = None
         if keep_all:
             residuals = [residual[i].copy() for i in range(batch)]
@@ -304,9 +311,22 @@ class FusedFluxComputation:
             residual=residual[batch - 1].copy(),
             applications=batch,
             elapsed_seconds=elapsed,
-            cells=mesh.nx * mesh.ny * mesh.nz,
+            cells=cells,
             residuals=residuals,
         )
+
+    def _face_kernel(self, ws: "_Workspace", conn: Connection, target) -> None:
+        """Accumulate one connection's fluxes over its padded span into
+        the flat *target*, booked at the true face count."""
+        lo, lanes, _shift = self._spans[conn]
+        compute_face_flux_column(
+            self._lanes,
+            *ws.operands[conn],
+            target[:, lo : lo + lanes],
+            gravity=self._gravity,
+            inv_viscosity=self._inv_viscosity,
+        )
+        self.engine.account_flux_column(self._faces[conn] * ws.batch)
 
     # ------------------------------------------------------------------ #
     def report(self) -> FusedReport:
@@ -322,6 +342,51 @@ class FusedFluxComputation:
             ir_build_seconds=self.ir_build_seconds,
             schedule_seconds=self.schedule_seconds,
         )
+
+
+class _Workspace:
+    """What a run needs but does not return, for one batch size.
+
+    Pressure, density, three float scratch arrays and the integer
+    select buffer, halo-padded and flat: ``(batch, nz*(ny+2)*(nx+2))``.
+    None needs initialising per run (halo pressure is a finite constant
+    set here, so halo density is finite too); every kernel operand is a
+    constant flat shift of one of them, sliced here once.
+    """
+
+    def __init__(self, fused: FusedFluxComputation, batch: int) -> None:
+        dtype = fused.dtype
+        shape = (batch, fused._elev_flat.size)
+        self.batch = batch
+        self.p = p = np.full(shape, fused.fluid.reference_pressure, dtype)
+        self.rho = rho = np.empty(shape, dtype)
+        self.pressure = _interior(p, fused._padded_shape)
+        dp, a, b = (np.empty(shape, dtype) for _ in range(3))
+        sel = np.empty(shape, f"u{dtype.itemsize}")
+        gz = np.empty(shape[1], dtype)  # g*(z_L - z_K) is the same for every field
+        #: compute_face_flux_column's operands up to the target, per connection
+        self.operands = {}
+        for conn, (lo, lanes, shift) in fused._spans.items():
+            here, there = slice(lo, lo + lanes), slice(lo + shift, lo + shift + lanes)
+            # X-Y neighbours share the elevation column: same view object
+            # twice -> collapsed branch, exactly like the event receive task
+            z_k = fused._elev_flat[here]
+            z_l = fused._elev_flat[there] if conn.is_vertical else z_k
+            self.operands[conn] = (
+                FluxScratch(*(x[..., :lanes] for x in (dp, gz, a, b, sel))),
+                p[:, here],
+                p[:, there],
+                z_k,
+                z_l,
+                rho[:, here],
+                rho[:, there],
+                fused._trans_flat[conn][here],
+            )
+
+
+def _interior(flat: np.ndarray, padded_shape: tuple[int, int, int]) -> np.ndarray:
+    """The real cells of a halo-padded flat array, as a ``(..., nz, ny, nx)`` view."""
+    return flat.reshape(flat.shape[:-1] + padded_shape)[..., 1:-1, 1:-1]
 
 
 def _check_ir_lowerable(

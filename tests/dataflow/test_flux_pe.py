@@ -6,6 +6,7 @@ import pytest
 from repro.core.kernels import face_flux_array
 from repro.dataflow.flux_pe import (
     FluxScratch,
+    _bit_select,
     compute_face_flux_column,
     evaluate_density_column,
 )
@@ -128,6 +129,52 @@ class TestFluxColumn:
                 trans=np.zeros((3, 2)), residual=np.zeros((3, 2)),
                 gravity=G, inv_viscosity=1.0,
             )
+
+
+class TestBitSelect:
+    """Whole-array scratch (``sel=``) replaces the masked copy of steps
+    8-9 by a bit-select; the two must agree on every bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_agrees_with_masked_copy_on_special_values(self, dtype):
+        rng = np.random.default_rng(3)
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+        n = 4096
+        dphi = rng.standard_normal(n).astype(dtype)
+        rho_k = rng.standard_normal(n).astype(dtype)
+        rho_l = rng.standard_normal(n).astype(dtype)
+        for array in (dphi, rho_k, rho_l):
+            array[rng.integers(0, n, 600)] = rng.choice(special, 600)
+        out = np.empty(n, dtype)
+        sel = np.empty(n, f"u{out.itemsize}")
+        with np.errstate(all="raise"):
+            _bit_select(sel, dphi, rho_k, rho_l, out)
+        want = rho_l.copy()
+        np.copyto(want, rho_k, where=dphi > 0.0)
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("collapsed", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_bytes_equal_with_either_buffer(self, dtype, collapsed):
+        shape = (3, 41)
+        data = {
+            k: v.reshape(shape).astype(dtype)
+            for k, v in make_face_data(3 * 41, seed=9).items()
+        }
+        data["p_l"][:, ::7] = data["p_k"][:, ::7]  # dphi == 0 lanes
+        if collapsed:
+            data["z_l"] = data["z_k"]
+        residuals = []
+        for sel in (None, np.empty(shape, f"u{np.dtype(dtype).itemsize}")):
+            scratch = FluxScratch(*(np.empty(shape, dtype) for _ in range(4)), sel=sel)
+            assert (scratch.mask is None) == (sel is not None)
+            residual = np.zeros(shape, dtype)
+            compute_face_flux_column(
+                DsdEngine(), scratch, **data,
+                residual=residual, gravity=G, inv_viscosity=1.0 / MU,
+            )
+            residuals.append(residual.tobytes())
+        assert residuals[0] == residuals[1]
 
 
 class TestFluxScratchAllocate:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
+from repro.core.stencil import Connection
 from repro.dataflow import WseFluxComputation
 from repro.ir import derive_ir, ir_from_fabric
 from repro.ir.lower import (
@@ -138,3 +139,113 @@ class TestLoweringGuards:
         ir = derive_ir(CartesianMesh3D(3, 3, 3))
         with pytest.raises(ValueError, match="mesh"):
             lower_to_fused(ir, CartesianMesh3D(3, 3, 4), FluidProperties())
+
+
+def _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, pressures):
+    """One fused batch under ``errstate(all="raise")`` against one event
+    application per field; returns the fused result."""
+    with np.errstate(all="raise"):
+        got = fused.run(pressures, keep_all=True)
+    event = lower_to_event(ir, mesh, fluid)
+    want = [event.run_single(p).residual.tobytes() for p in pressures]
+    assert [r.tobytes() for r in got.residuals] == want
+    assert got.residual.tobytes() == want[-1]
+    return got
+
+
+class TestPaddedLayout:
+    """The halo-padded flat layout and its per-instance workspace.
+
+    Every fused run is under ``np.errstate(all="raise")``: a halo lane
+    that ever produced inf/NaN (non-finite halo pressure, a non-zero
+    transmissibility on a halo face) fails here even though the fold
+    never reads it.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("nz", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "fabric",
+        [(1, 6), (6, 1), (2, 2), (3, 5), (6, 6), (7, 9), (25, 24)],
+        ids=lambda f: "x".join(map(str, f)),
+    )
+    def test_fused_bytes_equal_event(self, fabric, nz, dtype, batch):
+        mesh = make_geomodel(*fabric, nz, kind="lognormal", seed=nz + sum(fabric))
+        fluid = FluidProperties()
+        ir = derive_ir(mesh, dtype=dtype)
+        pressures = [random_pressure(mesh, seed=k) for k in range(batch)]
+        got = _assert_fused_bytes_equal_event(
+            lower_to_fused(ir, mesh, fluid), ir, mesh, fluid, pressures
+        )
+        assert got.residual.flags.c_contiguous
+
+    @pytest.mark.slow
+    def test_fused_bytes_equal_event_at_the_benchmark_size(self):
+        mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=0)
+        fluid = FluidProperties()
+        ir = derive_ir(mesh)
+        pressures = [random_pressure(mesh, seed=k) for k in range(8)]
+        _assert_fused_bytes_equal_event(
+            lower_to_fused(ir, mesh, fluid), ir, mesh, fluid, pressures
+        )
+
+    def test_results_are_not_views_of_the_workspace(self):
+        """A later run rewrites the workspace; nothing handed out —
+        ``residual``, ``residuals``, the recorder's arrays — may change."""
+
+        class KeepsWhatItGets:
+            def __init__(self):
+                self.seen = []
+
+            def record_step(self, pressure, residual):
+                self.seen.append(residual)
+
+        mesh = make_geomodel(5, 4, 3, kind="lognormal", seed=2)
+        recorder = KeepsWhatItGets()
+        fused = lower_to_fused(
+            derive_ir(mesh), mesh, FluidProperties(), record=recorder
+        )
+        first = fused.run(
+            [random_pressure(mesh, seed=k) for k in (0, 1)], keep_all=True
+        )
+        handed_out = [first.residual, *first.residuals, *recorder.seen]
+        before = [r.tobytes() for r in handed_out]
+        second = fused.run([random_pressure(mesh, seed=k) for k in (2, 3)])
+        assert second.residual.tobytes() != first.residual.tobytes()
+        assert [r.tobytes() for r in handed_out] == before
+
+    def test_batch_size_may_change_between_runs(self):
+        mesh = make_geomodel(7, 6, 4, kind="lognormal", seed=4)
+        fluid = FluidProperties()
+        ir = derive_ir(mesh)
+        fused = lower_to_fused(ir, mesh, fluid)
+        seed = 0
+        for batch in (3, 8, 1, 1):
+            pressures = [random_pressure(mesh, seed=seed + k) for k in range(batch)]
+            seed += batch
+            _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, pressures)
+
+    @pytest.mark.parametrize("compute_fluxes", [True, False])
+    def test_accounting_does_not_see_the_padding(self, compute_fluxes):
+        """Counts are those of the true faces and cells: equal to the
+        lockstep simulation's, which sweeps unpadded arrays."""
+        mesh = make_geomodel(6, 5, 4, kind="lognormal", seed=1)
+        fluid = FluidProperties()
+        ir = derive_ir(mesh, compute_fluxes=compute_fluxes)
+        pressures = [random_pressure(mesh, seed=k) for k in range(3)]
+        fused = lower_to_fused(ir, mesh, fluid)
+        fused.run(pressures)
+        lockstep = lower_to_lockstep(ir, mesh, fluid)
+        lockstep.run(pressures)
+        got, want = fused.report().as_metrics(), lockstep.report().as_metrics()
+        for key in ("flops", "fabric_words_received", "fabric_word_hops"):
+            assert got[key] == want[key], key
+        if compute_fluxes:
+            assert got["flops"] == 14 * 3 * sum(
+                (mesh.nz - abs(dz)) * (mesh.ny - abs(dy)) * (mesh.nx - abs(dx))
+                for dx, dy, dz in (c.offset for c in Connection)
+            )
+        else:
+            assert got["flops"] == 0
+            assert not fused.run(pressures).residual.any()
