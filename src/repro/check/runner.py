@@ -277,41 +277,13 @@ def check_program(
     Z-column plan must fit the WSE-2 memory model even when the
     simulated fabric was built with a roomier scratchpad.  ``only``
     selects among :data:`FABRIC_ANALYZERS` + :data:`PROGRAM_ANALYZERS`.
-    A legacy :class:`~repro.dataflow.export.ProgramExport` is still
-    accepted and checked from its own view.
     """
-    from repro.dataflow.export import ProgramExport, export_program
+    from repro.ir.builder import build_ir
 
-    if not isinstance(program, ProgramExport):
-        from repro.ir.builder import build_ir
-
-        ir = build_ir(program)
-        w, h = ir.width, ir.height
-        return check_ir(
-            ir, subject=subject or f"program on {w}x{h}", only=only
-        )
-    export = program
-    mesh_nz = export.nz
-    report = check_fabric(
-        export.fabric,
-        colors=export.colors,
-        expected_receivers=export.expected_receivers,
-        subject=subject or f"program on {export.fabric.width}x{export.fabric.height}",
-        only=only,
+    ir = build_ir(program)
+    return check_ir(
+        ir, subject=subject or f"program on {ir.width}x{ir.height}", only=only
     )
-    run = _selected(only, PROGRAM_ANALYZERS)
-    if "plan" in run:
-        report.extend(
-            check_column_plan(
-                mesh_nz,
-                capacity_bytes=WSE2_PE_MEMORY_BYTES,
-                reserved_bytes=export.pe_memory_reserved,
-                reuse_buffers=export.reuse_buffers,
-            )
-        )
-    if "dsd" in run:
-        report.extend(check_dsd_bounds(export.layouts))
-    return report
 
 
 # ------------------------------------------------------------------ #

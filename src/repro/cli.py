@@ -30,6 +30,8 @@ import sys
 
 import numpy as np
 
+from repro.backends import BACKENDS, release
+
 __all__ = ["main", "build_parser"]
 
 
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument(
         "--backend",
         default="event",
-        choices=["event", "fused", "lockstep", "gpu", "cluster", "par"],
+        choices=list(BACKENDS),
         help="which implementation to run (fabric heatmaps need 'event'; "
         "'par' merges every worker's spans into one timeline)",
     )
@@ -176,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sv.add_argument(
         "--backend", default="event",
-        choices=["event", "lockstep", "gpu", "cluster", "par"],
+        choices=list(BACKENDS),
         help="starting backend (may degrade down the policy ladder)",
     )
     p_sv.add_argument("--nx", type=int, default=4)
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cf.add_argument(
         "--backend", default=None,
-        choices=["event", "fused", "lockstep", "gpu", "cluster", "par"],
+        choices=list(BACKENDS),
         help="backend to record on / replay with",
     )
     p_cf.add_argument(
@@ -513,29 +515,25 @@ def _cmd_tables(out) -> int:
 def _cmd_validate(args, out) -> int:
     from repro.core import (
         FluidProperties,
-        Transmissibility,
         compute_flux_residual,
         random_pressure,
     )
-    from repro.dataflow import LockstepWseSimulation, WseFluxComputation
-    from repro.gpu import GpuFluxComputation
     from repro.workloads import make_geomodel
 
     mesh = make_geomodel(args.nx, args.ny, args.nz, kind=args.geomodel, seed=args.seed)
     fluid = FluidProperties()
-    trans = Transmissibility(mesh)
     p = random_pressure(mesh, seed=args.seed)
-    ref = compute_flux_residual(mesh, fluid, p, trans)
+    ref = compute_flux_residual(mesh, fluid, p)
     scale = float(np.abs(ref).max())
     results = {
-        "gpu/raja": GpuFluxComputation(mesh, fluid, trans, variant="raja", dtype=np.float64)
-        .run_single(p).residual,
-        "gpu/cuda": GpuFluxComputation(mesh, fluid, trans, variant="cuda", dtype=np.float64)
-        .run_single(p).residual,
-        "wse/event": WseFluxComputation(mesh, fluid, trans, dtype=np.float64)
-        .run_single(p).residual,
-        "wse/lockstep": LockstepWseSimulation(mesh, fluid, trans, dtype=np.float64)
-        .run_application(p),
+        label: BACKENDS[name]
+        .build(mesh, fluid, dtype=np.float64, **config).run([p]).residual
+        for label, name, config in (
+            ("gpu/raja", "gpu", {"variant": "raja"}),
+            ("gpu/cuda", "gpu", {"variant": "cuda"}),
+            ("wse/event", "event", {}),
+            ("wse/lockstep", "lockstep", {}),
+        )
     }
     print(
         f"mesh {args.nx}x{args.ny}x{args.nz} ({args.geomodel}, seed {args.seed}); "
@@ -632,16 +630,13 @@ def _cmd_trace(args, out) -> int:
         render_report,
         render_rows,
         report_document,
-        run_result_metrics,
-        runtime_stats_metrics,
         save_rows,
         set_recorder,
-        trace_sink_metrics,
     )
     from repro.util.reporting import Table
     from repro.workloads import make_geomodel
 
-    if args.backend in ("cluster", "par"):
+    if BACKENDS[args.backend].rank_decomposed:
         problem = _check_rank_grid(args.px, args.py, args.nx, args.ny)
         if problem is not None:
             print(problem, file=sys.stderr)
@@ -651,107 +646,44 @@ def _cmd_trace(args, out) -> int:
     pressures = [
         random_pressure(mesh, seed=args.seed + i) for i in range(args.applications)
     ]
+    entry = BACKENDS[args.backend]
     registry = MetricsRegistry()
 
-    def run_event():
-        from repro.dataflow import WseFluxComputation
-        from repro.dataflow.cardinal import CARDINAL_CHANNELS
-        from repro.dataflow.diagonal import DIAGONAL_CHANNELS
-
-        wse = WseFluxComputation(
-            mesh, fluid, trace=True, trace_capacity=args.capacity
-        )
-        names = {
-            wse.program.colors.lookup(ch.name): ch.name
-            for ch in (*CARDINAL_CHANNELS, *DIAGONAL_CHANNELS)
-        }
-        result = wse.run(pressures)
-        registry.register(
-            "runtime_stats", lambda: runtime_stats_metrics(result.stats)
-        )
-        registry.register("run_result", lambda: run_result_metrics(result))
-        registry.register("trace", lambda: trace_sink_metrics(wse.trace_sink))
-        return wse.trace_sink, result.stats, names
-
-    def run_fused():
-        from repro.ir import FusedFluxComputation
-
-        drv = FusedFluxComputation(mesh, fluid)
-        drv.run(pressures)
-        registry.register("fused", drv.report().as_metrics)
-        return None, None, None
-
-    def run_lockstep():
-        from repro.dataflow import LockstepWseSimulation
-
-        sim = LockstepWseSimulation(mesh, fluid)
-        for p in pressures:
-            sim.run_application(p)
-        registry.register("lockstep", sim.report().as_metrics)
-        return None, None, None
-
-    def run_gpu():
-        from repro.gpu import GpuFluxComputation
-
-        gpu = GpuFluxComputation(mesh, fluid, variant=args.variant)
-        result = gpu.run(pressures)
-        registry.register(
-            "gpu",
-            lambda: {
-                "variant": args.variant,
-                "applications": result.applications,
-                "kernel_launches": result.kernel_launches,
-                "tiles_executed": result.tiles_executed,
-                "flops": result.flops,
-            },
-        )
-        return None, None, None
-
-    def run_cluster():
-        from repro.cluster.flux import ClusterFluxComputation
-
-        cluster = ClusterFluxComputation(mesh, fluid, px=args.px, py=args.py)
-        result = cluster.run(pressures)
-        registry.register("cluster", result.as_metrics)
-        return None, None, None
-
-    def run_par():
-        from repro.par.flux import ParClusterFluxComputation
-
-        # worker-side spans come back over the reply pipes and are
+    def run():
+        # par's worker-side spans come back over the reply pipes and are
         # ingested into the installed recorder with each worker's OS pid,
         # so the Perfetto document shows one process row per worker
-        with ParClusterFluxComputation(
-            mesh, fluid, px=args.px, py=args.py, workers=args.workers
-        ) as par:
-            result = par.run(pressures)
-            rank_stats = par.rank_stats()
-        registry.register("par", result.as_metrics)
-        # fold the per-rank worker counters into one summary row
-        registry.register(
-            "par_ranks_merged", lambda: registry.merge(*rank_stats)
+        drv = entry.build(
+            mesh, fluid,
+            # native precisions: fp32 device models, fp64 host ranks
+            dtype=np.float64 if entry.rank_decomposed else np.float32,
+            variant=args.variant,
+            px=args.px, py=args.py, workers=args.workers,
+            trace=True, trace_capacity=args.capacity,
         )
-        return None, None, None
-
-    runners = {
-        "event": run_event,
-        "fused": run_fused,
-        "lockstep": run_lockstep,
-        "gpu": run_gpu,
-        "cluster": run_cluster,
-        "par": run_par,
-    }
+        try:
+            result = drv.run(pressures)
+            for source, collector in entry.metrics(drv, result).items():
+                registry.register(source, collector)
+            return drv, result
+        finally:
+            release(drv)
 
     recorder = SpanRecorder()
     previous = set_recorder(recorder)
     prof = None
     try:
         if args.profile:
-            (sink, stats, color_names), prof = profile_call(runners[args.backend])
+            (drv, result), prof = profile_call(run)
         else:
-            sink, stats, color_names = runners[args.backend]()
+            drv, result = run()
     finally:
         set_recorder(previous)
+    # only the event fabric has a delivery trace to render
+    sink = getattr(drv, "trace_sink", None)
+    stats = color_names = None
+    if sink is not None:
+        stats, color_names = result.stats, drv.ir.colors
 
     # calibrated analytic expectation alongside the measured counters
     if args.backend == "gpu":
@@ -799,9 +731,9 @@ def _cmd_trace(args, out) -> int:
             )
         print(t.render(), file=out)
         print(f"metric sources: {', '.join(registry.sources)}", file=out)
-        if args.backend == "par":
-            par_metrics = metrics.get("par", {})
-            merged = metrics.get("par_ranks_merged", {})
+        merged = metrics.get("par_ranks_merged")
+        if merged is not None:
+            par_metrics = metrics["par"]
             print(
                 f"par: {par_metrics.get('distinct_pids', 0)} distinct "
                 f"worker pid(s), "
@@ -942,7 +874,7 @@ def _cmd_supervise(args, out) -> int:
         SupervisorGiveUp,
     )
 
-    if args.backend in ("cluster", "par"):
+    if BACKENDS[args.backend].rank_decomposed:
         problem = _check_rank_grid(args.px, args.py, args.nx, args.ny)
         if problem is not None:
             print(problem, file=sys.stderr)
@@ -963,7 +895,7 @@ def _cmd_supervise(args, out) -> int:
     if args.plan:
         plan = FaultPlan.from_dict(json.loads(Path(args.plan).read_text()))
     elif args.inject:
-        if args.backend in ("cluster", "par"):
+        if BACKENDS[args.backend].injects == "ranks":
             plan = FaultPlan.seeded(
                 args.seed, fabric_shape=(args.nx, args.ny),
                 ranks=args.px * args.py,
@@ -1397,11 +1329,20 @@ def _cmd_conform(args, out) -> int:
         from repro.par.runtime import available_cpus
 
         backends = args.backends.split(",") if args.backends else None
+        unknown = sorted(set(backends or ()) - set(BACKENDS))
+        if unknown:
+            print(
+                "error: unknown backend(s) for --backends "
+                + ", ".join(repr(u) for u in unknown)
+                + "; known: " + ", ".join(BACKENDS),
+                file=sys.stderr,
+            )
+            return 2
         # par replays spawn a worker pool per artifact — only worth it
         # when the host actually has a second CPU (the result would
         # still be bit-identical on one, per the equivalence tests)
-        skip_par = available_cpus() < 2 and (
-            backends is None or "par" not in backends
+        skip_par = available_cpus() < 2 and not any(
+            BACKENDS[b].multi_process for b in backends or ()
         )
         results = run_golden(
             Path(args.golden_dir) if args.golden_dir else None,
@@ -1432,7 +1373,7 @@ def _cmd_conform(args, out) -> int:
         if not args.backend:
             print("error: --record requires --backend", file=sys.stderr)
             return 2
-        if args.backend in ("cluster", "par"):
+        if BACKENDS[args.backend].rank_decomposed:
             problem = _check_rank_grid(args.px, args.py, args.nx, args.ny)
             if problem is not None:
                 print(problem, file=sys.stderr)

@@ -1,8 +1,7 @@
 """Cross-backend conformance: record once, prove equivalence everywhere.
 
-The repo's superpower is bit-identity across five executions of the
-same algorithm (event fabric, lockstep fabric, gpu model, serial
-cluster, multiprocess cluster).  This package turns that into a
+The repo's superpower is bit-identity across the executions of the
+same algorithm listed in :data:`repro.backends.BACKENDS`.  This package turns that into a
 product feature: :func:`record_run` captures any run as a portable
 :class:`~repro.obs.replay.ReplayArtifact`, :func:`replay` re-executes
 the artifact on any backend and reports the first divergence under a
@@ -12,8 +11,8 @@ so every optimization proves equivalence against recordings instead of
 ad-hoc pairwise tests.  Exposed as ``repro conform``.
 """
 
+from repro.backends import BACKENDS
 from repro.conform.runner import (
-    BACKENDS,
     ConformResult,
     Divergence,
     load_registry,
@@ -24,7 +23,6 @@ from repro.conform.runner import (
 )
 from repro.conform.tolerance import (
     BIT_EXACT,
-    FOLD_CLASS,
     ULP_BOUNDED,
     ToleranceClass,
     default_tolerance,
@@ -41,7 +39,6 @@ __all__ = [
     "replay",
     "run_golden",
     "BIT_EXACT",
-    "FOLD_CLASS",
     "ULP_BOUNDED",
     "ToleranceClass",
     "default_tolerance",

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.backends import BACKENDS, get_backend, release
 from repro.conform.tolerance import (
     BIT_EXACT,
     ULP_BOUNDED,
@@ -37,7 +38,6 @@ from repro.faults.plan import FaultPlan
 from repro.obs.replay import ReplayArtifact, ReplayRecorder, digest_array
 
 __all__ = [
-    "BACKENDS",
     "Divergence",
     "ConformResult",
     "record_run",
@@ -46,9 +46,6 @@ __all__ = [
     "run_golden",
     "named_tolerance",
 ]
-
-#: Every backend the conformance suite can record from / replay on.
-BACKENDS = ("event", "fused", "lockstep", "gpu", "cluster", "par")
 
 _DEFAULT_PRESSURE_SEED = 2024
 
@@ -74,86 +71,21 @@ def _pressures(mesh: CartesianMesh3D, seed: int, applications: int):
     ]
 
 
-def _fault_plan(meta: dict) -> FaultPlan | None:
+def _build(backend: str, mesh: CartesianMesh3D, meta: dict, record):
+    """The *backend* driver for a recorded configuration, with the
+    recording hook attached (release it with :func:`repro.backends.release`)."""
     plan_doc = meta.get("fault_plan")
-    if not plan_doc:
-        return None
-    return FaultPlan.from_dict(plan_doc)
-
-
-def _make_backend(
-    backend: str,
-    mesh: CartesianMesh3D,
-    meta: dict,
-    record: ReplayRecorder | None,
-):
-    """Instantiate a backend driver with the recording hook attached.
-
-    Returns ``(driver, run, finish)`` where ``run(pressures)`` executes
-    the batch and ``finish()`` releases resources (par pools).
-    """
-    fluid = FluidProperties()
-    dtype = np.dtype(meta["dtype"])
-    cfg = meta.get("backend_config") or {}
-    plan = _fault_plan(meta)
-    if backend == "event":
-        from repro.dataflow.driver import WseFluxComputation
-
-        drv = WseFluxComputation(
-            mesh, fluid, dtype=dtype, record=record,
-            faults=_injector(plan.only_fabric()) if plan else None,
-        )
-        return drv, drv.run, lambda: None
-    if backend == "fused":
-        from repro.ir.fused import FusedFluxComputation
-
-        if plan is not None:
-            raise ValueError(
-                "fused backend does not support fault injection"
-            )
-        drv = FusedFluxComputation(mesh, fluid, dtype=dtype, record=record)
-        return drv, drv.run, lambda: None
-    if backend == "lockstep":
-        from repro.dataflow.lockstep import LockstepWseSimulation
-
-        drv = LockstepWseSimulation(mesh, fluid, dtype=dtype, record=record)
-        return drv, drv.run, lambda: None
-    if backend == "gpu":
-        from repro.gpu.reference import GpuFluxComputation
-
-        drv = GpuFluxComputation(
-            mesh, fluid, dtype=dtype,
-            variant=cfg.get("variant", "raja"), record=record,
-        )
-        return drv, drv.run, lambda: None
-    if backend == "cluster":
-        from repro.cluster.flux import ClusterFluxComputation
-
-        drv = ClusterFluxComputation(
-            mesh, fluid, px=cfg.get("px", 2), py=cfg.get("py", 2),
-            dtype=dtype, record=record,
-            faults=_injector(plan.only_ranks()) if plan else None,
-        )
-        return drv, drv.run, lambda: None
-    if backend == "par":
-        from repro.par.flux import ParClusterFluxComputation
-
-        drv = ParClusterFluxComputation(
-            mesh, fluid, px=cfg.get("px", 2), py=cfg.get("py", 2),
-            workers=cfg.get("workers"), dtype=dtype, record=record,
-            plan=plan.only_ranks() if plan else None,
-        )
-        return drv, drv.run, drv.close
-    raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-
-
-def _injector(plan: FaultPlan):
-    """A fresh injector for *plan* (None when the plan is empty)."""
-    if plan is None or plan.empty:
-        return None
-    from repro.faults.injector import FaultInjector
-
-    return FaultInjector(plan)
+    config = meta.get("backend_config") or {}
+    return get_backend(backend).build(
+        mesh,
+        FluidProperties(),
+        dtype=meta["dtype"],
+        record=record,
+        plan=FaultPlan.from_dict(plan_doc) if plan_doc else None,
+        # unset keys (workers=None, a post-mortem's variant=None) take
+        # the backend's defaults
+        **{k: v for k, v in config.items() if v is not None},
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -208,35 +140,22 @@ def record_run(
         meta.update(extra_meta)
     mesh = _build_mesh(meta["mesh"])
     recorder = ReplayRecorder(meta, snapshot_every=snapshot_every)
-    drv, run, finish = _make_backend(backend, mesh, meta, recorder)
+    drv = _build(backend, mesh, meta, recorder)
     try:
-        run(_pressures(mesh, pressure_seed, applications))
+        drv.run(_pressures(mesh, pressure_seed, applications))
     finally:
-        finish()
-    fingerprint = None
-    if backend == "event":
-        fingerprint = _program_fingerprint(drv.program)
-    elif backend == "fused":
-        fingerprint = drv.ir.content_hash
+        release(drv)
+    # the IR-lowered backends are fingerprinted by their IR's content
+    # hash: colors, route tables, memory layouts, injector/receiver sets
+    # and the fold-order contracts all feed it, so any routing or layout
+    # drift between record and replay time shows up as a mismatch
+    ir = getattr(drv, "ir", None)
     if trace is None and getattr(drv, "trace_sink", None) is not None:
         trace = drv.trace_sink.as_dict()
     return recorder.finalize(
         trace=trace, spans=spans, metrics=metrics,
-        program_fingerprint=fingerprint,
+        program_fingerprint=ir.content_hash if ir is not None else None,
     )
-
-
-def _program_fingerprint(program) -> str:
-    """Content hash of the compiled program's fabric-program IR.
-
-    The IR subsumes the old ad-hoc export digest: colors, full route
-    tables, memory layouts, injector/receiver sets and the fold-order
-    contracts all feed the hash, so any routing or layout drift between
-    record and replay time shows up as a fingerprint mismatch.
-    """
-    from repro.ir.builder import build_ir
-
-    return build_ir(program).content_hash
 
 
 # --------------------------------------------------------------------- #
@@ -469,9 +388,9 @@ def replay(
     tol = tolerance or default_tolerance(artifact.backend, backend)
     mesh = _build_mesh(meta["mesh"])
     checker = _CheckingRecorder(artifact, backend, tol)
-    drv, run, finish = _make_backend(backend, mesh, meta, checker)
+    drv = _build(backend, mesh, meta, checker)
     try:
-        run(
+        drv.run(
             _pressures(
                 mesh, meta["pressure_seed"], artifact.applications
             )
@@ -479,7 +398,7 @@ def replay(
     except _Stop:
         pass
     finally:
-        finish()
+        release(drv)
     return ConformResult(
         artifact=artifact_name,
         recorded_backend=artifact.backend,
@@ -540,9 +459,9 @@ def run_golden(
 ) -> list[ConformResult]:
     """Replay every golden artifact on its registered backends.
 
-    ``backends`` restricts the replay set; ``skip_par`` drops the par
-    backend (CI uses it on single-CPU runners where spawning a worker
-    pool is pure overhead, though it would still pass).
+    ``backends`` restricts the replay set; ``skip_par`` drops the
+    multi-process backends (on a single-CPU host spawning a worker pool
+    is pure overhead, though the replay would still pass).
     """
     results: list[ConformResult] = []
     for entry in load_registry(directory):
@@ -550,7 +469,7 @@ def run_golden(
         for backend in entry["backends"]:
             if backends is not None and backend not in backends:
                 continue
-            if skip_par and backend == "par":
+            if skip_par and BACKENDS[backend].multi_process:
                 continue
             override = entry["tolerance_overrides"].get(backend)
             results.append(

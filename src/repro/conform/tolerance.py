@@ -6,7 +6,8 @@ module turns that knowledge into two standardized tolerance classes:
 
 * **bit-exact** — same bytes, no exceptions.  Applies when the
   recording and replaying backends share a residual *fold class*
-  (identical summation order): cluster vs par (disjoint owned regions,
+  (identical summation order; declared per backend in
+  :mod:`repro.backends`): cluster vs par (disjoint owned regions,
   host-order fold), or event vs lockstep on forced-order meshes.
 * **ulp-bounded** — each cell within ``max_ulps`` units in the last
   place of the recording, OR within ``rtol * scale`` absolutely (the
@@ -25,30 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import get_backend
+
 __all__ = [
     "ulp_distance",
     "ToleranceClass",
     "BIT_EXACT",
     "ULP_BOUNDED",
-    "FOLD_CLASS",
     "default_tolerance",
 ]
-
-# Residual fold class per backend: backends in the same class sum cell
-# contributions in the same order and must therefore agree bitwise.
-# event/lockstep are distinct in general (fabric arrival order vs
-# phased order) but coincide on the forced-order fabric shapes — the
-# golden registry encodes that per-artifact via tolerance_overrides.
-# fused replays the IR's probed per-PE arrival schedule, so it shares
-# the event fold class and must match event recordings to the bit.
-FOLD_CLASS = {
-    "event": "event",
-    "fused": "event",
-    "lockstep": "lockstep",
-    "gpu": "gpu",
-    "cluster": "host",
-    "par": "host",
-}
 
 _ORDERED_DTYPES = {
     np.dtype(np.float64): np.int64,
@@ -172,11 +158,6 @@ def default_tolerance(
     recorded_backend: str, replay_backend: str
 ) -> ToleranceClass:
     """The standard tolerance class for a backend pair."""
-    rec = FOLD_CLASS.get(recorded_backend)
-    rep = FOLD_CLASS.get(replay_backend)
-    if rec is None or rep is None:
-        unknown = recorded_backend if rec is None else replay_backend
-        raise ValueError(f"unknown backend {unknown!r}")
-    if rec == rep:
-        return BIT_EXACT
-    return ULP_BOUNDED
+    rec = get_backend(recorded_backend).fold_class
+    rep = get_backend(replay_backend).fold_class
+    return BIT_EXACT if rec == rep else ULP_BOUNDED

@@ -15,7 +15,6 @@ from repro.dataflow.cardinal import (
 )
 from repro.dataflow.diagonal import DIAGONAL_CHANNELS, DiagonalChannel, static_position
 from repro.dataflow.codegen import generate_listing
-from repro.dataflow.export import ProgramExport, export_program
 from repro.dataflow.collectives import FabricCollectives
 from repro.dataflow.driver import WseFluxComputation, WseRunResult
 from repro.dataflow.flux_pe import (
@@ -33,7 +32,11 @@ from repro.dataflow.instrcount import (
     interior_cell_table,
     measure_flux_instruction_mix,
 )
-from repro.dataflow.lockstep import LockstepReport, LockstepWseSimulation
+from repro.dataflow.lockstep import (
+    LockstepReport,
+    LockstepRunResult,
+    LockstepWseSimulation,
+)
 from repro.dataflow.matfree import WseMatrixFreeJacobian
 from repro.dataflow.mapping import (
     BlockedCellMapping,
@@ -49,11 +52,10 @@ __all__ = [
     "WseFluxComputation",
     "WseRunResult",
     "FluxProgram",
-    "ProgramExport",
-    "export_program",
     "padded_trans_fields",
     "LockstepWseSimulation",
     "LockstepReport",
+    "LockstepRunResult",
     "WseMatrixFreeJacobian",
     "FabricCollectives",
     "generate_listing",

@@ -86,6 +86,18 @@ class WseRunResult:
         cells = self.residual.size * self.applications
         return cells / self.device_seconds if self.device_seconds > 0 else 0.0
 
+    def as_metrics(self) -> dict:
+        """Headline counters (cycles, instructions, traffic) as a plain
+        dict for the obs metrics registry."""
+        return {
+            "applications": self.applications,
+            "device_cycles": self.device_cycles,
+            "compute_cycles": self.compute_cycles,
+            "flops": self.flops,
+            "fabric_word_hops": self.fabric_word_hops,
+            "instruction_counts": dict(self.instruction_counts),
+        }
+
     def summary(self) -> str:
         """Multi-line human-readable run report."""
         nz, ny, nx = self.residual.shape
@@ -166,6 +178,8 @@ class WseFluxComputation:
         if pe_memory_bytes is not None:
             kwargs["pe_memory_bytes"] = pe_memory_bytes
         self.program = FluxProgram(**kwargs)
+        #: The IR the program was lowered from (None: self-derived).
+        self.ir = ir
         self.mesh = mesh
         self.perf = perf
         self.trace = trace

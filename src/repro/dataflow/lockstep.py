@@ -20,7 +20,7 @@ Per application the phases mirror Sec. 5:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.dataflow.program import padded_trans_fields
 from repro.obs.spans import span
 from repro.wse.dsd import DsdEngine
 
-__all__ = ["LockstepWseSimulation", "LockstepReport"]
+__all__ = ["LockstepWseSimulation", "LockstepReport", "LockstepRunResult"]
 
 
 @dataclass
@@ -64,14 +64,21 @@ class LockstepReport:
 
     def as_metrics(self) -> dict:
         """Counters as a plain dict for the obs metrics registry."""
-        return {
-            "applications": self.applications,
-            "instruction_counts": dict(self.instruction_counts),
-            "flops": self.flops,
-            "fabric_words_received": self.fabric_words_received,
-            "fabric_word_hops": self.fabric_word_hops,
-            "compute_cycles": self.compute_cycles,
-        }
+        return asdict(self)
+
+
+@dataclass
+class LockstepRunResult:
+    """Outcome of :meth:`LockstepWseSimulation.run`: the last residual
+    plus the simulation's accounting so far."""
+
+    residual: np.ndarray
+    applications: int
+    report: LockstepReport
+
+    def as_metrics(self) -> dict:
+        """The report's counters (obs metrics registry shape)."""
+        return self.report.as_metrics()
 
 
 class LockstepWseSimulation:
@@ -93,7 +100,7 @@ class LockstepWseSimulation:
         vectorized: bool = True,
         compute_fluxes: bool = True,
         record=None,
-        exchange_plan=None,
+        ir=None,
     ) -> None:
         self.mesh = mesh
         self.fluid = fluid
@@ -117,15 +124,17 @@ class LockstepWseSimulation:
         self._applications = 0
         self._fabric_word_hops = 0
         self._words_per_element = max(1, self.dtype.itemsize // 4)
+        #: The :class:`~repro.ir.schema.FabricProgramIR` this simulation
+        #: was lowered from (:func:`repro.ir.lower.lower_to_lockstep`), or
+        #: None when built directly.
+        self.ir = ir
         #: Fold-order contract: ``(connections, hops, phase)`` per
-        #: communication phase.  Defaults to the paper's cardinal-then-
-        #: diagonal order; an IR lowering passes the IR's exchange-plan
-        #: contract instead (:func:`repro.ir.lower.lower_to_lockstep`).
-        if exchange_plan is None:
-            exchange_plan = (
-                (CARDINAL_XY, 1, "lockstep.cardinal"),
-                (DIAGONAL_XY, 2, "lockstep.diagonal"),
-            )
+        #: communication phase — the IR's exchange plan, else the
+        #: paper's cardinal-then-diagonal order.
+        exchange_plan = ir.exchange_plan if ir is not None else (
+            (CARDINAL_XY, 1, "lockstep.cardinal"),
+            (DIAGONAL_XY, 2, "lockstep.diagonal"),
+        )
         self.exchange_plan = tuple(
             (tuple(conns), int(hops), f"lockstep.{phase.split('.')[-1]}")
             for conns, hops, phase in exchange_plan
@@ -211,14 +220,16 @@ class LockstepWseSimulation:
             self.record.record_step(pressure, self._residual)
         return self._residual.copy()
 
-    def run(self, pressures) -> np.ndarray:
-        """Run one application per field; return the last residual."""
+    def run(self, pressures) -> LockstepRunResult:
+        """Run one application per field; ``.residual`` is the last one's."""
         residual = None
+        applications = 0
         for pressure in pressures:
             residual = self.run_application(pressure)
+            applications += 1
         if residual is None:
             raise ValueError("no pressure fields supplied")
-        return residual
+        return LockstepRunResult(residual, applications, self.report())
 
     # ------------------------------------------------------------------ #
     def report(self) -> LockstepReport:

@@ -851,7 +851,7 @@ def run_chaos(
         ]
         lockstep_ref = LockstepWseSimulation(
             mesh, fluid, dtype=np.float64
-        ).run([ladder_pressures[-1]])
+        ).run([ladder_pressures[-1]]).residual
         gpu_calls = {"n": 0}
 
         def ladder_factory(backend, attempt):
@@ -868,7 +868,7 @@ def run_chaos(
 
                 return run_single, (lambda: None)
             drv = LockstepWseSimulation(mesh, fluid, dtype=np.float64)
-            return (lambda p: drv.run([p])), (lambda: None)
+            return (lambda p: drv.run([p]).residual), (lambda: None)
 
         sup = RunSupervisor(
             mesh, fluid, backend="gpu",

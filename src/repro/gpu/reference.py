@@ -43,12 +43,23 @@ class GpuRunResult:
     occupancy: OccupancyModel
     transfers: TransferLog
     flops: int
+    variant: str = "raja"
 
     @property
     def flops_per_cell(self) -> float:
         """Executed FLOPs per cell per application (nominal 140)."""
         cells = self.residual.size * self.applications
         return self.flops / cells if cells else 0.0
+
+    def as_metrics(self) -> dict:
+        """Counters as a plain dict for the obs metrics registry."""
+        return {
+            "variant": self.variant,
+            "applications": self.applications,
+            "kernel_launches": self.kernel_launches,
+            "tiles_executed": self.tiles_executed,
+            "flops": self.flops,
+        }
 
 
 class GpuFluxComputation:
@@ -214,6 +225,7 @@ class GpuFluxComputation:
             occupancy=self.occupancy,
             transfers=self.dev.transfers,
             flops=self._flops,
+            variant=self.variant,
         )
 
     def run_single(self, pressure: np.ndarray) -> GpuRunResult:

@@ -9,13 +9,7 @@ of truth.  See :mod:`repro.ir.schema` for the document layout.
 
 from repro.ir.builder import build_ir, derive_ir, ir_from_fabric
 from repro.ir.fused import FusedFluxComputation, FusedReport, FusedRunResult
-from repro.ir.lower import (
-    lower_to_cluster,
-    lower_to_event,
-    lower_to_fused,
-    lower_to_gpu,
-    lower_to_lockstep,
-)
+from repro.ir.lower import lower_to_event, lower_to_fused, lower_to_lockstep
 from repro.ir.schedule import arrival_schedule
 from repro.ir.schema import (
     IR_SCHEMA_VERSION,
@@ -39,6 +33,4 @@ __all__ = [
     "lower_to_event",
     "lower_to_lockstep",
     "lower_to_fused",
-    "lower_to_gpu",
-    "lower_to_cluster",
 ]

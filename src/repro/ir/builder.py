@@ -17,11 +17,6 @@ byte — a testable invariant that pins the compiler to the runtime.  The
 capture path additionally works on *broken* fabrics
 (:func:`ir_from_fabric`), which is how ``repro check`` findings on the
 IR can match findings on a live corrupted program.
-
-This module subsumes :func:`repro.dataflow.export.export_program`: the
-IR carries everything ``ProgramExport`` carried (colors, expected
-receivers, layouts-as-records, memory plan) plus the routes, injectors,
-and fold contracts the export never saw.
 """
 
 from __future__ import annotations
@@ -175,8 +170,8 @@ def _base_doc(kind: str) -> dict:
 def _expected_receivers_doc(nx: int, ny: int, remap, channels, color_of) -> dict:
     """``color id -> sorted receiver coords`` from the mesh stencil.
 
-    Mirrors :func:`repro.dataflow.export._receivers_for`: a PE receives a
-    channel's color iff its ``delivers`` neighbour is in bounds.
+    A PE receives a channel's color iff its ``delivers`` neighbour is in
+    bounds.
     """
     out: dict[str, list] = {}
     for channel in channels:

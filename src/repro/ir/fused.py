@@ -46,7 +46,7 @@ lockstep simulator comes from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
 
 import numpy as np
@@ -87,16 +87,7 @@ class FusedReport:
     schedule_seconds: float
 
     def as_metrics(self) -> dict:
-        return {
-            "applications": self.applications,
-            "instruction_counts": dict(self.instruction_counts),
-            "flops": self.flops,
-            "fabric_words_received": self.fabric_words_received,
-            "fabric_word_hops": self.fabric_word_hops,
-            "compute_cycles": self.compute_cycles,
-            "ir_build_seconds": self.ir_build_seconds,
-            "schedule_seconds": self.schedule_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -107,7 +98,12 @@ class FusedRunResult:
     applications: int
     elapsed_seconds: float
     cells: int
+    report: FusedReport
     residuals: list | None = None
+
+    def as_metrics(self) -> dict:
+        """The driver's accounting so far (obs metrics registry shape)."""
+        return self.report.as_metrics()
 
     @property
     def throughput_cells_per_second(self) -> float:
@@ -312,6 +308,7 @@ class FusedFluxComputation:
             applications=batch,
             elapsed_seconds=elapsed,
             cells=cells,
+            report=self.report(),
             residuals=residuals,
         )
 

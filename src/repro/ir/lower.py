@@ -11,10 +11,10 @@ Each ``lower_to_*`` function materializes one runtime from the IR:
   IR's exchange-plan contract (phase order, connection order, hop
   counts) rather than its own hard-coded fold order.
 * ``fused`` — the whole-array backend of :mod:`repro.ir.fused`.
-* ``gpu`` / ``cluster`` — delegate to the existing constructors (those
-  backends own their decomposition), but validate the IR and take the
-  mesh/dtype parameters from it, so a program lowered to every backend
-  is guaranteed to describe the same computation.
+
+The gpu, cluster and par backends own their decomposition and are not
+lowered from the IR (ROADMAP open item); :mod:`repro.backends` builds
+them directly.
 
 All passes raise ``ValueError`` when the IR cannot describe the
 requested lowering (bare-fabric IR, mesh mismatch, missing contracts).
@@ -31,8 +31,6 @@ __all__ = [
     "lower_to_event",
     "lower_to_lockstep",
     "lower_to_fused",
-    "lower_to_gpu",
-    "lower_to_cluster",
 ]
 
 
@@ -78,8 +76,7 @@ def lower_to_lockstep(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
     from repro.dataflow.lockstep import LockstepWseSimulation
 
     params = _require_program_ir(ir, mesh, "lockstep")
-    plan = ir.exchange_plan
-    if not plan:
+    if not ir.exchange_plan:
         raise ValueError("IR carries no exchange plan to lower")
     return LockstepWseSimulation(
         mesh,
@@ -88,7 +85,7 @@ def lower_to_lockstep(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
         dtype=np.dtype(params["dtype"]),
         compute_fluxes=params["compute_fluxes"],
         vectorized=ir.vectorized,
-        exchange_plan=plan,
+        ir=ir,
         **kwargs,
     )
 
@@ -104,21 +101,3 @@ def lower_to_fused(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
         ir=ir,
         **kwargs,
     )
-
-
-def lower_to_gpu(ir: FabricProgramIR, mesh, fluid, **kwargs):
-    """IR -> GPU-model backend (delegates; dtype/mesh from the IR)."""
-    from repro.gpu.reference import GpuFluxComputation
-
-    params = _require_program_ir(ir, mesh, "gpu")
-    kwargs.setdefault("dtype", np.dtype(params["dtype"]))
-    return GpuFluxComputation(mesh, fluid, **kwargs)
-
-
-def lower_to_cluster(ir: FabricProgramIR, mesh, fluid, **kwargs):
-    """IR -> MPI-model cluster backend (delegates; dtype from the IR)."""
-    from repro.cluster.flux import ClusterFluxComputation
-
-    params = _require_program_ir(ir, mesh, "cluster")
-    kwargs.setdefault("dtype", np.dtype(params["dtype"]))
-    return ClusterFluxComputation(mesh, fluid, **kwargs)

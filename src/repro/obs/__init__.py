@@ -35,7 +35,6 @@ from repro.obs.profile import (
 from repro.obs.metrics import (
     MetricsRegistry,
     merge_metrics,
-    run_result_metrics,
     runtime_stats_metrics,
     trace_sink_metrics,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_metrics",
     "runtime_stats_metrics",
-    "run_result_metrics",
     "trace_sink_metrics",
     "consistency",
     "render_report",

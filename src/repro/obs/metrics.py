@@ -26,7 +26,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_metrics",
     "runtime_stats_metrics",
-    "run_result_metrics",
     "trace_sink_metrics",
 ]
 
@@ -115,18 +114,6 @@ def runtime_stats_metrics(stats) -> dict:
     if hasattr(stats, "fabric_bytes_moved"):
         out["fabric_bytes_moved"] = stats.fabric_bytes_moved
     return out
-
-
-def run_result_metrics(result) -> dict:
-    """``WseRunResult`` headline counters (cycles, instructions, traffic)."""
-    return {
-        "applications": result.applications,
-        "device_cycles": result.device_cycles,
-        "compute_cycles": result.compute_cycles,
-        "flops": result.flops,
-        "fabric_word_hops": result.fabric_word_hops,
-        "instruction_counts": dict(result.instruction_counts),
-    }
 
 
 def trace_sink_metrics(sink) -> dict:

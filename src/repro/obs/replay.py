@@ -7,10 +7,10 @@ and diff the result (DESIGN.md Sec. 13):
 
 * **meta.json** — schema version, backend name + configuration, the
   mesh/geomodel recipe (regenerable from its seed), the fault plan and
-  RNG seeds, the program fingerprint (for fabric backends, derived from
-  :class:`~repro.dataflow.export.ProgramExport`), per-step pressure and
-  residual SHA-256 digests, TraceSink aggregates, the span timeline and
-  a metrics snapshot;
+  RNG seeds, the program fingerprint (for the IR-lowered backends, the
+  :class:`~repro.ir.schema.FabricProgramIR` content hash), per-step
+  pressure and residual SHA-256 digests, TraceSink aggregates, the span
+  timeline and a metrics snapshot;
 * **snapshots/stepNNNNNN.npy** — periodic full residual fields (every
   ``snapshot_every`` steps plus always the last), so divergences can be
   localized to a cell, not just a step.

@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.backends import get_backend
+
 __all__ = ["ResiliencePolicy", "DEFAULT_LADDER"]
 
 #: Default degradation order: when a backend exhausts its retry budget
@@ -98,6 +100,7 @@ class ResiliencePolicy:
         object.__setattr__(self, "ladder", tuple(self.ladder))
         seen = set()
         for name in self.ladder:
+            get_backend(name)  # a misspelt rung fails here, not mid-degrade
             if name in seen:
                 raise ValueError(f"ladder repeats backend {name!r}")
             seen.add(name)

@@ -1,8 +1,8 @@
 """`RunSupervisor` — policy-driven self-healing execution of a run.
 
-The supervisor wraps any of the five backend drivers (event, lockstep,
-gpu-model, cluster, par) and turns their one-shot structured exceptions
-into bounded-loss recovery:
+The supervisor wraps any backend of :data:`repro.backends.BACKENDS` and
+turns its driver's one-shot structured exceptions into bounded-loss
+recovery:
 
 1. **Checkpoint** — after every ``checkpoint_every`` committed
    applications the residual goes into a
@@ -52,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.backends import get_backend, release
 from repro.faults.errors import (
     CommTimeoutError,
     EventBudgetError,
@@ -164,8 +165,7 @@ class RunSupervisor:
         The :class:`~repro.resilience.policy.ResiliencePolicy`
         (defaults to ``ResiliencePolicy()``).
     backend:
-        Starting backend: ``event``, ``lockstep``, ``gpu``, ``cluster``
-        or ``par``.
+        Starting backend (a :data:`repro.backends.BACKENDS` name).
     px, py, workers, dtype:
         Decomposition/config forwarded to the cluster/par drivers.
     plan:
@@ -252,65 +252,20 @@ class RunSupervisor:
     # ------------------------------------------------------------------ #
     # Default drivers
     # ------------------------------------------------------------------ #
-    def _attempt_plan(self, attempt: int):
-        """The fault plan for *attempt* (transient: first attempt only)."""
-        return self.plan if attempt == 0 else None
-
-    @staticmethod
-    def _injector(plan):
-        if plan is None or plan.empty:
-            return None
-        from repro.faults.injector import FaultInjector
-
-        return FaultInjector(plan)
-
     def _default_factory(self, backend: str, attempt: int):
-        plan = self._attempt_plan(attempt)
-        mesh, fluid, dtype = self.mesh, self.fluid, self.dtype
-        if backend == "event":
-            from repro.dataflow.driver import WseFluxComputation
-
-            drv = WseFluxComputation(
-                mesh, fluid, dtype=dtype,
-                watchdog_cycles=self.watchdog_cycles,
-                faults=self._injector(
-                    plan.only_fabric() if plan else None
-                ),
-            )
-            return (lambda p: drv.run_single(p).residual), (lambda: None)
-        if backend == "lockstep":
-            from repro.dataflow.lockstep import LockstepWseSimulation
-
-            drv = LockstepWseSimulation(mesh, fluid, dtype=dtype)
-            return (lambda p: drv.run([p])), (lambda: None)
-        if backend == "gpu":
-            from repro.gpu.reference import GpuFluxComputation
-
-            drv = GpuFluxComputation(mesh, fluid, dtype=dtype)
-            return (lambda p: drv.run_single(p).residual), (lambda: None)
-        if backend == "cluster":
-            from repro.cluster.flux import ClusterFluxComputation
-
-            drv = ClusterFluxComputation(
-                mesh, fluid, px=self.px, py=self.py, dtype=dtype,
-                faults=self._injector(plan.only_ranks() if plan else None),
-            )
-            return (lambda p: drv.run_single(p).residual), (lambda: None)
-        if backend == "par":
-            from repro.par.flux import ParClusterFluxComputation
-
+        drv = get_backend(backend).build(
+            self.mesh, self.fluid, dtype=self.dtype,
+            # transient-fault model: the plan hits the first attempt only
+            plan=self.plan if attempt == 0 else None,
+            px=self.px, py=self.py, workers=self.workers,
+            watchdog_cycles=self.watchdog_cycles,
             # respawn=False: crashes surface here so *this* layer (not
-            # the driver's internal respawn loop) owns the recovery
-            drv = ParClusterFluxComputation(
-                mesh, fluid, px=self.px, py=self.py,
-                workers=self.workers, dtype=dtype,
-                plan=plan.only_ranks() if plan else None,
-                respawn=False,
-                lease_seconds=self.policy.lease_seconds,
-                failure_mode=self.failure_mode,
-            )
-            return (lambda p: drv.run_single(p).residual), drv.close
-        raise ValueError(f"unknown backend {backend!r}")
+            # the par driver's internal respawn loop) owns the recovery
+            respawn=False,
+            lease_seconds=self.policy.lease_seconds,
+            failure_mode=self.failure_mode,
+        )
+        return (lambda p: drv.run([p]).residual), (lambda: release(drv))
 
     # ------------------------------------------------------------------ #
     # Supervision loop

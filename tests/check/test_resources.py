@@ -72,12 +72,11 @@ class TestColumnPlan:
 
 class TestDsdBounds:
     def _layouts(self, nx=3, ny=3, nz=4):
-        from repro.core import CartesianMesh3D, FluidProperties
-        from repro.dataflow.export import export_program
-        from repro.dataflow.program import FluxProgram
+        from repro.check.runner import _dsd_layouts_from_ir
+        from repro.core import CartesianMesh3D
+        from repro.ir import derive_ir
 
-        program = FluxProgram(CartesianMesh3D(nx, ny, nz), FluidProperties())
-        return export_program(program).layouts
+        return _dsd_layouts_from_ir(derive_ir(CartesianMesh3D(nx, ny, nz)))
 
     def test_real_program_layouts_are_clean(self):
         assert check_dsd_bounds(self._layouts()) == []

@@ -73,6 +73,14 @@ class TestConformCommand:
         doc = json.loads((report / "conform.json").read_text())
         assert doc["ok"] is True and doc["results"]
 
+    def test_golden_mode_rejects_unknown_backend_names(self, capsys):
+        code, text = run_cli(
+            ["conform", "--golden", "--backends", "lockstep,fuzed"]
+        )
+        assert code == 2 and "[PASS]" not in text
+        err = capsys.readouterr().err
+        assert "'fuzed'" in err and "event, fused, lockstep" in err
+
     def test_replay_without_backend_is_usage_error(self, artifact):
         code, _ = run_cli(["conform", str(artifact)])
         assert code == 2

@@ -123,6 +123,20 @@ class TestFaultedReplay:
         assert result.ok, result.render()
         assert result.tolerance == "bit-exact"
 
+    @pytest.mark.parametrize("backend", ["fused", "lockstep", "gpu"])
+    def test_recovered_recording_replays_on_non_injecting_backends(
+        self, backend
+    ):
+        # a recording of a recovered run holds healthy residuals, so a
+        # backend that cannot inject the plan drops it and replays clean
+        from repro.conform.runner import golden_dir
+
+        art = ReplayArtifact.load(golden_dir() / "faulted-recovery.rpz")
+        assert art.meta["fault_plan"]
+        result = replay(art, backend)
+        assert result.ok, result.render()
+        assert result.tolerance == "ulp-bounded"
+
 
 class TestGoldenRegistry:
     def test_golden_registry_passes(self):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.conform.tolerance import (
     BIT_EXACT,
-    FOLD_CLASS,
     ULP_BOUNDED,
     ToleranceClass,
     default_tolerance,
@@ -156,9 +155,3 @@ class TestDefaultTolerance:
         assert default_tolerance("cluster", "event") is ULP_BOUNDED
         assert default_tolerance("event", "lockstep") is ULP_BOUNDED
         assert default_tolerance("gpu", "cluster") is ULP_BOUNDED
-
-    def test_every_backend_has_a_fold_class(self):
-        from repro.conform import BACKENDS
-
-        for backend in BACKENDS:
-            assert backend in FOLD_CLASS

@@ -42,7 +42,10 @@ class TestNumerics:
         mesh = CartesianMesh3D(4, 4, 3)
         seq = PressureSequence(mesh, num_applications=3, seed=0)
         sim = LockstepWseSimulation(mesh, fluid, dtype=np.float64)
-        r = sim.run(seq)
+        result = sim.run(seq)
+        r = result.residual
+        assert result.applications == 3
+        assert result.as_metrics() == sim.report().as_metrics()
         ref = compute_flux_residual(mesh, fluid, seq.field(2))
         scale = np.abs(ref).max()
         np.testing.assert_allclose(r, ref, atol=1e-12 * scale)

@@ -11,7 +11,6 @@ import pytest
 from repro.core import CartesianMesh3D, FluidProperties
 from repro.dataflow.cardinal import CARDINAL_CHANNELS
 from repro.dataflow.diagonal import DIAGONAL_CHANNELS
-from repro.dataflow.export import export_program
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.dataflow.program import FluxProgram
 from repro.ir import build_ir, derive_ir
@@ -60,23 +59,7 @@ class TestColorTable:
         assert ir.route_color_ids() == tuple(range(len(expected)))
 
 
-class TestExportSubsumption:
-    """The IR carries everything ``ProgramExport`` carried."""
-
-    def test_ir_reproduces_the_export_view(self):
-        program = _program((4, 3, 4))
-        export = export_program(program)
-        ir = build_ir(program)
-        assert ir.colors == export.colors
-        for cid, coords in export.expected_receivers.items():
-            assert set(map(tuple, ir.expected_receivers(cid))) == set(coords)
-        program_coords = {pe.coord for _lx, _ly, pe in program.program_pes()}
-        assert set(ir.memory_coords()) == program_coords
-        for coord in sorted(program_coords):
-            memory = program.fabric.pe_map[coord].memory
-            names = [rec["name"] for rec in ir.memory_records_for(coord)]
-            assert names == list(memory.names())
-
+class TestInjectorSets:
     def test_injector_sets_match_the_live_step1_channels(self):
         program = _program((5, 4, 3))
         ir = build_ir(program)

@@ -61,6 +61,16 @@ class TestSupervise:
         assert code == 2
         assert "bad --policy" in capsys.readouterr().err
 
+    def test_misspelt_ladder_rung_is_a_usage_error(self, tmp_path, capsys):
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({"ladder": ["gpu", "lockstpe"]}))
+        code = main(
+            ["supervise", "--policy", str(policy_path)], out=io.StringIO()
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad --policy file" in err and "'lockstpe'" in err
+
     def test_zero_applications_is_a_usage_error(self, capsys):
         out = io.StringIO()
         code = main(["supervise", "--applications", "0"], out=out)

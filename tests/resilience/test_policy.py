@@ -25,6 +25,7 @@ class TestValidation:
             (dict(keep_checkpoints=0), "keep_checkpoints"),
             (dict(lease_seconds=0.0), "lease_seconds"),
             (dict(ladder=("par", "par")), "repeats"),
+            (dict(ladder=("gpu", "lockstpe")), "unknown backend 'lockstpe'"),
         ],
     )
     def test_bad_values_rejected(self, kwargs, match):

@@ -60,6 +60,18 @@ def uninterrupted(backend="event"):
         finish()
 
 
+class TestCleanRun:
+    def test_fused_commits_the_event_backends_bytes(self):
+        reference = uninterrupted("event")
+        res = RunSupervisor(
+            MESH, FLUID, policy=FAST, backend="fused"
+        ).run(PRESSURES)
+        assert res.backend_chain == ["fused"] and res.restarts == 0
+        for step, ref in zip(res.steps, reference):
+            assert step["residual_sha256"] == digest_array(ref)
+        assert res.residual.tobytes() == reference[-1].tobytes()
+
+
 class TestRecovery:
     def test_transient_failure_resumes_bit_identically(self):
         reference = uninterrupted()
@@ -176,7 +188,7 @@ class TestDegradation:
 
         lockstep_ref = LockstepWseSimulation(
             MESH, FLUID, dtype=np.float64
-        ).run([PRESSURES[-1]])
+        ).run([PRESSURES[-1]]).residual
         policy = ResiliencePolicy(
             max_restarts=1, backoff_base=0.0, backoff_jitter=0.0,
             checkpoint_every=1, ladder=("gpu", "lockstep"),

@@ -1,0 +1,183 @@
+"""The backend table: every entry builds, runs and releases the same way.
+
+One parametrized pass over :data:`repro.backends.BACKENDS` on a 6x5x3
+lognormal mesh replaces per-backend construction boilerplate elsewhere:
+if an entry is added, it is exercised here without touching this file.
+"""
+
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.backends import BACKENDS, Backend, get_backend, release
+from repro.core import FluidProperties, compute_flux_residual, random_pressure
+from repro.faults import FaultPlan
+from repro.workloads import make_geomodel
+
+MESH = make_geomodel(6, 5, 3, kind="lognormal", seed=4)
+FLUID = FluidProperties()
+PRESSURES = [random_pressure(MESH, seed=30 + i) for i in range(2)]
+REFERENCE = compute_flux_residual(MESH, FLUID, PRESSURES[-1])
+#: float64 agreement with the NumPy oracle across summation orders
+#: (the ``repro validate`` bound is 1e-10; observed ~1e-15)
+RTOL = 1e-12
+
+
+def _shm_segments() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """name -> (result, metrics, recorded residuals, segments leaked),
+    one run per entry."""
+    out = {}
+    for name, entry in BACKENDS.items():
+        before = _shm_segments()
+        recorded = []
+
+        class Recorder:
+            def record_step(self, pressure, residual):
+                recorded.append(np.array(residual, copy=True))
+
+        drv = entry.build(
+            MESH, FLUID, dtype=np.float64, record=Recorder(), px=2, py=2
+        )
+        try:
+            result = drv.run(PRESSURES)
+            metrics = entry.metrics(drv, result)
+        finally:
+            release(drv)
+        out[name] = (result, metrics, recorded, _shm_segments() - before)
+    return out
+
+
+class TestTable:
+    def test_order_and_names(self):
+        assert list(BACKENDS) == [
+            "event", "fused", "lockstep", "gpu", "cluster", "par"
+        ]
+        assert all(BACKENDS[n].name == n for n in BACKENDS)
+
+    def test_table_is_closed(self):
+        with pytest.raises(TypeError):
+            BACKENDS["tpu"] = BACKENDS["gpu"]
+        with pytest.raises(AttributeError):
+            BACKENDS["gpu"].fold_class = "event"
+
+    def test_unknown_name_lists_the_known_ones(self):
+        with pytest.raises(ValueError, match="'tpu'.*event, fused"):
+            get_backend("tpu")
+
+    def test_flags(self):
+        assert [n for n, b in BACKENDS.items() if b.rank_decomposed] == [
+            "cluster", "par"
+        ]
+        assert [n for n, b in BACKENDS.items() if b.multi_process] == ["par"]
+        assert {n: b.injects for n, b in BACKENDS.items()} == {
+            "event": "fabric", "fused": None, "lockstep": None,
+            "gpu": None, "cluster": "ranks", "par": "ranks",
+        }
+
+    def test_import_pulls_in_no_driver(self):
+        code = (
+            "import sys, repro.backends\n"
+            "drivers = ['repro.dataflow.driver', 'repro.dataflow.lockstep',"
+            " 'repro.ir.fused', 'repro.gpu.reference', 'repro.cluster.flux',"
+            " 'repro.par.flux']\n"
+            "print([m for m in drivers if m in sys.modules])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+class TestEveryEntry:
+    def test_residual_matches_the_reference(self, runs, name):
+        result, _metrics, _recorded, _leaked = runs[name]
+        scale = float(np.abs(REFERENCE).max())
+        assert result.residual.dtype == np.float64
+        assert np.abs(result.residual - REFERENCE).max() <= RTOL * scale
+
+    def test_record_hook_sees_every_application(self, runs, name):
+        result, _metrics, recorded, _leaked = runs[name]
+        assert len(recorded) == len(PRESSURES)
+        assert recorded[-1].tobytes() == result.residual.tobytes()
+
+    def test_metrics_is_a_dict_of_counter_collectors(self, runs, name):
+        result, metrics, _recorded, _leaked = runs[name]
+        assert isinstance(result.as_metrics(), dict)
+        assert metrics and all(
+            isinstance(source, str) and isinstance(collector(), dict)
+            for source, collector in metrics.items()
+        )
+
+    def test_release_leaves_no_shared_segment(self, runs, name):
+        assert runs[name][3] == set()
+
+
+class TestFoldClasses:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (a, b) for a, b in combinations(BACKENDS, 2)
+            if BACKENDS[a].fold_class == BACKENDS[b].fold_class
+        ],
+    )
+    def test_same_class_is_byte_equal(self, runs, a, b):
+        assert runs[a][0].residual.tobytes() == runs[b][0].residual.tobytes()
+
+    def test_the_pairs_are_the_documented_ones(self):
+        classes = {}
+        for name, entry in BACKENDS.items():
+            classes.setdefault(entry.fold_class, []).append(name)
+        assert classes == {
+            "event": ["event", "fused"], "lockstep": ["lockstep"],
+            "gpu": ["gpu"], "host": ["cluster", "par"],
+        }
+
+
+class TestPlanNarrowing:
+    PLAN = FaultPlan.seeded(7, fabric_shape=(6, 5), ranks=4)
+
+    def _plan_seen_by(self, entry: Backend):
+        seen = {}
+
+        def spy(mesh, fluid, *, plan, **_):
+            seen["plan"] = plan
+
+        Backend(entry.name, entry.fold_class, entry.injects, spy).build(
+            MESH, FLUID, dtype=np.float64, plan=self.PLAN
+        )
+        return seen["plan"]
+
+    def test_each_entry_keeps_only_its_half(self):
+        assert not self.PLAN.only_fabric().empty
+        assert not self.PLAN.only_ranks().empty
+        for name, entry in BACKENDS.items():
+            plan = self._plan_seen_by(entry)
+            if entry.injects is None:
+                assert plan is None, name
+            elif entry.injects == "fabric":
+                assert plan == self.PLAN.only_fabric(), name
+            else:
+                assert plan == self.PLAN.only_ranks(), name
+
+    def test_an_empty_half_is_no_plan(self):
+        ranks_only = self.PLAN.only_ranks()
+        seen = {}
+        Backend(
+            "event", "event", "fabric",
+            lambda mesh, fluid, *, plan, **_: seen.setdefault("plan", plan),
+        ).build(MESH, FLUID, dtype=np.float64, plan=ranks_only)
+        assert seen["plan"] is None
