@@ -62,6 +62,15 @@ race_check:
     live happens-before probe, and the seeded mutation drill.  Gated
     at <10 s (and zero errors, with every mutation caught) by
     ``--check``.
+cold_start:
+    A user-shaped request in a fresh interpreter: ``import numpy``,
+    ``import repro.core, repro.workloads, repro.ir``, then a lognormal
+    24x24x8 mesh through the fused backend to its first residual.
+    Records the two import times, the number of modules loaded, how
+    many of them are ``scipy*``, and process start -> residual.
+    ``--check`` gates that the run loads no SciPy module (an assembled
+    Jacobian and Delaunay meshes are its only users, and it used to
+    cost 0.3 s of every cold start) and at most 330 modules.
 par_runtime:
     The multiprocess SPMD runtime (``repro.par``) against the serial
     cluster backend on the same workload: a worker sweep (1, 2, ...,
@@ -95,7 +104,9 @@ import argparse
 import gc
 import heapq
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -450,6 +461,61 @@ def bench_fused(
     }
 
 
+#: Most modules a fused cold start may load before --check fails
+#: (291 measured; importing SciPy adds ~360).
+COLD_START_MODULE_LIMIT = 330
+
+_COLD_START_CHILD = """
+import json, sys, time
+t0 = time.perf_counter()
+import numpy as np
+t1 = time.perf_counter()
+import repro.core, repro.workloads, repro.ir
+t2 = time.perf_counter()
+from repro.backends import BACKENDS
+from repro.core import FluidProperties, random_pressure
+from repro.workloads import make_geomodel
+mesh = make_geomodel(24, 24, 8, kind="lognormal", seed=7)
+drv = BACKENDS["fused"].build(mesh, FluidProperties(), dtype=np.float32)
+residual = drv.run([random_pressure(mesh, seed=7)]).residual
+print(json.dumps({
+    "residual_at": time.time(),
+    "import_numpy_seconds": t1 - t0,
+    "import_repro_seconds": t2 - t1,
+    "modules": len(sys.modules),
+    "scipy_modules": sum(m.split(".")[0] == "scipy" for m in sys.modules),
+}))
+"""
+
+
+def bench_cold_start(*, src: Path = REPO_ROOT / "src", repeats: int = 3) -> dict:
+    """Fresh interpreter -> first fused residual, best of ``repeats``.
+
+    ``src`` selects the tree under measurement, so the same child can
+    time another checkout for a before/after pair.
+    """
+    runs = []
+    for _ in range(repeats):
+        started = time.time()
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_START_CHILD],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True, capture_output=True, text=True, timeout=120,
+        )
+        run = json.loads(done.stdout)
+        run["start_to_residual_seconds"] = run.pop("residual_at") - started
+        runs.append(run)
+    return {
+        "mesh": [24, 24, 8],
+        "backend": "fused",
+        **{
+            key: round(min(run[key] for run in runs), 6)
+            if key.endswith("_seconds") else value
+            for key, value in runs[-1].items()
+        },
+    }
+
+
 def bench_gpu(
     nx: int, ny: int, nz: int, applications: int, *, repeats: int = 3
 ) -> dict:
@@ -639,6 +705,7 @@ def measure_entry(*, smoke_only: bool, budget_seconds: float, repeats: int) -> d
     entry["verifier"] = bench_verifier()
     entry["race_check"] = bench_race_check()
     entry["par_runtime"] = bench_par_runtime(**PAR_WORKLOAD, repeats=repeats)
+    entry["cold_start"] = bench_cold_start(repeats=repeats)
     if smoke_only:
         entry["lockstep"] = bench_lockstep(**SMOKE_WORKLOAD, repeats=repeats)
         entry["fused_runtime"] = bench_fused(**SMOKE_WORKLOAD, repeats=repeats)
@@ -797,6 +864,18 @@ def run_check(path: Path, repeats: int) -> int:
         f"{fused['ir_build_seconds'] * 1e3:.1f}ms (limit: below it) "
         f"-> {'ok' if schedule_cheap else 'REGRESSION'}"
     )
+    cold = bench_cold_start(repeats=1)
+    cold_ok = (
+        not cold["scipy_modules"] and cold["modules"] <= COLD_START_MODULE_LIMIT
+    )
+    print(
+        f"check: fused cold start loads {cold['modules']} module(s) "
+        f"(limit {COLD_START_MODULE_LIMIT}), "
+        f"{cold['scipy_modules']} of them scipy's (limit 0); start -> "
+        f"residual {cold['start_to_residual_seconds']:.3f}s, of which import "
+        f"repro {cold['import_repro_seconds']:.3f}s "
+        f"-> {'ok' if cold_ok else 'REGRESSION'}"
+    )
     par = bench_par_runtime(**PAR_WORKLOAD, repeats=max(1, repeats - 1))
     par_ok = par["bit_identical"] and par["distinct_pids"] >= 2
     print(
@@ -839,6 +918,7 @@ def run_check(path: Path, repeats: int) -> int:
         and ver_ok
         and race_ok
         and fused_ok
+        and cold_ok
         and par_ok
     ) else 1
 

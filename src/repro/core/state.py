@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (lazy in NumPy; pay for it at import, not in set-up)
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties

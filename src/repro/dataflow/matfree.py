@@ -39,7 +39,6 @@ from repro.dataflow.cardinal import (
     switch_positions_for,
 )
 from repro.dataflow.diagonal import DIAGONAL_CHANNELS, static_position
-from repro.solver.operators import FlowResidual, MatrixFreeJacobian
 from repro.wse.color import ColorAllocator
 from repro.wse.fabric import Fabric
 from repro.wse.packet import KIND_CONTROL
@@ -65,6 +64,10 @@ class WseMatrixFreeJacobian:
     """
 
     def __init__(self, residual: FlowResidual, pressure: np.ndarray) -> None:
+        # Imported here so that `import repro.dataflow` (every flux run)
+        # does not load the implicit solver package.
+        from repro.solver.operators import MatrixFreeJacobian
+
         self.mesh = residual.mesh
         host = MatrixFreeJacobian(residual, pressure)
         self._host = host

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
@@ -210,6 +209,8 @@ def assemble_jacobian(
     residual: FlowResidual, pressure: np.ndarray
 ) -> sp.csr_matrix:
     """Explicit sparse Jacobian (validation / direct small-mesh solves)."""
+    import scipy.sparse as sp  # here only: a flux run never assembles a matrix
+
     mesh = residual.mesh
     mesh.validate_field(np.asarray(pressure), name="pressure")
     fluid = residual.fluid

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
@@ -170,6 +169,8 @@ def assemble_unstructured_jacobian(
     residual: UnstructuredFlowResidual, pressure: np.ndarray
 ) -> sp.csr_matrix:
     """Explicit sparse Jacobian for validation / direct solves."""
+    import scipy.sparse as sp  # here only: a flux run never assembles a matrix
+
     jac = UnstructuredMatrixFreeJacobian(residual, pressure)
     mesh = residual.mesh
     a, b = mesh.cell_a, mesh.cell_b

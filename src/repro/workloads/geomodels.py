@@ -10,7 +10,7 @@ table).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+import numpy.random  # noqa: F401  (lazy in NumPy; pay for it at import, not in set-up)
 
 from repro.core import constants
 from repro.core.mesh import CartesianMesh3D
@@ -55,6 +55,72 @@ def layered_permeability(
     return np.broadcast_to(layers[:, None, None], shape_zyx).copy()
 
 
+def _gaussian_smooth(field: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(field, sigma, mode="nearest")``, byte for byte.
+
+    The permeability bytes feed the conformance goldens and the ``.rpz``
+    mesh recipes, so this restates SciPy's arithmetic exactly (DESIGN.md
+    §2.1): kernel ``exp(-0.5/sigma^2 * x^2)`` over ``|x| <= int(4 sigma +
+    0.5)`` normalised by its sum, axes 0, 1, 2 in turn with clamped
+    edges, and ``correlate1d``'s symmetric fold ``acc = x*w[r]; acc +=
+    (x[i+j] + x[i-j]) * w[r+j]`` for ``j = -r..-1`` as a separate add,
+    multiply, add.  Axes 1 and 2 stay inside a z-plane, so each output
+    plane is folded through all three axes while it is cache-resident.
+    ``field`` is only read; a radius of zero returns it unchanged.
+    """
+    r = int(4.0 * sigma + 0.5)
+    if r == 0:
+        return field
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = (w / w.sum())[::-1]
+    centre = float(w[r])
+    taps = [(j, float(w[r + j])) for j in range(-r, 0)]
+
+    def fold(acc, mid, pairs, tmp):
+        np.multiply(mid, centre, out=acc)
+        for lo, hi, wj in pairs:
+            np.add(lo, hi, out=tmp)
+            tmp *= wj
+            acc += tmp
+
+    nz, ny, nx = field.shape
+    out = np.empty_like(field)
+    tmp = np.empty((ny, nx))
+    # Axis 0 folds the clamped neighbour planes of the input (views)
+    # into the interior of a y-padded plane, so an axis-1 tap is a
+    # contiguous block of rows.
+    ypad = np.empty((ny + 2 * r, nx))
+    acc0 = ypad[r:r + ny]
+    pairs1 = [(ypad[r + j:r + j + ny], ypad[r - j:r - j + ny], wj) for j, wj in taps]
+    acc1 = np.empty((ny, nx))
+    # Axis 2 sweeps the x-padded plane as one flat span: a tap is a
+    # constant flat shift, and the r pad cells each side of a row keep
+    # the neighbouring rows out of every cell that is read back.
+    xpad = np.empty((ny, nx + 2 * r))
+    flat = xpad.reshape(-1)
+    span = flat.size - 2 * r
+    pairs2 = [
+        (flat[r + j:r + j + span], flat[r - j:r - j + span], wj) for j, wj in taps
+    ]
+    acc2_plane = np.empty_like(xpad)
+    acc2 = acc2_plane.reshape(-1)[r:r + span]
+    tmp2 = np.empty(span)
+    top = nz - 1
+    for z in range(nz):
+        pairs0 = [(field[max(z + j, 0)], field[min(z - j, top)], wj) for j, wj in taps]
+        fold(acc0, field[z], pairs0, tmp)
+        ypad[:r] = acc0[0]
+        ypad[r + ny:] = acc0[-1]
+        fold(acc1, acc0, pairs1, tmp)
+        xpad[:, r:r + nx] = acc1
+        xpad[:, :r] = acc1[:, :1]
+        xpad[:, r + nx:] = acc1[:, -1:]
+        fold(acc2, flat[r:r + span], pairs2, tmp2)
+        out[z] = acc2_plane[:, r:r + nx]
+    return out
+
+
 def lognormal_permeability(
     shape_zyx: tuple[int, int, int],
     *,
@@ -65,14 +131,18 @@ def lognormal_permeability(
 ) -> np.ndarray:
     """Spatially-correlated lognormal field (Gaussian-filtered noise).
 
-    ``correlation_length`` is in cells; ``log_std`` is the standard
-    deviation of ``ln(kappa)`` after renormalization.
+    ``correlation_length`` is the filter's sigma in cells; the kernel
+    reaches ``int(4 * correlation_length + 0.5)`` cells, so 0 — and
+    anything below 0.125 — leaves the noise uncorrelated.  ``log_std``
+    is the standard deviation of ``ln(kappa)`` after renormalization.
     """
     if log_std < 0:
         raise ValueError("log_std must be non-negative")
+    if correlation_length < 0:
+        raise ValueError("correlation_length must be non-negative")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(shape_zyx)
-    smooth = ndimage.gaussian_filter(noise, sigma=correlation_length, mode="nearest")
+    smooth = _gaussian_smooth(noise, float(correlation_length))
     std = smooth.std()
     if std > 0:
         smooth = smooth / std * log_std

@@ -16,7 +16,6 @@ from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.core.state import PressureSequence, hydrostatic_pressure
-from repro.solver.simulator import Well
 from repro.workloads.geomodels import make_geomodel
 
 __all__ = ["FluxScenario", "InjectionScenario", "paper_mesh_scaled"]
@@ -98,6 +97,10 @@ class InjectionScenario:
 
     def wells(self) -> list[Well]:
         """The injection well, completed at the mesh centre bottom."""
+        # Imported here so that `import repro.workloads` (every flux run)
+        # does not load the implicit solver package.
+        from repro.solver.simulator import Well
+
         return [
             Well(
                 x=self.nx // 2,

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,24 @@ from repro.core import (
     Transmissibility,
     random_pressure,
 )
+
+
+@pytest.fixture(scope="session")
+def fresh_interpreter():
+    """``run(code) -> stdout`` in a new interpreter that sees only this
+    tree's ``src``: for assertions about what importing or running
+    something loads, which the test process's own imports would mask."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(code: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        return done.stdout.strip()
+
+    return run
 
 
 @pytest.fixture

@@ -149,6 +149,26 @@ class TestAssembledJacobian:
         # at most 11 entries per row (diagonal + 10 neighbours)
         assert J.nnz <= 11 * n
 
+    def test_scipy_is_imported_by_the_assembly_and_not_before(
+        self, fresh_interpreter
+    ):
+        """The implicit solver is matrix-free; only asking for the
+        explicit matrix pays SciPy's ~0.3 s import."""
+        out = fresh_interpreter(
+            "import sys\n"
+            "from repro.core import CartesianMesh3D, FluidProperties\n"
+            "from repro.core import random_pressure\n"
+            "import repro.solver as solver\n"
+            "mesh = CartesianMesh3D(4, 3, 2)\n"
+            "res = solver.FlowResidual(mesh, FluidProperties(), dt=3600.0)\n"
+            "p = random_pressure(mesh, seed=1)\n"
+            "solver.MatrixFreeJacobian(res, p).diagonal()\n"
+            "print('scipy' in sys.modules)\n"
+            "J = solver.assemble_jacobian(res, p)\n"
+            "print(type(J).__name__, 'scipy.sparse' in sys.modules)\n"
+        )
+        assert out.split() == ["False", "csr_matrix", "True"]
+
     def test_row_sums_without_compressibility(self, hetero_mesh):
         """With incompressible fluid and no gravity the flux Jacobian has
         zero row sums (pure difference operator) plus accumulation."""

@@ -6,10 +6,7 @@ if an entry is added, it is exercised here without touching this file.
 """
 
 import os
-import subprocess
-import sys
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +27,13 @@ RTOL = 1e-12
 
 def _shm_segments() -> set:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+#: printed by the children below: what a flux run must not have loaded
+_OFF_THE_FLUX_PATH = (
+    "print(sorted(m for m in sys.modules"
+    " if m.split('.')[0] == 'scipy' or m.startswith('repro.solver')))\n"
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,21 +88,49 @@ class TestTable:
             "gpu": None, "cluster": "ranks", "par": "ranks",
         }
 
-    def test_import_pulls_in_no_driver(self):
-        code = (
+    def test_import_pulls_in_no_driver(self, fresh_interpreter):
+        out = fresh_interpreter(
             "import sys, repro.backends\n"
             "drivers = ['repro.dataflow.driver', 'repro.dataflow.lockstep',"
             " 'repro.ir.fused', 'repro.gpu.reference', 'repro.cluster.flux',"
             " 'repro.par.flux']\n"
             "print([m for m in drivers if m in sys.modules])\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True,
-            capture_output=True, text=True,
+        assert out == "[]"
+
+
+class TestFluxPathLoadsNoScipy:
+    """Cold start is most of a user-shaped run (bench/README.md finding
+    1) and SciPy was most of the cold start, for an assembled-matrix
+    helper and a Delaunay mesher that no flux residual needs.  One
+    fresh interpreter per row, so a row cannot hide behind another's
+    imports."""
+
+    @pytest.mark.parametrize("name", list(BACKENDS))
+    def test_build_and_run_through_the_table(self, fresh_interpreter, name):
+        out = fresh_interpreter(
+            "import sys, numpy as np\n"
+            "from repro.backends import BACKENDS, release\n"
+            "from repro.core import FluidProperties, random_pressure\n"
+            "from repro.workloads import make_geomodel\n"
+            "mesh = make_geomodel(6, 5, 3, kind='lognormal', seed=4)\n"
+            f"drv = BACKENDS[{name!r}].build(\n"
+            "    mesh, FluidProperties(), dtype=np.float64, px=2, py=2)\n"
+            "try:\n"
+            "    drv.run([random_pressure(mesh, seed=30)])\n"
+            "finally:\n"
+            "    release(drv)\n" + _OFF_THE_FLUX_PATH
         )
-        assert out.stdout.strip() == "[]"
+        assert out == "[]"
+
+    def test_cli_validate(self, fresh_interpreter):
+        out = fresh_interpreter(
+            "import io, sys\n"
+            "from repro.cli import main\n"
+            "argv = ['validate', '--nx', '6', '--ny', '5', '--nz', '3']\n"
+            "assert main(argv, out=io.StringIO()) == 0\n" + _OFF_THE_FLUX_PATH
+        )
+        assert out == "[]"
 
 
 @pytest.mark.parametrize("name", list(BACKENDS))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.constants import MILLIDARCY
+from repro.core.constants import DEFAULT_PERMEABILITY, MILLIDARCY
 from repro.workloads.geomodels import (
+    _gaussian_smooth,
     channelized_permeability,
     layered_permeability,
     lognormal_permeability,
@@ -80,6 +81,47 @@ class TestLognormal:
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
             lognormal_permeability(SHAPE, log_std=-1.0)
+
+    def test_rejects_negative_correlation_length(self):
+        with pytest.raises(ValueError, match="correlation_length"):
+            lognormal_permeability(SHAPE, correlation_length=-1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.12])
+    def test_kernel_radius_zero_is_uncorrelated(self, sigma):
+        """int(4 sigma + 0.5) == 0: the filter is the identity, so the
+        field is the renormalised white noise itself."""
+        noise = np.random.default_rng(2).standard_normal(SHAPE)
+        assert _gaussian_smooth(noise, sigma) is noise
+        k = lognormal_permeability(
+            SHAPE, seed=2, mean=1.0, log_std=1.0, correlation_length=sigma
+        )
+        expected = np.exp(noise / noise.std() - 0.5)
+        assert k.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (1, 30, 2), (40, 3, 3), (8, 24, 24), (16, 48, 48)]
+    )
+    def test_equals_the_scipy_formula_byte_for_byte(self, shape):
+        """Goldens and ``.rpz`` mesh recipes pin these bytes (DESIGN.md
+        §2.1): the NumPy fold must be SciPy's filter, not close to it —
+        including meshes narrower than the kernel radius."""
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for seed in range(3):
+            noise = np.random.default_rng(seed).standard_normal(shape)
+            untouched = noise.copy()
+            for sigma in (0.1, 0.5, 1, 2.5, 3, 7):
+                ref = ndimage.gaussian_filter(noise, sigma=sigma, mode="nearest")
+                with np.errstate(all="raise"):
+                    smooth = _gaussian_smooth(noise, float(sigma))
+                    field = lognormal_permeability(
+                        shape, seed=seed, correlation_length=sigma
+                    )
+                assert smooth.tobytes() == ref.tobytes(), (seed, sigma)
+                if ref.std() > 0:
+                    ref = ref / ref.std()
+                expected = DEFAULT_PERMEABILITY * np.exp(ref - 0.5)  # log_std 1
+                assert field.tobytes() == expected.tobytes(), (seed, sigma)
+            assert noise.tobytes() == untouched.tobytes()
 
 
 class TestChannelized:
