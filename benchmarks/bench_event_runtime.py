@@ -576,7 +576,6 @@ def bench_par_runtime(
         "workers": top.workers,
         "applications": applications,
         "host_cpus": available_cpus(),
-        "overlap": top.overlap,
         "serial_seconds": round(top.serial_seconds, 6),
         "par_seconds": round(top.par_seconds, 6),
         "speedup": round(top.speedup, 4),
@@ -586,7 +585,6 @@ def bench_par_runtime(
         "worker_sweep": [
             {
                 "workers": pt.workers,
-                "overlap": pt.overlap,
                 "par_seconds": round(pt.par_seconds, 6),
                 "speedup": round(pt.speedup, 4),
                 "efficiency": round(pt.efficiency, 4),

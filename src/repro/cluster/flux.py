@@ -5,7 +5,8 @@ The traditional-HPC baseline the paper positions itself against
 application performs an 8-neighbour halo exchange of the pressure field
 (sides and corners — on MPI a corner is a single direct message, unlike
 the fabric's two-hop forward), densities are evaluated locally, and each
-rank runs the reference flux kernel on its halo-padded block.
+rank runs the host-order flat kernel (:mod:`repro.core.flat`) on its
+halo-padded block — the reference kernel's bytes.
 
 Numerically identical to the global reference; the communicator counts
 the per-application traffic the decomposition actually moves.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import constants
-from repro.core.flux import FluxKernel
+from repro.core.flat import FlatFluxKernel, FlatWorkspace
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.cluster.comm import CartGrid, RetryPolicy, SimComm
@@ -38,7 +39,6 @@ HALO_DIRECTIONS = [
     (1, 0), (-1, 0), (0, 1), (0, -1),
     (1, 1), (1, -1), (-1, 1), (-1, -1),
 ]
-_HALO_DIRECTIONS = HALO_DIRECTIONS  # historical alias
 
 
 def _halo_intersection(sender: Block, receiver: Block) -> tuple[int, int, int, int] | None:
@@ -80,6 +80,14 @@ class HaloLink:
     def cells(self, nz: int) -> int:
         """Number of cells this link carries for an ``nz``-layer mesh."""
         return nz * (self.y_hi - self.y_lo) * (self.x_hi - self.x_lo)
+
+    def strip(self, padded: np.ndarray, block: Block) -> np.ndarray:
+        """The link's cells in *block*'s ``(nz, ny, nx)`` padded array."""
+        return padded[
+            :,
+            self.y_lo - block.gy0 : self.y_hi - block.gy0,
+            self.x_lo - block.gx0 : self.x_hi - block.gx0,
+        ]
 
 
 def halo_links(decomp: BlockDecomposition, grid: CartGrid) -> list[HaloLink]:
@@ -176,25 +184,30 @@ class ClusterFluxComputation:
             RetryPolicy() if faults is not None else None
         )
         self.comm = SimComm(self.grid.size, faults=faults)
-        self._links = halo_links(self.decomp, self.grid)
-        # per-rank state: local padded mesh + flux kernel + pressure buffer
-        self._local = []
-        for block in self.decomp.blocks:
-            local_mesh = self.decomp.local_mesh(block)
-            kernel = FluxKernel(
-                local_mesh, fluid, gravity=gravity, dtype=self.dtype
+        # per-rank state: the flat kernel, whose padded pressure buffer
+        # is the rank's field (scatter and halo strips land in it), and
+        # one workspace for all ranks, which compute in turn
+        meshes = [self.decomp.local_mesh(block) for block in self.decomp.blocks]
+        workspace = FlatWorkspace([m.shape_zyx for m in meshes], self.dtype)
+        self._kernels = [
+            FlatFluxKernel(m, fluid, workspace, gravity=gravity) for m in meshes
+        ]
+        # every strip both endpoints touch, as views made once: sends in
+        # the canonical link order, receives per rank in tag order
+        links = halo_links(self.decomp, self.grid)
+        self._outgoing = {
+            (lk.source, lk.dest, lk.tag): lk.strip(
+                self._kernels[lk.source].pressure, self.decomp.block(lk.source)
             )
-            self._local.append(
-                {
-                    "block": block,
-                    "mesh": local_mesh,
-                    "kernel": kernel,
-                    "pressure": np.zeros(local_mesh.shape_zyx, self.dtype),
-                    "residual": np.zeros(local_mesh.shape_zyx, self.dtype),
-                }
+            for lk in links
+        }
+        self._incoming = [
+            (
+                (lk.dest, lk.source, lk.tag),
+                lk.strip(self._kernels[lk.dest].pressure, self.decomp.block(lk.dest)),
             )
-        self._applications = 0
-        self._messages = 0
+            for lk in sorted(links, key=lambda lk: (lk.dest, lk.tag))
+        ]
         #: Optional :class:`~repro.obs.replay.ReplayRecorder` digesting
         #: every assembled (pressure, residual) application pair.
         self.record = record
@@ -202,40 +215,19 @@ class ClusterFluxComputation:
     # ------------------------------------------------------------------ #
     def _scatter_owned(self, pressure: np.ndarray) -> None:
         """Each rank takes ownership of its block's pressure cells."""
-        for state in self._local:
-            block: Block = state["block"]
+        for block, kernel in zip(self.decomp.blocks, self._kernels):
             ys, xs = block.owned_slices_in_padded()
-            state["pressure"][:, ys, xs] = pressure[
+            kernel.pressure[:, ys, xs] = pressure[
                 :, block.y0 : block.y1, block.x0 : block.x1
             ]
-
-    def _global_to_local(self, block: Block, x_lo, x_hi, y_lo, y_hi):
-        return (
-            slice(None),
-            slice(y_lo - block.gy0, y_hi - block.gy0),
-            slice(x_lo - block.gx0, x_hi - block.gx0),
-        )
-
-    def _send_strip(self, source_rank: int, dest_rank: int, tag: int) -> bool:
-        """(Re)send the halo strip *source_rank* owes *dest_rank* under
-        *tag*; False when the pair shares no halo cells."""
-        state = self._local[source_rank]
-        block: Block = state["block"]
-        recv_block = self.decomp.block(dest_rank)
-        rng = _halo_intersection(block, recv_block)
-        if rng is None:
-            return False
-        strip = state["pressure"][self._global_to_local(block, *rng)]
-        self.comm.isend(block.rank, dest_rank, tag, strip.copy())
-        return True
 
     def _retransmit(self, source: int, dest: int, tag: int, attempt: int) -> None:
         """Sender-side recovery: the receive timed out, so the (now
         possibly recovered) source pushes its strip again."""
         if self.faults is not None:
             self.faults.begin_retry()
-        if self._send_strip(source, dest, tag):
-            self.comm.stats[source].retransmissions += 1
+        self.comm.isend(source, dest, tag, self._outgoing[source, dest, tag].copy())
+        self.comm.stats[source].retransmissions += 1
 
     def _halo_exchange(self) -> None:
         """One deadlock-free exchange: every rank sends its 8 strips,
@@ -248,27 +240,12 @@ class ClusterFluxComputation:
         asserts nothing leaked."""
         if self.faults is not None:
             self.faults.begin_exchange()
-        for link in self._links:
-            if self._send_strip(link.source, link.dest, link.tag):
-                self._messages += 1
-        for state in self._local:
-            block: Block = state["block"]
-            for tag, (dx, dy) in enumerate(_HALO_DIRECTIONS):
-                source = self.grid.neighbour(block.rank, -dx, -dy)
-                if source is None:
-                    continue
-                send_block = self.decomp.block(source)
-                rng = _halo_intersection(send_block, block)
-                if rng is None:
-                    continue
-                data = self.comm.recv(
-                    block.rank,
-                    source,
-                    tag,
-                    retry=self.retry,
-                    on_missing=self._retransmit,
-                )
-                state["pressure"][self._global_to_local(block, *rng)] = data
+        for (source, dest, tag), strip in self._outgoing.items():
+            self.comm.isend(source, dest, tag, strip.copy())
+        for (dest, source, tag), halo in self._incoming:
+            halo[...] = self.comm.recv(
+                dest, source, tag, retry=self.retry, on_missing=self._retransmit
+            )
         self.comm.barrier("halo exchange")
 
     # ------------------------------------------------------------------ #
@@ -288,21 +265,16 @@ class ClusterFluxComputation:
                 with span("cluster.halo_exchange"):
                     self._halo_exchange()
                 with span("cluster.compute"):
-                    for state in self._local:
-                        block: Block = state["block"]
-                        state["kernel"].residual(
-                            state["pressure"], out=state["residual"]
-                        )
+                    for block, kernel in zip(self.decomp.blocks, self._kernels):
                         ys, xs = block.owned_slices_in_padded()
                         residual[
                             :, block.y0 : block.y1, block.x0 : block.x1
-                        ] = state["residual"][:, ys, xs]
+                        ] = kernel.compute()[:, ys, xs]
                 if self.record is not None:
                     self.record.record_step(pressure, residual)
                 applications += 1
         if applications == 0:
             raise ValueError("no pressure fields supplied")
-        self._applications += applications
         total_msgs = self.comm.total_messages() - msgs_before
         total_bytes = self.comm.total_bytes() - bytes_before
         return ClusterRunResult(

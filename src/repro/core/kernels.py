@@ -28,8 +28,6 @@ import numpy as np
 __all__ = [
     "face_flux_scalar",
     "face_flux_array",
-    "face_flux_folded",
-    "face_flux_folded_flat",
     "face_flux_with_derivatives",
     "FLOPS_PER_FLUX",
     "FLUXES_PER_CELL",
@@ -99,82 +97,6 @@ def face_flux_array(
     dphi *= rho_upw
     dphi *= trans
     return dphi
-
-
-def face_flux_folded(
-    p_k: np.ndarray,
-    p_l: np.ndarray,
-    gz: np.ndarray,
-    rho_k: np.ndarray,
-    rho_l: np.ndarray,
-    trans: np.ndarray,
-    viscosity: float,
-    *,
-    out: np.ndarray,
-    rho_scratch: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """:func:`face_flux_array` with every temporary preallocated.
-
-    ``gz`` is the precomputed ``(z_l - z_k) * gravity`` (pressure-
-    independent, so it is hoisted out of the hot loop; it may be a
-    broadcastable column).  The operation sequence reproduces
-    :func:`face_flux_array` bit-for-bit: the only rewrites are exact in
-    IEEE arithmetic (``a*b == b*a`` for the gravity product, and the
-    ``np.where`` select replaced by two masked copies into a reusable
-    buffer).  Nothing is allocated per call.
-    """
-    np.subtract(p_l, p_k, out)
-    # rho_scratch = 0.5*(rho_k + rho_l) * gz, commuted products only
-    np.add(rho_k, rho_l, rho_scratch)
-    rho_scratch *= 0.5
-    rho_scratch *= gz
-    out += rho_scratch
-    # upwinded mobility (Eq. 4): where(dphi > 0, rho_k, rho_l)
-    np.greater(out, 0.0, mask)
-    np.copyto(rho_scratch, rho_l)
-    np.copyto(rho_scratch, rho_k, where=mask)
-    rho_scratch /= viscosity
-    out *= rho_scratch
-    out *= trans
-    return out
-
-
-def face_flux_folded_flat(
-    p_k: np.ndarray,
-    p_l: np.ndarray,
-    rho_k: np.ndarray,
-    rho_l: np.ndarray,
-    trans: np.ndarray,
-    viscosity: float,
-    *,
-    out: np.ndarray,
-    rho_scratch: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """:func:`face_flux_folded` for faces whose cells share an elevation.
-
-    When ``z_l == z_k`` elementwise (every X-Y connection of a
-    :class:`~repro.core.mesh.CartesianMesh3D`, whose elevation varies
-    only with the layer index), the gravity term of Eq. 3b is exactly
-    ``(+0.0) * 0.5*(rho_k + rho_l) == +0.0`` for the finite positive
-    densities Eq. 5 guarantees, and steps 2-4 of the reference sequence
-    collapse.  The one divergent bit — ``dphi += +0.0`` rewrites a
-    ``-0.0`` pressure difference to ``+0.0`` while this fast path keeps
-    it — is unobservable in any residual: a zero ``dphi`` yields a zero
-    flux, and accumulating a signed zero into a residual that starts
-    from ``+0.0`` cannot change its bits (``+0.0 + (-0.0) == +0.0``).
-    This is the same shared-elevation argument the event kernel's folds
-    use (:mod:`repro.dataflow.flux_pe`).
-    """
-    np.subtract(p_l, p_k, out)
-    np.greater(out, 0.0, mask)
-    np.copyto(rho_scratch, rho_l)
-    np.copyto(rho_scratch, rho_k, where=mask)
-    rho_scratch /= viscosity
-    out *= rho_scratch
-    out *= trans
-    return out
 
 
 def face_flux_with_derivatives(

@@ -1,7 +1,7 @@
 """`repro.par` — a real multiprocess SPMD runtime for the cluster backend.
 
 The simulated communicator of :mod:`repro.cluster` runs every rank's
-loop serially in one process, so its overlap and weak-scaling numbers
+loop serially in one process, so its weak-scaling numbers
 are *modelled*.  This package supplies the missing execution substrate:
 ranks of a :class:`~repro.cluster.decomposition.BlockDecomposition` are
 sharded across ``multiprocessing`` workers that exchange halos through

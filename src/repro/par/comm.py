@@ -11,7 +11,7 @@ per-parity sequence header in shared memory:
   ``k + 1`` into that slot's header.  The store ordering (payload
   first, header second) is what makes the protocol safe on x86's
   total-store-order memory model; the *two* parity slots are what make
-  it safe under overlapped exchange, where a sender may publish its
+  it safe under pipelined applications, where a sender may publish its
   next exchange while the receiver is still absorbing the previous one
   (pipelined endpoints drift by at most one exchange).
 * ``recv`` spins until the parity slot's header reaches the expected

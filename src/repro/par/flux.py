@@ -2,20 +2,16 @@
 cluster backend.
 
 Drop-in for :class:`~repro.cluster.flux.ClusterFluxComputation.run`:
-the same ``px x py`` decomposition, the same canonical halo-link order —
-executed by real processes over shared memory.  Each rank runs the
-vectorized :class:`~repro.par.kernel.RankKernel` (same IEEE fold order
-as the reference kernel, one fused pass per connection instead of a
-Python-level cell loop), workers come warm from the process-wide
-reservoir (:mod:`repro.par.runtime`), applications pipeline to depth
-:data:`PIPELINE_DEPTH` over the arena's parity slots, and — when the
-host has the cores for it — each rank's interior computes while halo
-receives are still in flight.  Because every rank folds each cell's
-connections in the canonical order inside exactly one box and the
-global residual is assembled from disjoint owned regions (each written
-by exactly one worker, no reduction across workers), the result is
-**bit-identical** to the serial backend on any worker count, with or
-without overlap.
+the same ``px x py`` decomposition, the same canonical halo-link order,
+the same per-rank kernel (:class:`~repro.core.flat.FlatFluxKernel`) —
+executed by real processes over shared memory.  Workers come warm from
+the process-wide reservoir (:mod:`repro.par.runtime`) and applications
+pipeline to depth :data:`PIPELINE_DEPTH` over the arena's parity slots.
+Because every rank runs the serial backend's kernel on the serial
+backend's halo-padded block and the global residual is assembled from
+disjoint owned regions (each written by exactly one worker, no reduction
+across workers), the result is **bit-identical** to the serial backend
+on any worker count.
 
 What the serial backend *models*, this one *measures*: per-rank
 compute/exchange nanoseconds, receive-spin wait seconds and worker PIDs
@@ -48,7 +44,7 @@ from repro.faults.errors import WorkerCrashError
 from repro.faults.plan import FaultPlan
 from repro.obs.spans import get_recorder, ingest_spans, span
 from repro.par.layout import NUM_PARITIES, HaloLayout
-from repro.par.runtime import ProcPool, available_cpus
+from repro.par.runtime import ProcPool
 from repro.par.shm import SharedArena
 from repro.par.worker import WorkerSpec
 
@@ -149,15 +145,6 @@ class ParClusterFluxComputation:
         attempts + 1 (or 1 with no plan).
     timeout_seconds:
         Per-application reply budget before the parent gives up.
-    overlap:
-        Compute each rank's interior while halo receives are in flight
-        (True), or compute the whole owned box after the receives land
-        (False).  Default ``None`` decides adaptively: overlap only when
-        there are multiple workers *and* multiple usable cores — with a
-        single worker there is no inter-process latency to hide, and on
-        a single core the spin-vs-compute contention plus the thin
-        boundary-slab kernel launches cost more than they save.  The
-        residual is bit-identical either way.
     lease_seconds:
         Heartbeat lease for hung-worker detection: when set, a live
         worker whose shared-arena heartbeat counter stalls for this long
@@ -194,7 +181,6 @@ class ParClusterFluxComputation:
         max_respawns: int | None = None,
         timeout_seconds: float = 120.0,
         record_spans: bool = True,
-        overlap: bool | None = None,
         record=None,
         lease_seconds: float | None = None,
         failure_mode: str = "exit",
@@ -232,9 +218,6 @@ class ParClusterFluxComputation:
         self.lease_seconds = (
             float(lease_seconds) if lease_seconds is not None else None
         )
-        if overlap is None:
-            overlap = self.workers > 1 and available_cpus() > 1
-        self.overlap = bool(overlap)
         self.layout = HaloLayout.from_decomposition(
             self.decomp, self.grid, dtype=self.dtype
         )
@@ -297,7 +280,6 @@ class ParClusterFluxComputation:
                     attempt_offset=attempt_offset,
                     record_spans=self.record_spans,
                     record_races=self.races is not None,
-                    overlap=self.overlap,
                     failure_mode=self.failure_mode,
                 )
             )

@@ -23,8 +23,8 @@ segment holds, in order:
   uses slot ``k % 2``.  The sequence number is the publication
   protocol: a sender writes the payload, then stores ``k + 1`` into the
   header; a receiver spins until the header reaches the value it
-  expects.  Two slots make the protocol safe under *overlapped*
-  exchange: a sender may publish exchange ``k + 1`` while its neighbour
+  expects.  Two slots make the protocol safe under *pipelined*
+  applications: a sender may publish exchange ``k + 1`` while its neighbour
   is still absorbing exchange ``k`` (endpoints drift by at most one
   exchange — the parent only issues application ``k`` once every worker
   finished ``k - 2``), and the two in-flight strips never share bytes.

@@ -99,8 +99,6 @@ class SweepPoint:
     ny: int
     nz: int
     applications: int
-    #: Whether the runtime chose the interior/boundary overlap split.
-    overlap: bool
     #: Serial cluster-backend seconds per application (the reference).
     serial_seconds: float
     #: Multiprocess seconds per application at this worker count.
@@ -309,7 +307,6 @@ def worker_sweep(
                 best_par = min(
                     best_par, (time.perf_counter_ns() - t0) / 1e9
                 )
-            overlap = par.overlap
         bit_identical: bool | None = None
         if verify:
             bit_identical = bool(
@@ -326,7 +323,6 @@ def worker_sweep(
                 ny=ny,
                 nz=nz,
                 applications=applications,
-                overlap=overlap,
                 serial_seconds=best_serial / applications,
                 par_seconds=best_par / applications,
                 speedup=speedup,
@@ -364,7 +360,7 @@ def render_scaling(points: list[ScalePoint]) -> str:
 def render_sweep(points: list[SweepPoint]) -> str:
     """Fixed-width table of measured strong-scaling (sweep) numbers."""
     header = (
-        f"{'wrk':>4} {'ranks':>5} {'mesh':>12} {'overlap':>7} "
+        f"{'wrk':>4} {'ranks':>5} {'mesh':>12} "
         f"{'serial [ms]':>11} {'par [ms]':>9} {'speedup':>7} "
         f"{'eff':>6} {'pids':>5} {'identical':>9}"
     )
@@ -376,7 +372,6 @@ def render_sweep(points: list[SweepPoint]) -> str:
         mesh = f"{pt.nx}x{pt.ny}x{pt.nz}"
         lines.append(
             f"{pt.workers:>4} {pt.ranks:>5} {mesh:>12} "
-            f"{'on' if pt.overlap else 'off':>7} "
             f"{pt.serial_seconds * 1e3:>11.2f} "
             f"{pt.par_seconds * 1e3:>9.2f} {pt.speedup:>7.2f} "
             f"{pt.efficiency:>6.2f} {pt.distinct_pids:>5} {ident:>9}"

@@ -8,41 +8,37 @@ ever being respawned:
 
 * ``("ping",)`` → ``("pong", pid)`` — liveness probe;
 * ``("setup", WorkerSpec)`` → ``("ready", pid)`` — build all per-rank
-  state (padded local mesh, transmissibilities, vectorized kernel,
-  buffers) once and attach the shared arena.  This is the one-time
-  prologue that warm pooling amortizes: only pressure payloads flow per
-  application afterwards;
+  state (the flat kernel with its padded pressure and transmissibility
+  arrays, one shared workspace) once and attach the shared arena.  This
+  is the one-time prologue that warm pooling amortizes: only pressure
+  payloads flow per application afterwards;
 * ``("run",)`` → ``("ok", payload)`` — one flux application;
 * ``("teardown",)`` → ``("released", pid)`` — drop the application
   state (detach the arena) and go idle, ready for the next ``setup``;
 * ``("quit",)`` — exit.
 
 One worker executes one or more contiguous ranks of the decomposition.
-An application overlaps communication with compute:
+An application is:
 
 1. **scatter** — copy each owned block's pressure cells from the
    arena's parity-``k % 2`` global pressure field into the rank's
-   padded buffer;
+   padded buffer (the kernel's own pressure array);
 2. **publish** — every outgoing halo strip (owned cells only) goes into
    its link's parity slot immediately, unblocking the neighbours;
-3. **interior compute** — densities over the owned box, then the
-   vectorized :class:`~repro.par.kernel.RankKernel` residual over the
-   interior box (owned shrunk by one cell on each side that has a halo),
-   which needs no halo data — receive spins on the neighbours overlap
-   with this work instead of blocking before it;
-4. **absorb** — spin-receive every incoming strip into the padded
-   pressure, then fill the halo cells' densities;
-5. **boundary compute** — the residual of the up-to-four slabs that
-   ring the interior box (disjoint, tiling owned∖interior), then write
-   each rank's owned residual block into the arena's global field.
+3. **absorb** — spin-receive every incoming strip into the padded
+   pressure;
+4. **compute** — one whole-block
+   :class:`~repro.core.flat.FlatFluxKernel` evaluation per rank, its
+   owned residual block written straight into the arena's global field.
 
-Per-cell flux accumulation order is invariant under this interior /
-boundary split (each cell's connections fold in ``ALL_CONNECTIONS``
-order inside exactly one box), so the residual stays bit-identical to
-the serial cluster backend.  Fault injection is real here: when the
-plan downs one of this worker's ranks and ``kill_for_real`` is set, the
-process dies with ``os._exit`` — the parent's crash detector, not a
-simulated flag, has to notice.
+Compute starts after the receives: computing an interior box while
+they are in flight measured no faster, and an interior/boundary split
+has no contiguous form on the flat layout (DESIGN.md §12).  The
+kernel is the serial cluster backend's, so the residual is bit-identical
+to it.  Fault injection is real here: when the plan downs one of this
+worker's ranks and ``kill_for_real`` is set, the process dies with
+``os._exit`` — the parent's crash detector, not a simulated flag, has to
+notice.
 """
 
 from __future__ import annotations
@@ -52,9 +48,8 @@ import signal
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core import constants
+from repro.core.flat import FlatFluxKernel, FlatWorkspace
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.cluster.decomposition import Block, BlockDecomposition
@@ -62,7 +57,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.spans import Span, SpanRecorder, spans_to_payload
 from repro.par.comm import ProcComm
-from repro.par.kernel import RankKernel
 from repro.par.layout import HaloLayout
 from repro.par.shm import SharedArena
 
@@ -106,76 +100,6 @@ class WorkerSpec:
     #: ``repro.check.race_trace`` hook); shipped to the parent in each
     #: reply payload under ``"races"``.  Off by default: zero cost.
     record_races: bool = False
-    #: Split each rank's owned box into interior + boundary ring so the
-    #: interior computes while receive spins are in flight.  Hiding
-    #: latency only pays when another core can make progress during the
-    #: spin; on a single core (or a single worker) the extra thin-slab
-    #: kernel launches are pure overhead, so the parent disables it
-    #: there.  The residual is bit-identical either way.
-    overlap: bool = True
-
-
-def _global_to_local(block: Block, x_lo, x_hi, y_lo, y_hi):
-    return (
-        slice(None),
-        slice(y_lo - block.gy0, y_hi - block.gy0),
-        slice(x_lo - block.gx0, x_hi - block.gx0),
-    )
-
-
-def _rank_boxes(block: Block, nz: int, *, overlap: bool = True) -> dict:
-    """The overlap schedule's cell boxes, in padded-block coordinates.
-
-    ``owned`` is the rank's owned region; ``interior`` shrinks it by one
-    cell on each side that has halo padding (those cells touch no halo
-    data, so they compute before any receive); ``boundary`` is the ring
-    of up-to-four disjoint slabs tiling owned∖interior; ``halo`` is the
-    up-to-four slabs tiling padded∖owned (where received strips land and
-    densities must be filled before the boundary pass).
-
-    With ``overlap=False`` the split collapses: no interior box, and the
-    whole owned region computes as one boundary box after the receives
-    land — fewer kernel launches, no latency hiding.
-    """
-    ph = block.gy1 - block.gy0
-    pw = block.gx1 - block.gx0
-    oy0, oy1 = block.y0 - block.gy0, block.y1 - block.gy0
-    ox0, ox1 = block.x0 - block.gx0, block.x1 - block.gx0
-    iy0 = oy0 + (1 if oy0 > 0 else 0)
-    iy1 = oy1 - (1 if oy1 < ph else 0)
-    ix0 = ox0 + (1 if ox0 > 0 else 0)
-    ix1 = ox1 - (1 if ox1 < pw else 0)
-    z = (0, nz)
-    owned = (z, (oy0, oy1), (ox0, ox1))
-    if not overlap or iy0 >= iy1 or ix0 >= ix1:
-        # the block is too thin for a halo-free core: everything is
-        # boundary and all compute happens after the receives land
-        interior = None
-        boundary = [owned]
-    else:
-        interior = (z, (iy0, iy1), (ix0, ix1))
-        boundary = [
-            (z, (oy0, iy0), (ox0, ox1)),
-            (z, (iy1, oy1), (ox0, ox1)),
-            (z, (iy0, iy1), (ox0, ix0)),
-            (z, (iy0, iy1), (ix1, ox1)),
-        ]
-        boundary = [
-            b for b in boundary if b[1][0] < b[1][1] and b[2][0] < b[2][1]
-        ]
-    halo = [
-        (z, (0, oy0), (0, pw)),
-        (z, (oy1, ph), (0, pw)),
-        (z, (oy0, oy1), (0, ox0)),
-        (z, (oy0, oy1), (ox1, pw)),
-    ]
-    halo = [b for b in halo if b[1][0] < b[1][1] and b[2][0] < b[2][1]]
-    return {
-        "owned": owned,
-        "interior": interior,
-        "boundary": boundary,
-        "halo": halo,
-    }
 
 
 def _record(recorder: SpanRecorder | None, name: str, start_ns: int,
@@ -196,30 +120,22 @@ class _AppRuntime:
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         decomp = BlockDecomposition(spec.mesh, spec.px, spec.py)
-        dtype = np.dtype(spec.dtype)
-        self.states: list[dict] = []
-        for rank in spec.ranks:
-            block = decomp.block(rank)
-            local_mesh = decomp.local_mesh(block)
-            self.states.append(
-                {
-                    "rank": rank,
-                    "block": block,
-                    "kernel": RankKernel(
-                        local_mesh, spec.fluid,
-                        gravity=spec.gravity, dtype=dtype,
-                    ),
-                    "boxes": _rank_boxes(block, local_mesh.nz,
-                                         overlap=spec.overlap),
-                    "pressure": np.zeros(local_mesh.shape_zyx, dtype),
-                    "rho": np.zeros(local_mesh.shape_zyx, dtype),
-                    "residual": np.zeros(local_mesh.shape_zyx, dtype),
-                }
-            )
+        blocks = [decomp.block(rank) for rank in spec.ranks]
+        meshes = [decomp.local_mesh(block) for block in blocks]
+        # one workspace: this worker computes its ranks in turn
+        workspace = FlatWorkspace([m.shape_zyx for m in meshes], spec.dtype)
+        self.states: list[dict] = [
+            {
+                "rank": rank,
+                "block": block,
+                "kernel": FlatFluxKernel(
+                    local_mesh, spec.fluid, workspace, gravity=spec.gravity
+                ),
+            }
+            for rank, block, local_mesh in zip(spec.ranks, blocks, meshes)
+        ]
         self.arena = SharedArena(spec.layout, name=spec.arena_name,
                                  create=False)
-        my_ranks = frozenset(spec.ranks)
-        self.state_of = {state["rank"]: state for state in self.states}
 
         self.injector = None
         if spec.plan is not None and spec.plan.rank_failures:
@@ -244,14 +160,26 @@ class _AppRuntime:
             heartbeat=self._beat,
             race_trace=self.races,
         )
-        # canonical halo_links order restricted to this worker's endpoints
+        # canonical halo_links order restricted to this worker's
+        # endpoints, each with its strip of the rank's padded pressure
+        state_of = {state["rank"]: state for state in self.states}
+
+        def strip(link, rank):
+            state = state_of[rank]
+            return link.strip(state["kernel"].pressure, state["block"])
+
+        links = spec.layout.links
+        my_ranks = frozenset(spec.ranks)
         self.out_links = [
-            lk for lk in spec.layout.links if lk.source in my_ranks
+            (lk, strip(lk, lk.source)) for lk in links if lk.source in my_ranks
         ]
-        self.in_links = sorted(
-            (lk for lk in spec.layout.links if lk.dest in my_ranks),
-            key=lambda lk: (lk.dest, lk.tag),
-        )
+        self.in_links = [
+            (lk, strip(lk, lk.dest))
+            for lk in sorted(
+                (lk for lk in links if lk.dest in my_ranks),
+                key=lambda lk: (lk.dest, lk.tag),
+            )
+        ]
         self.recorder = SpanRecorder() if spec.record_spans else None
         self.applications = 0
 
@@ -261,7 +189,7 @@ class _AppRuntime:
         self.arena.bump_heartbeats(self.spec.ranks)
 
     def run_application(self, conn) -> None:
-        """One overlapped flux application; replies ``("ok", payload)``."""
+        """One flux application; replies ``("ok", payload)``."""
         spec = self.spec
         if self.injector is not None:
             self.injector.begin_exchange()
@@ -300,7 +228,7 @@ class _AppRuntime:
         for state in self.states:
             block: Block = state["block"]
             ys, xs = block.owned_slices_in_padded()
-            state["pressure"][:, ys, xs] = global_pressure[
+            state["kernel"].pressure[:, ys, xs] = global_pressure[
                 :, block.y0 : block.y1, block.x0 : block.x1
             ]
         t_scatter = time.perf_counter_ns()
@@ -309,70 +237,29 @@ class _AppRuntime:
                 worker=spec.index)
 
         # 2. publish every outgoing strip (owned cells only) right away
-        for link in self.out_links:
-            state = self.state_of[link.source]
-            strip = state["pressure"][
-                _global_to_local(state["block"], link.x_lo, link.x_hi,
-                                 link.y_lo, link.y_hi)
-            ]
+        for link, strip in self.out_links:
             self.comm.isend(link.source, link.dest, link.tag, strip)
         t_publish = time.perf_counter_ns()
         self._beat()
         _record(self.recorder, "par.publish", t_scatter, t_publish,
                 worker=spec.index)
 
-        # 3. interior compute — no halo dependence, overlaps the
-        #    neighbours' publication latency
-        per_rank_ns = {}
-        for state in self.states:
-            t_c0 = time.perf_counter_ns()
-            kernel: RankKernel = state["kernel"]
-            boxes = state["boxes"]
-            state["residual"].fill(0.0)
-            kernel.density_box(state["pressure"], boxes["owned"],
-                               out=state["rho"])
-            if boxes["interior"] is not None:
-                kernel.residual_box(
-                    state["pressure"], state["rho"], state["residual"],
-                    boxes["interior"],
-                )
-            per_rank_ns[state["rank"]] = {
-                "compute_ns": time.perf_counter_ns() - t_c0,
-            }
-        t_interior = time.perf_counter_ns()
-        self._beat()
-        _record(self.recorder, "par.compute.interior", t_publish, t_interior,
-                worker=spec.index)
-
-        # 4. absorb: spin-receive the strips that haven't landed yet,
-        #    then fill halo densities
-        for link in self.in_links:
-            state = self.state_of[link.dest]
-            data = self.comm.recv(link.dest, link.source, link.tag)
-            state["pressure"][
-                _global_to_local(state["block"], link.x_lo, link.x_hi,
-                                 link.y_lo, link.y_hi)
-            ] = data
-        for state in self.states:
-            for box in state["boxes"]["halo"]:
-                state["kernel"].density_box(state["pressure"], box,
-                                            out=state["rho"])
+        # 3. absorb: spin-receive every incoming strip
+        for link, halo in self.in_links:
+            halo[...] = self.comm.recv(link.dest, link.source, link.tag)
         self.comm.complete_exchange()
         self._beat()
         t_absorb = time.perf_counter_ns()
-        exchange_ns = (t_publish - t_scatter) + (t_absorb - t_interior)
-        _record(self.recorder, "par.absorb", t_interior, t_absorb,
+        _record(self.recorder, "par.absorb", t_publish, t_absorb,
                 worker=spec.index)
+        exchange_ns = (t_absorb - t_scatter) // len(self.states)
 
-        # 5. boundary compute, then gather owned residuals into the arena
+        # 4. compute, then gather owned residuals into the arena
+        per_rank_ns = {}
         for state in self.states:
             block = state["block"]
             t_c0 = time.perf_counter_ns()
-            kernel = state["kernel"]
-            for box in state["boxes"]["boundary"]:
-                kernel.residual_box(
-                    state["pressure"], state["rho"], state["residual"], box
-                )
+            residual = state["kernel"].compute()
             ys, xs = block.owned_slices_in_padded()
             self.arena.trace(
                 "write", ("residual", state["rank"]), value=parity,
@@ -380,12 +267,13 @@ class _AppRuntime:
             )
             self.arena.residual[
                 :, block.y0 : block.y1, block.x0 : block.x1
-            ] = state["residual"][:, ys, xs]
+            ] = residual[:, ys, xs]
             t_c1 = time.perf_counter_ns()
-            ns = per_rank_ns[state["rank"]]
-            ns["compute_ns"] += t_c1 - t_c0
-            ns["exchange_ns"] = exchange_ns // len(self.states)
-            _record(self.recorder, "par.compute.boundary", t_c0, t_c1,
+            per_rank_ns[state["rank"]] = {
+                "compute_ns": t_c1 - t_c0,
+                "exchange_ns": exchange_ns,
+            }
+            _record(self.recorder, "par.compute", t_c0, t_c1,
                     worker=spec.index, rank=state["rank"])
 
         self.applications += 1

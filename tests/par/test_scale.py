@@ -125,6 +125,7 @@ class TestWorkerSweep:
     def test_render_table(self, points):
         table = render_sweep(points)
         assert "speedup" in table
+        assert "overlap" not in table
         assert "12x10x2" in table
         assert "yes" in table
 
@@ -163,6 +164,7 @@ class TestParScaleCli:
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert [pt["workers"] for pt in doc] == [1]
+        assert "overlap" not in doc[0]
         assert all(pt["bit_identical"] for pt in doc)
         assert doc[0]["speedup"] > 0
 
