@@ -36,7 +36,12 @@ import numpy as np
 
 from repro.wse.dsd import DsdEngine
 
-__all__ = ["FluxScratch", "compute_face_flux_column", "evaluate_density_column"]
+__all__ = [
+    "FluxScratch",
+    "compute_face_flux_column",
+    "store_face_flux_column",
+    "evaluate_density_column",
+]
 
 #: Modelled cost of the Eq. 5 exponential per element (cycles); the exp is
 #: evaluated once per cell per application and is excluded from Table 4.
@@ -146,7 +151,7 @@ def compute_face_flux_column(
     All arrays must be element-aligned views of length ``n``; *residual*
     is updated in place with ``r += F_KL``.
 
-    The numpy operations below are exactly the ones the
+    The numpy operations issued are exactly the ones the
     :class:`~repro.wse.dsd.DsdEngine` instruction methods issue, in the
     same order on the same buffers (so results are bit-identical); the
     per-op engine wrappers are bypassed and the whole column is booked in
@@ -155,6 +160,53 @@ def compute_face_flux_column(
     overhead used to dominate event-simulator profiles.
     """
     s = scratch.for_target(residual)
+    # F overwrites the scratch column that carried the upwinded mobility
+    flux = s.a if z_l is z_k else s.dp
+    _face_flux(
+        s, p_k, p_l, z_k, z_l, rho_k, rho_l, trans, flux, gravity, inv_viscosity
+    )
+    # 13: FNEG -F; 14: FSUB r -= (-F).  IEEE subtraction is defined as
+    # addition of the exact negation, so ``r - (-F)`` is bit-identical
+    # to ``r + F`` (signed zeros included) — one ufunc instead of two.
+    _add(residual, flux, residual)
+    # the folded FSUB (8) and FNEG (13) are still *booked*: the hardware
+    # executes all 14 steps and Table 4 counts them
+    engine.account_flux_column(residual.size)
+
+
+def store_face_flux_column(
+    engine: DsdEngine,
+    scratch: FluxScratch,
+    p_k: np.ndarray,
+    p_l: np.ndarray,
+    z_k: np.ndarray,
+    z_l: np.ndarray,
+    rho_k: np.ndarray,
+    rho_l: np.ndarray,
+    trans: np.ndarray,
+    flux: np.ndarray,
+    *,
+    gravity: float,
+    inv_viscosity: float,
+) -> None:
+    """Write one direction's fluxes ``F_KL`` into *flux*; the caller folds.
+
+    :func:`compute_face_flux_column` up to step 12, whose multiply lands
+    in *flux* rather than in scratch.  For a backend that adds a column
+    to its residual later, in an order of its own (the fused backend's
+    fold program); all 14 steps are booked, the deferred 13-14 included.
+    """
+    _face_flux(
+        scratch.for_target(flux),
+        p_k, p_l, z_k, z_l, rho_k, rho_l, trans, flux, gravity, inv_viscosity,
+    )
+    engine.account_flux_column(flux.size)
+
+
+def _face_flux(
+    s, p_k, p_l, z_k, z_l, rho_k, rho_l, trans, flux, gravity, inv_viscosity
+) -> None:
+    """Steps 1-12 on the scratch columns *s*; the last multiply writes *flux*."""
     dp, gz, a, b = s.dp, s.gz, s.a, s.b
     # out is passed positionally throughout: it skips the ufunc keyword
     # parsing, which is measurable at this call rate on 8-element columns
@@ -179,9 +231,7 @@ def compute_face_flux_column(
             _bit_select(s.sel, dp, rho_k, rho_l, a)
         _mul(a, inv_viscosity, a)                   # 10: FMUL lambda_upw
         _mul(a, trans, a)                           # 11: FMUL Upsilon*lambda
-        _mul(a, dp, a)                              # 12: FMUL F = ...*dphi
-        _add(residual, a, residual)                 # 13+14 (see below)
-        engine.account_flux_column(residual.size)
+        _mul(a, dp, flux)                           # 12: FMUL F = ...*dphi
         return
     _sub(z_l, z_k, gz)                              # 2: FSUB  dz
     _mul(gz, gravity, gz)                           # 3: FMUL  gz = g*dz
@@ -202,14 +252,7 @@ def compute_face_flux_column(
         _bit_select(s.sel, b, rho_k, rho_l, dp)
     _mul(dp, inv_viscosity, dp)                     # 10: FMUL lambda_upw
     _mul(dp, trans, dp)                             # 11: FMUL Upsilon*lambda
-    _mul(dp, b, dp)                                 # 12: FMUL F = ...*dphi
-    # 13: FNEG -F; 14: FSUB r -= (-F).  IEEE subtraction is defined as
-    # addition of the exact negation, so ``r - (-F)`` is bit-identical
-    # to ``r + F`` (signed zeros included) — one ufunc instead of two.
-    _add(residual, dp, residual)
-    # the folded FSUB (8) and FNEG (13) are still *booked*: the hardware
-    # executes all 14 steps and Table 4 counts them
-    engine.account_flux_column(residual.size)
+    _mul(dp, b, flux)                               # 12: FMUL F = ...*dphi
 
 
 def _bit_select(sel, dphi, rho_k, rho_l, out) -> None:

@@ -38,6 +38,7 @@ from repro.ir.schema import (
     FabricProgramIR,
     encode_position,
 )
+from repro.obs.spans import span
 from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 
 __all__ = ["build_ir", "derive_ir", "ir_from_fabric"]
@@ -207,97 +208,99 @@ def derive_ir(
 
     Produces a document byte-identical to capturing the same program with
     :func:`build_ir`; parameters mirror
-    :class:`~repro.dataflow.program.FluxProgram`.
+    :class:`~repro.dataflow.program.FluxProgram`.  Timed as the
+    ``ir.derive`` span whichever backend or table entry asks for it.
     """
-    nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
-    width = nx if remap is None else remap.physical_width
-    doc = _base_doc(KIND_PROGRAM)
-    doc["fabric"] = {
-        "width": width,
-        "height": ny,
-        "pe_memory_bytes": int(pe_memory_bytes),
-        "pe_memory_reserved": int(pe_memory_reserved),
-        "vectorized": bool(vectorized),
-        "bypass_columns": sorted(remap.bypassed_columns) if remap else [],
-    }
-    doc["mesh"] = {"nx": nx, "ny": ny, "nz": nz}
-    doc["params"] = {
-        "dtype": np.dtype(dtype).name,
-        "reuse_buffers": bool(reuse_buffers),
-        "overlap_compute": bool(overlap_compute),
-        "compute_fluxes": bool(compute_fluxes),
-    }
-    doc["contracts"] = _contracts_doc()
-    doc["remap"] = _remap_doc(remap)
-
-    def physical(coord):
-        return coord if remap is None else remap.physical(coord)
-
-    channels = (*CARDINAL_CHANNELS, *DIAGONAL_CHANNELS)
-    doc["colors"] = [
-        {"id": cid, "name": ch.name} for cid, ch in enumerate(channels)
-    ]
-    color_of = {ch.name: cid for cid, ch in enumerate(channels)}
-
-    cells = [(lx, ly) for ly in range(ny) for lx in range(nx)]
-    cell_keys = [_coord_key(physical(c)) for c in cells]
-
-    routes: dict[str, dict] = {}
-    for cid, channel in enumerate(CARDINAL_CHANNELS):
-        table = _ClassTable()
-        assignment: dict[str, int] = {}
-        for cell, key in zip(cells, cell_keys):
-            positions, initial = switch_positions_for(cell, channel, nx, ny)
-            assignment[key] = table.intern(
-                _route_key(positions, initial),
-                lambda: _route_class_doc(positions, initial),
-            )
-        routes[str(cid)] = {
-            "classes": table.classes,
-            "assignment": assignment,
+    with span("ir.derive"):
+        nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
+        width = nx if remap is None else remap.physical_width
+        doc = _base_doc(KIND_PROGRAM)
+        doc["fabric"] = {
+            "width": width,
+            "height": ny,
+            "pe_memory_bytes": int(pe_memory_bytes),
+            "pe_memory_reserved": int(pe_memory_reserved),
+            "vectorized": bool(vectorized),
+            "bypass_columns": sorted(remap.bypassed_columns) if remap else [],
         }
-    for offset, channel in enumerate(DIAGONAL_CHANNELS):
-        cid = len(CARDINAL_CHANNELS) + offset
-        table = _ClassTable()
-        position = static_position(channel)
-        idx = table.intern(
-            _route_key([position], 0),
-            lambda: _route_class_doc([position], 0),
-        )
-        routes[str(cid)] = {
-            "classes": table.classes,
-            "assignment": {key: idx for key in cell_keys},
+        doc["mesh"] = {"nx": nx, "ny": ny, "nz": nz}
+        doc["params"] = {
+            "dtype": np.dtype(dtype).name,
+            "reuse_buffers": bool(reuse_buffers),
+            "overlap_compute": bool(overlap_compute),
+            "compute_fluxes": bool(compute_fluxes),
         }
-    doc["routes"] = routes
+        doc["contracts"] = _contracts_doc()
+        doc["remap"] = _remap_doc(remap)
 
-    doc["expected_receivers"] = _expected_receivers_doc(
-        nx, ny, remap, channels, color_of.__getitem__
-    )
+        def physical(coord):
+            return coord if remap is None else remap.physical(coord)
 
-    injectors: dict[str, list] = {}
-    for channel in CARDINAL_CHANNELS:
-        coords = [
-            physical((lx, ly))
-            for ly in range(ny)
-            for lx in range(nx)
-            if is_step1_sender((lx, ly), channel, nx, ny)
+        channels = (*CARDINAL_CHANNELS, *DIAGONAL_CHANNELS)
+        doc["colors"] = [
+            {"id": cid, "name": ch.name} for cid, ch in enumerate(channels)
         ]
-        injectors[channel.name] = [list(c) for c in sorted(coords)]
-    all_coords = sorted(
-        physical((lx, ly)) for ly in range(ny) for lx in range(nx)
-    )
-    for channel in DIAGONAL_CHANNELS:
-        injectors[channel.name] = [list(c) for c in all_coords]
-    doc["injectors"] = injectors
+        color_of = {ch.name: cid for cid, ch in enumerate(channels)}
 
-    # one probe layout stands for every PE — the plan is uniform
-    probe = Scratchpad(pe_memory_bytes, reserved=pe_memory_reserved)
-    PEColumnLayout.build(probe, nz, dtype=dtype, reuse_buffers=reuse_buffers)
-    doc["memory"] = {
-        "classes": [_memory_records(probe)],
-        "assignment": {_coord_key(c): 0 for c in all_coords},
-    }
-    return FabricProgramIR(doc)
+        cells = [(lx, ly) for ly in range(ny) for lx in range(nx)]
+        cell_keys = [_coord_key(physical(c)) for c in cells]
+
+        routes: dict[str, dict] = {}
+        for cid, channel in enumerate(CARDINAL_CHANNELS):
+            table = _ClassTable()
+            assignment: dict[str, int] = {}
+            for cell, key in zip(cells, cell_keys):
+                positions, initial = switch_positions_for(cell, channel, nx, ny)
+                assignment[key] = table.intern(
+                    _route_key(positions, initial),
+                    lambda: _route_class_doc(positions, initial),
+                )
+            routes[str(cid)] = {
+                "classes": table.classes,
+                "assignment": assignment,
+            }
+        for offset, channel in enumerate(DIAGONAL_CHANNELS):
+            cid = len(CARDINAL_CHANNELS) + offset
+            table = _ClassTable()
+            position = static_position(channel)
+            idx = table.intern(
+                _route_key([position], 0),
+                lambda: _route_class_doc([position], 0),
+            )
+            routes[str(cid)] = {
+                "classes": table.classes,
+                "assignment": {key: idx for key in cell_keys},
+            }
+        doc["routes"] = routes
+
+        doc["expected_receivers"] = _expected_receivers_doc(
+            nx, ny, remap, channels, color_of.__getitem__
+        )
+
+        injectors: dict[str, list] = {}
+        for channel in CARDINAL_CHANNELS:
+            coords = [
+                physical((lx, ly))
+                for ly in range(ny)
+                for lx in range(nx)
+                if is_step1_sender((lx, ly), channel, nx, ny)
+            ]
+            injectors[channel.name] = [list(c) for c in sorted(coords)]
+        all_coords = sorted(
+            physical((lx, ly)) for ly in range(ny) for lx in range(nx)
+        )
+        for channel in DIAGONAL_CHANNELS:
+            injectors[channel.name] = [list(c) for c in all_coords]
+        doc["injectors"] = injectors
+
+        # one probe layout stands for every PE — the plan is uniform
+        probe = Scratchpad(pe_memory_bytes, reserved=pe_memory_reserved)
+        PEColumnLayout.build(probe, nz, dtype=dtype, reuse_buffers=reuse_buffers)
+        doc["memory"] = {
+            "classes": [_memory_records(probe)],
+            "assignment": {_coord_key(c): 0 for c in all_coords},
+        }
+        return FabricProgramIR(doc)
 
 
 # --------------------------------------------------------------------- #

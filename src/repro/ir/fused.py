@@ -3,40 +3,52 @@
 This is the raw-speed ceiling for pure Python: instead of simulating one
 message at a time (event) or one communication phase per application
 (lockstep), the fused backend batches *all* applications of a run along
-a leading axis and executes each per-color communication round as one
-whole-array NumPy kernel call — the ufunc count is independent of the
-number of applications.
+a leading axis and executes each per-color communication round as
+whole-array NumPy kernel calls — the ufunc count grows with the number
+of z-slabs (at most ``nz``), not with the number of applications.
 
 Batched arrays are x/y-halo-padded and flat,
 ``(batch, nz*(ny+2)*(nx+2))``: every neighbour is a constant flat
-shift, so every ufunc of every round is a contiguous 2-D op.  Halo
-faces carry zero transmissibility and halo pressure is finite, so halo
-lanes compute finite zeros that the fold — which only touches classes
-that have the neighbour — never reads (DESIGN.md §16).  Inputs and
-scratch persist in a per-instance workspace; what a run accumulates
-into is zero-allocated per run.
+shift, so every ufunc of every round — and of the fold — is a
+contiguous op.  Halo faces carry zero transmissibility and halo
+pressure is finite, so halo lanes compute finite zeros that no fold
+mask selects (DESIGN.md §16).
+
+A run is **one sweep over z-slabs of whole planes**.  Density is
+evaluated once over the whole batch (a vertical face reads the plane
+next to its slab); then, slab by slab, UP/DOWN accumulate into the
+residual, each X-Y connection's kernel writes its fluxes into a
+slab-sized contribution buffer, and the slab is folded before the sweep
+moves on — so the ~16 batch-wide arrays a cell's ten faces touch are
+``_SLAB_ELEMENTS`` long and stay cache-resident from the first kernel
+to the last add, instead of streaming the whole batch through the cache
+once per round.  A cell's contributions all meet inside its own slab,
+so the slab size cannot move a bit.  Pressure, density, the slab
+scratch and the contribution buffers persist in a per-instance
+workspace; one run allocates the residual it returns and nothing else.
 
 Bit-identity with the event backend (same conform fold class) comes from
 two properties:
 
 * Every kernel call issues exactly the element-wise operations of
-  :func:`~repro.dataflow.flux_pe.compute_face_flux_column` on the same
-  values — element-wise ufuncs over a batched array produce the same
-  bits per element as per-column calls.  X-Y faces pass the *same*
-  elevation view twice, taking the kernel's collapsed branch exactly
-  like the event backend's receive task does.
-* Per-connection contributions are first materialized into full-shape
-  arrays, then folded into the residual **in the event backend's per-PE
-  arrival order** (the IR's fold schedule, :mod:`repro.ir.schedule`:
-  at most 16 classes of PEs, each a stride-2 rectangle): round ``k``
-  adds, with one basic-slice ``+=`` per class, the connection that
-  arrives ``k``-th at that class's PEs.  Each PE appears at most once
-  per round, so its residual sees its contributions in exactly its
-  arrival order.  The one rewrite — the
-  contribution array holds ``0.0 + f`` rather than ``f`` — only flips
-  the sign of zero contributions, and a residual accumulated from
-  ``+0.0`` can never be ``-0.0``, so the flipped bit is unobservable
-  (same argument as the kernel's collapsed branch).
+  :mod:`repro.dataflow.flux_pe` on the same values — element-wise
+  ufuncs over a batched array produce the same bits per element as
+  per-column calls.  X-Y faces pass the *same* elevation view twice,
+  taking the kernel's collapsed branch exactly like the event backend's
+  receive task does.
+* Contributions are folded into the residual **in the event backend's
+  per-PE arrival order** by the IR's fold program
+  (:func:`repro.ir.schedule.fold_program`: a common supersequence of
+  the <= 16 class orders).  A step ``(connection, lane mask)`` is two
+  contiguous passes over the slab — ``contribution & mask`` on
+  same-width unsigned views, then ``residual += that`` — where the mask
+  is all ones on the lanes of the classes whose next arrival is this
+  connection.  Those lanes receive the contribution's own bits; every
+  other lane receives ``+0.0``, which changes neither a finite residual
+  accumulated from ``+0.0`` (it can never be ``-0.0``) nor a non-finite
+  one.  So every PE sees its own arrivals, in its own order, and
+  nothing else.  The contribution holds ``F`` itself, signed zeros
+  included, as the event backend's ``r += F`` sees it.
 
 Fabric traffic is accounted arithmetically from the IR's exchange plan
 (2·nz words per face, 1 hop cardinal / 2 hops diagonal) — no halo
@@ -61,15 +73,26 @@ from repro.dataflow.flux_pe import (
     FluxScratch,
     compute_face_flux_column,
     evaluate_density_column,
+    store_face_flux_column,
 )
 from repro.dataflow.program import padded_trans_fields
 from repro.ir.builder import derive_ir
 from repro.ir.schema import KIND_PROGRAM, FabricProgramIR
-from repro.ir.schedule import arrival_schedule, schedule_classes
+from repro.ir.schedule import fold_program, schedule_classes
 from repro.obs.spans import span
 from repro.wse.dsd import DsdEngine
 
 __all__ = ["FusedFluxComputation", "FusedReport", "FusedRunResult"]
+
+#: ``batch x lanes`` elements of one z-slab (whole planes, at least one,
+#: at most the block): small enough that a slab's ~16 batch-wide arrays
+#: stay in cache between its kernels and its fold, large enough that
+#: ufunc call overhead does not take the gain back.  A measured constant
+#: (DESIGN.md §16 has the scan), not an option; tests monkeypatch it.
+_SLAB_ELEMENTS = 1 << 16
+
+_and = np.bitwise_and
+_add = np.add
 
 
 @dataclass
@@ -179,7 +202,7 @@ class FusedFluxComputation:
         # x/y-halo-padded flat layout: cell (z, y, x) sits at
         # z*plane + (y+1)*row + (x+1), so a connection is the constant
         # flat shift dz*plane + dy*row + dx.  Halo faces get zero Upsilon:
-        # halo lanes compute finite zeros nobody reads.
+        # halo lanes compute finite zeros no fold mask selects.
         nz, ny, nx = mesh.shape_zyx
         row, plane = nx + 2, (ny + 2) * (nx + 2)
         self._padded_shape = (nz, ny + 2, row)
@@ -197,36 +220,35 @@ class FusedFluxComputation:
             conn: _interior(field, self._padded_shape)
             for conn, field in self._trans_flat.items()
         }
-        #: per connection (first lane, lanes swept, neighbour shift): X-Y
-        #: sweeps run from the first interior cell to the last, vertical
-        #: ones over all planes but one; and the true faces among them
-        self._spans, self._faces = {}, {}
+        #: per connection: its constant flat neighbour shift and the
+        #: true faces among the padded lanes the kernels sweep
+        self._shifts, self._faces = {}, {}
         for conn in Connection:
             dx, dy, dz = conn.offset
-            lo, lanes = row + 1, nz * plane - 2 * (row + 1)
-            if dz:
-                lo, lanes = (0 if dz > 0 else plane), (nz - 1) * plane
-            self._spans[conn] = (lo, lanes, dz * plane + dy * row + dx)
+            self._shifts[conn] = dz * plane + dy * row + dx
             self._faces[conn] = (nz - abs(dz)) * (ny - abs(dy)) * (nx - abs(dx))
         self._workspace: _Workspace | None = None
 
         # the fold schedule is a derived annotation: it amortizes like a
         # backend compile step and stays out of the content hash
-        options = {
-            "reuse_buffers": params["reuse_buffers"],
-            "overlap_compute": params["overlap_compute"],
-            "vectorized": self._vectorized,
-        }
         t1 = perf_counter()
         with span("fused.schedule"):
-            self._rounds = _fold_rounds(
-                schedule_classes(mesh.nx, mesh.ny, **options)
+            classes = schedule_classes(
+                mesh.nx,
+                mesh.ny,
+                reuse_buffers=params["reuse_buffers"],
+                overlap_compute=params["overlap_compute"],
+                vectorized=self._vectorized,
             )
-            schedule = arrival_schedule(mesh.nx, mesh.ny, **options)
+            #: the fold program, plane-periodic and batch-independent
+            self._fold = _fold_steps(classes, (ny + 2, row), self.dtype)
         self.schedule_seconds = perf_counter() - t1
         ir.annotate(
             "fold_schedule",
-            {f"{x},{y}": list(order) for (x, y), order in sorted(schedule.items())},
+            [
+                {"order": list(order), "y": _triple(ys), "x": _triple(xs)}
+                for order, ys, xs in classes
+            ],
         )
 
     # ------------------------------------------------------------------ #
@@ -240,8 +262,9 @@ class FusedFluxComputation:
             mesh.validate_field(field, name="pressure")
         started = perf_counter()
         batch = len(fields)
-        engine, padded = self.engine, self._padded_shape
+        swept = self._lanes
         cells = mesh.nx * mesh.ny * mesh.nz
+        kernel = {"gravity": self._gravity, "inv_viscosity": self._inv_viscosity}
 
         with span("fused.run", backend="fused", applications=batch):
             ws = self._workspace
@@ -249,50 +272,41 @@ class FusedFluxComputation:
                 ws = self._workspace = _Workspace(self, batch)
             for i, field in enumerate(fields):
                 ws.pressure[i] = field  # cast, exactly like load_pressure
-            # what a run accumulates into must start from zero anyway: it
-            # is allocated here and dropped with the run, so it neither
+            # what a run hands out must start from zero anyway: it is
+            # allocated here and dropped with the run, so it neither
             # aliases a later run nor stays resident between runs
             residual = np.zeros_like(ws.p)
 
             with span("fused.local"):
                 evaluate_density_column(
-                    self._lanes,
+                    swept,
                     ws.p,
                     ws.rho,
                     compressibility=self.fluid.compressibility,
                     reference_density=self.fluid.reference_density,
                     reference_pressure=self.fluid.reference_pressure,
                 )
-                engine.aux(
-                    "FEXP",
-                    cells * batch,
-                    cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT,
-                )
+            for slab in ws.slabs:
                 if self.compute_fluxes:
-                    for conn in (Connection.UP, Connection.DOWN):
-                        self._face_kernel(ws, conn, residual)
-
-            # per-connection contribution arrays, one whole-array kernel
-            # call each; traffic booked from the IR's exchange plan
-            contributions: dict[Connection, np.ndarray] = {}
-            with span("fused.rounds"):
-                for connections, hops, _phase in self.ir.exchange_plan:
-                    for conn in connections:
-                        contribution = np.zeros_like(ws.p)
-                        if self.compute_fluxes:
-                            self._face_kernel(ws, conn, contribution)
-                        contributions[conn] = _interior(contribution, padded)
-                        words = 2 * self._faces[conn] * batch
-                        self._fabric_loads += words
-                        self._fabric_word_hops += words * self._words_per_element * hops
-
-            # serial fold: event arrival order, one basic-slice add per
-            # (round, schedule class)
-            with span("fused.fold"):
-                residual = _interior(residual, padded)
-                for groups in self._rounds:
-                    for conn, ys, xs in groups:
-                        residual[:, :, ys, xs] += contributions[conn][:, :, ys, xs]
+                    with span("fused.local"):
+                        for operands, here in slab.vertical:
+                            compute_face_flux_column(
+                                swept, *operands, residual[:, here], **kernel
+                            )
+                    # one whole-slab kernel call per connection, each
+                    # into its own contribution buffer
+                    with span("fused.rounds"):
+                        for operands in slab.horizontal:
+                            store_face_flux_column(swept, *operands, **kernel)
+                # serial fold in event arrival order: two contiguous
+                # passes per step of the fold program
+                with span("fused.fold"):
+                    target = residual[:, slab.here]
+                    for contribution, mask, words, masked in slab.fold:
+                        _and(contribution, mask, words)
+                        _add(target, masked, target)
+            self._book(batch, cells)
+            residual = _interior(residual, self._padded_shape)
 
         self._applications += batch
         if self.record is not None:
@@ -312,18 +326,23 @@ class FusedFluxComputation:
             residuals=residuals,
         )
 
-    def _face_kernel(self, ws: "_Workspace", conn: Connection, target) -> None:
-        """Accumulate one connection's fluxes over its padded span into
-        the flat *target*, booked at the true face count."""
-        lo, lanes, _shift = self._spans[conn]
-        compute_face_flux_column(
-            self._lanes,
-            *ws.operands[conn],
-            target[:, lo : lo + lanes],
-            gravity=self._gravity,
-            inv_viscosity=self._inv_viscosity,
+    def _book(self, batch: int, cells: int) -> None:
+        """One batch at its true cell and face counts (the kernels swept
+        padded slabs); traffic from the IR's exchange plan."""
+        engine, faces = self.engine, self._faces
+        engine.aux(
+            "FEXP", cells * batch, cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT
         )
-        self.engine.account_flux_column(self._faces[conn] * ws.batch)
+        if self.compute_fluxes:
+            for conn in (Connection.UP, Connection.DOWN):
+                engine.account_flux_column(faces[conn] * batch)
+        for connections, hops, _phase in self.ir.exchange_plan:
+            for conn in connections:
+                if self.compute_fluxes:
+                    engine.account_flux_column(faces[conn] * batch)
+                words = 2 * faces[conn] * batch
+                self._fabric_loads += words
+                self._fabric_word_hops += words * self._words_per_element * hops
 
     # ------------------------------------------------------------------ #
     def report(self) -> FusedReport:
@@ -344,32 +363,70 @@ class FusedFluxComputation:
 class _Workspace:
     """What a run needs but does not return, for one batch size.
 
-    Pressure, density, three float scratch arrays and the integer
-    select buffer, halo-padded and flat: ``(batch, nz*(ny+2)*(nx+2))``.
-    None needs initialising per run (halo pressure is a finite constant
-    set here, so halo density is finite too); every kernel operand is a
-    constant flat shift of one of them, sliced here once.
+    Whole-batch pressure and density, halo-padded and flat
+    ``(batch, nz*(ny+2)*(nx+2))``, and everything else one slab long, in
+    one ``(batch, buffers, slab lanes)`` block: three float scratch
+    buffers, the integer select buffer, the masked fold operand and one
+    contribution buffer per X-Y connection.  None needs initialising per
+    run: halo pressure is a finite constant set here (so halo density is
+    finite too), and the contribution lanes no kernel writes — the halo
+    lanes at either end of a slab, all of them with
+    ``compute_fluxes=False`` — stay the zeros they are allocated as.
+    Every kernel and fold operand is a view sliced here once.
+
+    One block rather than an array per buffer, so that a slab buffer is
+    a strided view exactly like a slab of pressure or residual: where a
+    C-contiguous 2-D operand of short rows (one 48x48 plane) meets
+    strided ones, NumPy's iterator runs 2-3x slower than on operands
+    that are all strided (measured, NumPy 2.4; DESIGN.md §16).
     """
 
     def __init__(self, fused: FusedFluxComputation, batch: int) -> None:
         dtype = fused.dtype
-        shape = (batch, fused._elev_flat.size)
+        nz, rows, row = fused._padded_shape
+        plane, edge = rows * row, row + 1
         self.batch = batch
-        self.p = p = np.full(shape, fused.fluid.reference_pressure, dtype)
-        self.rho = rho = np.empty(shape, dtype)
+        # whole planes per slab, and never more scratch than the block
+        depth = max(1, min(nz, _SLAB_ELEMENTS // (batch * plane)))
+        self.p = p = np.full(
+            (batch, nz * plane), fused.fluid.reference_pressure, dtype
+        )
+        self.rho = rho = np.empty_like(p)
         self.pressure = _interior(p, fused._padded_shape)
-        dp, a, b = (np.empty(shape, dtype) for _ in range(3))
-        sel = np.empty(shape, f"u{dtype.itemsize}")
-        gz = np.empty(shape[1], dtype)  # g*(z_L - z_K) is the same for every field
-        #: compute_face_flux_column's operands up to the target, per connection
-        self.operands = {}
-        for conn, (lo, lanes, shift) in fused._spans.items():
+        xy = [
+            conn
+            for connections, _hops, _phase in fused.ir.exchange_plan
+            for conn in connections
+        ]
+        block = np.zeros((batch, 5 + len(xy), depth * plane), dtype)
+        dp, a, b, masked, sel, *buffers = np.moveaxis(block, 1, 0)
+        words = f"u{dtype.itemsize}"
+        sel = sel.view(words)
+        contributions = dict(zip(xy, buffers))
+        gz = np.empty(depth * plane, dtype)  # g*(z_L - z_K) is the same for every field
+        # (contribution, lane mask, masked as words, masked) per fold step.
+        # The plane masks are tiled to the slab: broadcasting one over a
+        # (batch, planes, plane) view costs NumPy's iterator 0.3 us per
+        # row, 13 against 8 us per step at (8, 3, 2500)
+        steps = [
+            (
+                contributions[conn].view(words),
+                np.tile(mask, depth),
+                masked.view(words),
+                masked,
+            )
+            for conn, mask in fused._fold
+        ]
+
+        def operands(conn, lo, lanes):
+            """The kernel's operands up to its target, *lanes* from *lo*."""
+            shift = fused._shifts[conn]
             here, there = slice(lo, lo + lanes), slice(lo + shift, lo + shift + lanes)
             # X-Y neighbours share the elevation column: same view object
             # twice -> collapsed branch, exactly like the event receive task
             z_k = fused._elev_flat[here]
             z_l = fused._elev_flat[there] if conn.is_vertical else z_k
-            self.operands[conn] = (
+            return (
                 FluxScratch(*(x[..., :lanes] for x in (dp, gz, a, b, sel))),
                 p[:, here],
                 p[:, there],
@@ -379,6 +436,45 @@ class _Workspace:
                 rho[:, there],
                 fused._trans_flat[conn][here],
             )
+
+        folds: dict[int, list] = {}  # by lanes: only the last slab may be short
+        self.slabs = []
+        for z0 in range(0, nz, depth):
+            z1 = min(nz, z0 + depth)
+            lo, lanes = z0 * plane, (z1 - z0) * plane
+            vertical = []
+            for conn in (Connection.UP, Connection.DOWN):
+                # the slab's cells that have this neighbour; it may sit
+                # in the plane next to the slab
+                dz = conn.offset[2]
+                first, last = max(z0, -dz), min(z1, nz - dz)
+                if first < last:
+                    at, n = first * plane, (last - first) * plane
+                    vertical.append((operands(conn, at, n), slice(at, at + n)))
+            # X-Y sweeps run from the slab's first interior cell to its last
+            horizontal = [
+                operands(conn, lo + edge, lanes - 2 * edge)
+                + (buffer[:, edge : lanes - edge],)
+                for conn, buffer in contributions.items()
+            ]
+            if lanes not in folds:
+                folds[lanes] = [tuple(x[..., :lanes] for x in step) for step in steps]
+            self.slabs.append(
+                _Slab(slice(lo, lo + lanes), vertical, horizontal, folds[lanes])
+            )
+
+
+@dataclass(frozen=True)
+class _Slab:
+    """One z-slab of whole planes: its lanes and prebuilt operand views."""
+
+    here: slice
+    #: (accumulate-kernel operands, residual lanes) per vertical connection
+    vertical: list
+    #: store-kernel operands, contribution target included, per X-Y connection
+    horizontal: list
+    #: (contribution words, lane mask, masked words, masked) per fold step
+    fold: list
 
 
 def _interior(flat: np.ndarray, padded_shape: tuple[int, int, int]) -> np.ndarray:
@@ -413,20 +509,24 @@ def _check_ir_lowerable(
         raise ValueError("IR carries no exchange plan to lower")
 
 
-def _fold_rounds(classes) -> list[list[tuple[Connection, slice, slice]]]:
-    """Regroup the schedule's classes into basic-slice fold rounds.
+def _fold_steps(classes, plane_shape, dtype) -> list[tuple[Connection, np.ndarray]]:
+    """The fold program as ``(connection, lane mask)`` steps.
 
-    Round ``k`` holds one ``(connection, y-slice, x-slice)`` per class
-    that has a ``k``-th arrival; the classes partition the fabric, so a
-    PE appears at most once per round and adding rounds in order replays
-    each PE's serial fold.
+    A mask is one halo-padded plane of same-width unsigned words, flat:
+    all ones on the lanes of the step's member classes, zero on every
+    other lane, halo lanes included.
     """
-    depth = max((len(order) for order, _ys, _xs in classes), default=0)
-    return [
-        [
-            (Connection[order[k]], ys, xs)
-            for order, ys, xs in classes
-            if k < len(order)
-        ]
-        for k in range(depth)
-    ]
+    steps = []
+    for name, members in fold_program(classes):
+        mask = np.zeros(plane_shape, f"u{dtype.itemsize}")
+        interior = mask[1:-1, 1:-1]
+        for member in members:
+            _order, ys, xs = classes[member]
+            interior[ys, xs] = np.iinfo(mask.dtype).max
+        steps.append((Connection[name], mask.ravel()))
+    return steps
+
+
+def _triple(s: slice) -> list[int]:
+    """``range(*_triple(s))`` are the indices a class's slice selects."""
+    return list(s.indices(s.stop))

@@ -44,9 +44,24 @@ pins the probe's invariance to ``nz``, dtype and ``compute_fluxes`` —
 which is what lets one ``nz=1`` probe with the flux kernel disabled
 stand for every program with the same option set.
 
+**The fold program.**  The classes partition the fabric, so one serial
+fold can serve all of them at once: :func:`fold_program` merges the
+<= 16 class orders into a common supersequence whose every step
+``(connection, member classes)`` is the next arrival of each member.
+Projected onto one class the steps are that class's order, nothing
+added and nothing reordered, so a backend that adds the step's
+connection on the members' lanes (and ``+0.0`` everywhere else) replays
+every PE's serial fold with whole-array operations — the fused backend's
+contiguous masked adds (DESIGN.md §16).  The merge is the weighted
+majority heuristic — no search: 16 steps at 48x48 with default options
+(84 class-slice adds before), 12 with ``reuse_buffers=False``; no
+fabric needs fewer than its longest order, 8.
+
 The schedule is a *derived annotation* of the IR
-(:meth:`FabricProgramIR.annotate` under ``"fold_schedule"``): it is
-excluded from the content hash and from the IR-build cost.
+(:meth:`FabricProgramIR.annotate` under ``"fold_schedule"``, one entry
+per class: its order and its y and x slice triples — O(classes), not
+O(PEs)): it is excluded from the content hash and from the IR-build
+cost.
 """
 
 from __future__ import annotations
@@ -55,7 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["arrival_schedule", "schedule_classes", "probe_schedule"]
+__all__ = ["arrival_schedule", "schedule_classes", "fold_program", "probe_schedule"]
 
 
 def _reduced(n: int) -> int:
@@ -131,6 +146,46 @@ def arrival_schedule(
         for y in range(*ys.indices(ny))
         for x in range(*xs.indices(nx))
     }
+
+
+def fold_program(classes) -> list[tuple[str, tuple[int, ...]]]:
+    """A common supersequence of the classes' orders, as fold steps.
+
+    Each step ``(connection name, members)`` lists the indices into
+    *classes* (:func:`schedule_classes` output) of the classes whose
+    next arrival is that connection; the steps a class is a member of,
+    in program order, are exactly its ``order``.
+
+    Weighted majority merge over the per-PE orders (a class stands for
+    all its PEs): every step takes the connection with the most
+    arrivals still queued behind it — PEs waiting for it times what
+    each has left to fold.
+    """
+    orders = [order for order, _ys, _xs in classes]
+    pes = [_slice_len(ys) * _slice_len(xs) for _order, ys, xs in classes]
+    taken = [0] * len(orders)
+    steps = []
+    while True:
+        waiting: dict[str, list[int]] = {}
+        for i, order in enumerate(orders):
+            if taken[i] < len(order):
+                waiting.setdefault(order[taken[i]], []).append(i)
+        if not waiting:
+            return steps
+        name = max(
+            waiting,
+            key=lambda n: sum(
+                pes[i] * (len(orders[i]) - taken[i]) for i in waiting[n]
+            ),
+        )
+        steps.append((name, tuple(waiting[name])))
+        for i in waiting[name]:
+            taken[i] += 1
+
+
+def _slice_len(s: slice) -> int:
+    """PEs along one axis of a class (its slices carry explicit bounds)."""
+    return len(range(*s.indices(s.stop)))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ from repro.dataflow.flux_pe import (
     _bit_select,
     compute_face_flux_column,
     evaluate_density_column,
+    store_face_flux_column,
 )
 from repro.wse.dsd import DsdEngine
 from repro.wse.memory import Scratchpad
@@ -175,6 +176,39 @@ class TestBitSelect:
             )
             residuals.append(residual.tobytes())
         assert residuals[0] == residuals[1]
+
+
+class TestStoreForm:
+    @pytest.mark.parametrize("whole_array", [True, False])
+    @pytest.mark.parametrize("collapsed", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stored_flux_is_what_the_accumulate_form_adds(
+        self, dtype, collapsed, whole_array
+    ):
+        """``store`` then ``r += flux`` is ``compute``, byte for byte and
+        count for count; the stored flux keeps its signed zeros."""
+        n = 41
+        data = {k: v.astype(dtype) for k, v in make_face_data(n, seed=3).items()}
+        data["p_l"][::7] = data["p_k"][::7]  # dphi == 0 lanes
+        data["trans"][::5] = 0.0  # zero faces: F = +-0.0
+        if collapsed:
+            data["z_l"] = data["z_k"]
+
+        def scratch():
+            sel = np.empty(n, f"u{np.dtype(dtype).itemsize}") if whole_array else None
+            return FluxScratch(*(np.empty(n, dtype) for _ in range(4)), sel=sel)
+
+        kernel = dict(gravity=dtype(G), inv_viscosity=dtype(1.0 / MU))
+        start = np.linspace(-1.0, 1.0, n).astype(dtype)
+        accumulated, booked = start.copy(), DsdEngine()
+        compute_face_flux_column(
+            booked, scratch(), **data, residual=accumulated, **kernel
+        )
+        flux, stored = np.full(n, np.nan, dtype), DsdEngine()
+        store_face_flux_column(stored, scratch(), **data, flux=flux, **kernel)
+        assert (start + flux).tobytes() == accumulated.tobytes()
+        assert np.signbit(flux[data["trans"] == 0.0]).any()  # -0.0 kept as is
+        assert stored.snapshot() == booked.snapshot()
 
 
 class TestFluxScratchAllocate:

@@ -16,6 +16,7 @@ from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.core.stencil import Connection
 from repro.dataflow import WseFluxComputation
 from repro.ir import derive_ir, ir_from_fabric
+from repro.ir import fused as fused_module
 from repro.ir.lower import (
     lower_to_event,
     lower_to_fused,
@@ -181,7 +182,10 @@ class TestPaddedLayout:
         assert got.residual.flags.c_contiguous
 
     @pytest.mark.slow
-    def test_fused_bytes_equal_event_at_the_benchmark_size(self):
+    @pytest.mark.parametrize("slab", ["measured", "one-plane"])
+    def test_fused_bytes_equal_event_at_the_benchmark_size(self, slab, monkeypatch):
+        if slab == "one-plane":
+            monkeypatch.setattr(fused_module, "_SLAB_ELEMENTS", 1)
         mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=0)
         fluid = FluidProperties()
         ir = derive_ir(mesh)
@@ -249,3 +253,46 @@ class TestPaddedLayout:
         else:
             assert got["flops"] == 0
             assert not fused.run(pressures).residual.any()
+
+
+class TestSlabSweep:
+    """A cell's ten contributions meet inside its own slab, so the slab
+    constant may change the speed of a run and nothing else."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("nz", [1, 2, 8])
+    @pytest.mark.parametrize("planes", [1, 3, 8], ids=lambda n: f"{n}-per-slab")
+    def test_slab_size_cannot_move_a_bit(
+        self, monkeypatch, planes, nz, dtype, batch
+    ):
+        """One plane per slab, a few (8 planes: the last slab is shorter
+        than the rest), and the whole block."""
+        nx, ny = 7, 6
+        monkeypatch.setattr(
+            fused_module, "_SLAB_ELEMENTS", planes * batch * (ny + 2) * (nx + 2)
+        )
+        mesh = make_geomodel(nx, ny, nz, kind="lognormal", seed=nz)
+        fluid = FluidProperties()
+        ir = derive_ir(mesh, dtype=dtype)
+        fused = lower_to_fused(ir, mesh, fluid)
+        pressures = [random_pressure(mesh, seed=k) for k in range(batch)]
+        _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, pressures)
+        slabs = [s.here.stop - s.here.start for s in fused._workspace.slabs]
+        plane = (ny + 2) * (nx + 2)
+        assert sum(slabs) == nz * plane
+        assert max(slabs) == min(planes, nz) * plane  # scratch capped at nz planes
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    def test_signed_zero_fluxes_fold_to_positive_zero(self, dtype):
+        """Uniform pressure on one flat layer: every X-Y flux is an exact
+        signed zero written as it is (``F``, not ``0.0 + F``), and the
+        residual is all ``+0.0``, byte for byte event's."""
+        mesh = make_geomodel(7, 6, 1, kind="lognormal", seed=9)
+        fluid = FluidProperties()
+        ir = derive_ir(mesh, dtype=dtype)
+        pressure = np.full(mesh.shape_zyx, 2.0e7)
+        got = _assert_fused_bytes_equal_event(
+            lower_to_fused(ir, mesh, fluid), ir, mesh, fluid, [pressure] * 2
+        )
+        assert got.residual.tobytes() == bytes(got.residual.nbytes)

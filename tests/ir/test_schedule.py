@@ -7,7 +7,6 @@ oracle is the *same* probe applied to the unreduced shape
 reduced shapes).
 """
 
-from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -16,9 +15,11 @@ import pytest
 from repro.core import CartesianMesh3D, FluidProperties
 from repro.core.stencil import Connection
 from repro.dataflow.program import FluxProgram
-from repro.ir.fused import _fold_rounds
+from repro.ir import derive_ir, lower_to_fused
+from repro.ir.fused import _fold_steps
 from repro.ir.schedule import (
     arrival_schedule,
+    fold_program,
     probe_schedule,
     schedule_classes,
 )
@@ -165,26 +166,66 @@ class TestFoldPlan:
         "shape", [(1, 1), (1, 5), (5, 5), (6, 5), (7, 9), (24, 24)]
     )
     def test_plan_covers_each_pe_arrival_exactly_once(self, shape, options):
-        """Rebuild the per-PE orders from the sliced plan."""
+        """Project the fold program's lane masks onto each PE: the steps
+        whose mask selects it are its own arrivals, in its own order."""
         nx, ny = shape
-        rounds = _fold_rounds(schedule_classes(nx, ny, **options))
+        classes = schedule_classes(nx, ny, **options)
+        program = fold_program(classes)
+        assert all(members for _name, members in program)
+        steps = _fold_steps(classes, (ny + 2, nx + 2), np.dtype(np.float32))
+        assert [conn.name for conn, _mask in steps] == [n for n, _m in program]
         rebuilt = {}
-        for groups in rounds:
-            seen = Counter()
-            for conn, ys, xs in groups:
-                for y in range(*ys.indices(ny)):
-                    for x in range(*xs.indices(nx)):
-                        seen[x, y] += 1
-                        rebuilt.setdefault((x, y), []).append(conn.name)
-            assert set(seen.values()) <= {1}  # at most once per round
+        for conn, mask in steps:
+            assert mask.dtype == np.uint32 and mask.shape == ((ny + 2) * (nx + 2),)
+            lanes = mask.reshape(ny + 2, nx + 2)
+            assert set(np.unique(lanes)) <= {0, 0xFFFFFFFF}
+            interior = lanes[1:-1, 1:-1]
+            assert np.count_nonzero(lanes) == np.count_nonzero(interior) > 0
+            for y, x in zip(*np.nonzero(interior)):
+                rebuilt.setdefault((int(x), int(y)), []).append(conn.name)
         assert {
             coord: tuple(order) for coord, order in rebuilt.items()
         } == arrival_schedule(nx, ny, **options)
 
+    def test_masks_are_all_ones_words_of_the_dtype_width(self):
+        classes = schedule_classes(7, 9)
+        for _conn, mask in _fold_steps(classes, (11, 9), np.dtype(np.float64)):
+            assert mask.dtype == np.uint64
+            assert set(np.unique(mask)) == {0, 2**64 - 1}
+
     def test_interior_classes_are_stride_two_slices(self):
-        rounds = _fold_rounds(schedule_classes(48, 48))
-        assert len(rounds) == 8
-        assert sum(len(groups) for groups in rounds) == 84
+        classes = schedule_classes(48, 48)
+        assert len(classes) == 16
         assert {
-            (xs.start, xs.stop, xs.step) for _conn, _ys, xs in rounds[0]
+            (xs.start, xs.stop, xs.step) for _order, _ys, xs in classes
         } == {(0, 1, None), (1, 47, 2), (2, 47, 2), (47, 48, None)}
+        # a common supersequence of 16 orders of <= 8 arrivals each, in
+        # place of 84 class-slice adds
+        assert 8 <= len(fold_program(classes)) <= 16
+        unordered = schedule_classes(48, 48, reuse_buffers=False)
+        assert len(fold_program(unordered)) <= 12
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"reuse_buffers": False}, {"vectorized": False}],
+        ids=["default", "no-reuse", "scalar"],
+    )
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 9), (48, 48)])
+    def test_annotation_is_per_class_and_expands_to_the_schedule(
+        self, shape, options
+    ):
+        """``"fold_schedule"`` on a lowered IR: O(classes) entries, not
+        O(PEs), that still say every PE's order."""
+        nx, ny = shape
+        mesh = CartesianMesh3D(nx, ny, 2)
+        ir = derive_ir(mesh, **options)
+        lower_to_fused(ir, mesh, FluidProperties())
+        annotation = ir.annotations["fold_schedule"]
+        assert len(annotation) <= (16 if min(shape) > 5 else nx * ny)
+        expanded = {
+            (x, y): tuple(entry["order"])
+            for entry in annotation
+            for y in range(*entry["y"])
+            for x in range(*entry["x"])
+        }
+        assert expanded == arrival_schedule(nx, ny, **options)

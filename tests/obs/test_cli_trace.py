@@ -83,6 +83,9 @@ class TestOtherBackends:
             "fused.ir_build", "fused.schedule", "fused.run",
             "fused.local", "fused.rounds", "fused.fold",
         } <= set(doc["spans"])
+        # the backend table derives the IR before the constructor runs:
+        # the time is on derive_ir's own span, not on fused.ir_build
+        assert doc["spans"]["ir.derive"]["total_seconds"] > 0
 
     def test_gpu(self, tmp_path):
         code, _ = run_cli(
