@@ -44,9 +44,11 @@ fused_runtime:
     rounds lowered from the fabric-program IR, bit-identical to the
     event backend) on the same workload.  ``--check`` gates fused
     throughput at >= lockstep's (the fused scheduler exists to beat the
-    phase-by-phase simulation) and the fold schedule at less than the
-    IR derivation (the schedule is a <=5x5 probe plus tiling, O(1) in
-    the fabric; a same-process ratio, so host speed cancels).
+    phase-by-phase simulation) and IR derivation plus fold schedule
+    under ``FUSED_SETUP_BUDGET_SECONDS``: neither set-up step may
+    dominate a fused cold start (the derivation is closed-form, the
+    schedule a <=5x5 probe plus tiling — both O(1) Python work in the
+    fabric size).
 gpu_model:
     The GPU execution-model backend (RAJA-style tiled kernels) on the
     same workload — the last backend that was untracked here.
@@ -158,6 +160,13 @@ VERIFIER_BUDGET_SECONDS = 10.0
 #: Wall-clock budget for the concurrency verifier (model check + lint +
 #: hb probe + mutation drill) before --check fails.
 RACE_CHECK_BUDGET_SECONDS = 10.0
+
+#: Budget for IR derivation + fold-schedule set-up of the fused backend
+#: at MAIN_WORKLOAD before --check fails.  Ten in-process runs on the
+#: 2-CPU development host read 4.0-7.1 ms (median 5.0: ~0.9 derive +
+#: ~4.1 schedule); 25 ms is 5x that median for slower CI hosts, and
+#: still under the 30.7 ms (8.5 + 22.2) the per-PE derivation read here.
+FUSED_SETUP_BUDGET_SECONDS = 0.025
 
 
 def calibrate(n: int = 200_000) -> float:
@@ -462,8 +471,9 @@ def bench_fused(
 
 
 #: Most modules a fused cold start may load before --check fails
-#: (291 measured; importing SciPy adds ~360).
-COLD_START_MODULE_LIMIT = 330
+#: (265 measured with the lazy package inits, +10 %; the eager inits
+#: loaded 291, importing SciPy adds ~360).
+COLD_START_MODULE_LIMIT = 290
 
 _COLD_START_CHILD = """
 import json, sys, time
@@ -852,15 +862,17 @@ def run_check(path: Path, repeats: int) -> int:
     lockstep = bench_lockstep(**MAIN_WORKLOAD, repeats=repeats)
     fused = bench_fused(**MAIN_WORKLOAD, repeats=repeats)
     fused_fast = fused["mcells_per_sec"] >= lockstep["mcells_per_sec"]
-    schedule_cheap = fused["schedule_seconds"] < fused["ir_build_seconds"]
-    fused_ok = fused_fast and schedule_cheap
+    setup = fused["ir_build_seconds"] + fused["schedule_seconds"]
+    setup_cheap = setup < FUSED_SETUP_BUDGET_SECONDS
+    fused_ok = fused_fast and setup_cheap
     print(
         f"check: fused {fused['mcells_per_sec']:.3f} Mcell/s vs "
         f"lockstep {lockstep['mcells_per_sec']:.3f} "
-        f"-> {'ok' if fused_fast else 'REGRESSION'}; fold schedule "
-        f"{fused['schedule_seconds'] * 1e3:.1f}ms vs IR build "
-        f"{fused['ir_build_seconds'] * 1e3:.1f}ms (limit: below it) "
-        f"-> {'ok' if schedule_cheap else 'REGRESSION'}"
+        f"-> {'ok' if fused_fast else 'REGRESSION'}; IR build "
+        f"{fused['ir_build_seconds'] * 1e3:.1f}ms + fold schedule "
+        f"{fused['schedule_seconds'] * 1e3:.1f}ms = {setup * 1e3:.1f}ms "
+        f"(limit {FUSED_SETUP_BUDGET_SECONDS * 1e3:.0f}ms) "
+        f"-> {'ok' if setup_cheap else 'REGRESSION'}"
     )
     cold = bench_cold_start(repeats=1)
     cold_ok = (

@@ -7,46 +7,49 @@ as data arrives.  Runs on :mod:`repro.wse` event-driven (small fabrics,
 full protocol) or lockstep-vectorized (large fabrics, same numerics).
 """
 
-from repro.dataflow.cardinal import (
-    CARDINAL_CHANNELS,
-    CardinalChannel,
-    is_step1_sender,
-    switch_positions_for,
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "cardinal": (
+            "CARDINAL_CHANNELS",
+            "CardinalChannel",
+            "is_step1_sender",
+            "switch_positions_for",
+        ),
+        "diagonal": ("DIAGONAL_CHANNELS", "DiagonalChannel", "static_position"),
+        "codegen": ("generate_listing",),
+        "collectives": ("FabricCollectives",),
+        "driver": ("WseFluxComputation", "WseRunResult"),
+        "flux_pe": (
+            "FluxScratch",
+            "compute_face_flux_column",
+            "evaluate_density_column",
+        ),
+        "halos": ("PEColumnLayout", "layout_words_per_cell", "max_nz_for_memory"),
+        "instrcount": (
+            "CellInstructionTable",
+            "interior_cell_table",
+            "measure_flux_instruction_mix",
+        ),
+        "lockstep": (
+            "LockstepReport",
+            "LockstepRunResult",
+            "LockstepWseSimulation",
+        ),
+        "matfree": ("WseMatrixFreeJacobian",),
+        "mapping": (
+            "BlockedCellMapping",
+            "CellBasedMapping",
+            "FaceBasedMapping",
+            "MappingComparison",
+            "SpareColumnRemap",
+            "compare_mappings",
+        ),
+        "program": ("FluxProgram", "padded_trans_fields"),
+    },
 )
-from repro.dataflow.diagonal import DIAGONAL_CHANNELS, DiagonalChannel, static_position
-from repro.dataflow.codegen import generate_listing
-from repro.dataflow.collectives import FabricCollectives
-from repro.dataflow.driver import WseFluxComputation, WseRunResult
-from repro.dataflow.flux_pe import (
-    FluxScratch,
-    compute_face_flux_column,
-    evaluate_density_column,
-)
-from repro.dataflow.halos import (
-    PEColumnLayout,
-    layout_words_per_cell,
-    max_nz_for_memory,
-)
-from repro.dataflow.instrcount import (
-    CellInstructionTable,
-    interior_cell_table,
-    measure_flux_instruction_mix,
-)
-from repro.dataflow.lockstep import (
-    LockstepReport,
-    LockstepRunResult,
-    LockstepWseSimulation,
-)
-from repro.dataflow.matfree import WseMatrixFreeJacobian
-from repro.dataflow.mapping import (
-    BlockedCellMapping,
-    CellBasedMapping,
-    FaceBasedMapping,
-    MappingComparison,
-    SpareColumnRemap,
-    compare_mappings,
-)
-from repro.dataflow.program import FluxProgram, padded_trans_fields
 
 __all__ = [
     "WseFluxComputation",

@@ -20,27 +20,34 @@ The chaos harness imports solver/dataflow/cluster backends lazily, so
 importing this package from the runtime layers stays cycle-free.
 """
 
-from repro.faults.chaos import ChaosReport, FaultOutcome, run_chaos
-from repro.faults.errors import (
-    CheckpointCorruptError,
-    CommTimeoutError,
-    EventBudgetError,
-    FabricStallError,
-    FaultError,
-    FaultPlanError,
-    PendingLeakError,
-    RankFailedError,
-    WorkerCrashError,
-    WorkerLeaseExpiredError,
-)
-from repro.faults.injector import FaultInjector, FaultStats
-from repro.faults.plan import (
-    LINK_FAULT_MODES,
-    DeadPE,
-    FaultPlan,
-    LinkFault,
-    RankFailure,
-    RouterStall,
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "chaos": ("ChaosReport", "FaultOutcome", "run_chaos"),
+        "errors": (
+            "CheckpointCorruptError",
+            "CommTimeoutError",
+            "EventBudgetError",
+            "FabricStallError",
+            "FaultError",
+            "FaultPlanError",
+            "PendingLeakError",
+            "RankFailedError",
+            "WorkerCrashError",
+            "WorkerLeaseExpiredError",
+        ),
+        "injector": ("FaultInjector", "FaultStats"),
+        "plan": (
+            "LINK_FAULT_MODES",
+            "DeadPE",
+            "FaultPlan",
+            "LinkFault",
+            "RankFailure",
+            "RouterStall",
+        ),
+    },
 )
 
 __all__ = [

@@ -6,8 +6,11 @@ Two independent construction paths that must agree:
   mesh and program parameters, using the same channel/switch formulas
   (:mod:`repro.dataflow.cardinal`/``diagonal``) and one throwaway
   :class:`~repro.dataflow.halos.PEColumnLayout` probe for the memory
-  plan.  No fabric is built; this is the cheap path the fused backend
-  and ``repro.serve``-style caching take at startup.
+  plan.  No fabric is built and nothing is evaluated per PE — a cardinal
+  channel's behaviour depends on the distance from its seed edge only,
+  so the formulas run along one line of cells per channel and NumPy
+  broadcasts the result; this is the cheap path every IR-lowered backend
+  takes at startup.
 * :func:`build_ir` — the *capture* path: read every router's installed
   switch schedule, every scratchpad's allocation records, and every PE's
   injector set off a live :class:`~repro.dataflow.program.FluxProgram`.
@@ -37,16 +40,12 @@ from repro.ir.schema import (
     KIND_PROGRAM,
     FabricProgramIR,
     encode_position,
+    scatter,
 )
 from repro.obs.spans import span
 from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 
 __all__ = ["build_ir", "derive_ir", "ir_from_fabric"]
-
-
-def _coord_key(coord) -> str:
-    x, y = coord
-    return f"{int(x)},{int(y)}"
 
 
 def _contracts_doc() -> dict:
@@ -73,9 +72,9 @@ class _ClassTable:
 
     Interning is keyed on a cheap canonical tuple, not a JSON dump of
     the entry — the JSON doc is only materialized the first time a class
-    is seen.  On a regular fabric that is a handful of times total, not
-    once per PE, which keeps :func:`derive_ir` off the run-startup
-    critical path.
+    is seen, a handful of times on a regular fabric.  Indices follow
+    first appearance, so both construction paths must present entries
+    in row-major fabric order to number their classes alike.
     """
 
     def __init__(self):
@@ -163,35 +162,77 @@ def _base_doc(kind: str) -> dict:
         "routes": {},
         "expected_receivers": {},
         "injectors": {},
-        "memory": {"classes": [], "assignment": {}},
         "annotations": {},
     }
 
 
+def _flags(coords, fabric) -> list[int]:
+    """Row-major 0/1 list with a 1 at every ``(x, y)`` in *coords*."""
+    return scatter(((c, 1) for c in coords), fabric.width, fabric.height, 0)
+
+
+def _columns(nx: int, remap) -> tuple[int, np.ndarray]:
+    """(fabric width, physical fabric column of each logical column)."""
+    if remap is None:
+        return nx, np.arange(nx)
+    return remap.physical_width, np.array(remap.column_map)
+
+
 def _expected_receivers_doc(nx: int, ny: int, remap, channels, color_of) -> dict:
-    """``color id -> sorted receiver coords`` from the mesh stencil.
+    """``color id -> 0/1 receiver list`` from the mesh stencil.
 
     A PE receives a channel's color iff its ``delivers`` neighbour is in
-    bounds.
+    bounds: a rectangle of logical cells, trimmed on the sides the offset
+    points out of and scattered to the physical columns hosting it.
     """
+    width, columns = _columns(nx, remap)
     out: dict[str, list] = {}
     for channel in channels:
         dx, dy, _ = channel.delivers.offset
-        coords = []
-        for y in range(ny):
-            for x in range(nx):
-                if 0 <= x + dx < nx and 0 <= y + dy < ny:
-                    coord = (x, y)
-                    if remap is not None:
-                        coord = remap.physical(coord)
-                    coords.append(coord)
-        out[str(color_of(channel.name))] = [list(c) for c in sorted(coords)]
+        flags = np.zeros((ny, width), dtype=np.int8)
+        flags[
+            max(0, -dy) : ny - max(0, dy),
+            columns[max(0, -dx) : nx - max(0, dx)],
+        ] = 1
+        out[str(color_of(channel.name))] = flags.ravel().tolist()
     return out
 
 
 # --------------------------------------------------------------------- #
 # Derivation (closed form, no fabric)
 # --------------------------------------------------------------------- #
+def _derive_cardinal(channel, nx: int, ny: int):
+    """``(classes, ids, senders)`` of one cardinal channel: its route-class
+    table and, per logical cell, the class index and the step-1 sender
+    flag — two arrays that broadcast to ``(ny, nx)``.
+
+    Switch schedule and sender role depend on the distance from the
+    channel's seed edge only, so the formulas of
+    :mod:`repro.dataflow.cardinal` are evaluated along one line of cells.
+    Walking that line outward from the origin numbers the classes by
+    first appearance in row-major order, as the capture path does.
+    """
+    dx, _dy, _dz = channel.delivers.offset
+    line = [(i, 0) for i in range(nx)] if dx else [(0, i) for i in range(ny)]
+    table = _ClassTable()
+    ids, senders = [], []
+    for cell in line:
+        positions, initial = switch_positions_for(cell, channel, nx, ny)
+        ids.append(
+            table.intern(
+                _route_key(positions, initial),
+                lambda: _route_class_doc(positions, initial),
+            )
+        )
+        senders.append(is_step1_sender(cell, channel, nx, ny))
+    shape = (1, nx) if dx else (ny, 1)
+    return (
+        table.classes,
+        np.array(ids, dtype=np.int8).reshape(shape),
+        np.array(senders, dtype=np.int8).reshape(shape),
+    )
+
+
 def derive_ir(
     mesh,
     *,
@@ -208,12 +249,15 @@ def derive_ir(
 
     Produces a document byte-identical to capturing the same program with
     :func:`build_ir`; parameters mirror
-    :class:`~repro.dataflow.program.FluxProgram`.  Timed as the
+    :class:`~repro.dataflow.program.FluxProgram`.  No Python work is done
+    per PE: the channel formulas are evaluated along one line per
+    cardinal channel (O(nx + ny) calls) and every per-PE list is a NumPy
+    broadcast through the remap's column map.  Timed as the
     ``ir.derive`` span whichever backend or table entry asks for it.
     """
     with span("ir.derive"):
         nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
-        width = nx if remap is None else remap.physical_width
+        width, columns = _columns(nx, remap)
         doc = _base_doc(KIND_PROGRAM)
         doc["fabric"] = {
             "width": width,
@@ -233,72 +277,48 @@ def derive_ir(
         doc["contracts"] = _contracts_doc()
         doc["remap"] = _remap_doc(remap)
 
-        def physical(coord):
-            return coord if remap is None else remap.physical(coord)
-
         channels = (*CARDINAL_CHANNELS, *DIAGONAL_CHANNELS)
         doc["colors"] = [
             {"id": cid, "name": ch.name} for cid, ch in enumerate(channels)
         ]
         color_of = {ch.name: cid for cid, ch in enumerate(channels)}
 
-        cells = [(lx, ly) for ly in range(ny) for lx in range(nx)]
-        cell_keys = [_coord_key(physical(c)) for c in cells]
+        def per_pe(values, fill: int) -> list[int]:
+            """Row-major fabric list of per-logical-cell *values*
+            (anything broadcastable to ``(ny, nx)``), *fill* elsewhere."""
+            grid = np.full((ny, width), fill, dtype=np.int8)
+            grid[:, columns] = values
+            return grid.ravel().tolist()
 
         routes: dict[str, dict] = {}
-        for cid, channel in enumerate(CARDINAL_CHANNELS):
-            table = _ClassTable()
-            assignment: dict[str, int] = {}
-            for cell, key in zip(cells, cell_keys):
-                positions, initial = switch_positions_for(cell, channel, nx, ny)
-                assignment[key] = table.intern(
-                    _route_key(positions, initial),
-                    lambda: _route_class_doc(positions, initial),
-                )
-            routes[str(cid)] = {
-                "classes": table.classes,
-                "assignment": assignment,
+        injectors: dict[str, list] = {}
+        for channel in CARDINAL_CHANNELS:
+            classes, ids, senders = _derive_cardinal(channel, nx, ny)
+            routes[str(color_of[channel.name])] = {
+                "classes": classes,
+                "assignment": per_pe(ids, -1),
             }
-        for offset, channel in enumerate(DIAGONAL_CHANNELS):
-            cid = len(CARDINAL_CHANNELS) + offset
-            table = _ClassTable()
-            position = static_position(channel)
-            idx = table.intern(
-                _route_key([position], 0),
-                lambda: _route_class_doc([position], 0),
-            )
-            routes[str(cid)] = {
-                "classes": table.classes,
-                "assignment": {key: idx for key in cell_keys},
+            injectors[channel.name] = per_pe(senders, 0)
+        # a diagonal is one static position, injected by every program PE
+        for channel in DIAGONAL_CHANNELS:
+            routes[str(color_of[channel.name])] = {
+                "classes": [_route_class_doc([static_position(channel)], 0)],
+                "assignment": per_pe(0, -1),
             }
+            injectors[channel.name] = per_pe(1, 0)
         doc["routes"] = routes
+        doc["injectors"] = injectors
 
         doc["expected_receivers"] = _expected_receivers_doc(
             nx, ny, remap, channels, color_of.__getitem__
         )
-
-        injectors: dict[str, list] = {}
-        for channel in CARDINAL_CHANNELS:
-            coords = [
-                physical((lx, ly))
-                for ly in range(ny)
-                for lx in range(nx)
-                if is_step1_sender((lx, ly), channel, nx, ny)
-            ]
-            injectors[channel.name] = [list(c) for c in sorted(coords)]
-        all_coords = sorted(
-            physical((lx, ly)) for ly in range(ny) for lx in range(nx)
-        )
-        for channel in DIAGONAL_CHANNELS:
-            injectors[channel.name] = [list(c) for c in all_coords]
-        doc["injectors"] = injectors
 
         # one probe layout stands for every PE — the plan is uniform
         probe = Scratchpad(pe_memory_bytes, reserved=pe_memory_reserved)
         PEColumnLayout.build(probe, nz, dtype=dtype, reuse_buffers=reuse_buffers)
         doc["memory"] = {
             "classes": [_memory_records(probe)],
-            "assignment": {_coord_key(c): 0 for c in all_coords},
+            "assignment": per_pe(0, -1),
         }
         return FabricProgramIR(doc)
 
@@ -307,21 +327,22 @@ def derive_ir(
 # Capture (from live objects)
 # --------------------------------------------------------------------- #
 def _capture_routes(fabric, coords, colors) -> dict:
+    width = fabric.width
     routes: dict[str, dict] = {}
     for color in colors:
         table = _ClassTable()
-        assignment: dict[str, int] = {}
+        assignment = [-1] * (width * fabric.height)
         for coord in coords:
             router = fabric.router_map[coord]
             cfg = router.configs.get(color)
             if cfg is None:
                 continue
             positions = router.positions_of(color)
-            assignment[_coord_key(coord)] = table.intern(
+            assignment[coord[1] * width + coord[0]] = table.intern(
                 _route_key(positions, cfg.initial),
                 lambda: _route_class_doc(positions, cfg.initial),
             )
-        if assignment:
+        if table.classes:
             routes[str(color)] = {
                 "classes": table.classes,
                 "assignment": assignment,
@@ -330,14 +351,15 @@ def _capture_routes(fabric, coords, colors) -> dict:
 
 
 def _capture_memory(fabric, coords) -> dict:
+    width = fabric.width
     table = _ClassTable()
-    assignment: dict[str, int] = {}
+    assignment = [-1] * (width * fabric.height)
     for coord in coords:
         memory = fabric.pe_map[coord].memory
         if not memory.names():
             continue
         records = _memory_records(memory)
-        assignment[_coord_key(coord)] = table.intern(
+        assignment[coord[1] * width + coord[0]] = table.intern(
             _memory_key(records), lambda: records
         )
     return {"classes": table.classes, "assignment": assignment}
@@ -395,15 +417,16 @@ def build_ir(program) -> FabricProgramIR:
         program.colors.lookup,
     )
 
-    injectors: dict[str, list] = {ch.name: [] for ch in CARDINAL_CHANNELS}
+    senders: dict[str, list] = {ch.name: [] for ch in CARDINAL_CHANNELS}
     for _lx, _ly, pe in program.program_pes():
         for channel in pe.state["step1_channels"]:
-            injectors[channel.name].append(pe.coord)
-    for name in injectors:
-        injectors[name] = [list(c) for c in sorted(injectors[name])]
+            senders[channel.name].append(pe.coord)
     for channel in DIAGONAL_CHANNELS:
-        injectors[channel.name] = [list(c) for c in sorted(program_coords)]
-    doc["injectors"] = injectors
+        senders[channel.name] = program_coords
+    doc["injectors"] = {
+        name: _flags(coords, program.fabric)
+        for name, coords in senders.items()
+    }
 
     doc["memory"] = _capture_memory(program.fabric, program_coords)
     return FabricProgramIR(doc)
@@ -441,7 +464,7 @@ def ir_from_fabric(
     doc["routes"] = _capture_routes(fabric, coords, color_ids)
     if expected_receivers:
         doc["expected_receivers"] = {
-            str(cid): [list(c) for c in sorted(coords_)]
+            str(cid): _flags(coords_, fabric)
             for cid, coords_ in sorted(expected_receivers.items())
         }
     doc["memory"] = _capture_memory(fabric, coords)

@@ -22,10 +22,10 @@ document primary makes two properties trivial:
   ``annotations`` and is *excluded* from the hash: annotations are
   recomputable caches, not part of the program's identity.
 
-Document layout (schema version 1)::
+Document layout (schema version 2)::
 
     {
-      "schema": 1,
+      "schema": 2,
       "kind": "flux-program" | "fabric",
       "fabric": {"width", "height", "pe_memory_bytes",
                  "pe_memory_reserved", "vectorized", "bypass_columns"},
@@ -36,26 +36,46 @@ Document layout (schema version 1)::
       "routes": {"<color id>": {
           "classes": [{"initial": 0,
                        "positions": [{"RAMP": ["EAST"]}, ...]}, ...],
-          "assignment": {"x,y": class_index, ...}}},
-      "expected_receivers": {"<color id>": [[x, y], ...]},
-      "injectors": {"<channel name>": [[x, y], ...]},
+          "assignment": [class_index | -1, ...]}},
+      "expected_receivers": {"<color id>": [0 | 1, ...]},
+      "injectors": {"<channel name>": [0 | 1, ...]},
       "memory": {"classes": [[{"name", "shape", "dtype", "alias_of"?},
                               ...], ...],
-                 "assignment": {"x,y": class_index, ...}},
+                 "assignment": [class_index | -1, ...]},
       "contracts": {"exchange_plan": [{"phase": "cardinal",
                                        "connections": [...],
                                        "hops": 1}, ...],
                     "fold": "per-pe-arrival-order",
                     "determinism": "single-stream-event-order"},
       "remap": {"logical_width", "height", "physical_width",
-                "column_map": {"<lx>": px, ...}} | null,
+                "column_map": [px, ...]} | null,
       "annotations": {...}            # NOT hashed
     }
 
-Route classes and memory classes are deduplicated tables — on a regular
-fabric only a handful of distinct switch schedules exist (seed edge,
-even-distance, odd-distance per cardinal channel; one static position
-per diagonal), so per-PE storage is an index, not a copy.
+Everything per-PE is one flat row-major list of ``width * height`` small
+ints: the entry of the PE at fabric coordinate ``(x, y)`` is at index
+``y * width + x``.  An ``assignment`` entry is an index into the
+``classes`` table beside it, or ``-1`` where the router does not
+configure the color / the PE allocates nothing (bypassed columns, PEs
+outside a program's footprint).  ``expected_receivers`` and ``injectors``
+entries are ``1`` for members of the set and ``0`` otherwise.  Route and
+memory classes are deduplicated tables numbered by first appearance in
+row-major fabric order — on a regular fabric only a handful of distinct
+switch schedules exist (seed edge, even-distance, odd-distance per
+cardinal channel; one static position per diagonal), so the IR holds
+O(classes) Python containers at any fabric size: a list of small ints is
+one object to the garbage collector, where a per-PE dict or coordinate
+list is one per PE (DESIGN.md Sec. 16).
+
+Schema version 1 stored the same tables as ``{"x,y": class_index}``
+dicts and the sets as sorted ``[[x, y], ...]`` lists.  v1 files keep
+loading: :meth:`FabricProgramIR.loads` verifies the embedded content
+hash over the document *as stored*, then :func:`_upgrade_v1` rewrites it
+in memory into the layout above (class tables carry over unchanged — v1
+numbered them in the same order), so a loaded v1 file compares equal to
+the v2 derivation of the same program and re-serializes as v2.  There is
+no v1 writer, and a content hash names a program *under a schema
+version*: the v1 and v2 hashes of one program differ.
 """
 
 from __future__ import annotations
@@ -70,7 +90,7 @@ from repro.wse.geometry import Port
 
 __all__ = ["FabricProgramIR", "IR_SCHEMA_VERSION", "KIND_PROGRAM", "KIND_FABRIC"]
 
-IR_SCHEMA_VERSION = 1
+IR_SCHEMA_VERSION = 2
 
 #: IR of a full flux program (mesh + params + memory + fold contracts).
 KIND_PROGRAM = "flux-program"
@@ -90,14 +110,88 @@ _REQUIRED_KEYS = (
 )
 
 
-def _coord_key(coord) -> str:
-    x, y = coord
-    return f"{int(x)},{int(y)}"
+def _check_header(document: dict) -> None:
+    """Required keys, a readable schema version, a known kind."""
+    missing = [k for k in _REQUIRED_KEYS if k not in document]
+    if missing:
+        raise ValueError(f"IR document missing keys: {missing}")
+    if document["schema"] not in (1, IR_SCHEMA_VERSION):
+        raise ValueError(
+            f"unsupported IR schema version {document['schema']!r} "
+            f"(this build reads versions 1-{IR_SCHEMA_VERSION})"
+        )
+    if document["kind"] not in (KIND_PROGRAM, KIND_FABRIC):
+        raise ValueError(f"unknown IR kind {document['kind']!r}")
 
 
-def _parse_coord(key: str) -> tuple[int, int]:
-    x, y = key.split(",")
-    return (int(x), int(y))
+def _static_hash(document: dict) -> str:
+    """SHA-256 over the stable dump of everything but ``annotations``."""
+    static = {k: v for k, v in document.items() if k != "annotations"}
+    payload = stable_dumps(static, indent=None)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _per_pe_lists(document: dict):
+    """``(label, list)`` of every per-PE list in a v2 document."""
+    for cid, table in document["routes"].items():
+        yield f"routes[{cid}].assignment", table["assignment"]
+    for cid, flags in document["expected_receivers"].items():
+        yield f"expected_receivers[{cid}]", flags
+    for name, flags in document["injectors"].items():
+        yield f"injectors[{name}]", flags
+    yield "memory.assignment", document["memory"]["assignment"]
+
+
+def _coords_above(cells: list, width: int, floor: int) -> list[tuple[int, int]]:
+    """``(x, y)`` of the row-major *cells* whose entry exceeds *floor*."""
+    return [(i % width, i // width) for i, v in enumerate(cells) if v > floor]
+
+
+def scatter(entries, width: int, height: int, fill: int) -> list[int]:
+    """Row-major per-PE list holding *fill*, and ``value`` at the PE of
+    every ``((x, y), value)`` in *entries*."""
+    cells = [fill] * (width * height)
+    for (x, y), value in entries:
+        if not (0 <= x < width and 0 <= y < height):
+            raise ValueError(
+                f"coordinate ({x}, {y}) is outside the {width}x{height} fabric"
+            )
+        cells[y * width + x] = value
+    return cells
+
+
+def _upgrade_v1(document: dict) -> dict:
+    """A schema-1 document rewritten as schema 2 (a new dict).
+
+    ``"x,y" -> class`` dicts become flat assignment lists (``-1`` where
+    v1 had no key) and ``[[x, y], ...]`` coordinate lists become 0/1
+    lists; class tables and every other block carry over unchanged.
+    """
+    size = (document["fabric"]["width"], document["fabric"]["height"])
+
+    def parse_coord(key: str) -> tuple[int, int]:
+        x, y = key.split(",")
+        return (int(x), int(y))
+
+    def table(raw: dict) -> dict:
+        assigned = ((parse_coord(k), i) for k, i in raw["assignment"].items())
+        return {
+            "classes": raw["classes"],
+            "assignment": scatter(assigned, *size, -1),
+        }
+
+    upgraded = dict(document)
+    upgraded["schema"] = IR_SCHEMA_VERSION
+    upgraded["routes"] = {
+        cid: table(raw) for cid, raw in document["routes"].items()
+    }
+    upgraded["memory"] = table(document["memory"])
+    for block in ("expected_receivers", "injectors"):
+        upgraded[block] = {
+            key: scatter(((coord, 1) for coord in coords), *size, 0)
+            for key, coords in document[block].items()
+        }
+    return upgraded
 
 
 def encode_position(position: dict[Port, tuple[Port, ...]]) -> dict:
@@ -119,18 +213,18 @@ class FabricProgramIR:
     """Typed view over the canonical fabric-program document."""
 
     def __init__(self, document: dict):
-        missing = [k for k in _REQUIRED_KEYS if k not in document]
-        if missing:
-            raise ValueError(f"IR document missing keys: {missing}")
-        if document["schema"] != IR_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported IR schema version {document['schema']!r} "
-                f"(this build reads version {IR_SCHEMA_VERSION})"
-            )
-        if document["kind"] not in (KIND_PROGRAM, KIND_FABRIC):
-            raise ValueError(f"unknown IR kind {document['kind']!r}")
+        _check_header(document)
+        if document["schema"] == 1:
+            document = _upgrade_v1(document)
+        cells = document["fabric"]["width"] * document["fabric"]["height"]
+        for label, per_pe in _per_pe_lists(document):
+            if len(per_pe) != cells:
+                raise ValueError(
+                    f"IR {label} has {len(per_pe)} entries for a fabric "
+                    f"of {cells} PEs"
+                )
         self.doc = document
-        self._routes_cache: dict[int, dict] = {}
+        self._routes_cache: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # Identity
@@ -143,9 +237,7 @@ class FabricProgramIR:
         denote the same program, regardless of what derived annotations
         either copy happens to carry.
         """
-        static = {k: v for k, v in self.doc.items() if k != "annotations"}
-        payload = stable_dumps(static, indent=None)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _static_hash(self.doc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FabricProgramIR):
@@ -196,16 +288,19 @@ class FabricProgramIR:
             raise ValueError(f"{source} is not an IR document (not an object)")
         stored = doc.pop("content_hash", None)
         try:
-            ir = cls(doc)
+            # the stored hash names the document as written, so it is
+            # checked before a v1 document is upgraded — and after the
+            # version check, which decides whether it can be read at all
+            _check_header(doc)
+            if stored is not None and stored != (actual := _static_hash(doc)):
+                raise ValueError(
+                    f"content hash mismatch — file says {stored[:12]}…, "
+                    f"document hashes to {actual[:12]}… (corrupt or "
+                    "hand-edited IR)"
+                )
+            return cls(doc)
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from exc
-        if stored is not None and stored != ir.content_hash:
-            raise ValueError(
-                f"{source}: content hash mismatch — file says {stored[:12]}…, "
-                f"document hashes to {ir.content_hash[:12]}… (corrupt or "
-                "hand-edited IR)"
-            )
-        return ir
 
     # ------------------------------------------------------------------ #
     # Fabric envelope
@@ -274,29 +369,30 @@ class FabricProgramIR:
     def route_color_ids(self) -> tuple[int, ...]:
         return tuple(sorted(int(cid) for cid in self.doc["routes"]))
 
-    def _route_table(self, color: int) -> dict:
+    def _route_table(self, color: int) -> tuple[list, list]:
+        """(decoded classes, flat assignment list) of *color*."""
         cached = self._routes_cache.get(color)
         if cached is not None:
             return cached
         raw = self.doc["routes"].get(str(color))
         if raw is None:
-            table = {"classes": [], "assignment": {}}
+            table = ([], [-1] * (self.width * self.height))
         else:
-            table = {
-                "classes": [
-                    (
-                        [decode_position(p) for p in cls["positions"]],
-                        cls["initial"],
-                    )
-                    for cls in raw["classes"]
-                ],
-                "assignment": {
-                    _parse_coord(k): idx
-                    for k, idx in raw["assignment"].items()
-                },
-            }
+            classes = [
+                ([decode_position(p) for p in cls["positions"]], cls["initial"])
+                for cls in raw["classes"]
+            ]
+            table = (classes, raw["assignment"])
         self._routes_cache[color] = table
         return table
+
+    def _cell(self, cells: list, coord) -> int:
+        """Entry of the PE at *coord* in a per-PE list (-1 off the fabric)."""
+        x, y = coord
+        width = self.width
+        if 0 <= x < width and 0 <= y < self.height:
+            return cells[y * width + x]
+        return -1
 
     def route_for(self, color: int, coord) -> tuple[list, int] | None:
         """(switch positions, initial position) of *color* at *coord*.
@@ -305,23 +401,23 @@ class FabricProgramIR:
         when the router at *coord* does not configure the color (bypassed
         column or out of the route's footprint).
         """
-        table = self._route_table(color)
-        idx = table["assignment"].get(tuple(coord))
-        if idx is None:
+        classes, assignment = self._route_table(color)
+        idx = self._cell(assignment, coord)
+        if idx < 0:
             return None
-        positions, initial = table["classes"][idx]
+        positions, initial = classes[idx]
         return ([dict(pos) for pos in positions], initial)
 
     def route_coords(self, color: int) -> list[tuple[int, int]]:
-        return sorted(self._route_table(color)["assignment"])
+        return _coords_above(self._route_table(color)[1], self.width, -1)
 
     def expected_receivers(self, color: int) -> list[tuple[int, int]]:
-        coords = self.doc["expected_receivers"].get(str(color), [])
-        return [tuple(c) for c in coords]
+        flags = self.doc["expected_receivers"].get(str(color), [])
+        return _coords_above(flags, self.width, 0)
 
     def injector_coords(self, channel_name: str) -> set[tuple[int, int]]:
-        coords = self.doc["injectors"].get(channel_name, [])
-        return {tuple(c) for c in coords}
+        flags = self.doc["injectors"].get(channel_name, [])
+        return set(_coords_above(flags, self.width, 0))
 
     # ------------------------------------------------------------------ #
     # Memory
@@ -329,13 +425,13 @@ class FabricProgramIR:
     def memory_records_for(self, coord) -> list[dict] | None:
         """Allocation records at *coord* (allocation order), or None."""
         mem = self.doc["memory"]
-        idx = mem["assignment"].get(_coord_key(coord))
-        if idx is None:
+        idx = self._cell(mem["assignment"], coord)
+        if idx < 0:
             return None
         return mem["classes"][idx]
 
     def memory_coords(self) -> list[tuple[int, int]]:
-        return sorted(_parse_coord(k) for k in self.doc["memory"]["assignment"])
+        return _coords_above(self.doc["memory"]["assignment"], self.width, -1)
 
     # ------------------------------------------------------------------ #
     # Contracts

@@ -24,50 +24,57 @@
 See DESIGN.md §9/§13 and ``repro trace --help``.
 """
 
-from repro.obs.profile import (
-    diff_rows,
-    load_rows,
-    profile_call,
-    profile_rows,
-    render_rows,
-    save_rows,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    merge_metrics,
-    runtime_stats_metrics,
-    trace_sink_metrics,
-)
-from repro.obs.replay import (
-    ReplayArtifact,
-    ReplayRecorder,
-    digest_array,
-    fingerprint_document,
-)
-from repro.obs.report import (
-    consistency,
-    render_heatmap,
-    render_report,
-    render_stall,
-    report_document,
-    stall_report,
-)
-from repro.obs.spans import (
-    SpanRecorder,
-    chrome_trace_document,
-    get_recorder,
-    ingest_spans,
-    set_recorder,
-    span,
-    spans_to_payload,
-    write_chrome_trace,
-)
-from repro.obs.trace import (
-    DeliveryRecord,
-    TraceSink,
-    latency_bucket_bounds,
-    pack_link,
-    unpack_link,
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "profile": (
+            "diff_rows",
+            "load_rows",
+            "profile_call",
+            "profile_rows",
+            "render_rows",
+            "save_rows",
+        ),
+        "metrics": (
+            "MetricsRegistry",
+            "merge_metrics",
+            "runtime_stats_metrics",
+            "trace_sink_metrics",
+        ),
+        "replay": (
+            "ReplayArtifact",
+            "ReplayRecorder",
+            "digest_array",
+            "fingerprint_document",
+        ),
+        "report": (
+            "consistency",
+            "render_heatmap",
+            "render_report",
+            "render_stall",
+            "report_document",
+            "stall_report",
+        ),
+        "spans": (
+            "SpanRecorder",
+            "chrome_trace_document",
+            "get_recorder",
+            "ingest_spans",
+            "set_recorder",
+            "span",
+            "spans_to_payload",
+            "write_chrome_trace",
+        ),
+        "trace": (
+            "DeliveryRecord",
+            "TraceSink",
+            "latency_bucket_bounds",
+            "pack_link",
+            "unpack_link",
+        ),
+    },
 )
 
 __all__ = [

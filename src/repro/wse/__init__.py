@@ -7,21 +7,34 @@ colors.  The dataflow TPFA implementation (:mod:`repro.dataflow`) runs on
 top of it.
 """
 
-from repro.wse.color import MAX_ROUTABLE_COLORS, ColorAllocator
-from repro.wse.dsd import OP_FLOPS, OP_TRAFFIC, DsdEngine, OpTraffic
-from repro.wse.fabric import WSE2_MAX_FABRIC, Fabric
-from repro.wse.geometry import CARDINAL_PORTS, Port, in_bounds, port_for_connection, shift
-from repro.wse.memory import (
-    WSE2_PE_MEMORY_BYTES,
-    Allocation,
-    PEMemoryError,
-    Scratchpad,
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "color": ("MAX_ROUTABLE_COLORS", "ColorAllocator"),
+        "dsd": ("OP_FLOPS", "OP_TRAFFIC", "DsdEngine", "OpTraffic"),
+        "fabric": ("WSE2_MAX_FABRIC", "Fabric"),
+        "geometry": (
+            "CARDINAL_PORTS",
+            "Port",
+            "in_bounds",
+            "port_for_connection",
+            "shift",
+        ),
+        "memory": (
+            "WSE2_PE_MEMORY_BYTES",
+            "Allocation",
+            "PEMemoryError",
+            "Scratchpad",
+        ),
+        "packet": ("KIND_CONTROL", "KIND_DATA", "WORD_BYTES", "Message"),
+        "pe": ("ProcessingElement",),
+        "perf": ("WSE2", "WsePerfModel"),
+        "router": ("ColorConfig", "Router"),
+        "runtime": ("EventRuntime", "RuntimeStats"),
+    },
 )
-from repro.wse.packet import KIND_CONTROL, KIND_DATA, WORD_BYTES, Message
-from repro.wse.pe import ProcessingElement
-from repro.wse.perf import WSE2, WsePerfModel
-from repro.wse.router import ColorConfig, Router
-from repro.wse.runtime import EventRuntime, RuntimeStats
 
 __all__ = [
     "ColorAllocator",

@@ -5,6 +5,8 @@ runtime actually installs — if either side drifts (a route formula, an
 allocation order, a color id), the serialized documents stop matching.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,49 @@ class TestCompilerMatchesCapture:
     def test_repeated_derivation_is_deterministic(self):
         mesh = CartesianMesh3D(5, 4, 3)
         assert derive_ir(mesh).dumps() == derive_ir(mesh).dumps()
+
+
+class TestClosedForm:
+    """`derive_ir` evaluates the channel formulas along one line per
+    cardinal channel and broadcasts; `build_ir` walks every live router.
+    Odd/even footprints and 1-wide meshes have different boundary
+    classes (PR 12), so the whole small-shape square is swept."""
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_every_shape_up_to_9x9_matches_the_capture(self, name):
+        kwargs = VARIANTS[name]
+        for nx in range(1, 10):
+            for ny in range(1, 10):
+                program = _program((nx, ny, 3), **kwargs)
+                derived = derive_ir(program.mesh, **kwargs)
+                assert derived.dumps() == build_ir(program).dumps(), (nx, ny)
+
+    @pytest.mark.parametrize("dead_column", [0, 3, 6])
+    def test_remap_around_first_middle_and_last_column(self, dead_column):
+        remap = SpareColumnRemap.around_dead_pes((6, 5), [(dead_column, 2)])
+        assert dead_column in remap.bypassed_columns
+        mesh = CartesianMesh3D(6, 5, 3)
+        program = FluxProgram(mesh, FluidProperties(), remap=remap)
+        assert derive_ir(mesh, remap=remap).dumps() == build_ir(program).dumps()
+
+    def test_held_ir_is_o_classes_gc_objects_at_any_fabric_size(self):
+        """A per-PE list of small ints is one container to the collector;
+        v1's per-PE dict entries and `[x, y]` lists were 7.8k at 24x24."""
+
+        def containers_added(n: int) -> int:
+            mesh = CartesianMesh3D(n, n, 8)
+            gc.collect()
+            before = len(gc.get_objects())
+            ir = derive_ir(mesh)
+            gc.collect()
+            added = len(gc.get_objects()) - before
+            assert ir.width == n
+            return added
+
+        derive_ir(CartesianMesh3D(2, 2, 8))  # one-time caches are not the IR's
+        small, large = containers_added(24), containers_added(96)
+        assert small <= 250
+        assert abs(large - small) <= 10
 
 
 class TestColorTable:

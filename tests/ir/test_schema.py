@@ -1,5 +1,6 @@
 """`FabricProgramIR` serialization: byte-stable round trips, stable hashes."""
 
+import io
 import json
 import os
 import subprocess
@@ -8,10 +9,25 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import check_ir
+from repro.cli import main
 from repro.core import CartesianMesh3D
-from repro.ir import FabricProgramIR, derive_ir
+from repro.dataflow.mapping import SpareColumnRemap
+from repro.ir import IR_SCHEMA_VERSION, FabricProgramIR, derive_ir
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+DATA = Path(__file__).resolve().parent / "data"
+
+#: files written by the last schema-1 build (PR 17's tree, `repro check
+#: --emit-ir` / `build_ir(...).to_json`) and the v2 derivation each must
+#: equal once loaded
+V1_FIXTURES = {
+    "v1_default_4x3x4.json": lambda: derive_ir(CartesianMesh3D(4, 3, 4)),
+    "v1_remap_6x5x4_dead_2_1.json": lambda: derive_ir(
+        CartesianMesh3D(6, 5, 4),
+        remap=SpareColumnRemap.around_dead_pes((6, 5), [(2, 1)]),
+    ),
+}
 
 
 def _small_ir() -> FabricProgramIR:
@@ -119,3 +135,79 @@ class TestInvalidFiles:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match="content hash mismatch"):
             FabricProgramIR.from_json(path)
+
+
+class TestSchemaMigration:
+    """v1 files keep loading; anything else fails with a versioned message."""
+
+    def test_this_build_writes_schema_2(self):
+        assert IR_SCHEMA_VERSION == 2
+        assert json.loads(_small_ir().dumps())["schema"] == 2
+
+    @pytest.mark.parametrize("name", sorted(V1_FIXTURES))
+    def test_v1_file_loads_as_the_v2_derivation(self, name):
+        stored = json.loads((DATA / name).read_text(encoding="utf-8"))
+        assert stored["schema"] == 1
+        loaded = FabricProgramIR.from_json(DATA / name)
+        derived = V1_FIXTURES[name]()
+        assert loaded == derived
+        assert loaded.content_hash != stored["content_hash"]
+        # re-serializes as v2, byte for byte what this build derives
+        assert loaded.dumps() == derived.dumps()
+
+    @pytest.mark.parametrize("name", sorted(V1_FIXTURES))
+    def test_v1_file_gives_the_same_check_findings(self, name):
+        def findings(ir):
+            return sorted(
+                (f.code, f.severity, f.message, f.coord, f.color)
+                for f in check_ir(ir).findings
+            )
+
+        loaded = FabricProgramIR.from_json(DATA / name)
+        assert findings(loaded) == findings(V1_FIXTURES[name]())
+        assert check_ir(loaded).ok
+
+    @pytest.mark.parametrize("name", sorted(V1_FIXTURES))
+    def test_v1_file_verifies_clean_through_the_cli(self, name):
+        out = io.StringIO()
+        assert main(["check", "--program", str(DATA / name)], out=out) == 0
+        assert "CHECK PASSED" in out.getvalue()
+
+    def test_unknown_version_fails_with_the_versioned_message(
+        self, capsys, tmp_path
+    ):
+        doc = json.loads(_small_ir().dumps())
+        doc["schema"] = 3
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = (
+            "unsupported IR schema version 3 (this build reads versions 1-2)"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            FabricProgramIR.from_json(path)
+        assert message in str(excinfo.value)
+        assert main(["check", "--program", str(path)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_v1_hash_is_verified_over_the_document_as_stored(
+        self, capsys, tmp_path
+    ):
+        doc = json.loads(
+            (DATA / "v1_default_4x3x4.json").read_text(encoding="utf-8")
+        )
+        doc["routes"]["0"]["assignment"]["1,1"] ^= 1
+        path = tmp_path / "flipped.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="content hash mismatch"):
+            FabricProgramIR.from_json(path)
+        assert main(["check", "--program", str(path)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "content hash mismatch" in err
+
+    def test_per_pe_list_of_the_wrong_length_is_rejected(self):
+        doc = json.loads(_small_ir().dumps())
+        del doc["content_hash"]
+        doc["memory"]["assignment"].pop()
+        with pytest.raises(ValueError, match="memory.assignment has 11 entries"):
+            FabricProgramIR(doc)

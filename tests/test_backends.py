@@ -98,6 +98,24 @@ class TestTable:
         )
         assert out == "[]"
 
+    def test_import_of_the_ir_loads_no_backend_it_does_not_build(
+        self, fresh_interpreter
+    ):
+        """`repro.dataflow`, `repro.wse`, `repro.faults` and `repro.obs`
+        resolve their public names on first access, so deriving an IR or
+        running fused pays for none of these."""
+        out = fresh_interpreter(
+            "import sys, repro.core, repro.workloads, repro.ir\n"
+            "unused = ['repro.dataflow.' + m for m in ('codegen',"
+            " 'collectives', 'matfree', 'lockstep', 'driver', 'instrcount')]\n"
+            "unused += ['repro.faults.' + m for m in"
+            " ('chaos', 'injector', 'plan')]\n"
+            "unused += ['repro.obs.' + m for m in"
+            " ('profile', 'report', 'replay', 'metrics', 'trace')]\n"
+            "print([m for m in unused if m in sys.modules])\n"
+        )
+        assert out == "[]"
+
 
 class TestFluxPathLoadsNoScipy:
     """Cold start is most of a user-shaped run (bench/README.md finding
