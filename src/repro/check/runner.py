@@ -11,8 +11,7 @@ program's IR and verifies *that*, so the verifier and the runtimes read
 the same single source of truth and cannot drift.
 :func:`check_examples` builds the registry of shipped example
 configurations and verifies each — the CI merge gate
-(`repro check --examples`) and the ``BENCH_event_runtime.json``
-verifier wall-time entry both run exactly this.
+(`repro check --examples`) runs exactly this.
 """
 
 from __future__ import annotations

@@ -263,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", default="2x2", metavar="PXxPY",
         help="rank grid for the --mesh worker sweep (default 2x2)",
     )
-    p_ps.add_argument(
-        "--gate-speedup", action="store_true",
-        help="with --mesh: exit 1 unless the largest swept worker "
-        "count beats the serial backend (only enforced when the host "
-        "has at least that many usable CPUs)",
-    )
     p_ps.add_argument("--seed", type=int, default=0)
     p_ps.add_argument(
         "--no-verify", action="store_true",
@@ -1127,22 +1121,6 @@ def _par_scale_sweep(args, out, worker_counts, verify) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.gate_speedup:
-        top = max(points, key=lambda pt: pt.workers)
-        if available_cpus() < top.workers:
-            print(
-                f"speedup gate skipped: {available_cpus()} usable "
-                f"CPU(s) < {top.workers} workers",
-                file=out,
-            )
-        elif top.speedup <= 1.0:
-            print(
-                f"error: speedup {top.speedup:.2f} <= 1 at "
-                f"{top.workers} workers on a host with "
-                f"{available_cpus()} usable CPUs",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 

@@ -14,7 +14,10 @@ from repro.cluster.flux import (
     HaloLink,
     halo_links,
 )
-from repro.cluster.perf import ClusterPerfModel
+from repro.util.lazy import lazy_exports
+
+# the alpha-beta model serves the scaling studies, not a flux run
+__getattr__, __dir__ = lazy_exports(globals(), {"perf": ("ClusterPerfModel",)})
 
 __all__ = [
     "HaloComm",

@@ -9,10 +9,10 @@ delivery, and gathers the distributed residual.
 The per-application device time is measured in model cycles by the
 discrete-event runtime; instruction/traffic totals come from the PEs' DSD
 engines.  The runtime's slotted-event fast path makes protocol-accurate
-runs tractable well beyond toy fabrics (see ``BENCH_event_runtime.json``
-for the tracked throughput trajectory); for full paper-scale meshes use
-:mod:`repro.dataflow.lockstep` for function and :mod:`repro.perf.timing`
-for calibrated time projections.
+runs tractable well beyond toy fabrics (the ``event_plain_24x24x8``
+workload of ``bench/`` tracks its throughput); for full paper-scale
+meshes use :mod:`repro.dataflow.lockstep` for function and
+:mod:`repro.perf.timing` for calibrated time projections.
 """
 
 from __future__ import annotations

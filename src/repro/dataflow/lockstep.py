@@ -57,11 +57,6 @@ class LockstepReport:
     fabric_word_hops: int
     compute_cycles: float
 
-    @property
-    def flops_per_cell_per_application(self) -> float:
-        """Should approach 140 for large meshes (Sec. 7.3)."""
-        return self.flops
-
     def as_metrics(self) -> dict:
         """Counters as a plain dict for the obs metrics registry."""
         return asdict(self)

@@ -59,7 +59,6 @@ lockstep simulator comes from.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -76,7 +75,6 @@ from repro.dataflow.flux_pe import (
     store_face_flux_column,
 )
 from repro.dataflow.program import padded_trans_fields
-from repro.ir.builder import derive_ir
 from repro.ir.schema import KIND_PROGRAM, FabricProgramIR
 from repro.ir.schedule import fold_program, schedule_classes
 from repro.obs.spans import span
@@ -97,8 +95,7 @@ _add = np.add
 
 @dataclass
 class FusedReport:
-    """Aggregate accounting of a fused run (lockstep-report shape plus
-    the IR-build and schedule-probe startup costs)."""
+    """Aggregate accounting of a fused run (lockstep-report shape)."""
 
     applications: int
     instruction_counts: dict[str, int]
@@ -106,8 +103,6 @@ class FusedReport:
     fabric_words_received: int
     fabric_word_hops: int
     compute_cycles: float
-    ir_build_seconds: float
-    schedule_seconds: float
 
     def as_metrics(self) -> dict:
         return asdict(self)
@@ -119,8 +114,6 @@ class FusedRunResult:
 
     residual: np.ndarray
     applications: int
-    elapsed_seconds: float
-    cells: int
     report: FusedReport
     residuals: list | None = None
 
@@ -128,20 +121,14 @@ class FusedRunResult:
         """The driver's accounting so far (obs metrics registry shape)."""
         return self.report.as_metrics()
 
-    @property
-    def throughput_cells_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return float("inf")
-        return self.cells * self.applications / self.elapsed_seconds
-
 
 class FusedFluxComputation:
     """IR-lowered whole-array flux computation.
 
-    Parameters mirror :class:`~repro.dataflow.driver.WseFluxComputation`
-    where applicable.  Pass ``ir=`` to lower an existing
-    :class:`FabricProgramIR`; otherwise the IR is derived from the mesh
-    and parameters at construction (``ir_build_seconds`` on the report).
+    Built by :func:`repro.ir.lower.lower_to_fused` from a flux-program
+    :class:`FabricProgramIR` (:func:`repro.ir.builder.derive_ir`), whose
+    ``params`` block carries the program options (``reuse_buffers``,
+    ``vectorized``, ``compute_fluxes``, ``overlap_compute``).
     """
 
     def __init__(
@@ -150,33 +137,16 @@ class FusedFluxComputation:
         fluid: FluidProperties,
         trans: Transmissibility | None = None,
         *,
+        ir: FabricProgramIR,
         gravity: float = constants.GRAVITY,
         dtype=np.float32,
-        reuse_buffers: bool = True,
-        vectorized: bool = True,
-        compute_fluxes: bool = True,
-        overlap_compute: bool = True,
         record=None,
-        ir: FabricProgramIR | None = None,
     ) -> None:
         self.mesh = mesh
         self.fluid = fluid
         self.dtype = np.dtype(dtype)
-        self.compute_fluxes = bool(compute_fluxes)
         self.record = record
 
-        t0 = perf_counter()
-        with span("fused.ir_build"):
-            if ir is None:
-                ir = derive_ir(
-                    mesh,
-                    dtype=self.dtype,
-                    reuse_buffers=reuse_buffers,
-                    vectorized=vectorized,
-                    compute_fluxes=compute_fluxes,
-                    overlap_compute=overlap_compute,
-                )
-        self.ir_build_seconds = perf_counter() - t0
         _check_ir_lowerable(ir, mesh, self.dtype)
         self.ir = ir
         params = ir.params
@@ -231,7 +201,6 @@ class FusedFluxComputation:
 
         # the fold schedule is a derived annotation: it amortizes like a
         # backend compile step and stays out of the content hash
-        t1 = perf_counter()
         with span("fused.schedule"):
             classes = schedule_classes(
                 mesh.nx,
@@ -242,7 +211,6 @@ class FusedFluxComputation:
             )
             #: the fold program, plane-periodic and batch-independent
             self._fold = _fold_steps(classes, (ny + 2, row), self.dtype)
-        self.schedule_seconds = perf_counter() - t1
         ir.annotate(
             "fold_schedule",
             [
@@ -260,7 +228,6 @@ class FusedFluxComputation:
         mesh = self.mesh
         for field in fields:
             mesh.validate_field(field, name="pressure")
-        started = perf_counter()
         batch = len(fields)
         swept = self._lanes
         cells = mesh.nx * mesh.ny * mesh.nz
@@ -312,7 +279,6 @@ class FusedFluxComputation:
         if self.record is not None:
             for i, field in enumerate(fields):
                 self.record.record_step(field, residual[i])
-        elapsed = perf_counter() - started
         # results are contiguous copies: they do not pin the padded batch
         residuals = None
         if keep_all:
@@ -320,8 +286,6 @@ class FusedFluxComputation:
         return FusedRunResult(
             residual=residual[batch - 1].copy(),
             applications=batch,
-            elapsed_seconds=elapsed,
-            cells=cells,
             report=self.report(),
             residuals=residuals,
         )
@@ -355,8 +319,6 @@ class FusedFluxComputation:
             * self._words_per_element,
             fabric_word_hops=self._fabric_word_hops,
             compute_cycles=self.engine.cycles,
-            ir_build_seconds=self.ir_build_seconds,
-            schedule_seconds=self.schedule_seconds,
         )
 
 

@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the artifact layout; readers
-#: refuse newer schemas, and ``bench --check`` verifies every golden
-#: artifact still carries the current version.
+#: refuse newer schemas, and ``repro conform --golden`` loads every
+#: golden artifact under that rule.
 SCHEMA_VERSION = 1
 
 #: Sanity marker distinguishing replay bundles from arbitrary ZIPs.

@@ -17,8 +17,8 @@ counts (ROADMAP: "trace compression for large runs").  The
 The sink's two hot entry points — :meth:`delivery` and the inlined
 per-hop link accounting (the runtime updates the internal ``_links``
 map directly) — are written as a single dict lookup plus in-place list
-increments so ``trace=True`` stays within the benchmark gate's
-tracing-overhead budget; all public views are read-time projections.
+increments so ``trace=True`` stays cheap (the ``bench/`` ledger's
+``obs.trace_overhead_frac``); all public views are read-time projections.
 
 Link keys use the event runtime's packed encoding
 ``((x << 16) | y) << 3 | out_port`` (see :func:`pack_link` /

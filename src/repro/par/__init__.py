@@ -31,7 +31,8 @@ Pieces:
   residuals, measured per-rank spans merged in the parent);
 * :mod:`repro.par.scale` — the ``repro par-scale`` weak-scaling
   harness: measured efficiency curves next to the modelled
-  :class:`~repro.cluster.perf.ClusterPerfModel` predictions.
+  :class:`~repro.cluster.perf.ClusterPerfModel` predictions.  Its
+  exports resolve on first access: a par run does not load the harness.
 
 See DESIGN.md §12.
 """
@@ -40,8 +41,12 @@ from repro.par.comm import ProcComm
 from repro.par.flux import ParClusterFluxComputation, ParClusterRunResult
 from repro.par.layout import HaloLayout, LinkSlot
 from repro.par.runtime import ProcPool
-from repro.par.scale import ScalePoint, render_scaling, weak_scaling
 from repro.par.shm import SharedArena
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"scale": ("ScalePoint", "render_scaling", "weak_scaling")}
+)
 
 __all__ = [
     "HaloLayout",

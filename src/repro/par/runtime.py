@@ -58,7 +58,7 @@ def available_cpus() -> int:
 
     ``sched_getaffinity`` respects cgroup/taskset limits that
     ``os.cpu_count()`` ignores — in a 1-core container the difference
-    decides whether a speedup gate makes sense.
+    decides whether a worker sweep measures scaling or contention.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

@@ -80,11 +80,9 @@ class TestOtherBackends:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert "fused" in doc["metrics"]
         assert {
-            "fused.ir_build", "fused.schedule", "fused.run",
+            "ir.derive", "fused.schedule", "fused.run",
             "fused.local", "fused.rounds", "fused.fold",
         } <= set(doc["spans"])
-        # the backend table derives the IR before the constructor runs:
-        # the time is on derive_ir's own span, not on fused.ir_build
         assert doc["spans"]["ir.derive"]["total_seconds"] > 0
 
     def test_gpu(self, tmp_path):
