@@ -44,7 +44,9 @@ def _lowered(name, mesh, fluid, *, dtype, plan, **kwargs):
     if plan is not None:
         kwargs["faults"] = _injector(plan)
     lower = getattr(ir, f"lower_to_{name}")
-    return lower(ir.derive_ir(mesh, dtype=dtype), mesh, fluid, **kwargs)
+    # a remap (event only) shapes the IR's route tables and the fabric alike
+    program = ir.derive_ir(mesh, dtype=dtype, remap=kwargs.get("remap"))
+    return lower(program, mesh, fluid, **kwargs)
 
 
 def _gpu(mesh, fluid, *, plan, **kwargs):
@@ -115,9 +117,10 @@ class Backend:
     def build(self, mesh, fluid, *, dtype, record=None, plan=None, **config):
         """A ready driver.  ``config`` is one flat bag shared by every
         caller (``px``, ``py``, ``workers``, ``variant``,
-        ``watchdog_cycles``, ``lease_seconds``, ``failure_mode``,
-        ``respawn``, ``trace``, ``trace_capacity``); the entry picks
-        its own keys and leaves unset ones to the driver's defaults."""
+        ``watchdog_cycles``, ``remap``, ``lease_seconds``,
+        ``failure_mode``, ``respawn``, ``trace``, ``trace_capacity``); the
+        entry picks its own keys and leaves unset ones to the driver's
+        defaults."""
         if plan is not None:
             narrow = {"fabric": plan.only_fabric, "ranks": plan.only_ranks}
             plan = narrow[self.injects]() if self.injects else None
@@ -147,7 +150,7 @@ BACKENDS = MappingProxyType({
     for b in (
         Backend(
             "event", "event", "fabric", partial(_lowered, "event"),
-            config=("watchdog_cycles", "trace", "trace_capacity"),
+            config=("watchdog_cycles", "remap", "trace", "trace_capacity"),
             _metrics=_event_metrics,
         ),
         Backend("fused", "event", None, partial(_lowered, "fused")),

@@ -248,20 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="timed applications of Algorithm 1 per grid point",
     )
     p_ps.add_argument(
-        "--workers", default=None, metavar="N[,N...]",
-        help="worker processes per point (default: one per rank); with "
-        "--mesh, a comma list sweeps worker counts, e.g. '1,2,4'.  "
-        "Explicit counts above the host's usable CPUs are a usage "
-        "error (exit 2)",
-    )
-    p_ps.add_argument(
-        "--mesh", default=None, metavar="NXxNYxNZ",
-        help="strong-scaling mode: fix this global mesh and sweep "
-        "--workers on the --grid rank grid instead of weak scaling",
-    )
-    p_ps.add_argument(
-        "--grid", default="2x2", metavar="PXxPY",
-        help="rank grid for the --mesh worker sweep (default 2x2)",
+        "--workers", type=int, default=None, metavar="N",
+        help="worker processes per point (default: one per rank).  "
+        "Counts above the host's usable CPUs are a usage error (exit 2)",
     )
     p_ps.add_argument("--seed", type=int, default=0)
     p_ps.add_argument(
@@ -420,6 +409,28 @@ def _check_rank_grid(px: int, py: int, nx: int, ny: int) -> str | None:
             f"error: --py {py} ranks along Y exceed mesh Ny={ny} "
             "(every rank needs at least one owned cell row)"
         )
+    return None
+
+
+def _load_plan(path: str):
+    """The :class:`~repro.faults.plan.FaultPlan` in the JSON file *path*;
+    None after printing ``error: <path>: <reason>`` when the file cannot
+    be read or is not a plan (the caller exits 2)."""
+    import json
+    from pathlib import Path
+
+    from repro.faults import FaultPlan
+
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
+        return FaultPlan.from_dict(data)
+    except OSError as exc:
+        reason = exc.strerror
+    except (ValueError, KeyError, TypeError) as exc:
+        reason = f"not a fault plan ({type(exc).__name__}: {exc})"
+    print(f"error: {path}: {reason}", file=sys.stderr)
     return None
 
 
@@ -786,10 +797,9 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_chaos(args, out) -> int:
-    import json
     from pathlib import Path
 
-    from repro.faults import FaultPlan, run_chaos
+    from repro.faults import run_chaos
     from repro.faults.chaos import SCENARIOS
 
     if args.list_scenarios:
@@ -816,7 +826,9 @@ def _cmd_chaos(args, out) -> int:
         return 2
     plan = None
     if args.plan:
-        plan = FaultPlan.from_dict(json.loads(Path(args.plan).read_text()))
+        plan = _load_plan(args.plan)
+        if plan is None:
+            return 2
         if plan.empty:
             # an empty plan would "pass" without exercising anything —
             # reject it loudly instead of reporting a hollow green run
@@ -851,7 +863,6 @@ def _cmd_chaos(args, out) -> int:
 
 
 def _cmd_supervise(args, out) -> int:
-    import json
     from pathlib import Path
 
     import numpy as np
@@ -887,7 +898,9 @@ def _cmd_supervise(args, out) -> int:
     plan = None
     watchdog = None
     if args.plan:
-        plan = FaultPlan.from_dict(json.loads(Path(args.plan).read_text()))
+        plan = _load_plan(args.plan)
+        if plan is None:
+            return 2
     elif args.inject:
         if BACKENDS[args.backend].injects == "ranks":
             plan = FaultPlan.seeded(
@@ -987,42 +1000,23 @@ def _cmd_par_scale(args, out) -> int:
     from pathlib import Path
 
     from repro.par.runtime import available_cpus
-    from repro.par.scale import (
-        parse_grids,
-        parse_workers,
-        render_scaling,
-        weak_scaling,
-    )
+    from repro.par.scale import parse_grids, render_scaling, weak_scaling
 
     verify = not args.no_verify
-    worker_counts = None
     if args.workers is not None:
-        try:
-            worker_counts = parse_workers(str(args.workers))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         cpus = available_cpus()
-        if max(worker_counts) > cpus:
+        if args.workers < 1:
+            print("error: --workers must be >= 1", file=sys.stderr)
+            return 2
+        if args.workers > cpus:
             print(
-                f"error: --workers {max(worker_counts)} exceeds the "
+                f"error: --workers {args.workers} exceeds the "
                 f"{cpus} CPU(s) this process may run on; an "
-                f"oversubscribed sweep measures scheduler contention, "
+                f"oversubscribed run measures scheduler contention, "
                 f"not scaling",
                 file=sys.stderr,
             )
             return 2
-
-    if args.mesh is not None:
-        return _par_scale_sweep(args, out, worker_counts, verify)
-
-    if worker_counts is not None and len(worker_counts) != 1:
-        print(
-            "error: weak scaling takes a single --workers count; "
-            "a comma sweep needs --mesh",
-            file=sys.stderr,
-        )
-        return 2
     try:
         grids = parse_grids(args.grids)
     except ValueError as exc:
@@ -1034,7 +1028,7 @@ def _cmd_par_scale(args, out) -> int:
         base_ny=args.base_ny,
         nz=args.nz,
         applications=args.applications,
-        workers=worker_counts[0] if worker_counts else None,
+        workers=args.workers,
         seed=args.seed,
         verify=verify,
     )
@@ -1057,67 +1051,6 @@ def _cmd_par_scale(args, out) -> int:
         print(
             f"error: residual mismatch vs serial cluster backend at "
             f"grid(s) {', '.join(bad)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _par_scale_sweep(args, out, worker_counts, verify) -> int:
-    """Strong-scaling worker sweep on a fixed mesh (``--mesh`` mode)."""
-    from pathlib import Path
-
-    from repro.par.runtime import available_cpus
-    from repro.par.scale import (
-        parse_grids,
-        parse_mesh,
-        render_sweep,
-        worker_sweep,
-    )
-
-    try:
-        nx, ny, nz = parse_mesh(args.mesh)
-        (px, py), = parse_grids(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if worker_counts is None:
-        worker_counts = sorted(
-            {w for w in (1, 2, 4) if w <= min(px * py, available_cpus())}
-        )
-    if max(worker_counts) > px * py:
-        print(
-            f"error: --workers {max(worker_counts)} exceeds the "
-            f"{px * py} rank(s) of the {px}x{py} grid",
-            file=sys.stderr,
-        )
-        return 2
-    points = worker_sweep(
-        worker_counts,
-        nx=nx, ny=ny, nz=nz, px=px, py=py,
-        applications=args.applications,
-        seed=args.seed,
-        verify=verify,
-    )
-    print(
-        f"strong scaling, {nx}x{ny}x{nz} global mesh on a {px}x{py} "
-        f"rank grid, {args.applications} applications per point "
-        f"(+1 warm-up){'' if verify else ', verification OFF'}",
-        file=out,
-    )
-    print(render_sweep(points), file=out)
-    if args.out:
-        from repro.util.jsonio import write_stable_json
-
-        path = write_stable_json(
-            Path(args.out), [pt.as_dict() for pt in points]
-        )
-        print(f"wrote {path}", file=out)
-    if verify and not all(pt.bit_identical for pt in points):
-        bad = [str(pt.workers) for pt in points if not pt.bit_identical]
-        print(
-            f"error: residual mismatch vs serial cluster backend at "
-            f"worker count(s) {', '.join(bad)}",
             file=sys.stderr,
         )
         return 1

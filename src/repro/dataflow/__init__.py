@@ -20,7 +20,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "diagonal": ("DIAGONAL_CHANNELS", "DiagonalChannel", "static_position"),
         "codegen": ("generate_listing",),
-        "collectives": ("FabricCollectives",),
         "driver": ("WseFluxComputation", "WseRunResult"),
         "flux_pe": (
             "FluxScratch",
@@ -40,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "matfree": ("WseMatrixFreeJacobian",),
         "mapping": (
-            "BlockedCellMapping",
             "CellBasedMapping",
             "FaceBasedMapping",
             "MappingComparison",
@@ -60,11 +58,9 @@ __all__ = [
     "LockstepReport",
     "LockstepRunResult",
     "WseMatrixFreeJacobian",
-    "FabricCollectives",
     "generate_listing",
     "CellBasedMapping",
     "FaceBasedMapping",
-    "BlockedCellMapping",
     "SpareColumnRemap",
     "MappingComparison",
     "compare_mappings",

@@ -22,7 +22,6 @@ from repro.core.mesh import CartesianMesh3D
 __all__ = [
     "CellBasedMapping",
     "FaceBasedMapping",
-    "BlockedCellMapping",
     "SpareColumnRemap",
     "MappingComparison",
     "compare_mappings",
@@ -132,98 +131,6 @@ class FaceBasedMapping:
         face_in = face_pes * 2 * 2 * nz
         cell_in = n_cells_xy * 8 * nz
         return face_in + cell_in
-
-
-@dataclass(frozen=True)
-class BlockedCellMapping:
-    """Cell-based mapping with a *block* of columns per PE.
-
-    The usable fabric caps the cell-based mapping at 750 x 994 columns
-    (Sec. 7.1); meshes with a larger X-Y plane need several columns per
-    PE.  Blocking trades the flat weak scaling for classic
-    surface-to-volume behaviour: per-PE compute grows with the block
-    area while fabric traffic grows only with its perimeter — the same
-    economics as the MPI decomposition (:mod:`repro.cluster`), whose
-    halo-exchange implementation is the functional equivalent of this
-    mapping and validates it numerically.
-
-    Parameters
-    ----------
-    mesh:
-        The (large) mesh to place.
-    fabric_shape:
-        Available fabric PEs ``(width, height)``.
-    """
-
-    mesh: CartesianMesh3D
-    fabric_shape: tuple[int, int] = (750, 994)
-
-    def __post_init__(self) -> None:
-        fw, fh = self.fabric_shape
-        if fw < 1 or fh < 1:
-            raise ValueError("fabric dimensions must be positive")
-
-    @property
-    def block_xy(self) -> tuple[int, int]:
-        """Columns per PE along X and Y (ceil division)."""
-        fw, fh = self.fabric_shape
-        return (
-            -(-self.mesh.nx // fw),
-            -(-self.mesh.ny // fh),
-        )
-
-    @property
-    def columns_per_pe(self) -> int:
-        """Z columns resident in one PE (interior block)."""
-        bx, by = self.block_xy
-        return bx * by
-
-    @property
-    def cells_per_pe(self) -> int:
-        """Cells in one PE's memory."""
-        return self.columns_per_pe * self.mesh.nz
-
-    def words_per_pe(self, *, reuse_buffers: bool = True) -> int:
-        """Scratchpad words an interior PE needs.
-
-        Owned columns carry the full per-cell layout; the halo ring of
-        ``2 (bx + by) + 4`` columns needs only the received ``(p, rho)``
-        pair per cell.
-        """
-        from repro.dataflow.halos import layout_words_per_cell
-
-        bx, by = self.block_xy
-        nz = self.mesh.nz
-        own = layout_words_per_cell(reuse_buffers=reuse_buffers)
-        halo_cols = 2 * (bx + by) + 4
-        return self.cells_per_pe * own + halo_cols * nz * 2
-
-    def fits_memory(
-        self,
-        capacity_bytes: int = 48 * 1024,
-        *,
-        reserved_bytes: int = 2048,
-        word_bytes: int = 4,
-        reuse_buffers: bool = True,
-    ) -> bool:
-        """Whether the blocked layout fits one PE's scratchpad."""
-        need = self.words_per_pe(reuse_buffers=reuse_buffers) * word_bytes
-        return need <= capacity_bytes - reserved_bytes
-
-    def fabric_words_per_pe_per_application(self) -> int:
-        """Words an interior PE receives per application.
-
-        Only the halo ring crosses the fabric: ``2 (bx + by)`` side
-        columns plus the four corner columns, each a ``(p, rho)`` pair
-        of length nz.
-        """
-        bx, by = self.block_xy
-        return (2 * (bx + by) + 4) * 2 * self.mesh.nz
-
-    def surface_to_volume(self) -> float:
-        """Received halo cells per owned cell (the efficiency driver)."""
-        bx, by = self.block_xy
-        return (2 * (bx + by) + 4) / (bx * by)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,15 @@ import pytest
 
 from repro.conform import replay
 from repro.faults import FaultPlan, run_chaos
+from repro.faults.chaos import SCENARIOS
 from repro.faults.plan import DeadPE
 from repro.obs.replay import ReplayArtifact
+
+#: everything but the checkpoint and worker-process drills
+FAST_DRILLS = [
+    name for name in SCENARIOS
+    if not name.startswith(("solver/", "checkpoint/", "par/"))
+]
 
 
 @pytest.fixture(scope="module")
@@ -16,9 +23,7 @@ def failed_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("postmortem")
     report = run_chaos(
         plan, nx=4, ny=4, nz=3, px=2, py=2,
-        include_corruption=False,
-        include_checkpoint_drill=False,
-        include_par_drill=False,
+        only=FAST_DRILLS,
         postmortem_dir=str(out),
     )
     return report
@@ -57,8 +62,7 @@ class TestPostmortemBundle:
     def test_passing_drill_records_nothing(self, tmp_path):
         report = run_chaos(
             nx=4, ny=4, nz=3, seed=7, px=2, py=2,
-            include_checkpoint_drill=False,
-            include_par_drill=False,
+            only=FAST_DRILLS,
             postmortem_dir=str(tmp_path),
         )
         assert report.ok, report.render()

@@ -7,6 +7,14 @@ import pytest
 
 from repro.cli import main
 from repro.faults import ChaosReport, FaultOutcome, FaultPlan, run_chaos
+from repro.faults.chaos import _TABLE, SCENARIOS
+
+#: every scenario but the two checkpoint drills (``only=`` is the one
+#: selector; these tests do not need the SciPy-backed solver)
+NO_CHECKPOINT_DRILLS = [
+    name for name in SCENARIOS
+    if name not in ("solver/checkpoint-restart", "checkpoint/corruption")
+]
 
 
 class TestOutcomeSemantics:
@@ -48,8 +56,8 @@ class TestRunChaos:
         assert scenarios["solver/checkpoint-restart"].recovered
 
     def test_report_is_deterministic(self):
-        a = run_chaos(seed=11, include_checkpoint_drill=False)
-        b = run_chaos(seed=11, include_checkpoint_drill=False)
+        a = run_chaos(seed=11, only=NO_CHECKPOINT_DRILLS)
+        b = run_chaos(seed=11, only=NO_CHECKPOINT_DRILLS)
         assert a.as_dict() == b.as_dict()
 
     def test_router_stall_plan_trips_watchdog(self):
@@ -58,21 +66,65 @@ class TestRunChaos:
             dead_pes=0, lossy_links=0, rank_failures=0,
             router_stalls=1, stall_cycles=1e6,
         )
-        report = run_chaos(
-            plan, include_corruption=False, include_checkpoint_drill=False,
-            include_supervisor_drills=False,
-        )
+        report = run_chaos(plan, only=["router-stall/watchdog"])
         assert report.ok
         (outcome,) = report.outcomes
         assert outcome.scenario == "router-stall/watchdog"
         assert "stalled" in outcome.detail
 
     def test_render_names_every_scenario(self):
-        report = run_chaos(seed=7, include_checkpoint_drill=False)
+        report = run_chaos(seed=7, only=NO_CHECKPOINT_DRILLS)
         text = report.render()
         for outcome in report.outcomes:
             assert outcome.scenario in text
         assert "CHAOS PASSED" in text
+
+
+class TestScenarioTable:
+    def test_public_mapping_is_the_table(self):
+        """``SCENARIOS`` (name -> ``--list`` intent) and the table that
+        runs the drills cannot drift apart, and stay in report order."""
+        assert list(SCENARIOS) == list(_TABLE) == [
+            "dead-pe/detect",
+            "dead-pe/remap",
+            "link-drop/detect",
+            "link-corrupt/cross-check",
+            "link-delay/detect",
+            "router-stall/watchdog",
+            "rank-failure/re-exchange",
+            "par/worker-kill/detect",
+            "par/worker-kill/respawn",
+            "par/worker-hang/lease",
+            "solver/checkpoint-restart",
+            "checkpoint/corruption",
+            "supervisor/transient-repeat",
+            "supervisor/crash-during-recovery",
+            "supervisor/degrade-ladder",
+        ]
+        assert all(SCENARIOS[name] == row.intent for name, row in _TABLE.items())
+
+    def test_every_listed_name_is_accepted_by_only(self, tmp_path, capsys):
+        out = io.StringIO()
+        assert main(["chaos", "--list"], out=out) == 0
+        listed = [line.split()[0] for line in out.getvalue().splitlines()]
+        assert sorted(listed) == sorted(SCENARIOS)
+        # an empty plan is rejected *after* --only has been validated, so
+        # this exercises the selector without running a single drill
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(FaultPlan().to_dict()))
+        code = main(["chaos", "--only", ",".join(listed), "--plan", str(empty)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown chaos scenario" not in err
+        assert "injects no faults" in err
+
+    def test_unknown_name_raises_naming_the_valid_set(self):
+        with pytest.raises(ValueError, match="no-such-drill.*dead-pe/detect"):
+            run_chaos(seed=7, only=["no-such-drill"])
+
+    def test_include_switches_are_gone(self):
+        with pytest.raises(TypeError, match="include_par_drill"):
+            run_chaos(seed=7, include_par_drill=False)
 
 
 class TestChaosCli:
@@ -128,6 +180,23 @@ class TestChaosCli:
         err = capsys.readouterr().err
         assert "no-such-drill" in err
         assert "dead-pe/detect" in err  # names the valid set
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            ('{"seed": 1, "dead_pes": "x"}', "not a fault plan (ValueError"),
+        ],
+    )
+    def test_unreadable_plan_file_is_a_usage_error(
+        self, content, reason, tmp_path, capsys
+    ):
+        plan_path = tmp_path / "plan.json"
+        if content is not None:
+            plan_path.write_text(content)
+        code = main(["chaos", "--plan", str(plan_path)], out=io.StringIO())
+        assert code == 2
+        assert f"error: {plan_path}: {reason}" in capsys.readouterr().err
 
     def test_empty_plan_file_is_a_usage_error(self, tmp_path, capsys):
         """An empty plan exercises nothing; exiting 0 on it would report

@@ -61,6 +61,23 @@ class TestSupervise:
         assert code == 2
         assert "bad --policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            ('{"seed": 1, "dead_pes": "x"}', "not a fault plan (ValueError"),
+        ],
+    )
+    def test_unreadable_plan_file_is_a_usage_error(
+        self, content, reason, tmp_path, capsys
+    ):
+        plan_path = tmp_path / "plan.json"
+        if content is not None:
+            plan_path.write_text(content)
+        code = main(["supervise", "--plan", str(plan_path)], out=io.StringIO())
+        assert code == 2
+        assert f"error: {plan_path}: {reason}" in capsys.readouterr().err
+
     def test_misspelt_ladder_rung_is_a_usage_error(self, tmp_path, capsys):
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(json.dumps({"ladder": ["gpu", "lockstpe"]}))

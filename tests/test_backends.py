@@ -5,8 +5,10 @@ lognormal mesh replaces per-backend construction boilerplate elsewhere:
 if an entry is added, it is exercised here without touching this file.
 """
 
+import ast
 import os
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,49 @@ class TestTable:
             "gpu": None, "cluster": "ranks", "par": "ranks",
         }
 
+    def test_only_the_table_constructs_a_driver(self):
+        """No module under ``src/repro`` calls a driver class or a
+        ``lower_to_*`` pass except the table and the lowering module:
+        whoever needs a driver asks ``BACKENDS[name].build``."""
+        import repro
+
+        drivers = {
+            "WseFluxComputation", "LockstepWseSimulation",
+            "FusedFluxComputation", "GpuFluxComputation",
+            "ClusterFluxComputation", "ParClusterFluxComputation",
+        }
+        root = Path(repro.__file__).parent
+        allowed = {root / "backends.py", root / "ir" / "lower.py"}
+        offenders = []
+        for path in sorted(set(root.rglob("*.py")) - allowed):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", "")
+                if called in drivers or called.startswith("lower_to_"):
+                    offenders.append(
+                        f"{path.relative_to(root)}:{node.lineno} {called}"
+                    )
+        assert offenders == []
+
+    def test_event_takes_a_remap(self):
+        """``remap`` reaches both ``derive_ir`` and the fabric: a program
+        laid out around a bypassed column is bit-identical to the plain
+        one and says so in its IR."""
+        from repro.dataflow import SpareColumnRemap
+
+        remap = SpareColumnRemap.around_dead_pes((MESH.nx, MESH.ny), [(2, 1)])
+        build = BACKENDS["event"].build
+        plain = build(MESH, FLUID, dtype=np.float64)
+        spared = build(MESH, FLUID, dtype=np.float64, remap=remap)
+        assert spared.ir.content_hash != plain.ir.content_hash
+        assert spared.program.remap == remap
+        assert (
+            spared.run(PRESSURES).residual.tobytes()
+            == plain.run(PRESSURES).residual.tobytes()
+        )
+
     def test_import_pulls_in_no_driver(self, fresh_interpreter):
         out = fresh_interpreter(
             "import sys, repro.backends\n"
@@ -113,7 +158,7 @@ class TestTable:
         out = fresh_interpreter(
             "import sys, numpy as np, repro.core, repro.workloads, repro.ir\n"
             "unused = ['repro.dataflow.' + m for m in ('codegen',"
-            " 'collectives', 'matfree', 'lockstep', 'driver', 'instrcount')]\n"
+            " 'matfree', 'lockstep', 'driver', 'instrcount')]\n"
             "unused += ['repro.faults.' + m for m in"
             " ('chaos', 'injector', 'plan')]\n"
             "unused += ['repro.obs.' + m for m in"
