@@ -34,7 +34,7 @@ from repro.check.routes import (
     check_switch_schedules,
 )
 from repro.wse.fabric import Fabric
-from repro.wse.memory import WSE2_PE_MEMORY_BYTES
+from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 
 __all__ = [
     "check_fabric",
@@ -130,12 +130,12 @@ def check_fabric(
 def _materialize_fabric(ir) -> Fabric:
     """Rebuild a live :class:`Fabric` from an IR's static definition.
 
-    Route tables are installed through placeholder positions and edited
-    in place: a captured IR may describe a *corrupted* fabric (e.g. a
-    self-forwarding port) that :class:`~repro.wse.router.ColorConfig`
-    would reject at configure time — the verifier must be able to
-    materialize exactly what the IR says, bad routes included, so its
-    findings match findings on the live broken object.
+    Route classes are installed with ``allow_loops``: a captured IR may
+    describe a *corrupted* fabric (e.g. a self-forwarding port) that
+    :class:`~repro.wse.router.ColorConfig` would reject at configure
+    time — the verifier must be able to materialize exactly what the IR
+    says, bad routes included, so its findings match findings on the
+    live broken object.
     """
     fabric = Fabric(
         ir.width,
@@ -146,24 +146,22 @@ def _materialize_fabric(ir) -> Fabric:
         bypass_columns=ir.bypass_columns,
     )
     for color in ir.route_color_ids():
-        for coord in ir.route_coords(color):
-            positions, initial = ir.route_for(color, coord)
-            router = fabric.router_map[coord]
-            router.configure(
-                color, [{} for _ in positions], initial=initial
-            )
-            cfg = router.configs[color]
-            cfg.positions[:] = positions
-            router.refresh(color)
-    for coord in ir.memory_coords():
-        memory = fabric.pe_map[coord].memory
-        for rec in ir.memory_records_for(coord):
+        fabric.install_routes(color, *ir.route_table(color), allow_loops=True)
+    memory = ir.doc["memory"]
+    members: dict[int, list] = {}  # memory class -> its PEs, row-major
+    for coord, idx in zip(fabric.pe_map, memory["assignment"]):
+        if idx >= 0:
+            members.setdefault(idx, []).append(coord)
+    for idx, coords in members.items():
+        probe = Scratchpad(ir.pe_memory_bytes, reserved=ir.pe_memory_reserved)
+        for rec in memory["classes"][idx]:
             if rec.get("alias_of"):
-                memory.alias(rec["name"], rec["alias_of"])
+                probe.alias(rec["name"], rec["alias_of"])
             else:
-                memory.alloc_array(
+                probe.alloc_array(
                     rec["name"], tuple(rec["shape"]), np.dtype(rec["dtype"])
                 )
+        fabric.install_memory(probe.plan(), coords)
     return fabric
 
 

@@ -70,6 +70,9 @@ class FluxScratch:
 
     __slots__ = ("dp", "gz", "a", "b", "mask", "sel", "_views")
 
+    #: Scratchpad names of the four columns, in constructor order.
+    NAMES = ("scratch_dp", "scratch_gz", "scratch_a", "scratch_b")
+
     def __init__(
         self,
         dp: np.ndarray,
@@ -93,12 +96,7 @@ class FluxScratch:
     @classmethod
     def allocate(cls, memory, n: int, dtype=np.float32) -> "FluxScratch":
         """Reserve the scratch columns in a PE scratchpad."""
-        return cls(
-            memory.alloc_array("scratch_dp", n, dtype),
-            memory.alloc_array("scratch_gz", n, dtype),
-            memory.alloc_array("scratch_a", n, dtype),
-            memory.alloc_array("scratch_b", n, dtype),
-        )
+        return cls(*(memory.alloc_array(name, n, dtype) for name in cls.NAMES))
 
     def view(self, n: int) -> "FluxScratch":
         """Length-n views over the shared storage (cached per length —

@@ -19,6 +19,11 @@ The layout comes in two flavours, the knob of the Sec.-5.3.1 ablation:
 
 :func:`max_nz_for_memory` inverts the layout size to answer the paper's
 "largest possible problem" question for a given PE memory.
+
+Every PE has the same layout, so a program allocates it once —
+:meth:`PEColumnLayout.build` on a probe scratchpad — and wires each PE's
+views of the fabric-wide block with :meth:`PEColumnLayout.bind`
+(DESIGN.md Sec. 19); ``build`` itself is "allocate, then bind".
 """
 
 from __future__ import annotations
@@ -31,7 +36,12 @@ from repro.core.stencil import XY_CONNECTIONS, Connection
 from repro.dataflow.flux_pe import FluxScratch
 from repro.wse.memory import PEMemoryError, Scratchpad
 
-__all__ = ["PEColumnLayout", "layout_words_per_cell", "max_nz_for_memory"]
+__all__ = [
+    "PEColumnLayout",
+    "TRANS_NAMES",
+    "layout_words_per_cell",
+    "max_nz_for_memory",
+]
 
 
 def layout_words_per_cell(*, reuse_buffers: bool) -> int:
@@ -59,6 +69,19 @@ def max_nz_for_memory(
     if usable <= 0:
         return 0
     return usable // (word_bytes * layout_words_per_cell(reuse_buffers=reuse_buffers))
+
+
+#: Scratchpad names of the per-connection columns (``Enum.name`` is a
+#: descriptor call; these are read once per PE per connection).
+TRANS_NAMES = {conn: f"trans_{conn.name}" for conn in Connection}
+_RECV_NAMES = {conn: f"recv_{conn.name}" for conn in XY_CONNECTIONS}
+
+
+def _flat_view(train: np.ndarray) -> np.ndarray:
+    """The ``(2 * nz,)`` payload view of a ``(2, nz)`` train."""
+    if not train.flags.c_contiguous:  # reshape would silently copy
+        raise ValueError("a (p, rho) train must be contiguous in PE memory")
+    return train.reshape(-1)
 
 
 @dataclass
@@ -109,45 +132,65 @@ class PEColumnLayout:
         """
         try:
             # p and rho adjacent: the outgoing (p, rho) train is a view
-            pr = memory.alloc_array("p_rho", (2, nz), dtype)
-            pressure, density = pr[0], pr[1]
-            elevation = memory.alloc_array("z", nz, dtype)
-            residual = memory.alloc_array("residual", nz, dtype)
-            trans = {
-                conn: memory.alloc_array(f"trans_{conn.name}", nz, dtype)
-                for conn in Connection
-            }
-            scratch = FluxScratch.allocate(memory, nz, dtype)
-            recv: dict[Connection, np.ndarray] = {}
+            memory.alloc_array("p_rho", (2, nz), dtype)
+            memory.alloc_array("z", nz, dtype)
+            memory.alloc_array("residual", nz, dtype)
+            for name in TRANS_NAMES.values():
+                memory.alloc_array(name, nz, dtype)
+            FluxScratch.allocate(memory, nz, dtype)
             if reuse_buffers:
-                shared = memory.alloc_array("recv_shared", (2, nz), dtype)
-                for conn in XY_CONNECTIONS:
-                    recv[conn] = shared
-                send = pr  # zero-copy send view (p, rho) adjacent
+                memory.alloc_array("recv_shared", (2, nz), dtype)
             else:
-                for conn in XY_CONNECTIONS:
-                    recv[conn] = memory.alloc_array(
-                        f"recv_{conn.name}", (2, nz), dtype
-                    )
-                send = memory.alloc_array("send_staging", (2, nz), dtype)
+                for name in _RECV_NAMES.values():
+                    memory.alloc_array(name, (2, nz), dtype)
+                memory.alloc_array("send_staging", (2, nz), dtype)
         except PEMemoryError as err:
             raise PEMemoryError(
                 f"nz={nz} does not fit this PE memory with "
                 f"reuse_buffers={reuse_buffers}: {err}"
             ) from err
-        return cls(
-            nz=nz,
+        return cls.bind(
+            {name: memory.array(name) for name in memory.names()},
             reuse_buffers=reuse_buffers,
-            pressure=pressure,
-            density=density,
-            elevation=elevation,
-            residual=residual,
-            trans=trans,
-            scratch=scratch,
+        )
+
+    @classmethod
+    def bind(
+        cls, arrays: dict[str, np.ndarray], *, reuse_buffers: bool = True
+    ) -> "PEColumnLayout":
+        """The layout over *arrays* that already exist: ``name -> array``
+        under the names and shapes :meth:`build` allocates.
+
+        A program plans its memory once with :meth:`build` on a probe
+        scratchpad and binds every PE's views of the fabric-wide block
+        with this (no allocator work per PE).  The ``(2, nz)`` trains
+        must be C-contiguous: their flattened forms are views, never
+        copies — the send train aliases the live ``p``/``rho`` columns.
+        """
+        pr = arrays["p_rho"]
+        if reuse_buffers:
+            # one window serves all eight neighbours (Sec. 5.3.1)
+            shared = arrays["recv_shared"]
+            recv = dict.fromkeys(XY_CONNECTIONS, shared)
+            recv_flat = dict.fromkeys(XY_CONNECTIONS, _flat_view(shared))
+            send = pr  # zero-copy send view (p, rho) adjacent
+        else:
+            recv = {conn: arrays[name] for conn, name in _RECV_NAMES.items()}
+            recv_flat = {conn: _flat_view(buf) for conn, buf in recv.items()}
+            send = arrays["send_staging"]
+        return cls(
+            nz=pr.shape[1],
+            reuse_buffers=reuse_buffers,
+            pressure=pr[0],
+            density=pr[1],
+            elevation=arrays["z"],
+            residual=arrays["residual"],
+            trans={conn: arrays[name] for conn, name in TRANS_NAMES.items()},
+            scratch=FluxScratch(*map(arrays.__getitem__, FluxScratch.NAMES)),
             _recv=recv,
             _send=send,
-            _recv_flat={conn: buf.reshape(-1) for conn, buf in recv.items()},
-            _send_flat=send.reshape(-1),
+            _recv_flat=recv_flat,
+            _send_flat=_flat_view(send),
         )
 
     # ------------------------------------------------------------------ #
@@ -158,6 +201,15 @@ class PEColumnLayout:
     def recv_flat(self, conn: Connection) -> np.ndarray:
         """Flattened (2*nz,) view of the same receive window."""
         return self._recv_flat[conn]
+
+    def halo_args(self) -> dict[Connection, tuple]:
+        """Per X-Y neighbour, what its receive task touches: ``(flat
+        receive window, p_L, rho_L, transmissibility column)``."""
+        trans = self.trans
+        return {
+            conn: (self._recv_flat[conn], buf[0], buf[1], trans[conn])
+            for conn, buf in self._recv.items()
+        }
 
     def send_train(self, engine=None) -> np.ndarray:
         """The outgoing ``(p, rho)`` train of this PE.

@@ -37,17 +37,21 @@ from repro.dataflow.cardinal import (
 )
 from repro.dataflow.diagonal import DIAGONAL_CHANNELS, DiagonalChannel, static_position
 from repro.dataflow.flux_pe import compute_face_flux_column, evaluate_density_column
-from repro.dataflow.halos import PEColumnLayout
+from repro.dataflow.halos import TRANS_NAMES, PEColumnLayout
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.obs.spans import span
 from repro.wse.color import ColorAllocator
 from repro.wse.fabric import Fabric
-from repro.wse.memory import WSE2_PE_MEMORY_BYTES
+from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 from repro.wse.packet import KIND_CONTROL
 from repro.wse.pe import ProcessingElement
 from repro.wse.runtime import EventRuntime
 
 __all__ = ["FluxProgram", "padded_trans_fields"]
+
+#: ``(dx, dy)`` of the eight X-Y neighbours (``Connection.offset`` goes
+#: through two enum descriptors; this is read per PE at set-up).
+_XY_OFFSETS = tuple(conn.offset[:2] for conn in XY_CONNECTIONS)
 
 
 def padded_trans_fields(
@@ -239,6 +243,18 @@ class FluxProgram:
             ),
             ("fabric width", self.fabric.width, ir.width),
             ("fabric height", self.fabric.height, ir.height),
+            # same width, other columns out of service: every route and
+            # injector of the IR would land one column off
+            (
+                "bypassed columns",
+                sorted(self.fabric.bypass_columns),
+                list(ir.bypass_columns),
+            ),
+            (
+                "remap column map",
+                None if self.remap is None else list(self.remap.column_map),
+                None if ir.remap is None else list(ir.remap["column_map"]),
+            ),
         )
         for name, mine, theirs in checks:
             if mine != theirs:
@@ -268,76 +284,68 @@ class FluxProgram:
             else:
                 self._diag_color[channel] = color
 
-            def positions_for(coord, _c=color):
-                entry = ir.route_for(_c, coord)
-                return None if entry is None else entry[0]
-
-            def initial_for(coord, _c=color):
-                entry = ir.route_for(_c, coord)
-                return 0 if entry is None else entry[1]
-
-            self.fabric.configure_color(
-                color, positions_for, initial_for=initial_for
-            )
+            self.fabric.install_routes(color, *ir.route_table(color))
 
     # ------------------------------------------------------------------ #
     # Memory (Sec. 5.1)
     # ------------------------------------------------------------------ #
     def _setup_memory(self) -> None:
+        """One memory map for the whole PE rectangle (Sec. 5.1).
+
+        The layout is planned once, on a probe scratchpad, and installed
+        on every program PE over one PE-major block; static data is
+        written a column of the block at a time.  Per PE only the views
+        are bound and the per-PE facts recorded.
+        """
         mesh = self.mesh
-        trans_fields = padded_trans_fields(mesh, self.trans, self.dtype)
-        elev = mesh.elevation
         w, h = mesh.nx, mesh.ny
-        ir_injectors = None
-        if self.ir is not None:
-            ir_injectors = {
-                ch: self.ir.injector_coords(ch.name)
-                for ch in CARDINAL_CHANNELS
+        probe = Scratchpad(self.pe_memory_bytes, reserved=self.pe_memory_reserved)
+        PEColumnLayout.build(
+            probe, mesh.nz, dtype=self.dtype, reuse_buffers=self.reuse_buffers
+        )
+        program_pes = list(self.program_pes())
+        columns = self.fabric.install_memory(
+            probe.plan(), [pe.coord for _x, _y, pe in program_pes]
+        )
+        # block row i is the PE of logical cell (i % w, i // w): a
+        # (nz, ny, nx) field becomes its rows by flattening (y, x)
+        columns["z"][:] = mesh.elevation.reshape(mesh.nz, -1).T
+        trans_fields = padded_trans_fields(mesh, self.trans, self.dtype)
+        for conn, name in TRANS_NAMES.items():
+            columns[name][:] = trans_fields[conn].reshape(mesh.nz, -1).T
+
+        def step1_senders(channel) -> set:
+            if self.ir is not None:
+                return self.ir.injector_coords(channel.name)
+            return {
+                pe.coord
+                for x, y, pe in program_pes
+                if is_step1_sender((x, y), channel, w, h)
             }
-        for x, y, pe in self.program_pes():
-            layout = PEColumnLayout.build(
-                pe.memory,
-                mesh.nz,
-                dtype=self.dtype,
-                reuse_buffers=self.reuse_buffers,
+
+        senders = [(ch, step1_senders(ch)) for ch in CARDINAL_CHANNELS]
+        names = list(columns)
+        for (x, y, pe), *arrays in zip(program_pes, *columns.values()):
+            layout = PEColumnLayout.bind(
+                dict(zip(names, arrays)), reuse_buffers=self.reuse_buffers
             )
-            layout.elevation[:] = elev[:, y, x]
-            for conn in ALL_CONNECTIONS:
-                layout.trans[conn][:] = trans_fields[conn][:, y, x]
-            pe.state["logical"] = (x, y)
-            pe.state["layout"] = layout
-            pe.state["expected"] = self._expected_messages(x, y)
+            state = pe.state
+            state["logical"] = (x, y)
+            state["layout"] = layout
+            state["expected"] = self._expected_messages(x, y)
             # per-halo kernel arguments resolved once: the receive task
             # runs per message and every dict/method hop shows up there
-            pe.state["halo_args"] = {
-                conn: (
-                    layout.recv_flat(conn),
-                    layout.recv_buffer(conn)[0],
-                    layout.recv_buffer(conn)[1],
-                    layout.trans[conn],
-                )
-                for conn in XY_CONNECTIONS
-            }
-            if ir_injectors is None:
-                pe.state["step1_channels"] = [
-                    ch
-                    for ch in CARDINAL_CHANNELS
-                    if is_step1_sender((x, y), ch, w, h)
-                ]
-            else:
-                pe.state["step1_channels"] = [
-                    ch
-                    for ch in CARDINAL_CHANNELS
-                    if pe.coord in ir_injectors[ch]
-                ]
+            state["halo_args"] = layout.halo_args()
+            state["step1_channels"] = [
+                ch for ch, coords in senders if pe.coord in coords
+            ]
 
     def _expected_messages(self, x: int, y: int) -> int:
         """Data messages the PE at *logical* ``(x, y)`` receives per
         application: one per in-bounds X-Y neighbour (Sec. 5.2 a-b)."""
         nx, ny = self.mesh.nx, self.mesh.ny
         count = 0
-        for conn in XY_CONNECTIONS:
-            dx, dy, _ = conn.offset
+        for dx, dy in _XY_OFFSETS:
             if 0 <= x + dx < nx and 0 <= y + dy < ny:
                 count += 1
         return count

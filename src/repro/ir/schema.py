@@ -369,8 +369,12 @@ class FabricProgramIR:
     def route_color_ids(self) -> tuple[int, ...]:
         return tuple(sorted(int(cid) for cid in self.doc["routes"]))
 
-    def _route_table(self, color: int) -> tuple[list, list]:
-        """(decoded classes, flat assignment list) of *color*."""
+    def route_table(self, color: int) -> tuple[list, list]:
+        """``(classes, assignment)`` of *color*: the distinct ``(switch
+        positions, initial position)`` schedules with ports decoded, and
+        the row-major per-router class index (``-1``: unconfigured) — the
+        arguments of :meth:`repro.wse.fabric.Fabric.install_routes`.
+        Both are cached and shared: treat them as read-only."""
         cached = self._routes_cache.get(color)
         if cached is not None:
             return cached
@@ -401,7 +405,7 @@ class FabricProgramIR:
         when the router at *coord* does not configure the color (bypassed
         column or out of the route's footprint).
         """
-        classes, assignment = self._route_table(color)
+        classes, assignment = self.route_table(color)
         idx = self._cell(assignment, coord)
         if idx < 0:
             return None
@@ -409,7 +413,7 @@ class FabricProgramIR:
         return ([dict(pos) for pos in positions], initial)
 
     def route_coords(self, color: int) -> list[tuple[int, int]]:
-        return _coords_above(self._route_table(color)[1], self.width, -1)
+        return _coords_above(self.route_table(color)[1], self.width, -1)
 
     def expected_receivers(self, color: int) -> list[tuple[int, int]]:
         flags = self.doc["expected_receivers"].get(str(color), [])

@@ -5,23 +5,38 @@ processing elements (PEs) where computations take place" (Sec. 4).  The
 fabric object wires one :class:`Router` to every
 :class:`ProcessingElement` and offers bulk configuration helpers used by
 the dataflow program builder.
+
+The bulk helpers work by *class*, not by PE: a switch schedule is
+validated and flattened once per distinct schedule
+(:meth:`Fabric.install_routes`, which :meth:`Fabric.configure_color`
+feeds), and a memory map is planned once and backed by one PE-major
+block for the whole PE rectangle (:meth:`Fabric.install_memory`).  What
+is left per PE is what differs per PE.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.wse.dsd import DsdEngine
 from repro.wse.geometry import in_bounds
-from repro.wse.memory import Scratchpad, WSE2_PE_MEMORY_BYTES
+from repro.wse.memory import MemoryPlan, Scratchpad, WSE2_PE_MEMORY_BYTES
 from repro.wse.pe import ProcessingElement
-from repro.wse.router import RoutePosition, Router
+from repro.wse.router import RoutePosition, Router, prepare_route
 
 __all__ = ["Fabric", "WSE2_MAX_FABRIC"]
 
 #: Largest usable fabric on CS-2 with SDK 0.6.0 (Sec. 7.1): a thin layer
 #: of boundary PEs is reserved by the SDK.
 WSE2_MAX_FABRIC = (750, 994)
+
+
+def _position_key(position: RoutePosition) -> tuple:
+    """Hashable identity of one switch position (output ports may come
+    as any sequence)."""
+    return tuple([(port, tuple(outs)) for port, outs in position.items()])
 
 
 class Fabric:
@@ -160,16 +175,81 @@ class Fabric:
             Optional callback choosing the initial switch position per
             router (default 0).
         """
-        for coord, router in self._routers.items():
+        classes: list[tuple[list[RoutePosition], int]] = []
+        index: dict[tuple, int] = {}
+        assignment: list[int] = []
+        for coord in self._routers:
             positions = positions_for(coord)
             if positions is None:
+                assignment.append(-1)
                 continue
             initial = initial_for(coord) if initial_for is not None else 0
-            router.configure(color, positions, initial=initial)
+            key = (initial, *map(_position_key, positions))
+            idx = index.get(key)
+            if idx is None:
+                idx = index[key] = len(classes)
+                classes.append((positions, initial))
+            assignment.append(idx)
+        self.install_routes(color, classes, assignment)
+
+    def install_routes(
+        self,
+        color: int,
+        classes: Sequence[tuple[list[RoutePosition], int]],
+        assignment: Sequence[int],
+        *,
+        allow_loops: bool = False,
+    ) -> None:
+        """Install routing for *color* from a class table.
+
+        Parameters
+        ----------
+        classes:
+            The distinct ``(switch positions, initial position)``
+            schedules of the color; each is validated and flattened once.
+        assignment:
+            Row-major, one entry per router: an index into *classes*, or
+            ``-1`` to leave that router unconfigured — the layout of a
+            :class:`~repro.ir.schema.FabricProgramIR` route table.
+        allow_loops:
+            See :func:`~repro.wse.router.prepare_route`.
+        """
+        if len(assignment) != self.num_pes:
+            raise ValueError(
+                f"assignment has {len(assignment)} entries for a fabric "
+                f"of {self.num_pes} PEs"
+            )
+        prepared: dict[int, tuple] = {}  # classes in use, prepared once
+        for router, idx in zip(self._routers.values(), assignment):
+            if idx < 0:
+                continue
+            pair = prepared.get(idx)
+            if pair is None:
+                positions, initial = classes[idx]
+                pair = prepared[idx] = prepare_route(
+                    color, positions, initial, allow_loops=allow_loops
+                )
+            router.install(color, *pair)
+
+    def install_memory(
+        self, plan: MemoryPlan, coords: Iterable[tuple[int, int]]
+    ) -> dict[str, np.ndarray]:
+        """Give the PEs at *coords* the memory map *plan*, backed by one
+        PE-major block.
+
+        Returns ``name -> (n_pes, *shape)`` views over the block, entry
+        ``i`` being the array of the ``i``-th coordinate — the arrays a
+        program binds, and the handle for filling static data fabric-wide.
+        """
+        memories = [self._pes[coord].memory for coord in coords]
+        block = plan.block(len(memories))
+        for memory, row in zip(memories, block):
+            memory.adopt(plan, row)
+        return plan.columns(block)
 
     def bind_all(self, color: int, handler, *, control: bool = False) -> None:
         """Bind the same task *handler* to *color* on every PE."""
-        for pe in self.pes():
+        for pe in self._pes.values():
             if control:
                 pe.bind_control(color, handler)
             else:

@@ -16,6 +16,17 @@ packed int ``(color << PORT_SHIFT) | in_port`` (ports fit in 3 bits).
 Each color's positions are also pre-flattened once at configure time, so
 :meth:`Router.advance` only pops the outgoing position's few keys and
 bulk-inserts the incoming one — no per-advance rebuild.
+
+A fabric has a handful of router roles per color (Sec. 5.2: seed edge,
+even and odd distance from it; one static position per diagonal), so a
+switch schedule is validated and flattened once per *class*
+(:func:`prepare_route`) and installed on every router of the class
+(:meth:`Router.install`).  Class-mates share the flattened positions,
+which nothing writes after they are built; each router owns what can
+change under it — its :class:`ColorConfig` (the ``positions`` a fault or
+a test may edit in place, and the current ``position``) and its
+``table``.  :meth:`Router.refresh` replaces the shared flattening with a
+private one, so an edit on one router never reaches another.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.wse.geometry import Port
 
-__all__ = ["Router", "ColorConfig", "RoutePosition", "PORT_SHIFT"]
+__all__ = ["Router", "ColorConfig", "RoutePosition", "PORT_SHIFT", "prepare_route"]
 
 #: One routing table: input port -> tuple of output ports.
 RoutePosition = dict[Port, tuple[Port, ...]]
@@ -80,6 +91,30 @@ def _flatten(color: int, positions: list[RoutePosition]) -> list[_FlatPosition]:
     ]
 
 
+def prepare_route(
+    color: int,
+    positions: list[RoutePosition],
+    initial: int = 0,
+    *,
+    allow_loops: bool = False,
+) -> tuple[ColorConfig, list[_FlatPosition]]:
+    """Validate and flatten one switch schedule of *color*, once.
+
+    Returns the ``(template, flat)`` pair :meth:`Router.install` takes.
+    ``allow_loops`` admits a port that forwards to itself — for the
+    verifier, which must rebuild exactly what a captured IR says, bad
+    routes included; the schedule's shape (at least one position, an
+    initial position in range) is checked either way.
+    """
+    positions = list(positions)
+    if allow_loops:
+        template = ColorConfig([{} for _ in positions], initial)
+        template.positions[:] = positions
+    else:
+        template = ColorConfig(positions, initial)
+    return template, _flatten(color, positions)
+
+
 @dataclass(slots=True)
 class Router:
     """The router of one PE.
@@ -121,13 +156,29 @@ class Router:
         initial: int = 0,
     ) -> None:
         """Install the switch positions of *color* on this router."""
+        self.install(color, *prepare_route(color, positions, initial))
+
+    def install(
+        self, color: int, template: ColorConfig, flat: list[_FlatPosition]
+    ) -> None:
+        """Install a schedule prepared by :func:`prepare_route`.
+
+        *flat* is shared with every router the pair is installed on and
+        is only ever read; the router's own :class:`ColorConfig` copies
+        the template's positions, so they can be edited in place here
+        (followed by :meth:`refresh`) without touching a class-mate.
+        """
         if color in self.configs:
             raise ValueError(
                 f"router {self.coord}: color {color} already configured"
             )
-        cfg = ColorConfig(list(positions), initial)
-        self.configs[color] = cfg
-        flat = self._flat[color] = _flatten(color, cfg.positions)
+        # the template was validated once for the whole class: copy it
+        # field by field rather than through the checking constructor
+        cfg = self.configs[color] = object.__new__(ColorConfig)
+        cfg.positions = list(map(dict, template.positions))
+        cfg.position = template.position
+        cfg.initial = template.initial
+        self._flat[color] = flat
         self.table.update(flat[cfg.position])
 
     def _refresh(self, color: int, cfg: ColorConfig) -> None:

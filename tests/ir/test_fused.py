@@ -141,6 +141,31 @@ class TestLoweringGuards:
         with pytest.raises(ValueError, match="mesh"):
             lower_to_fused(ir, CartesianMesh3D(3, 3, 4), FluidProperties())
 
+    def test_an_ir_for_other_bypassed_columns_is_rejected_at_lowering(self):
+        """Same fabric width, another column out of service: the IR's
+        routes would land one column off and the run would fail late
+        with `PE (0, 0): received 2 neighbour columns, expected 3`."""
+        from repro.dataflow.mapping import SpareColumnRemap
+
+        mesh = CartesianMesh3D(5, 4, 3)
+        ir = derive_ir(mesh, remap=SpareColumnRemap(5, 4, 6, (0, 1, 2, 4, 5)))
+        with pytest.raises(
+            ValueError,
+            match=r"IR mismatch on bypassed columns: program has \[2\], "
+            r"IR says \[3\]",
+        ):
+            lower_to_event(
+                ir, mesh, FluidProperties(),
+                remap=SpareColumnRemap(5, 4, 6, (0, 1, 3, 4, 5)),
+            )
+        # an IR whose two remap blocks disagree is caught by the other one
+        ir.doc["fabric"]["bypass_columns"] = [2]
+        with pytest.raises(ValueError, match="IR mismatch on remap column map"):
+            lower_to_event(
+                ir, mesh, FluidProperties(),
+                remap=SpareColumnRemap(5, 4, 6, (0, 1, 3, 4, 5)),
+            )
+
 
 def _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, pressures):
     """One fused batch under ``errstate(all="raise")`` against one event

@@ -118,6 +118,39 @@ class TestTable:
                     )
         assert offenders == []
 
+    @pytest.mark.parametrize("side", [24, 48])
+    def test_event_lowering_is_by_class_not_by_pe(self, side):
+        """A set-up budget with no clock in it: Python frames entered
+        while `lower_to_event` runs, per PE.  The parent of PR 22 spent
+        322 (one `alloc_array` per PE per name, one `route_for` ->
+        `configure` round trip per router per color); planning memory
+        once and installing route classes leaves ~37, the same at both
+        sizes.  A per-PE-per-name or per-router-per-color Python loop
+        that comes back costs >= 8 per PE each and lands over 100."""
+        import sys
+
+        import repro.dataflow.driver  # noqa: F401  lower_to_event's lazy import
+        from repro.core import Transmissibility
+        from repro.ir import derive_ir
+        from repro.ir.lower import lower_to_event
+
+        mesh = make_geomodel(side, side, 8, kind="lognormal", seed=7)
+        trans, ir = Transmissibility(mesh), derive_ir(mesh)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            drv = lower_to_event(ir, mesh, FLUID, trans)
+        finally:
+            sys.setprofile(previous)
+        release(drv)
+        assert calls <= 100 * side * side, f"{calls / side / side:.0f} per PE"
+
     def test_event_takes_a_remap(self):
         """``remap`` reaches both ``derive_ir`` and the fabric: a program
         laid out around a bypassed column is bit-identical to the plain

@@ -4,7 +4,7 @@ import pytest
 
 from repro.wse.color import MAX_ROUTABLE_COLORS, ColorAllocator
 from repro.wse.geometry import Port
-from repro.wse.router import ColorConfig, Router
+from repro.wse.router import PORT_SHIFT, ColorConfig, Router, prepare_route
 
 
 class TestColorAllocator:
@@ -149,3 +149,52 @@ class TestRouter:
         seen[0][Port.RAMP] = (Port.SOUTH,)  # copies: live config untouched
         assert r.routes(2, Port.RAMP) == (Port.EAST,)
         assert r.positions_of(99) == []
+
+
+class TestPreparedRoutes:
+    """`prepare_route` + `Router.install`: what `configure` does, split
+    so a whole class of routers pays for validation and flattening once."""
+
+    POSITIONS = [{Port.RAMP: (Port.EAST,)}, {Port.WEST: (Port.RAMP, Port.EAST)}]
+
+    def test_install_equals_configure(self):
+        one, other = Router(coord=(0, 0)), Router(coord=(0, 0))
+        one.configure(3, self.POSITIONS, initial=1)
+        other.install(3, *prepare_route(3, self.POSITIONS, 1))
+        assert one == other
+        assert one.table == other.table == {
+            (3 << PORT_SHIFT) | Port.WEST: (Port.RAMP, Port.EAST)
+        }
+        assert other.configs[3].initial == 1
+
+    def test_one_pair_serves_many_routers(self):
+        pair = prepare_route(0, self.POSITIONS)
+        routers = [Router(coord=(x, 0)) for x in range(3)]
+        for router in routers:
+            router.install(0, *pair)
+        routers[0].advance(0)
+        assert [r.position(0) for r in routers] == [1, 0, 0]
+        # a refresh re-flattens privately; the shared pair is untouched
+        routers[1].configs[0].positions[0][Port.RAMP] = (Port.SOUTH,)
+        routers[1].refresh(0)
+        assert routers[1].routes(0, Port.RAMP) == (Port.SOUTH,)
+        assert routers[2].routes(0, Port.RAMP) == (Port.EAST,)
+        assert pair[0].positions == self.POSITIONS
+        assert pair[1][0] == {Port.RAMP: (Port.EAST,)}
+
+    def test_configure_copies_the_callers_positions(self):
+        positions = [{Port.RAMP: (Port.EAST,)}]
+        router = Router(coord=(0, 0))
+        router.configure(0, positions)
+        positions[0][Port.WEST] = (Port.RAMP,)
+        router.refresh(0)
+        assert router.routes(0, Port.WEST) == ()
+
+    def test_loops_only_on_request(self):
+        loop = [{Port.EAST: (Port.EAST,)}]
+        with pytest.raises(ValueError, match="routing loop"):
+            prepare_route(0, loop)
+        template, flat = prepare_route(0, loop, allow_loops=True)
+        assert template.positions == loop and flat == [{Port.EAST: (Port.EAST,)}]
+        with pytest.raises(ValueError, match="at least one switch position"):
+            prepare_route(0, [], allow_loops=True)
