@@ -116,7 +116,7 @@ class FluxScratch:
         """Scratch views matching *target*.
 
         1D scratch is sliced to the target length (per-PE kernels); higher
-        dimensional scratch (the lockstep whole-fabric simulator) must
+        dimensional scratch (the fused backend's batched slabs) must
         already match the target shape exactly.
         """
         if self.dp.shape == target.shape:
@@ -148,6 +148,13 @@ def compute_face_flux_column(
 
     All arrays must be element-aligned views of length ``n``; *residual*
     is updated in place with ``r += F_KL``.
+
+    The branch is chosen by **object identity**: ``z_l is z_k`` selects
+    the collapsed X-Y sequence (1 subtract, 3 multiplies), anything else
+    the full one (2 subtracts, 7 multiplies) — same observable bytes,
+    seven more passes.  A caller whose neighbours share the elevation
+    column must pass the same view object twice; two equal slices of one
+    array are two objects and take the full path.
 
     The numpy operations issued are exactly the ones the
     :class:`~repro.wse.dsd.DsdEngine` instruction methods issue, in the

@@ -16,64 +16,32 @@ Per application the phases mirror Sec. 5:
    the partial fluxes on arrival;
 3. diagonal exchange: the same for the four two-hop flows (two hops of
    link traffic per word, one FMOV at the target).
+
+Every phase streams the halo-padded flat layout of
+:mod:`repro.dataflow.padded` (shared with the fused backend): per
+connection one halo copy of the shifted ``(p, rho)`` spans and one
+kernel call on contiguous spans from the first interior cell to the
+last, X-Y faces on the kernel's collapsed branch.  With ``inf`` / ``NaN``
+pressure cells, a cell whose per-face residual is finite keeps its bytes
+and a non-finite one stays non-finite: a halo face contributes
+``+-inf * 0 = NaN`` only to a cell whose real faces are non-finite
+already.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import (
-    CARDINAL_XY,
-    DIAGONAL_XY,
-    Connection,
-    interior_slices,
-)
+from repro.core.stencil import CARDINAL_XY, DIAGONAL_XY, Connection
 from repro.core.transmissibility import Transmissibility
-from repro.dataflow.flux_pe import (
-    FluxScratch,
-    compute_face_flux_column,
-    evaluate_density_column,
-)
-from repro.dataflow.program import padded_trans_fields
+from repro.dataflow.flux_pe import compute_face_flux_column
+from repro.dataflow.padded import LockstepReport, LockstepRunResult, PaddedFlatLayout
 from repro.obs.spans import span
-from repro.wse.dsd import DsdEngine
 
 __all__ = ["LockstepWseSimulation", "LockstepReport", "LockstepRunResult"]
-
-
-@dataclass
-class LockstepReport:
-    """Aggregate accounting of a lockstep run."""
-
-    applications: int
-    instruction_counts: dict[str, int]
-    flops: int
-    fabric_words_received: int
-    fabric_word_hops: int
-    compute_cycles: float
-
-    def as_metrics(self) -> dict:
-        """Counters as a plain dict for the obs metrics registry."""
-        return asdict(self)
-
-
-@dataclass
-class LockstepRunResult:
-    """Outcome of :meth:`LockstepWseSimulation.run`: the last residual
-    plus the simulation's accounting so far."""
-
-    residual: np.ndarray
-    applications: int
-    report: LockstepReport
-
-    def as_metrics(self) -> dict:
-        """The report's counters (obs metrics registry shape)."""
-        return self.report.as_metrics()
 
 
 class LockstepWseSimulation:
@@ -102,23 +70,6 @@ class LockstepWseSimulation:
         self.gravity = float(gravity)
         self.dtype = np.dtype(dtype)
         self.compute_fluxes = compute_fluxes
-        if trans is None:
-            trans = Transmissibility(mesh, dtype=dtype)
-        elif trans.mesh is not mesh:
-            raise ValueError("trans was built for a different mesh")
-        self.trans_fields = padded_trans_fields(mesh, trans, dtype)
-        self.engine = DsdEngine(vectorized=vectorized)
-        shape = mesh.shape_zyx
-        self._rho = np.zeros(shape, self.dtype)
-        self._residual = np.zeros(shape, self.dtype)
-        self._halo = np.zeros((2,) + shape, self.dtype)  # shared (p, rho) window
-        self._scratch_full = tuple(np.zeros(shape, self.dtype) for _ in range(4))
-        self._select = np.zeros(shape, f"u{self.dtype.itemsize}")
-        self._elev = np.ascontiguousarray(mesh.elevation, dtype=self.dtype)
-        self._inv_mu = 1.0 / fluid.viscosity
-        self._applications = 0
-        self._fabric_word_hops = 0
-        self._words_per_element = max(1, self.dtype.itemsize // 4)
         #: The :class:`~repro.ir.schema.FabricProgramIR` this simulation
         #: was lowered from (:func:`repro.ir.lower.lower_to_lockstep`), or
         #: None when built directly.
@@ -138,90 +89,86 @@ class LockstepWseSimulation:
         #: every (pressure, residual) application pair.
         self.record = record
 
-    # ------------------------------------------------------------------ #
-    def _scratch_for(self, local) -> FluxScratch:
-        a, b, c, d = self._scratch_full
-        return FluxScratch(
-            a[local], b[local], c[local], d[local], sel=self._select[local]
+        self._layout = layout = PaddedFlatLayout(
+            mesh, fluid, trans, self.dtype, self.exchange_plan, gravity=gravity,
+            vectorized=vectorized, compute_fluxes=compute_fluxes, halo_copies=True,
         )
+        self.engine = layout.engine
+        self.trans_fields = layout.trans_fields
+        lanes = layout.elevation.size
+        # halo pressure stays the finite reference pressure: halo lanes
+        # compute finite zeros through their zero-Upsilon faces
+        self._p = p = np.full(lanes, fluid.reference_pressure, self.dtype)
+        self._pressure = layout.interior(p)
+        self._rho = rho = np.zeros(lanes, self.dtype)
+        self._residual = residual = np.zeros(lanes, self.dtype)
+        select = np.zeros(lanes, f"u{self.dtype.itemsize}")
+        scratch = (*np.zeros((4, lanes), self.dtype), select)
 
+        #: kernel operands of UP/DOWN, in place over the whole planes
+        #: that have the neighbour
+        self._vertical = []
+        for conn in (Connection.UP, Connection.DOWN):
+            lo, count = layout.vertical_span(conn, 0, mesh.nz)
+            if count > 0:
+                operands = layout.operands(conn, lo, count, scratch, p, rho)
+                self._vertical.append(operands + (residual[lo : lo + count],))
+        #: the shared (p, rho) halo window, aligned with the cells an X-Y
+        #: sweep covers: the first interior cell to the last
+        here = slice(layout.edge, lanes - layout.edge)
+        self._halo = halo_p, halo_rho = np.zeros((2, lanes), self.dtype)[:, here]
+        #: per phase and connection: (neighbour p, neighbour rho, kernel
+        #: operands); the kernel reads the neighbour from the halo window
+        self._phases = []
+        for conns, _hops, phase in self.exchange_plan:
+            moves = []
+            for conn in conns:
+                cut, p_k, p_l, z_k, z_l, rho_k, rho_l, ups = layout.operands(
+                    conn, here.start, here.stop - here.start, scratch, p, rho
+                )
+                kernel = cut, p_k, halo_p, z_k, z_l, rho_k, halo_rho, ups
+                moves.append((p_l, rho_l, kernel + (residual[here],)))
+            self._phases.append((phase, moves))
+
+    # ------------------------------------------------------------------ #
     def run_application(self, pressure: np.ndarray) -> np.ndarray:
         """One application of Algorithm 1; returns the residual field."""
-        mesh = self.mesh
-        mesh.validate_field(pressure, name="pressure")
-        p = np.ascontiguousarray(pressure, dtype=self.dtype)
-        shape = mesh.shape_zyx
-        engine = self.engine
+        self.mesh.validate_field(pressure, name="pressure")
+        layout = self._layout
+        # the kernels sweep padded lanes; layout.book() has the true counts
+        engine, kernel = layout.swept, layout.kernel
+        halo_p, halo_rho = self._halo
+        self._pressure[...] = pressure  # cast into the padded buffer's interior
         self._residual.fill(0.0)
 
         with span("lockstep.application", backend="lockstep"):
             # Phase 1: local work on every PE (Eq. 5 + vertical fluxes)
             with span("lockstep.local"):
-                evaluate_density_column(
-                    engine,
-                    p,
-                    self._rho,
-                    compressibility=self.fluid.compressibility,
-                    reference_density=self.fluid.reference_density,
-                    reference_pressure=self.fluid.reference_pressure,
-                )
+                layout.density(self._p, self._rho)
                 if self.compute_fluxes:
-                    for conn in (Connection.UP, Connection.DOWN):
-                        local, neigh = interior_slices(shape, conn)
-                        compute_face_flux_column(
-                            engine,
-                            self._scratch_for(local),
-                            p[local],
-                            p[neigh],
-                            self._elev[local],
-                            self._elev[neigh],
-                            self._rho[local],
-                            self._rho[neigh],
-                            self.trans_fields[conn][local],
-                            self._residual[local],
-                            gravity=self.gravity,
-                            inv_viscosity=self._inv_mu,
-                        )
+                    for operands in self._vertical:
+                        compute_face_flux_column(engine, *operands, **kernel)
 
             # Phases 2-3: fabric exchanges (cardinal 1 hop, diagonal 2)
-            for conns, hops, phase in self.exchange_plan:
+            for phase, moves in self._phases:
                 with span(phase):
-                    for conn in conns:
-                        local, neigh = interior_slices(shape, conn)
-                        halo_p = self._halo[0][local]
-                        halo_rho = self._halo[1][local]
-                        engine.fmovs(halo_p, p[neigh], from_fabric=True)
-                        engine.fmovs(halo_rho, self._rho[neigh], from_fabric=True)
-                        words = 2 * halo_p.size * self._words_per_element
-                        self._fabric_word_hops += words * hops
+                    for p_l, rho_l, operands in moves:
+                        engine.fmovs(halo_p, p_l, from_fabric=True)
+                        engine.fmovs(halo_rho, rho_l, from_fabric=True)
                         if self.compute_fluxes:
-                            compute_face_flux_column(
-                                engine,
-                                self._scratch_for(local),
-                                p[local],
-                                halo_p,
-                                self._elev[local],
-                                self._elev[local],
-                                self._rho[local],
-                                halo_rho,
-                                self.trans_fields[conn][local],
-                                self._residual[local],
-                                gravity=self.gravity,
-                                inv_viscosity=self._inv_mu,
-                            )
+                            compute_face_flux_column(engine, *operands, **kernel)
+            layout.book(1)
 
-        self._applications += 1
+        residual = layout.interior(self._residual).copy()
         if self.record is not None:
-            self.record.record_step(pressure, self._residual)
-        return self._residual.copy()
+            self.record.record_step(pressure, residual)
+        return residual
 
     def run(self, pressures) -> LockstepRunResult:
         """Run one application per field; ``.residual`` is the last one's."""
-        residual = None
-        applications = 0
-        for pressure in pressures:
+        residual, applications = None, 0
+        for applications, pressure in enumerate(pressures, 1):
             residual = self.run_application(pressure)
-            applications += 1
         if residual is None:
             raise ValueError("no pressure fields supplied")
         return LockstepRunResult(residual, applications, self.report())
@@ -229,12 +176,4 @@ class LockstepWseSimulation:
     # ------------------------------------------------------------------ #
     def report(self) -> LockstepReport:
         """Accounting accumulated since construction."""
-        return LockstepReport(
-            applications=self._applications,
-            instruction_counts=dict(self.engine.counts),
-            flops=self.engine.flops,
-            fabric_words_received=self.engine.fabric_loads
-            * self._words_per_element,
-            fabric_word_hops=self._fabric_word_hops,
-            compute_cycles=self.engine.cycles,
-        )
+        return self._layout.report()

@@ -51,14 +51,18 @@ two properties:
   included, as the event backend's ``r += F`` sees it.
 
 Fabric traffic is accounted arithmetically from the IR's exchange plan
-(2·nz words per face, 1 hop cardinal / 2 hops diagonal) — no halo
-copies are performed, which is also where the throughput win over the
-lockstep simulator comes from.
+(2·nz words per face, 1 hop cardinal / 2 hops diagonal); no halo copies
+are performed.  That is not a throughput win over lockstep any more:
+lockstep sweeps this layout too (:mod:`repro.dataflow.padded` states it
+for both) and reads 30 against fused's 27-28 Mcell/s in the ledger at
+48x48x16 (it read 8.4 on strided 3-D views).  Its twenty halo copies
+per application cost less than fused's contribution buffers and masked
+fold passes, which buy the event fold class's bytes, not speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,18 +71,13 @@ from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import Connection
 from repro.core.transmissibility import Transmissibility
-from repro.dataflow.flux_pe import (
-    DENSITY_EXP_CYCLES_PER_ELEMENT,
-    FluxScratch,
-    compute_face_flux_column,
-    evaluate_density_column,
-    store_face_flux_column,
-)
-from repro.dataflow.program import padded_trans_fields
+from repro.dataflow.flux_pe import compute_face_flux_column, store_face_flux_column
+from repro.dataflow.padded import LockstepReport as FusedReport
+from repro.dataflow.padded import LockstepRunResult as FusedRunResult
+from repro.dataflow.padded import PaddedFlatLayout
 from repro.ir.schema import KIND_PROGRAM, FabricProgramIR
 from repro.ir.schedule import fold_program, schedule_classes
 from repro.obs.spans import span
-from repro.wse.dsd import DsdEngine
 
 __all__ = ["FusedFluxComputation", "FusedReport", "FusedRunResult"]
 
@@ -91,35 +90,6 @@ _SLAB_ELEMENTS = 1 << 16
 
 _and = np.bitwise_and
 _add = np.add
-
-
-@dataclass
-class FusedReport:
-    """Aggregate accounting of a fused run (lockstep-report shape)."""
-
-    applications: int
-    instruction_counts: dict[str, int]
-    flops: int
-    fabric_words_received: int
-    fabric_word_hops: int
-    compute_cycles: float
-
-    def as_metrics(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class FusedRunResult:
-    """Result of one fused run."""
-
-    residual: np.ndarray
-    applications: int
-    report: FusedReport
-    residuals: list | None = None
-
-    def as_metrics(self) -> dict:
-        """The driver's accounting so far (obs metrics registry shape)."""
-        return self.report.as_metrics()
 
 
 class FusedFluxComputation:
@@ -153,50 +123,16 @@ class FusedFluxComputation:
         self._vectorized = ir.vectorized
         self.compute_fluxes = params["compute_fluxes"]
 
-        if trans is None:
-            trans = Transmissibility(mesh, dtype=self.dtype)
-        elif trans.mesh is not mesh:
-            raise ValueError("trans was built for a different mesh")
-        self.engine = DsdEngine(vectorized=self._vectorized)
-        #: books the padded lanes the kernels sweep, and is never read:
-        #: run() books the true face and cell counts on ``engine``
-        self._lanes = DsdEngine(vectorized=self._vectorized)
-        _scalar = self.dtype.type
-        self._inv_viscosity = _scalar(1.0 / fluid.viscosity)
-        self._gravity = _scalar(gravity)
-        self._words_per_element = max(1, self.dtype.itemsize // 4)
-        self._applications = 0
-        self._fabric_loads = 0
-        self._fabric_word_hops = 0
-
-        # x/y-halo-padded flat layout: cell (z, y, x) sits at
-        # z*plane + (y+1)*row + (x+1), so a connection is the constant
-        # flat shift dz*plane + dy*row + dx.  Halo faces get zero Upsilon:
-        # halo lanes compute finite zeros no fold mask selects.
-        nz, ny, nx = mesh.shape_zyx
-        row, plane = nx + 2, (ny + 2) * (nx + 2)
-        self._padded_shape = (nz, ny + 2, row)
-
-        elev = np.zeros(self._padded_shape, self.dtype)
-        elev[:, 1:-1, 1:-1] = mesh.elevation
-        self._elev_flat = elev.ravel()
-        self._trans_flat = {
-            conn: field.ravel()
-            for conn, field in padded_trans_fields(
-                mesh, trans, self.dtype, xy_halo=1
-            ).items()
-        }
-        self.trans_fields = {
-            conn: _interior(field, self._padded_shape)
-            for conn, field in self._trans_flat.items()
-        }
-        #: per connection: its constant flat neighbour shift and the
-        #: true faces among the padded lanes the kernels sweep
-        self._shifts, self._faces = {}, {}
-        for conn in Connection:
-            dx, dy, dz = conn.offset
-            self._shifts[conn] = dz * plane + dy * row + dx
-            self._faces[conn] = (nz - abs(dz)) * (ny - abs(dy)) * (nx - abs(dx))
+        #: the shared padded flat layout (repro.dataflow.padded): halo
+        #: faces get zero Upsilon, so halo lanes compute finite zeros no
+        #: fold mask selects; it books true counts, the kernels sweep lanes
+        self._layout = layout = PaddedFlatLayout(
+            mesh, fluid, trans, self.dtype, ir.exchange_plan, gravity=gravity,
+            vectorized=self._vectorized, compute_fluxes=self.compute_fluxes,
+            halo_copies=False,
+        )
+        self.engine = layout.engine
+        self.trans_fields = layout.trans_fields
         self._workspace: _Workspace | None = None
 
         # the fold schedule is a derived annotation: it amortizes like a
@@ -210,7 +146,7 @@ class FusedFluxComputation:
                 vectorized=self._vectorized,
             )
             #: the fold program, plane-periodic and batch-independent
-            self._fold = _fold_steps(classes, (ny + 2, row), self.dtype)
+            self._fold = _fold_steps(classes, layout.padded_shape[1:], self.dtype)
         ir.annotate(
             "fold_schedule",
             [
@@ -229,9 +165,8 @@ class FusedFluxComputation:
         for field in fields:
             mesh.validate_field(field, name="pressure")
         batch = len(fields)
-        swept = self._lanes
-        cells = mesh.nx * mesh.ny * mesh.nz
-        kernel = {"gravity": self._gravity, "inv_viscosity": self._inv_viscosity}
+        layout = self._layout
+        swept, kernel = layout.swept, layout.kernel
 
         with span("fused.run", backend="fused", applications=batch):
             ws = self._workspace
@@ -245,14 +180,7 @@ class FusedFluxComputation:
             residual = np.zeros_like(ws.p)
 
             with span("fused.local"):
-                evaluate_density_column(
-                    swept,
-                    ws.p,
-                    ws.rho,
-                    compressibility=self.fluid.compressibility,
-                    reference_density=self.fluid.reference_density,
-                    reference_pressure=self.fluid.reference_pressure,
-                )
+                layout.density(ws.p, ws.rho)
             for slab in ws.slabs:
                 if self.compute_fluxes:
                     with span("fused.local"):
@@ -272,10 +200,9 @@ class FusedFluxComputation:
                     for contribution, mask, words, masked in slab.fold:
                         _and(contribution, mask, words)
                         _add(target, masked, target)
-            self._book(batch, cells)
-            residual = _interior(residual, self._padded_shape)
+            layout.book(batch)
+            residual = layout.interior(residual)
 
-        self._applications += batch
         if self.record is not None:
             for i, field in enumerate(fields):
                 self.record.record_step(field, residual[i])
@@ -290,36 +217,10 @@ class FusedFluxComputation:
             residuals=residuals,
         )
 
-    def _book(self, batch: int, cells: int) -> None:
-        """One batch at its true cell and face counts (the kernels swept
-        padded slabs); traffic from the IR's exchange plan."""
-        engine, faces = self.engine, self._faces
-        engine.aux(
-            "FEXP", cells * batch, cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT
-        )
-        if self.compute_fluxes:
-            for conn in (Connection.UP, Connection.DOWN):
-                engine.account_flux_column(faces[conn] * batch)
-        for connections, hops, _phase in self.ir.exchange_plan:
-            for conn in connections:
-                if self.compute_fluxes:
-                    engine.account_flux_column(faces[conn] * batch)
-                words = 2 * faces[conn] * batch
-                self._fabric_loads += words
-                self._fabric_word_hops += words * self._words_per_element * hops
-
     # ------------------------------------------------------------------ #
     def report(self) -> FusedReport:
         """Accounting accumulated since construction."""
-        return FusedReport(
-            applications=self._applications,
-            instruction_counts=dict(self.engine.counts),
-            flops=self.engine.flops,
-            fabric_words_received=self._fabric_loads
-            * self._words_per_element,
-            fabric_word_hops=self._fabric_word_hops,
-            compute_cycles=self.engine.cycles,
-        )
+        return self._layout.report()
 
 
 class _Workspace:
@@ -345,8 +246,8 @@ class _Workspace:
 
     def __init__(self, fused: FusedFluxComputation, batch: int) -> None:
         dtype = fused.dtype
-        nz, rows, row = fused._padded_shape
-        plane, edge = rows * row, row + 1
+        layout = fused._layout
+        nz, plane, edge = layout.padded_shape[0], layout.plane, layout.edge
         self.batch = batch
         # whole planes per slab, and never more scratch than the block
         depth = max(1, min(nz, _SLAB_ELEMENTS // (batch * plane)))
@@ -354,7 +255,7 @@ class _Workspace:
             (batch, nz * plane), fused.fluid.reference_pressure, dtype
         )
         self.rho = rho = np.empty_like(p)
-        self.pressure = _interior(p, fused._padded_shape)
+        self.pressure = layout.interior(p)
         xy = [
             conn
             for connections, _hops, _phase in fused.ir.exchange_plan
@@ -381,23 +282,7 @@ class _Workspace:
         ]
 
         def operands(conn, lo, lanes):
-            """The kernel's operands up to its target, *lanes* from *lo*."""
-            shift = fused._shifts[conn]
-            here, there = slice(lo, lo + lanes), slice(lo + shift, lo + shift + lanes)
-            # X-Y neighbours share the elevation column: same view object
-            # twice -> collapsed branch, exactly like the event receive task
-            z_k = fused._elev_flat[here]
-            z_l = fused._elev_flat[there] if conn.is_vertical else z_k
-            return (
-                FluxScratch(*(x[..., :lanes] for x in (dp, gz, a, b, sel))),
-                p[:, here],
-                p[:, there],
-                z_k,
-                z_l,
-                rho[:, here],
-                rho[:, there],
-                fused._trans_flat[conn][here],
-            )
+            return layout.operands(conn, lo, lanes, (dp, gz, a, b, sel), p, rho)
 
         folds: dict[int, list] = {}  # by lanes: only the last slab may be short
         self.slabs = []
@@ -406,12 +291,8 @@ class _Workspace:
             lo, lanes = z0 * plane, (z1 - z0) * plane
             vertical = []
             for conn in (Connection.UP, Connection.DOWN):
-                # the slab's cells that have this neighbour; it may sit
-                # in the plane next to the slab
-                dz = conn.offset[2]
-                first, last = max(z0, -dz), min(z1, nz - dz)
-                if first < last:
-                    at, n = first * plane, (last - first) * plane
+                at, n = layout.vertical_span(conn, z0, z1)
+                if n > 0:
                     vertical.append((operands(conn, at, n), slice(at, at + n)))
             # X-Y sweeps run from the slab's first interior cell to its last
             horizontal = [
@@ -437,11 +318,6 @@ class _Slab:
     horizontal: list
     #: (contribution words, lane mask, masked words, masked) per fold step
     fold: list
-
-
-def _interior(flat: np.ndarray, padded_shape: tuple[int, int, int]) -> np.ndarray:
-    """The real cells of a halo-padded flat array, as a ``(..., nz, ny, nx)`` view."""
-    return flat.reshape(flat.shape[:-1] + padded_shape)[..., 1:-1, 1:-1]
 
 
 def _check_ir_lowerable(

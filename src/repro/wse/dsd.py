@@ -157,6 +157,11 @@ class DsdEngine:
         )
         self.cycles += 14 * per_elem * n
 
+    def account_fabric_moves(self, n: int) -> None:
+        """Book what ``fmovs(dst, src, from_fabric=True)`` books for an
+        *n*-element destination, without moving anything."""
+        self._tally("FMOV", n)
+
     @staticmethod
     def _check_dst(dst: np.ndarray) -> int:
         if not isinstance(dst, np.ndarray):
