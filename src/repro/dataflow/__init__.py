@@ -2,7 +2,8 @@
 
 Maps the 3D mesh cell-based onto the 2D PE grid (Z columns in PE memory),
 exchanges neighbour columns through the two-step cardinal switch protocol
-and the two-hop diagonal flows, and computes fluxes in DSD instructions
+and the two-hop diagonal flows (one :class:`ColumnExchange`, shared with
+the wave and matrix-free programs), and computes fluxes in DSD instructions
 as data arrives.  Runs on :mod:`repro.wse` event-driven (small fabrics,
 full protocol) or lockstep-vectorized (large fabrics, same numerics).
 """
@@ -21,6 +22,7 @@ __getattr__, __dir__ = lazy_exports(
         "diagonal": ("DIAGONAL_CHANNELS", "DiagonalChannel", "static_position"),
         "codegen": ("generate_listing",),
         "driver": ("WseFluxComputation", "WseRunResult"),
+        "exchange": ("ColumnExchange",),
         "flux_pe": (
             "FluxScratch",
             "compute_face_flux_column",
@@ -54,6 +56,7 @@ __all__ = [
     "WseRunResult",
     "FluxProgram",
     "padded_trans_fields",
+    "ColumnExchange",
     "LockstepWseSimulation",
     "LockstepReport",
     "LockstepRunResult",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.core.transmissibility import Transmissibility
@@ -124,9 +123,13 @@ class WseRunResult:
 class WseFluxComputation:
     """Distributed TPFA flux computation on the simulated WSE.
 
-    Parameters mirror :class:`~repro.dataflow.program.FluxProgram`; see
-    that class for the meaning of ``reuse_buffers``, ``vectorized``,
-    ``compute_fluxes`` (comm-only mode), and the memory knobs.
+    Names what the driver consumes itself — the perf model and the
+    sinks threaded into its runtime (``trace``, ``faults``,
+    ``watchdog_cycles``, ``record``); every other keyword goes to
+    :class:`~repro.dataflow.program.FluxProgram`, which documents
+    ``dtype``, ``reuse_buffers``, ``vectorized``, ``compute_fluxes``
+    (comm-only mode), ``remap``, ``ir`` and the memory knobs and rejects
+    an unknown one.
 
     Examples
     --------
@@ -144,42 +147,17 @@ class WseFluxComputation:
         fluid: FluidProperties,
         trans: Transmissibility | None = None,
         *,
-        gravity: float = constants.GRAVITY,
-        dtype=np.float32,
-        reuse_buffers: bool = True,
-        vectorized: bool = True,
-        compute_fluxes: bool = True,
-        overlap_compute: bool = True,
         perf: WsePerfModel = WSE2,
-        pe_memory_bytes: int | None = None,
-        pe_memory_reserved: int = 2048,
         trace: bool = False,
         trace_capacity: int | None = 1024,
-        remap=None,
         faults=None,
         watchdog_cycles: float | None = None,
         record=None,
-        ir=None,
+        **program_options,
     ) -> None:
-        kwargs = dict(
-            mesh=mesh,
-            fluid=fluid,
-            trans=trans,
-            gravity=gravity,
-            dtype=dtype,
-            reuse_buffers=reuse_buffers,
-            vectorized=vectorized,
-            compute_fluxes=compute_fluxes,
-            overlap_compute=overlap_compute,
-            pe_memory_reserved=pe_memory_reserved,
-            remap=remap,
-            ir=ir,
-        )
-        if pe_memory_bytes is not None:
-            kwargs["pe_memory_bytes"] = pe_memory_bytes
-        self.program = FluxProgram(**kwargs)
+        self.program = FluxProgram(mesh, fluid, trans, **program_options)
         #: The IR the program was lowered from (None: self-derived).
-        self.ir = ir
+        self.ir = self.program.ir
         self.mesh = mesh
         self.perf = perf
         self.trace = trace
@@ -211,7 +189,7 @@ class WseFluxComputation:
         keep_all:
             Keep every application's residual (memory permitting).
         """
-        program = self.program
+        program, exchange = self.program, self.program.exchange
         program.fabric.reset_counters()
         total_cycles = 0.0
         applications = 0
@@ -235,10 +213,10 @@ class WseFluxComputation:
                     rt.reset()
                 with span("wse.load_pressure"):
                     program.load_pressure(np.ascontiguousarray(pressure))
-                program.begin_application(rt)
+                exchange.begin(rt)
                 with span("wse.drain_events"):
                     rt.run()
-                program.verify_deliveries()
+                exchange.verify()
                 total_cycles += rt.now
                 applications += 1
                 totals.merge(rt.stats)
@@ -252,8 +230,6 @@ class WseFluxComputation:
                 )
                 if keep_all:
                     residuals.append(residual.copy())
-                for pe in program.fabric.pes():
-                    pe.busy_until = 0.0
         if applications == 0:
             raise ValueError("no pressure fields supplied")
         fabric = program.fabric

@@ -6,10 +6,12 @@ solve equation (2). ... the availability of a performant matrix-free FV
 operator on the Cerebras architecture will be an important step."
 
 This module builds that operator: the Jacobian action ``J @ v`` runs as
-a distributed fabric program with the *same communication pattern* as
-the flux kernel — each PE holds its Z column of ``v`` plus the
-precomputed per-face derivative columns, exchanges ``v`` with its eight
-X-Y neighbours over the cardinal/diagonal channels, and accumulates
+a distributed fabric program with the *same communication machinery* as
+the flux kernel (:class:`~repro.dataflow.exchange.ColumnExchange`,
+installing the flux program's route tables) — each PE holds its Z column
+of ``v`` plus the precomputed per-face derivative columns, exchanges
+``v`` with its eight X-Y neighbours over the cardinal/diagonal channels,
+and accumulates
 
     (J v)_K = A_K v_K - sum_L (dF/dp_K v_K + dF/dp_L v_L)
 
@@ -26,22 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.stencil import (
-    ALL_CONNECTIONS,
-    Connection,
-    XY_CONNECTIONS,
-    interior_slices,
-    opposite,
-)
-from repro.dataflow.cardinal import (
-    CARDINAL_CHANNELS,
-    is_step1_sender,
-    switch_positions_for,
-)
-from repro.dataflow.diagonal import DIAGONAL_CHANNELS, static_position
-from repro.wse.color import ColorAllocator
+from repro.core.mesh import CartesianMesh3D
+from repro.core.stencil import ALL_CONNECTIONS, Connection, opposite
+from repro.dataflow.exchange import ColumnExchange
+from repro.ir.builder import derive_ir
 from repro.wse.fabric import Fabric
-from repro.wse.packet import KIND_CONTROL
 from repro.wse.runtime import EventRuntime
 
 __all__ = ["WseMatrixFreeJacobian"]
@@ -97,36 +88,25 @@ class WseMatrixFreeJacobian:
             self._diag[neigh] += dl
             self._offd[opposite(conn)][neigh] += dk
 
-        # --- fabric setup: the flux kernel's channels, verbatim -------
-        self.fabric = Fabric(self.mesh.nx, self.mesh.ny)
-        self.colors = ColorAllocator()
-        self._card_color = {}
-        self._diag_color = {}
-        w, h = self.fabric.width, self.fabric.height
-        for channel in CARDINAL_CHANNELS:
-            color = self.colors.allocate(channel.name)
-            self._card_color[channel] = color
-            self.fabric.configure_color(
-                color,
-                lambda c, _ch=channel: switch_positions_for(c, _ch, w, h)[0],
-                initial_for=lambda c, _ch=channel: switch_positions_for(
-                    c, _ch, w, h
-                )[1],
-            )
-        for channel in DIAGONAL_CHANNELS:
-            color = self.colors.allocate(channel.name)
-            self._diag_color[channel] = color
-            pos = static_position(channel)
-            self.fabric.configure_color(color, lambda c, _p=pos: [_p])
-
-        for pe in self.fabric.pes():
-            x, y = pe.coord
+        # --- fabric setup: the flux kernel's channels and route tables,
+        # verbatim (only the X-Y footprint shapes them: one layer stands
+        # for the column) -----------------------------------------------
+        nx, ny = self.mesh.nx, self.mesh.ny
+        self.fabric = Fabric(nx, ny)
+        self.exchange = ColumnExchange(
+            self.fabric,
+            nx,
+            ny,
+            start=self._start_pe,
+            payload=lambda pe: pe.state["v"],
+            on_data=self._on_data,
+            ir=derive_ir(CartesianMesh3D(nx, ny, 1)),
+        )
+        self.colors = self.exchange.colors
+        for x, y, pe in self.exchange.pes:
             mem = pe.memory
-            pe.state["v"] = mem.alloc_array("v", nz, np.float64)
-            pe.state["out"] = mem.alloc_array("out", nz, np.float64)
-            pe.state["recv"] = mem.alloc_array("recv", nz, np.float64)
-            pe.state["tmp"] = mem.alloc_array("tmp", nz, np.float64)
-            pe.state["diag"] = mem.alloc_array("diag", nz, np.float64)
+            for name in ("v", "out", "recv", "tmp", "diag"):
+                pe.state[name] = mem.alloc_array(name, nz, np.float64)
             pe.state["diag"][:] = self._diag[:, y, x]
             offd = {}
             for conn in ALL_CONNECTIONS:
@@ -134,60 +114,17 @@ class WseMatrixFreeJacobian:
                 col[:] = self._offd[conn][:, y, x]
                 offd[conn] = col
             pe.state["offd"] = offd
-            pe.state["expected"] = sum(
-                1
-                for conn in XY_CONNECTIONS
-                if self.fabric.contains(
-                    (x + conn.offset[0], y + conn.offset[1])
-                )
-            )
-        self._bind_tasks()
         self.matvec_count = 0
         self.total_device_cycles = 0.0
 
     # ------------------------------------------------------------------ #
-    def _bind_tasks(self) -> None:
-        for channel in CARDINAL_CHANNELS:
-            color = self._card_color[channel]
-            self.fabric.bind_all(
-                color,
-                lambda rt, pe, msg, _c=channel.delivers: self._on_data(pe, msg, _c),
-            )
-            self.fabric.bind_all(
-                color,
-                lambda rt, pe, msg, _ch=channel: self._maybe_send(rt, pe, _ch),
-                control=True,
-            )
-        for channel in DIAGONAL_CHANNELS:
-            color = self._diag_color[channel]
-            self.fabric.bind_all(
-                color,
-                lambda rt, pe, msg, _c=channel.delivers: self._on_data(pe, msg, _c),
-            )
-
     def _on_data(self, pe, msg, conn: Connection) -> None:
         recv, tmp, out = pe.state["recv"], pe.state["tmp"], pe.state["out"]
         pe.dsd.fmovs(recv, msg.payload, from_fabric=True)
         pe.dsd.fmuls(tmp, recv, pe.state["offd"][conn])
         pe.dsd.fadds(out, out, tmp)
-        pe.state["received"] = pe.state.get("received", 0) + 1
 
-    def _maybe_send(self, rt, pe, channel) -> None:
-        color = self._card_color[channel]
-        sent = pe.state.setdefault("sent", set())
-        if color in sent:
-            return
-        sent.add(color)
-        at = rt.pe_send_time(pe)
-        rt.inject(pe.coord, color, pe.state["v"], at=at)
-        rt.inject(pe.coord, color, kind=KIND_CONTROL, at=at)
-
-    def _start_pe(self, rt, pe) -> None:
-        start = max(rt.now, pe.busy_until)
-        before = pe.dsd.cycles
-        pe.exec_start = start
-        pe.cycles_at_start = before
-
+    def _start_pe(self, pe) -> None:
         v, out, tmp = pe.state["v"], pe.state["out"], pe.state["tmp"]
         offd = pe.state["offd"]
         nz = self.mesh.nz
@@ -199,15 +136,6 @@ class WseMatrixFreeJacobian:
             pe.dsd.fmuls(tmp[1:], v[: nz - 1], offd[Connection.DOWN][1:])
             pe.dsd.fadds(out[1:], out[1:], tmp[1:])
 
-        at = rt.pe_send_time(pe)
-        for channel in DIAGONAL_CHANNELS:
-            rt.inject(pe.coord, self._diag_color[channel], v, at=at)
-        w, h = self.fabric.width, self.fabric.height
-        for channel in CARDINAL_CHANNELS:
-            if is_step1_sender(pe.coord, channel, w, h):
-                self._maybe_send(rt, pe, channel)
-        pe.busy_until = start + (pe.dsd.cycles - before)
-
     # ------------------------------------------------------------------ #
     @property
     def n(self) -> int:
@@ -217,27 +145,13 @@ class WseMatrixFreeJacobian:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``J @ v`` computed by one fabric communication round."""
         v3 = np.asarray(v, dtype=np.float64).reshape(self.mesh.shape_zyx)
-        for pe in self.fabric.pes():
-            x, y = pe.coord
+        for x, y, pe in self.exchange.pes:
             pe.state["v"][:] = v3[:, y, x]
-            pe.state["sent"] = set()
-            pe.state["received"] = 0
-        rt = EventRuntime(self.fabric)
-        for pe in self.fabric.pes():
-            rt.schedule(0.0, lambda _pe=pe, _rt=rt: self._start_pe(_rt, _pe))
-        rt.run()
+        self.total_device_cycles += self.exchange.run(EventRuntime(self.fabric))
         out = np.zeros(self.mesh.shape_zyx)
-        for pe in self.fabric.pes():
-            if pe.state["received"] != pe.state["expected"]:
-                raise RuntimeError(
-                    f"PE {pe.coord}: {pe.state['received']} of "
-                    f"{pe.state['expected']} v-columns arrived"
-                )
-            x, y = pe.coord
+        for x, y, pe in self.exchange.pes:
             out[:, y, x] = pe.state["out"]
-            pe.busy_until = 0.0
         self.matvec_count += 1
-        self.total_device_cycles += rt.now
         return out.reshape(np.asarray(v).shape)
 
     def diagonal(self) -> np.ndarray:

@@ -3,14 +3,15 @@
 This module translates the paper's Sec. 5 into an executable fabric
 configuration:
 
-* allocates the twelve routable colors (4 cardinal channels with switch
-  positions, 4 diagonal channels with static two-hop routes, Sec. 5.2);
+* configures the eight routable colors (4 cardinal channels with switch
+  positions, 4 diagonal channels with static two-hop routes, Sec. 5.2)
+  through the shared :class:`~repro.dataflow.exchange.ColumnExchange`;
 * builds every PE's memory layout (Sec. 5.1) and fills the static data
   (elevation column, 10 transmissibility columns);
-* binds the data/control tasks implementing receive-compute overlap: a
-  partial flux computation runs immediately when a neighbour's column
-  arrives ("the corresponding flux computation will occur immediately in
-  an asynchronous fashion", Sec. 5.2.1).
+* supplies the exchange's three physics hooks, implementing
+  receive-compute overlap: a partial flux computation runs immediately
+  when a neighbour's column arrives ("the corresponding flux computation
+  will occur immediately in an asynchronous fashion", Sec. 5.2.1).
 """
 
 from __future__ import annotations
@@ -24,18 +25,11 @@ from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import (
     ALL_CONNECTIONS,
-    XY_CONNECTIONS,
     Connection,
     interior_slices,
 )
 from repro.core.transmissibility import Transmissibility
-from repro.dataflow.cardinal import (
-    CARDINAL_CHANNELS,
-    CardinalChannel,
-    is_step1_sender,
-    switch_positions_for,
-)
-from repro.dataflow.diagonal import DIAGONAL_CHANNELS, DiagonalChannel, static_position
+from repro.dataflow.exchange import ColumnExchange
 from repro.dataflow.flux_pe import compute_face_flux_column, evaluate_density_column
 from repro.dataflow.halos import TRANS_NAMES, PEColumnLayout
 from repro.dataflow.mapping import SpareColumnRemap
@@ -43,15 +37,9 @@ from repro.obs.spans import span
 from repro.wse.color import ColorAllocator
 from repro.wse.fabric import Fabric
 from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
-from repro.wse.packet import KIND_CONTROL
 from repro.wse.pe import ProcessingElement
-from repro.wse.runtime import EventRuntime
 
 __all__ = ["FluxProgram", "padded_trans_fields"]
-
-#: ``(dx, dy)`` of the eight X-Y neighbours (``Connection.offset`` goes
-#: through two enum descriptors; this is read per PE at set-up).
-_XY_OFFSETS = tuple(conn.offset[:2] for conn in XY_CONNECTIONS)
 
 
 def padded_trans_fields(
@@ -135,6 +123,8 @@ class FluxProgram:
     #: of re-derived, after validating the IR describes this program.
     ir: object | None = None
     fabric: Fabric = field(init=False)
+    #: The Sec. 5.2 neighbour protocol: colors, routes, tasks, rounds.
+    exchange: ColumnExchange = field(init=False)
     colors: ColorAllocator = field(init=False)
 
     def __post_init__(self) -> None:
@@ -170,9 +160,6 @@ class FluxProgram:
             vectorized=self.vectorized,
             bypass_columns=bypass,
         )
-        self.colors = ColorAllocator()
-        self._card_color: dict[CardinalChannel, int] = {}
-        self._diag_color: dict[DiagonalChannel, int] = {}
         if self.ir is not None:
             self._validate_ir(self.ir)
         # scalar kernel parameters pre-cast to the PE dtype: the ufuncs
@@ -182,28 +169,24 @@ class FluxProgram:
         self._gravity = _scalar(self.gravity)
         with span("program.build", cat="build",
                   fabric=f"{self.mesh.nx}x{self.mesh.ny}"):
+            self.exchange = ColumnExchange(
+                self.fabric,
+                self.mesh.nx,
+                self.mesh.ny,
+                start=self._start_pe,
+                payload=self._send_train,
+                on_data=self._receive_neighbour,
+                ir=self.ir,
+                remap=self.remap,
+            )
+            self.colors = self.exchange.colors
             with span("program.memory", cat="build"):
                 self._setup_memory()
-            with span("program.routing", cat="build"):
-                self._setup_routing()
-            with span("program.tasks", cat="build"):
-                self._setup_tasks()
 
-    # ------------------------------------------------------------------ #
     def program_pes(self):
-        """The PEs running the program as ``(lx, ly, pe)`` triples.
-
-        Iterates *logical* coordinates in row-major order — the same
-        order as ``fabric.pes()`` on a healthy fabric — so injection and
-        scheduling sequence numbers (and therefore event order and
-        summation order) are independent of any spare-column remap.
-        """
-        remap = self.remap
-        pes = self.fabric.pe_map
-        for ly in range(self.mesh.ny):
-            for lx in range(self.mesh.nx):
-                coord = (lx, ly) if remap is None else remap.physical((lx, ly))
-                yield lx, ly, pes[coord]
+        """The PEs running the program as ``(lx, ly, pe)`` triples, in
+        *logical* row-major order (see ``ColumnExchange.pes``)."""
+        return iter(self.exchange.pes)
 
     # ------------------------------------------------------------------ #
     # IR lowering (repro.ir)
@@ -225,22 +208,12 @@ class FluxProgram:
         if (self.remap is None) != (ir.remap is None):
             raise ValueError("IR and program disagree on spare-column remap")
         params = ir.params
+        in_params = ("reuse_buffers", "overlap_compute", "compute_fluxes")
+        on_fabric = ("vectorized", "pe_memory_bytes", "pe_memory_reserved")
         checks = (
             ("dtype", np.dtype(self.dtype).name, params["dtype"]),
-            ("reuse_buffers", self.reuse_buffers, params["reuse_buffers"]),
-            (
-                "overlap_compute",
-                self.overlap_compute,
-                params["overlap_compute"],
-            ),
-            ("compute_fluxes", self.compute_fluxes, params["compute_fluxes"]),
-            ("vectorized", self.vectorized, ir.vectorized),
-            ("pe_memory_bytes", self.pe_memory_bytes, ir.pe_memory_bytes),
-            (
-                "pe_memory_reserved",
-                self.pe_memory_reserved,
-                ir.pe_memory_reserved,
-            ),
+            *((key, getattr(self, key), params[key]) for key in in_params),
+            *((key, getattr(self, key), getattr(ir, key)) for key in on_fabric),
             ("fabric width", self.fabric.width, ir.width),
             ("fabric height", self.fabric.height, ir.height),
             # same width, other columns out of service: every route and
@@ -263,29 +236,6 @@ class FluxProgram:
                     f"IR says {theirs!r}"
                 )
 
-    def _setup_routing_from_ir(self) -> None:
-        """Install switch schedules from the IR's route tables.
-
-        The color allocation order is cross-checked against the IR's
-        color table — a program and its IR must agree on ids, or the
-        receiver sets would silently describe different channels.
-        """
-        ir = self.ir
-        for channel in (*CARDINAL_CHANNELS, *DIAGONAL_CHANNELS):
-            color = self.colors.allocate(channel.name)
-            if color != ir.color_id(channel.name):
-                raise ValueError(
-                    f"IR color table maps {channel.name!r} to "
-                    f"{ir.color_id(channel.name)}, allocator assigned "
-                    f"{color}"
-                )
-            if isinstance(channel, CardinalChannel):
-                self._card_color[channel] = color
-            else:
-                self._diag_color[channel] = color
-
-            self.fabric.install_routes(color, *ir.route_table(color))
-
     # ------------------------------------------------------------------ #
     # Memory (Sec. 5.1)
     # ------------------------------------------------------------------ #
@@ -295,131 +245,36 @@ class FluxProgram:
         The layout is planned once, on a probe scratchpad, and installed
         on every program PE over one PE-major block; static data is
         written a column of the block at a time.  Per PE only the views
-        are bound and the per-PE facts recorded.
+        are bound.
         """
         mesh = self.mesh
-        w, h = mesh.nx, mesh.ny
         probe = Scratchpad(self.pe_memory_bytes, reserved=self.pe_memory_reserved)
         PEColumnLayout.build(
             probe, mesh.nz, dtype=self.dtype, reuse_buffers=self.reuse_buffers
         )
-        program_pes = list(self.program_pes())
+        program_pes = self.exchange.pes
         columns = self.fabric.install_memory(
             probe.plan(), [pe.coord for _x, _y, pe in program_pes]
         )
-        # block row i is the PE of logical cell (i % w, i // w): a
+        # block row i is the PE of logical cell (i % nx, i // nx): a
         # (nz, ny, nx) field becomes its rows by flattening (y, x)
         columns["z"][:] = mesh.elevation.reshape(mesh.nz, -1).T
         trans_fields = padded_trans_fields(mesh, self.trans, self.dtype)
         for conn, name in TRANS_NAMES.items():
             columns[name][:] = trans_fields[conn].reshape(mesh.nz, -1).T
-
-        def step1_senders(channel) -> set:
-            if self.ir is not None:
-                return self.ir.injector_coords(channel.name)
-            return {
-                pe.coord
-                for x, y, pe in program_pes
-                if is_step1_sender((x, y), channel, w, h)
-            }
-
-        senders = [(ch, step1_senders(ch)) for ch in CARDINAL_CHANNELS]
         names = list(columns)
-        for (x, y, pe), *arrays in zip(program_pes, *columns.values()):
+        for (_x, _y, pe), *arrays in zip(program_pes, *columns.values()):
             layout = PEColumnLayout.bind(
                 dict(zip(names, arrays)), reuse_buffers=self.reuse_buffers
             )
-            state = pe.state
-            state["logical"] = (x, y)
-            state["layout"] = layout
-            state["expected"] = self._expected_messages(x, y)
+            pe.state["layout"] = layout
             # per-halo kernel arguments resolved once: the receive task
             # runs per message and every dict/method hop shows up there
-            state["halo_args"] = layout.halo_args()
-            state["step1_channels"] = [
-                ch for ch, coords in senders if pe.coord in coords
-            ]
-
-    def _expected_messages(self, x: int, y: int) -> int:
-        """Data messages the PE at *logical* ``(x, y)`` receives per
-        application: one per in-bounds X-Y neighbour (Sec. 5.2 a-b)."""
-        nx, ny = self.mesh.nx, self.mesh.ny
-        count = 0
-        for dx, dy in _XY_OFFSETS:
-            if 0 <= x + dx < nx and 0 <= y + dy < ny:
-                count += 1
-        return count
+            pe.state["halo_args"] = layout.halo_args()
 
     # ------------------------------------------------------------------ #
-    # Routing (Sec. 5.2, Figs. 5-6)
+    # The exchange's physics hooks
     # ------------------------------------------------------------------ #
-    def _setup_routing(self) -> None:
-        if self.ir is not None:
-            self._setup_routing_from_ir()
-            return
-        # switch positions are a function of the *logical* coordinate —
-        # bypassed columns are latency-transparent wires, so a remapped
-        # router behaves exactly like the logical router it hosts
-        w, h = self.mesh.nx, self.mesh.ny
-        remap = self.remap
-
-        def logical_of(coord):
-            if remap is None:
-                return coord
-            return remap.logical(coord)
-
-        for channel in CARDINAL_CHANNELS:
-            color = self.colors.allocate(channel.name)
-            self._card_color[channel] = color
-
-            def positions_for(coord, _ch=channel):
-                lcoord = logical_of(coord)
-                if lcoord is None:
-                    return None
-                positions, _ = switch_positions_for(lcoord, _ch, w, h)
-                return positions
-
-            def initial_for(coord, _ch=channel):
-                _, initial = switch_positions_for(logical_of(coord), _ch, w, h)
-                return initial
-
-            self.fabric.configure_color(
-                color, positions_for, initial_for=initial_for
-            )
-        for channel in DIAGONAL_CHANNELS:
-            color = self.colors.allocate(channel.name)
-            self._diag_color[channel] = color
-            position = static_position(channel)
-            self.fabric.configure_color(
-                color,
-                lambda coord, _p=position: (
-                    [_p] if logical_of(coord) is not None else None
-                ),
-            )
-
-    # ------------------------------------------------------------------ #
-    # Tasks
-    # ------------------------------------------------------------------ #
-    def _setup_tasks(self) -> None:
-        for channel in CARDINAL_CHANNELS:
-            color = self._card_color[channel]
-
-            def on_data(rt, pe, msg, _conn=channel.delivers):
-                self._receive_neighbour(pe, msg, _conn)
-
-            def on_ctrl(rt, pe, msg, _ch=channel):
-                self._maybe_send(rt, pe, _ch)
-
-            self.fabric.bind_all(color, on_data)
-            self.fabric.bind_all(color, on_ctrl, control=True)
-        for channel in DIAGONAL_CHANNELS:
-            color = self._diag_color[channel]
-
-            def on_data(rt, pe, msg, _conn=channel.delivers):
-                self._receive_neighbour(pe, msg, _conn)
-
-            self.fabric.bind_all(color, on_data)
-
     def _receive_neighbour(
         self, pe: ProcessingElement, msg, conn: Connection
     ) -> None:
@@ -431,13 +286,22 @@ class FluxProgram:
         """
         state = pe.state
         layout = state["layout"]
-        # (recv_flat, p_L, rho_L, trans) resolved once at setup
-        recv_flat, p_l, rho_l, trans_col = state["halo_args"][conn]
-        pe.dsd.fmovs(recv_flat, msg.payload, from_fabric=True)
-        state["received"] = state.get("received", 0) + 1
+        # (recv_flat, p_L, rho_L, trans) per halo, resolved once at setup
+        halo_args = state["halo_args"]
+        pe.dsd.fmovs(halo_args[conn][0], msg.payload, from_fabric=True)
         if not self.compute_fluxes:
             return
         if self.overlap_compute:
+            ready = (conn,)
+        else:
+            # deferred: every halo stays resident until the last arrival
+            ready = state.setdefault("pending_halos", [])
+            ready.append(conn)
+            if state["received"] != state["expected"]:
+                return
+            state["pending_halos"] = []
+        for halo in ready:
+            _, p_l, rho_l, trans_col = halo_args[halo]
             compute_face_flux_column(
                 pe.dsd,
                 layout.scratch,
@@ -452,81 +316,17 @@ class FluxProgram:
                 gravity=self._gravity,
                 inv_viscosity=self._inv_viscosity,
             )
-        else:
-            state.setdefault("pending_halos", []).append(conn)
-            if state["received"] == state["expected"]:
-                for pending in state["pending_halos"]:
-                    self._neighbour_flux(pe, layout, pending)
-                state["pending_halos"] = []
 
-    def _neighbour_flux(self, pe: ProcessingElement, layout, conn: Connection) -> None:
-        """The partial flux for one received halo."""
-        _, p_l, rho_l, trans_col = pe.state["halo_args"][conn]
-        compute_face_flux_column(
-            pe.dsd,
-            layout.scratch,
-            layout.pressure,
-            p_l,
-            layout.elevation,
-            layout.elevation,  # X-Y neighbours share the elevation column
-            layout.density,
-            rho_l,
-            trans_col,
-            layout.residual,
-            gravity=self._gravity,
-            inv_viscosity=self._inv_viscosity,
-        )
+    def _send_train(self, pe: ProcessingElement) -> np.ndarray:
+        """The outgoing ``(p, rho)`` train (staged, and costed, per send
+        without buffer reuse)."""
+        return pe.state["layout"].send_train_flat(pe.dsd)
 
-    def _maybe_send(
-        self, rt: EventRuntime, pe: ProcessingElement, channel: CardinalChannel
-    ) -> None:
-        """Transmit this PE's column on *channel* once per application."""
-        color = self._card_color[channel]
-        sent = pe.state["sent"]  # created by begin_application
-        if color in sent:
-            return
-        sent.add(color)
+    def _start_pe(self, pe: ProcessingElement) -> None:
+        """What opens an application of Algorithm 1 on one PE: zero the
+        residual, evaluate the density column (Eq. 5) and compute the two
+        vertical (in-memory) flux directions."""
         layout = pe.state["layout"]
-        payload = layout.send_train_flat(pe.dsd)
-        at = rt.pe_send_time(pe)
-        rt.inject(pe.coord, color, payload, at=at)
-        rt.inject(pe.coord, color, kind=KIND_CONTROL, at=at)
-
-    # ------------------------------------------------------------------ #
-    # Per-application driver hooks
-    # ------------------------------------------------------------------ #
-    def load_pressure(self, pressure: np.ndarray) -> None:
-        """Host memcpy of a new pressure field into PE memories.
-
-        Not part of device time (the paper reports device-only timing,
-        Sec. 7.2).
-        """
-        self.mesh.validate_field(pressure, name="pressure")
-        for x, y, pe in self.program_pes():
-            layout = pe.state["layout"]
-            layout.pressure[:] = pressure[:, y, x]
-
-    def begin_application(self, rt: EventRuntime) -> None:
-        """Schedule one application of Algorithm 1 on runtime *rt*.
-
-        Every PE zeroes its residual, evaluates its density column
-        (Eq. 5), computes the two vertical (in-memory) flux directions,
-        then starts communicating: all diagonal flows plus the step-1
-        cardinal senders.  Step-2 senders are triggered by the control
-        wavelets of the switch protocol.
-        """
-        for _x, _y, pe in self.program_pes():
-            pe.state["sent"] = set()
-            pe.state["received"] = 0
-            rt.schedule(0.0, self._start_pe, rt, pe)
-
-    def _start_pe(self, rt: EventRuntime, pe: ProcessingElement) -> None:
-        layout = pe.state["layout"]
-        start = max(rt.now, pe.busy_until)
-        before = pe.dsd.cycles
-        pe.exec_start = start
-        pe.cycles_at_start = before
-
         layout.residual.fill(0.0)
         evaluate_density_column(
             pe.dsd,
@@ -539,74 +339,53 @@ class FluxProgram:
         if self.compute_fluxes:
             self._vertical_fluxes(pe, layout)
 
-        # diagonal flows: every PE is a source (Fig. 5b, step 1.b)
-        at = rt.pe_send_time(pe)
-        payload = layout.send_train_flat(pe.dsd)
-        for channel in DIAGONAL_CHANNELS:
-            rt.inject(pe.coord, self._diag_color[channel], payload, at=at)
-        # cardinal step-1 senders (Fig. 6b, step 1; resolved at setup)
-        for channel in pe.state["step1_channels"]:
-            self._maybe_send(rt, pe, channel)
-        pe.busy_until = start + (pe.dsd.cycles - before)
-
     def _vertical_fluxes(self, pe: ProcessingElement, layout) -> None:
         """UP and DOWN fluxes: same-PE memory, no fabric traffic (Sec. 5.2c)."""
         nz = layout.nz
         if nz < 2:
             return
         p, rho, z = layout.pressure, layout.density, layout.elevation
-        compute_face_flux_column(
-            pe.dsd,
-            layout.scratch,
-            p[: nz - 1],
-            p[1:],
-            z[: nz - 1],
-            z[1:],
-            rho[: nz - 1],
-            rho[1:],
-            layout.trans[Connection.UP][: nz - 1],
-            layout.residual[: nz - 1],
-            gravity=self._gravity,
-            inv_viscosity=self._inv_viscosity,
-        )
-        compute_face_flux_column(
-            pe.dsd,
-            layout.scratch,
-            p[1:],
-            p[: nz - 1],
-            z[1:],
-            z[: nz - 1],
-            rho[1:],
-            rho[: nz - 1],
-            layout.trans[Connection.DOWN][1:],
-            layout.residual[1:],
-            gravity=self._gravity,
-            inv_viscosity=self._inv_viscosity,
-        )
+        lower, upper = slice(0, nz - 1), slice(1, nz)
+        # the same face seen from either side: each cell, then its neighbour
+        for conn, own, other in (
+            (Connection.UP, lower, upper),
+            (Connection.DOWN, upper, lower),
+        ):
+            compute_face_flux_column(
+                pe.dsd,
+                layout.scratch,
+                p[own],
+                p[other],
+                z[own],
+                z[other],
+                rho[own],
+                rho[other],
+                layout.trans[conn][own],
+                layout.residual[own],
+                gravity=self._gravity,
+                inv_viscosity=self._inv_viscosity,
+            )
 
     # ------------------------------------------------------------------ #
+    # Per-application driver hooks
+    # ------------------------------------------------------------------ #
+    def load_pressure(self, pressure: np.ndarray) -> None:
+        """Host memcpy of a new pressure field into PE memories.
+
+        Not part of device time (the paper reports device-only timing,
+        Sec. 7.2).
+        """
+        self.mesh.validate_field(pressure, name="pressure")
+        for x, y, pe in self.exchange.pes:
+            layout = pe.state["layout"]
+            layout.pressure[:] = pressure[:, y, x]
+
     def gather_residual(self, out: np.ndarray | None = None) -> np.ndarray:
         """Collect every PE's residual column into a (nz, ny, nx) field."""
         if out is None:
             out = np.zeros(self.mesh.shape_zyx, dtype=self.dtype)
         else:
             self.mesh.validate_field(out, name="out")
-        for x, y, pe in self.program_pes():
+        for x, y, pe in self.exchange.pes:
             out[:, y, x] = pe.state["layout"].residual
         return out
-
-    def verify_deliveries(self) -> None:
-        """Assert every PE received exactly one message per X-Y neighbour.
-
-        Raises
-        ------
-        RuntimeError
-            On any lost or duplicated delivery (protocol bug).
-        """
-        for _x, _y, pe in self.program_pes():
-            got, want = pe.state.get("received", 0), pe.state["expected"]
-            if got != want:
-                raise RuntimeError(
-                    f"PE {pe.coord}: received {got} neighbour columns, "
-                    f"expected {want}"
-                )

@@ -176,7 +176,6 @@ class _Context:
     py: int
     watchdog_cycles: float
     steps: int
-    dt: float
 
     def __post_init__(self) -> None:
         self.fluid = FluidProperties()
@@ -476,6 +475,10 @@ def _par_hang_lease(ctx, name):
     return out
 
 
+#: Time step [s] of the solver checkpoint drill's implicit simulator.
+_SOLVER_DT = 3600.0
+
+
 def _solver_checkpoint_restart(ctx, name):
     from repro.solver import CheckpointStore, SinglePhaseFlowSimulator, Well
 
@@ -486,14 +489,14 @@ def _solver_checkpoint_restart(ctx, name):
 
     steps, crash_at = ctx.steps, ctx.steps // 2
     reference_sim = make_sim()
-    reference_sim.run(steps, ctx.dt)
+    reference_sim.run(steps, _SOLVER_DT)
     store = CheckpointStore(keep=2)
     victim = make_sim()
-    victim.run(crash_at, ctx.dt, checkpoint_store=store)
+    victim.run(crash_at, _SOLVER_DT, checkpoint_store=store)
     del victim  # the "crash": the process state is gone
     resumed = make_sim()
     resumed.restore(store.latest())
-    resumed.run(steps - crash_at, ctx.dt)
+    resumed.run(steps - crash_at, _SOLVER_DT)
     recovered = (
         resumed.pressure.tobytes() == reference_sim.pressure.tobytes()
         and resumed.time == reference_sim.time
@@ -761,7 +764,6 @@ def run_chaos(
     py: int = 2,
     watchdog_cycles: float = 20_000.0,
     steps: int = 4,
-    dt: float = 3600.0,
     only=None,
     postmortem_dir: str | None = None,
 ) -> ChaosReport:
@@ -797,7 +799,7 @@ def run_chaos(
     )
     ctx = _Context(
         plan, CartesianMesh3D(nx, ny, nz), px=px, py=py,
-        watchdog_cycles=watchdog_cycles, steps=steps, dt=dt,
+        watchdog_cycles=watchdog_cycles, steps=steps,
     )
     for name, row in _TABLE.items():
         if name in wanted and row.grows(ctx):

@@ -215,20 +215,16 @@ def probe_schedule(
         compute_fluxes=False,
     )
     orders: dict[tuple[int, int], list] = {}
-    original = program._receive_neighbour
+    exchange = program.exchange
+    on_data = exchange.on_data
 
     def capture(pe, msg, conn):
         orders.setdefault(pe.state["logical"], []).append(conn)
-        original(pe, msg, conn)
+        on_data(pe, msg, conn)
 
-    # instance-attribute override shadows the bound method: the receive
-    # tasks look up ``self._receive_neighbour`` at call time
-    program._receive_neighbour = capture
-    rt = EventRuntime(program.fabric, WSE2)
+    exchange.on_data = capture  # the receive tasks read it at call time
     program.load_pressure(np.zeros((1, ny, nx)))
-    program.begin_application(rt)
-    rt.run()
-    program.verify_deliveries()
+    exchange.run(EventRuntime(program.fabric, WSE2))
     return {
         coord: tuple(conn.name for conn in arrivals)
         for coord, arrivals in orders.items()

@@ -387,6 +387,10 @@ class ParClusterFluxComputation:
                         not self.respawn
                         or self._respawns >= self.max_respawns
                     ):
+                        # nobody will recover this pool: kill it now,
+                        # or close() waits out the teardown budget on
+                        # every survivor spinning on the dead peer's halo
+                        self._pool.terminate()
                         raise
                     self._respawn_pool(pending)
                     continue

@@ -2,9 +2,10 @@
 
 Demonstrates the paper's Sec. 8 claim in code: the flux kernel's
 communication machinery — the two-step cardinal switch protocol and the
-two-hop diagonal flows — is reused *unchanged* (same channel
-definitions, same router configurations) to drive a completely different
-physics kernel that also needs diagonal neighbour data.
+two-hop diagonal flows — is reused *unchanged* (the same
+:class:`~repro.dataflow.exchange.ColumnExchange`, installing the flux
+program's own route tables) to drive a completely different physics
+kernel that also needs diagonal neighbour data.
 
 Each PE owns a Z column of the wavefield.  Per time step it
 
@@ -23,16 +24,10 @@ import numpy as np
 
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import XY_CONNECTIONS, Connection
-from repro.dataflow.cardinal import (
-    CARDINAL_CHANNELS,
-    is_step1_sender,
-    switch_positions_for,
-)
-from repro.dataflow.diagonal import DIAGONAL_CHANNELS, static_position
+from repro.dataflow.exchange import ColumnExchange
+from repro.ir.builder import derive_ir
 from repro.wave.medium import TTIMedium, stencil_coefficients
-from repro.wse.color import ColorAllocator
 from repro.wse.fabric import Fabric
-from repro.wse.packet import KIND_CONTROL
 from repro.wse.runtime import EventRuntime
 
 __all__ = ["WseWavePropagator"]
@@ -73,72 +68,26 @@ class WseWavePropagator:
         self._source_amplitude = 0.0
 
         self.fabric = Fabric(mesh.nx, mesh.ny)
-        self.colors = ColorAllocator()
-        self._card_color = {}
-        self._diag_color = {}
-        self._setup_memory()
-        self._setup_routing()
-        self._setup_tasks()
-
-    # ------------------------------------------------------------------ #
-    def _setup_memory(self) -> None:
-        nz = self.mesh.nz
+        #: The flux kernel's channel set and route tables, verbatim
+        #: (Sec. 8 reuse claim).  Only the X-Y footprint shapes them, so
+        #: one layer stands for the column — the flux memory plan the IR
+        #: also carries is not this program's.
+        self.exchange = ColumnExchange(
+            self.fabric,
+            mesh.nx,
+            mesh.ny,
+            start=self._start_pe,
+            payload=lambda pe: pe.state["send_field"],
+            on_data=self._on_data,
+            ir=derive_ir(CartesianMesh3D(mesh.nx, mesh.ny, 1)),
+        )
+        self.colors = self.exchange.colors
         for pe in self.fabric.pes():
-            mem = pe.memory
-            pe.state["u_prev"] = mem.alloc_array("u_prev", nz, self.dtype)
-            pe.state["u_curr"] = mem.alloc_array("u_curr", nz, self.dtype)
-            pe.state["lap"] = mem.alloc_array("lap", nz, self.dtype)
-            pe.state["recv"] = mem.alloc_array("recv", nz, self.dtype)
-            pe.state["tmp"] = mem.alloc_array("tmp", nz, self.dtype)
-            pe.state["expected"] = self._expected(pe.coord)
-
-    def _expected(self, coord) -> int:
-        x, y = coord
-        count = 0
-        for conn in XY_CONNECTIONS:
-            dx, dy, _ = conn.offset
-            if self.fabric.contains((x + dx, y + dy)):
-                count += 1
-        return count
-
-    def _setup_routing(self) -> None:
-        """The flux kernel's channel set, verbatim (Sec. 8 reuse claim)."""
-        w, h = self.fabric.width, self.fabric.height
-        for channel in CARDINAL_CHANNELS:
-            color = self.colors.allocate(channel.name)
-            self._card_color[channel] = color
-            self.fabric.configure_color(
-                color,
-                lambda c, _ch=channel: switch_positions_for(c, _ch, w, h)[0],
-                initial_for=lambda c, _ch=channel: switch_positions_for(c, _ch, w, h)[1],
-            )
-        for channel in DIAGONAL_CHANNELS:
-            color = self.colors.allocate(channel.name)
-            self._diag_color[channel] = color
-            pos = static_position(channel)
-            self.fabric.configure_color(color, lambda c, _p=pos: [_p])
-
-    def _setup_tasks(self) -> None:
-        for channel in CARDINAL_CHANNELS:
-            color = self._card_color[channel]
-            self.fabric.bind_all(
-                color,
-                lambda rt, pe, msg, _c=channel.delivers: self._on_data(rt, pe, msg, _c),
-            )
-            self.fabric.bind_all(
-                color,
-                lambda rt, pe, msg, _ch=channel: self._maybe_send(rt, pe, _ch),
-                control=True,
-            )
-        for channel in DIAGONAL_CHANNELS:
-            color = self._diag_color[channel]
-            self.fabric.bind_all(
-                color,
-                lambda rt, pe, msg, _c=channel.delivers: self._on_data(rt, pe, msg, _c),
-            )
+            for name in ("u_prev", "u_curr", "lap", "recv", "tmp"):
+                pe.state[name] = pe.memory.alloc_array(name, mesh.nz, self.dtype)
 
     # ------------------------------------------------------------------ #
-    def _on_data(self, rt, pe, msg, conn: Connection) -> None:
+    def _on_data(self, pe, msg, conn: Connection) -> None:
         """Accumulate one neighbour's horizontal stencil contribution."""
         recv = pe.state["recv"]
         pe.dsd.fmovs(recv, msg.payload, from_fabric=True)
@@ -146,37 +95,20 @@ class WseWavePropagator:
         lap, tmp = pe.state["lap"], pe.state["tmp"]
         pe.dsd.fmuls(tmp, recv, a)
         pe.dsd.fadds(lap, lap, tmp)
-        pe.state["received"] = pe.state.get("received", 0) + 1
         if pe.state["received"] == pe.state["expected"]:
             self._finalize(pe)
 
-    def _maybe_send(self, rt, pe, channel) -> None:
-        color = self._card_color[channel]
-        sent = pe.state.setdefault("sent", set())
-        if color in sent:
-            return
-        sent.add(color)
-        at = rt.pe_send_time(pe)
-        # send the field captured at step start: a step-2 send may be
+    def _start_pe(self, pe) -> None:
+        """Local stencil parts of one step."""
+        u = pe.state["u_curr"]
+        # neighbours get the field captured here: a step-2 send may be
         # triggered *after* this PE already finalized its own update, and
         # the neighbour must see the pre-update field.  The captured
         # array is never written in place during the step, so sharing
         # the buffer with in-flight messages is safe (the same
         # discipline as the flux kernel's zero-copy send train).
-        rt.inject(pe.coord, color, pe.state["send_field"], at=at)
-        rt.inject(pe.coord, color, kind=KIND_CONTROL, at=at)
-
-    def _start_pe(self, rt, pe) -> None:
-        """Local stencil parts + kick off the exchange."""
-        start = max(rt.now, pe.busy_until)
-        before = pe.dsd.cycles
-        pe.exec_start = start
-        pe.cycles_at_start = before
-
-        u = pe.state["u_curr"]
         pe.state["send_field"] = u
-        lap = pe.state["lap"]
-        tmp = pe.state["tmp"]
+        lap, tmp = pe.state["lap"], pe.state["tmp"]
         lap.fill(0.0)
         nz = self.mesh.nz
         # vertical second derivative (in-memory neighbours)
@@ -202,25 +134,13 @@ class WseWavePropagator:
                 continue
             pe.dsd.fmacs(tmp, u, b, lap)
             pe.dsd.fmovs(lap, tmp)
-
-        # exchange (identical to the flux program's kickoff)
-        at = rt.pe_send_time(pe)
-        for channel in DIAGONAL_CHANNELS:
-            rt.inject(pe.coord, self._diag_color[channel], u, at=at)
-        w, h = self.fabric.width, self.fabric.height
-        for channel in CARDINAL_CHANNELS:
-            if is_step1_sender(pe.coord, channel, w, h):
-                self._maybe_send(rt, pe, channel)
-        pe.busy_until = start + (pe.dsd.cycles - before)
-        if pe.state["expected"] == 0:
+        if pe.state["expected"] == 0:  # a 1x1 fabric hears nothing
             self._finalize(pe)
 
     def _finalize(self, pe) -> None:
         """Complete the leapfrog update for this PE's column."""
-        u = pe.state["u_curr"]
-        u_prev = pe.state["u_prev"]
-        lap = pe.state["lap"]
-        tmp = pe.state["tmp"]
+        u, u_prev = pe.state["u_curr"], pe.state["u_prev"]
+        lap, tmp = pe.state["lap"], pe.state["tmp"]
         # u_next = 2 u - u_prev + scale * lap  (into u_prev's storage)
         pe.dsd.fmuls(tmp, u, 2.0)
         pe.dsd.fsubs(tmp, tmp, u_prev)
@@ -238,19 +158,7 @@ class WseWavePropagator:
     def step(self, source_amplitude: float = 0.0) -> None:
         """Advance one time step through the full fabric protocol."""
         self._source_amplitude = float(source_amplitude)
-        rt = EventRuntime(self.fabric)
-        for pe in self.fabric.pes():
-            pe.state["sent"] = set()
-            pe.state["received"] = 0
-            rt.schedule(0.0, lambda _pe=pe, _rt=rt: self._start_pe(_rt, _pe))
-        rt.run()
-        for pe in self.fabric.pes():
-            if pe.state["received"] != pe.state["expected"]:
-                raise RuntimeError(
-                    f"PE {pe.coord}: {pe.state['received']} of "
-                    f"{pe.state['expected']} neighbour columns arrived"
-                )
-            pe.busy_until = 0.0
+        self.exchange.run(EventRuntime(self.fabric))
         self.step_count += 1
 
     def run(self, wavelet: np.ndarray) -> np.ndarray:
@@ -262,7 +170,6 @@ class WseWavePropagator:
     def wavefield(self) -> np.ndarray:
         """Gather the current wavefield into a (nz, ny, nx) array."""
         out = np.zeros(self.mesh.shape_zyx, dtype=self.dtype)
-        for pe in self.fabric.pes():
-            x, y = pe.coord
+        for x, y, pe in self.exchange.pes:
             out[:, y, x] = pe.state["u_curr"]
         return out

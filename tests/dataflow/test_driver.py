@@ -126,7 +126,7 @@ class TestProtocolAccounting:
         assert result.fabric_word_hops <= expected + 4 * nx * ny * 4
 
     def test_exactly_once_delivery_enforced(self, fluid):
-        """verify_deliveries() is exercised on every run (protocol guard)."""
+        """exchange.verify() is exercised on every run (protocol guard)."""
         mesh = CartesianMesh3D(5, 5, 2)
         wse = WseFluxComputation(mesh, fluid, dtype=np.float32)
         wse.run_single(random_pressure(mesh, seed=0))
@@ -203,7 +203,7 @@ class TestCommOnlyMode:
         comm = WseFluxComputation(
             mesh, fluid, dtype=np.float32, compute_fluxes=False
         )
-        comm.run_single(random_pressure(mesh, seed=0))  # verify_deliveries inside
+        comm.run_single(random_pressure(mesh, seed=0))  # exchange.verify() inside
 
     def test_comm_fraction_reasonable(self, fluid):
         """Communication is a minority share but not negligible —

@@ -59,14 +59,14 @@ class TestDataflowGuards:
         pressure = random_pressure(mesh, seed=0)
         rt = EventRuntime(program.fabric)
         program.load_pressure(pressure)
-        program.begin_application(rt)
+        program.exchange.begin(rt)
         # forge an extra eastward train from (0,1)
         color = program.colors.lookup("card_east")
         payload = np.zeros(2 * mesh.nz, dtype=np.float32)
         rt.schedule(0.0, lambda: rt.inject((0, 1), color, payload))
         rt.run()
         with pytest.raises(RuntimeError, match="expected"):
-            program.verify_deliveries()
+            program.exchange.verify()
 
     def test_event_livelock_guard(self):
         """A self-rescheduling event hits the budget, not an infinite loop."""

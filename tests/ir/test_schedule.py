@@ -91,17 +91,15 @@ class TestProbeInvariances:
             compute_fluxes=compute_fluxes,
         )
         orders = {}
-        original = program._receive_neighbour
+        original = program.exchange.on_data
 
         def capture(pe, msg, conn):
             orders.setdefault(pe.state["logical"], []).append(conn.name)
             original(pe, msg, conn)
 
-        program._receive_neighbour = capture
-        rt = EventRuntime(program.fabric, WSE2)
+        program.exchange.on_data = capture
         program.load_pressure(np.full((nz, ny, nx), 1.0e7))
-        program.begin_application(rt)
-        rt.run()
+        program.exchange.run(EventRuntime(program.fabric, WSE2))
         return {coord: tuple(order) for coord, order in orders.items()}
 
     @pytest.mark.parametrize(

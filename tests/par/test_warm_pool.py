@@ -1,11 +1,15 @@
 """Warm-pool lifecycle tests: spawn once, reuse across runs, problems
 and crash recoveries, never leak a worker or a wedged process."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import FluidProperties, PressureSequence
 from repro.cluster.flux import ClusterFluxComputation
+from repro.faults.errors import WorkerCrashError
 from repro.faults.plan import FaultPlan, RankFailure
 from repro.par import ParClusterFluxComputation
 from repro.par.runtime import warm_pool, shutdown_warm_pool
@@ -162,3 +166,39 @@ class TestWarmCrashRecovery:
         par.close()
         assert fresh_reservoir.idle_count == 0
         assert all(not h.proc.is_alive() for h in pool.handles)
+
+
+class TestUnrecoveredCrash:
+    """A crash nobody will respawn kills the pool where it is raised:
+    ``close()`` must not wait out the teardown budget on every survivor
+    blocked in a halo spin on the dead peer (10 s / 22 s before)."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"failure_mode": "exit"},
+            {"failure_mode": "hang", "lease_seconds": 0.5},
+        ],
+        ids=["exit", "hang"],
+    )
+    def test_close_is_prompt_and_leaves_nothing_behind(
+        self, problem, fresh_reservoir, options
+    ):
+        mesh, fluid, seq = problem
+        plan = FaultPlan(
+            seed=3,
+            rank_failures=(RankFailure(rank=2, exchange=1, attempts=1),),
+        )
+        par = ParClusterFluxComputation(
+            mesh, fluid, px=2, py=2, workers=2, plan=plan, respawn=False,
+            **options,
+        )
+        with pytest.raises(WorkerCrashError):
+            par.run(iter(seq))
+        segment, handles = par._arena.name, par._pool.handles
+        started = time.perf_counter()
+        par.close()
+        assert time.perf_counter() - started < 2.0
+        assert not os.path.exists(f"/dev/shm/{segment}")
+        assert fresh_reservoir.idle_count == 0
+        assert all(not h.proc.is_alive() for h in handles)

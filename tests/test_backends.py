@@ -118,6 +118,41 @@ class TestTable:
                     )
         assert offenders == []
 
+    def test_only_the_exchange_states_the_neighbour_protocol(self):
+        """The Sec. 5.2 protocol has one statement: the channel formulas
+        are named (imported, called, passed on) only by the modules that
+        define them, ``ColumnExchange``, the listing and the IR compiler,
+        and nothing outside ``repro/wse`` but the exchange sends a
+        control wavelet.  A fabric program that grows its own routing or
+        send-once rule again fails here."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        dataflow = root / "dataflow"
+        formulas = {"switch_positions_for", "static_position", "is_step1_sender"}
+        may_name_formulas = {
+            dataflow / "exchange.py", dataflow / "cardinal.py",
+            dataflow / "diagonal.py", dataflow / "codegen.py",
+            root / "ir" / "builder.py",
+        }
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            guarded = set() if path in may_name_formulas else set(formulas)
+            if root / "wse" not in path.parents and path != dataflow / "exchange.py":
+                guarded.add("KIND_CONTROL")
+            for node in ast.walk(ast.parse(path.read_text())):
+                # names, attribute accesses and imports; the lazy export
+                # map of dataflow/__init__.py holds strings, not references
+                named = (
+                    getattr(node, "id", None) or getattr(node, "attr", None)
+                    or (isinstance(node, ast.alias) and node.name)
+                )
+                if named in guarded:
+                    offenders.append(
+                        f"{path.relative_to(root)}:{node.lineno} {named}"
+                    )
+        assert offenders == []
+
     @pytest.mark.parametrize("side", [24, 48])
     def test_event_lowering_is_by_class_not_by_pe(self, side):
         """A set-up budget with no clock in it: Python frames entered
