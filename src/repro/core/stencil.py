@@ -24,6 +24,7 @@ __all__ = [
     "VERTICAL",
     "ALL_CONNECTIONS",
     "XY_CONNECTIONS",
+    "EXCHANGE_PLAN",
     "opposite",
     "interior_slices",
 ]
@@ -97,6 +98,11 @@ ALL_CONNECTIONS = CARDINAL_XY + DIAGONAL_XY + VERTICAL
 
 #: The eight connections requiring fabric communication (Sec. 5.2 a-b).
 XY_CONNECTIONS = CARDINAL_XY + DIAGONAL_XY
+
+#: The Sec. 5.2 exchange as ``(connections, hops, phase)`` per phase, in
+#: the order the fold contract runs them: one-hop cardinals, then the
+#: two-hop diagonal flows.
+EXCHANGE_PLAN = ((CARDINAL_XY, 1, "cardinal"), (DIAGONAL_XY, 2, "diagonal"))
 
 _OPPOSITE = {
     Connection.EAST: Connection.WEST,

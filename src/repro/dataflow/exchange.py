@@ -160,28 +160,12 @@ class ColumnExchange:
                 ),
             )
 
-    def expected_receivers(self) -> dict[int, set]:
-        """``color -> coordinates`` hearing it once per round: the PEs
-        whose ``delivers`` neighbour is on the logical grid (Sec. 5.2
-        a-b) — the receiver sets ``check_fabric`` verifies routes
-        against."""
-        nx, ny = self.nx, self.ny
-        out = {}
-        for channel, color in self.channels:
-            dx, dy, _ = channel.delivers.offset
-            out[color] = {
-                pe.coord
-                for x, y, pe in self.pes
-                if 0 <= x + dx < nx and 0 <= y + dy < ny
-            }
-        return out
-
     def _bind(self, ir) -> None:
         """Per-PE protocol state, then the data and control tasks."""
         nx, ny = self.nx, self.ny
         # in-bounds X-Y neighbours of (x, y): the cells of its 3x3 block
-        # that exist, minus itself — how many of expected_receivers()'s
-        # sets hold the PE
+        # that exist, minus itself — how many of the exchange IR's
+        # receiver sets hold the PE
         across = [1 + (x > 0) + (x < nx - 1) for x in range(nx)]
         down = [1 + (y > 0) + (y < ny - 1) for y in range(ny)]
 

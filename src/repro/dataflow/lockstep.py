@@ -35,7 +35,7 @@ import numpy as np
 from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import CARDINAL_XY, DIAGONAL_XY, Connection
+from repro.core.stencil import EXCHANGE_PLAN, Connection
 from repro.core.transmissibility import Transmissibility
 from repro.dataflow.flux_pe import compute_face_flux_column
 from repro.dataflow.padded import LockstepReport, LockstepRunResult, PaddedFlatLayout
@@ -74,16 +74,14 @@ class LockstepWseSimulation:
         #: was lowered from (:func:`repro.ir.lower.lower_to_lockstep`), or
         #: None when built directly.
         self.ir = ir
-        #: Fold-order contract: ``(connections, hops, phase)`` per
+        #: Fold-order contract: ``(connections, hops, span name)`` per
         #: communication phase — the IR's exchange plan, else the
-        #: paper's cardinal-then-diagonal order.
-        exchange_plan = ir.exchange_plan if ir is not None else (
-            (CARDINAL_XY, 1, "lockstep.cardinal"),
-            (DIAGONAL_XY, 2, "lockstep.diagonal"),
-        )
+        #: paper's cardinal-then-diagonal :data:`EXCHANGE_PLAN`.
         self.exchange_plan = tuple(
-            (tuple(conns), int(hops), f"lockstep.{phase.split('.')[-1]}")
-            for conns, hops, phase in exchange_plan
+            (conns, hops, f"lockstep.{phase}")
+            for conns, hops, phase in (
+                ir.exchange_plan if ir is not None else EXCHANGE_PLAN
+            )
         )
         #: Optional :class:`~repro.obs.replay.ReplayRecorder` digesting
         #: every (pressure, residual) application pair.

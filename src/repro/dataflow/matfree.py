@@ -8,16 +8,20 @@ operator on the Cerebras architecture will be an important step."
 This module builds that operator: the Jacobian action ``J @ v`` runs as
 a distributed fabric program with the *same communication machinery* as
 the flux kernel (:class:`~repro.dataflow.exchange.ColumnExchange`,
-installing the flux program's route tables) — each PE holds its Z column
-of ``v`` plus the precomputed per-face derivative columns, exchanges
-``v`` with its eight X-Y neighbours over the cardinal/diagonal channels,
-and accumulates
+installing the IR of :func:`~repro.ir.builder.derive_exchange`) — each
+PE holds its Z column of ``v`` plus the precomputed per-face
+derivative columns, exchanges ``v`` with its eight X-Y neighbours over
+the cardinal/diagonal channels, and accumulates
 
     (J v)_K = A_K v_K - sum_L (dF/dp_K v_K + dF/dp_L v_L)
 
 on arrival (A is the accumulation diagonal; the sign follows the
 residual convention of :mod:`repro.solver.operators`).  Vertical
-connections stay in PE memory.
+connections stay in PE memory.  Every PE holds the same columns: the
+memory map is installed fabric-wide
+(:meth:`~repro.wse.fabric.Fabric.install_memory`), and the host writes
+the coefficient fields and ``v`` and reads ``J v`` through ``(nz, ny,
+nx)`` views of its PE-major block, never PE by PE.
 
 Krylov-level reductions (dot products, norms) are performed by the host,
 which is how a first CS-2 port would look: the fabric supplies matvecs,
@@ -28,14 +32,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import ALL_CONNECTIONS, Connection, opposite
+from repro.core.transmissibility import CANONICAL_CONNECTIONS
 from repro.dataflow.exchange import ColumnExchange
-from repro.ir.builder import derive_ir
+from repro.ir.builder import derive_exchange
 from repro.wse.fabric import Fabric
+from repro.wse.memory import column_plan
 from repro.wse.runtime import EventRuntime
 
 __all__ = ["WseMatrixFreeJacobian"]
+
+#: Every PE's Z columns, in allocation order: four working columns and
+#: the diagonal, then one off-diagonal coefficient column per connection.
+_STATE = ("v", "out", "recv", "tmp", "diag")
+_COLUMNS = (*_STATE, *(f"offd_{conn.name}" for conn in ALL_CONNECTIONS))
 
 
 class WseMatrixFreeJacobian:
@@ -59,61 +69,56 @@ class WseMatrixFreeJacobian:
         # does not load the implicit solver package.
         from repro.solver.operators import MatrixFreeJacobian
 
-        self.mesh = residual.mesh
+        self.mesh = mesh = residual.mesh
         host = MatrixFreeJacobian(residual, pressure)
         self._host = host
-        shape = self.mesh.shape_zyx
-        nz = self.mesh.nz
 
-        # Expand the face derivatives into full per-cell fields:
-        # row K of face (K, L) carries -dk at K and -dl at L's column;
-        # row L carries +dk at K's column and +dl at L.  Reorganize into
-        # per-connection "coefficient of my v" (diag) and "coefficient of
-        # the neighbour's v" (offd), both indexed at the owning cell.
-        self._diag = np.array(
-            np.broadcast_to(host._acc_diag, shape), dtype=np.float64
+        # --- fabric setup: the flux kernel's exchange, verbatim, and one
+        # memory map for every PE (Sec. 5.1) -----------------------------
+        self.fabric = Fabric(mesh.nx, mesh.ny)
+        self.exchange = ColumnExchange(
+            self.fabric,
+            mesh.nx,
+            mesh.ny,
+            start=self._start_pe,
+            payload=lambda pe: pe.state["v"],
+            on_data=self._on_data,
+            ir=derive_exchange(mesh.nx, mesh.ny),
         )
-        self._offd: dict[Connection, np.ndarray] = {
-            conn: np.zeros(shape) for conn in ALL_CONNECTIONS
+        self.colors = self.exchange.colors
+        pes = self.exchange.pes
+        columns = self.fabric.install_memory(
+            column_plan(_COLUMNS, mesh.nz, np.float64),
+            [pe.coord for _x, _y, pe in pes],
+        )
+        for (_x, _y, pe), *arrays in zip(pes, *columns.values()):
+            pe.state.update(zip(_STATE, arrays))
+            pe.state["offd"] = dict(zip(ALL_CONNECTIONS, arrays[len(_STATE):]))
+        #: ``name -> (nz, ny, nx)`` view of every PE's column at once: row
+        #: i of a block column is the PE of logical cell (i % nx, i // nx)
+        self._fields = fields = {
+            name: column.T.reshape(mesh.shape_zyx)
+            for name, column in columns.items()
         }
-        from repro.core.transmissibility import CANONICAL_CONNECTIONS
 
+        # Expand the face derivatives into full per-cell fields, written
+        # straight into PE memory: row K of face (K, L) carries -dk at K
+        # and -dl at L's column; row L carries +dk at K's column and +dl
+        # at L.  Reorganize into per-connection "coefficient of my v"
+        # (diag) and "coefficient of the neighbour's v" (offd), both
+        # indexed at the owning cell.
+        diag = fields["diag"]
+        diag[...] = host._acc_diag
+        offd = {conn: fields[f"offd_{conn.name}"] for conn in ALL_CONNECTIONS}
         for conn, (local, neigh, dk, dl) in zip(
             CANONICAL_CONNECTIONS, host._faces
         ):
             # row K (local): -dk * v_K  - dl * v_L
-            self._diag[local] -= dk
-            self._offd[conn][local] -= dl
+            diag[local] -= dk
+            offd[conn][local] -= dl
             # row L (neigh): +dk * v_K  + dl * v_L
-            self._diag[neigh] += dl
-            self._offd[opposite(conn)][neigh] += dk
-
-        # --- fabric setup: the flux kernel's channels and route tables,
-        # verbatim (only the X-Y footprint shapes them: one layer stands
-        # for the column) -----------------------------------------------
-        nx, ny = self.mesh.nx, self.mesh.ny
-        self.fabric = Fabric(nx, ny)
-        self.exchange = ColumnExchange(
-            self.fabric,
-            nx,
-            ny,
-            start=self._start_pe,
-            payload=lambda pe: pe.state["v"],
-            on_data=self._on_data,
-            ir=derive_ir(CartesianMesh3D(nx, ny, 1)),
-        )
-        self.colors = self.exchange.colors
-        for x, y, pe in self.exchange.pes:
-            mem = pe.memory
-            for name in ("v", "out", "recv", "tmp", "diag"):
-                pe.state[name] = mem.alloc_array(name, nz, np.float64)
-            pe.state["diag"][:] = self._diag[:, y, x]
-            offd = {}
-            for conn in ALL_CONNECTIONS:
-                col = mem.alloc_array(f"offd_{conn.name}", nz, np.float64)
-                col[:] = self._offd[conn][:, y, x]
-                offd[conn] = col
-            pe.state["offd"] = offd
+            diag[neigh] += dl
+            offd[opposite(conn)][neigh] += dk
         self.matvec_count = 0
         self.total_device_cycles = 0.0
 
@@ -144,19 +149,14 @@ class WseMatrixFreeJacobian:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``J @ v`` computed by one fabric communication round."""
-        v3 = np.asarray(v, dtype=np.float64).reshape(self.mesh.shape_zyx)
-        for x, y, pe in self.exchange.pes:
-            pe.state["v"][:] = v3[:, y, x]
+        self._fields["v"][...] = np.reshape(v, self.mesh.shape_zyx)
         self.total_device_cycles += self.exchange.run(EventRuntime(self.fabric))
-        out = np.zeros(self.mesh.shape_zyx)
-        for x, y, pe in self.exchange.pes:
-            out[:, y, x] = pe.state["out"]
         self.matvec_count += 1
-        return out.reshape(np.asarray(v).shape)
+        return self._fields["out"].copy().reshape(np.shape(v))
 
     def diagonal(self) -> np.ndarray:
         """The Jacobian diagonal (host-side copy, for Jacobi scaling)."""
-        return self._diag.copy()
+        return self._fields["diag"].copy()
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.matvec(v)

@@ -7,7 +7,7 @@ verifies it directly, so the verifier and the runtimes share one source
 of truth.  See :mod:`repro.ir.schema` for the document layout.
 """
 
-from repro.ir.builder import build_ir, derive_ir, ir_from_fabric
+from repro.ir.builder import build_ir, derive_exchange, derive_ir, ir_from_fabric
 from repro.ir.fused import FusedFluxComputation, FusedReport, FusedRunResult
 from repro.ir.lower import lower_to_event, lower_to_fused, lower_to_lockstep
 from repro.ir.schedule import arrival_schedule
@@ -24,6 +24,7 @@ __all__ = [
     "KIND_PROGRAM",
     "KIND_FABRIC",
     "build_ir",
+    "derive_exchange",
     "derive_ir",
     "ir_from_fabric",
     "arrival_schedule",

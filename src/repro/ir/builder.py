@@ -3,8 +3,9 @@
 Two independent construction paths that must agree:
 
 * :func:`derive_ir` — the *compiler* path: closed-form derivation from a
-  mesh and program parameters, using the same channel/switch formulas
-  (:mod:`repro.dataflow.cardinal`/``diagonal``) and one throwaway
+  mesh and program parameters: :func:`derive_exchange` (the exchange
+  every fabric program shares, from the channel/switch formulas of
+  :mod:`repro.dataflow.cardinal`/``diagonal``) plus one throwaway
   :class:`~repro.dataflow.halos.PEColumnLayout` probe for the memory
   plan.  No fabric is built and nothing is evaluated per PE — a cardinal
   channel's behaviour depends on the distance from its seed edge only,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.stencil import CARDINAL_XY, DIAGONAL_XY
+from repro.core.stencil import EXCHANGE_PLAN
 from repro.dataflow.cardinal import (
     CARDINAL_CHANNELS,
     is_step1_sender,
@@ -45,22 +46,18 @@ from repro.ir.schema import (
 from repro.obs.spans import span
 from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 
-__all__ = ["build_ir", "derive_ir", "ir_from_fabric"]
+__all__ = ["build_ir", "derive_exchange", "derive_ir", "ir_from_fabric"]
 
 
 def _contracts_doc() -> dict:
     return {
         "exchange_plan": [
             {
-                "phase": "cardinal",
-                "connections": [c.name for c in CARDINAL_XY],
-                "hops": 1,
-            },
-            {
-                "phase": "diagonal",
-                "connections": [c.name for c in DIAGONAL_XY],
-                "hops": 2,
-            },
+                "phase": phase,
+                "connections": [c.name for c in connections],
+                "hops": hops,
+            }
+            for connections, hops, phase in EXCHANGE_PLAN
         ],
         "fold": "per-pe-arrival-order",
         "determinism": "single-stream-event-order",
@@ -233,6 +230,66 @@ def _derive_cardinal(channel, nx: int, ny: int):
     )
 
 
+def _per_pe(nx: int, ny: int, remap, values, fill: int) -> list[int]:
+    """Row-major fabric list of per-logical-cell *values* (anything
+    broadcastable to ``(ny, nx)``), *fill* on bypassed columns."""
+    width, columns = _columns(nx, remap)
+    grid = np.full((ny, width), fill, dtype=np.int8)
+    grid[:, columns] = values
+    return grid.ravel().tolist()
+
+
+def derive_exchange(nx: int, ny: int, *, remap=None) -> FabricProgramIR:
+    """Derive the Sec. 5.2 exchange of an ``nx x ny`` program, the part
+    every fabric program shares — no fabric built, no kernel needed: a
+    kind-``"fabric"`` IR of colors, route classes, receiver and injector
+    sets, the exchange-plan contract and the remap, with an empty memory
+    table.  No Python work is done per PE: the channel formulas run along
+    one line per cardinal channel (O(nx + ny) calls) and every per-PE
+    list is a NumPy broadcast.  Opens no span (it is part of
+    ``ir.derive`` when :func:`derive_ir` asks)."""
+    width = _columns(nx, remap)[0]
+    doc = _base_doc(KIND_FABRIC)
+    doc["fabric"] = {
+        "width": width,
+        "height": ny,
+        "bypass_columns": sorted(remap.bypassed_columns) if remap else [],
+    }
+    doc["contracts"] = _contracts_doc()
+    doc["remap"] = _remap_doc(remap)
+
+    channels = (*CARDINAL_CHANNELS, *DIAGONAL_CHANNELS)
+    doc["colors"] = [
+        {"id": cid, "name": ch.name} for cid, ch in enumerate(channels)
+    ]
+    color_of = {ch.name: cid for cid, ch in enumerate(channels)}
+
+    routes: dict[str, dict] = {}
+    injectors: dict[str, list] = {}
+    for channel in CARDINAL_CHANNELS:
+        classes, ids, senders = _derive_cardinal(channel, nx, ny)
+        routes[str(color_of[channel.name])] = {
+            "classes": classes,
+            "assignment": _per_pe(nx, ny, remap, ids, -1),
+        }
+        injectors[channel.name] = _per_pe(nx, ny, remap, senders, 0)
+    # a diagonal is one static position, injected by every program PE
+    for channel in DIAGONAL_CHANNELS:
+        routes[str(color_of[channel.name])] = {
+            "classes": [_route_class_doc([static_position(channel)], 0)],
+            "assignment": _per_pe(nx, ny, remap, 0, -1),
+        }
+        injectors[channel.name] = _per_pe(nx, ny, remap, 1, 0)
+    doc["routes"] = routes
+    doc["injectors"] = injectors
+
+    doc["expected_receivers"] = _expected_receivers_doc(
+        nx, ny, remap, channels, color_of.__getitem__
+    )
+    doc["memory"] = {"classes": [], "assignment": [-1] * (width * ny)}
+    return FabricProgramIR(doc)
+
+
 def derive_ir(
     mesh,
     *,
@@ -247,26 +304,22 @@ def derive_ir(
 ) -> FabricProgramIR:
     """Derive the program IR from a mesh and parameters — no fabric built.
 
-    Produces a document byte-identical to capturing the same program with
+    :func:`derive_exchange` of the footprint plus the flux kernel's
+    memory and DSD fields, mesh, params and memory plan.  Produces a
+    document byte-identical to capturing the same program with
     :func:`build_ir`; parameters mirror
-    :class:`~repro.dataflow.program.FluxProgram`.  No Python work is done
-    per PE: the channel formulas are evaluated along one line per
-    cardinal channel (O(nx + ny) calls) and every per-PE list is a NumPy
-    broadcast through the remap's column map.  Timed as the
+    :class:`~repro.dataflow.program.FluxProgram`.  Timed as the
     ``ir.derive`` span whichever backend or table entry asks for it.
     """
     with span("ir.derive"):
         nx, ny, nz = mesh.nx, mesh.ny, mesh.nz
-        width, columns = _columns(nx, remap)
-        doc = _base_doc(KIND_PROGRAM)
-        doc["fabric"] = {
-            "width": width,
-            "height": ny,
-            "pe_memory_bytes": int(pe_memory_bytes),
-            "pe_memory_reserved": int(pe_memory_reserved),
-            "vectorized": bool(vectorized),
-            "bypass_columns": sorted(remap.bypassed_columns) if remap else [],
-        }
+        doc = derive_exchange(nx, ny, remap=remap).doc
+        doc["kind"] = KIND_PROGRAM
+        doc["fabric"].update(
+            pe_memory_bytes=int(pe_memory_bytes),
+            pe_memory_reserved=int(pe_memory_reserved),
+            vectorized=bool(vectorized),
+        )
         doc["mesh"] = {"nx": nx, "ny": ny, "nz": nz}
         doc["params"] = {
             "dtype": np.dtype(dtype).name,
@@ -274,51 +327,12 @@ def derive_ir(
             "overlap_compute": bool(overlap_compute),
             "compute_fluxes": bool(compute_fluxes),
         }
-        doc["contracts"] = _contracts_doc()
-        doc["remap"] = _remap_doc(remap)
-
-        channels = (*CARDINAL_CHANNELS, *DIAGONAL_CHANNELS)
-        doc["colors"] = [
-            {"id": cid, "name": ch.name} for cid, ch in enumerate(channels)
-        ]
-        color_of = {ch.name: cid for cid, ch in enumerate(channels)}
-
-        def per_pe(values, fill: int) -> list[int]:
-            """Row-major fabric list of per-logical-cell *values*
-            (anything broadcastable to ``(ny, nx)``), *fill* elsewhere."""
-            grid = np.full((ny, width), fill, dtype=np.int8)
-            grid[:, columns] = values
-            return grid.ravel().tolist()
-
-        routes: dict[str, dict] = {}
-        injectors: dict[str, list] = {}
-        for channel in CARDINAL_CHANNELS:
-            classes, ids, senders = _derive_cardinal(channel, nx, ny)
-            routes[str(color_of[channel.name])] = {
-                "classes": classes,
-                "assignment": per_pe(ids, -1),
-            }
-            injectors[channel.name] = per_pe(senders, 0)
-        # a diagonal is one static position, injected by every program PE
-        for channel in DIAGONAL_CHANNELS:
-            routes[str(color_of[channel.name])] = {
-                "classes": [_route_class_doc([static_position(channel)], 0)],
-                "assignment": per_pe(0, -1),
-            }
-            injectors[channel.name] = per_pe(1, 0)
-        doc["routes"] = routes
-        doc["injectors"] = injectors
-
-        doc["expected_receivers"] = _expected_receivers_doc(
-            nx, ny, remap, channels, color_of.__getitem__
-        )
-
         # one probe layout stands for every PE — the plan is uniform
         probe = Scratchpad(pe_memory_bytes, reserved=pe_memory_reserved)
         PEColumnLayout.build(probe, nz, dtype=dtype, reuse_buffers=reuse_buffers)
         doc["memory"] = {
             "classes": [_memory_records(probe)],
-            "assignment": per_pe(0, -1),
+            "assignment": _per_pe(nx, ny, remap, 0, -1),
         }
         return FabricProgramIR(doc)
 

@@ -27,8 +27,9 @@ Document layout (schema version 2)::
     {
       "schema": 2,
       "kind": "flux-program" | "fabric",
-      "fabric": {"width", "height", "pe_memory_bytes",
-                 "pe_memory_reserved", "vectorized", "bypass_columns"},
+      "fabric": {"width", "height", "bypass_columns", "pe_memory_bytes",
+                 "pe_memory_reserved", "vectorized"},   # the last three
+                                                        # not when exchange-only
       "mesh":   {"nx", "ny", "nz"} | null,
       "params": {"dtype", "reuse_buffers", "overlap_compute",
                  "compute_fluxes"} | null,
@@ -87,6 +88,7 @@ from pathlib import Path
 from repro.core.stencil import Connection
 from repro.util.jsonio import stable_dumps
 from repro.wse.geometry import Port
+from repro.wse.memory import WSE2_PE_MEMORY_BYTES
 
 __all__ = ["FabricProgramIR", "IR_SCHEMA_VERSION", "KIND_PROGRAM", "KIND_FABRIC"]
 
@@ -94,7 +96,8 @@ IR_SCHEMA_VERSION = 2
 
 #: IR of a full flux program (mesh + params + memory + fold contracts).
 KIND_PROGRAM = "flux-program"
-#: IR of a bare fabric (routes + memory only) — enough for `repro check`.
+#: IR of a bare fabric (routes + memory only) — enough for `repro check` —
+#: or of the exchange alone (:func:`~repro.ir.builder.derive_exchange`).
 KIND_FABRIC = "fabric"
 
 _REQUIRED_KEYS = (
@@ -132,14 +135,33 @@ def _static_hash(document: dict) -> str:
 
 
 def _per_pe_lists(document: dict):
-    """``(label, list)`` of every per-PE list in a v2 document."""
+    """``(label, list, allowed entries)`` of every per-PE list in a v2
+    document: a class index or -1 in an assignment, 0 or 1 in a set."""
+    flags = range(2)
     for cid, table in document["routes"].items():
-        yield f"routes[{cid}].assignment", table["assignment"]
-    for cid, flags in document["expected_receivers"].items():
-        yield f"expected_receivers[{cid}]", flags
-    for name, flags in document["injectors"].items():
-        yield f"injectors[{name}]", flags
-    yield "memory.assignment", document["memory"]["assignment"]
+        classes = range(-1, len(table["classes"]))
+        yield f"routes[{cid}].assignment", table["assignment"], classes
+    for cid, cells in document["expected_receivers"].items():
+        yield f"expected_receivers[{cid}]", cells, flags
+    for name, cells in document["injectors"].items():
+        yield f"injectors[{name}]", cells, flags
+    memory = document["memory"]
+    classes = range(-1, len(memory["classes"]))
+    yield "memory.assignment", memory["assignment"], classes
+
+
+def _check_entries(document: dict) -> None:
+    """Every per-PE entry is an int its list allows — what a file from
+    outside can get wrong that no builder does (the builders skip this)."""
+    width = document["fabric"]["width"]
+    for label, cells, allowed in _per_pe_lists(document):
+        for i, value in enumerate(cells):
+            if type(value) is not int or value not in allowed:
+                raise ValueError(
+                    f"{label} holds {value!r} at PE ({i % width}, "
+                    f"{i // width}); allowed: {allowed.start} to "
+                    f"{allowed.stop - 1}"
+                )
 
 
 def _coords_above(cells: list, width: int, floor: int) -> list[tuple[int, int]]:
@@ -217,7 +239,7 @@ class FabricProgramIR:
         if document["schema"] == 1:
             document = _upgrade_v1(document)
         cells = document["fabric"]["width"] * document["fabric"]["height"]
-        for label, per_pe in _per_pe_lists(document):
+        for label, per_pe, _allowed in _per_pe_lists(document):
             if len(per_pe) != cells:
                 raise ValueError(
                     f"IR {label} has {len(per_pe)} entries for a fabric "
@@ -298,7 +320,9 @@ class FabricProgramIR:
                     f"document hashes to {actual[:12]}… (corrupt or "
                     "hand-edited IR)"
                 )
-            return cls(doc)
+            ir = cls(doc)
+            _check_entries(ir.doc)
+            return ir
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from exc
 
@@ -317,17 +341,18 @@ class FabricProgramIR:
     def height(self) -> int:
         return self.doc["fabric"]["height"]
 
+    # an exchange IR plans no memory: it reads as a default Fabric's
     @property
     def pe_memory_bytes(self) -> int:
-        return self.doc["fabric"]["pe_memory_bytes"]
+        return self.doc["fabric"].get("pe_memory_bytes", WSE2_PE_MEMORY_BYTES)
 
     @property
     def pe_memory_reserved(self) -> int:
-        return self.doc["fabric"]["pe_memory_reserved"]
+        return self.doc["fabric"].get("pe_memory_reserved", 0)
 
     @property
     def vectorized(self) -> bool:
-        return self.doc["fabric"]["vectorized"]
+        return self.doc["fabric"].get("vectorized", True)
 
     @property
     def bypass_columns(self) -> tuple[int, ...]:

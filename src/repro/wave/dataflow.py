@@ -3,9 +3,10 @@
 Demonstrates the paper's Sec. 8 claim in code: the flux kernel's
 communication machinery — the two-step cardinal switch protocol and the
 two-hop diagonal flows — is reused *unchanged* (the same
-:class:`~repro.dataflow.exchange.ColumnExchange`, installing the flux
-program's own route tables) to drive a completely different physics
-kernel that also needs diagonal neighbour data.
+:class:`~repro.dataflow.exchange.ColumnExchange`, installing the IR of
+:func:`~repro.ir.builder.derive_exchange`) to drive a completely
+different physics kernel that also needs diagonal neighbour data.  Only
+the memory map — five Z columns on every PE — is this program's.
 
 Each PE owns a Z column of the wavefield.  Per time step it
 
@@ -25,9 +26,10 @@ import numpy as np
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import XY_CONNECTIONS, Connection
 from repro.dataflow.exchange import ColumnExchange
-from repro.ir.builder import derive_ir
+from repro.ir.builder import derive_exchange
 from repro.wave.medium import TTIMedium, stencil_coefficients
 from repro.wse.fabric import Fabric
+from repro.wse.memory import column_plan
 from repro.wse.runtime import EventRuntime
 
 __all__ = ["WseWavePropagator"]
@@ -68,10 +70,7 @@ class WseWavePropagator:
         self._source_amplitude = 0.0
 
         self.fabric = Fabric(mesh.nx, mesh.ny)
-        #: The flux kernel's channel set and route tables, verbatim
-        #: (Sec. 8 reuse claim).  Only the X-Y footprint shapes them, so
-        #: one layer stands for the column — the flux memory plan the IR
-        #: also carries is not this program's.
+        #: The flux kernel's exchange, verbatim (Sec. 8 reuse claim).
         self.exchange = ColumnExchange(
             self.fabric,
             mesh.nx,
@@ -79,12 +78,17 @@ class WseWavePropagator:
             start=self._start_pe,
             payload=lambda pe: pe.state["send_field"],
             on_data=self._on_data,
-            ir=derive_ir(CartesianMesh3D(mesh.nx, mesh.ny, 1)),
+            ir=derive_exchange(mesh.nx, mesh.ny),
         )
         self.colors = self.exchange.colors
-        for pe in self.fabric.pes():
-            for name in ("u_prev", "u_curr", "lap", "recv", "tmp"):
-                pe.state[name] = pe.memory.alloc_array(name, mesh.nz, self.dtype)
+        names = ("u_prev", "u_curr", "lap", "recv", "tmp")
+        pes = self.exchange.pes
+        columns = self.fabric.install_memory(
+            column_plan(names, mesh.nz, self.dtype),
+            [pe.coord for _x, _y, pe in pes],
+        )
+        for (_x, _y, pe), *arrays in zip(pes, *columns.values()):
+            pe.state.update(zip(names, arrays))
 
     # ------------------------------------------------------------------ #
     def _on_data(self, pe, msg, conn: Connection) -> None:

@@ -34,6 +34,7 @@ __all__ = [
     "Allocation",
     "MemoryPlan",
     "PEMemoryError",
+    "column_plan",
     "WSE2_PE_MEMORY_BYTES",
 ]
 
@@ -104,6 +105,16 @@ class MemoryPlan:
             .reshape(n, *shape)
             for name, offset, nbytes, shape, dtype in self.records
         }
+
+
+def column_plan(names, nz: int, dtype) -> MemoryPlan:
+    """One ``nz``-long column per name, in order, planned on a probe of a
+    default PE's scratchpad — the memory map of a program whose every PE
+    holds the same columns; over budget it raises that PE's own error."""
+    probe = Scratchpad()
+    for name in names:
+        probe.alloc_array(name, nz, dtype)
+    return probe.plan()
 
 
 class Scratchpad:

@@ -1,25 +1,34 @@
 """Set-up by class equals set-up by PE, and PEs stay private.
 
 `FluxProgram` plans its memory map once and installs route classes, not
-routers (DESIGN.md Sec. 19).  The reference here does the same job the
-long way, through the per-object API only — `Router.configure` per
-router and `PEColumnLayout.build` on every PE's own `Scratchpad` — and
-every router and scratchpad of the class-installed fabric must equal it.
+routers (DESIGN.md Sec. 19); the wave and matrix-free programs install
+their own column plans the same way.  The reference here does the same
+job the long way, through the per-object API only — `Router.configure`
+per router and `PEColumnLayout.build` / `alloc_array` on every PE's own
+`Scratchpad` — and every router and scratchpad of the class-installed
+fabric must equal it.
 """
 
 import copy
+import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from repro.check import check_fabric, check_ir
-from repro.core import CartesianMesh3D, FluidProperties
+from repro.core import CartesianMesh3D, FluidProperties, random_pressure
+from repro.core.stencil import ALL_CONNECTIONS
 from repro.dataflow.halos import PEColumnLayout
 from repro.dataflow.mapping import SpareColumnRemap
+from repro.dataflow.matfree import WseMatrixFreeJacobian
 from repro.dataflow.program import FluxProgram
 from repro.ir import FabricProgramIR, build_ir, derive_ir
+from repro.wave import TTIMedium, WseWavePropagator
+from repro.workloads import make_geomodel
 from repro.wse.fabric import Fabric
 from repro.wse.geometry import Port
+from repro.wse.memory import PEMemoryError, Scratchpad
 
 #: 1-wide, odd/even mixes, nz = 1, both ablation layouts, float64 and a
 #: bypassed column
@@ -166,8 +175,6 @@ def test_the_send_train_is_the_live_pressure_and_density():
 
 @pytest.mark.parametrize("train", ["p_rho", "recv_shared"])
 def test_bind_refuses_a_train_that_would_flatten_into_a_copy(train):
-    from repro.wse.memory import Scratchpad
-
     pad = Scratchpad()
     PEColumnLayout.build(pad, 4)
     arrays = {name: pad.array(name) for name in pad.names()}
@@ -251,3 +258,113 @@ def test_a_corrupted_ir_still_materializes_with_the_per_router_findings():
         (1, 0), (1, 1), (1, 2), (3, 0), (3, 1), (3, 2)
     ]
     assert all(f.port == "EAST" and f.color_name == "card_east" for f in conflicts)
+
+
+# --------------------------------------------------------------------- #
+# The wave and matrix-free programs: their own column plans, installed
+# by class over the exchange's PEs
+# --------------------------------------------------------------------- #
+MEDIUM = TTIMedium(epsilon=0.2, theta=0.4)
+
+
+def _wave(nx, ny, nz):
+    """A zero-argument constructor of a wave program on an nx x ny x nz mesh."""
+    mesh = CartesianMesh3D(nx, ny, nz, dx=10.0, dy=10.0, dz=10.0)
+    dt = 0.5 * MEDIUM.max_stable_dt(10.0, 10.0, 10.0)
+    return lambda: WseWavePropagator(mesh, MEDIUM, dt)
+
+
+def _matfree(nx, ny, nz):
+    """A zero-argument constructor of a matrix-free Jacobian; the host
+    residual and linearization point are built outside it."""
+    from repro.solver import FlowResidual
+
+    mesh = make_geomodel(nx, ny, nz, kind="lognormal", seed=3)
+    residual = FlowResidual(mesh, FluidProperties(), dt=3600.0)
+    pressure = random_pressure(mesh, seed=13, amplitude=2e5)
+    return lambda: WseMatrixFreeJacobian(residual, pressure)
+
+
+#: program -> (constructor factory, the float64 Z columns every PE used to
+#: allocate for itself, in that order)
+EXTENSIONS = {
+    "wave": (_wave, ("u_prev", "u_curr", "lap", "recv", "tmp")),
+    "matfree": (
+        _matfree,
+        ("v", "out", "recv", "tmp", "diag",
+         *(f"offd_{conn.name}" for conn in ALL_CONNECTIONS)),
+    ),
+}
+
+
+def _bound_columns(pe) -> dict:
+    """name -> the array the program's physics reads for that column."""
+    offd = pe.state.get("offd", {})
+    return {**pe.state, **{f"offd_{c.name}": a for c, a in offd.items()}}
+
+
+@pytest.mark.parametrize(
+    "dims", [(1, 1, 3), (1, 5, 2), (6, 1, 2), (5, 4, 3)],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+@pytest.mark.parametrize("kind", sorted(EXTENSIONS))
+def test_extension_memory_equals_the_per_pe_reference(kind, dims):
+    factory, names = EXTENSIONS[kind]
+    program = factory(*dims)()
+    pes = [pe for _x, _y, pe in program.exchange.pes]
+    assert len(pes) == program.fabric.num_pes
+    for pe in pes:
+        reference = Scratchpad()
+        for name in names:
+            reference.alloc_array(name, dims[2], np.float64)
+        assert _memory_facts(pe.memory) == _memory_facts(reference), pe.coord
+        bound = _bound_columns(pe)
+        for name in names:
+            assert np.shares_memory(bound[name], pe.memory.array(name))
+    for a, b in combinations(pes, 2):
+        for name in names:
+            assert not np.shares_memory(a.memory.array(name), b.memory.array(name))
+
+
+def test_matfree_coefficients_land_in_their_own_pe():
+    jac = _matfree(4, 3, 2)()
+    diag = jac.diagonal()
+    for x, y, pe in jac.exchange.pes:
+        assert np.array_equal(pe.state["diag"], diag[:, y, x])
+        for conn, column in pe.state["offd"].items():
+            field = jac._fields[f"offd_{conn.name}"]
+            assert np.array_equal(column, field[:, y, x])
+
+
+def test_an_over_budget_wave_column_raises_the_per_pe_text():
+    """The probe raises what the first PE's own allocation did."""
+    with pytest.raises(
+        PEMemoryError,
+        match=r"^PE memory overflow allocating 'tmp': need 10400 B, "
+        r"have 7552 B of 49152 B$",
+    ):
+        _wave(2, 2, 1300)()
+
+
+@pytest.mark.parametrize("side", [24, 48])
+@pytest.mark.parametrize("kind", sorted(EXTENSIONS))
+def test_extension_set_up_is_by_class_not_by_pe(kind, side):
+    """Python frames entered while the program is constructed, per PE,
+    counted as `tests/test_backends.py` counts `lower_to_event`'s.  A
+    one-layer flux IR plus one `alloc_array` per PE per name read 55
+    (wave) and 124 (matfree); the exchange IR plus one installed plan
+    leave ~30, the same at both sizes."""
+    make = EXTENSIONS[kind][0](side, side, 4)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        make()
+    finally:
+        sys.setprofile(previous)
+    assert calls <= 40 * side * side, f"{calls / side / side:.0f} per PE"

@@ -14,7 +14,7 @@ from repro.dataflow import FluxProgram, SpareColumnRemap, WseMatrixFreeJacobian
 from repro.dataflow.exchange import ColumnExchange
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault
-from repro.ir import derive_ir
+from repro.ir import derive_exchange
 from repro.wave import TTIMedium, WseWavePropagator, ricker_wavelet
 from repro.workloads import make_geomodel
 from repro.wse.fabric import Fabric
@@ -40,13 +40,13 @@ class Tagged:
             self.fabric = Fabric(nx, ny)
         self.log = {}
         self.faults = faults
+        self.remap = remap
         self.exchange = ColumnExchange(
             self.fabric, nx, ny,
             start=lambda pe: None,
             payload=lambda pe: pe.state["tag"],
             on_data=self.on_data,
-            ir=derive_ir(CartesianMesh3D(nx, ny, 1), remap=remap)
-            if source == "ir" else None,
+            ir=derive_exchange(nx, ny, remap=remap) if source == "ir" else None,
             remap=remap,
         )
         for x, y, pe in self.exchange.pes:
@@ -96,8 +96,12 @@ class TestExactlyOnce:
                 got = log.get((x, y), [])
                 assert len(got) == len(want), (x, y)
                 assert dict(got) == want, (x, y)
-        # the closed-form counts are the sizes of the receiver sets
-        receivers = tagged.exchange.expected_receivers().values()
+        # the closed-form counts are the sizes of the IR's receiver sets
+        ir = derive_exchange(nx, ny, remap=tagged.remap)
+        receivers = [
+            set(ir.expected_receivers(color))
+            for _ch, color in tagged.exchange.channels
+        ]
         for _x, _y, pe in tagged.exchange.pes:
             assert pe.state["expected"] == sum(pe.coord in r for r in receivers)
 
@@ -122,7 +126,7 @@ class TestExactlyOnce:
                 assert pa.state[key] == pb.state[key]
 
     def test_a_color_table_that_disagrees_is_refused(self):
-        ir = derive_ir(CartesianMesh3D(3, 3, 1))
+        ir = derive_exchange(3, 3)
         ir.doc["colors"][0], ir.doc["colors"][1] = (
             {**ir.doc["colors"][0], "id": 1}, {**ir.doc["colors"][1], "id": 0},
         )
@@ -252,10 +256,14 @@ class TestCheckSeesTheExtensions:
     @staticmethod
     def _findings(program):
         exchange = program.exchange
+        ir = derive_exchange(exchange.nx, exchange.ny)
         report = check_fabric(
             program.fabric,
             colors={c: ch.name for ch, c in exchange.channels},
-            expected_receivers=exchange.expected_receivers(),
+            expected_receivers={
+                c: frozenset(ir.expected_receivers(c))
+                for _ch, c in exchange.channels
+            },
             only={"deadlock", "colors", "routes", "switches"},
         )
         return report.findings

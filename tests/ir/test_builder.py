@@ -10,12 +10,14 @@ import gc
 import numpy as np
 import pytest
 
+from repro.check import check_ir
 from repro.core import CartesianMesh3D, FluidProperties
 from repro.dataflow.cardinal import CARDINAL_CHANNELS
 from repro.dataflow.diagonal import DIAGONAL_CHANNELS
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.dataflow.program import FluxProgram
-from repro.ir import build_ir, derive_ir
+from repro.ir import KIND_FABRIC, build_ir, derive_exchange, derive_ir
+from repro.util.jsonio import stable_dumps
 
 VARIANTS = {
     "default": {},
@@ -26,8 +28,29 @@ VARIANTS = {
 }
 
 
+#: the blocks of a program IR that `derive_exchange` derives on its own
+EXCHANGE_BLOCKS = (
+    "colors", "routes", "expected_receivers", "injectors", "contracts", "remap",
+)
+
+
 def _program(dims, **kwargs) -> FluxProgram:
     return FluxProgram(CartesianMesh3D(*dims), FluidProperties(), **kwargs)
+
+
+def _assert_exchange_of(ir, remap=None):
+    """`derive_exchange` of *ir*'s footprint is *ir*'s exchange half, byte
+    for byte, with no memory plan of its own."""
+    nx, ny, _nz = ir.mesh_shape
+    exchange = derive_exchange(nx, ny, remap=remap)
+    assert exchange.kind == KIND_FABRIC
+    for block in EXCHANGE_BLOCKS:
+        assert stable_dumps(exchange.doc[block]) == stable_dumps(ir.doc[block])
+    envelope = ("width", "height", "bypass_columns")
+    assert exchange.doc["fabric"] == {k: ir.doc["fabric"][k] for k in envelope}
+    assert exchange.doc["memory"]["classes"] == []
+    assert set(exchange.doc["memory"]["assignment"]) == {-1}
+    return exchange
 
 
 class TestCompilerMatchesCapture:
@@ -65,6 +88,17 @@ class TestClosedForm:
                 program = _program((nx, ny, 3), **kwargs)
                 derived = derive_ir(program.mesh, **kwargs)
                 assert derived.dumps() == build_ir(program).dumps(), (nx, ny)
+                _assert_exchange_of(derived)
+
+    def test_check_ir_finds_the_same_in_the_exchange_alone(self):
+        """Every finding on a flux program's IR is about its exchange
+        (the memory and plan analyzers find nothing at these sizes)."""
+        for nx in range(1, 10):
+            for ny in range(1, 10):
+                derived = derive_ir(CartesianMesh3D(nx, ny, 3))
+                assert check_ir(_assert_exchange_of(derived)).findings == (
+                    check_ir(derived).findings
+                ), (nx, ny)
 
     @pytest.mark.parametrize("dead_column", [0, 3, 6])
     def test_remap_around_first_middle_and_last_column(self, dead_column):
@@ -72,7 +106,10 @@ class TestClosedForm:
         assert dead_column in remap.bypassed_columns
         mesh = CartesianMesh3D(6, 5, 3)
         program = FluxProgram(mesh, FluidProperties(), remap=remap)
-        assert derive_ir(mesh, remap=remap).dumps() == build_ir(program).dumps()
+        derived = derive_ir(mesh, remap=remap)
+        assert derived.dumps() == build_ir(program).dumps()
+        exchange = _assert_exchange_of(derived, remap)
+        assert check_ir(exchange).findings == check_ir(derived).findings
 
     def test_held_ir_is_o_classes_gc_objects_at_any_fabric_size(self):
         """A per-PE list of small ints is one container to the collector;

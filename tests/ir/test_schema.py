@@ -127,6 +127,40 @@ class TestInvalidFiles:
         with pytest.raises(ValueError, match="missing keys"):
             FabricProgramIR.from_json(path)
 
+    @pytest.mark.parametrize(
+        "cells, value, message",
+        [
+            (
+                lambda doc: doc["routes"]["0"]["assignment"], 3,
+                "routes[0].assignment holds 3 at PE (2, 1); allowed: -1 to 2",
+            ),
+            (
+                lambda doc: doc["memory"]["assignment"], "0",
+                "memory.assignment holds '0' at PE (2, 1); allowed: -1 to 0",
+            ),
+            (
+                lambda doc: doc["injectors"]["card_east"], 2,
+                "injectors[card_east] holds 2 at PE (2, 1); allowed: 0 to 1",
+            ),
+        ],
+        ids=["route-class-out-of-range", "memory-class-a-string", "flag-not-0-or-1"],
+    )
+    def test_a_bad_per_pe_entry_is_an_error_naming_list_and_pe(
+        self, capsys, tmp_path, cells, value, message
+    ):
+        """A well-hashed file whose per-PE entry does not fit its list:
+        the CLI names list, value and PE and exits 2 (no traceback)."""
+        doc = json.loads(_small_ir().dumps())
+        del doc["content_hash"]
+        cells(doc)[1 * 4 + 2] = value
+        path = tmp_path / "bad.json"
+        FabricProgramIR(doc).to_json(path)  # builders do not validate
+        with pytest.raises(ValueError) as excinfo:
+            FabricProgramIR.from_json(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert main(["check", "--program", str(path)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_tampered_document_fails_the_hash_check(self, tmp_path):
         path = tmp_path / "ir.json"
         _small_ir().to_json(path)
