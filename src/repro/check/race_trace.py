@@ -1,19 +1,19 @@
 """FastTrack-style happens-before checker over shared-arena traces.
 
 The model checker (:mod:`repro.check.race_model`) proves the abstract
-protocol; this module checks **real runs**.  A zero-cost-when-off
-``race_trace=`` hook on :class:`~repro.par.shm.SharedArena` /
-:class:`~repro.par.comm.ProcComm` (mirroring the PR 2 ``span`` and
-PR 7 ``record`` hooks) records every protocol-relevant shared-arena
-access as an :class:`ArenaAccess` event:
+protocol; this module checks **real exchanges**.  A zero-cost-when-off
+``race_trace=`` hook on :class:`~repro.par.comm.ProcComm` records every
+halo publish and observe as :class:`ArenaAccess` events, and
+:func:`repro.check.race.hb_live_probe` drives two real endpoints over
+one :class:`~repro.par.shm.SharedArena` with it switched on:
 
-* ``write`` / ``read`` — data accesses: link payload strips, the
-  per-parity pressure fields, per-rank residual blocks.
+* ``write`` / ``read`` — data accesses: link payload strips (the
+  analyzer also names per-parity pressure fields and per-rank residual
+  blocks).
 * ``release`` / ``acquire`` — synchronizing accesses: a sequence-header
-  publish and the matching observation, the parent's application stamp
-  and the worker's pickup, the worker's reply and the parent's absorb.
-  Release/acquire pairs are matched on ``(loc, value)`` — e.g. the
-  header location plus the published sequence number.
+  publish and the matching observation.  Release/acquire pairs are
+  matched on ``(loc, value)`` — e.g. the header location plus the
+  published sequence number.
 
 :func:`check_hb` rebuilds the happens-before order with per-actor
 vector clocks (program order within an actor; release→acquire edges
@@ -112,10 +112,10 @@ def describe_loc(loc: tuple) -> str:
 class RaceTraceRecorder:
     """Accumulates :class:`ArenaAccess` events for one actor.
 
-    Workers record locally and ship drained batches to the parent in
-    their reply payloads (the span-shipping idiom); the parent ingests
-    them next to its own events.  ``index`` keeps incrementing across
-    drains so program order survives batching.
+    An actor in another process can ship drained batches (the
+    span-shipping idiom) for a recorder to ingest next to its own
+    events.  ``index`` keeps incrementing across drains so program
+    order survives batching.
     """
 
     def __init__(self, actor: str) -> None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import constants
 from repro.core.flat import FlatFluxKernel, FlatWorkspace
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
@@ -153,11 +152,9 @@ class ClusterFluxComputation:
     faults:
         Optional :class:`~repro.faults.injector.FaultInjector` with
         transient rank failures; the halo exchange then recovers lost
-        strips by retransmitting under *retry*.
-    retry:
-        Receive :class:`~repro.cluster.comm.RetryPolicy`; defaults to a
-        3-attempt exponential backoff when *faults* is given, else no
-        retry (missing receives fail fast exactly as before).
+        strips by retransmitting under the default 3-attempt exponential
+        backoff (:class:`~repro.cluster.comm.RetryPolicy`).  Without
+        *faults* a missing receive fails fast.
     """
 
     def __init__(
@@ -167,31 +164,24 @@ class ClusterFluxComputation:
         *,
         px: int,
         py: int,
-        gravity: float = constants.GRAVITY,
         dtype=np.float64,
         faults=None,
-        retry: RetryPolicy | None = None,
         record=None,
     ) -> None:
         self.mesh = mesh
         self.fluid = fluid
-        self.gravity = float(gravity)
         self.dtype = np.dtype(dtype)
         self.grid = CartGrid(px, py)
         self.decomp = BlockDecomposition(mesh, px, py)
         self.faults = faults
-        self.retry = retry if retry is not None else (
-            RetryPolicy() if faults is not None else None
-        )
+        self.retry = RetryPolicy() if faults is not None else None
         self.comm = SimComm(self.grid.size, faults=faults)
         # per-rank state: the flat kernel, whose padded pressure buffer
         # is the rank's field (scatter and halo strips land in it), and
         # one workspace for all ranks, which compute in turn
         meshes = [self.decomp.local_mesh(block) for block in self.decomp.blocks]
         workspace = FlatWorkspace([m.shape_zyx for m in meshes], self.dtype)
-        self._kernels = [
-            FlatFluxKernel(m, fluid, workspace, gravity=gravity) for m in meshes
-        ]
+        self._kernels = [FlatFluxKernel(m, fluid, workspace) for m in meshes]
         # every strip both endpoints touch, as views made once: sends in
         # the canonical link order, receives per rank in tag order
         links = halo_links(self.decomp, self.grid)

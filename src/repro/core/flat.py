@@ -113,8 +113,6 @@ class FlatFluxKernel:
         mesh: CartesianMesh3D,
         fluid: FluidProperties,
         workspace: FlatWorkspace,
-        *,
-        gravity: float = constants.GRAVITY,
     ) -> None:
         self.fluid = fluid
         self.shape_zyx = shape = mesh.shape_zyx
@@ -162,7 +160,7 @@ class FlatFluxKernel:
                         continue
                     lo, count = first * plane, (last - first) * plane
                     form = (last - first, plane)
-                    gz = (z[first + dz : last + dz] - z[first:last]) * float(gravity)
+                    gz = (z[first + dz : last + dz] - z[first:last]) * constants.GRAVITY
                 else:
                     lo, count = z0 * plane + row + 1, (z1 - z0) * plane - 2 * (row + 1)
                     form = (count,)

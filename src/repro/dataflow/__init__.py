@@ -47,7 +47,7 @@ __getattr__, __dir__ = lazy_exports(
             "SpareColumnRemap",
             "compare_mappings",
         ),
-        "program": ("FluxProgram", "padded_trans_fields"),
+        "program": ("FluxProgram",),
     },
 )
 
@@ -55,7 +55,6 @@ __all__ = [
     "WseFluxComputation",
     "WseRunResult",
     "FluxProgram",
-    "padded_trans_fields",
     "ColumnExchange",
     "LockstepWseSimulation",
     "LockstepReport",

@@ -17,7 +17,7 @@ meshes use :mod:`repro.dataflow.lockstep` for function and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.core.transmissibility import Transmissibility
 from repro.dataflow.program import FluxProgram
 from repro.obs.spans import span
 from repro.obs.trace import TraceSink
-from repro.wse.perf import WSE2, WsePerfModel
+from repro.wse.perf import WSE2
 from repro.wse.runtime import EventRuntime, RuntimeStats
 
 __all__ = ["WseFluxComputation", "WseRunResult"]
@@ -47,7 +47,7 @@ class WseRunResult:
         Summed end-to-end cycles of all applications (event-queue drain
         time per application).
     device_seconds:
-        ``device_cycles`` converted through the perf model clock.
+        ``device_cycles`` converted through the WSE-2 clock.
     compute_cycles:
         Total PE datapath cycles (sum over PEs of DSD cycles).
     instruction_counts:
@@ -59,8 +59,8 @@ class WseRunResult:
     stats:
         Runtime statistics merged over all applications
         (:meth:`~repro.wse.runtime.RuntimeStats.merge`).
-    residuals:
-        Per-application residual fields (only when ``keep_all=True``).
+
+    Every application's residual goes to the driver's ``record=`` hook.
     """
 
     residual: np.ndarray
@@ -72,7 +72,6 @@ class WseRunResult:
     flops: int
     fabric_word_hops: int
     stats: RuntimeStats
-    residuals: list[np.ndarray] = field(default_factory=list)
 
     @property
     def seconds_per_application(self) -> float:
@@ -123,13 +122,15 @@ class WseRunResult:
 class WseFluxComputation:
     """Distributed TPFA flux computation on the simulated WSE.
 
-    Names what the driver consumes itself — the perf model and the
-    sinks threaded into its runtime (``trace``, ``faults``,
-    ``watchdog_cycles``, ``record``); every other keyword goes to
+    Names what the driver consumes itself — the sinks threaded into its
+    runtime (``trace``, ``faults``, ``watchdog_cycles``, ``record``);
+    every other keyword goes to
     :class:`~repro.dataflow.program.FluxProgram`, which documents
     ``dtype``, ``reuse_buffers``, ``vectorized``, ``compute_fluxes``
     (comm-only mode), ``remap``, ``ir`` and the memory knobs and rejects
-    an unknown one.
+    an unknown one.  Time is the WSE-2 cost model
+    (:data:`~repro.wse.perf.WSE2`): hop latency and link rate decide the
+    arrival order, and with it the residual's bits.
 
     Examples
     --------
@@ -147,7 +148,6 @@ class WseFluxComputation:
         fluid: FluidProperties,
         trans: Transmissibility | None = None,
         *,
-        perf: WsePerfModel = WSE2,
         trace: bool = False,
         trace_capacity: int | None = 1024,
         faults=None,
@@ -159,7 +159,6 @@ class WseFluxComputation:
         #: The IR the program was lowered from (None: self-derived).
         self.ir = self.program.ir
         self.mesh = mesh
-        self.perf = perf
         self.trace = trace
         #: Streaming trace aggregation spanning every application of this
         #: computation (the runtime's reset() does not clear it because
@@ -178,22 +177,13 @@ class WseFluxComputation:
         self.last_runtime: EventRuntime | None = None
 
     # ------------------------------------------------------------------ #
-    def run(self, pressures, *, keep_all: bool = False) -> WseRunResult:
-        """Execute one application per pressure field in *pressures*.
-
-        Parameters
-        ----------
-        pressures:
-            Iterable of (nz, ny, nx) pressure fields (e.g. a
-            :class:`~repro.core.PressureSequence`).
-        keep_all:
-            Keep every application's residual (memory permitting).
-        """
+    def run(self, pressures) -> WseRunResult:
+        """Execute one application per (nz, ny, nx) pressure field in
+        *pressures* (e.g. a :class:`~repro.core.PressureSequence`)."""
         program, exchange = self.program, self.program.exchange
         program.fabric.reset_counters()
         total_cycles = 0.0
         applications = 0
-        residuals: list[np.ndarray] = []
         residual = None
         totals = RuntimeStats()
         # one runtime serves every application: reset() clears the event
@@ -201,7 +191,7 @@ class WseFluxComputation:
         # rebuilding them per pressure field
         rt = EventRuntime(
             program.fabric,
-            self.perf,
+            WSE2,
             trace_sink=self.trace_sink,
             faults=self.faults,
             watchdog_cycles=self.watchdog_cycles,
@@ -228,8 +218,6 @@ class WseFluxComputation:
                     events=rt.stats.events_processed,
                     device_cycles=rt.now,
                 )
-                if keep_all:
-                    residuals.append(residual.copy())
         if applications == 0:
             raise ValueError("no pressure fields supplied")
         fabric = program.fabric
@@ -237,13 +225,12 @@ class WseFluxComputation:
             residual=residual,
             applications=applications,
             device_cycles=total_cycles,
-            device_seconds=self.perf.seconds(total_cycles),
+            device_seconds=WSE2.seconds(total_cycles),
             compute_cycles=sum(pe.dsd.cycles for pe in fabric.pes()),
             instruction_counts=fabric.total_counts(),
             flops=fabric.total_flops(),
             fabric_word_hops=totals.fabric_word_hops,
             stats=totals,
-            residuals=residuals,
         )
 
     def run_single(self, pressure: np.ndarray) -> WseRunResult:

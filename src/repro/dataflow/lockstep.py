@@ -11,19 +11,21 @@ the same fabric-wide instruction and traffic totals, at NumPy speed.
 Per application the phases mirror Sec. 5:
 
 1. density evaluation + vertical (in-memory) fluxes on every PE;
-2. cardinal exchange: for each of the four channels, move the neighbour
-   plane into halo storage (FMOV with fabric loads — one hop) and compute
-   the partial fluxes on arrival;
+2. cardinal exchange: for each of the four channels, the neighbour
+   plane arrives in halo storage (FMOV with fabric loads — one hop) and
+   the partial fluxes are computed on arrival;
 3. diagonal exchange: the same for the four two-hop flows (two hops of
    link traffic per word, one FMOV at the target).
 
 Every phase streams the halo-padded flat layout of
 :mod:`repro.dataflow.padded` (shared with the fused backend): per
-connection one halo copy of the shifted ``(p, rho)`` spans and one
-kernel call on contiguous spans from the first interior cell to the
-last, X-Y faces on the kernel's collapsed branch.  With ``inf`` / ``NaN``
-pressure cells, a cell whose per-face residual is finite keeps its bytes
-and a non-finite one stays non-finite: a halo face contributes
+connection one kernel call on contiguous spans from the first interior
+cell to the last, reading the neighbour's ``(p, rho)`` in place one
+flat shift away, X-Y faces on the kernel's collapsed branch.  The
+fabric's halo moves are booked by ``PaddedFlatLayout.book``, not
+executed: a copy would hand the kernel the same values.  With ``inf`` /
+``NaN`` pressure cells, a cell whose per-face residual is finite keeps
+its bytes and a non-finite one stays non-finite: a halo face contributes
 ``+-inf * 0 = NaN`` only to a cell whose real faces are non-finite
 already.
 """
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import EXCHANGE_PLAN, Connection
@@ -58,7 +59,6 @@ class LockstepWseSimulation:
         fluid: FluidProperties,
         trans: Transmissibility | None = None,
         *,
-        gravity: float = constants.GRAVITY,
         dtype=np.float32,
         vectorized: bool = True,
         compute_fluxes: bool = True,
@@ -67,7 +67,6 @@ class LockstepWseSimulation:
     ) -> None:
         self.mesh = mesh
         self.fluid = fluid
-        self.gravity = float(gravity)
         self.dtype = np.dtype(dtype)
         self.compute_fluxes = compute_fluxes
         #: The :class:`~repro.ir.schema.FabricProgramIR` this simulation
@@ -88,7 +87,7 @@ class LockstepWseSimulation:
         self.record = record
 
         self._layout = layout = PaddedFlatLayout(
-            mesh, fluid, trans, self.dtype, self.exchange_plan, gravity=gravity,
+            mesh, fluid, trans, self.dtype, self.exchange_plan,
             vectorized=vectorized, compute_fluxes=compute_fluxes, halo_copies=True,
         )
         self.engine = layout.engine
@@ -111,22 +110,17 @@ class LockstepWseSimulation:
             if count > 0:
                 operands = layout.operands(conn, lo, count, scratch, p, rho)
                 self._vertical.append(operands + (residual[lo : lo + count],))
-        #: the shared (p, rho) halo window, aligned with the cells an X-Y
-        #: sweep covers: the first interior cell to the last
+        #: per phase, the kernel operands of each connection over the
+        #: cells an X-Y sweep covers: the first interior cell to the last
         here = slice(layout.edge, lanes - layout.edge)
-        self._halo = halo_p, halo_rho = np.zeros((2, lanes), self.dtype)[:, here]
-        #: per phase and connection: (neighbour p, neighbour rho, kernel
-        #: operands); the kernel reads the neighbour from the halo window
-        self._phases = []
-        for conns, _hops, phase in self.exchange_plan:
-            moves = []
-            for conn in conns:
-                cut, p_k, p_l, z_k, z_l, rho_k, rho_l, ups = layout.operands(
-                    conn, here.start, here.stop - here.start, scratch, p, rho
-                )
-                kernel = cut, p_k, halo_p, z_k, z_l, rho_k, halo_rho, ups
-                moves.append((p_l, rho_l, kernel + (residual[here],)))
-            self._phases.append((phase, moves))
+        self._phases = [
+            (phase, [
+                layout.operands(conn, here.start, here.stop - here.start, scratch, p, rho)
+                + (residual[here],)
+                for conn in conns
+            ])
+            for conns, _hops, phase in self.exchange_plan
+        ]
 
     # ------------------------------------------------------------------ #
     def run_application(self, pressure: np.ndarray) -> np.ndarray:
@@ -135,7 +129,6 @@ class LockstepWseSimulation:
         layout = self._layout
         # the kernels sweep padded lanes; layout.book() has the true counts
         engine, kernel = layout.swept, layout.kernel
-        halo_p, halo_rho = self._halo
         self._pressure[...] = pressure  # cast into the padded buffer's interior
         self._residual.fill(0.0)
 
@@ -148,12 +141,10 @@ class LockstepWseSimulation:
                         compute_face_flux_column(engine, *operands, **kernel)
 
             # Phases 2-3: fabric exchanges (cardinal 1 hop, diagonal 2)
-            for phase, moves in self._phases:
+            for phase, connections in self._phases:
                 with span(phase):
-                    for p_l, rho_l, operands in moves:
-                        engine.fmovs(halo_p, p_l, from_fabric=True)
-                        engine.fmovs(halo_rho, rho_l, from_fabric=True)
-                        if self.compute_fluxes:
+                    if self.compute_fluxes:
+                        for operands in connections:
                             compute_face_flux_column(engine, *operands, **kernel)
             layout.book(1)
 

@@ -20,16 +20,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import Connection
-from repro.core.transmissibility import Transmissibility
+from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.dataflow.flux_pe import (
     DENSITY_EXP_CYCLES_PER_ELEMENT,
     FluxScratch,
     evaluate_density_column,
 )
-from repro.dataflow.program import padded_trans_fields
 from repro.wse.dsd import DsdEngine
 
 __all__ = ["LockstepReport", "LockstepRunResult", "PaddedFlatLayout"]
@@ -53,13 +53,12 @@ class LockstepReport:
 
 @dataclass
 class LockstepRunResult:
-    """Outcome of a lockstep or fused ``run()``: the last residual, the
-    driver's accounting so far and, where asked for, every residual."""
+    """Outcome of a lockstep or fused ``run()``: the last residual and
+    the driver's accounting so far (every residual goes to ``record=``)."""
 
     residual: np.ndarray
     applications: int
     report: LockstepReport
-    residuals: list | None = None
 
     def as_metrics(self) -> dict:
         """The report's counters (obs metrics registry shape)."""
@@ -71,8 +70,9 @@ class PaddedFlatLayout:
 
     *exchange_plan* is ``(connections, hops, phase)`` per communication
     phase, in fold order.  ``halo_copies`` says whether the backend
-    moves neighbour columns into halo storage (lockstep: two FMOVs per
-    face are booked) or reads them in place (fused: traffic only).
+    books the fabric's moves of neighbour columns into halo storage
+    (lockstep: two FMOVs per face) or traffic only (fused).  Both read
+    the neighbour in place.
     """
 
     def __init__(
@@ -83,7 +83,6 @@ class PaddedFlatLayout:
         dtype,
         exchange_plan,
         *,
-        gravity: float,
         vectorized: bool,
         compute_fluxes: bool,
         halo_copies: bool,
@@ -95,7 +94,7 @@ class PaddedFlatLayout:
             raise ValueError("trans was built for a different mesh")
         self.fluid = fluid
         #: the flux kernels' keyword arguments
-        g, inv_mu = dtype.type(gravity), dtype.type(1.0 / fluid.viscosity)
+        g, inv_mu = dtype.type(constants.GRAVITY), dtype.type(1.0 / fluid.viscosity)
         self.kernel = {"gravity": g, "inv_viscosity": inv_mu}
         self.exchange_plan = exchange_plan
         self.compute_fluxes = compute_fluxes

@@ -23,12 +23,8 @@ import numpy as np
 from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import (
-    ALL_CONNECTIONS,
-    Connection,
-    interior_slices,
-)
-from repro.core.transmissibility import Transmissibility
+from repro.core.stencil import Connection
+from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.dataflow.exchange import ColumnExchange
 from repro.dataflow.flux_pe import compute_face_flux_column, evaluate_density_column
 from repro.dataflow.halos import TRANS_NAMES, PEColumnLayout
@@ -39,32 +35,7 @@ from repro.wse.fabric import Fabric
 from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 from repro.wse.pe import ProcessingElement
 
-__all__ = ["FluxProgram", "padded_trans_fields"]
-
-
-def padded_trans_fields(
-    mesh: CartesianMesh3D,
-    trans: Transmissibility,
-    dtype=np.float32,
-    *,
-    xy_halo: int = 0,
-) -> dict[Connection, np.ndarray]:
-    """Full-mesh transmissibility fields, zero where no neighbour exists.
-
-    ``out[conn][z, y, x]`` is ``Upsilon`` between cell (x, y, z) and its
-    *conn* neighbour (0 on the boundary), ready to slice into per-PE
-    columns.  ``xy_halo`` surrounds every z-plane with that many further
-    zero cells (the fused backend's layout), shifting y and x by it.
-    """
-    nz, ny, nx = mesh.shape_zyx
-    h = xy_halo
-    out: dict[Connection, np.ndarray] = {}
-    for conn in ALL_CONNECTIONS:
-        full = np.zeros((nz, ny + 2 * h, nx + 2 * h), dtype=dtype)
-        local, _ = interior_slices(mesh.shape_zyx, conn)
-        full[:, h : h + ny, h : h + nx][local] = trans.face_array(conn)
-        out[conn] = full
-    return out
+__all__ = ["FluxProgram"]
 
 
 @dataclass
@@ -75,8 +46,7 @@ class FluxProgram:
     ----------
     mesh, fluid, trans:
         Problem definition; ``trans`` defaults to a fresh TPFA build.
-    gravity:
-        Gravitational acceleration of Eq. 3b.
+        Gravity is :data:`~repro.core.constants.GRAVITY` (Eq. 3b).
     dtype:
         PE-local floating dtype (float32 matches the hardware; float64
         is allowed for tight cross-validation runs).
@@ -109,7 +79,6 @@ class FluxProgram:
     mesh: CartesianMesh3D
     fluid: FluidProperties
     trans: Transmissibility | None = None
-    gravity: float = constants.GRAVITY
     dtype: type = np.float32
     reuse_buffers: bool = True
     vectorized: bool = True
@@ -166,7 +135,7 @@ class FluxProgram:
         # cast them per call otherwise (same bits, avoidable overhead)
         _scalar = np.dtype(self.dtype).type
         self._inv_viscosity = _scalar(1.0 / self.fluid.viscosity)
-        self._gravity = _scalar(self.gravity)
+        self._gravity = _scalar(constants.GRAVITY)
         with span("program.build", cat="build",
                   fabric=f"{self.mesh.nx}x{self.mesh.ny}"):
             self.exchange = ColumnExchange(

@@ -11,7 +11,7 @@ cross-validates all implementations numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,12 @@ from repro.core.fluid import FluidProperties
 from repro.core.kernels import FLOPS_PER_CELL, face_flux_array
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import ALL_CONNECTIONS
-from repro.core.transmissibility import Transmissibility
-from repro.dataflow.program import padded_trans_fields
+from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.gpu.cuda import cuda_kernel
-from repro.gpu.device import A100_40GB, DeviceSpec, OccupancyModel
+from repro.gpu.device import A100_40GB, OccupancyModel
 from repro.gpu.launch import PAPER_TILE, Tile, TiledLaunch
 from repro.gpu.memory import DeviceMemoryManager, TransferLog
-from repro.gpu.raja import KernelPolicy, raja_kernel
+from repro.gpu.raja import raja_kernel
 from repro.obs.spans import span
 
 __all__ = ["GpuFluxComputation", "GpuRunResult"]
@@ -63,7 +62,7 @@ class GpuRunResult:
 
 
 class GpuFluxComputation:
-    """Cell-based TPFA flux kernel on a simulated A100-class device.
+    """Cell-based TPFA flux kernel on a simulated A100-40GB.
 
     Parameters
     ----------
@@ -71,11 +70,8 @@ class GpuFluxComputation:
         Problem definition.
     variant:
         ``"raja"`` (Fig. 7 policy, clamped tiles) or ``"cuda"``
-        (manual grid + kernel-side bounds checks).
-    tile_xyz:
-        Threadblock tiling, default the paper's ``16 x 8 x 8``.
-    device:
-        Simulated device spec (A100-40GB by default).
+        (manual grid + kernel-side bounds checks); both launch the
+        paper's ``16 x 8 x 8`` threadblocks (:data:`PAPER_TILE`).
     dtype:
         Device floating dtype.
     """
@@ -87,9 +83,6 @@ class GpuFluxComputation:
         trans: Transmissibility | None = None,
         *,
         variant: str = "raja",
-        gravity: float = constants.GRAVITY,
-        tile_xyz: tuple[int, int, int] = PAPER_TILE,
-        device: DeviceSpec = A100_40GB,
         dtype=np.float32,
         record=None,
     ) -> None:
@@ -98,17 +91,13 @@ class GpuFluxComputation:
         self.mesh = mesh
         self.fluid = fluid
         self.variant = variant
-        self.gravity = float(gravity)
-        self.tile_xyz = tile_xyz
-        self.device = device
         self.dtype = np.dtype(dtype)
         if trans is None:
             trans = Transmissibility(mesh, dtype=dtype)
         elif trans.mesh is not mesh:
             raise ValueError("trans was built for a different mesh")
-        self.occupancy = OccupancyModel(
-            device, threads_per_block=tile_xyz[0] * tile_xyz[1] * tile_xyz[2]
-        )
+        tx, ty, tz = PAPER_TILE
+        self.occupancy = OccupancyModel(A100_40GB, threads_per_block=tx * ty * tz)
         self._flops = 0
         self._tiles = 0
         self._launches = 0
@@ -119,7 +108,7 @@ class GpuFluxComputation:
 
         # --- allocate device memory and upload the static mesh data ----
         shape = mesh.shape_zyx
-        self.dev = DeviceMemoryManager(device)
+        self.dev = DeviceMemoryManager(A100_40GB)
         self.dev.alloc("pressure", shape, self.dtype)
         self.dev.alloc("density", shape, self.dtype)
         self.dev.alloc("residual", shape, self.dtype)
@@ -131,7 +120,7 @@ class GpuFluxComputation:
         self.dev.h2d("elevation", np.asarray(mesh.elevation, dtype=self.dtype))
         for conn in ALL_CONNECTIONS:
             self.dev.h2d(f"trans_{conn.name}", trans_fields[conn])
-        self._launch_helper = TiledLaunch(shape, tile_xyz, clamp=True)
+        self._launch_helper = TiledLaunch(shape, PAPER_TILE, clamp=True)
 
     # ------------------------------------------------------------------ #
     # Device kernels
@@ -168,7 +157,7 @@ class GpuFluxComputation:
                 z[local], z[neigh],
                 rho[local], rho[neigh],
                 self.dev.get(f"trans_{conn.name}")[local],
-                self.gravity,
+                constants.GRAVITY,
                 self.fluid.viscosity,
             )
             res[local] += flux
@@ -181,17 +170,8 @@ class GpuFluxComputation:
             backend=f"gpu/{self.variant}",
             **self._launch_helper.describe(),
         ):
-            if self.variant == "raja":
-                record = raja_kernel(
-                    self.mesh.shape_zyx,
-                    body,
-                    policy=KernelPolicy(tile_xyz=self.tile_xyz),
-                )
-                return record.tiles_executed
-            record = cuda_kernel(
-                self.mesh.shape_zyx, body, tile_xyz=self.tile_xyz
-            )
-            return record.tiles_executed
+            launch = raja_kernel if self.variant == "raja" else cuda_kernel
+            return launch(self.mesh.shape_zyx, body).tiles_executed
 
     # ------------------------------------------------------------------ #
     def run(self, pressures) -> GpuRunResult:

@@ -54,10 +54,10 @@ Fabric traffic is accounted arithmetically from the IR's exchange plan
 (2·nz words per face, 1 hop cardinal / 2 hops diagonal); no halo copies
 are performed.  That is not a throughput win over lockstep any more:
 lockstep sweeps this layout too (:mod:`repro.dataflow.padded` states it
-for both) and reads 30 against fused's 27-28 Mcell/s in the ledger at
-48x48x16 (it read 8.4 on strided 3-D views).  Its twenty halo copies
-per application cost less than fused's contribution buffers and masked
-fold passes, which buy the event fold class's bytes, not speed.
+for both), reads its neighbours in place as well, and reads 30 against
+fused's 27-28 Mcell/s in the ledger at 48x48x16 (it read 8.4 on strided
+3-D views).  Fused's contribution buffers and masked fold passes buy
+the event fold class's bytes, not speed.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import Connection
@@ -75,7 +74,7 @@ from repro.dataflow.flux_pe import compute_face_flux_column, store_face_flux_col
 from repro.dataflow.padded import LockstepReport as FusedReport
 from repro.dataflow.padded import LockstepRunResult as FusedRunResult
 from repro.dataflow.padded import PaddedFlatLayout
-from repro.ir.schema import KIND_PROGRAM, FabricProgramIR
+from repro.ir.schema import FabricProgramIR
 from repro.ir.schedule import fold_program, schedule_classes
 from repro.obs.spans import span
 
@@ -95,10 +94,12 @@ _add = np.add
 class FusedFluxComputation:
     """IR-lowered whole-array flux computation.
 
-    Built by :func:`repro.ir.lower.lower_to_fused` from a flux-program
-    :class:`FabricProgramIR` (:func:`repro.ir.builder.derive_ir`), whose
-    ``params`` block carries the program options (``reuse_buffers``,
-    ``vectorized``, ``compute_fluxes``, ``overlap_compute``).
+    Built by :func:`repro.ir.lower.lower_to_fused`, which checks that
+    the flux-program :class:`FabricProgramIR`
+    (:func:`repro.ir.builder.derive_ir`) can be lowered here; its
+    ``params`` block carries the dtype and the program options
+    (``reuse_buffers``, ``vectorized``, ``compute_fluxes``,
+    ``overlap_compute``).
     """
 
     def __init__(
@@ -108,18 +109,14 @@ class FusedFluxComputation:
         trans: Transmissibility | None = None,
         *,
         ir: FabricProgramIR,
-        gravity: float = constants.GRAVITY,
-        dtype=np.float32,
         record=None,
     ) -> None:
         self.mesh = mesh
         self.fluid = fluid
-        self.dtype = np.dtype(dtype)
         self.record = record
-
-        _check_ir_lowerable(ir, mesh, self.dtype)
         self.ir = ir
         params = ir.params
+        self.dtype = np.dtype(params["dtype"])
         self._vectorized = ir.vectorized
         self.compute_fluxes = params["compute_fluxes"]
 
@@ -127,7 +124,7 @@ class FusedFluxComputation:
         #: faces get zero Upsilon, so halo lanes compute finite zeros no
         #: fold mask selects; it books true counts, the kernels sweep lanes
         self._layout = layout = PaddedFlatLayout(
-            mesh, fluid, trans, self.dtype, ir.exchange_plan, gravity=gravity,
+            mesh, fluid, trans, self.dtype, ir.exchange_plan,
             vectorized=self._vectorized, compute_fluxes=self.compute_fluxes,
             halo_copies=False,
         )
@@ -156,7 +153,7 @@ class FusedFluxComputation:
         )
 
     # ------------------------------------------------------------------ #
-    def run(self, pressures, *, keep_all: bool = False) -> FusedRunResult:
+    def run(self, pressures) -> FusedRunResult:
         """Run one application per pressure field, batched."""
         fields = list(pressures)
         if not fields:
@@ -206,15 +203,11 @@ class FusedFluxComputation:
         if self.record is not None:
             for i, field in enumerate(fields):
                 self.record.record_step(field, residual[i])
-        # results are contiguous copies: they do not pin the padded batch
-        residuals = None
-        if keep_all:
-            residuals = [residual[i].copy() for i in range(batch)]
+        # the result is a contiguous copy: it does not pin the padded batch
         return FusedRunResult(
             residual=residual[batch - 1].copy(),
             applications=batch,
             report=self.report(),
-            residuals=residuals,
         )
 
     # ------------------------------------------------------------------ #
@@ -318,33 +311,6 @@ class _Slab:
     horizontal: list
     #: (contribution words, lane mask, masked words, masked) per fold step
     fold: list
-
-
-def _check_ir_lowerable(
-    ir: FabricProgramIR, mesh: CartesianMesh3D, dtype: np.dtype
-) -> None:
-    if ir.kind != KIND_PROGRAM:
-        raise ValueError(
-            f"cannot lower a {ir.kind!r} IR to the fused backend "
-            "(needs a flux-program IR with mesh and params)"
-        )
-    if ir.remap is not None:
-        raise ValueError(
-            "fused backend does not support spare-column remapping "
-            "(the fold schedule is tiled from a probe of the unmapped "
-            "fabric; bypass columns break its period-2 law)"
-        )
-    if ir.mesh_shape != (mesh.nx, mesh.ny, mesh.nz):
-        raise ValueError(
-            f"IR was built for mesh {ir.mesh_shape}, got "
-            f"({mesh.nx}, {mesh.ny}, {mesh.nz})"
-        )
-    if np.dtype(ir.params["dtype"]) != dtype:
-        raise ValueError(
-            f"IR was built for dtype {ir.params['dtype']}, got {dtype.name}"
-        )
-    if not ir.exchange_plan:
-        raise ValueError("IR carries no exchange plan to lower")
 
 
 def _fold_steps(classes, plane_shape, dtype) -> list[tuple[Connection, np.ndarray]]:

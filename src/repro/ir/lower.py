@@ -91,13 +91,14 @@ def lower_to_lockstep(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
 
 
 def lower_to_fused(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
-    """IR -> fused whole-array backend."""
-    params = _require_program_ir(ir, mesh, "fused")
-    return FusedFluxComputation(
-        mesh,
-        fluid,
-        trans,
-        dtype=np.dtype(params["dtype"]),
-        ir=ir,
-        **kwargs,
-    )
+    """IR -> fused whole-array backend (dtype and options from the IR)."""
+    _require_program_ir(ir, mesh, "fused")
+    if ir.remap is not None:
+        raise ValueError(
+            "fused backend does not support spare-column remapping "
+            "(the fold schedule is tiled from a probe of the unmapped "
+            "fabric; bypass columns break its period-2 law)"
+        )
+    if not ir.exchange_plan:
+        raise ValueError("IR carries no exchange plan to lower")
+    return FusedFluxComputation(mesh, fluid, trans, ir=ir, **kwargs)

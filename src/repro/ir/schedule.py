@@ -70,6 +70,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.core.fluid import FluidProperties
+from repro.core.mesh import CartesianMesh3D
+# the probe's program and runtime load with this module, not inside the
+# first probe: a fused lowering times the probe, never its imports
+from repro.dataflow.program import FluxProgram
+from repro.wse.perf import WSE2
+from repro.wse.runtime import EventRuntime
+
 __all__ = ["arrival_schedule", "schedule_classes", "fold_program", "probe_schedule"]
 
 
@@ -198,12 +206,6 @@ def probe_schedule(
     delivery order (measured invariance, see module docstring).  Cached:
     :func:`schedule_classes` only ever asks for reduced (<= 5x5) shapes.
     """
-    from repro.core.fluid import FluidProperties
-    from repro.core.mesh import CartesianMesh3D
-    from repro.dataflow.program import FluxProgram
-    from repro.wse.perf import WSE2
-    from repro.wse.runtime import EventRuntime
-
     mesh = CartesianMesh3D(nx, ny, 1)
     program = FluxProgram(
         mesh,

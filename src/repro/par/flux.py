@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
 from repro.cluster.comm import CartGrid
@@ -139,12 +138,9 @@ class ParClusterFluxComputation:
     respawn:
         Recover from worker crashes by respawning the pool and retrying
         the in-flight application (True), or let
-        :class:`WorkerCrashError` propagate (False).
-    max_respawns:
-        Respawn budget; defaults to the plan's worst-case failure
-        attempts + 1 (or 1 with no plan).
-    timeout_seconds:
-        Per-application reply budget before the parent gives up.
+        :class:`WorkerCrashError` propagate (False).  The respawn budget
+        is the plan's worst-case failure attempts + 1 (1 with no plan);
+        each application's replies get :meth:`ProcPool.collect`'s 120 s.
     lease_seconds:
         Heartbeat lease for hung-worker detection: when set, a live
         worker whose shared-arena heartbeat counter stalls for this long
@@ -156,14 +152,10 @@ class ParClusterFluxComputation:
         How injected rank failures manifest in workers: ``"exit"``
         (real crash) or ``"hang"`` (SIGSTOP — detectable only through
         the heartbeat lease).
-    race_trace:
-        Record every shared-arena access of this run — parent pressure
-        stages, worker scatters/residual writes, every halo
-        publish/observe — as happens-before events for the
-        :func:`repro.check.race_trace.check_hb` analyzer.  The merged
-        trace (parent + shipped worker events) accumulates on
-        :attr:`races`.  Meant for fault-free verification runs; off by
-        default and zero-cost then.
+
+    Worker spans (``par.scatter`` / ``publish`` / ``absorb`` /
+    ``compute``) are always recorded and merge into the parent's
+    installed recorder.
     """
 
     def __init__(
@@ -174,21 +166,15 @@ class ParClusterFluxComputation:
         px: int,
         py: int,
         workers: int | None = None,
-        gravity: float = constants.GRAVITY,
         dtype=np.float64,
         plan: FaultPlan | None = None,
         respawn: bool = True,
-        max_respawns: int | None = None,
-        timeout_seconds: float = 120.0,
-        record_spans: bool = True,
         record=None,
         lease_seconds: float | None = None,
         failure_mode: str = "exit",
-        race_trace: bool = False,
     ) -> None:
         self.mesh = mesh
         self.fluid = fluid
-        self.gravity = float(gravity)
         self.dtype = np.dtype(dtype)
         self.grid = CartGrid(px, py)
         self.decomp = BlockDecomposition(mesh, px, py)
@@ -202,14 +188,8 @@ class ParClusterFluxComputation:
         self.workers = int(workers)
         self.plan = plan
         self.respawn = bool(respawn)
-        if max_respawns is None:
-            failures = plan.rank_failures if plan is not None else ()
-            max_respawns = (
-                max((rf.attempts for rf in failures), default=0) + 1
-            )
-        self.max_respawns = int(max_respawns)
-        self.timeout_seconds = float(timeout_seconds)
-        self.record_spans = bool(record_spans)
+        failures = plan.rank_failures if plan is not None else ()
+        self.max_respawns = max((rf.attempts for rf in failures), default=0) + 1
         if failure_mode not in ("exit", "hang"):
             raise ValueError(
                 f"failure_mode must be 'exit' or 'hang', got {failure_mode!r}"
@@ -249,14 +229,6 @@ class ParClusterFluxComputation:
         #: it disables pipelining (see :meth:`run`); numerics are
         #: unaffected — the fold order never depends on the depth.
         self.record = record
-        #: Parent-side happens-before recorder (``race_trace=True``);
-        #: worker events ship back in reply payloads and are ingested
-        #: here, so after a run this holds the full merged trace.
-        self.races = None
-        if race_trace:
-            from repro.check.race_trace import RaceTraceRecorder
-
-            self.races = RaceTraceRecorder("parent")
 
     # ------------------------------------------------------------------ #
     def _specs(self, *, attempt_offset: int = 0) -> list[WorkerSpec]:
@@ -272,14 +244,11 @@ class ParClusterFluxComputation:
                     fluid=self.fluid,
                     px=self.grid.px,
                     py=self.grid.py,
-                    gravity=self.gravity,
                     dtype=self.dtype.name,
                     plan=self.plan,
                     kill_for_real=self.plan is not None,
                     start_exchange=self._exchanges_done,
                     attempt_offset=attempt_offset,
-                    record_spans=self.record_spans,
-                    record_races=self.races is not None,
                     failure_mode=self.failure_mode,
                 )
             )
@@ -337,18 +306,10 @@ class ParClusterFluxComputation:
         for _ in pending:
             self._pool.send_run()
 
-    def _absorb(self, payloads: list[dict], index: int = -1) -> None:
+    def _absorb(self, payloads: list[dict]) -> None:
         """Fold one application's worker payloads into the accumulators."""
         recorder = get_recorder()
         for payload in payloads:
-            if self.races is not None:
-                # collecting the reply is the acquire matching the
-                # worker's end-of-application release
-                self.races.record(
-                    "acquire", ("reply", payload["worker"]),
-                    value=index, step=index,
-                )
-                self.races.ingest(payload.get("races", []))
             ranks = payload["ranks"]
             for rank in ranks:
                 cum = payload["stats"][rank]
@@ -378,10 +339,7 @@ class ParClusterFluxComputation:
                   workers=self.workers, application=index):
             while True:
                 try:
-                    payloads = self._pool.collect(
-                        timeout_seconds=self.timeout_seconds,
-                        phase=f"application {index}",
-                    )
+                    payloads = self._pool.collect(phase=f"application {index}")
                 except WorkerCrashError:
                     if (
                         not self.respawn
@@ -395,7 +353,7 @@ class ParClusterFluxComputation:
                     self._respawn_pool(pending)
                     continue
                 break
-        self._absorb(payloads, index=index)
+        self._absorb(payloads)
         self._exchanges_done += 1
         pending.pop(0)
 
@@ -429,19 +387,10 @@ class ParClusterFluxComputation:
             if len(pending) >= depth:
                 self._collect_oldest(pending)
             index = self._applications
-            if self.races is not None:
-                self.races.record(
-                    "write", ("pressure", index % NUM_PARITIES),
-                    value=index, step=index,
-                )
             np.copyto(
                 self._arena.pressure(index),
                 np.asarray(pressure, dtype=self.dtype),
             )
-            if self.races is not None:
-                # issuing the run command publishes the staged field:
-                # the workers' pickup is the matching acquire
-                self.races.record("release", ("app",), value=index, step=index)
             self._pool.send_run()
             pending.append(index)
             self._applications += 1
@@ -454,13 +403,6 @@ class ParClusterFluxComputation:
         if applications == 0:
             raise ValueError("no pressure fields supplied")
         wall_seconds = (time.perf_counter_ns() - t_run0) / 1e9
-        if self.races is not None:
-            last = self._applications - 1
-            for rank in range(self.grid.size):
-                self.races.record(
-                    "read", ("residual", rank),
-                    value=last, step=last, rank=rank,
-                )
         total_msgs = sum(a["messages_sent"] for a in self._acc) - msgs_before
         total_bytes = sum(a["bytes_sent"] for a in self._acc) - bytes_before
         return ParClusterRunResult(

@@ -53,11 +53,6 @@ class SharedArena:
     ) -> None:
         self.layout = layout
         self.owner = create
-        #: Optional :class:`~repro.check.race_trace.RaceTraceRecorder`.
-        #: ``None`` (the default) keeps tracing zero-cost: the only
-        #: overhead on the hot path is one attribute test in
-        #: :meth:`trace`, and the instrumented callers guard even that.
-        self.race_trace = None
         if create:
             self.shm = shared_memory.SharedMemory(
                 name=name, create=True, size=layout.total_bytes
@@ -151,21 +146,6 @@ class SharedArena:
     def slot(self, key: tuple[int, int, int]) -> LinkSlot:
         """The :class:`LinkSlot` backing ``key`` ``(source, dest, tag)``."""
         return self.layout.slot(*key)
-
-    # ------------------------------------------------------------------ #
-    def trace(
-        self,
-        op: str,
-        loc: tuple,
-        *,
-        value: int = 0,
-        step: int = -1,
-        rank: int | None = None,
-    ) -> None:
-        """Record one arena access on the attached race-trace recorder
-        (no-op when tracing is off — see :attr:`race_trace`)."""
-        if self.race_trace is not None:
-            self.race_trace.record(op, loc, value=value, step=step, rank=rank)
 
     # ------------------------------------------------------------------ #
     def heartbeat(self, rank: int) -> int:

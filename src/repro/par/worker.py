@@ -48,7 +48,6 @@ import signal
 import time
 from dataclasses import dataclass
 
-from repro.core import constants
 from repro.core.flat import FlatFluxKernel, FlatWorkspace
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
@@ -79,7 +78,6 @@ class WorkerSpec:
     fluid: FluidProperties
     px: int
     py: int
-    gravity: float = constants.GRAVITY
     dtype: str = "float64"
     plan: FaultPlan | None = None
     #: Die with ``os._exit(KILL_EXIT_CODE)`` when the plan downs one of
@@ -95,19 +93,12 @@ class WorkerSpec:
     #: respawned worker lands past the failure window instead of
     #: re-dying on the same exchange.
     attempt_offset: int = 0
-    record_spans: bool = True
-    #: Record shared-arena accesses as happens-before events (the
-    #: ``repro.check.race_trace`` hook); shipped to the parent in each
-    #: reply payload under ``"races"``.  Off by default: zero cost.
-    record_races: bool = False
 
 
-def _record(recorder: SpanRecorder | None, name: str, start_ns: int,
+def _record(recorder: SpanRecorder, name: str, start_ns: int,
             end_ns: int, **args) -> None:
     """Append one explicitly-timed span (measured with perf_counter_ns,
     the same system-wide monotonic clock as the parent's recorder)."""
-    if recorder is None:
-        return
     sp = Span(name, "phase", start_ns, 0)
     sp.duration_ns = end_ns - start_ns
     sp.args.update(args)
@@ -128,9 +119,7 @@ class _AppRuntime:
             {
                 "rank": rank,
                 "block": block,
-                "kernel": FlatFluxKernel(
-                    local_mesh, spec.fluid, workspace, gravity=spec.gravity
-                ),
+                "kernel": FlatFluxKernel(local_mesh, spec.fluid, workspace),
             }
             for rank, block, local_mesh in zip(spec.ranks, blocks, meshes)
         ]
@@ -145,12 +134,6 @@ class _AppRuntime:
             for _ in range(spec.start_exchange):
                 self.injector.begin_exchange()
 
-        self.races = None
-        if spec.record_races:
-            from repro.check.race_trace import RaceTraceRecorder
-
-            self.races = RaceTraceRecorder(f"worker{spec.index}")
-            self.arena.race_trace = self.races
         self.comm = ProcComm(
             spec.layout,
             self.arena,
@@ -158,7 +141,6 @@ class _AppRuntime:
             faults=self.injector,
             start_exchange=spec.start_exchange,
             heartbeat=self._beat,
-            race_trace=self.races,
         )
         # canonical halo_links order restricted to this worker's
         # endpoints, each with its strip of the rank's padded pressure
@@ -180,7 +162,7 @@ class _AppRuntime:
                 key=lambda lk: (lk.dest, lk.tag),
             )
         ]
-        self.recorder = SpanRecorder() if spec.record_spans else None
+        self.recorder = SpanRecorder()
         self.applications = 0
 
     # ------------------------------------------------------------------ #
@@ -209,19 +191,10 @@ class _AppRuntime:
                     # liveness checks must detect and recover
                     os._exit(KILL_EXIT_CODE)
 
-        if self.recorder is not None:
-            self.recorder.clear()
+        self.recorder.clear()
         waited_before = self.comm.waited_seconds
         parity = self.comm.exchange_index  # one exchange per application
         global_pressure = self.arena.pressure(parity)
-        if self.races is not None:
-            # the parent released the application stamp after staging
-            # this parity's pressure field; picking up the run command
-            # is the matching acquire, then the scatter reads the field
-            self.arena.trace("acquire", ("app",), value=parity, step=parity)
-            self.arena.trace(
-                "read", ("pressure", parity % 2), value=parity, step=parity
-            )
         t_app0 = time.perf_counter_ns()
 
         # 1. scatter owned pressure cells from the parity pressure field
@@ -261,10 +234,6 @@ class _AppRuntime:
             t_c0 = time.perf_counter_ns()
             residual = state["kernel"].compute()
             ys, xs = block.owned_slices_in_padded()
-            self.arena.trace(
-                "write", ("residual", state["rank"]), value=parity,
-                step=parity, rank=state["rank"],
-            )
             self.arena.residual[
                 :, block.y0 : block.y1, block.x0 : block.x1
             ] = residual[:, ys, xs]
@@ -278,11 +247,6 @@ class _AppRuntime:
 
         self.applications += 1
         self._beat()
-        if self.races is not None:
-            # replying is the release the parent's absorb acquires
-            self.arena.trace(
-                "release", ("reply", spec.index), value=parity, step=parity
-            )
         payload = {
             "pid": os.getpid(),
             "worker": spec.index,
@@ -303,11 +267,7 @@ class _AppRuntime:
                 }
                 for r in spec.ranks
             },
-            "spans": (
-                spans_to_payload(self.recorder)
-                if self.recorder is not None else []
-            ),
-            "races": self.races.drain() if self.races is not None else [],
+            "spans": spans_to_payload(self.recorder),
         }
         conn.send(("ok", payload))
 

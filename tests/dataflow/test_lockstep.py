@@ -16,6 +16,7 @@ from repro.core import (
     random_pressure,
 )
 from repro.core.stencil import Connection, interior_slices
+from repro.core.transmissibility import padded_trans_fields
 from repro.dataflow import (
     FluxScratch,
     LockstepReport,
@@ -23,7 +24,6 @@ from repro.dataflow import (
     WseFluxComputation,
     compute_face_flux_column,
     evaluate_density_column,
-    padded_trans_fields,
 )
 from repro.ir import FusedReport, derive_ir, lower_to_fused, lower_to_lockstep
 from repro.workloads import make_geomodel

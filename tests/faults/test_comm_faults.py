@@ -157,10 +157,11 @@ class TestClusterRecovery:
             FaultPlan(rank_failures=(RankFailure(rank=1, exchange=0, attempts=99),))
         )
         cluster = ClusterFluxComputation(
-            mesh, fluid, px=2, py=2, faults=injector,
-            retry=RetryPolicy(attempts=2),
+            mesh, fluid, px=2, py=2, faults=injector
         )
-        with pytest.raises(CommTimeoutError, match="2 retries"):
+        with pytest.raises(
+            CommTimeoutError, match=f"{RetryPolicy().attempts} retries"
+        ):
             cluster.run([pressure])
 
     def test_healthy_cluster_has_no_recovery_cost(self):

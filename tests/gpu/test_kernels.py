@@ -60,6 +60,17 @@ class TestCudaFrontend:
         assert sum(cells) == 125
 
 
+def test_import_loads_no_fabric_module(fresh_interpreter):
+    """The GPU model shares ``repro.core`` with the fabric backends and
+    nothing else (``padded_trans_fields`` is ``core.transmissibility``'s)."""
+    out = fresh_interpreter(
+        "import sys, repro.gpu.reference\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('repro.dataflow', 'repro.wse'))))\n"
+    )
+    assert out == "[]"
+
+
 class TestGpuFluxComputation:
     @pytest.fixture(scope="class")
     def problem(self):
@@ -95,15 +106,6 @@ class TestGpuFluxComputation:
         result = gpu.run_single(p)
         scale = np.abs(ref).max()
         np.testing.assert_allclose(result.residual, ref, atol=5e-4 * scale)
-
-    def test_non_paper_tile(self, problem):
-        mesh, fluid, trans, p, ref = problem
-        gpu = GpuFluxComputation(
-            mesh, fluid, trans, tile_xyz=(8, 4, 4), dtype=np.float64
-        )
-        result = gpu.run_single(p)
-        scale = np.abs(ref).max()
-        np.testing.assert_allclose(result.residual, ref, atol=1e-12 * scale)
 
     def test_multiple_applications(self, problem):
         mesh, fluid, trans, _, _ = problem

@@ -30,6 +30,13 @@ SEEDS = range(4)
 APPLICATIONS = 2
 
 
+class Residuals(list):
+    """A ``record=`` hook that keeps every application's residual."""
+
+    def record_step(self, pressure, residual):
+        self.append(residual)
+
+
 def _random_mesh(seed: int, geomodel: str) -> CartesianMesh3D:
     rng = np.random.default_rng(seed)
     nx = int(rng.integers(2, 6))
@@ -59,11 +66,11 @@ class TestLoweringsAgree:
         ]
         event = lower_to_event(ir, mesh, fluid)
         lockstep = lower_to_lockstep(ir, mesh, fluid)
-        fused = lower_to_fused(ir, mesh, fluid)
-        batch = fused.run(pressures, keep_all=True)
+        batch = Residuals()
+        lower_to_fused(ir, mesh, fluid, record=batch).run(pressures)
         for k, pressure in enumerate(pressures):
             r_event = event.run_single(pressure).residual
-            r_fused = batch.residuals[k]
+            r_fused = batch[k]
             assert r_fused.dtype == r_event.dtype == np.dtype(dtype)
             assert (r_event == r_fused).all(), (
                 f"fused diverged from event bitwise on seed={seed} "
@@ -170,11 +177,12 @@ class TestLoweringGuards:
 def _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, pressures):
     """One fused batch under ``errstate(all="raise")`` against one event
     application per field; returns the fused result."""
+    fused.record = recorded = Residuals()
     with np.errstate(all="raise"):
-        got = fused.run(pressures, keep_all=True)
+        got = fused.run(pressures)
     event = lower_to_event(ir, mesh, fluid)
     want = [event.run_single(p).residual.tobytes() for p in pressures]
-    assert [r.tobytes() for r in got.residuals] == want
+    assert [r.tobytes() for r in recorded] == want
     assert got.residual.tobytes() == want[-1]
     return got
 
@@ -221,24 +229,14 @@ class TestPaddedLayout:
 
     def test_results_are_not_views_of_the_workspace(self):
         """A later run rewrites the workspace; nothing handed out —
-        ``residual``, ``residuals``, the recorder's arrays — may change."""
-
-        class KeepsWhatItGets:
-            def __init__(self):
-                self.seen = []
-
-            def record_step(self, pressure, residual):
-                self.seen.append(residual)
-
+        ``residual``, the recorder's arrays — may change."""
         mesh = make_geomodel(5, 4, 3, kind="lognormal", seed=2)
-        recorder = KeepsWhatItGets()
+        recorder = Residuals()
         fused = lower_to_fused(
             derive_ir(mesh), mesh, FluidProperties(), record=recorder
         )
-        first = fused.run(
-            [random_pressure(mesh, seed=k) for k in (0, 1)], keep_all=True
-        )
-        handed_out = [first.residual, *first.residuals, *recorder.seen]
+        first = fused.run([random_pressure(mesh, seed=k) for k in (0, 1)])
+        handed_out = [first.residual, *recorder]
         before = [r.tobytes() for r in handed_out]
         second = fused.run([random_pressure(mesh, seed=k) for k in (2, 3)])
         assert second.residual.tobytes() != first.residual.tobytes()

@@ -68,7 +68,6 @@ class TestHungWorker:
             with ParClusterFluxComputation(
                 MESH, FLUID, px=2, py=2, workers=2, plan=PLAN,
                 respawn=False, failure_mode="hang", lease_seconds=0.5,
-                record_spans=False,
             ) as par:
                 for p in PRESSURES:
                     par.run_single(p)

@@ -6,6 +6,8 @@ if an entry is added, it is exercised here without touching this file.
 """
 
 import ast
+import importlib
+import inspect
 import os
 from itertools import combinations
 from pathlib import Path
@@ -241,6 +243,63 @@ class TestTable:
         unused, modules = out.splitlines()
         assert unused == "[]"
         assert int(modules) <= 290
+
+
+#: The parameters of every driver constructor and of the classes its
+#: options reach, in order.  Each has a caller outside the tests
+#: (DESIGN.md §17 names it): a new knob is an edit here, next to that
+#: caller, not a keyword nobody sets.
+SIGNATURES = {
+    "repro.dataflow.driver.WseFluxComputation": (
+        "mesh fluid trans trace trace_capacity faults watchdog_cycles record"
+        " program_options"
+    ),
+    "repro.dataflow.program.FluxProgram": (
+        "mesh fluid trans dtype reuse_buffers vectorized compute_fluxes"
+        " overlap_compute pe_memory_bytes pe_memory_reserved remap ir"
+    ),
+    "repro.ir.fused.FusedFluxComputation": "mesh fluid trans ir record",
+    "repro.dataflow.lockstep.LockstepWseSimulation": (
+        "mesh fluid trans dtype vectorized compute_fluxes record ir"
+    ),
+    "repro.dataflow.padded.PaddedFlatLayout": (
+        "mesh fluid trans dtype exchange_plan vectorized compute_fluxes"
+        " halo_copies"
+    ),
+    "repro.gpu.reference.GpuFluxComputation": (
+        "mesh fluid trans variant dtype record"
+    ),
+    "repro.cluster.flux.ClusterFluxComputation": (
+        "mesh fluid px py dtype faults record"
+    ),
+    "repro.par.flux.ParClusterFluxComputation": (
+        "mesh fluid px py workers dtype plan respawn record lease_seconds"
+        " failure_mode"
+    ),
+    "repro.core.flat.FlatFluxKernel": "mesh fluid workspace",
+}
+#: the six driver classes among them
+DRIVERS = [p for p in SIGNATURES if p.endswith(("Computation", "Simulation"))]
+
+
+def _resolve(path):
+    module, name = path.rsplit(".", 1)
+    return getattr(importlib.import_module(module), name)
+
+
+class TestDriverSurface:
+    @pytest.mark.parametrize("path", list(SIGNATURES))
+    def test_every_parameter_is_pinned(self, path):
+        params = inspect.signature(_resolve(path)).parameters
+        assert " ".join(params) == SIGNATURES[path]
+
+    @pytest.mark.parametrize("path", DRIVERS)
+    def test_run_takes_the_pressures_and_nothing_else(self, path):
+        """Every application's residual goes to ``record=``; no run
+        keyword keeps them a second way."""
+        assert list(inspect.signature(_resolve(path).run).parameters) == [
+            "self", "pressures"
+        ]
 
 
 class TestFluxPathLoadsNoScipy:
