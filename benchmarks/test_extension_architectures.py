@@ -36,7 +36,7 @@ def test_extension_comm_per_cell(report, benchmark):
     wse = WseFluxComputation(mesh, FLUID, trans, dtype=np.float32)
     r_wse = benchmark(lambda: wse.run_single(p))
     cluster = ClusterFluxComputation(mesh, FLUID, px=3, py=3, dtype=np.float32)
-    r_cl = cluster.run_single(p)
+    r_cl = cluster.run([p])
 
     cells = mesh.num_cells
     wse_bytes = r_wse.stats.fabric_bytes_moved / cells

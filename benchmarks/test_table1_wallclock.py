@@ -81,7 +81,7 @@ def test_gpu_kernel_functional(benchmark, workload, variant):
     """Time one functional application of the simulated GPU kernel."""
     mesh, trans, pressure = workload
     gpu = GpuFluxComputation(mesh, FLUID, trans, variant=variant, dtype=np.float32)
-    benchmark(lambda: gpu.run_single(pressure))
+    benchmark(lambda: gpu.run([pressure]))
 
 
 def test_dataflow_lockstep_functional(benchmark, workload):

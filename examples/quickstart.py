@@ -45,7 +45,7 @@ def main() -> None:
 
     # 2. simulated GPU (RAJA-style tiled kernel)
     gpu = GpuFluxComputation(mesh, fluid, trans, variant="raja", dtype=np.float64)
-    gpu_result = gpu.run_single(pressure)
+    gpu_result = gpu.run([pressure])
     err_gpu = np.abs(gpu_result.residual - reference).max() / np.abs(reference).max()
     print(f"GPU/RAJA kernel:     rel. error vs reference = {err_gpu:.2e} "
           f"({gpu_result.tiles_executed} threadblocks, "

@@ -278,7 +278,3 @@ class ClusterFluxComputation:
             - retrans_before,
             recovery_seconds=self.comm.waited_seconds - waited_before,
         )
-
-    def run_single(self, pressure: np.ndarray) -> ClusterRunResult:
-        """Run one application."""
-        return self.run([pressure])

@@ -207,7 +207,3 @@ class GpuFluxComputation:
             flops=self._flops,
             variant=self.variant,
         )
-
-    def run_single(self, pressure: np.ndarray) -> GpuRunResult:
-        """Run a single application of Algorithm 1."""
-        return self.run([pressure])

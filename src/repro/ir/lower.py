@@ -76,8 +76,6 @@ def lower_to_lockstep(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
     from repro.dataflow.lockstep import LockstepWseSimulation
 
     params = _require_program_ir(ir, mesh, "lockstep")
-    if not ir.exchange_plan:
-        raise ValueError("IR carries no exchange plan to lower")
     return LockstepWseSimulation(
         mesh,
         fluid,
@@ -99,6 +97,4 @@ def lower_to_fused(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
             "(the fold schedule is tiled from a probe of the unmapped "
             "fabric; bypass columns break its period-2 law)"
         )
-    if not ir.exchange_plan:
-        raise ValueError("IR carries no exchange plan to lower")
     return FusedFluxComputation(mesh, fluid, trans, ir=ir, **kwargs)

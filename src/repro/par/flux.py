@@ -418,10 +418,6 @@ class ParClusterFluxComputation:
             per_rank=[dict(row) for row in self._per_rank],
         )
 
-    def run_single(self, pressure: np.ndarray) -> ParClusterRunResult:
-        """Run one application."""
-        return self.run([pressure])
-
     def rank_stats(self) -> list[dict]:
         """Per-rank communication counters measured by the workers
         (committed totals across respawns), one dict per rank — ready to

@@ -95,14 +95,14 @@ class TestClusterFlux:
     def test_matches_reference_any_grid(self, problem, grid):
         mesh, fluid, p, ref = problem
         cluster = ClusterFluxComputation(mesh, fluid, px=grid[0], py=grid[1])
-        result = cluster.run_single(p)
+        result = cluster.run([p])
         scale = np.abs(ref).max()
         np.testing.assert_allclose(result.residual, ref, atol=1e-11 * scale)
 
     def test_single_rank_no_messages(self, problem):
         mesh, fluid, p, _ = problem
         cluster = ClusterFluxComputation(mesh, fluid, px=1, py=1)
-        result = cluster.run_single(p)
+        result = cluster.run([p])
         assert result.messages_per_application == 0
         assert result.halo_bytes_per_application == 0
 
@@ -110,14 +110,14 @@ class TestClusterFlux:
         """2x2 grid: each rank talks to 2 sides + 1 corner = 3 messages."""
         mesh, fluid, p, _ = problem
         cluster = ClusterFluxComputation(mesh, fluid, px=2, py=2)
-        result = cluster.run_single(p)
+        result = cluster.run([p])
         assert result.messages_per_application == 4 * 3
 
     def test_halo_bytes_formula(self, problem):
         """Halo volume: each interior edge moves nz cells per side column."""
         mesh, fluid, p, _ = problem
         cluster = ClusterFluxComputation(mesh, fluid, px=2, py=1)
-        result = cluster.run_single(p)
+        result = cluster.run([p])
         # one vertical cut: each side sends one x-column: ny*nz cells
         expected = 2 * mesh.ny * mesh.nz * 8
         assert result.halo_bytes_per_application == expected
@@ -134,8 +134,8 @@ class TestClusterFlux:
 
     def test_traffic_grows_with_ranks(self, problem):
         mesh, fluid, p, _ = problem
-        small = ClusterFluxComputation(mesh, fluid, px=2, py=1).run_single(p)
-        large = ClusterFluxComputation(mesh, fluid, px=4, py=3).run_single(p)
+        small = ClusterFluxComputation(mesh, fluid, px=2, py=1).run([p])
+        large = ClusterFluxComputation(mesh, fluid, px=4, py=3).run([p])
         assert large.halo_bytes_per_application > small.halo_bytes_per_application
 
     def test_empty_run_rejected(self, problem):

@@ -112,7 +112,7 @@ class TestCrossImplementation:
         ).run_single(p)
         gpu = GpuFluxComputation(
             layered_mesh, fluid, trans, dtype=np.float64
-        ).run_single(p)
+        ).run([p])
         np.testing.assert_allclose(wse.residual, ref, atol=1e-12 * scale)
         np.testing.assert_allclose(gpu.residual, ref, atol=1e-12 * scale)
 
@@ -174,6 +174,6 @@ class TestSolverWithLayering:
         p = random_pressure(mesh, seed=21)
         ref = compute_flux_residual(mesh, fluid, p)
         cl = ClusterFluxComputation(mesh, fluid, px=2, py=2)
-        result = cl.run_single(p)
+        result = cl.run([p])
         scale = np.abs(ref).max()
         np.testing.assert_allclose(result.residual, ref, atol=1e-11 * scale)

@@ -5,6 +5,7 @@ import pytest
 
 import repro.dataflow.flux_pe as flux_pe
 import repro.dataflow.lockstep as lockstep_module
+import repro.dataflow.padded as padded_module
 import repro.ir.fused as fused_module
 from repro.core import (
     CartesianMesh3D,
@@ -26,6 +27,7 @@ from repro.dataflow import (
     evaluate_density_column,
 )
 from repro.ir import FusedReport, derive_ir, lower_to_fused, lower_to_lockstep
+from repro.ir.fused import FusedFluxComputation
 from repro.workloads import make_geomodel
 from repro.wse.dsd import DsdEngine
 
@@ -246,6 +248,85 @@ class TestBitIdentityWithTheStridedPath:
         (after,), _report = strided_reference(mesh, fluid, [clean], dtype, sim.exchange_plan)
         assert sim.run_application(clean).tobytes() == after.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [(1, 6, 4), (4, 3, 1), (7, 5, 3)])
+    def test_a_batched_run_equals_one_application_at_a_time(self, fluid, dims, dtype):
+        """``run(fields)`` sweeps the fields as one batch; every recorded
+        residual and the report (booked once per batch) equal per-field
+        ``run_application`` calls and the strided reference."""
+        mesh = make_geomodel(*dims, kind="lognormal", seed=8)
+        fields = list(PressureSequence(mesh, num_applications=3, seed=9))
+        recorded = []
+
+        class Recorder:
+            def record_step(self, pressure, residual):
+                recorded.append(residual.tobytes())
+
+        batched = LockstepWseSimulation(mesh, fluid, dtype=dtype, record=Recorder())
+        result = batched.run(fields)
+        single = LockstepWseSimulation(mesh, fluid, dtype=dtype)
+        one_at_a_time = [single.run_application(field).tobytes() for field in fields]
+        residuals, report = strided_reference(mesh, fluid, fields, dtype, batched.exchange_plan)
+        assert recorded == one_at_a_time == [r.tobytes() for r in residuals]
+        assert result.residual.tobytes() == one_at_a_time[-1]
+        assert result.report == single.report() == report
+        assert repr(result.report.compute_cycles) == repr(report.compute_cycles)
+
+
+class TestBitIdentityAtOnePlanePerSlab(TestBitIdentityWithTheStridedPath):
+    """Every case above again with one plane per slab, so that each
+    X-Y span, vertical face and fold step is cut at every plane."""
+
+    @pytest.fixture(autouse=True)
+    def one_plane_per_slab(self, monkeypatch):
+        monkeypatch.setattr(padded_module, "_SLAB_ELEMENTS", 1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("slab", ["default", "one-plane"])
+def test_strided_bytes_at_the_ledger_size(fluid, slab, monkeypatch):
+    """``warm_lockstep_48x48x16``'s shape: 48x48x16 float32, 8
+    applications, batched and one at a time."""
+    if slab == "one-plane":
+        monkeypatch.setattr(padded_module, "_SLAB_ELEMENTS", 1)
+    mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=7)
+    fields = list(PressureSequence(mesh, num_applications=8, seed=7))
+    sim = lower_to_lockstep(derive_ir(mesh), mesh, fluid)
+    residuals, report = strided_reference(mesh, fluid, fields, np.float32, sim.exchange_plan)
+    assert [sim.run_application(f).tobytes() for f in fields] == [r.tobytes() for r in residuals]
+    assert sim.report() == report
+    assert sim.run(fields).residual.tobytes() == residuals[-1].tobytes()
+
+
+class TestIrCheck:
+    """A driver runs the program its IR's ``content_hash`` names, or
+    refuses to be built."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(m, dtype=np.float64)), "dtype"),
+            (lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(m, vectorized=False)), "vectorized"),
+            (
+                lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(m, compute_fluxes=False)),
+                "compute_fluxes",
+            ),
+            (
+                lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(CartesianMesh3D(4, 3, 2))),
+                "mesh shape",
+            ),
+            (
+                lambda m, f: FusedFluxComputation(m, f, ir=derive_ir(CartesianMesh3D(4, 3, 2))),
+                "mesh shape",
+            ),
+        ],
+        ids=["lockstep-dtype", "lockstep-vectorized", "lockstep-compute_fluxes",
+             "lockstep-mesh", "fused-mesh"],
+    )
+    def test_a_mismatched_ir_is_refused(self, fluid, build, field):
+        with pytest.raises(ValueError, match=f"IR mismatch on {field}: program has"):
+            build(CartesianMesh3D(5, 3, 2), fluid)
+
 
 class TestCollapsedBranch:
     def test_xy_connections_issue_the_collapsed_sequence(self, fluid, monkeypatch):
@@ -275,23 +356,25 @@ class TestCollapsedBranch:
 
         monkeypatch.setattr(flux_pe, "_sub", counting("sub"))
         monkeypatch.setattr(flux_pe, "_mul", counting("mul"))
-        lockstep, fused = [], []
-        monkeypatch.setattr(
-            lockstep_module, "compute_face_flux_column",
-            spying(lockstep_module.compute_face_flux_column, lockstep),
-        )
-        monkeypatch.setattr(
-            fused_module, "store_face_flux_column",
-            spying(fused_module.store_face_flux_column, fused),
-        )
+        # the one sweep calls the kernels for both drivers
+        accumulated, stored = [], []
+        for name, calls in (
+            ("compute_face_flux_column", accumulated), ("store_face_flux_column", stored)
+        ):
+            monkeypatch.setattr(
+                padded_module, name, spying(getattr(padded_module, name), calls)
+            )
         mesh = CartesianMesh3D(5, 4, 3)
         p = random_pressure(mesh, seed=1)
         LockstepWseSimulation(mesh, fluid).run_application(p)
-        lower_to_fused(derive_ir(mesh), mesh, fluid).run([p])
         # UP and DOWN run the full sequence, the eight X-Y connections
         # the collapsed one — what fused's X-Y kernels issue
-        assert lockstep == [(False, 2, 7)] * 2 + [(True, 1, 3)] * 8
-        assert fused == [(True, 1, 3)] * 8
+        assert accumulated == [(False, 2, 7)] * 2 + [(True, 1, 3)] * 8
+        assert stored == []
+        accumulated.clear()
+        lower_to_fused(derive_ir(mesh), mesh, fluid).run([p])
+        assert accumulated == [(False, 2, 7)] * 2
+        assert stored == [(True, 1, 3)] * 8
 
 
 def test_fused_and_lockstep_share_one_report_class():

@@ -87,7 +87,7 @@ class TestGpuFluxComputation:
         gpu = GpuFluxComputation(
             mesh, fluid, trans, variant=variant, dtype=np.float64
         )
-        result = gpu.run_single(p)
+        result = gpu.run([p])
         scale = np.abs(ref).max()
         np.testing.assert_allclose(result.residual, ref, atol=1e-12 * scale)
 
@@ -97,13 +97,13 @@ class TestGpuFluxComputation:
         a = GpuFluxComputation(mesh, fluid, trans, variant="raja", dtype=np.float64)
         b = GpuFluxComputation(mesh, fluid, trans, variant="cuda", dtype=np.float64)
         np.testing.assert_array_equal(
-            a.run_single(p).residual, b.run_single(p).residual
+            a.run([p]).residual, b.run([p]).residual
         )
 
     def test_float32(self, problem):
         mesh, fluid, trans, p, ref = problem
         gpu = GpuFluxComputation(mesh, fluid, trans, dtype=np.float32)
-        result = gpu.run_single(p)
+        result = gpu.run([p])
         scale = np.abs(ref).max()
         np.testing.assert_allclose(result.residual, ref, atol=5e-4 * scale)
 
@@ -121,7 +121,7 @@ class TestGpuFluxComputation:
     def test_transfer_accounting(self, problem):
         mesh, fluid, trans, p, _ = problem
         gpu = GpuFluxComputation(mesh, fluid, trans, dtype=np.float32)
-        result = gpu.run_single(p)
+        result = gpu.run([p])
         field_bytes = mesh.num_cells * 4
         # static upload: elevation + 10 trans; per app: pressure; final: residual
         assert result.transfers.h2d_bytes == field_bytes * (11 + 1)
@@ -130,13 +130,13 @@ class TestGpuFluxComputation:
     def test_flops_near_140_per_cell(self, problem):
         mesh, fluid, trans, p, _ = problem
         gpu = GpuFluxComputation(mesh, fluid, trans, dtype=np.float64)
-        result = gpu.run_single(p)
+        result = gpu.run([p])
         assert 100 < result.flops_per_cell <= 140
 
     def test_occupancy_attached(self, problem):
         mesh, fluid, trans, p, _ = problem
         gpu = GpuFluxComputation(mesh, fluid, trans, dtype=np.float32)
-        assert gpu.run_single(p).occupancy.theoretical_occupancy == 0.5
+        assert gpu.run([p]).occupancy.theoretical_occupancy == 0.5
 
     def test_rejects_unknown_variant(self, problem):
         mesh, fluid, trans, _, _ = problem
@@ -152,5 +152,5 @@ class TestGpuFluxComputation:
     def test_single_cell_mesh(self, fluid):
         mesh = CartesianMesh3D(1, 1, 1)
         gpu = GpuFluxComputation(mesh, fluid, dtype=np.float64)
-        result = gpu.run_single(mesh.full(1e7))
+        result = gpu.run([mesh.full(1e7)])
         np.testing.assert_array_equal(result.residual, 0.0)

@@ -48,7 +48,7 @@ class TestAllImplementationsAgree:
         mesh, fluid, trans, p, ref = workload
         out = GpuFluxComputation(
             mesh, fluid, trans, variant="raja", dtype=np.float64
-        ).run_single(p)
+        ).run([p])
         np.testing.assert_allclose(
             out.residual, ref, atol=ATOL_F64 * np.abs(ref).max()
         )
@@ -57,7 +57,7 @@ class TestAllImplementationsAgree:
         mesh, fluid, trans, p, ref = workload
         out = GpuFluxComputation(
             mesh, fluid, trans, variant="cuda", dtype=np.float64
-        ).run_single(p)
+        ).run([p])
         np.testing.assert_allclose(
             out.residual, ref, atol=ATOL_F64 * np.abs(ref).max()
         )
@@ -82,7 +82,7 @@ class TestAllImplementationsAgree:
         mesh, fluid, trans, p, ref = workload
         outs = {
             "gpu": GpuFluxComputation(mesh, fluid, trans, dtype=np.float32)
-            .run_single(p)
+            .run([p])
             .residual,
             "wse": WseFluxComputation(mesh, fluid, trans, dtype=np.float32)
             .run_single(p)
@@ -125,7 +125,7 @@ class TestScenarioDriven:
         scale = np.abs(ref).max()
         for impl in (
             WseFluxComputation(mesh, fluid, trans, dtype=np.float64).run_single(p).residual,
-            GpuFluxComputation(mesh, fluid, trans, dtype=np.float64).run_single(p).residual,
+            GpuFluxComputation(mesh, fluid, trans, dtype=np.float64).run([p]).residual,
         ):
             np.testing.assert_allclose(impl, ref, atol=ATOL_F64 * scale)
 
@@ -138,7 +138,7 @@ class TestScenarioDriven:
         ref = compute_flux_residual(mesh, fluid, p, trans)
         scale = np.abs(ref).max()
         wse = WseFluxComputation(mesh, fluid, trans, dtype=np.float64).run_single(p)
-        gpu = GpuFluxComputation(mesh, fluid, trans, dtype=np.float64).run_single(p)
+        gpu = GpuFluxComputation(mesh, fluid, trans, dtype=np.float64).run([p])
         np.testing.assert_allclose(wse.residual, ref, atol=ATOL_F64 * scale)
         np.testing.assert_allclose(gpu.residual, ref, atol=ATOL_F64 * scale)
 
@@ -155,5 +155,5 @@ class TestAccountingConsistency:
         """Both count 14 FLOPs per computed flux over the same face set."""
         mesh, fluid, trans, p, _ = workload
         ev = WseFluxComputation(mesh, fluid, trans, dtype=np.float64).run_single(p)
-        gp = GpuFluxComputation(mesh, fluid, trans, dtype=np.float64).run_single(p)
+        gp = GpuFluxComputation(mesh, fluid, trans, dtype=np.float64).run([p])
         assert ev.flops == gp.flops

@@ -105,7 +105,7 @@ class TestClusterGuards:
         # forge an unmatched message before the exchange
         cluster.comm.isend(0, 1, tag=99, array=np.zeros(3))
         with pytest.raises(RuntimeError, match="never received"):
-            cluster.run_single(mesh.full(1.1e7))
+            cluster.run([mesh.full(1.1e7)])
 
     def test_recv_mismatch_is_deadlock_error(self):
         from repro.cluster.comm import SimComm

@@ -15,8 +15,8 @@ import pytest
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.core.stencil import Connection
 from repro.dataflow import WseFluxComputation
+from repro.dataflow import padded as padded_module
 from repro.ir import derive_ir, ir_from_fabric
-from repro.ir import fused as fused_module
 from repro.ir.lower import (
     lower_to_event,
     lower_to_fused,
@@ -218,7 +218,7 @@ class TestPaddedLayout:
     @pytest.mark.parametrize("slab", ["measured", "one-plane"])
     def test_fused_bytes_equal_event_at_the_benchmark_size(self, slab, monkeypatch):
         if slab == "one-plane":
-            monkeypatch.setattr(fused_module, "_SLAB_ELEMENTS", 1)
+            monkeypatch.setattr(padded_module, "_SLAB_ELEMENTS", 1)
         mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=0)
         fluid = FluidProperties()
         ir = derive_ir(mesh)
@@ -293,7 +293,7 @@ class TestSlabSweep:
         than the rest), and the whole block."""
         nx, ny = 7, 6
         monkeypatch.setattr(
-            fused_module, "_SLAB_ELEMENTS", planes * batch * (ny + 2) * (nx + 2)
+            padded_module, "_SLAB_ELEMENTS", planes * batch * (ny + 2) * (nx + 2)
         )
         mesh = make_geomodel(nx, ny, nz, kind="lognormal", seed=nz)
         fluid = FluidProperties()

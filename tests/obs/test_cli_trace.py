@@ -8,6 +8,14 @@ import pytest
 from repro.cli import main
 
 
+#: the slab sweep's spans per backend (DESIGN.md §16): lockstep's fold
+#: steps run its X-Y kernels, so it stores no contributions ("rounds")
+SWEEP_SPANS = {
+    "fused": {"fused.schedule", "fused.run", "fused.local", "fused.rounds", "fused.fold"},
+    "lockstep": {"lockstep.run", "lockstep.local", "lockstep.fold"},
+}
+
+
 def run_cli(args):
     out = io.StringIO()
     code = main(args, out=out)
@@ -66,7 +74,8 @@ class TestOtherBackends:
         )
         assert code == 0
         doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["metrics"] and doc["spans"]
+        assert doc["metrics"] and SWEEP_SPANS["lockstep"] <= set(doc["spans"])
+        assert "lockstep.rounds" not in doc["spans"]
         # no fabric sink for lockstep, but the span timeline still exports
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
@@ -79,10 +88,7 @@ class TestOtherBackends:
         assert code == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert "fused" in doc["metrics"]
-        assert {
-            "ir.derive", "fused.schedule", "fused.run",
-            "fused.local", "fused.rounds", "fused.fold",
-        } <= set(doc["spans"])
+        assert {"ir.derive"} | SWEEP_SPANS["fused"] <= set(doc["spans"])
         assert doc["spans"]["ir.derive"]["total_seconds"] > 0
 
     def test_gpu(self, tmp_path):

@@ -51,7 +51,7 @@ class TestBitIdentity:
         p = seq.field(0)
         reference = compute_flux_residual(mesh, fluid, p)
         with ParClusterFluxComputation(mesh, fluid, px=2, py=2) as par:
-            res = par.run_single(p)
+            res = par.run([p])
         assert np.array_equal(res.residual, reference)
 
     def test_workers_are_real_processes(self, problem):
@@ -61,7 +61,7 @@ class TestBitIdentity:
         with ParClusterFluxComputation(
             mesh, fluid, px=2, py=2, workers=4
         ) as par:
-            res = par.run_single(seq.field(0))
+            res = par.run([seq.field(0)])
         assert res.distinct_pids == 4
         pids = {row["pid"] for row in res.per_rank}
         assert os.getpid() not in pids
@@ -70,7 +70,7 @@ class TestBitIdentity:
     def test_multiple_applications_accumulate(self, problem):
         mesh, fluid, seq = problem
         with ParClusterFluxComputation(mesh, fluid, px=2, py=2) as par:
-            first = par.run_single(seq.field(0))
+            first = par.run([seq.field(0)])
             second = par.run(seq.field(i) for i in (1, 2))
         assert first.applications == 1
         assert second.applications == 2

@@ -34,7 +34,7 @@ mesh = make_geomodel(8, 8, 2, kind="lognormal", seed=1)
 fluid = FluidProperties()
 par = ParClusterFluxComputation(mesh, fluid, px=2, py=1, workers=2)
 seq = PressureSequence(mesh, num_applications=1, seed=1)
-par.run_single(seq.field(0))
+par.run([seq.field(0)])
 print(par._arena.name, flush=True)
 """
 
@@ -111,7 +111,7 @@ class TestMidSpawnException:
         )
         seq = PressureSequence(mesh, num_applications=1, seed=1)
         with pytest.raises(RuntimeError, match="injected spawn failure"):
-            par.run_single(seq.field(0))
+            par.run([seq.field(0)])
         assert captured["name"]
         assert not _segment_exists(captured["name"])
         assert par._arena is None  # a retry would build a fresh arena

@@ -115,12 +115,12 @@ class TestWarmReuse:
         with ParClusterFluxComputation(
             mesh, fluid, px=2, py=2, workers=2
         ) as par:
-            par.run_single(seq.field(0))
+            par.run([seq.field(0)])
         assert fresh_reservoir.total_spawned - base == 2
         with ParClusterFluxComputation(
             mesh, fluid, px=2, py=2, workers=4
         ) as par:
-            par.run_single(seq.field(0))
+            par.run([seq.field(0)])
         # two came warm, two were spawned to fill the lease
         assert fresh_reservoir.total_spawned - base == 4
         assert fresh_reservoir.idle_count == 4
@@ -159,7 +159,7 @@ class TestWarmCrashRecovery:
     ):
         mesh, fluid, seq = problem
         par = ParClusterFluxComputation(mesh, fluid, px=2, py=2, workers=4)
-        par.run_single(seq.field(0))
+        par.run([seq.field(0)])
         pool = par._pool
         pool.terminate()
         par._pool = None

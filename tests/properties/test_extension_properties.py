@@ -30,7 +30,7 @@ class TestClusterProperties:
         rng = np.random.default_rng(seed)
         p = 1e7 + 1e6 * rng.standard_normal(mesh.shape_zyx)
         ref = compute_flux_residual(mesh, FLUID, p)
-        result = ClusterFluxComputation(mesh, FLUID, px=px, py=py).run_single(p)
+        result = ClusterFluxComputation(mesh, FLUID, px=px, py=py).run([p])
         scale = np.abs(ref).max()
         np.testing.assert_allclose(result.residual, ref, atol=1e-11 * scale)
 
@@ -43,8 +43,8 @@ class TestClusterProperties:
         """2x1 split: halo bytes = 2 sides x ny x nz x 8 B, any mesh."""
         nz = 2
         mesh = CartesianMesh3D(nx, ny, nz)
-        result = ClusterFluxComputation(mesh, FLUID, px=2, py=1).run_single(
-            mesh.full(1.2e7)
+        result = ClusterFluxComputation(mesh, FLUID, px=2, py=1).run(
+            [mesh.full(1.2e7)]
         )
         assert result.halo_bytes_per_application == 2 * ny * nz * 8
 

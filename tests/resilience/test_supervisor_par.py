@@ -35,7 +35,7 @@ def _drain_warm_pool():
 def serial_reference():
     drv = ClusterFluxComputation(MESH, FLUID, px=2, py=2)
     return [
-        np.array(drv.run_single(p).residual, copy=True) for p in PRESSURES
+        np.array(drv.run([p]).residual, copy=True) for p in PRESSURES
     ]
 
 
@@ -70,7 +70,7 @@ class TestHungWorker:
                 respawn=False, failure_mode="hang", lease_seconds=0.5,
             ) as par:
                 for p in PRESSURES:
-                    par.run_single(p)
+                    par.run([p])
         exc = info.value
         assert isinstance(exc, WorkerCrashError)
         assert "heartbeat lease" in str(exc)

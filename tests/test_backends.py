@@ -29,6 +29,23 @@ REFERENCE = compute_flux_residual(MESH, FLUID, PRESSURES[-1])
 RTOL = 1e-12
 
 
+def _calls_outside(allowed, wanted) -> list[str]:
+    """``path:line name`` of every call under ``src/repro``, outside the
+    *allowed* module paths, of a function or class whose name is
+    *wanted*."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(set(root.rglob("*.py")) - {root / p for p in allowed}):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+                if wanted(called):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno} {called}")
+    return offenders
+
+
 def _shm_segments() -> set:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
@@ -98,27 +115,26 @@ class TestTable:
         """No module under ``src/repro`` calls a driver class or a
         ``lower_to_*`` pass except the table and the lowering module:
         whoever needs a driver asks ``BACKENDS[name].build``."""
-        import repro
-
         drivers = {
             "WseFluxComputation", "LockstepWseSimulation",
             "FusedFluxComputation", "GpuFluxComputation",
             "ClusterFluxComputation", "ParClusterFluxComputation",
         }
-        root = Path(repro.__file__).parent
-        allowed = {root / "backends.py", root / "ir" / "lower.py"}
-        offenders = []
-        for path in sorted(set(root.rglob("*.py")) - allowed):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                called = getattr(func, "id", None) or getattr(func, "attr", "")
-                if called in drivers or called.startswith("lower_to_"):
-                    offenders.append(
-                        f"{path.relative_to(root)}:{node.lineno} {called}"
-                    )
-        assert offenders == []
+        assert _calls_outside(
+            {"backends.py", "ir/lower.py"},
+            lambda called: called in drivers or called.startswith("lower_to_"),
+        ) == []
+
+    def test_only_the_sweeps_call_a_flux_kernel(self):
+        """The face-flux kernels have three callers: the padded slab
+        sweep (lockstep and fused), the per-PE program (event) and the
+        instruction counter.  A driver that grows its own slab or phase
+        loop again fails here."""
+        kernels = {"compute_face_flux_column", "store_face_flux_column"}
+        assert _calls_outside(
+            {"dataflow/padded.py", "dataflow/program.py", "dataflow/instrcount.py"},
+            kernels.__contains__,
+        ) == []
 
     def test_only_the_exchange_states_the_neighbour_protocol(self):
         """The Sec. 5.2 protocol has one statement: the channel formulas
@@ -266,6 +282,7 @@ SIGNATURES = {
         "mesh fluid trans dtype exchange_plan vectorized compute_fluxes"
         " halo_copies"
     ),
+    "repro.dataflow.padded.PaddedSweep": "layout fold name record ir",
     "repro.gpu.reference.GpuFluxComputation": (
         "mesh fluid trans variant dtype record"
     ),
