@@ -15,7 +15,7 @@ import numpy as np
 from repro.core import FluidProperties
 from repro.core.unstructured import delaunay_mesh_2d, unstructured_flux_residual
 from repro.dataflow.unstructured_map import GridEmbedding, analyze_embedding
-from repro.solver import UnstructuredFlowResidual, newton_solve_unstructured
+from repro.solver import UnstructuredFlowResidual, newton_solve
 
 
 def main() -> None:
@@ -43,7 +43,7 @@ def main() -> None:
     residual_op = UnstructuredFlowResidual(
         mesh, fluid, dt=3600.0, gravity=0.0, source=src
     )
-    result = newton_solve_unstructured(
+    result = newton_solve(
         residual_op, np.full(mesh.num_cells, 1.5e7), rtol=1e-9
     )
     print(f"implicit step: Newton converged in {result.iterations} "

@@ -634,11 +634,11 @@ def _cmd_trace(args, out) -> int:
         profile_rows,
         render_report,
         render_rows,
+        render_span_table,
         report_document,
         save_rows,
         set_recorder,
     )
-    from repro.util.reporting import Table
     from repro.workloads import make_geomodel
 
     if BACKENDS[args.backend].rank_decomposed:
@@ -723,18 +723,7 @@ def _cmd_trace(args, out) -> int:
             file=out,
         )
     else:
-        t = Table("Host phase spans", ["Span", "Count", "Total [s]", "Mean [s]"])
-        for name in sorted(span_summary):
-            row = span_summary[name]
-            t.add_row(
-                [
-                    name,
-                    str(int(row["count"])),
-                    f"{row['total_seconds']:.6f}",
-                    f"{row['mean_seconds']:.6f}",
-                ]
-            )
-        print(t.render(), file=out)
+        print(render_span_table(span_summary), file=out)
         print(f"metric sources: {', '.join(registry.sources)}", file=out)
         merged = metrics.get("par_ranks_merged")
         if merged is not None:

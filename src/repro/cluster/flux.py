@@ -9,7 +9,9 @@ rank runs the host-order flat kernel (:mod:`repro.core.flat`) on its
 halo-padded block — the reference kernel's bytes.
 
 Numerically identical to the global reference; the communicator counts
-the per-application traffic the decomposition actually moves.
+the per-application traffic the decomposition actually moves.  The rank
+program (:class:`RankSet`) is the par workers' too: the two backends
+differ only in the transport that carries the strips.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "ClusterFluxComputation",
     "ClusterRunResult",
     "HaloLink",
+    "RankSet",
     "halo_links",
     "HALO_DIRECTIONS",
 ]
@@ -107,6 +110,61 @@ def halo_links(decomp: BlockDecomposition, grid: CartGrid) -> list[HaloLink]:
     return links
 
 
+class RankSet:
+    """The rank program of the host backends, over the *ranks* given.
+
+    Per rank the block and a :class:`~repro.core.flat.FlatFluxKernel`
+    whose padded pressure buffer is the rank's field, plus one
+    :class:`~repro.core.flat.FlatWorkspace` for all of them (the ranks
+    compute in turn, on one thread).  :attr:`outgoing` / :attr:`incoming`
+    map each strip of *links* these ranks send / receive to its view,
+    made once, in the order and under the key the transport is called
+    with: ``(source, dest, tag)`` in canonical link order for ``isend``,
+    ``(dest, source, tag)`` by receiving rank, then tag, for ``recv``.
+    """
+
+    def __init__(self, decomp: BlockDecomposition, ranks, fluid: FluidProperties,
+                 dtype, links) -> None:
+        self.ranks = tuple(ranks)
+        self.blocks = [decomp.block(rank) for rank in self.ranks]
+        meshes = [decomp.local_mesh(block) for block in self.blocks]
+        workspace = FlatWorkspace([m.shape_zyx for m in meshes], dtype)
+        self.kernels = [FlatFluxKernel(m, fluid, workspace) for m in meshes]
+        index = {rank: i for i, rank in enumerate(self.ranks)}
+
+        def strip(link, rank):
+            i = index[rank]
+            return link.strip(self.kernels[i].pressure, self.blocks[i])
+
+        self.outgoing = {
+            (lk.source, lk.dest, lk.tag): strip(lk, lk.source)
+            for lk in links if lk.source in index
+        }
+        self.incoming = {
+            (lk.dest, lk.source, lk.tag): strip(lk, lk.dest)
+            for lk in sorted(links, key=lambda lk: (lk.dest, lk.tag))
+            if lk.dest in index
+        }
+
+    def scatter(self, pressure: np.ndarray) -> None:
+        """Each rank takes its block's cells of the global *pressure*."""
+        for block, kernel in zip(self.blocks, self.kernels):
+            ys, xs = block.owned_slices_in_padded()
+            kernel.pressure[:, ys, xs] = pressure[
+                :, block.y0 : block.y1, block.x0 : block.x1
+            ]
+
+    def compute(self, residual: np.ndarray, index: int | None = None) -> None:
+        """Run every rank's kernel — or ``ranks[index]``'s alone — and
+        write its owned block into the global *residual*."""
+        for i in range(len(self.ranks)) if index is None else (index,):
+            block = self.blocks[i]
+            ys, xs = block.owned_slices_in_padded()
+            residual[:, block.y0 : block.y1, block.x0 : block.x1] = (
+                self.kernels[i].compute()[:, ys, xs]
+            )
+
+
 @dataclass
 class ClusterRunResult:
     """Outcome of a batch of applications on the rank grid."""
@@ -176,47 +234,23 @@ class ClusterFluxComputation:
         self.faults = faults
         self.retry = RetryPolicy() if faults is not None else None
         self.comm = SimComm(self.grid.size, faults=faults)
-        # per-rank state: the flat kernel, whose padded pressure buffer
-        # is the rank's field (scatter and halo strips land in it), and
-        # one workspace for all ranks, which compute in turn
-        meshes = [self.decomp.local_mesh(block) for block in self.decomp.blocks]
-        workspace = FlatWorkspace([m.shape_zyx for m in meshes], self.dtype)
-        self._kernels = [FlatFluxKernel(m, fluid, workspace) for m in meshes]
-        # every strip both endpoints touch, as views made once: sends in
-        # the canonical link order, receives per rank in tag order
-        links = halo_links(self.decomp, self.grid)
-        self._outgoing = {
-            (lk.source, lk.dest, lk.tag): lk.strip(
-                self._kernels[lk.source].pressure, self.decomp.block(lk.source)
-            )
-            for lk in links
-        }
-        self._incoming = [
-            (
-                (lk.dest, lk.source, lk.tag),
-                lk.strip(self._kernels[lk.dest].pressure, self.decomp.block(lk.dest)),
-            )
-            for lk in sorted(links, key=lambda lk: (lk.dest, lk.tag))
-        ]
+        self.rank_set = RankSet(
+            self.decomp, range(self.grid.size), fluid, self.dtype,
+            halo_links(self.decomp, self.grid),
+        )
         #: Optional :class:`~repro.obs.replay.ReplayRecorder` digesting
         #: every assembled (pressure, residual) application pair.
         self.record = record
 
     # ------------------------------------------------------------------ #
-    def _scatter_owned(self, pressure: np.ndarray) -> None:
-        """Each rank takes ownership of its block's pressure cells."""
-        for block, kernel in zip(self.decomp.blocks, self._kernels):
-            ys, xs = block.owned_slices_in_padded()
-            kernel.pressure[:, ys, xs] = pressure[
-                :, block.y0 : block.y1, block.x0 : block.x1
-            ]
-
     def _retransmit(self, source: int, dest: int, tag: int, attempt: int) -> None:
         """Sender-side recovery: the receive timed out, so the (now
         possibly recovered) source pushes its strip again."""
         if self.faults is not None:
             self.faults.begin_retry()
-        self.comm.isend(source, dest, tag, self._outgoing[source, dest, tag].copy())
+        self.comm.isend(
+            source, dest, tag, self.rank_set.outgoing[source, dest, tag].copy()
+        )
         self.comm.stats[source].retransmissions += 1
 
     def _halo_exchange(self) -> None:
@@ -230,11 +264,11 @@ class ClusterFluxComputation:
         asserts nothing leaked."""
         if self.faults is not None:
             self.faults.begin_exchange()
-        for (source, dest, tag), strip in self._outgoing.items():
-            self.comm.isend(source, dest, tag, strip.copy())
-        for (dest, source, tag), halo in self._incoming:
+        for key, strip in self.rank_set.outgoing.items():
+            self.comm.isend(*key, strip.copy())
+        for key, halo in self.rank_set.incoming.items():
             halo[...] = self.comm.recv(
-                dest, source, tag, retry=self.retry, on_missing=self._retransmit
+                *key, retry=self.retry, on_missing=self._retransmit
             )
         self.comm.barrier("halo exchange")
 
@@ -251,15 +285,11 @@ class ClusterFluxComputation:
             with span("cluster.application", backend="cluster",
                       ranks=self.grid.size):
                 self.mesh.validate_field(pressure, name="pressure")
-                self._scatter_owned(np.asarray(pressure, dtype=self.dtype))
+                self.rank_set.scatter(np.asarray(pressure, dtype=self.dtype))
                 with span("cluster.halo_exchange"):
                     self._halo_exchange()
                 with span("cluster.compute"):
-                    for block, kernel in zip(self.decomp.blocks, self._kernels):
-                        ys, xs = block.owned_slices_in_padded()
-                        residual[
-                            :, block.y0 : block.y1, block.x0 : block.x1
-                        ] = kernel.compute()[:, ys, xs]
+                    self.rank_set.compute(residual)
                 if self.record is not None:
                     self.record.record_step(pressure, residual)
                 applications += 1

@@ -74,8 +74,9 @@ class FlatWorkspace:
     Density, mobility and the residual accumulator at the largest
     block's padded size, plus slab-sized scratch.  One workspace serves
     the kernels of all *shapes* (``(nz, ny, nx)`` blocks) it was sized
-    for; whoever runs them — the cluster driver, a par worker — owns it
-    and runs them one at a time on one thread.  The residual a
+    for; the rank program that runs them
+    (:class:`~repro.cluster.flux.RankSet`) owns it and runs them one at
+    a time on one thread.  The residual a
     ``compute`` hands out is valid until the next ``compute`` on the
     same workspace.
     """

@@ -34,7 +34,6 @@ __getattr__, __dir__ = lazy_exports(
             "FaultError",
             "FaultPlanError",
             "PendingLeakError",
-            "RankFailedError",
             "WorkerCrashError",
             "WorkerLeaseExpiredError",
         ),
@@ -57,7 +56,6 @@ __all__ = [
     "EventBudgetError",
     "CommTimeoutError",
     "PendingLeakError",
-    "RankFailedError",
     "WorkerCrashError",
     "WorkerLeaseExpiredError",
     "CheckpointCorruptError",

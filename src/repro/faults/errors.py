@@ -20,7 +20,6 @@ __all__ = [
     "EventBudgetError",
     "CommTimeoutError",
     "PendingLeakError",
-    "RankFailedError",
     "WorkerCrashError",
     "WorkerLeaseExpiredError",
     "CheckpointCorruptError",
@@ -157,21 +156,13 @@ class PendingLeakError(FaultError):
         )
 
 
-class RankFailedError(FaultError):
-    """An operation required a rank that is currently failed."""
-
-    def __init__(self, rank: int, detail: str = "") -> None:
-        self.rank = rank
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"rank {rank} is down{suffix}")
-
-
 class WorkerCrashError(FaultError):
     """A multiprocess SPMD worker died mid-run (real process death).
 
     Raised by the :mod:`repro.par` pool when a worker process exits
     while an application is in flight — the genuine-crash analogue of
-    the modelled :class:`RankFailedError`.
+    the serial backend's modelled rank failure
+    (:class:`~repro.faults.plan.RankFailure`).
 
     Attributes
     ----------

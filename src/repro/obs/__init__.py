@@ -53,6 +53,7 @@ __getattr__, __dir__ = lazy_exports(
             "consistency",
             "render_heatmap",
             "render_report",
+            "render_span_table",
             "render_stall",
             "report_document",
             "stall_report",
@@ -97,6 +98,7 @@ __all__ = [
     "trace_sink_metrics",
     "consistency",
     "render_report",
+    "render_span_table",
     "render_heatmap",
     "report_document",
     "stall_report",

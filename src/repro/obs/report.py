@@ -17,6 +17,7 @@ from repro.util.reporting import Table
 
 __all__ = [
     "render_report",
+    "render_span_table",
     "report_document",
     "render_heatmap",
     "consistency",
@@ -234,22 +235,27 @@ def render_report(
         )
 
     if span_summary:
-        sp = Table(
-            "Host phase spans", ["Span", "Count", "Total [s]", "Mean [s]"]
-        )
-        for name in sorted(span_summary):
-            row = span_summary[name]
-            sp.add_row(
-                [
-                    name,
-                    str(int(row["count"])),
-                    f"{row['total_seconds']:.6f}",
-                    f"{row['mean_seconds']:.6f}",
-                ]
-            )
         out.append("")
-        out.append(sp.render())
+        out.append(render_span_table(span_summary))
     return "\n".join(out)
+
+
+def render_span_table(span_summary: dict) -> str:
+    """The "Host phase spans" table of a
+    :meth:`~repro.obs.spans.SpanRecorder.summary`, one row per span name
+    in sorted order."""
+    table = Table("Host phase spans", ["Span", "Count", "Total [s]", "Mean [s]"])
+    for name in sorted(span_summary):
+        row = span_summary[name]
+        table.add_row(
+            [
+                name,
+                str(int(row["count"])),
+                f"{row['total_seconds']:.6f}",
+                f"{row['mean_seconds']:.6f}",
+            ]
+        )
+    return table.render()
 
 
 def report_document(

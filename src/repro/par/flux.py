@@ -3,12 +3,13 @@ cluster backend.
 
 Drop-in for :class:`~repro.cluster.flux.ClusterFluxComputation.run`:
 the same ``px x py`` decomposition, the same canonical halo-link order,
-the same per-rank kernel (:class:`~repro.core.flat.FlatFluxKernel`) —
-executed by real processes over shared memory.  Workers come warm from
-the process-wide reservoir (:mod:`repro.par.runtime`) and applications
-pipeline to depth :data:`PIPELINE_DEPTH` over the arena's parity slots.
-Because every rank runs the serial backend's kernel on the serial
-backend's halo-padded block and the global residual is assembled from
+the same rank program (:class:`~repro.cluster.flux.RankSet`, one per
+worker over its ranks) — executed by real processes over shared memory.
+Workers come warm from the process-wide reservoir
+(:mod:`repro.par.runtime`) and applications pipeline to depth
+:data:`PIPELINE_DEPTH` over the arena's parity slots.  Because every
+worker runs the serial backend's rank program and the global residual
+is assembled from
 disjoint owned regions (each written by exactly one worker, no reduction
 across workers), the result is **bit-identical** to the serial backend
 on any worker count.

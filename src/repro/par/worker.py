@@ -7,35 +7,35 @@ number of flux applications — and any number of *problems* — without
 ever being respawned:
 
 * ``("ping",)`` → ``("pong", pid)`` — liveness probe;
-* ``("setup", WorkerSpec)`` → ``("ready", pid)`` — build all per-rank
-  state (the flat kernel with its padded pressure and transmissibility
-  arrays, one shared workspace) once and attach the shared arena.  This
-  is the one-time prologue that warm pooling amortizes: only pressure
-  payloads flow per application afterwards;
+* ``("setup", WorkerSpec)`` → ``("ready", pid)`` — build the rank
+  program over this worker's ranks (:class:`~repro.cluster.flux.RankSet`:
+  flat kernels with their padded pressure and transmissibility arrays,
+  one shared workspace, strip views) once and attach the shared arena.
+  This is the one-time prologue that warm pooling amortizes: only
+  pressure payloads flow per application afterwards;
 * ``("run",)`` → ``("ok", payload)`` — one flux application;
 * ``("teardown",)`` → ``("released", pid)`` — drop the application
   state (detach the arena) and go idle, ready for the next ``setup``;
 * ``("quit",)`` — exit.
 
 One worker executes one or more contiguous ranks of the decomposition.
-An application is:
+An application is the serial cluster backend's rank program with
+:class:`~repro.par.comm.ProcComm` as the transport:
 
-1. **scatter** — copy each owned block's pressure cells from the
-   arena's parity-``k % 2`` global pressure field into the rank's
-   padded buffer (the kernel's own pressure array);
+1. **scatter** — each rank takes its owned cells of the arena's
+   parity-``k % 2`` global pressure field;
 2. **publish** — every outgoing halo strip (owned cells only) goes into
    its link's parity slot immediately, unblocking the neighbours;
 3. **absorb** — spin-receive every incoming strip into the padded
    pressure;
-4. **compute** — one whole-block
-   :class:`~repro.core.flat.FlatFluxKernel` evaluation per rank, its
-   owned residual block written straight into the arena's global field.
+4. **compute** — one whole-block kernel evaluation per rank, its owned
+   residual block written straight into the arena's global field.
 
 Compute starts after the receives: computing an interior box while
 they are in flight measured no faster, and an interior/boundary split
-has no contiguous form on the flat layout (DESIGN.md §12).  The
-kernel is the serial cluster backend's, so the residual is bit-identical
-to it.  Fault injection is real here: when the plan downs one of this
+has no contiguous form on the flat layout (DESIGN.md §12).  The program
+is the serial cluster backend's, so the residual is bit-identical to
+it.  Fault injection is real here: when the plan downs one of this
 worker's ranks and ``kill_for_real`` is set, the process dies with
 ``os._exit`` — the parent's crash detector, not a simulated flag, has to
 notice.
@@ -48,10 +48,10 @@ import signal
 import time
 from dataclasses import dataclass
 
-from repro.core.flat import FlatFluxKernel, FlatWorkspace
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.cluster.decomposition import Block, BlockDecomposition
+from repro.cluster.decomposition import BlockDecomposition
+from repro.cluster.flux import RankSet
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.spans import Span, SpanRecorder, spans_to_payload
@@ -106,23 +106,14 @@ def _record(recorder: SpanRecorder, name: str, start_ns: int,
 
 
 class _AppRuntime:
-    """Per-``setup`` state: ranks, kernels, arena, communicator."""
+    """Per-``setup`` state: the rank program, arena, communicator."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
-        decomp = BlockDecomposition(spec.mesh, spec.px, spec.py)
-        blocks = [decomp.block(rank) for rank in spec.ranks]
-        meshes = [decomp.local_mesh(block) for block in blocks]
-        # one workspace: this worker computes its ranks in turn
-        workspace = FlatWorkspace([m.shape_zyx for m in meshes], spec.dtype)
-        self.states: list[dict] = [
-            {
-                "rank": rank,
-                "block": block,
-                "kernel": FlatFluxKernel(local_mesh, spec.fluid, workspace),
-            }
-            for rank, block, local_mesh in zip(spec.ranks, blocks, meshes)
-        ]
+        self.rank_set = RankSet(
+            BlockDecomposition(spec.mesh, spec.px, spec.py), spec.ranks,
+            spec.fluid, spec.dtype, spec.layout.links,
+        )
         self.arena = SharedArena(spec.layout, name=spec.arena_name,
                                  create=False)
 
@@ -142,26 +133,6 @@ class _AppRuntime:
             start_exchange=spec.start_exchange,
             heartbeat=self._beat,
         )
-        # canonical halo_links order restricted to this worker's
-        # endpoints, each with its strip of the rank's padded pressure
-        state_of = {state["rank"]: state for state in self.states}
-
-        def strip(link, rank):
-            state = state_of[rank]
-            return link.strip(state["kernel"].pressure, state["block"])
-
-        links = spec.layout.links
-        my_ranks = frozenset(spec.ranks)
-        self.out_links = [
-            (lk, strip(lk, lk.source)) for lk in links if lk.source in my_ranks
-        ]
-        self.in_links = [
-            (lk, strip(lk, lk.dest))
-            for lk in sorted(
-                (lk for lk in links if lk.dest in my_ranks),
-                key=lambda lk: (lk.dest, lk.tag),
-            )
-        ]
         self.recorder = SpanRecorder()
         self.applications = 0
 
@@ -173,6 +144,7 @@ class _AppRuntime:
     def run_application(self, conn) -> None:
         """One flux application; replies ``("ok", payload)``."""
         spec = self.spec
+        rank_set = self.rank_set
         if self.injector is not None:
             self.injector.begin_exchange()
             if self.applications == 0:
@@ -198,52 +170,42 @@ class _AppRuntime:
         t_app0 = time.perf_counter_ns()
 
         # 1. scatter owned pressure cells from the parity pressure field
-        for state in self.states:
-            block: Block = state["block"]
-            ys, xs = block.owned_slices_in_padded()
-            state["kernel"].pressure[:, ys, xs] = global_pressure[
-                :, block.y0 : block.y1, block.x0 : block.x1
-            ]
+        rank_set.scatter(global_pressure)
         t_scatter = time.perf_counter_ns()
         self._beat()
         _record(self.recorder, "par.scatter", t_app0, t_scatter,
                 worker=spec.index)
 
         # 2. publish every outgoing strip (owned cells only) right away
-        for link, strip in self.out_links:
-            self.comm.isend(link.source, link.dest, link.tag, strip)
+        for key, strip in rank_set.outgoing.items():
+            self.comm.isend(*key, strip)
         t_publish = time.perf_counter_ns()
         self._beat()
         _record(self.recorder, "par.publish", t_scatter, t_publish,
                 worker=spec.index)
 
         # 3. absorb: spin-receive every incoming strip
-        for link, halo in self.in_links:
-            halo[...] = self.comm.recv(link.dest, link.source, link.tag)
+        for key, halo in rank_set.incoming.items():
+            halo[...] = self.comm.recv(*key)
         self.comm.complete_exchange()
         self._beat()
         t_absorb = time.perf_counter_ns()
         _record(self.recorder, "par.absorb", t_publish, t_absorb,
                 worker=spec.index)
-        exchange_ns = (t_absorb - t_scatter) // len(self.states)
+        exchange_ns = (t_absorb - t_scatter) // len(spec.ranks)
 
         # 4. compute, then gather owned residuals into the arena
         per_rank_ns = {}
-        for state in self.states:
-            block = state["block"]
+        for i, rank in enumerate(spec.ranks):
             t_c0 = time.perf_counter_ns()
-            residual = state["kernel"].compute()
-            ys, xs = block.owned_slices_in_padded()
-            self.arena.residual[
-                :, block.y0 : block.y1, block.x0 : block.x1
-            ] = residual[:, ys, xs]
+            rank_set.compute(self.arena.residual, i)
             t_c1 = time.perf_counter_ns()
-            per_rank_ns[state["rank"]] = {
+            per_rank_ns[rank] = {
                 "compute_ns": t_c1 - t_c0,
                 "exchange_ns": exchange_ns,
             }
             _record(self.recorder, "par.compute", t_c0, t_c1,
-                    worker=spec.index, rank=state["rank"])
+                    worker=spec.index, rank=rank)
 
         self.applications += 1
         self._beat()

@@ -24,7 +24,6 @@ from repro.solver.unstructured import (
     UnstructuredFlowResidual,
     UnstructuredMatrixFreeJacobian,
     assemble_unstructured_jacobian,
-    newton_solve_unstructured,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "UnstructuredFlowResidual",
     "UnstructuredMatrixFreeJacobian",
     "assemble_unstructured_jacobian",
-    "newton_solve_unstructured",
 ]

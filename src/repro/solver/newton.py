@@ -1,10 +1,13 @@
 """Newton's method for the backward-Euler step of Eq. 2.
 
-Each nonlinear iteration builds the matrix-free Jacobian at the current
-iterate, solves ``J dp = -R`` with preconditioned BiCGSTAB, and applies a
-damped update with a simple backtracking line search on the residual
-norm.  This closes the loop the paper leaves as future work: an implicit
-single-phase flow step running entirely on flux-kernel sweeps.
+Each nonlinear iteration asks the residual for its matrix-free Jacobian
+at the current iterate, solves ``J dp = -R`` with preconditioned
+BiCGSTAB, and applies a damped update with a simple backtracking line
+search on the residual norm.  This closes the loop the paper leaves as
+future work: an implicit single-phase flow step running entirely on
+flux-kernel sweeps.  The one loop serves the structured
+:class:`~repro.solver.operators.FlowResidual` and the connection-list
+:class:`~repro.solver.unstructured.UnstructuredFlowResidual` alike.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from repro.obs.spans import span
 from repro.solver.errors import SolverDivergence
 from repro.solver.krylov import bicgstab, jacobi_preconditioner
-from repro.solver.operators import FlowResidual, MatrixFreeJacobian
+from repro.solver.operators import FlowResidual
 
 __all__ = ["NewtonResult", "newton_solve"]
 
@@ -48,7 +51,11 @@ def newton_solve(
     Parameters
     ----------
     residual:
-        The implicit residual operator (holds dt, sources, trans).
+        The implicit residual operator (holds dt, sources, trans): a
+        :class:`FlowResidual` or an
+        :class:`~repro.solver.unstructured.UnstructuredFlowResidual`.
+        Calling it checks the field's shape, and ``residual.jacobian(p)``
+        is its Jacobian at an iterate.
     pressure_old:
         Converged pressure of the previous time level ``p^n`` (also the
         initial Newton iterate).
@@ -60,9 +67,7 @@ def newton_solve(
     max_line_search:
         Halvings attempted before accepting the step anyway.
     """
-    mesh = residual.mesh
     p = np.array(pressure_old, dtype=np.float64, copy=True)
-    mesh.validate_field(p, name="pressure_old")
     mass_old = residual.mass_density(pressure_old)
 
     r = residual(p, mass_old)
@@ -82,7 +87,7 @@ def newton_solve(
 
     for it in range(1, max_iterations + 1):
         with span("newton.iteration", cat="solver", iteration=it) as sp:
-            jac = MatrixFreeJacobian(residual, p)
+            jac = residual.jacobian(p)
             psolve = jacobi_preconditioner(jac.diagonal())
             try:
                 lin = bicgstab(
@@ -100,7 +105,7 @@ def newton_solve(
                     history=history,
                 ) from exc
             linear_total += lin.iterations
-            dp = lin.x.reshape(mesh.shape_zyx)
+            dp = lin.x.reshape(np.shape(p))
 
             # backtracking line search on the residual norm
             with span("newton.line_search", cat="solver"):

@@ -136,6 +136,10 @@ class FlowResidual:
             res -= self.source
         return res
 
+    def jacobian(self, pressure: np.ndarray) -> MatrixFreeJacobian:
+        """The matrix-free Jacobian at *pressure* (what Newton solves with)."""
+        return MatrixFreeJacobian(self, pressure)
+
 
 class MatrixFreeJacobian:
     """Analytic Jacobian action of the backward-Euler residual.

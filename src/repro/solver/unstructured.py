@@ -3,8 +3,10 @@
 Completes the Sec. 9 future-work path end to end: the connection-list
 TPFA kernel (:mod:`repro.core.unstructured`) drives the same
 backward-Euler + Newton + matrix-free Krylov stack as the structured
-solver, so an arbitrary cell cloud (a networkx graph, a Delaunay mesh, a
-flattened corner-point model) is a first-class simulation target.
+solver — :func:`repro.solver.newton.newton_solve` itself, which takes
+the Jacobian from the residual — so an arbitrary cell cloud (a networkx
+graph, a Delaunay mesh, a flattened corner-point model) is a
+first-class simulation target.
 
 On a connection list built from a Cartesian mesh the residual, Jacobian,
 and Newton trajectory match the structured solver exactly — the
@@ -21,14 +23,11 @@ from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.kernels import face_flux_with_derivatives
 from repro.core.unstructured import UnstructuredMesh, unstructured_flux_residual
-from repro.solver.krylov import bicgstab, jacobi_preconditioner
-from repro.solver.newton import NewtonResult
 
 __all__ = [
     "UnstructuredFlowResidual",
     "UnstructuredMatrixFreeJacobian",
     "assemble_unstructured_jacobian",
-    "newton_solve_unstructured",
 ]
 
 
@@ -102,6 +101,10 @@ class UnstructuredFlowResidual:
         if self.source is not None:
             res -= self.source
         return res
+
+    def jacobian(self, pressure: np.ndarray) -> UnstructuredMatrixFreeJacobian:
+        """The matrix-free Jacobian at *pressure* (what Newton solves with)."""
+        return UnstructuredMatrixFreeJacobian(self, pressure)
 
 
 class UnstructuredMatrixFreeJacobian:
@@ -181,65 +184,3 @@ def assemble_unstructured_jacobian(
         [jac._acc, -jac._dk, -jac._dl, jac._dk, jac._dl]
     )
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def newton_solve_unstructured(
-    residual: UnstructuredFlowResidual,
-    pressure_old: np.ndarray,
-    *,
-    rtol: float = 1e-6,
-    atol: float = 1e-8,
-    max_iterations: int = 20,
-    linear_rtol: float = 1e-8,
-    max_line_search: int = 8,
-) -> NewtonResult:
-    """Newton for one backward-Euler step on the connection list.
-
-    Mirrors :func:`repro.solver.newton.newton_solve`; the two produce
-    matching iterates on equivalent problems (cross-checked in tests).
-    """
-    mesh = residual.mesh
-    p = mesh.validate_vector(
-        np.array(pressure_old, dtype=np.float64, copy=True), name="pressure_old"
-    )
-    mass_old = residual.mass_density(pressure_old)
-    r = residual(p, mass_old)
-    r0_norm = float(np.abs(r).max())
-    history = [r0_norm]
-    target = max(rtol * r0_norm, atol)
-    linear_total = 0
-    if r0_norm <= target:
-        return NewtonResult(p, True, 0, r0_norm, history, 0)
-
-    for it in range(1, max_iterations + 1):
-        jac = UnstructuredMatrixFreeJacobian(residual, p)
-        lin = bicgstab(
-            jac.matvec,
-            -r,
-            rtol=linear_rtol,
-            max_iterations=10 * jac.n,
-            psolve=jacobi_preconditioner(jac.diagonal()),
-        )
-        linear_total += lin.iterations
-        dp = lin.x
-
-        step = 1.0
-        best_norm = None
-        for _ in range(max_line_search):
-            p_try = p + step * dp
-            r_try = residual(p_try, mass_old)
-            norm_try = float(np.abs(r_try).max())
-            if norm_try < history[-1]:
-                best_norm = norm_try
-                break
-            step *= 0.5
-        if best_norm is None:
-            p_try = p + step * dp
-            r_try = residual(p_try, mass_old)
-            best_norm = float(np.abs(r_try).max())
-
-        p, r = p_try, r_try
-        history.append(best_norm)
-        if best_norm <= target:
-            return NewtonResult(p, True, it, best_norm, history, linear_total)
-    return NewtonResult(p, False, max_iterations, history[-1], history, linear_total)

@@ -13,11 +13,11 @@ from repro.core.unstructured import delaunay_mesh_2d, from_cartesian
 from repro.solver import (
     FlowResidual,
     MatrixFreeJacobian,
+    SolverDivergence,
     UnstructuredFlowResidual,
     UnstructuredMatrixFreeJacobian,
     assemble_unstructured_jacobian,
     newton_solve,
-    newton_solve_unstructured,
 )
 
 FLUID = FluidProperties()
@@ -122,7 +122,7 @@ class TestNewton:
         """Same problem, same Newton trajectory, same answer."""
         mesh, s_res, u_res, p = cartesian_pair
         s_result = newton_solve(s_res, p, rtol=1e-9)
-        u_result = newton_solve_unstructured(u_res, p.ravel(), rtol=1e-9)
+        u_result = newton_solve(u_res, p.ravel(), rtol=1e-9)
         assert s_result.converged and u_result.converged
         assert s_result.iterations == u_result.iterations
         scale = np.abs(s_result.pressure).max()
@@ -143,7 +143,7 @@ class TestNewton:
             umesh, FLUID, dt=dt, gravity=0.0, source=src
         )
         p0 = np.full(umesh.num_cells, 1.5e7)
-        result = newton_solve_unstructured(res, p0, rtol=1e-10)
+        result = newton_solve(res, p0, rtol=1e-10)
         assert result.converged
         mass0 = (res.mass_density(p0) * umesh.volumes).sum()
         mass1 = (res.mass_density(result.pressure) * umesh.volumes).sum()
@@ -156,8 +156,21 @@ class TestNewton:
         res = UnstructuredFlowResidual(
             umesh, FLUID, dt=3600.0, gravity=0.0, source=src
         )
-        result = newton_solve_unstructured(
+        result = newton_solve(
             res, np.full(umesh.num_cells, 1.5e7), rtol=1e-9
         )
         assert result.converged
         assert int(np.argmax(result.pressure)) == 10
+
+    def test_nan_state_is_reported_by_newton(self, cartesian_pair):
+        """One Newton loop: a NaN cell on the connection list diverges
+        in Newton with its history, as on the structured mesh — not in
+        the Krylov solve."""
+        mesh, s_res, u_res, p = cartesian_pair
+        p = p.copy()
+        p[1, 2, 3] = np.nan
+        for res, field in ((s_res, p), (u_res, p.ravel())):
+            with pytest.raises(SolverDivergence, match="initial residual is nan") as info:
+                newton_solve(res, field)
+            assert info.value.solver == "newton"
+            assert info.value.history

@@ -171,6 +171,30 @@ class TestTable:
                     )
         assert offenders == []
 
+    def test_only_the_rank_program_builds_a_host_kernel(self):
+        """``FlatFluxKernel`` and ``FlatWorkspace`` are built in one
+        place, ``cluster/flux.py::RankSet``: the cluster driver runs that
+        rank program over every rank and each par worker over its own,
+        so par == cluster is one program over two transports.  A host
+        driver that builds its own kernels or workspace again fails
+        here."""
+        import repro
+
+        flux = Path(repro.__file__).parent / "cluster" / "flux.py"
+        rank_set = next(
+            node for node in ast.parse(flux.read_text()).body
+            if isinstance(node, ast.ClassDef) and node.name == "RankSet"
+        )
+        lines = range(rank_set.lineno, rank_set.end_lineno + 1)
+        sites = _calls_outside(set(), {"FlatFluxKernel", "FlatWorkspace"}.__contains__)
+
+        def in_rank_set(site):
+            path, line = site.split()[0].rsplit(":", 1)
+            return path == "cluster/flux.py" and int(line) in lines
+
+        assert [site for site in sites if not in_rank_set(site)] == []
+        assert len(sites) == 2
+
     @pytest.mark.parametrize("side", [24, 48])
     def test_event_lowering_is_by_class_not_by_pe(self, side):
         """A set-up budget with no clock in it: Python frames entered
