@@ -8,7 +8,12 @@ delivery, and gathers the distributed residual.
 
 The per-application device time is measured in model cycles by the
 discrete-event runtime; instruction/traffic totals come from the PEs' DSD
-engines.  The runtime's slotted-event fast path makes protocol-accurate
+engines.  Receive-compute overlap is modelled in the cycle booking: each
+receive task books its partial flux at its simulated time, while the
+arithmetic runs once per round over the PE-major block (the
+``wse.flux_local`` and ``wse.flux_round`` spans inside each
+``wse.application``; DESIGN.md §8 item 7).  The runtime's slotted-event
+fast path makes protocol-accurate
 runs tractable well beyond toy fabrics (the ``event_plain_24x24x8``
 workload of ``bench/`` tracks its throughput); for full paper-scale
 meshes use :mod:`repro.dataflow.lockstep` for function and
@@ -206,7 +211,7 @@ class WseFluxComputation:
                 exchange.begin(rt)
                 with span("wse.drain_events"):
                     rt.run()
-                exchange.verify()
+                exchange.end()  # verify, then the X-Y pass (wse.flux_round)
                 total_cycles += rt.now
                 applications += 1
                 totals.merge(rt.stats)

@@ -19,6 +19,17 @@ copy per kernel.  A program supplies only its physics:
 ``on_data(pe, msg, conn)``
     one neighbour's column has arrived; ``conn`` names the neighbour.
 
+and, optionally, two round hooks for work that spans the whole fabric:
+
+``begin_round()``
+    called by :meth:`ColumnExchange.begin` before any PE starts (the
+    flux program clears its halo log and runs its fabric-wide local
+    arithmetic there);
+``end_round()``
+    called by :meth:`ColumnExchange.end` once every delivery checks
+    out (the flux program's per-round X-Y pass).  A round the runtime
+    aborts never reaches it, and the next ``begin_round`` starts clean.
+
 The exchange owns the rest: color allocation in the canonical
 cardinal-then-diagonal order, route install, the per-PE protocol state
 (``logical``, ``expected``, ``step1_channels``, and per round ``sent`` /
@@ -74,6 +85,8 @@ class ColumnExchange:
     start, payload, on_data:
         The program's physics (module docstring).  ``on_data`` is read
         from the attribute at call time, so a probe may wrap it.
+    begin_round, end_round:
+        Optional round hooks (module docstring).
     ir:
         Optional program IR to install from; only its color table,
         route tables and injector sets are read.
@@ -84,11 +97,12 @@ class ColumnExchange:
 
     def __init__(
         self, fabric, nx: int, ny: int, *, start, payload, on_data,
-        ir=None, remap=None,
+        begin_round=None, end_round=None, ir=None, remap=None,
     ) -> None:
         self.fabric = fabric
         self.nx, self.ny = nx, ny
         self.start, self.payload, self.on_data = start, payload, on_data
+        self.begin_round, self.end_round = begin_round, end_round
         #: The program's PEs as ``(lx, ly, pe)``, *logical* row-major —
         #: the order of ``fabric.pes()`` on a healthy fabric, so
         #: injection sequence numbers (and with them event order and
@@ -207,6 +221,8 @@ class ColumnExchange:
         Step-2 senders are triggered by the control wavelets of the
         switch protocol.
         """
+        if self.begin_round is not None:
+            self.begin_round()
         for _x, _y, pe in self.pes:
             pe.state["sent"] = set()
             pe.state["received"] = 0
@@ -257,10 +273,16 @@ class ColumnExchange:
                     f"expected {want}"
                 )
 
+    def end(self) -> None:
+        """Close a drained round: :meth:`verify`, then ``end_round``."""
+        self.verify()
+        if self.end_round is not None:
+            self.end_round()
+
     def run(self, rt: EventRuntime) -> float:
-        """One whole round on *rt*: begin, drain, verify; returns the
+        """One whole round on *rt*: begin, drain, end; returns the
         round's device cycles."""
         self.begin(rt)
         rt.run()
-        self.verify()
+        self.end()
         return rt.now

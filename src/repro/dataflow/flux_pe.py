@@ -48,8 +48,7 @@ __all__ = [
 DENSITY_EXP_CYCLES_PER_ELEMENT = 12.0
 
 # module-level ufunc bindings: the kernel issues ~14 ufunc calls per
-# column and runs thousands of times per application, so even the
-# global/attribute loads are measurable
+# column, each without a global or attribute load
 _sub = np.subtract
 _mul = np.multiply
 _add = np.add
@@ -100,8 +99,8 @@ class FluxScratch:
 
     def view(self, n: int) -> "FluxScratch":
         """Length-n views over the shared storage (cached per length —
-        the kernel requests the same one or two lengths thousands of
-        times per application)."""
+        a per-PE caller asks for the same one or two lengths every
+        call)."""
         views = self._views
         if views is None:
             views = self._views = {}
@@ -160,9 +159,9 @@ def compute_face_flux_column(
     :class:`~repro.wse.dsd.DsdEngine` instruction methods issue, in the
     same order on the same buffers (so results are bit-identical); the
     per-op engine wrappers are bypassed and the whole column is booked in
-    one :meth:`~repro.wse.dsd.DsdEngine.account_flux_column` call — this
-    kernel runs once per received halo per PE and its Python-call
-    overhead used to dominate event-simulator profiles.
+    one :meth:`~repro.wse.dsd.DsdEngine.account_flux_column` call, the
+    booking the event backend's receive tasks make per halo while the
+    arithmetic runs once per round (DESIGN.md §8 item 7).
     """
     s = scratch.for_target(residual)
     # F overwrites the scratch column that carried the upwinded mobility

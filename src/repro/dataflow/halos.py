@@ -202,15 +202,6 @@ class PEColumnLayout:
         """Flattened (2*nz,) view of the same receive window."""
         return self._recv_flat[conn]
 
-    def halo_args(self) -> dict[Connection, tuple]:
-        """Per X-Y neighbour, what its receive task touches: ``(flat
-        receive window, p_L, rho_L, transmissibility column)``."""
-        trans = self.trans
-        return {
-            conn: (self._recv_flat[conn], buf[0], buf[1], trans[conn])
-            for conn, buf in self._recv.items()
-        }
-
     def send_train(self, engine=None) -> np.ndarray:
         """The outgoing ``(p, rho)`` train of this PE.
 

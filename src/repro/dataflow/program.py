@@ -8,10 +8,17 @@ configuration:
   through the shared :class:`~repro.dataflow.exchange.ColumnExchange`;
 * builds every PE's memory layout (Sec. 5.1) and fills the static data
   (elevation column, 10 transmissibility columns);
-* supplies the exchange's three physics hooks, implementing
-  receive-compute overlap: a partial flux computation runs immediately
-  when a neighbour's column arrives ("the corresponding flux computation
-  will occur immediately in an asynchronous fashion", Sec. 5.2.1).
+* supplies the exchange's physics and round hooks.
+
+Receive-compute overlap ("the corresponding flux computation will occur
+immediately in an asynchronous fashion", Sec. 5.2.1) is modelled in the
+**cycle booking**: a receive task books its FMOV and its partial flux on
+arrival (or, without overlap, every partial flux at the last arrival),
+so the timeline is per event.  No booking depends on data, so the
+arithmetic itself runs once per round over the PE-major block
+(DESIGN.md §8 item 7): density and the UP/DOWN fluxes when the round
+begins, and after the drain one face-flux call over every logged halo,
+folded into each PE's residual in that PE's arrival order.
 """
 
 from __future__ import annotations
@@ -23,14 +30,21 @@ import numpy as np
 from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import Connection
+from repro.core.stencil import XY_CONNECTIONS, Connection
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.dataflow.exchange import ColumnExchange
-from repro.dataflow.flux_pe import compute_face_flux_column, evaluate_density_column
+from repro.dataflow.flux_pe import (
+    DENSITY_EXP_CYCLES_PER_ELEMENT,
+    FluxScratch,
+    compute_face_flux_column,
+    evaluate_density_column,
+    store_face_flux_column,
+)
 from repro.dataflow.halos import TRANS_NAMES, PEColumnLayout
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.obs.spans import span
 from repro.wse.color import ColorAllocator
+from repro.wse.dsd import DsdEngine
 from repro.wse.fabric import Fabric
 from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 from repro.wse.pe import ProcessingElement
@@ -60,11 +74,14 @@ class FluxProgram:
         all flux computations and focus solely on data communications").
     overlap_compute:
         When True (the paper's Sec.-5.3.2 behaviour) each neighbour's
-        partial flux is computed immediately on arrival, hiding compute
+        partial flux is booked immediately on arrival, hiding compute
         behind the remaining transfers.  When False, arrivals are only
-        drained into per-neighbour buffers and all eight partial fluxes
-        run after the last arrival — the no-overlap ablation.  Requires
-        ``reuse_buffers=False`` (deferred compute needs every halo live).
+        drained into per-neighbour buffers and the PE's partial fluxes
+        (one per X-Y neighbour: 3 in a corner, 5 on an edge, 8 inside)
+        are booked after the last arrival — the no-overlap ablation.
+        Requires ``reuse_buffers=False`` (deferred compute needs every
+        halo live).  Either way the arithmetic runs once per round
+        (module docstring); the option moves cycles, not bits.
     pe_memory_bytes / pe_memory_reserved:
         Scratchpad capacity and code reservation per PE.
     remap:
@@ -95,6 +112,9 @@ class FluxProgram:
     #: The Sec. 5.2 neighbour protocol: colors, routes, tasks, rounds.
     exchange: ColumnExchange = field(init=False)
     colors: ColorAllocator = field(init=False)
+    #: This round's X-Y halos in delivery order, ``(halo key, payload)``
+    #: with key ``8 * block row + X-Y slot``; cleared when a round begins.
+    round_log: list = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.overlap_compute and self.reuse_buffers:
@@ -134,8 +154,13 @@ class FluxProgram:
         # scalar kernel parameters pre-cast to the PE dtype: the ufuncs
         # cast them per call otherwise (same bits, avoidable overhead)
         _scalar = np.dtype(self.dtype).type
-        self._inv_viscosity = _scalar(1.0 / self.fluid.viscosity)
-        self._gravity = _scalar(constants.GRAVITY)
+        self._kernel = {
+            "gravity": _scalar(constants.GRAVITY),
+            "inv_viscosity": _scalar(1.0 / self.fluid.viscosity),
+        }
+        # what the fabric-wide kernels are handed: its counts are never
+        # read, the PEs' engines book per PE at the simulated times
+        self._swept = DsdEngine()
         with span("program.build", cat="build",
                   fabric=f"{self.mesh.nx}x{self.mesh.ny}"):
             self.exchange = ColumnExchange(
@@ -145,6 +170,8 @@ class FluxProgram:
                 start=self._start_pe,
                 payload=self._send_train,
                 on_data=self._receive_neighbour,
+                begin_round=self._begin_round,
+                end_round=self._end_round,
                 ir=self.ir,
                 remap=self.remap,
             )
@@ -222,69 +249,68 @@ class FluxProgram:
             probe, mesh.nz, dtype=self.dtype, reuse_buffers=self.reuse_buffers
         )
         program_pes = self.exchange.pes
-        columns = self.fabric.install_memory(
+        # ``name -> (n_pes, *shape)`` views of the PE-major block: block
+        # row i is the PE of logical cell (i % nx, i // nx), so a
+        # (nz, ny, nx) field is a column's transpose, reshaped
+        self._columns = columns = self.fabric.install_memory(
             probe.plan(), [pe.coord for _x, _y, pe in program_pes]
         )
-        # block row i is the PE of logical cell (i % nx, i // nx): a
-        # (nz, ny, nx) field becomes its rows by flattening (y, x)
         columns["z"][:] = mesh.elevation.reshape(mesh.nz, -1).T
         trans_fields = padded_trans_fields(mesh, self.trans, self.dtype)
         for conn, name in TRANS_NAMES.items():
             columns[name][:] = trans_fields[conn].reshape(mesh.nz, -1).T
+        p_rho = columns["p_rho"]
+        self._pressure, self._density = p_rho[:, 0], p_rho[:, 1]
+        self._pressure_field = self._pressure.T.reshape(mesh.shape_zyx)
+        self._residual_field = columns["residual"].T.reshape(mesh.shape_zyx)
+        if self.compute_fluxes:
+            # the X-Y columns stacked by halo key (static data)
+            self._xy_trans = np.stack(
+                [columns[TRANS_NAMES[conn]] for conn in XY_CONNECTIONS], axis=1
+            ).reshape(-1, mesh.nz)
         names = list(columns)
-        for (_x, _y, pe), *arrays in zip(program_pes, *columns.values()):
+        slots = len(XY_CONNECTIONS)
+        for row, ((_x, _y, pe), *arrays) in enumerate(
+            zip(program_pes, *columns.values())
+        ):
             layout = PEColumnLayout.bind(
                 dict(zip(names, arrays)), reuse_buffers=self.reuse_buffers
             )
             pe.state["layout"] = layout
-            # per-halo kernel arguments resolved once: the receive task
-            # runs per message and every dict/method hop shows up there
-            pe.state["halo_args"] = layout.halo_args()
+            # what the receive task touches, resolved once: the task runs
+            # per message and every dict/method hop shows up there
+            pe.state["halos"] = {
+                conn: (layout.recv_flat(conn), slots * row + slot)
+                for slot, conn in enumerate(XY_CONNECTIONS)
+            }
 
     # ------------------------------------------------------------------ #
-    # The exchange's physics hooks
+    # The exchange's physics hooks: bookings at the simulated times
     # ------------------------------------------------------------------ #
     def _receive_neighbour(
         self, pe: ProcessingElement, msg, conn: Connection
     ) -> None:
-        """Drain a neighbour's (p, rho) train and compute its partial flux.
+        """Drain a neighbour's (p, rho) train and book its partial flux.
 
         The FMOV from the fabric queue into the receive window is the 16
         FMOV / 16 fabric loads per cell of Table 4 (2 words per cell per
-        neighbour, 8 neighbours).
+        neighbour, 8 neighbours).  The flux is logged for the round's
+        X-Y pass (:meth:`_end_round`), which reads the delivered payload.
         """
         state = pe.state
-        layout = state["layout"]
-        # (recv_flat, p_L, rho_L, trans) per halo, resolved once at setup
-        halo_args = state["halo_args"]
-        pe.dsd.fmovs(halo_args[conn][0], msg.payload, from_fabric=True)
+        window, key = state["halos"][conn]
+        dsd = pe.dsd
+        dsd.fmovs(window, msg.payload, from_fabric=True)
         if not self.compute_fluxes:
             return
+        self.round_log.append((key, msg.payload))
+        nz = self.mesh.nz
         if self.overlap_compute:
-            ready = (conn,)
-        else:
-            # deferred: every halo stays resident until the last arrival
-            ready = state.setdefault("pending_halos", [])
-            ready.append(conn)
-            if state["received"] != state["expected"]:
-                return
-            state["pending_halos"] = []
-        for halo in ready:
-            _, p_l, rho_l, trans_col = halo_args[halo]
-            compute_face_flux_column(
-                pe.dsd,
-                layout.scratch,
-                layout.pressure,
-                p_l,
-                layout.elevation,
-                layout.elevation,  # X-Y neighbours share the elevation column
-                layout.density,
-                rho_l,
-                trans_col,
-                layout.residual,
-                gravity=self._gravity,
-                inv_viscosity=self._inv_viscosity,
-            )
+            dsd.account_flux_column(nz)
+        elif state["received"] == state["expected"]:
+            # deferred: every halo stayed resident until the last arrival
+            for _ in range(state["expected"]):
+                dsd.account_flux_column(nz)
 
     def _send_train(self, pe: ProcessingElement) -> np.ndarray:
         """The outgoing ``(p, rho)`` train (staged, and costed, per send
@@ -292,48 +318,95 @@ class FluxProgram:
         return pe.state["layout"].send_train_flat(pe.dsd)
 
     def _start_pe(self, pe: ProcessingElement) -> None:
-        """What opens an application of Algorithm 1 on one PE: zero the
-        residual, evaluate the density column (Eq. 5) and compute the two
-        vertical (in-memory) flux directions."""
-        layout = pe.state["layout"]
-        layout.residual.fill(0.0)
-        evaluate_density_column(
-            pe.dsd,
-            layout.pressure,
-            layout.density,
-            compressibility=self.fluid.compressibility,
-            reference_density=self.fluid.reference_density,
-            reference_pressure=self.fluid.reference_pressure,
-        )
-        if self.compute_fluxes:
-            self._vertical_fluxes(pe, layout)
+        """What opens an application of Algorithm 1 on one PE, booked:
+        the density column (Eq. 5) and the two vertical (in-memory) flux
+        directions, which :meth:`_begin_round` computed."""
+        nz = self.mesh.nz
+        dsd = pe.dsd
+        dsd.aux("FEXP", nz, cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT)
+        if self.compute_fluxes and nz > 1:
+            dsd.account_flux_column(nz - 1)  # UP
+            dsd.account_flux_column(nz - 1)  # DOWN
 
-    def _vertical_fluxes(self, pe: ProcessingElement, layout) -> None:
-        """UP and DOWN fluxes: same-PE memory, no fabric traffic (Sec. 5.2c)."""
-        nz = layout.nz
-        if nz < 2:
-            return
-        p, rho, z = layout.pressure, layout.density, layout.elevation
-        lower, upper = slice(0, nz - 1), slice(1, nz)
-        # the same face seen from either side: each cell, then its neighbour
-        for conn, own, other in (
-            (Connection.UP, lower, upper),
-            (Connection.DOWN, upper, lower),
-        ):
-            compute_face_flux_column(
-                pe.dsd,
-                layout.scratch,
-                p[own],
-                p[other],
-                z[own],
-                z[other],
-                rho[own],
-                rho[other],
-                layout.trans[conn][own],
-                layout.residual[own],
-                gravity=self._gravity,
-                inv_viscosity=self._inv_viscosity,
+    # ------------------------------------------------------------------ #
+    # The round hooks: the arithmetic, once per round over the block
+    # ------------------------------------------------------------------ #
+    def _begin_round(self) -> None:
+        """Zero the residual, then density and UP/DOWN over every PE.
+
+        Runs before any PE starts, so every train sent carries its
+        final density.  The vertical kernels use the block's own scratch
+        columns, which end as the per-PE kernel would leave them.
+        """
+        self.round_log.clear()
+        with span("wse.flux_local"):
+            columns, p, rho = self._columns, self._pressure, self._density
+            columns["residual"].fill(0.0)
+            fluid = self.fluid
+            evaluate_density_column(
+                self._swept, p, rho, compressibility=fluid.compressibility,
+                reference_density=fluid.reference_density,
+                reference_pressure=fluid.reference_pressure,
             )
+            nz = self.mesh.nz
+            if not self.compute_fluxes or nz < 2:
+                return
+            z, residual = columns["z"], columns["residual"]
+            lower, upper = np.s_[:, : nz - 1], np.s_[:, 1:]
+            scratch = FluxScratch(*(columns[name][lower] for name in FluxScratch.NAMES))
+            # UP and DOWN (Sec. 5.2c): the same face seen from either side
+            for conn, own, other in (
+                (Connection.UP, lower, upper),
+                (Connection.DOWN, upper, lower),
+            ):
+                compute_face_flux_column(
+                    self._swept, scratch, p[own], p[other], z[own], z[other],
+                    rho[own], rho[other], columns[TRANS_NAMES[conn]][own],
+                    residual[own], **self._kernel,
+                )
+
+    def _end_round(self) -> None:
+        """One face-flux call over the round's logged X-Y halos, folded
+        into each PE's residual in that PE's arrival order.
+
+        The payloads are the delivered trains (a fault injector's
+        corrupted copy included): a sent train is not written again
+        before the round ends.  Pass ``k`` adds every PE's ``k``-th
+        arrival — the per-PE ``r += F`` sequence of the hardware.
+        """
+        log = self.round_log
+        if not log:
+            return
+        with span("wse.flux_round", halos=len(log)):
+            columns, nz = self._columns, self.mesh.nz
+            keys, payloads = zip(*log)
+            keys = np.array(keys)
+            rows = keys // len(XY_CONNECTIONS)
+            trains = np.concatenate(payloads).reshape(len(keys), 2, nz)
+            p_k, rho_k = self._pressure[rows], self._density[rows]
+            # X-Y neighbours share the elevation column: one object
+            # twice takes the kernel's collapsed branch
+            z = columns["z"][rows]
+            scratch = FluxScratch(*(np.empty_like(p_k) for _ in range(4)))
+            flux = np.empty_like(p_k)
+            store_face_flux_column(
+                self._swept, scratch, p_k, trains[:, 0], z, z, rho_k,
+                trains[:, 1], self._xy_trans[keys], flux, **self._kernel,
+            )
+            # each delivery's arrival rank on its PE, from a stable sort
+            order = np.argsort(rows, kind="stable")
+            by_pe = rows[order]
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order)) - np.searchsorted(by_pe, by_pe)
+            residual = columns["residual"]
+            for k in range(int(rank.max()) + 1):
+                here = np.flatnonzero(rank == k)
+                residual[rows[here]] += flux[here]
+            # the scratch columns end as the per-PE kernel leaves them:
+            # the last arrival's dp and F (its collapsed branch)
+            last = order[np.flatnonzero(np.append(by_pe[1:] != by_pe[:-1], True))]
+            columns["scratch_dp"][rows[last]] = scratch.dp[last]
+            columns["scratch_a"][rows[last]] = flux[last]
 
     # ------------------------------------------------------------------ #
     # Per-application driver hooks
@@ -345,16 +418,13 @@ class FluxProgram:
         Sec. 7.2).
         """
         self.mesh.validate_field(pressure, name="pressure")
-        for x, y, pe in self.exchange.pes:
-            layout = pe.state["layout"]
-            layout.pressure[:] = pressure[:, y, x]
+        self._pressure_field[...] = pressure
 
     def gather_residual(self, out: np.ndarray | None = None) -> np.ndarray:
         """Collect every PE's residual column into a (nz, ny, nx) field."""
+        residual = self._residual_field
         if out is None:
-            out = np.zeros(self.mesh.shape_zyx, dtype=self.dtype)
-        else:
-            self.mesh.validate_field(out, name="out")
-        for x, y, pe in self.exchange.pes:
-            out[:, y, x] = pe.state["layout"].residual
+            return residual.copy()
+        self.mesh.validate_field(out, name="out")
+        out[...] = residual
         return out

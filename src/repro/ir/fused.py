@@ -78,6 +78,8 @@ class FusedFluxComputation(PaddedSweep):
             classes = schedule_classes(
                 mesh.nx, mesh.ny, reuse_buffers=params["reuse_buffers"],
                 overlap_compute=params["overlap_compute"], vectorized=ir.vectorized,
+                nz=mesh.nz, dtype=params["dtype"],
+                compute_fluxes=params["compute_fluxes"],
             )
             # plane-periodic and batch-independent
             fold = _fold_steps(classes, layout.padded_shape[1:], layout.dtype)

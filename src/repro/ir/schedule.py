@@ -40,9 +40,14 @@ simpler rule), hence ``4 + n % 2`` rather than a fixed 4.
 The law is measured, not proved: ``tests/ir/test_schedule.py`` compares
 the tiled schedule against the same probe run on the full fabric
 (tier-1 up to 9x9, a ``slow`` sweep in CI's conform job up to 96x64) and
-pins the probe's invariance to ``nz``, dtype and ``compute_fluxes`` —
-which is what lets one ``nz=1`` probe with the flux kernel disabled
-stand for every program with the same option set.
+pins the probe's invariance, with buffer reuse, to ``nz``, dtype and
+``compute_fluxes`` — which is what lets one ``nz=1`` float32 probe with
+the flux kernel disabled stand for every such program.  Without buffer
+reuse none of the three is invariant: the per-send staging (``2 nz``
+cycles), the train's length (``2 nz`` words per 32 bits of dtype) and
+the booked partial fluxes shift the sends apart, so there the probe runs
+the program's own ``nz``, dtype and ``compute_fluxes`` (a canonical
+probe mis-ordered float64 programs, and 5-wide fabrics at ``nz > 1``).
 
 **The fold program.**  The classes partition the fabric, so one serial
 fold can serve all of them at once: :func:`fold_program` merges the
@@ -106,18 +111,28 @@ def schedule_classes(
     reuse_buffers: bool = True,
     overlap_compute: bool = True,
     vectorized: bool = True,
+    nz: int = 1,
+    dtype=np.float32,
+    compute_fluxes: bool = False,
 ) -> list[tuple[tuple[str, ...], slice, slice]]:
     """The fabric as ``(order, y-slice, x-slice)`` rectangles of stride <= 2.
 
     The rectangles partition the ``ny x nx`` fabric; every PE inside one
     shares ``order``, its X-Y halo arrival order as connection names.
+    ``nz``, ``dtype`` and ``compute_fluxes`` only count without buffer
+    reuse (module docstring); the defaults are the canonical probe.
     """
+    if reuse_buffers:
+        nz, dtype, compute_fluxes = 1, np.float32, False
     reduced = probe_schedule(
         _reduced(nx),
         _reduced(ny),
         bool(reuse_buffers),
         bool(overlap_compute),
         bool(vectorized),
+        int(nz),
+        np.dtype(dtype).name,
+        bool(compute_fluxes),
     )
     return [
         (reduced[rx, ry], ys, xs)
@@ -134,6 +149,9 @@ def arrival_schedule(
     reuse_buffers: bool = True,
     overlap_compute: bool = True,
     vectorized: bool = True,
+    nz: int = 1,
+    dtype=np.float32,
+    compute_fluxes: bool = False,
 ) -> dict[tuple[int, int], tuple[str, ...]]:
     """Per-PE X-Y halo arrival order, as connection names.
 
@@ -147,6 +165,9 @@ def arrival_schedule(
         reuse_buffers=reuse_buffers,
         overlap_compute=overlap_compute,
         vectorized=vectorized,
+        nz=nz,
+        dtype=dtype,
+        compute_fluxes=compute_fluxes,
     )
     return {
         (x, y): order
@@ -198,23 +219,30 @@ def _slice_len(s: slice) -> int:
 
 @lru_cache(maxsize=None)
 def probe_schedule(
-    nx: int, ny: int, reuse_buffers: bool, overlap_compute: bool, vectorized: bool
+    nx: int,
+    ny: int,
+    reuse_buffers: bool,
+    overlap_compute: bool,
+    vectorized: bool,
+    nz: int = 1,
+    dtype: str = "float32",
+    compute_fluxes: bool = False,
 ) -> dict[tuple[int, int], tuple[str, ...]]:
-    """One event application at nz=1 with the flux kernel disabled.
+    """One event application of the program, by default the canonical
+    probe: ``nz=1``, float32, flux kernel off (module docstring).
 
-    ``compute_fluxes=False`` keeps the probe cheap without changing the
-    delivery order (measured invariance, see module docstring).  Cached:
-    :func:`schedule_classes` only ever asks for reduced (<= 5x5) shapes.
+    Cached: :func:`schedule_classes` only ever asks for reduced (<= 5x5)
+    shapes.
     """
-    mesh = CartesianMesh3D(nx, ny, 1)
+    mesh = CartesianMesh3D(nx, ny, nz)
     program = FluxProgram(
         mesh,
         FluidProperties(),
-        dtype=np.float32,
+        dtype=np.dtype(dtype).type,
         reuse_buffers=reuse_buffers,
         overlap_compute=overlap_compute,
         vectorized=vectorized,
-        compute_fluxes=False,
+        compute_fluxes=compute_fluxes,
     )
     orders: dict[tuple[int, int], list] = {}
     exchange = program.exchange
@@ -225,7 +253,7 @@ def probe_schedule(
         on_data(pe, msg, conn)
 
     exchange.on_data = capture  # the receive tasks read it at call time
-    program.load_pressure(np.zeros((1, ny, nx)))
+    program.load_pressure(np.zeros((nz, ny, nx)))
     exchange.run(EventRuntime(program.fabric, WSE2))
     return {
         coord: tuple(conn.name for conn in arrivals)

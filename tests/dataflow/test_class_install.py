@@ -166,9 +166,10 @@ def test_the_send_train_is_the_live_pressure_and_density():
         layout.pressure[:] = 3.0
         layout.density[:] = 5.0
         assert train.tolist() == [3.0] * 5 + [5.0] * 5
-        for conn, (flat, p_l, rho_l, _trans) in pe.state["halo_args"].items():
+        for conn, (flat, _key) in pe.state["halos"].items():
             assert np.shares_memory(flat, layout.recv_buffer(conn))
             flat[:] = np.arange(10)
+            p_l, rho_l = layout.recv_buffer(conn)
             assert p_l.tolist() == [0, 1, 2, 3, 4]
             assert rho_l.tolist() == [5, 6, 7, 8, 9]
 

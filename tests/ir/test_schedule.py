@@ -121,6 +121,40 @@ class TestProbeInvariances:
         )
 
 
+class TestWithoutBufferReuse:
+    """Without buffer reuse the order follows ``nz``, the dtype and the
+    flux kernel, so the probe runs the program's own values."""
+
+    PROGRAMS = [
+        (1, "float64", False),
+        (2, "float32", True),
+        (3, "float64", True),
+    ]
+
+    @pytest.mark.parametrize("nz, dtype, compute_fluxes", PROGRAMS)
+    @pytest.mark.parametrize("overlap_compute", [True, False])
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 7), (9, 6)])
+    def test_tiling_matches_the_full_probe_of_the_program(
+        self, shape, overlap_compute, nz, dtype, compute_fluxes
+    ):
+        program = dict(nz=nz, dtype=dtype, compute_fluxes=compute_fluxes)
+        options = dict(reuse_buffers=False, overlap_compute=overlap_compute)
+        full = probe_schedule.__wrapped__(
+            *shape, False, overlap_compute, True, nz, dtype, compute_fluxes
+        )
+        assert arrival_schedule(*shape, **options, **program) == full
+
+    def test_the_canonical_probe_would_misorder_them(self):
+        canonical = arrival_schedule(5, 5, reuse_buffers=False)
+        assert all(
+            arrival_schedule(
+                5, 5, reuse_buffers=False, nz=nz, dtype=dtype,
+                compute_fluxes=compute_fluxes,
+            ) != canonical
+            for nz, dtype, compute_fluxes in self.PROGRAMS
+        )
+
+
 class TestScheduleShape:
     @pytest.mark.parametrize("options", OPTION_SETS, ids=_option_id)
     @pytest.mark.parametrize("shape", [(5, 5), (6, 6), (7, 12), (48, 48)])
@@ -226,4 +260,8 @@ class TestFoldPlan:
             for y in range(*entry["y"])
             for x in range(*entry["x"])
         }
-        assert expanded == arrival_schedule(nx, ny, **options)
+        # the lowered program's own schedule: nz and the kernel only
+        # count without buffer reuse (module docstring)
+        assert expanded == arrival_schedule(
+            nx, ny, nz=mesh.nz, compute_fluxes=True, **options
+        )

@@ -8,11 +8,14 @@ import pytest
 from repro.cli import main
 
 
-#: the slab sweep's spans per backend (DESIGN.md §16): lockstep's fold
-#: steps run its X-Y kernels, so it stores no contributions ("rounds")
+#: where each backend's arithmetic runs: the slab sweep's spans
+#: (DESIGN.md §16; lockstep's fold steps run its X-Y kernels, so it
+#: stores no contributions, "rounds"), and the event backend's round
+#: hooks inside each application (DESIGN.md §8 item 7)
 SWEEP_SPANS = {
     "fused": {"fused.schedule", "fused.run", "fused.local", "fused.rounds", "fused.fold"},
     "lockstep": {"lockstep.run", "lockstep.local", "lockstep.fold"},
+    "event": {"wse.application", "wse.flux_local", "wse.drain_events", "wse.flux_round"},
 }
 
 
@@ -64,6 +67,9 @@ class TestEventBackend:
         assert doc["pe_heatmap"]  # 4x4 fabric grid
         assert doc["metrics"]  # registry snapshot rides along
         assert doc["spans"]  # phase timers were recording
+        assert SWEEP_SPANS["event"] <= set(doc["spans"])
+        # one X-Y pass per application, not one kernel call per halo
+        assert doc["spans"]["wse.flux_round"]["count"] == 1
 
 
 class TestOtherBackends:

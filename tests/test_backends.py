@@ -127,8 +127,8 @@ class TestTable:
 
     def test_only_the_sweeps_call_a_flux_kernel(self):
         """The face-flux kernels have three callers: the padded slab
-        sweep (lockstep and fused), the per-PE program (event) and the
-        instruction counter.  A driver that grows its own slab or phase
+        sweep (lockstep and fused), the event program's round hooks and
+        the instruction counter.  A driver that grows its own slab or phase
         loop again fails here."""
         kernels = {"compute_face_flux_column", "store_face_flux_column"}
         assert _calls_outside(
