@@ -1,53 +1,58 @@
-"""The event backend's fold schedule: probe a <=5x5 fabric, tile the rest.
+"""The event backend's fold schedule, derived from the exchange protocol.
 
 The fused backend replays the event backend's *exact* per-PE summation
 order, so it must know in which order each PE's eight X-Y halo messages
-arrive.  That order is static — the event simulator is a deterministic
-single-stream discrete-event machine — but it is *timing-derived*: it
-depends on the program options that change per-message service time
-(``reuse_buffers``, ``overlap_compute``, ``vectorized``) and on where
-the PE sits on the fabric.
+arrive.  The event simulator is deterministic, and with buffer reuse
+that order follows from the Sec. 5.2 protocol's timing alone.
 
-**The tiling law.**  The order is periodic with period 2 in each axis
-behind a one-cell boundary layer, so an ``n``-wide axis has at most four
-classes — first, odd interior, even interior, last — and a fabric at
-most 16 distinct orders.  With ``k(n) = n if n <= 5 else 4 + n % 2`` and
+**Five roles.**  All PEs book the same start work and, since a send
+stages nothing, inject their diagonal and step-1 cardinal trains at one
+time ``T0``.  A train holds a link ``W`` cycles (latency plus words), a
+control wavelet 2, and a receive books ``F`` cycles on its PE.  An
+arrival is then (1) a *step-1 cardinal*, queued behind its sender's own
+diagonal on their first link: ``T0 + 2W``; (2) a *free diagonal*, whose
+second link carries no cardinal train: ``T0 + 2W``; (3) a *queued
+diagonal*, whose intermediary is a step-1 sender along the second hop,
+so it waits for that train and its control wavelet: ``T0 + 3W + 2``; or
+(4, 5) a *step-2 cardinal*, sent at the control wavelet
+(``T0 + 2W + 2``) or once its sender has booked the ``b`` arrivals of
+roles 1 and 2 it heard at ``T0 + 2W``, if later:
+``T0 + 3W + 2 + max(2, b F)``, with ``b`` in 1..4.  (Why per-hop
+latencies cluster into a handful of values, cf. Jacquelin et al.,
+"Massively scalable stencil algorithm".)
 
-    m(x, n) = x            if n <= 5
-              0            if x == 0
-              k(n) - 1     if x == n - 1
-              1 if x % 2 else 2
+*Tie-break.*  Equal times break on the runtime's ``(time, seq)``, the
+order the last hop was pushed: ``T0``'s pushes (a step-1 cardinal's one
+hop) before ``T0 + W``'s (a diagonal's second), so role 1 before role 2;
+within a role, the kick-off order — row-major PEs, per PE the diagonals
+se/sw/nw/ne, then the step-1 cardinals east/west/south/north.  A PE
+hears each neighbour once, so this is the row-major position of the
+sender, or for a step-2 cardinal of the step-1 sender two cells away
+whose control wavelet triggered it.
 
-``arrival_schedule(nx, ny)[x, y]`` equals the order probed at
-``(m(x, nx), m(y, ny))`` on the ``k(nx) x k(ny)`` fabric.  Only that
-reduced fabric (<= 25 PEs) is ever simulated; set-up cost is independent
-of the footprint.
+*Why nz, dtype and the kernel cannot reorder.*  They (and
+``vectorized``) move only ``T0``, ``W`` and ``F``; roles 1 and 2 tie for
+every ``W``, ``2W < 3W + 2 < 3W + 2 + max(2, b F)``, and ``b F`` grows
+strictly with ``b >= 1`` because ``F >= 2`` (a receive's ``2 nz``
+FMOVs).  So the derivation takes none of them.
 
-*Why it holds.*  All PEs inject at application start; every halo route
-is at most 2 hops; service time is uniform per option set; switch roles
-alternate with coordinate parity (which is why per-hop latencies cluster
-into a handful of values, cf. Jacquelin et al., "Massively scalable
-stencil algorithm"); and the event queue's ``(time, seq)`` tie-break
-depends only on the row-major order of the *relative* sender positions.
-So a PE's arrival order is fixed by its coordinate parities and by which
-neighbours exist.
+*The tiling law follows.*  The roles depend on which neighbours exist
+and on the parities of ``x``, ``nx - 1 - x``, ``y``, ``ny - 1 - y``
+(step-1 senders sit at even distance from the seed edge); a step-2
+sender lies inside the fabric along its flow and shares the PE's other
+coordinate, so its ``b`` does too.  An ``n``-wide axis thus has the
+classes first, odd interior, even interior and last (one per index when
+``n <= 5``, as the annotation always had), and every class has a
+stand-in on the ``k(nx) x k(ny)`` fabric, ``k(n) = n if n <= 5 else
+4 + n % 2`` (keeping the parity of ``n``): the orders are derived there
+and tiled.
 
-*The parity-of-n caveat.*  The reduced fabric must keep the parity of
-``n``: with odd ``n`` the boundary orders are **not** the interior order
-filtered by existing neighbours (5x5, 7x7, 9x6 and 17x16 all break that
-simpler rule), hence ``4 + n % 2`` rather than a fixed 4.
-
-The law is measured, not proved: ``tests/ir/test_schedule.py`` compares
-the tiled schedule against the same probe run on the full fabric
-(tier-1 up to 9x9, a ``slow`` sweep in CI's conform job up to 96x64) and
-pins the probe's invariance, with buffer reuse, to ``nz``, dtype and
-``compute_fluxes`` — which is what lets one ``nz=1`` float32 probe with
-the flux kernel disabled stand for every such program.  Without buffer
-reuse none of the three is invariant: the per-send staging (``2 nz``
-cycles), the train's length (``2 nz`` words per 32 bits of dtype) and
-the booked partial fluxes shift the sends apart, so there the probe runs
-the program's own ``nz``, dtype and ``compute_fluxes`` (a canonical
-probe mis-ordered float64 programs, and 5-wide fabrics at ``nz > 1``).
+*Without buffer reuse* every send stages its train (``2 nz`` cycles),
+which spreads a PE's sends apart by amounts that compete with ``W`` and
+``F``: the order depends on ``nz``, dtype and the kernel.  There
+:func:`probe_schedule` runs one event application of the program on the
+same reduced fabric, tiled by the same classes.  The full-fabric probe
+is the oracle of both in ``tests/ir/test_schedule.py``.
 
 **The fold program.**  The classes partition the fabric, so one serial
 fold can serve all of them at once: :func:`fold_program` merges the
@@ -75,19 +80,34 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.fluid import FluidProperties
-from repro.core.mesh import CartesianMesh3D
-# the probe's program and runtime load with this module, not inside the
-# first probe: a fused lowering times the probe, never its imports
-from repro.dataflow.program import FluxProgram
-from repro.wse.perf import WSE2
-from repro.wse.runtime import EventRuntime
+from repro.dataflow.cardinal import (
+    CARDINAL_CHANNELS,
+    channel_for_flow,
+    is_step1_sender,
+)
+from repro.dataflow.diagonal import DIAGONAL_CHANNELS
 
 __all__ = ["arrival_schedule", "schedule_classes", "fold_program", "probe_schedule"]
 
+#: Arrival roles in time order (module docstring); equal roles tie in time.
+_STEP1, _FREE, _QUEUED, _STEP2 = range(4)
+
+#: Per cardinal channel: the connection it delivers, its sender's offset.
+_CARDINALS = [
+    (ch, ch.delivers.name, ch.delivers.offset[:2]) for ch in CARDINAL_CHANNELS
+]
+#: Per diagonal flow: the connection it delivers, its source's offset,
+#: the cardinal channel its second hop shares a link with and the offset
+#: of that hop's intermediary.
+_DIAGONALS = [
+    (ch.delivers.name, ch.delivers.offset[:2], second, second.delivers.offset[:2])
+    for ch in DIAGONAL_CHANNELS
+    for second in [channel_for_flow(ch.second_hop)]
+]
+
 
 def _reduced(n: int) -> int:
-    """``k(n)``: the probed stand-in for an ``n``-wide axis."""
+    """``k(n)``: the derived or probed stand-in for an ``n``-wide axis."""
     return n if n <= 5 else 4 + n % 2
 
 
@@ -102,6 +122,49 @@ def _axis_classes(n: int) -> list[tuple[int, slice]]:
         (2, slice(2, n - 1, 2)),
         (k - 1, slice(n - 1, n)),
     ]
+
+
+def _arrivals(x: int, y: int, nx: int, ny: int) -> list:
+    """Each X-Y arrival at PE ``(x, y)`` as ``(role, (x, y) of the PE
+    whose injection fixes its seq, sender, connection name)``."""
+    arrivals = []
+    for channel, name, (dx, dy) in _CARDINALS:
+        u = (x + dx, y + dy)
+        if 0 <= u[0] < nx and 0 <= u[1] < ny:
+            if is_step1_sender(u, channel, nx, ny):
+                arrivals.append((_STEP1, u, u, name))
+            else:
+                trigger = (u[0] + dx, u[1] + dy)
+                arrivals.append((_STEP2, trigger, u, name))
+    for name, (dx, dy), second, (qx, qy) in _DIAGONALS:
+        s = (x + dx, y + dy)
+        if 0 <= s[0] < nx and 0 <= s[1] < ny:
+            queued = is_step1_sender((x + qx, y + qy), second, nx, ny)
+            arrivals.append((_QUEUED if queued else _FREE, s, s, name))
+    return arrivals
+
+
+@lru_cache(maxsize=None)
+def _derive_schedule(nx: int, ny: int) -> dict[tuple[int, int], tuple[str, ...]]:
+    """:func:`probe_schedule` with buffer reuse, on a <= 5x5 fabric:
+    each PE's arrivals sorted by role, by a step-2 sender's early
+    receives ``b``, then by the row-major tie-break (module docstring)."""
+    arrivals = {
+        (x, y): _arrivals(x, y, nx, ny) for y in range(ny) for x in range(nx)
+    }
+
+    def key(arrival):
+        role, (tx, ty), sender, _name = arrival
+        booked = 0
+        if role == _STEP2:
+            booked = sum(1 for a in arrivals[sender] if a[0] <= _FREE)
+        return role, booked, ty, tx
+
+    return {
+        pe: tuple(a[3] for a in sorted(heard, key=key))
+        for pe, heard in arrivals.items()
+        if heard  # the lone PE of a 1x1 fabric hears nothing
+    }
 
 
 def schedule_classes(
@@ -119,21 +182,24 @@ def schedule_classes(
 
     The rectangles partition the ``ny x nx`` fabric; every PE inside one
     shares ``order``, its X-Y halo arrival order as connection names.
-    ``nz``, ``dtype`` and ``compute_fluxes`` only count without buffer
-    reuse (module docstring); the defaults are the canonical probe.
+    With buffer reuse the order is derived (nothing else counts);
+    without, ``nz``, ``dtype`` and ``compute_fluxes`` are probed too
+    (module docstring).
     """
+    if reuse_buffers and not overlap_compute:
+        # FluxProgram's refusal, raised before anything is built
+        raise ValueError(
+            "overlap_compute=False requires reuse_buffers=False "
+            "(deferred partial fluxes need all eight halos resident)"
+        )
     if reuse_buffers:
-        nz, dtype, compute_fluxes = 1, np.float32, False
-    reduced = probe_schedule(
-        _reduced(nx),
-        _reduced(ny),
-        bool(reuse_buffers),
-        bool(overlap_compute),
-        bool(vectorized),
-        int(nz),
-        np.dtype(dtype).name,
-        bool(compute_fluxes),
-    )
+        reduced = _derive_schedule(_reduced(nx), _reduced(ny))
+    else:
+        reduced = probe_schedule(
+            _reduced(nx), _reduced(ny), False, bool(overlap_compute),
+            bool(vectorized), int(nz), np.dtype(dtype).name,
+            bool(compute_fluxes),
+        )
     return [
         (reduced[rx, ry], ys, xs)
         for ry, ys in _axis_classes(ny)
@@ -228,12 +294,19 @@ def probe_schedule(
     dtype: str = "float32",
     compute_fluxes: bool = False,
 ) -> dict[tuple[int, int], tuple[str, ...]]:
-    """One event application of the program, by default the canonical
-    probe: ``nz=1``, float32, flux kernel off (module docstring).
+    """The arrival order of one event application of the program.
 
-    Cached: :func:`schedule_classes` only ever asks for reduced (<= 5x5)
-    shapes.
+    Cached: :func:`schedule_classes` asks only for reduced (<= 5x5)
+    no-reuse shapes; the tests run it past the cache on full fabrics as
+    the oracle of the derivation.
     """
+    # the simulator is loaded by repro.ir.lower, not by this module
+    from repro.core.fluid import FluidProperties
+    from repro.core.mesh import CartesianMesh3D
+    from repro.dataflow.program import FluxProgram
+    from repro.wse.perf import WSE2
+    from repro.wse.runtime import EventRuntime
+
     mesh = CartesianMesh3D(nx, ny, nz)
     program = FluxProgram(
         mesh,

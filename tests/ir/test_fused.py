@@ -173,6 +173,49 @@ class TestLoweringGuards:
                 remap=SpareColumnRemap(5, 4, 6, (0, 1, 3, 4, 5)),
             )
 
+    def test_a_remapped_ir_is_refused_with_the_real_reason(self):
+        from repro.dataflow.mapping import SpareColumnRemap
+
+        mesh = CartesianMesh3D(5, 4, 3)
+        remap = SpareColumnRemap.around_dead_pes((5, 4), [(2, 1)])
+        with pytest.raises(ValueError) as refusal:
+            lower_to_fused(derive_ir(mesh, remap=remap), mesh, FluidProperties())
+        assert str(refusal.value) == (
+            "fused backend does not support spare-column remapping "
+            "(it runs the logical fabric only; lower a remapped IR to "
+            "the event backend, whose bytes and cycles equal the "
+            "healthy fabric's)"
+        )
+
+    @pytest.mark.parametrize(
+        "shape, dead, cycles",
+        [
+            ((5, 4, 3), (2, 1), 311.0),
+            ((5, 4, 3), (0, 3), 311.0),
+            ((7, 6, 2), (3, 2), 201.0),
+            ((7, 6, 2), (6, 0), 201.0),
+        ],
+    )
+    def test_event_under_a_remap_is_the_healthy_fabric(self, shape, dead, cycles):
+        """What the refusal tells the user to do: bypassed columns cost
+        neither bits nor device cycles, and fused on the logical fabric
+        has those bits too."""
+        from repro.dataflow.mapping import SpareColumnRemap
+
+        mesh = make_geomodel(*shape, kind="lognormal", seed=sum(shape))
+        fluid = FluidProperties()
+        pressure = random_pressure(mesh, seed=3)
+        remap = SpareColumnRemap.around_dead_pes(shape[:2], [dead])
+        remapped = lower_to_event(
+            derive_ir(mesh, remap=remap), mesh, fluid, remap=remap
+        ).run_single(pressure)
+        ir = derive_ir(mesh)
+        healthy = lower_to_event(ir, mesh, fluid).run_single(pressure)
+        fused = lower_to_fused(ir, mesh, fluid).run([pressure])
+        assert remapped.residual.tobytes() == healthy.residual.tobytes()
+        assert remapped.residual.tobytes() == fused.residual.tobytes()
+        assert remapped.device_cycles == healthy.device_cycles == cycles
+
 
 def _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, pressures):
     """One fused batch under ``errstate(all="raise")`` against one event

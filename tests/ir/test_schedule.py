@@ -1,21 +1,28 @@
-"""The tiled fold schedule against its oracle, the full-fabric probe.
+"""The derived fold schedule against its oracle, the full-fabric probe.
 
-``arrival_schedule`` only ever simulates a <= 5x5 fabric and tiles the
-result by the period-2 law in ``repro.ir.schedule``'s docstring.  The
-oracle is the *same* probe applied to the unreduced shape
-(``probe_schedule.__wrapped__`` — past the cache, which must only hold
-reduced shapes).
+With buffer reuse ``arrival_schedule`` simulates nothing: it derives
+every PE's arrival order from the exchange protocol's timing
+(``repro.ir.schedule``'s docstring).  Without buffer reuse it probes a
+<= 5x5 fabric and tiles the result.  The oracle of both is one event
+application of the program on the unreduced shape
+(``probe_schedule.__wrapped__`` — past the cache, which must only ever
+hold reduced no-reuse shapes).
 """
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CartesianMesh3D, FluidProperties
 from repro.core.stencil import Connection
 from repro.dataflow.program import FluxProgram
 from repro.ir import derive_ir, lower_to_fused
+from repro.ir import schedule as schedule_module
 from repro.ir.fused import _fold_steps
 from repro.ir.schedule import (
     arrival_schedule,
@@ -33,6 +40,7 @@ OPTION_SETS = [
     for bits in product((True, False), repeat=3)
     if bits[1] or not bits[0]
 ]
+REUSE_OPTION_SETS = [o for o in OPTION_SETS if o["reuse_buffers"]]
 TIER1_SHAPES = [(nx, ny) for nx in range(1, 10) for ny in range(1, 10)] + [
     (24, 24),
     (25, 24),
@@ -51,19 +59,35 @@ def _option_id(options):
     )
 
 
-def full_fabric_probe(nx, ny, options):
+def full_fabric_probe(nx, ny, options, **program):
+    """The oracle: one event application of the program on ``nx x ny``;
+    *program* is ``nz``, ``dtype`` (a name) and ``compute_fluxes``."""
     return probe_schedule.__wrapped__(
-        nx, ny, *(options[name] for name in OPTION_NAMES)
+        nx, ny, *(options[name] for name in OPTION_NAMES), **program
     )
 
 
-def _mismatches(shapes, options):
+def _mismatches(shapes, options, **program):
     return [
         shape
         for shape in shapes
-        if arrival_schedule(*shape, **options)
-        != full_fabric_probe(*shape, options)
+        if arrival_schedule(*shape, **options, **program)
+        != full_fabric_probe(*shape, options, **program)
     ]
+
+
+def _spy_on_the_simulator(monkeypatch) -> list:
+    """The names of every FluxProgram and EventRuntime constructed from
+    here on, in order."""
+    built = []
+    for cls, method in ((FluxProgram, "__post_init__"), (EventRuntime, "__init__")):
+
+        def spy(self, *args, _original=getattr(cls, method), **kwargs):
+            built.append(type(self).__name__)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, spy)
+    return built
 
 
 @pytest.mark.parametrize("options", OPTION_SETS, ids=_option_id)
@@ -74,13 +98,104 @@ class TestTilingMatchesTheFullProbe:
     @pytest.mark.slow
     def test_sweep(self, options):
         """CI's conform job: a change to ``wse.runtime`` timing or the
-        router cost model that breaks the period-2 law fails here rather
-        than silently changing fused's summation order."""
+        router cost model that the derivation (or, without buffer reuse,
+        the period-2 tiling) does not follow fails here rather than
+        silently changing fused's summation order."""
         assert _mismatches(SLOW_SHAPES, options) == []
+        if options["reuse_buffers"]:
+            # a deep float64 program with the kernel on: the derivation
+            # is handed none of the three
+            deep = dict(nz=8, dtype="float64", compute_fluxes=True)
+            assert _mismatches(SLOW_SHAPES, options, **deep) == []
+
+
+class TestDerivedScheduleIsTheProbe:
+    """With buffer reuse no ``nz``, dtype, kernel or ``vectorized``
+    value reorders the full-fabric probe away from the derivation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nx=st.integers(min_value=1, max_value=9),
+        ny=st.integers(min_value=1, max_value=9),
+        nz=st.integers(min_value=1, max_value=8),
+        dtype=st.sampled_from(["float32", "float64"]),
+        compute_fluxes=st.booleans(),
+        options=st.sampled_from(REUSE_OPTION_SETS),
+    )
+    def test_any_program_with_buffer_reuse(
+        self, nx, ny, nz, dtype, compute_fluxes, options
+    ):
+        program = dict(nz=nz, dtype=dtype, compute_fluxes=compute_fluxes)
+        assert arrival_schedule(nx, ny, **options, **program) == (
+            full_fabric_probe(nx, ny, options, **program)
+        )
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("nz", [64, 200])
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 5)])
+    def test_deep_columns(self, shape, nz, dtype):
+        """Long trains and long receive bookings: ``W`` and ``F`` grow
+        with ``nz``, the roles' order does not."""
+        options = REUSE_OPTION_SETS[0]
+        program = dict(nz=nz, dtype=dtype, compute_fluxes=True)
+        assert arrival_schedule(*shape) == (
+            full_fabric_probe(*shape, options, **program)
+        )
+
+    @pytest.mark.parametrize("shape", TIER1_SHAPES + SLOW_SHAPES[-3:])
+    def test_the_tiling_law_follows_from_the_derivation(self, shape):
+        """Derived over the whole fabric, every PE orders as its class's
+        stand-in on the reduced fabric does."""
+        whole = schedule_module._derive_schedule.__wrapped__(*shape)
+        assert whole == arrival_schedule(*shape)
+
+    def test_a_fused_lowering_builds_no_program_and_no_runtime(
+        self, monkeypatch
+    ):
+        mesh = CartesianMesh3D(7, 6, 3)
+        probe_schedule.cache_clear()
+        built = _spy_on_the_simulator(monkeypatch)
+        for options in [{}, {"vectorized": False}, {"dtype": np.float64},
+                        {"compute_fluxes": False}]:
+            lower_to_fused(derive_ir(mesh, **options), mesh, FluidProperties())
+        assert built == []
+        # the spy does see the probe that a no-reuse program still runs
+        lower_to_fused(
+            derive_ir(mesh, reuse_buffers=False), mesh, FluidProperties()
+        )
+        assert built == ["FluxProgram", "EventRuntime"]
+
+    def test_the_module_imports_no_simulator(self):
+        """``repro.ir.schedule`` loads neither the event program nor the
+        wse layer; only the no-reuse probe imports them, when it runs."""
+        tree = ast.parse(Path(schedule_module.__file__).read_text())
+        module_level, anywhere = [], []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                anywhere.append(node.module)
+        pending = list(tree.body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.Import):
+                module_level += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module_level.append(node.module)
+            else:
+                pending.extend(ast.iter_child_nodes(node))
+        simulator = [
+            name for name in module_level
+            if name == "repro.dataflow.program" or name.startswith("repro.wse")
+        ]
+        assert simulator == []
+        assert "repro.dataflow.program" in anywhere  # the guard is not vacuous
 
 
 class TestProbeInvariances:
-    """What lets one nz=1, float32, kernel-off probe stand for all."""
+    """What lets one derivation, handed no ``nz``, dtype or kernel,
+    stand for every program with buffer reuse: a probe of the real
+    program, on real pressure, orders the same."""
 
     @staticmethod
     def _orders(nx, ny, nz, dtype, compute_fluxes):
@@ -176,20 +291,37 @@ class TestScheduleShape:
             assert set(order) == neighbours
 
     def test_only_reduced_fabrics_are_ever_probed(self):
+        """With buffer reuse nothing is probed; without, only the
+        reduced stand-ins of each shape."""
         probe_schedule.cache_clear()
-        for shape in [(6, 6), (48, 48), (65, 47), (750, 994), (3, 200)]:
+        shapes = [(6, 6), (48, 48), (65, 47), (750, 994), (3, 200)]
+        for shape in shapes:
             schedule_classes(*shape)
+            schedule_classes(*shape, vectorized=False)
+        assert probe_schedule.cache_info().currsize == 0
+        for shape in shapes:
+            schedule_classes(*shape, reuse_buffers=False)
         info = probe_schedule.cache_info()
         # 4x4, 4x4 again, 5x5, 4x4 again, 3x4
         assert (info.currsize, info.hits) == (3, 2)
 
-    def test_illegal_option_set_raises_and_caches_nothing(self):
+    def test_illegal_option_set_raises_and_caches_nothing(self, monkeypatch):
+        """The program's own refusal, word for word, with no program
+        built to raise it."""
         probe_schedule.cache_clear()
-        with pytest.raises(ValueError, match="overlap_compute=False"):
+        built = _spy_on_the_simulator(monkeypatch)
+        with pytest.raises(ValueError, match="overlap_compute=False") as derived:
             arrival_schedule(
                 8, 8, reuse_buffers=True, overlap_compute=False
             )
+        assert built == []
         assert probe_schedule.cache_info().currsize == 0
+        with pytest.raises(ValueError) as program:
+            FluxProgram(
+                CartesianMesh3D(8, 8, 1), FluidProperties(),
+                overlap_compute=False,
+            )
+        assert str(derived.value) == str(program.value)
 
 
 class TestFoldPlan:
