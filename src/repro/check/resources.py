@@ -138,44 +138,41 @@ def check_column_plan(
 
 
 def check_dsd_bounds(
-    layouts: dict[tuple[int, int], object]
+    extents: dict[tuple[int, int], tuple[int, int, dict]]
 ) -> list[Finding]:
     """Send trains and receive windows must agree on ``2 * nz`` words.
 
-    *layouts* maps a PE coordinate to its
-    :class:`~repro.dataflow.halos.PEColumnLayout`.  Every exchanged
+    *extents* maps a PE coordinate to its descriptor extents ``(nz,
+    send words, {connection: receive words})``.  Every exchanged
     ``(p, rho)`` train is ``2 * nz`` words; a window of any other size
     means the receiving FMOV either truncates the train or writes past
     the descriptor's extent.
     """
     findings: list[Finding] = []
-    for coord in sorted(layouts):
-        layout = layouts[coord]
-        want = 2 * layout.nz
-        send = layout.send_train_flat()
-        if send.size != want:
+    for coord in sorted(extents):
+        nz, send, recv = extents[coord]
+        want = 2 * nz
+        if send != want:
             findings.append(
                 Finding(
                     code="dsd-bounds",
                     severity=Severity.ERROR,
                     message=(
-                        f"send train is {send.size} words, descriptor "
+                        f"send train is {send} words, descriptor "
                         f"expects {want}"
                     ),
                     coord=coord,
                 )
             )
-        for conn, flat in sorted(
-            layout._recv_flat.items(), key=lambda kv: kv[0].name
-        ):
-            if flat.size != want:
+        for conn, words in sorted(recv.items(), key=lambda kv: kv[0].name):
+            if words != want:
                 findings.append(
                     Finding(
                         code="dsd-bounds",
                         severity=Severity.ERROR,
                         message=(
                             f"receive window for {conn.name} is "
-                            f"{flat.size} words, descriptor expects {want}"
+                            f"{words} words, descriptor expects {want}"
                         ),
                         coord=coord,
                         detail="arriving trains would overrun the window",

@@ -165,48 +165,24 @@ def _materialize_fabric(ir) -> Fabric:
     return fabric
 
 
-class _DsdLayoutView:
-    """Just enough of a :class:`PEColumnLayout` for ``check_dsd_bounds``:
-    descriptor extents reconstructed from the IR's memory records."""
+def _dsd_extents_from_ir(ir) -> dict:
+    """``check_dsd_bounds`` extents of every PE, from the IR's memory
+    records: ``(nz, send words, {connection: receive words})``, a
+    missing record counting 0 words."""
+    from repro.dataflow.halos import train_names
 
-    __slots__ = ("nz", "_send", "_recv_flat")
-
-    def __init__(self, nz: int, send: np.ndarray, recv_flat: dict):
-        self.nz = nz
-        self._send = send
-        self._recv_flat = recv_flat
-
-    def send_train_flat(self) -> np.ndarray:
-        return self._send
-
-    @property
-    def recv_flat(self) -> dict:
-        return self._recv_flat
-
-
-def _dsd_layouts_from_ir(ir) -> dict:
-    from repro.core.stencil import XY_CONNECTIONS
-
-    nz = ir.mesh_shape[2]
-    reuse = ir.params["reuse_buffers"]
-    layouts: dict = {}
+    send, recv = train_names(reuse_buffers=ir.params["reuse_buffers"])
+    extents: dict = {}
     for coord in ir.memory_coords():
-        records = {rec["name"]: rec for rec in ir.memory_records_for(coord)}
-
-        def words(name: str) -> int:
-            rec = records.get(name)
-            return 0 if rec is None else prod(rec["shape"])
-
-        send = np.empty(words("p_rho" if reuse else "send_staging"), np.uint8)
-        recv = {
-            conn: np.empty(
-                words("recv_shared" if reuse else f"recv_{conn.name}"),
-                np.uint8,
-            )
-            for conn in XY_CONNECTIONS
+        words = {
+            rec["name"]: prod(rec["shape"]) for rec in ir.memory_records_for(coord)
         }
-        layouts[coord] = _DsdLayoutView(nz, send, recv)
-    return layouts
+        extents[coord] = (
+            ir.mesh_shape[2],
+            words.get(send, 0),
+            {conn: words.get(name, 0) for conn, name in recv.items()},
+        )
+    return extents
 
 
 def check_ir(
@@ -254,7 +230,7 @@ def check_ir(
             )
         )
     if "dsd" in run:
-        report.extend(check_dsd_bounds(_dsd_layouts_from_ir(ir)))
+        report.extend(check_dsd_bounds(_dsd_extents_from_ir(ir)))
     return report
 
 

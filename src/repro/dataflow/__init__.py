@@ -28,7 +28,7 @@ __getattr__, __dir__ = lazy_exports(
             "compute_face_flux_column",
             "evaluate_density_column",
         ),
-        "halos": ("PEColumnLayout", "layout_words_per_cell", "max_nz_for_memory"),
+        "halos": ("layout_words_per_cell", "max_nz_for_memory", "plan_pe_memory"),
         "instrcount": (
             "CellInstructionTable",
             "interior_cell_table",
@@ -76,9 +76,9 @@ __all__ = [
     "FluxScratch",
     "compute_face_flux_column",
     "evaluate_density_column",
-    "PEColumnLayout",
     "layout_words_per_cell",
     "max_nz_for_memory",
+    "plan_pe_memory",
     "CellInstructionTable",
     "interior_cell_table",
     "measure_flux_instruction_mix",

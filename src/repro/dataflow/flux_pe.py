@@ -53,21 +53,26 @@ _sub = np.subtract
 _mul = np.multiply
 _add = np.add
 _gt = np.greater
-_copyto = np.copyto
 _neg = np.negative
 _xor = np.bitwise_xor
 _and = np.bitwise_and
 
 
 class FluxScratch:
-    """The four shared scratch columns of the flux kernel.
+    """The four shared scratch columns of the flux kernel, and its select
+    buffer.
 
-    Allocated once per PE (buffer reuse, Sec. 5.3.1) and sliced to the
-    face-count of each direction, so vertical faces (length ``nz - 1``)
-    and X-Y faces (length ``nz``) share the same storage.
+    Whole arrays of the target's shape: one set per PE column in the PE
+    memory (buffer reuse, Sec. 5.3.1) serves every face direction, and a
+    caller cuts it to a direction's faces (``nz - 1`` vertical, ``nz``
+    X-Y) before the call.  ``sel`` is the caller's unsigned-integer array
+    of dp's shape and item width, contiguous along its last axis: the
+    upwind select negates there, and NumPy 2.4's ``negative`` is wrong on
+    unsigned views strided by four elements (DESIGN.md §16).  The kernel
+    allocates nothing.
     """
 
-    __slots__ = ("dp", "gz", "a", "b", "mask", "sel", "_views")
+    __slots__ = ("dp", "gz", "a", "b", "sel")
 
     #: Scratchpad names of the four columns, in constructor order.
     NAMES = ("scratch_dp", "scratch_gz", "scratch_a", "scratch_b")
@@ -78,54 +83,13 @@ class FluxScratch:
         gz: np.ndarray,
         a: np.ndarray,
         b: np.ndarray,
-        sel: np.ndarray | None = None,
+        sel: np.ndarray,
     ):
         self.dp = dp
         self.gz = gz
         self.a = a
         self.b = b
-        #: Upwind-select buffer, one of two: whole-array scratch passes
-        #: ``sel``, an unsigned-integer array of dp's shape and item
-        #: width, and gets the bit-select; per-PE column scratch gets a
-        #: bool ``mask`` for the masked copy.
         self.sel = sel
-        self.mask = np.empty(dp.shape, dtype=bool) if sel is None else None
-        self._views: dict[int, FluxScratch] | None = None
-
-    @classmethod
-    def allocate(cls, memory, n: int, dtype=np.float32) -> "FluxScratch":
-        """Reserve the scratch columns in a PE scratchpad."""
-        return cls(*(memory.alloc_array(name, n, dtype) for name in cls.NAMES))
-
-    def view(self, n: int) -> "FluxScratch":
-        """Length-n views over the shared storage (cached per length —
-        a per-PE caller asks for the same one or two lengths every
-        call)."""
-        views = self._views
-        if views is None:
-            views = self._views = {}
-        sv = views.get(n)
-        if sv is None:
-            sv = views[n] = FluxScratch(
-                self.dp[:n], self.gz[:n], self.a[:n], self.b[:n]
-            )
-        return sv
-
-    def for_target(self, target: np.ndarray) -> "FluxScratch":
-        """Scratch views matching *target*.
-
-        1D scratch is sliced to the target length (per-PE kernels); higher
-        dimensional scratch (the fused backend's batched slabs) must
-        already match the target shape exactly.
-        """
-        if self.dp.shape == target.shape:
-            return self
-        if self.dp.ndim == 1 and target.ndim == 1:
-            return self.view(target.size)
-        raise ValueError(
-            f"scratch shape {self.dp.shape} does not match target "
-            f"{target.shape}"
-        )
 
 
 def compute_face_flux_column(
@@ -163,11 +127,12 @@ def compute_face_flux_column(
     booking the event backend's receive tasks make per halo while the
     arithmetic runs once per round (DESIGN.md §8 item 7).
     """
-    s = scratch.for_target(residual)
+    _check_shape(scratch, residual)
     # F overwrites the scratch column that carried the upwinded mobility
-    flux = s.a if z_l is z_k else s.dp
+    flux = scratch.a if z_l is z_k else scratch.dp
     _face_flux(
-        s, p_k, p_l, z_k, z_l, rho_k, rho_l, trans, flux, gravity, inv_viscosity
+        scratch, p_k, p_l, z_k, z_l, rho_k, rho_l, trans, flux, gravity,
+        inv_viscosity,
     )
     # 13: FNEG -F; 14: FSUB r -= (-F).  IEEE subtraction is defined as
     # addition of the exact negation, so ``r - (-F)`` is bit-identical
@@ -200,11 +165,20 @@ def store_face_flux_column(
     to its residual later, in an order of its own (the fused backend's
     fold program); all 14 steps are booked, the deferred 13-14 included.
     """
+    _check_shape(scratch, flux)
     _face_flux(
-        scratch.for_target(flux),
-        p_k, p_l, z_k, z_l, rho_k, rho_l, trans, flux, gravity, inv_viscosity,
+        scratch, p_k, p_l, z_k, z_l, rho_k, rho_l, trans, flux, gravity,
+        inv_viscosity,
     )
     engine.account_flux_column(flux.size)
+
+
+def _check_shape(scratch: FluxScratch, target: np.ndarray) -> None:
+    if scratch.dp.shape != target.shape:
+        raise ValueError(
+            f"scratch shape {scratch.dp.shape} does not match target "
+            f"{target.shape}"
+        )
 
 
 def _face_flux(
@@ -227,12 +201,7 @@ def _face_flux(
         # the full sequence; account_flux_column books all 14 steps.
         # dp doubles as dphi, and the select (8-9) targets the otherwise
         # unused ``a`` so dphi survives for step 12.
-        if s.sel is None:
-            _gt(dp, 0.0, s.mask)
-            _copyto(a, rho_l)
-            _copyto(a, rho_k, where=s.mask)
-        else:
-            _bit_select(s.sel, dp, rho_k, rho_l, a)
+        _bit_select(s.sel, dp, rho_k, rho_l, a)
         _mul(a, inv_viscosity, a)                   # 10: FMUL lambda_upw
         _mul(a, trans, a)                           # 11: FMUL Upsilon*lambda
         _mul(a, dp, flux)                           # 12: FMUL F = ...*dphi
@@ -248,12 +217,7 @@ def _face_flux(
     # into the predicate — ``(0 - dphi) < 0`` iff ``dphi > 0`` exactly
     # (incl. signed zeros and NaN) — and the select writes through a
     # scratch-owned buffer, so steps 8-9 allocate nothing.
-    if s.sel is None:
-        _gt(b, 0.0, s.mask)
-        _copyto(dp, rho_l)
-        _copyto(dp, rho_k, where=s.mask)
-    else:
-        _bit_select(s.sel, b, rho_k, rho_l, dp)
+    _bit_select(s.sel, b, rho_k, rho_l, dp)
     _mul(dp, inv_viscosity, dp)                     # 10: FMUL lambda_upw
     _mul(dp, trans, dp)                             # 11: FMUL Upsilon*lambda
     _mul(dp, b, flux)                               # 12: FMUL F = ...*dphi

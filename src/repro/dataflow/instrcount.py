@@ -50,7 +50,7 @@ def measure_flux_instruction_mix(n: int = 64) -> dict[str, int]:
     engine = DsdEngine()
     rng = np.random.default_rng(0)
     make = lambda: rng.random(n).astype(np.float64)
-    scratch = FluxScratch(make(), make(), make(), make())
+    scratch = FluxScratch(make(), make(), make(), make(), np.empty(n, np.uint64))
     residual = np.zeros(n)
     compute_face_flux_column(
         engine,

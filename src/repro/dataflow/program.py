@@ -40,7 +40,7 @@ from repro.dataflow.flux_pe import (
     evaluate_density_column,
     store_face_flux_column,
 )
-from repro.dataflow.halos import TRANS_NAMES, PEColumnLayout
+from repro.dataflow.halos import TRANS_NAMES, bind_trains, plan_pe_memory
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.obs.spans import span
 from repro.wse.color import ColorAllocator
@@ -238,16 +238,14 @@ class FluxProgram:
     def _setup_memory(self) -> None:
         """One memory map for the whole PE rectangle (Sec. 5.1).
 
-        The layout is planned once, on a probe scratchpad, and installed
-        on every program PE over one PE-major block; static data is
-        written a column of the block at a time.  Per PE only the views
-        are bound.
+        The map is planned once, on a probe scratchpad, and installed on
+        every program PE over one PE-major block; static data is written
+        a column of the block at a time.  Per PE only its trains are
+        looked up: rows of the block's train columns.
         """
-        mesh = self.mesh
+        mesh, nz = self.mesh, self.mesh.nz
         probe = Scratchpad(self.pe_memory_bytes, reserved=self.pe_memory_reserved)
-        PEColumnLayout.build(
-            probe, mesh.nz, dtype=self.dtype, reuse_buffers=self.reuse_buffers
-        )
+        plan_pe_memory(probe, nz, dtype=self.dtype, reuse_buffers=self.reuse_buffers)
         program_pes = self.exchange.pes
         # ``name -> (n_pes, *shape)`` views of the PE-major block: block
         # row i is the PE of logical cell (i % nx, i // nx), so a
@@ -255,10 +253,10 @@ class FluxProgram:
         self._columns = columns = self.fabric.install_memory(
             probe.plan(), [pe.coord for _x, _y, pe in program_pes]
         )
-        columns["z"][:] = mesh.elevation.reshape(mesh.nz, -1).T
+        columns["z"][:] = mesh.elevation.reshape(nz, -1).T
         trans_fields = padded_trans_fields(mesh, self.trans, self.dtype)
         for conn, name in TRANS_NAMES.items():
-            columns[name][:] = trans_fields[conn].reshape(mesh.nz, -1).T
+            columns[name][:] = trans_fields[conn].reshape(nz, -1).T
         p_rho = columns["p_rho"]
         self._pressure, self._density = p_rho[:, 0], p_rho[:, 1]
         self._pressure_field = self._pressure.T.reshape(mesh.shape_zyx)
@@ -267,20 +265,25 @@ class FluxProgram:
             # the X-Y columns stacked by halo key (static data)
             self._xy_trans = np.stack(
                 [columns[TRANS_NAMES[conn]] for conn in XY_CONNECTIONS], axis=1
-            ).reshape(-1, mesh.nz)
-        names = list(columns)
+            ).reshape(-1, nz)
+            if nz > 1:
+                # UP/DOWN run on the block's own scratch columns, cut to
+                # the vertical faces, with one select buffer for good
+                lower = np.s_[:, : nz - 1]
+                cut = [columns[name][lower] for name in FluxScratch.NAMES]
+                self._vertical_scratch = FluxScratch(*cut, _select_buffer(cut[0]))
+        trains, windows = bind_trains(columns, reuse_buffers=self.reuse_buffers)
+        staging = None if self.reuse_buffers else columns["send_staging"]
         slots = len(XY_CONNECTIONS)
-        for row, ((_x, _y, pe), *arrays) in enumerate(
-            zip(program_pes, *columns.values())
-        ):
-            layout = PEColumnLayout.bind(
-                dict(zip(names, arrays)), reuse_buffers=self.reuse_buffers
-            )
-            pe.state["layout"] = layout
+        for row, (_x, _y, pe) in enumerate(program_pes):
+            state = pe.state
+            state["train"] = trains[row]
+            if staging is not None:
+                state["staging"] = (staging[row], p_rho[row])
             # what the receive task touches, resolved once: the task runs
             # per message and every dict/method hop shows up there
-            pe.state["halos"] = {
-                conn: (layout.recv_flat(conn), slots * row + slot)
+            state["halos"] = {
+                conn: (windows[conn][row], slots * row + slot)
                 for slot, conn in enumerate(XY_CONNECTIONS)
             }
 
@@ -313,9 +316,15 @@ class FluxProgram:
                 dsd.account_flux_column(nz)
 
     def _send_train(self, pe: ProcessingElement) -> np.ndarray:
-        """The outgoing ``(p, rho)`` train (staged, and costed, per send
-        without buffer reuse)."""
-        return pe.state["layout"].send_train_flat(pe.dsd)
+        """The outgoing ``(p, rho)`` train: the live ``p_rho`` with buffer
+        reuse; without, staged into the send buffer per send by two
+        local moves, booked."""
+        state = pe.state
+        if not self.reuse_buffers:
+            staging, p_rho = state["staging"]
+            pe.dsd.fmovs(staging[0], p_rho[0])
+            pe.dsd.fmovs(staging[1], p_rho[1])
+        return state["train"]
 
     def _start_pe(self, pe: ProcessingElement) -> None:
         """What opens an application of Algorithm 1 on one PE, booked:
@@ -353,7 +362,7 @@ class FluxProgram:
                 return
             z, residual = columns["z"], columns["residual"]
             lower, upper = np.s_[:, : nz - 1], np.s_[:, 1:]
-            scratch = FluxScratch(*(columns[name][lower] for name in FluxScratch.NAMES))
+            scratch = self._vertical_scratch
             # UP and DOWN (Sec. 5.2c): the same face seen from either side
             for conn, own, other in (
                 (Connection.UP, lower, upper),
@@ -387,7 +396,9 @@ class FluxProgram:
             # X-Y neighbours share the elevation column: one object
             # twice takes the kernel's collapsed branch
             z = columns["z"][rows]
-            scratch = FluxScratch(*(np.empty_like(p_k) for _ in range(4)))
+            scratch = FluxScratch(
+                *(np.empty_like(p_k) for _ in range(4)), _select_buffer(p_k)
+            )
             flux = np.empty_like(p_k)
             store_face_flux_column(
                 self._swept, scratch, p_k, trains[:, 0], z, z, rho_k,
@@ -428,3 +439,9 @@ class FluxProgram:
         self.mesh.validate_field(out, name="out")
         out[...] = residual
         return out
+
+
+def _select_buffer(like: np.ndarray) -> np.ndarray:
+    """A contiguous unsigned array of *like*'s shape and item width: the
+    flux kernel's select buffer (:class:`FluxScratch`)."""
+    return np.empty(like.shape, f"u{like.itemsize}")

@@ -5,9 +5,9 @@ Two independent construction paths that must agree:
 * :func:`derive_ir` — the *compiler* path: closed-form derivation from a
   mesh and program parameters: :func:`derive_exchange` (the exchange
   every fabric program shares, from the channel/switch formulas of
-  :mod:`repro.dataflow.cardinal`/``diagonal``) plus one throwaway
-  :class:`~repro.dataflow.halos.PEColumnLayout` probe for the memory
-  plan.  No fabric is built and nothing is evaluated per PE — a cardinal
+  :mod:`repro.dataflow.cardinal`/``diagonal``) plus the memory plan,
+  :func:`~repro.dataflow.halos.plan_pe_memory` on one throwaway probe
+  scratchpad.  No fabric is built and nothing is evaluated per PE — a cardinal
   channel's behaviour depends on the distance from its seed edge only,
   so the formulas run along one line of cells per channel and NumPy
   broadcasts the result; this is the cheap path every IR-lowered backend
@@ -34,7 +34,7 @@ from repro.dataflow.cardinal import (
     switch_positions_for,
 )
 from repro.dataflow.diagonal import DIAGONAL_CHANNELS, static_position
-from repro.dataflow.halos import PEColumnLayout
+from repro.dataflow.halos import plan_pe_memory
 from repro.ir.schema import (
     IR_SCHEMA_VERSION,
     KIND_FABRIC,
@@ -327,9 +327,9 @@ def derive_ir(
             "overlap_compute": bool(overlap_compute),
             "compute_fluxes": bool(compute_fluxes),
         }
-        # one probe layout stands for every PE — the plan is uniform
+        # one probe plan stands for every PE — the plan is uniform
         probe = Scratchpad(pe_memory_bytes, reserved=pe_memory_reserved)
-        PEColumnLayout.build(probe, nz, dtype=dtype, reuse_buffers=reuse_buffers)
+        plan_pe_memory(probe, nz, dtype=dtype, reuse_buffers=reuse_buffers)
         doc["memory"] = {
             "classes": [_memory_records(probe)],
             "assignment": _per_pe(nx, ny, remap, 0, -1),

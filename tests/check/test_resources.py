@@ -71,24 +71,29 @@ class TestColumnPlan:
 
 
 class TestDsdBounds:
-    def _layouts(self, nx=3, ny=3, nz=4):
-        from repro.check.runner import _dsd_layouts_from_ir
+    def _extents(self, nx=3, ny=3, nz=4, **kwargs):
+        from repro.check.runner import _dsd_extents_from_ir
         from repro.core import CartesianMesh3D
         from repro.ir import derive_ir
 
-        return _dsd_layouts_from_ir(derive_ir(CartesianMesh3D(nx, ny, nz)))
+        return _dsd_extents_from_ir(derive_ir(CartesianMesh3D(nx, ny, nz), **kwargs))
 
     def test_real_program_layouts_are_clean(self):
-        assert check_dsd_bounds(self._layouts()) == []
+        for reuse in (True, False):
+            extents = self._extents(reuse_buffers=reuse)
+            assert len(extents) == 9
+            assert extents[(1, 1)][:2] == (4, 8)
+            assert check_dsd_bounds(extents) == []
 
     def test_truncated_recv_window_is_an_error(self):
-        layouts = self._layouts()
+        extents = self._extents()
         coord = (1, 1)
-        layout = layouts[coord]
-        conn = next(iter(layout._recv_flat))
-        layout._recv_flat[conn] = layout._recv_flat[conn][:-1]
-        findings = check_dsd_bounds(layouts)
+        _nz, _send, recv = extents[coord]
+        conn = next(iter(recv))
+        recv[conn] -= 1
+        findings = check_dsd_bounds(extents)
         assert len(findings) == 1
         err = findings[0]
         assert err.code == "dsd-bounds" and err.severity is Severity.ERROR
         assert err.coord == coord
+        assert conn.name in err.message

@@ -4,7 +4,7 @@
 routers (DESIGN.md Sec. 19); the wave and matrix-free programs install
 their own column plans the same way.  The reference here does the same
 job the long way, through the per-object API only — `Router.configure`
-per router and `PEColumnLayout.build` / `alloc_array` on every PE's own
+per router and `plan_pe_memory` / `alloc_array` on every PE's own
 `Scratchpad` — and every router and scratchpad of the class-installed
 fabric must equal it.
 """
@@ -19,7 +19,7 @@ import pytest
 from repro.check import check_fabric, check_ir
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.core.stencil import ALL_CONNECTIONS
-from repro.dataflow.halos import PEColumnLayout
+from repro.dataflow.halos import bind_trains, plan_pe_memory
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.dataflow.matfree import WseMatrixFreeJacobian
 from repro.dataflow.program import FluxProgram
@@ -68,7 +68,7 @@ def _per_pe_reference(ir) -> Fabric:
             positions, initial = ir.route_for(color, coord)
             fabric.router_map[coord].configure(color, positions, initial=initial)
     for coord in ir.memory_coords():
-        PEColumnLayout.build(
+        plan_pe_memory(
             fabric.pe_map[coord].memory,
             ir.mesh_shape[2],
             dtype=np.dtype(ir.params["dtype"]),
@@ -129,6 +129,16 @@ def test_class_installed_fabric_equals_the_per_pe_reference(name, lowered):
     assert build_ir(program) == ir
 
 
+def _trains(pe) -> list:
+    """Every train view the program handed *pe*: outgoing, staging and
+    the eight receive windows."""
+    state = pe.state
+    return [
+        state["train"], *state.get("staging", ()),
+        *(window for window, _key in state["halos"].values()),
+    ]
+
+
 @pytest.mark.parametrize("reuse", [True, False])
 def test_a_pe_writes_only_its_own_memory(reuse):
     mesh = CartesianMesh3D(5, 4, 3)
@@ -138,38 +148,32 @@ def test_a_pe_writes_only_its_own_memory(reuse):
         for name in pe.memory.names():
             pe.memory.array(name)[...] = i + 1
     for i, pe in enumerate(pes):
-        layout = pe.state["layout"]
-        # the bound views and the lazily built records are one storage
-        assert np.shares_memory(layout.residual, pe.memory.array("residual"))
-        assert np.shares_memory(layout.pressure, pe.memory.array("p_rho"))
-        for arr in (
-            layout.pressure, layout.density, layout.elevation, layout.residual,
-            layout.scratch.dp, layout.scratch.b, *layout.trans.values(),
-            *(layout.recv_buffer(conn) for conn in layout.trans if not conn.is_vertical),
-            layout.send_train_flat(),
-        ):
+        # the per-PE views and the lazily built records are one storage
+        assert np.shares_memory(pe.state["train"], pe.memory.array("p_rho")) == reuse
+        for arr in _trains(pe):
             assert np.all(arr == i + 1)
     for a, b in zip(pes, pes[1:]):
-        la, lb = a.state["layout"], b.state["layout"]
         for name in a.memory.names():
             assert not np.shares_memory(a.memory.array(name), b.memory.array(name))
-        assert not np.shares_memory(la.send_train_flat(), lb.send_train_flat())
+        for mine, theirs in zip(_trains(a), _trains(b)):
+            assert not np.shares_memory(mine, theirs)
 
 
 def test_the_send_train_is_the_live_pressure_and_density():
     program = FluxProgram(CartesianMesh3D(4, 3, 5), FluidProperties())
     for _x, _y, pe in program.program_pes():
-        layout = pe.state["layout"]
-        train = layout.send_train_flat()
-        assert np.shares_memory(train, layout.pressure)
-        assert np.shares_memory(train, layout.density)
-        layout.pressure[:] = 3.0
-        layout.density[:] = 5.0
+        train = pe.state["train"]
+        pressure, density = pe.memory.array("p_rho")
+        assert np.shares_memory(train, pressure)
+        assert np.shares_memory(train, density)
+        pressure[:] = 3.0
+        density[:] = 5.0
         assert train.tolist() == [3.0] * 5 + [5.0] * 5
-        for conn, (flat, _key) in pe.state["halos"].items():
-            assert np.shares_memory(flat, layout.recv_buffer(conn))
+        for flat, _key in pe.state["halos"].values():
+            window = pe.memory.array("recv_shared")
+            assert np.shares_memory(flat, window)
             flat[:] = np.arange(10)
-            p_l, rho_l = layout.recv_buffer(conn)
+            p_l, rho_l = window
             assert p_l.tolist() == [0, 1, 2, 3, 4]
             assert rho_l.tolist() == [5, 6, 7, 8, 9]
 
@@ -177,11 +181,12 @@ def test_the_send_train_is_the_live_pressure_and_density():
 @pytest.mark.parametrize("train", ["p_rho", "recv_shared"])
 def test_bind_refuses_a_train_that_would_flatten_into_a_copy(train):
     pad = Scratchpad()
-    PEColumnLayout.build(pad, 4)
-    arrays = {name: pad.array(name) for name in pad.names()}
-    arrays[train] = np.zeros((2, 8), dtype=np.float32)[:, ::2]
+    plan_pe_memory(pad, 4)
+    plan = pad.plan()
+    columns = plan.columns(plan.block(3))
+    columns[train] = np.zeros((3, 2, 8), dtype=np.float32)[..., ::2]
     with pytest.raises(ValueError, match="must be contiguous"):
-        PEColumnLayout.bind(arrays)
+        bind_trains(columns)
 
 
 class TestRouterIsolation:

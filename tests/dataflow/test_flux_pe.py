@@ -11,6 +11,7 @@ from repro.dataflow.flux_pe import (
     evaluate_density_column,
     store_face_flux_column,
 )
+from repro.dataflow.halos import plan_pe_memory
 from repro.wse.dsd import DsdEngine
 from repro.wse.memory import Scratchpad
 
@@ -31,10 +32,27 @@ def make_face_data(n, seed=0):
     )
 
 
-def make_scratch(n, dtype=np.float64):
+def make_scratch(shape, dtype=np.float64):
     return FluxScratch(
-        np.empty(n, dtype), np.empty(n, dtype), np.empty(n, dtype), np.empty(n, dtype)
+        *(np.empty(shape, dtype) for _ in range(4)),
+        np.empty(shape, f"u{np.dtype(dtype).itemsize}"),
     )
+
+
+def in_one_block(arrays):
+    """Copies of same-shape ``(rows, n)`` arrays as the columns of one
+    PE-major ``(rows, len(arrays), n)`` block: each strided by a row."""
+    return list(np.moveaxis(np.stack(arrays, axis=1), 1, 0))
+
+
+def block_columns(n_pes, nz, dtype):
+    """``name -> (n_pes, *shape)`` views of a PE-major block holding the
+    flux program's memory map, as `FluxProgram` installs it: every
+    column cut from it is strided by a whole PE row."""
+    pad = Scratchpad()
+    plan_pe_memory(pad, nz, dtype=dtype)
+    plan = pad.plan()
+    return plan.columns(plan.block(n_pes))
 
 
 class TestFluxColumn:
@@ -104,9 +122,13 @@ class TestFluxColumn:
         assert residual[1] == pytest.approx(-800.0)  # dPhi=-1 -> rho_L
 
     def test_scratch_views_shorter_than_storage(self):
-        """Vertical faces reuse the same scratch at length n-1."""
+        """Vertical faces reuse the same scratch, cut to length n-1."""
         n = 10
-        scratch = make_scratch(n)
+        storage = make_scratch(n)
+        scratch = FluxScratch(
+            *(x[: n - 1] for x in (storage.dp, storage.gz, storage.a, storage.b)),
+            storage.sel[: n - 1],
+        )
         data = make_face_data(n - 1)
         engine = DsdEngine()
         residual = np.zeros(n - 1)
@@ -118,9 +140,7 @@ class TestFluxColumn:
         np.testing.assert_allclose(residual, expected, rtol=1e-12)
 
     def test_3d_scratch_shape_mismatch_rejected(self):
-        scratch = FluxScratch(
-            np.empty((2, 3)), np.empty((2, 3)), np.empty((2, 3)), np.empty((2, 3))
-        )
+        scratch = make_scratch((2, 3))
         with pytest.raises(ValueError, match="scratch shape"):
             compute_face_flux_column(
                 DsdEngine(), scratch,
@@ -133,8 +153,8 @@ class TestFluxColumn:
 
 
 class TestBitSelect:
-    """Whole-array scratch (``sel=``) replaces the masked copy of steps
-    8-9 by a bit-select; the two must agree on every bit."""
+    """The upwind select of steps 8-9 is a bit-select; it must agree on
+    every bit with the masked copy it replaced, the oracle here."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_agrees_with_masked_copy_on_special_values(self, dtype):
@@ -154,9 +174,43 @@ class TestBitSelect:
         np.copyto(want, rho_k, where=dphi > 0.0)
         assert out.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "fabric", [(1, 1), (2, 2), (2, 5), (24, 24)], ids=lambda f: "%dx%d" % f
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_block_operands_with_a_contiguous_sel(self, dtype, fabric):
+        """`FluxProgram._begin_round`'s case: every operand a strided
+        ``(n_pes, nz - 1)`` cut of the PE-major block, ``sel`` its own
+        contiguous array.  NumPy 2.4's ``negative`` misbehaves on
+        strided unsigned views (DESIGN.md §16); the select's integer
+        passes on ``sel`` must keep it clear of that."""
+        nz, n_pes = 8, fabric[0] * fabric[1]
+        columns = block_columns(n_pes, nz, dtype)
+        lower, upper = np.s_[:, : nz - 1], np.s_[:, 1:]
+        rho = columns["p_rho"][:, 1]
+        dphi, rho_k, rho_l = columns["scratch_b"][lower], rho[lower], rho[upper]
+        out = columns["scratch_dp"][lower]
+        assert n_pes == 1 or not dphi.flags.c_contiguous  # a PE row apart
+        rng = np.random.default_rng(n_pes)
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+        for array in (columns["scratch_b"], rho):
+            array[...] = rng.standard_normal(array.shape)
+            hit = rng.random(array.shape) < 0.2
+            array[hit] = rng.choice(special, hit.sum())
+        out[...] = np.nan
+        sel = np.empty(out.shape, f"u{out.itemsize}")
+        with np.errstate(all="raise"):
+            _bit_select(sel, dphi, rho_k, rho_l, out)
+        want = rho_l.copy()
+        np.copyto(want, rho_k, where=dphi > 0.0)
+        assert out.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("collapsed", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_kernel_bytes_equal_with_either_buffer(self, dtype, collapsed):
+        """The kernel's bytes do not depend on where its buffers live:
+        fresh contiguous arrays, or rows of one PE-major block (strided,
+        as `FluxProgram`'s vertical kernels get them)."""
         shape = (3, 41)
         data = {
             k: v.reshape(shape).astype(dtype)
@@ -166,24 +220,30 @@ class TestBitSelect:
         if collapsed:
             data["z_l"] = data["z_k"]
         residuals = []
-        for sel in (None, np.empty(shape, f"u{np.dtype(dtype).itemsize}")):
-            scratch = FluxScratch(*(np.empty(shape, dtype) for _ in range(4)), sel=sel)
-            assert (scratch.mask is None) == (sel is not None)
-            residual = np.zeros(shape, dtype)
+        for strided in (False, True):
+            arrays = {**data, "residual": np.zeros(shape, dtype)}
+            columns = [*arrays.values(), *(np.empty(shape, dtype) for _ in range(4))]
+            if strided:
+                columns = in_one_block(columns)
+            *operands, dp, gz, a, b = columns
+            arrays = dict(zip(arrays, operands))
+            if collapsed:
+                arrays["z_l"] = arrays["z_k"]  # one object: the collapsed branch
+            sel = np.empty(shape, f"u{np.dtype(dtype).itemsize}")
             compute_face_flux_column(
-                DsdEngine(), scratch, **data,
-                residual=residual, gravity=G, inv_viscosity=1.0 / MU,
+                DsdEngine(), FluxScratch(dp, gz, a, b, sel), **arrays,
+                gravity=G, inv_viscosity=1.0 / MU,
             )
-            residuals.append(residual.tobytes())
+            residuals.append(arrays["residual"].tobytes())
         assert residuals[0] == residuals[1]
 
 
 class TestStoreForm:
-    @pytest.mark.parametrize("whole_array", [True, False])
+    @pytest.mark.parametrize("from_block", [True, False])
     @pytest.mark.parametrize("collapsed", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stored_flux_is_what_the_accumulate_form_adds(
-        self, dtype, collapsed, whole_array
+        self, dtype, collapsed, from_block
     ):
         """``store`` then ``r += flux`` is ``compute``, byte for byte and
         count for count; the stored flux keeps its signed zeros."""
@@ -195,8 +255,14 @@ class TestStoreForm:
             data["z_l"] = data["z_k"]
 
         def scratch():
-            sel = np.empty(n, f"u{np.dtype(dtype).itemsize}") if whole_array else None
-            return FluxScratch(*(np.empty(n, dtype) for _ in range(4)), sel=sel)
+            """Four fresh columns, or a PE-major block's, strided."""
+            if not from_block:
+                return make_scratch(n, dtype)
+            columns = block_columns(n, 1, dtype)
+            return FluxScratch(
+                *(columns[name][:, 0] for name in FluxScratch.NAMES),
+                np.empty(n, f"u{np.dtype(dtype).itemsize}"),
+            )
 
         kernel = dict(gravity=dtype(G), inv_viscosity=dtype(1.0 / MU))
         start = np.linspace(-1.0, 1.0, n).astype(dtype)
@@ -209,21 +275,6 @@ class TestStoreForm:
         assert (start + flux).tobytes() == accumulated.tobytes()
         assert np.signbit(flux[data["trans"] == 0.0]).any()  # -0.0 kept as is
         assert stored.snapshot() == booked.snapshot()
-
-
-class TestFluxScratchAllocate:
-    def test_allocates_four_columns(self):
-        pad = Scratchpad(4096)
-        scratch = FluxScratch.allocate(pad, 16, np.float32)
-        assert pad.used == 4 * 16 * 4
-        assert scratch.dp.shape == (16,)
-
-    def test_view(self):
-        pad = Scratchpad(4096)
-        scratch = FluxScratch.allocate(pad, 16)
-        v = scratch.view(5)
-        assert v.dp.shape == (5,)
-        assert v.dp.base is scratch.dp or v.dp.base is scratch.dp.base
 
 
 class TestDensityColumn:

@@ -140,10 +140,11 @@ class TestAccounting:
         assert np.all(np.isfinite(r))
 
 
-# The upwind select of the reference is the masked copy (no ``sel``):
-# NumPy 2.4's ``negative`` returns zeros on an unsigned view strided by
-# four elements, so the parent's strided bit-select took the wrong
-# density on 2x2xN float32 meshes.  Contiguous spans cannot meet that.
+# The reference's select buffer is its own contiguous array, whatever
+# the strides of the views it selects between: NumPy 2.4's ``negative``
+# returns zeros on an unsigned view strided by four elements, so a
+# select buffer cut from the strided views took the wrong density on
+# 2x2xN float32 meshes (test_flux_pe.py pins the contiguous case).
 def strided_reference(mesh, fluid, fields, dtype, plan, compute_fluxes=True, vectorized=True):
     """The parent's lockstep: the same kernel over strided 3-D views, UP,
     DOWN, then exchange-plan order.  Residual per field, and the report."""
@@ -152,13 +153,15 @@ def strided_reference(mesh, fluid, fields, dtype, plan, compute_fluxes=True, vec
     elev = np.ascontiguousarray(mesh.elevation, dtype=dtype)
     rho, halo_p, halo_rho, *scratch = (np.zeros(shape, dtype) for _ in range(7))
     words, word_hops, residuals = max(1, dtype.itemsize // 4), 0, []
+    words_dtype = f"u{dtype.itemsize}"
     density = {k: getattr(fluid, k) for k in ("compressibility", "reference_density", "reference_pressure")}
     kernel = {"gravity": constants.GRAVITY, "inv_viscosity": 1.0 / fluid.viscosity}
 
     def face_flux(conn, local, p_l, rho_l, z_l):
         if compute_fluxes:
             compute_face_flux_column(
-                engine, FluxScratch(*(x[local] for x in scratch)), p[local], p_l, elev[local], z_l,
+                engine, FluxScratch(*(x[local] for x in scratch), np.empty(p[local].shape, words_dtype)),
+                p[local], p_l, elev[local], z_l,
                 rho[local], rho_l, trans[conn][local], residuals[-1][local], **kernel,
             )
 
