@@ -34,9 +34,9 @@ too and is the only form the concurrency lint honours.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from repro.check.findings import Finding, Severity, suppresses
+from repro.check.astlint import AstLinter, dotted
+from repro.check.findings import Severity
 
 __all__ = ["lint_source", "lint_file", "lint_paths"]
 
@@ -103,23 +103,11 @@ _CLOCK_CALLS = frozenset(
 )
 
 
-def _dotted(node: ast.AST) -> tuple[str, ...]:
-    """``a.b.c`` attribute chain as a name tuple (empty when dynamic)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
 def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        chain = _dotted(node.func)
+        chain = dotted(node.func)
         return chain[-1:] in (("set",), ("frozenset",)) and len(chain) == 1
     return False
 
@@ -135,34 +123,10 @@ def _accumulates(body: list[ast.stmt]) -> bool:
     return False
 
 
-class _Linter(ast.NodeVisitor):
+class _Linter(AstLinter):
     def __init__(self, filename: str, source_lines: list[str]) -> None:
-        self.filename = filename
-        self.lines = source_lines
-        self.findings: list[Finding] = []
+        super().__init__(filename, source_lines)
         self._control_depth = 0
-
-    # ------------------------------------------------------------------ #
-    def _suppressed(self, lineno: int, code: str) -> bool:
-        if 1 <= lineno <= len(self.lines):
-            return suppresses(self.lines[lineno - 1], code)
-        return False
-
-    def _emit(
-        self, code: str, severity: Severity, message: str, node: ast.AST, detail: str = ""
-    ) -> None:
-        if self._suppressed(node.lineno, code):
-            return
-        self.findings.append(
-            Finding(
-                code=code,
-                severity=severity,
-                message=message,
-                file=self.filename,
-                line=node.lineno,
-                detail=detail,
-            )
-        )
 
     # ------------------------------------------------------------------ #
     def visit_For(self, node: ast.For) -> None:
@@ -188,7 +152,7 @@ class _Linter(ast.NodeVisitor):
 
     # ------------------------------------------------------------------ #
     def _check_call(self, node: ast.Call) -> None:
-        chain = _dotted(node.func)
+        chain = dotted(node.func)
         if len(chain) < 2:
             return
         head, tail = chain[0], chain[-1]
@@ -256,36 +220,6 @@ class _Linter(ast.NodeVisitor):
             self.visit(stmt)
 
 
-def lint_source(source: str, filename: str = "<string>") -> list[Finding]:
-    """Lint one source string; returns findings (never raises on clean
-    parseable input).  A syntax error is itself an ERROR finding."""
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as err:
-        return [
-            Finding(
-                code="det-parse",
-                severity=Severity.ERROR,
-                message=f"cannot parse: {err.msg}",
-                file=filename,
-                line=err.lineno or 0,
-            )
-        ]
-    linter = _Linter(filename, source.splitlines())
-    linter.visit(tree)
-    return sorted(linter.findings, key=lambda f: (f.file or "", f.line or 0))
-
-
-def lint_file(path: Path | str) -> list[Finding]:
-    path = Path(path)
-    return lint_source(path.read_text(), filename=str(path))
-
-
-def lint_paths(root: Path | str) -> list[Finding]:
-    """Lint every ``.py`` file under *root* (or the single file *root*)."""
-    root = Path(root)
-    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-    findings: list[Finding] = []
-    for path in files:
-        findings.extend(lint_file(path))
-    return findings
+lint_source = _Linter.lint_source
+lint_file = _Linter.lint_file
+lint_paths = _Linter.lint_paths

@@ -1,8 +1,9 @@
 """Concurrency lint: AST rules guarding the shared-memory protocol.
 
 Static companions to the race model checker and the happens-before
-trace analyzer, built on the same :mod:`ast` framework (and the same
-pragma machinery) as :mod:`repro.check.determinism`.  Three rule
+trace analyzer, built on the linter base (and the pragma machinery)
+it shares with :mod:`repro.check.determinism`
+(:mod:`repro.check.astlint`).  Three rule
 families, tuned to run green over ``src/repro`` so CI can gate on zero
 ERROR findings:
 
@@ -40,7 +41,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.check.findings import Finding, Severity, suppresses
+from repro.check.astlint import AstLinter, dotted
+from repro.check.findings import Severity
 
 __all__ = ["race_lint_source", "race_lint_file", "race_lint_paths"]
 
@@ -65,21 +67,10 @@ _PROTOCOL_NAMES = frozenset({"heartbeats", "_seqs", "_payloads"})
 _PROTOCOL_FILES = frozenset({"shm.py", "comm.py"})
 
 
-def _dotted(node: ast.AST) -> tuple[str, ...]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
-
-
 def _subscript_base_name(node: ast.AST) -> str | None:
     """The trailing name of a subscript target's base (``a.b[c]`` → b)."""
     if isinstance(node, ast.Subscript):
-        chain = _dotted(node.value)
+        chain = dotted(node.value)
         if chain:
             return chain[-1]
     return None
@@ -97,7 +88,7 @@ def _is_spin_like(node: ast.While) -> bool:
         return True
     for sub in ast.walk(node.test):
         if isinstance(sub, ast.Call):
-            chain = _dotted(sub.func)
+            chain = dotted(sub.func)
             if chain and chain[-1] in ("poll", "sleep", "seq"):
                 return True
     return False
@@ -121,7 +112,7 @@ def _has_escape(node: ast.While) -> bool:
                 continue
             for sub in ast.walk(stmt):
                 if isinstance(sub, ast.Call):
-                    chain = _dotted(sub.func)
+                    chain = dotted(sub.func)
                     if chain in (("os", "_exit"), ("sys", "exit"), ("os", "abort")):
                         return True
             nested = in_nested_loop or isinstance(
@@ -139,38 +130,11 @@ def _has_escape(node: ast.While) -> bool:
     return scan(node.body, False)
 
 
-class _RaceLinter(ast.NodeVisitor):
+class _RaceLinter(AstLinter):
     def __init__(self, filename: str, source_lines: list[str]) -> None:
-        self.filename = filename
-        self.lines = source_lines
-        self.findings: list[Finding] = []
+        super().__init__(filename, source_lines)
         self._function_depth = 0
         self._in_protocol_file = Path(filename).name in _PROTOCOL_FILES
-
-    # -------------------------------------------------------------- #
-    def _emit(
-        self,
-        code: str,
-        severity: Severity,
-        message: str,
-        node: ast.AST,
-        detail: str = "",
-    ) -> None:
-        lineno = node.lineno
-        if 1 <= lineno <= len(self.lines) and suppresses(
-            self.lines[lineno - 1], code
-        ):
-            return
-        self.findings.append(
-            Finding(
-                code=code,
-                severity=severity,
-                message=message,
-                file=self.filename,
-                line=lineno,
-                detail=detail,
-            )
-        )
 
     # -------------------------------------------------------------- #
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -182,7 +146,7 @@ class _RaceLinter(ast.NodeVisitor):
     visit_Lambda = visit_FunctionDef  # type: ignore[assignment]
 
     def visit_Call(self, node: ast.Call) -> None:
-        chain = _dotted(node.func)
+        chain = dotted(node.func)
         if chain:
             is_threading = (
                 len(chain) == 2
@@ -265,36 +229,6 @@ class _RaceLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def race_lint_source(source: str, filename: str = "<string>") -> list[Finding]:
-    """Concurrency-lint one source string (syntax errors are findings,
-    sharing ``det-parse`` with the determinism lint)."""
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as err:
-        return [
-            Finding(
-                code="det-parse",
-                severity=Severity.ERROR,
-                message=f"cannot parse: {err.msg}",
-                file=filename,
-                line=err.lineno or 0,
-            )
-        ]
-    linter = _RaceLinter(filename, source.splitlines())
-    linter.visit(tree)
-    return sorted(linter.findings, key=lambda f: (f.file or "", f.line or 0))
-
-
-def race_lint_file(path: Path | str) -> list[Finding]:
-    path = Path(path)
-    return race_lint_source(path.read_text(), filename=str(path))
-
-
-def race_lint_paths(root: Path | str) -> list[Finding]:
-    """Concurrency-lint every ``.py`` under *root* (or the file *root*)."""
-    root = Path(root)
-    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-    findings: list[Finding] = []
-    for path in files:
-        findings.extend(race_lint_file(path))
-    return findings
+race_lint_source = _RaceLinter.lint_source
+race_lint_file = _RaceLinter.lint_file
+race_lint_paths = _RaceLinter.lint_paths

@@ -209,7 +209,7 @@ def check_switch_schedules(
                 message=(
                     f"{len(cfg.positions)} switch positions but no control "
                     "wavelet can ever reach this router: schedule frozen in "
-                    f"initial position {cfg.position}"
+                    f"initial position {cfg.initial}"
                 ),
                 coord=coord,
                 color=color,

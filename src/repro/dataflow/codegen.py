@@ -96,7 +96,7 @@ def generate_listing(program: FluxProgram) -> str:
             cfg = router.configs[color]
             if cfg.positions[0] == cfg.positions[1]:
                 key = "seed edge"
-            elif cfg.position == 0:
+            elif cfg.initial == 0:
                 key = "even distance"
             else:
                 key = "odd distance"

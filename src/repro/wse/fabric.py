@@ -6,12 +6,16 @@ fabric object wires one :class:`Router` to every
 :class:`ProcessingElement` and offers bulk configuration helpers used by
 the dataflow program builder.
 
-The bulk helpers work by *class*, not by PE: a switch schedule is
-validated and flattened once per distinct schedule
+The fabric holds once what the paper's one program gives every PE.
+Tasks are per color (:meth:`Fabric.bind_all`): every program here runs
+the same code on every PE, so one data-task and one control-task table
+serve the whole fabric.  A switch schedule is per *route class*: it is
+validated and flattened once per distinct schedule and every router of
+the class holds that one :class:`~repro.wse.router.ColorConfig`
 (:meth:`Fabric.install_routes`, which :meth:`Fabric.configure_color`
-feeds), and a memory map is planned once and backed by one PE-major
-block for the whole PE rectangle (:meth:`Fabric.install_memory`).  What
-is left per PE is what differs per PE.
+feeds).  A memory map is planned once and backed by one PE-major block
+for the whole PE rectangle (:meth:`Fabric.install_memory`).  What is
+left per PE is what differs per PE.
 """
 
 from __future__ import annotations
@@ -23,10 +27,14 @@ import numpy as np
 from repro.wse.dsd import DsdEngine
 from repro.wse.geometry import in_bounds
 from repro.wse.memory import MemoryPlan, Scratchpad, WSE2_PE_MEMORY_BYTES
+from repro.wse.packet import Message
 from repro.wse.pe import ProcessingElement
-from repro.wse.router import RoutePosition, Router, prepare_route
+from repro.wse.router import ColorConfig, RoutePosition, Router
 
 __all__ = ["Fabric", "WSE2_MAX_FABRIC"]
+
+#: A task: ``task(runtime, pe, message)``, run on the receiving PE.
+Task = Callable[["object", ProcessingElement, Message], None]
 
 #: Largest usable fabric on CS-2 with SDK 0.6.0 (Sec. 7.1): a thin layer
 #: of boundary PEs is reserved by the SDK.
@@ -102,6 +110,10 @@ class Fabric:
                     dsd=DsdEngine(vectorized=vectorized),
                 )
                 self._routers[coord] = Router(coord=coord)
+        #: color -> the data / control task every PE runs for it
+        #: (filled by :meth:`bind_all`; the runtime caches both dicts)
+        self.tasks: dict[int, Task] = {}
+        self.control_tasks: dict[int, Task] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -206,30 +218,39 @@ class Fabric:
         ----------
         classes:
             The distinct ``(switch positions, initial position)``
-            schedules of the color; each is validated and flattened once.
+            schedules of the color; each used one becomes one
+            :class:`~repro.wse.router.ColorConfig`, held by every router
+            assigned to it.
         assignment:
             Row-major, one entry per router: an index into *classes*, or
             ``-1`` to leave that router unconfigured — the layout of a
             :class:`~repro.ir.schema.FabricProgramIR` route table.
         allow_loops:
-            See :func:`~repro.wse.router.prepare_route`.
+            See :class:`~repro.wse.router.ColorConfig`.
         """
         if len(assignment) != self.num_pes:
             raise ValueError(
                 f"assignment has {len(assignment)} entries for a fabric "
                 f"of {self.num_pes} PEs"
             )
-        prepared: dict[int, tuple] = {}  # classes in use, prepared once
+        prepared: dict[int, ColorConfig] = {}  # classes in use, built once
         for router, idx in zip(self._routers.values(), assignment):
             if idx < 0:
                 continue
-            pair = prepared.get(idx)
-            if pair is None:
+            cfg = prepared.get(idx)
+            if cfg is None:
                 positions, initial = classes[idx]
-                pair = prepared[idx] = prepare_route(
-                    color, positions, initial, allow_loops=allow_loops
+                cfg = prepared[idx] = ColorConfig(
+                    color, positions, initial, allow_loops
                 )
-            router.install(color, *pair)
+            # inline per router: a call here is a frame per PE per color
+            if color in router.configs:
+                raise ValueError(
+                    f"router {router.coord}: color {color} already configured"
+                )
+            router.configs[color] = cfg
+            router.current[color] = cfg.initial
+            router.table.update(cfg.flat[cfg.initial])
 
     def install_memory(
         self, plan: MemoryPlan, coords: Iterable[tuple[int, int]]
@@ -247,13 +268,14 @@ class Fabric:
             memory.adopt(plan, row)
         return plan.columns(block)
 
-    def bind_all(self, color: int, handler, *, control: bool = False) -> None:
-        """Bind the same task *handler* to *color* on every PE."""
-        for pe in self._pes.values():
-            if control:
-                pe.bind_control(color, handler)
-            else:
-                pe.bind(color, handler)
+    def bind_all(self, color: int, task: Task, *, control: bool = False) -> None:
+        """Bind *task* as the data (or control) task of *color* on every
+        PE: one entry in the fabric's table, one task per color."""
+        tasks = self.control_tasks if control else self.tasks
+        if color in tasks:
+            kind = "control for color" if control else "color"
+            raise ValueError(f"{kind} {color} already bound")
+        tasks[color] = task
 
     # ------------------------------------------------------------------ #
     # Aggregate accounting

@@ -1,25 +1,22 @@
-"""Processing element: private memory, DSD datapath, color-bound tasks.
+"""Processing element: private memory, DSD datapath, its own counters.
 
 Each PE owns a :class:`~repro.wse.memory.Scratchpad` (its private local
-memory), a :class:`~repro.wse.dsd.DsdEngine` (its vector datapath with
-instruction accounting), and a set of task handlers bound to colors — the
-CSL programming model in which receiving a wavelet of a color activates
-the task bound to that color.
+memory) and a :class:`~repro.wse.dsd.DsdEngine` (its vector datapath with
+instruction accounting).  In the CSL programming model receiving a
+wavelet of a color activates the task bound to that color; every program
+here runs the same code on every PE, so the tasks are per color, held
+once by the fabric (:meth:`~repro.wse.fabric.Fabric.bind_all`), and the
+runtime runs them with the receiving PE as their argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.wse.dsd import DsdEngine
 from repro.wse.memory import Scratchpad
-from repro.wse.packet import KIND_CONTROL, Message
 
 __all__ = ["ProcessingElement"]
-
-#: A data task: ``handler(runtime, pe, message)``.
-Handler = Callable[["object", "ProcessingElement", Message], None]
 
 
 @dataclass(slots=True)
@@ -48,7 +45,7 @@ class ProcessingElement:
     busy_until: float = 0.0
     state: dict = field(default_factory=dict)
     #: Start time / cycle counter of the task currently executing on this
-    #: PE (set by the runtime before each handler; read by
+    #: PE (set by the runtime before each task; read by
     #: ``EventRuntime.pe_send_time``).  Plain attributes rather than
     #: ``state`` entries: they are written on every delivery.
     exec_start: float | None = None
@@ -57,28 +54,6 @@ class ProcessingElement:
     messages_sent: int = 0
     words_received: int = 0
     words_sent: int = 0
-    _handlers: dict[int, Handler] = field(default_factory=dict)
-    _control_handlers: dict[int, Handler] = field(default_factory=dict)
-
-    def bind(self, color: int, handler: Handler) -> None:
-        """Bind the data task of *color* (one task per color)."""
-        if color in self._handlers:
-            raise ValueError(f"PE {self.coord}: color {color} already bound")
-        self._handlers[color] = handler
-
-    def bind_control(self, color: int, handler: Handler) -> None:
-        """Bind the control task of *color* (invoked on control wavelets)."""
-        if color in self._control_handlers:
-            raise ValueError(
-                f"PE {self.coord}: control for color {color} already bound"
-            )
-        self._control_handlers[color] = handler
-
-    def handler_for(self, message: Message) -> Handler | None:
-        """Handler to run for *message* (None when nothing is bound)."""
-        if message.kind == KIND_CONTROL:
-            return self._control_handlers.get(message.color)
-        return self._handlers.get(message.color)
 
     @property
     def x(self) -> int:

@@ -9,33 +9,29 @@ traverses the router, which is how the cardinal exchange alternates a PE
 between *Sending* and *Receiving* roles (Fig. 6a: "two switch positions
 are defined for each PE for sending and receiving accordingly").
 
-Route lookups are the single hottest query of the event simulator (one
-per message per router traversal), so the router maintains a flattened
-``key -> outputs`` table of the *current* switch positions, keyed by the
-packed int ``(color << PORT_SHIFT) | in_port`` (ports fit in 3 bits).
-Each color's positions are also pre-flattened once at configure time, so
-:meth:`Router.advance` only pops the outgoing position's few keys and
-bulk-inserts the incoming one — no per-advance rebuild.
-
 A fabric has a handful of router roles per color (Sec. 5.2: seed edge,
 even and odd distance from it; one static position per diagonal), so a
-switch schedule is validated and flattened once per *class*
-(:func:`prepare_route`) and installed on every router of the class
-(:meth:`Router.install`).  Class-mates share the flattened positions,
-which nothing writes after they are built; each router owns what can
-change under it — its :class:`ColorConfig` (the ``positions`` a fault or
-a test may edit in place, and the current ``position``) and its
-``table``.  :meth:`Router.refresh` replaces the shared flattening with a
-private one, so an edit on one router never reaches another.
+switch schedule is a *route class*: one read-only :class:`ColorConfig`,
+validated and flattened once, held by every router of the class.  A
+router owns only what changes under it: its current position per color
+(``current``) and its ``table``.
+
+Route lookups are the single hottest query of the event simulator (one
+per message per router traversal), so ``table`` is a flattened
+``key -> outputs`` map of the *current* switch positions, keyed by the
+packed int ``(color << PORT_SHIFT) | in_port`` (ports fit in 3 bits).
+The schedule's positions come pre-flattened (``ColorConfig.flat``), so
+:meth:`Router.advance` only pops the outgoing position's few keys and
+bulk-inserts the incoming one — no per-advance rebuild.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from repro.wse.geometry import Port
 
-__all__ = ["Router", "ColorConfig", "RoutePosition", "PORT_SHIFT", "prepare_route"]
+__all__ = ["Router", "ColorConfig", "RoutePosition", "PORT_SHIFT"]
 
 #: One routing table: input port -> tuple of output ports.
 RoutePosition = dict[Port, tuple[Port, ...]]
@@ -50,69 +46,42 @@ _FlatPosition = dict[int, tuple[Port, ...]]
 
 @dataclass(slots=True)
 class ColorConfig:
-    """Routing state of one color at one router."""
+    """The switch schedule of one route class of *color*.
 
-    positions: list[RoutePosition]
-    position: int = 0
-    #: Switch position installed at configure time.  ``position`` mutates
-    #: as control wavelets advance the switch; the IR capture
-    #: (:func:`repro.ir.builder.build_ir`) reads ``initial`` so a program
-    #: serialized after a run still round-trips its static definition.
-    initial: int = -1
-
-    def __post_init__(self) -> None:
-        if not self.positions:
-            raise ValueError("a color needs at least one switch position")
-        if not 0 <= self.position < len(self.positions):
-            raise ValueError("initial position out of range")
-        if self.initial < 0:
-            self.initial = self.position
-        for pos in self.positions:
-            for in_port, outs in pos.items():
-                if in_port in outs:
-                    raise ValueError(
-                        f"routing loop: {in_port!r} forwards to itself"
-                    )
-
-    def routes(self, in_port: Port) -> tuple[Port, ...]:
-        """Output ports for a wavelet entering via *in_port* (may be empty)."""
-        return self.positions[self.position].get(in_port, ())
-
-    def advance(self) -> None:
-        """Cycle to the next switch position (control-wavelet semantics)."""
-        self.position = (self.position + 1) % len(self.positions)
-
-
-def _flatten(color: int, positions: list[RoutePosition]) -> list[_FlatPosition]:
-    base = color << PORT_SHIFT
-    return [
-        {base | in_port: tuple(outs) for in_port, outs in pos.items()}
-        for pos in positions
-    ]
-
-
-def prepare_route(
-    color: int,
-    positions: list[RoutePosition],
-    initial: int = 0,
-    *,
-    allow_loops: bool = False,
-) -> tuple[ColorConfig, list[_FlatPosition]]:
-    """Validate and flatten one switch schedule of *color*, once.
-
-    Returns the ``(template, flat)`` pair :meth:`Router.install` takes.
-    ``allow_loops`` admits a port that forwards to itself — for the
-    verifier, which must rebuild exactly what a captured IR says, bad
-    routes included; the schedule's shape (at least one position, an
+    Every router of the class holds this one object and nothing writes
+    it: ``positions`` (copies of the caller's), the ``initial`` position
+    a router starts in — what the IR capture, ``repro check`` and the
+    listing read — and ``flat``, the positions flattened for the route
+    table.  ``allow_loops`` admits a port that forwards to itself — for
+    the verifier, which must rebuild exactly what a captured IR says,
+    bad routes included; the schedule's shape (at least one position, an
     initial position in range) is checked either way.
     """
-    positions = list(positions)
-    if allow_loops:
-        template = ColorConfig([{} for _ in positions], initial)
-        template.positions[:] = positions
-    else:
-        template = ColorConfig(positions, initial)
-    return template, _flatten(color, positions)
+
+    color: int
+    positions: tuple[RoutePosition, ...]
+    initial: int = 0
+    allow_loops: InitVar[bool] = False
+    flat: tuple[_FlatPosition, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, allow_loops: bool) -> None:
+        self.positions = tuple(map(dict, self.positions))
+        if not self.positions:
+            raise ValueError("a color needs at least one switch position")
+        if not 0 <= self.initial < len(self.positions):
+            raise ValueError("initial position out of range")
+        if not allow_loops:
+            for pos in self.positions:
+                for in_port, outs in pos.items():
+                    if in_port in outs:
+                        raise ValueError(
+                            f"routing loop: {in_port!r} forwards to itself"
+                        )
+        base = self.color << PORT_SHIFT
+        self.flat = tuple(
+            {base | in_port: tuple(outs) for in_port, outs in pos.items()}
+            for pos in self.positions
+        )
 
 
 @dataclass(slots=True)
@@ -124,27 +93,21 @@ class Router:
     coord:
         Fabric coordinate of the owning PE.
     configs:
-        Per-color routing configurations.
+        Per-color switch schedule of this router's route class (shared
+        with its class-mates, read-only).
+    current:
+        Per-color current switch position; control wavelets advance it.
     """
 
     coord: tuple[int, int]
     configs: dict[int, ColorConfig] = field(default_factory=dict)
+    current: dict[int, int] = field(default_factory=dict)
     #: Flattened ``(color << PORT_SHIFT) | in_port -> outputs`` table of
     #: the *current* switch position of every configured color.
-    #: Maintained by :meth:`configure` and :meth:`advance`; read directly
-    #: by the event runtime's arrival hot path.
+    #: Maintained by :meth:`configure` and :meth:`advance` (and
+    #: ``Fabric.install_routes``); read directly by the event runtime's
+    #: arrival hot path.
     table: dict[int, tuple[Port, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Per-color pre-flattened switch positions, parallel to
-    #: ``configs[color].positions``.
-    _flat: dict[int, list[_FlatPosition]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    #: Per-color control-advance counts since construction, feeding the
-    #: observability report's per-channel switch accounting (the runtime
-    #: only keeps the fabric-wide total in ``RuntimeStats``).
-    advance_counts: dict[int, int] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -155,63 +118,15 @@ class Router:
         *,
         initial: int = 0,
     ) -> None:
-        """Install the switch positions of *color* on this router."""
-        self.install(color, *prepare_route(color, positions, initial))
-
-    def install(
-        self, color: int, template: ColorConfig, flat: list[_FlatPosition]
-    ) -> None:
-        """Install a schedule prepared by :func:`prepare_route`.
-
-        *flat* is shared with every router the pair is installed on and
-        is only ever read; the router's own :class:`ColorConfig` copies
-        the template's positions, so they can be edited in place here
-        (followed by :meth:`refresh`) without touching a class-mate.
-        """
+        """Install the switch positions of *color* on this router alone
+        (``Fabric.install_routes`` installs a class on many)."""
         if color in self.configs:
             raise ValueError(
                 f"router {self.coord}: color {color} already configured"
             )
-        # the template was validated once for the whole class: copy it
-        # field by field rather than through the checking constructor
-        cfg = self.configs[color] = object.__new__(ColorConfig)
-        cfg.positions = list(map(dict, template.positions))
-        cfg.position = template.position
-        cfg.initial = template.initial
-        self._flat[color] = flat
-        self.table.update(flat[cfg.position])
-
-    def _refresh(self, color: int, cfg: ColorConfig) -> None:
-        """Re-flatten *color* from scratch (positions may have been edited
-        in place) and reinstall its current position."""
-        table = self.table
-        base = color << PORT_SHIFT
-        for port in Port:
-            table.pop(base | port, None)
-        flat = self._flat[color] = _flatten(color, cfg.positions)
-        table.update(flat[cfg.position])
-
-    def refresh(self, color: int | None = None) -> None:
-        """Re-flatten the routes of *color* (all colors when None).
-
-        The flattened table snapshots each color's switch positions; code
-        that mutates a :class:`ColorConfig`'s positions in place (fault
-        injection, tests) must call this to make the edit visible to
-        routing.  :meth:`configure` and :meth:`advance` maintain the
-        table automatically.
-        """
-        if color is None:
-            for c, cfg in self.configs.items():
-                self._refresh(c, cfg)
-        else:
-            cfg = self.configs.get(color)
-            if cfg is None:
-                raise ValueError(
-                    f"router {self.coord}: cannot refresh color {color}: "
-                    f"not configured here (configured colors: "
-                    f"{sorted(self.configs) or 'none'})"
-                )
-            self._refresh(color, cfg)
+        cfg = self.configs[color] = ColorConfig(color, positions, initial)
+        self.current[color] = initial
+        self.table.update(cfg.flat[initial])
 
     # ------------------------------------------------------------------ #
     # Introspection (static verifier / tooling; not hot-path)
@@ -242,22 +157,21 @@ class Router:
         cfg = self.configs.get(color)
         if cfg is None:
             return
-        counts = self.advance_counts
-        counts[color] = counts.get(color, 0) + 1
-        flat = self._flat[color]
+        flat = cfg.flat
         table = self.table
-        pos = cfg.position
+        current = self.current
+        pos = current[color]
         for key in flat[pos]:
             table.pop(key, None)
         pos += 1
         if pos == len(flat):
             pos = 0
-        cfg.position = pos
+        current[color] = pos
         table.update(flat[pos])
 
     def position(self, color: int) -> int:
         """Current switch position of *color*."""
-        cfg = self.configs.get(color)
-        if cfg is None:
+        pos = self.current.get(color)
+        if pos is None:
             raise KeyError(f"router {self.coord}: color {color} not configured")
-        return cfg.position
+        return pos

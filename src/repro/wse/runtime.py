@@ -207,6 +207,10 @@ class EventRuntime:
         self._route_gets = {
             coord: router.table.get for coord, router in self._routers.items()
         }
+        #: the fabric's per-color task tables (filled in place by
+        #: ``Fabric.bind_all``, so binding after construction is seen)
+        self._tasks = fabric.tasks
+        self._control_tasks = fabric.control_tasks
 
     # ------------------------------------------------------------------ #
     # Scheduling primitives
@@ -375,7 +379,7 @@ class EventRuntime:
         """A PE sends a message: it enters its own router via the RAMP.
 
         ``at`` overrides the entry time (defaults to ``now`` plus the
-        injection overhead); handlers use this to model sends issued after
+        injection overhead); tasks use this to model sends issued after
         their compute finishes.
         """
         pe = self._pes.get(coord)
@@ -518,12 +522,11 @@ class EventRuntime:
                 agg = self._sink_agg[key] = [0, 0]
             agg[0] += 1
             agg[1] += msg.num_words
-        # inlined pe.handler_for(msg): one delivery per fabric message
         if msg.kind == KIND_CONTROL:
-            handler = pe._control_handlers.get(msg.color)
+            task = self._control_tasks.get(msg.color)
         else:
-            handler = pe._handlers.get(msg.color)
-        if handler is None:
+            task = self._tasks.get(msg.color)
+        if task is None:
             return
         start = pe.busy_until
         if start < self.now:
@@ -531,7 +534,7 @@ class EventRuntime:
         cycles_before = pe.dsd.cycles
         pe.exec_start = start
         pe.cycles_at_start = cycles_before
-        handler(self, pe, msg)
+        task(self, pe, msg)
         pe.busy_until = start + (pe.dsd.cycles - cycles_before)
 
     def pe_send_time(self, pe) -> float:

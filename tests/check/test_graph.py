@@ -66,19 +66,20 @@ class TestFindDeadlocks:
     def test_two_cycle_is_exactly_one_error_with_coordinates(self):
         """ISSUE bad fabric (b): a two-link routing loop.
 
-        ``ColorConfig`` rejects u-turn entries at configure time, so the
-        corrupt tables are injected by in-place edit + ``refresh`` — the
-        same path fault injection uses, and the class of damage only a
-        static pass can catch before execution."""
+        ``ColorConfig`` rejects u-turn entries unless asked to admit
+        them, so the corrupt tables are installed with ``allow_loops`` —
+        as ``repro check`` rebuilds a captured IR — the class of damage
+        only a static pass can catch before execution."""
         fabric = Fabric(2, 1)
-        west = fabric.router(0, 0)
-        west.configure(COLOR, [{Port.RAMP: (Port.EAST,)}])
-        west.configs[COLOR].positions[0][Port.EAST] = (Port.EAST,)
-        west.refresh(COLOR)
-        east = fabric.router(1, 0)
-        east.configure(COLOR, [{Port.WEST: (Port.RAMP,)}])
-        east.configs[COLOR].positions[0][Port.WEST] = (Port.WEST,)
-        east.refresh(COLOR)
+        fabric.install_routes(
+            COLOR,
+            [
+                ([{Port.RAMP: (Port.EAST,), Port.EAST: (Port.EAST,)}], 0),
+                ([{Port.WEST: (Port.WEST,)}], 0),
+            ],
+            [0, 1],
+            allow_loops=True,
+        )
         findings = find_deadlocks(fabric, COLOR, color_name="loop")
         errors = [f for f in findings if f.severity is Severity.ERROR]
         assert len(errors) == 1
@@ -91,11 +92,12 @@ class TestFindDeadlocks:
 
     def test_unfed_cycle_is_a_warning(self):
         fabric = Fabric(2, 1)
-        for coord, in_port in (((0, 0), Port.EAST), ((1, 0), Port.WEST)):
-            router = fabric.router(*coord)
-            router.configure(COLOR, [{in_port: (Port.RAMP,)}])
-            router.configs[COLOR].positions[0][in_port] = (in_port,)
-            router.refresh(COLOR)
+        fabric.install_routes(
+            COLOR,
+            [([{Port.EAST: (Port.EAST,)}], 0), ([{Port.WEST: (Port.WEST,)}], 0)],
+            [0, 1],
+            allow_loops=True,
+        )
         findings = find_deadlocks(fabric, COLOR)
         assert [f.severity for f in findings] == [Severity.WARNING]
         assert "unfed" in findings[0].message

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -34,6 +35,28 @@ def fresh_interpreter():
         return done.stdout.strip()
 
     return run
+
+
+@pytest.fixture(scope="session")
+def edit_route():
+    """``edit(ir, color, coord, change) -> ir``: a copy of *ir* in which
+    the router at *coord* alone runs a new class of *color* — its own
+    class's document after ``change(positions)`` — the way a test builds
+    a program with one broken router (class-mates share one schedule,
+    so a router is never edited in place)."""
+    from repro.ir import FabricProgramIR
+
+    def edit(ir, color, coord, change):
+        doc = copy.deepcopy(ir.doc)
+        table = doc["routes"][str(color)]
+        cell = coord[1] * ir.width + coord[0]
+        cls = copy.deepcopy(table["classes"][table["assignment"][cell]])
+        change(cls["positions"])
+        table["assignment"][cell] = len(table["classes"])
+        table["classes"].append(cls)
+        return FabricProgramIR(doc)
+
+    return edit
 
 
 @pytest.fixture

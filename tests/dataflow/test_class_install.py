@@ -195,34 +195,41 @@ class TestRouterIsolation:
         return FluxProgram(mesh, FluidProperties(), ir=derive_ir(mesh))
 
     @pytest.mark.parametrize("edit", ["replace-list", "edit-dict"])
-    def test_an_edit_and_refresh_changes_that_router_only(self, edit):
+    def test_an_edit_and_refresh_changes_that_router_only(self, edit, edit_route):
+        """Class-mates share one schedule, so a router is edited through
+        the IR (it gets a class of its own) and refreshed by installing
+        the edited IR: only that router's routes change."""
         program = self._program()
-        routers = program.fabric.router_map
         color = program.colors.lookup("card_east")
-        victim = routers[(2, 2)]
-        # (4, 3) runs the same schedule: a class-mate sharing the flattening
-        assert victim.configs[color] == routers[(4, 3)].configs[color]
-        before = {c: _router_facts(r) for c, r in routers.items()}
-        cfg = victim.configs[color]
-        if edit == "replace-list":
-            cfg.positions[:] = [{Port.RAMP: (Port.NORTH,)}, {}]
-        else:
-            cfg.positions[0][Port.RAMP] = (Port.NORTH,)
-            cfg.positions[1].clear()
-        victim.refresh(color)
-        assert victim.routes(color, Port.RAMP) == (Port.NORTH,)
-        victim.advance(color)
-        assert victim.table.keys().isdisjoint(
-            (color << 3) | port for port in Port
-        )
-        for coord, router in routers.items():
-            if router is not victim:
-                assert _router_facts(router) == before[coord], coord
+        victim = (2, 2)
+        before = {c: _router_facts(r) for c, r in program.fabric.router_map.items()}
+
+        def change(positions):
+            if edit == "replace-list":
+                positions[:] = [{"RAMP": ["NORTH"]}, {}]
+            else:
+                positions[0]["RAMP"] = ["NORTH"]
+                positions[1].clear()
+
+        mesh = program.mesh
+        ir = edit_route(derive_ir(mesh), color, victim, change)
+        routers = FluxProgram(mesh, FluidProperties(), ir=ir).fabric.router_map
+        router = routers[victim]
+        assert router.routes(color, Port.RAMP) == (Port.NORTH,)
+        # (4, 3) was its class-mate and keeps the class's schedule
+        assert router.configs[color] is not routers[(4, 3)].configs[color]
+        router.advance(color)
+        assert router.table.keys().isdisjoint((color << 3) | port for port in Port)
+        for coord, other in routers.items():
+            if coord != victim:
+                assert _router_facts(other) == before[coord], coord
 
     def test_advancing_one_router_leaves_its_class_mates_in_place(self):
         program = self._program()
         routers = program.fabric.router_map
         color = program.colors.lookup("card_east")
+        # (4, 3) is a class-mate: the two hold one schedule object
+        assert routers[(2, 2)].configs[color] is routers[(4, 3)].configs[color]
         start = routers[(4, 3)].position(color)
         routers[(2, 2)].advance(color)
         assert routers[(2, 2)].position(color) == 1 - start
@@ -233,7 +240,7 @@ class TestRouterIsolation:
 def test_a_corrupted_ir_still_materializes_with_the_per_router_findings():
     """A self-forwarding port is refused by `Router.configure`, yet
     `repro check` must rebuild exactly what the IR says.  The reference
-    is the old materialization: configure placeholders, edit, refresh."""
+    installs each router on its own, loops admitted."""
     doc = copy.deepcopy(derive_ir(CartesianMesh3D(4, 3, 2)).doc)
     doc["routes"]["0"]["classes"][1]["positions"][0]["EAST"] = ["EAST"]
     ir = FabricProgramIR(doc)
@@ -242,13 +249,15 @@ def test_a_corrupted_ir_still_materializes_with_the_per_router_findings():
         FluxProgram(CartesianMesh3D(4, 3, 2), FluidProperties(), ir=ir)
 
     reference = _empty_fabric(ir)
+    cells = list(reference.router_map)
     for color in ir.route_color_ids():
         for coord in ir.route_coords(color):
-            positions, initial = ir.route_for(color, coord)
-            router = reference.router_map[coord]
-            router.configure(color, [{} for _ in positions], initial=initial)
-            router.configs[color].positions[:] = positions
-            router.refresh(color)
+            reference.install_routes(
+                color,
+                [ir.route_for(color, coord)],
+                [0 if cell == coord else -1 for cell in cells],
+                allow_loops=True,
+            )
     expected = check_fabric(
         reference,
         colors=ir.colors,

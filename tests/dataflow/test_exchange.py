@@ -14,7 +14,7 @@ from repro.dataflow import FluxProgram, SpareColumnRemap, WseMatrixFreeJacobian
 from repro.dataflow.exchange import ColumnExchange
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFault
-from repro.ir import derive_exchange
+from repro.ir import derive_exchange, derive_ir
 from repro.wave import TTIMedium, WseWavePropagator, ricker_wavelet
 from repro.workloads import make_geomodel
 from repro.wse.fabric import Fabric
@@ -142,11 +142,14 @@ class TestExactlyOnce:
 PINNED = r"^PE \(1, 0\): received 3 neighbour columns, expected 5$"
 
 
-def _break_east_receive(fabric, color):
-    """PE (1, 0) drops everything arriving from the west on *color*."""
-    router = fabric.router(1, 0)
-    router.configs[color].positions[1] = {}
-    router.refresh(color)
+def _break_east_receive(edit_route, ir):
+    """*ir* with PE (1, 0) dropping everything arriving from the west on
+    ``card_east``: its receiving position emptied, in a class of its own."""
+
+    def drop_receive(positions):
+        positions[1] = {}
+
+    return edit_route(ir, ir.color_id("card_east"), (1, 0), drop_receive)
 
 
 class TestOneDeliveryError:
@@ -157,25 +160,29 @@ class TestOneDeliveryError:
         with pytest.raises(RuntimeError, match=PINNED):
             tagged.round()
 
-    def test_flux_wave_and_matfree_share_the_text(self):
+    def test_flux_wave_and_matfree_share_the_text(self, edit_route, monkeypatch):
         pattern = r"^PE \(1, 0\): received 4 neighbour columns, expected 5$"
         mesh = CartesianMesh3D(3, 3, 2, dx=10.0, dy=10.0, dz=10.0)
-        flux = FluxProgram(mesh, FluidProperties())
-        _break_east_receive(flux.fabric, flux.colors.lookup("card_east"))
+        flux = FluxProgram(
+            mesh, FluidProperties(),
+            ir=_break_east_receive(edit_route, derive_ir(mesh)),
+        )
         flux.load_pressure(mesh.full(1.0e7))
         with pytest.raises(RuntimeError, match=pattern):
             flux.exchange.run(EventRuntime(flux.fabric))
 
+        # wave and matfree install derive_exchange(nx, ny) themselves
+        broken = _break_east_receive(edit_route, derive_exchange(3, 3))
+        for module in ("repro.wave.dataflow", "repro.dataflow.matfree"):
+            monkeypatch.setattr(f"{module}.derive_exchange", lambda nx, ny: broken)
         medium = TTIMedium(epsilon=0.2, theta=0.4)
         wave = WseWavePropagator(
             mesh, medium, 0.5 * medium.max_stable_dt(10.0, 10.0, 10.0)
         )
-        _break_east_receive(wave.fabric, wave.colors.lookup("card_east"))
         with pytest.raises(RuntimeError, match=pattern):
             wave.step()
 
         jac = _jacobian(3, 3, 2, seed=5)
-        _break_east_receive(jac.fabric, jac.colors.lookup("card_east"))
         with pytest.raises(RuntimeError, match=pattern):
             jac.matvec(np.ones(jac.n))
 
@@ -284,11 +291,12 @@ class TestCheckSeesTheExtensions:
     def test_matfree_fabric(self, shape):
         self._quiet_like_flux(_jacobian(*shape, seed=3))
 
-    def test_a_missing_receiver_is_a_finding(self):
+    def test_a_missing_receiver_is_a_finding(self, edit_route, monkeypatch):
         """The receiver sets are not vacuous."""
+        broken = _break_east_receive(edit_route, derive_exchange(4, 4))
+        monkeypatch.setattr("repro.wave.dataflow.derive_exchange", lambda nx, ny: broken)
         mesh, medium, dt = _wave(4, 4, 3)
         wave = WseWavePropagator(mesh, medium, dt)
-        _break_east_receive(wave.fabric, wave.colors.lookup("card_east"))
         assert any(
             f.severity is Severity.ERROR for f in self._findings(wave)
         )

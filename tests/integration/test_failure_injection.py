@@ -14,7 +14,8 @@ import pytest
 from repro.cluster import ClusterFluxComputation
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.dataflow import WseFluxComputation
-from repro.wse.geometry import Port
+from repro.ir import derive_ir
+from repro.ir.lower import lower_to_event
 from repro.wse.memory import PEMemoryError
 from repro.wse.runtime import EventRuntime
 
@@ -22,32 +23,37 @@ FLUID = FluidProperties()
 
 
 class TestDataflowGuards:
-    def test_broken_router_route_detected(self):
+    def test_broken_router_route_detected(self, edit_route):
         """Disable one router rule: the missing delivery is reported."""
         mesh = CartesianMesh3D(4, 4, 2)
-        wse = WseFluxComputation(mesh, FLUID, dtype=np.float32)
+        ir = derive_ir(mesh, dtype=np.float32)
+
         # sabotage: make PE (1,1) drop everything arriving from the west
         # on the eastward cardinal color
-        color = wse.program.colors.lookup("card_east")
-        router = wse.program.fabric.router(1, 1)
-        router.configs[color].positions[1] = {}  # receiving position now drops
-        router.refresh(color)  # in-place edits must re-flatten the route table
+        def drop_receive(positions):
+            positions[1] = {}  # receiving position now drops
+
+        wse = lower_to_event(
+            edit_route(ir, ir.color_id("card_east"), (1, 1), drop_receive),
+            mesh, FLUID,
+        )
         with pytest.raises(RuntimeError, match=r"PE \(1, 1\).*expected"):
             wse.run_single(random_pressure(mesh, seed=0))
 
-    def test_broken_diagonal_forward_detected(self):
+    def test_broken_diagonal_forward_detected(self, edit_route):
         """Break one intermediary's forward rule: the target misses its
         two-hop delivery."""
         mesh = CartesianMesh3D(3, 3, 2)
-        wse = WseFluxComputation(mesh, FLUID, dtype=np.float32)
-        color = wse.program.colors.lookup("diag_se")
-        router = wse.program.fabric.router(1, 0)
+        ir = derive_ir(mesh, dtype=np.float32)
+
         # remove the WEST -> SOUTH turn at the intermediary
-        router.configs[color].positions[0] = {
-            Port.RAMP: (Port.EAST,),
-            Port.NORTH: (Port.RAMP,),
-        }
-        router.refresh(color)  # in-place edits must re-flatten the route table
+        def drop_turn(positions):
+            positions[0] = {"RAMP": ["EAST"], "NORTH": ["RAMP"]}
+
+        wse = lower_to_event(
+            edit_route(ir, ir.color_id("diag_se"), (1, 0), drop_turn),
+            mesh, FLUID,
+        )
         with pytest.raises(RuntimeError, match="received"):
             wse.run_single(random_pressure(mesh, seed=0))
 

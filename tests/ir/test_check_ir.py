@@ -35,16 +35,19 @@ def _color_conflict() -> Fabric:
 
 
 def _deadlock_cycle() -> Fabric:
-    # ColorConfig rejects u-turn entries at configure time, so the
-    # corruption is applied in place — exactly what ir_from_fabric and
-    # check_ir's materialization must both preserve.
+    # ColorConfig rejects u-turn entries unless asked to admit them, so
+    # the corrupt classes are installed with allow_loops — exactly what
+    # ir_from_fabric and check_ir's materialization must both preserve.
     fabric = Fabric(2, 1)
-    west = fabric.router(0, 0)
-    west.configure(COLOR, [{Port.RAMP: (Port.EAST,)}])
-    west.configs[COLOR].positions[0][Port.EAST] = (Port.EAST,)
-    east = fabric.router(1, 0)
-    east.configure(COLOR, [{Port.WEST: (Port.RAMP,)}])
-    east.configs[COLOR].positions[0][Port.WEST] = (Port.WEST,)
+    fabric.install_routes(
+        COLOR,
+        [
+            ([{Port.RAMP: (Port.EAST,), Port.EAST: (Port.EAST,)}], 0),
+            ([{Port.WEST: (Port.WEST,)}], 0),
+        ],
+        [0, 1],
+        allow_loops=True,
+    )
     return fabric
 
 

@@ -206,18 +206,14 @@ class TestTable:
         round trip per router per color spent 322; planning memory once
         and installing route classes left 43.4 / 42.3 at 24^2 / 48^2, 15
         of them binding a per-PE layout object over the block.  Taking
-        each PE's trains as rows of the block leaves 29.3 / 28.3.  That
-        layout object (15), or a per-PE-per-name or per-router-per-color
-        Python loop (>= 8 each), coming back lands over 32."""
+        each PE's trains as rows of the block left 29.3 / 28.3, 20 of
+        them 12 per-PE task binds and 8 per-router schedule copies.
+        Binding tasks per color and sharing each class's schedule leaves
+        9.2 / 8.3.  A per-PE bind or a per-router install call (>= 8),
+        or any per-PE-per-name Python loop, coming back lands over 12."""
         import sys
 
-        import repro.dataflow.driver  # noqa: F401  lower_to_event's lazy import
-        from repro.core import Transmissibility
-        from repro.ir import derive_ir
-        from repro.ir.lower import lower_to_event
-
-        mesh = make_geomodel(side, side, 8, kind="lognormal", seed=7)
-        trans, ir = Transmissibility(mesh), derive_ir(mesh)
+        lower = self._event_lowering(side)
         calls = 0
 
         def count(frame, event, arg):
@@ -227,11 +223,51 @@ class TestTable:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            drv = lower_to_event(ir, mesh, FLUID, trans)
+            drv = lower()
         finally:
             sys.setprofile(previous)
         release(drv)
-        assert calls <= 32 * side * side, f"{calls / side / side:.1f} per PE"
+        assert calls <= 12 * side * side, f"{calls / side / side:.1f} per PE"
+
+    @pytest.mark.parametrize("side", [24, 48])
+    def test_event_lowering_memory_is_by_class_not_by_pe(self, side):
+        """The memory side of the same budget, no clock in it either:
+        bytes `tracemalloc` sees still allocated once `lower_to_event`
+        returns (the driver, its fabric and the PE memory block), per PE
+        (Python 3.11, NumPy 2).  With a task table per PE and a copy of
+        each schedule per router it read 9.9 KiB at both 24^2 and 48^2
+        (5.56 / 22.2 MiB); one table per color and one schedule per
+        class read 5.4 / 5.3 KiB (3.02 / 12.0 MiB).  The bound is that
+        plus about 10%: per-PE copies coming back cross it."""
+        import gc
+        import tracemalloc
+
+        lower = self._event_lowering(side)
+        release(lower())  # warm: the IR's route cache, lazy imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            drv = lower()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        release(drv)
+        per_pe = retained / (side * side)
+        assert per_pe <= 5.9 * 1024, f"{per_pe / 1024:.2f} KiB per PE"
+
+    @staticmethod
+    def _event_lowering(side):
+        """``lower() -> driver``: `lower_to_event` of a lognormal
+        side x side x 8 mesh whose IR and transmissibility are ready."""
+        import repro.dataflow.driver  # noqa: F401  lower_to_event's lazy import
+        from repro.core import Transmissibility
+        from repro.ir import derive_ir
+        from repro.ir.lower import lower_to_event
+
+        mesh = make_geomodel(side, side, 8, kind="lognormal", seed=7)
+        trans, ir = Transmissibility(mesh), derive_ir(mesh)
+        return lambda: lower_to_event(ir, mesh, FLUID, trans)
 
     def test_event_takes_a_remap(self):
         """``remap`` reaches both ``derive_ir`` and the fabric: a program

@@ -5,7 +5,7 @@ import pytest
 
 from repro.wse.fabric import WSE2_MAX_FABRIC, Fabric
 from repro.wse.geometry import Port
-from repro.wse.packet import Message
+from repro.wse.runtime import EventRuntime
 
 
 class TestConstruction:
@@ -91,8 +91,9 @@ class TestColorConfiguration:
 
 
 class TestRouteClasses:
-    """`install_routes` validates and flattens once per class; what a
-    router can change stays its own."""
+    """`install_routes` validates and flattens once per class, and every
+    router of the class holds that schedule; what a router can change
+    stays its own."""
 
     SEND = [{Port.RAMP: (Port.EAST,)}, {Port.WEST: (Port.RAMP,)}]
 
@@ -109,18 +110,19 @@ class TestRouteClasses:
         assert f.router(2, 1).configs[4].initial == 1
 
     def test_class_mates_share_nothing_they_can_change(self):
+        """Class-mates hold the one schedule object, which nothing
+        writes; the position and table a control wavelet changes are
+        each router's own."""
         f = Fabric(2, 1)
         positions = [dict(p) for p in self.SEND]
         f.install_routes(0, [(positions, 0)], [0, 0])
         a, b = f.router(0, 0), f.router(1, 0)
-        assert a.configs[0] is not b.configs[0]
-        assert a.configs[0].positions is not b.configs[0].positions
-        assert a.configs[0].positions[0] is not b.configs[0].positions[0]
-        assert a.configs[0].positions[0] is not positions[0]  # nor the caller's
-        assert a.table is not b.table
-        a.configs[0].positions[0][Port.RAMP] = (Port.NORTH,)
-        a.refresh(0)
+        assert a.configs[0] is b.configs[0]
+        assert a.configs[0].positions[0] is not positions[0]  # not the caller's
+        assert a.current is not b.current and a.table is not b.table
+        positions[0][Port.RAMP] = (Port.NORTH,)
         a.advance(0)
+        assert a.position(0) == 1 and a.routes(0, Port.RAMP) == ()
         assert b.routes(0, Port.RAMP) == (Port.EAST,)
         assert b.position(0) == 0
         assert b.positions_of(0) == self.SEND
@@ -166,9 +168,9 @@ class TestRouteClasses:
             lambda coord: [{Port.RAMP: [Port.EAST]}, {Port.WEST: (Port.RAMP,)}],
             initial_for=lambda coord: coord[0] % 2,
         )
-        flat = [f.router(x, 0)._flat[0] for x in range(4)]
-        assert flat[0] is flat[2] and flat[1] is flat[3]
-        assert flat[0] is not flat[1]  # same positions, other initial
+        cfg = [f.router(x, 0).configs[0] for x in range(4)]
+        assert cfg[0] is cfg[2] and cfg[1] is cfg[3]
+        assert cfg[0] is not cfg[1]  # same positions, other initial
         assert [f.router(x, 0).position(0) for x in range(4)] == [0, 1, 0, 1]
         assert f.router(0, 0).routes(0, Port.RAMP) == (Port.EAST,)
 
@@ -200,23 +202,26 @@ class TestInstallMemory:
 
 
 class TestBindAll:
+    """One task per color for the whole fabric: every PE runs it."""
+
     def test_data_binding(self):
-        f = Fabric(2, 1)
+        f = Fabric(3, 1)
+        f.router(0, 0).configure(0, [{Port.RAMP: (Port.EAST,)}])
+        f.router(1, 0).configure(0, [{Port.WEST: (Port.RAMP, Port.EAST)}])
+        f.router(2, 0).configure(0, [{Port.WEST: (Port.RAMP,)}])
         hits = []
         f.bind_all(0, lambda rt, pe, msg: hits.append(pe.coord))
-        msg = Message(color=0, payload=np.zeros(1, dtype=np.float32))
-        f.pe(0, 0).handler_for(msg)(None, f.pe(0, 0), msg)
-        assert hits == [(0, 0)]
+        rt = EventRuntime(f)
+        rt.inject((0, 0), 0, np.zeros(1, dtype=np.float32))
+        rt.run()
+        assert hits == [(1, 0), (2, 0)]
 
     def test_control_binding_separate(self):
-        from repro.wse.packet import KIND_CONTROL
-
         f = Fabric(1, 1)
-        f.bind_all(0, lambda rt, pe, msg: None)
-        f.bind_all(0, lambda rt, pe, msg: None, control=True)
-        pe = f.pe(0, 0)
-        ctrl = Message(color=0, kind=KIND_CONTROL)
-        assert pe.handler_for(ctrl) is not None
+        data, control = (lambda rt, pe, msg: None), (lambda rt, pe, msg: None)
+        f.bind_all(0, data)
+        f.bind_all(0, control, control=True)
+        assert f.tasks == {0: data} and f.control_tasks == {0: control}
 
 
 class TestAggregates:

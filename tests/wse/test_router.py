@@ -3,8 +3,9 @@
 import pytest
 
 from repro.wse.color import MAX_ROUTABLE_COLORS, ColorAllocator
+from repro.wse.fabric import Fabric
 from repro.wse.geometry import Port
-from repro.wse.router import PORT_SHIFT, ColorConfig, Router, prepare_route
+from repro.wse.router import PORT_SHIFT, ColorConfig, Router
 
 
 class TestColorAllocator:
@@ -51,38 +52,43 @@ class TestColorAllocator:
 
 
 class TestColorConfig:
+    """A color's switch schedule, seen through the router that runs it."""
+
     def test_routes(self):
-        cfg = ColorConfig([{Port.RAMP: (Port.EAST,)}])
-        assert cfg.routes(Port.RAMP) == (Port.EAST,)
-        assert cfg.routes(Port.WEST) == ()
+        r = Router(coord=(0, 0))
+        r.configure(0, [{Port.RAMP: (Port.EAST,)}])
+        assert r.routes(0, Port.RAMP) == (Port.EAST,)
+        assert r.routes(0, Port.WEST) == ()
 
     def test_advance_cycles(self):
-        cfg = ColorConfig(
-            [{Port.RAMP: (Port.EAST,)}, {Port.WEST: (Port.RAMP,)}]
-        )
-        assert cfg.position == 0
-        cfg.advance()
-        assert cfg.position == 1
-        assert cfg.routes(Port.RAMP) == ()
-        assert cfg.routes(Port.WEST) == (Port.RAMP,)
-        cfg.advance()
-        assert cfg.position == 0
+        r = Router(coord=(0, 0))
+        r.configure(0, [{Port.RAMP: (Port.EAST,)}, {Port.WEST: (Port.RAMP,)}])
+        assert r.position(0) == 0
+        r.advance(0)
+        assert r.position(0) == 1
+        assert r.routes(0, Port.RAMP) == ()
+        assert r.routes(0, Port.WEST) == (Port.RAMP,)
+        r.advance(0)
+        assert r.position(0) == 0
+        assert r.routes(0, Port.RAMP) == (Port.EAST,)
 
     def test_initial_position(self):
-        cfg = ColorConfig([{}, {Port.WEST: (Port.RAMP,)}], position=1)
-        assert cfg.routes(Port.WEST) == (Port.RAMP,)
+        r = Router(coord=(0, 0))
+        r.configure(0, [{}, {Port.WEST: (Port.RAMP,)}], initial=1)
+        assert r.position(0) == r.configs[0].initial == 1
+        assert r.routes(0, Port.WEST) == (Port.RAMP,)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            ColorConfig([])
+            ColorConfig(0, [])
 
     def test_rejects_bad_initial(self):
         with pytest.raises(ValueError, match="out of range"):
-            ColorConfig([{}], position=3)
+            ColorConfig(0, [{}], initial=3)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="loop"):
-            ColorConfig([{Port.EAST: (Port.EAST,)}])
+            ColorConfig(0, [{Port.EAST: (Port.EAST,)}])
 
 
 class TestRouter:
@@ -114,8 +120,8 @@ class TestRouter:
         r.advance(7)  # must not raise
 
     def test_position_of_unconfigured(self):
-        r = Router(coord=(0, 0))
-        with pytest.raises(KeyError):
+        r = Router(coord=(3, 7))
+        with pytest.raises(KeyError, match=r"\(3, 7\).*color 3"):
             r.position(3)
 
     def test_multicast_fan_out(self):
@@ -126,19 +132,6 @@ class TestRouter:
         )
         assert len(r.routes(0, Port.RAMP)) == 4
 
-    def test_refresh_applies_in_place_edits(self):
-        r = Router(coord=(0, 0))
-        r.configure(4, [{Port.RAMP: (Port.EAST,)}])
-        r.configs[4].positions[0][Port.RAMP] = (Port.WEST,)
-        r.refresh(4)
-        assert r.routes(4, Port.RAMP) == (Port.WEST,)
-
-    def test_refresh_unknown_color_names_router_and_color(self):
-        r = Router(coord=(3, 7))
-        r.configure(1, [{Port.RAMP: (Port.EAST,)}])
-        with pytest.raises(ValueError, match=r"\(3, 7\).*color 9"):
-            r.refresh(9)
-
     def test_introspection_copies_all_positions(self):
         r = Router(coord=(0, 0))
         positions = [{Port.RAMP: (Port.EAST,)}, {Port.WEST: (Port.RAMP,)}]
@@ -148,53 +141,56 @@ class TestRouter:
         assert seen == positions
         seen[0][Port.RAMP] = (Port.SOUTH,)  # copies: live config untouched
         assert r.routes(2, Port.RAMP) == (Port.EAST,)
+        assert r.positions_of(2) == positions
         assert r.positions_of(99) == []
 
 
 class TestPreparedRoutes:
-    """`prepare_route` + `Router.install`: what `configure` does, split
-    so a whole class of routers pays for validation and flattening once."""
+    """One `ColorConfig`, validated and flattened once, serves every
+    router of a route class (`Fabric.install_routes`); `configure` is
+    the one-router form."""
 
     POSITIONS = [{Port.RAMP: (Port.EAST,)}, {Port.WEST: (Port.RAMP, Port.EAST)}]
 
     def test_install_equals_configure(self):
-        one, other = Router(coord=(0, 0)), Router(coord=(0, 0))
+        one = Router(coord=(0, 0))
         one.configure(3, self.POSITIONS, initial=1)
-        other.install(3, *prepare_route(3, self.POSITIONS, 1))
+        fabric = Fabric(1, 1)
+        fabric.install_routes(3, [(self.POSITIONS, 1)], [0])
+        other = fabric.router(0, 0)
         assert one == other
         assert one.table == other.table == {
             (3 << PORT_SHIFT) | Port.WEST: (Port.RAMP, Port.EAST)
         }
         assert other.configs[3].initial == 1
 
-    def test_one_pair_serves_many_routers(self):
-        pair = prepare_route(0, self.POSITIONS)
-        routers = [Router(coord=(x, 0)) for x in range(3)]
-        for router in routers:
-            router.install(0, *pair)
+    def test_one_schedule_serves_many_routers(self):
+        fabric = Fabric(3, 1)
+        fabric.install_routes(0, [(self.POSITIONS, 0)], [0, 0, 0])
+        routers = [fabric.router(x, 0) for x in range(3)]
+        cfg = routers[0].configs[0]
+        assert all(r.configs[0] is cfg for r in routers)
         routers[0].advance(0)
         assert [r.position(0) for r in routers] == [1, 0, 0]
-        # a refresh re-flattens privately; the shared pair is untouched
-        routers[1].configs[0].positions[0][Port.RAMP] = (Port.SOUTH,)
-        routers[1].refresh(0)
-        assert routers[1].routes(0, Port.RAMP) == (Port.SOUTH,)
-        assert routers[2].routes(0, Port.RAMP) == (Port.EAST,)
-        assert pair[0].positions == self.POSITIONS
-        assert pair[1][0] == {Port.RAMP: (Port.EAST,)}
+        assert routers[0].routes(0, Port.RAMP) == ()
+        assert routers[1].routes(0, Port.RAMP) == (Port.EAST,)
+        # advancing moved the router's position, not the shared schedule
+        assert cfg.positions == tuple(self.POSITIONS) and cfg.initial == 0
+        assert cfg.flat[0] == {Port.RAMP: (Port.EAST,)}
 
     def test_configure_copies_the_callers_positions(self):
         positions = [{Port.RAMP: (Port.EAST,)}]
         router = Router(coord=(0, 0))
         router.configure(0, positions)
         positions[0][Port.WEST] = (Port.RAMP,)
-        router.refresh(0)
         assert router.routes(0, Port.WEST) == ()
+        assert router.positions_of(0) == [{Port.RAMP: (Port.EAST,)}]
 
     def test_loops_only_on_request(self):
         loop = [{Port.EAST: (Port.EAST,)}]
         with pytest.raises(ValueError, match="routing loop"):
-            prepare_route(0, loop)
-        template, flat = prepare_route(0, loop, allow_loops=True)
-        assert template.positions == loop and flat == [{Port.EAST: (Port.EAST,)}]
+            ColorConfig(0, loop)
+        cfg = ColorConfig(0, loop, allow_loops=True)
+        assert cfg.positions == tuple(loop) and cfg.flat == ({Port.EAST: (Port.EAST,)},)
         with pytest.raises(ValueError, match="at least one switch position"):
-            prepare_route(0, [], allow_loops=True)
+            ColorConfig(0, [], allow_loops=True)
