@@ -70,7 +70,7 @@ class LinkFault:
             raise FaultPlanError(
                 f"link fault probability must be in (0, 1], got {self.probability}"
             )
-        if self.mode == "delay" and self.delay_cycles <= 0.0:
+        if self.mode == "delay" and not self.delay_cycles > 0.0:
             raise FaultPlanError("delay link faults need delay_cycles > 0")
         if self.port not in CARDINAL_PORTS:
             raise FaultPlanError(

@@ -21,8 +21,9 @@ roles 1 and 2 it heard at ``T0 + 2W``, if later:
 latencies cluster into a handful of values, cf. Jacquelin et al.,
 "Massively scalable stencil algorithm".)
 
-*Tie-break.*  Equal times break on the runtime's ``(time, seq)``, the
-order the last hop was pushed: ``T0``'s pushes (a step-1 cardinal's one
+*Tie-break.*  Equal times run in the order their last hop was pushed
+(the runtime keeps push order within a timestamp, the order a
+``(time, seq)`` heap gave): ``T0``'s pushes (a step-1 cardinal's one
 hop) before ``T0 + W``'s (a diagonal's second), so role 1 before role 2;
 within a role, the kick-off order — row-major PEs, per PE the diagonals
 se/sw/nw/ne, then the step-1 cardinals east/west/south/north.  A PE

@@ -55,22 +55,24 @@ def stall_report(runtime, *, max_items: int = 8) -> dict:
     :class:`~repro.faults.errors.FabricStallError`: the earliest
     ``max_items`` in-flight messages (what everyone is waiting for), the
     most recently active directed links (where traffic last moved), and
-    the runtime counters at the moment of the stall.  Reads the
-    runtime's private heap/link-busy state on purpose — this runs on the
-    failure path, after the hot loop has stopped.
+    the runtime counters at the moment of the stall.  Lists the queue
+    through :meth:`~repro.wse.runtime.EventRuntime.pending` and reads the
+    private link-busy map on purpose — this runs on the failure path,
+    after the hot loop has stopped.
     """
     from dataclasses import asdict
 
     from repro.wse.geometry import Port
     from repro.wse.runtime import _EV_ARRIVE
 
+    pending = runtime.pending()
     in_flight = []
-    for event in sorted(runtime._heap)[:max_items]:
-        if event[2] == _EV_ARRIVE:
-            coord, in_port, msg = event[3], event[4], event[5]
+    for due, kind, *event in pending[:max_items]:
+        if kind == _EV_ARRIVE:
+            coord, in_port, msg = event
             in_flight.append(
                 {
-                    "due": event[0],
+                    "due": due,
                     "event": "arrival",
                     "dest": list(coord),
                     "in_port": Port(in_port).name,
@@ -84,9 +86,9 @@ def stall_report(runtime, *, max_items: int = 8) -> dict:
         else:
             in_flight.append(
                 {
-                    "due": event[0],
+                    "due": due,
                     "event": "call",
-                    "fn": getattr(event[3], "__name__", repr(event[3])),
+                    "fn": getattr(event[0], "__name__", repr(event[0])),
                 }
             )
     last_active = [
@@ -100,7 +102,7 @@ def stall_report(runtime, *, max_items: int = 8) -> dict:
     ]
     return {
         "now": runtime.now,
-        "pending_events": len(runtime._heap),
+        "pending_events": len(pending),
         "in_flight": in_flight,
         "last_active_links": last_active,
         "stats": asdict(runtime.stats),

@@ -15,11 +15,16 @@ order).
 
 Hot-path design
 ---------------
-The heap holds *typed events*: plain tuples ``(time, seq, kind, ...)``
-with an integer event kind, dispatched from :meth:`EventRuntime.run`
-without allocating a closure per hop.  Arrival events carry
-``(coord, in_port, message)`` inline; generic callbacks (used for
-per-application kick-off, not per hop) ride on the ``_EV_CALL`` kind.
+Events wait in a *calendar queue*: a dict from timestamp to the events
+due then, in push order, and a heap of the distinct pending times.  A
+lockstep exchange round puts ~16 k events on ~15 cycles, so
+:meth:`EventRuntime.run` takes one time, sets ``now`` once and walks
+that bucket to its end (an event pushed at ``now`` meanwhile is appended
+and runs in the same pass).  Push order within a timestamp is the
+``(time, seq)`` order a per-event heap gave, so no event moves.  Events
+are *typed* tuples ``(kind, ...)``, dispatched without a closure per
+hop: arrivals carry ``(coord, in_port, message)`` inline; generic
+callbacks (per-application kick-off, not per hop) ride on ``_EV_CALL``.
 Fabric/router/perf lookups are cached on the runtime at construction, a
 message forwarded through a single-output route is passed on without a
 :meth:`~repro.wse.packet.Message.fork` (the copy is only needed on true
@@ -30,8 +35,8 @@ one runtime (and its link-busy map) can be reused across applications.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, fields
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.faults.errors import EventBudgetError, FabricStallError
@@ -43,8 +48,8 @@ from repro.wse.router import PORT_SHIFT
 
 __all__ = ["EventRuntime", "RuntimeStats"]
 
-#: Event kinds stored in heap entries.  ``_EV_CALL`` events carry
-#: ``(fn, args)``; ``_EV_ARRIVE`` events carry ``(coord, in_port, msg)``.
+#: Event kinds, the first field of an event.  ``_EV_CALL`` events carry
+#: ``(fn, args, None)``; ``_EV_ARRIVE`` events carry ``(coord, in_port, msg)``.
 _EV_CALL = 0
 _EV_ARRIVE = 1
 
@@ -167,8 +172,10 @@ class EventRuntime:
         self._fault_check = faults is not None and faults.fabric_active
         self._fault_dead = faults.dead if self._fault_check else frozenset()
         self.watchdog_cycles = watchdog_cycles
-        self._heap: list[tuple] = []
-        self._seq = 0
+        #: the calendar queue: time -> events due then, in push order,
+        #: and the heap of those times
+        self._calendar: dict[float, list[tuple]] = {}
+        self._times: list[float] = []
         #: busy-until time of each directed link, keyed by the packed int
         #: ``(x << 16 | y) << 3 | out_port``
         self._link_busy: dict[int, float] = {}
@@ -217,12 +224,24 @@ class EventRuntime:
     # ------------------------------------------------------------------ #
     def schedule(self, delay: float, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` at ``now + delay`` (FIFO-stable at equal times)."""
+        if delay != delay:
+            raise ValueError("schedule delay is NaN")
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(
-            self._heap, (self.now + delay, self._seq, _EV_CALL, fn, args)
-        )
-        self._seq += 1
+        # the calendar push, inlined here, in inject() and in _transmit():
+        # a bucket per new time, its time onto the heap
+        due, event = self.now + delay, (_EV_CALL, fn, args, None)
+        bucket = self._calendar.get(due)
+        if bucket is None:
+            self._calendar[due] = [event]
+            heappush(self._times, due)
+        else:
+            bucket.append(event)
+
+    def pending(self) -> list[tuple]:
+        """The pending events in run order, as ``(due, kind, ...)`` tuples
+        (a read-only copy: the stall report's view of the queue)."""
+        return [(t, *e) for t in sorted(self._times) for e in self._calendar[t]]
 
     @property
     def trace_log(self) -> list:
@@ -240,14 +259,14 @@ class EventRuntime:
     def reset(self) -> None:
         """Discard all per-run state, keeping the fabric/perf configuration.
 
-        Clears the event heap, simulation clock, link occupancy, counters
+        Clears the event queue, simulation clock, link occupancy, counters
         and (internally-owned) trace sink so the runtime can be reused
         for the next application without rebuilding (PE/router
         configuration is owned by the fabric and survives untouched; an
         externally-provided sink keeps aggregating across resets).
         """
-        self._heap.clear()
-        self._seq = 0
+        self._calendar.clear()
+        self._times.clear()
         self.now = 0.0
         self._link_busy.clear()
         self.stats = RuntimeStats()
@@ -274,15 +293,15 @@ class EventRuntime:
             constructor default) sees the gap between the next event's
             timestamp and the last delivery exceed the threshold.  The
             error carries a diagnostic report of in-flight messages and
-            last-active links; the offending event is pushed back so the
-            heap stays inspectable post-mortem.
+            last-active links; the offending event and everything after
+            it stay queued, so :meth:`pending` lists them post-mortem.
         """
         if watchdog_cycles is None:
             watchdog_cycles = self.watchdog_cycles
-        heap = self._heap
-        pop = heapq.heappop
+        calendar, times = self._calendar, self._times
         arrive = self._arrive
-        processed = 0
+        processed = first = 0
+        bucket: list = []
         try:
             if max_events is None and watchdog_cycles is None:
                 # common path: no budget check, and the _arrive body is
@@ -292,68 +311,85 @@ class EventRuntime:
                 deliver = self._deliver
                 transmit = self._transmit
                 stats = self.stats
-                while heap:
-                    event = pop(heap)
-                    self.now = event[0]
-                    processed += 1
-                    if event[2] == _EV_ARRIVE:
-                        coord = event[3]
-                        msg = event[5]
-                        outputs = route_gets[coord](
-                            (msg.color << PORT_SHIFT) | event[4]
-                        )
-                        if outputs:
-                            if len(outputs) == 1:
-                                out = outputs[0]
-                                if out is Port.RAMP:
-                                    deliver(coord, msg)
-                                else:
-                                    transmit(coord, out, msg)
-                            else:
-                                for out in outputs:
+                while times:
+                    # the earliest time stays at the heap's root while
+                    # its bucket drains: later pushes are due later
+                    time = times[0]
+                    self.now = time
+                    bucket = calendar[time]
+                    first = processed
+                    for event in bucket:
+                        processed += 1
+                        if event[0] == _EV_ARRIVE:
+                            _, coord, in_port, msg = event
+                            outputs = route_gets[coord](
+                                (msg.color << PORT_SHIFT) | in_port
+                            )
+                            if outputs:
+                                if len(outputs) == 1:
+                                    out = outputs[0]
                                     if out is Port.RAMP:
-                                        deliver(coord, msg.fork())
+                                        deliver(coord, msg)
                                     else:
-                                        transmit(coord, out, msg.fork())
-                        if msg.kind == KIND_CONTROL:
-                            routers[coord].advance(msg.color)
-                            stats.control_advances += 1
-                    else:
-                        event[3](*event[4])
+                                        transmit(coord, out, msg)
+                                else:
+                                    for out in outputs:
+                                        if out is Port.RAMP:
+                                            deliver(coord, msg.fork())
+                                        else:
+                                            transmit(coord, out, msg.fork())
+                            if msg.kind == KIND_CONTROL:
+                                routers[coord].advance(msg.color)
+                                stats.control_advances += 1
+                        else:
+                            event[1](*event[2])
+                    heappop(times)
+                    del calendar[time]
             else:
                 stats = self.stats
                 delivered = stats.messages_delivered
                 last_progress = self.now
-                while heap:
-                    if max_events is not None and processed >= max_events:
-                        stats.runs_truncated += 1
-                        raise EventBudgetError(
-                            processed=processed,
-                            pending=len(heap),
-                            now=self.now,
-                        )
-                    event = pop(heap)
-                    if watchdog_cycles is not None:
-                        if stats.messages_delivered != delivered:
-                            delivered = stats.messages_delivered
-                            last_progress = self.now
-                        idle = event[0] - last_progress
-                        if idle > watchdog_cycles:
-                            heapq.heappush(heap, event)
-                            from repro.obs.report import stall_report
-
-                            raise FabricStallError(
+                while times:
+                    time = times[0]
+                    bucket = calendar[time]
+                    first = processed
+                    for event in bucket:
+                        if max_events is not None and processed >= max_events:
+                            stats.runs_truncated += 1
+                            ran = processed - first  # dropped on the way out
+                            raise EventBudgetError(
+                                processed=processed,
+                                pending=sum(map(len, calendar.values())) - ran,
                                 now=self.now,
-                                idle_cycles=idle,
-                                watchdog_cycles=watchdog_cycles,
-                                report=stall_report(self),
                             )
-                    self.now = event[0]
-                    processed += 1
-                    if event[2] == _EV_ARRIVE:
-                        arrive(event[3], event[4], event[5])
-                    else:
-                        event[3](*event[4])
+                        if watchdog_cycles is not None:
+                            if stats.messages_delivered != delivered:
+                                delivered = stats.messages_delivered
+                                last_progress = self.now
+                            # idle only falls within a bucket, so this
+                            # trips at its first event: nothing ran yet
+                            idle = time - last_progress
+                            if idle > watchdog_cycles:
+                                from repro.obs.report import stall_report
+
+                                raise FabricStallError(
+                                    now=self.now,
+                                    idle_cycles=idle,
+                                    watchdog_cycles=watchdog_cycles,
+                                    report=stall_report(self),
+                                )
+                        self.now = time
+                        processed += 1
+                        if event[0] == _EV_ARRIVE:
+                            arrive(event[1], event[2], event[3])
+                        else:
+                            event[1](*event[2])
+                    heappop(times)
+                    del calendar[time]
+        except BaseException:
+            # drop the events that ran: the queue keeps only unrun ones
+            del bucket[: processed - first]
+            raise
         finally:
             self.stats.events_processed += processed
         return self.now
@@ -361,7 +397,7 @@ class EventRuntime:
     @property
     def idle(self) -> bool:
         """True when no events are pending."""
-        return not self._heap
+        return not any(self._calendar.values())
 
     # ------------------------------------------------------------------ #
     # Injection and routing
@@ -385,6 +421,15 @@ class EventRuntime:
         pe = self._pes.get(coord)
         if pe is None:
             pe = self.fabric.pe(*coord)  # raises with coordinate context
+        entry = (at if at is not None else self.now) + self._injection_overhead
+        # entry time arithmetic mirrors schedule(delay) exactly
+        # (now + (entry - now)) so event timestamps — and therefore event
+        # order and summation order — stay bit-identical
+        delay = entry - self.now
+        if not delay >= 0.0:
+            if delay != delay:
+                raise ValueError(f"cannot inject at {at!r}: the entry time is NaN")
+            delay = 0.0
         msg = Message(color=color, payload=payload, kind=kind, source=coord)
         if meta:
             msg.meta.update(meta)
@@ -394,20 +439,15 @@ class EventRuntime:
             return msg
         pe.messages_sent += 1
         pe.words_sent += msg.num_words
-        entry = (at if at is not None else self.now) + self._injection_overhead
-        # entry time arithmetic mirrors schedule(delay) exactly
-        # (now + (entry - now)) so event timestamps — and therefore event
-        # order and summation order — stay bit-identical
-        delay = entry - self.now
-        if delay < 0.0:
-            delay = 0.0
         self.stats.messages_injected += 1
-        msg.born = self.now + delay
-        heapq.heappush(
-            self._heap,
-            (self.now + delay, self._seq, _EV_ARRIVE, coord, Port.RAMP, msg),
-        )
-        self._seq += 1
+        due = msg.born = self.now + delay
+        event = (_EV_ARRIVE, coord, Port.RAMP, msg)
+        bucket = self._calendar.get(due)
+        if bucket is None:
+            self._calendar[due] = [event]
+            heappush(self._times, due)
+        else:
+            bucket.append(event)
         return msg
 
     def _arrive(self, coord: tuple[int, int], in_port: Port, msg: Message) -> None:
@@ -478,18 +518,14 @@ class EventRuntime:
         if hops > stats.max_hops_seen:
             stats.max_hops_seen = hops
         # same bit-exactness note as inject(): reproduce now + (finish - now)
-        heapq.heappush(
-            self._heap,
-            (
-                self.now + (finish - self.now),
-                self._seq,
-                _EV_ARRIVE,
-                dest,
-                OPPOSITE[out_port],
-                msg,
-            ),
-        )
-        self._seq += 1
+        due = self.now + (finish - self.now)
+        event = (_EV_ARRIVE, dest, OPPOSITE[out_port], msg)
+        bucket = self._calendar.get(due)
+        if bucket is None:
+            self._calendar[due] = [event]
+            heappush(self._times, due)
+        else:
+            bucket.append(event)
 
     def _deliver(self, coord: tuple[int, int], msg: Message) -> None:
         """Hand a message to the PE at *coord* and run its bound task."""

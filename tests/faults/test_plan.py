@@ -29,6 +29,14 @@ class TestValidation:
             LinkFault(0, 0, Port.EAST, mode="delay")
         LinkFault(0, 0, Port.EAST, mode="delay", delay_cycles=10.0)
 
+    def test_delay_rejects_nan_cycles(self):
+        """``nan <= 0`` is False: the bound is written ``not x > 0``, as
+        RouterStall's is, so a NaN delay cannot reach the event queue."""
+        with pytest.raises(
+            FaultPlanError, match=r"^delay link faults need delay_cycles > 0$"
+        ):
+            LinkFault(0, 0, Port.EAST, mode="delay", delay_cycles=float("nan"))
+
     def test_link_port_must_be_cardinal(self):
         with pytest.raises(FaultPlanError, match="cardinal"):
             LinkFault(0, 0, Port.RAMP)

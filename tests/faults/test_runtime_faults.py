@@ -104,9 +104,36 @@ class TestEventBudget:
             rt.run(max_events=50)
         err = info.value
         assert err.processed == 50
-        assert err.pending >= 1
+        assert err.pending == 1  # the one orbiting message
         assert err.now == rt.now
         assert rt.stats.runs_truncated == 1
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 4, 7, 12])
+    def test_resumed_run_finishes_in_the_unbudgeted_order(self, budget):
+        """A budget stop keeps the unrun events, tied ones included, at
+        the front of the queue: a second ``run()`` completes the same
+        deliveries at the same times as one unbudgeted run."""
+
+        def deliveries(max_events):
+            fabric = Fabric(4, 1)
+            fabric.configure_color(COLOR, eastbound_route)
+            got = []
+            fabric.bind_all(
+                COLOR, lambda r, pe, m: got.append((r.now, pe.coord, m.source))
+            )
+            rt = EventRuntime(fabric, WsePerfModel())
+            for x, at in ((0, 0.0), (1, 0.0), (0, 2.0), (2, 0.0)):
+                rt.inject((x, 0), COLOR, np.ones(2, dtype=np.float32), at=at)
+            if max_events is not None:
+                with pytest.raises(EventBudgetError) as info:
+                    rt.run(max_events=max_events)
+                assert info.value.pending == len(rt.pending()) > 0
+            rt.run()
+            return got, rt.stats.events_processed
+
+        want, events = deliveries(None)
+        assert (want, events) == deliveries(budget)
+        assert events > 12
 
     def test_truncation_visible_in_stats_across_runs(self):
         fabric = ping_pong_fabric()
@@ -130,6 +157,30 @@ class TestWatchdog:
         assert err.report["pending_events"] >= 1
         assert err.report["in_flight"], "stall report must sample in-flight msgs"
         assert err.report["last_active_links"], "stall report must name hot links"
+
+    def test_stall_report_lists_the_queue_in_run_order(self):
+        """Three orbiting messages: the report counts all of them, lists
+        them by due time, and leads with the event the watchdog stopped
+        at (nothing was ever delivered, so it is due at ``idle_cycles``)."""
+        fabric = ping_pong_fabric()
+        rt = EventRuntime(fabric, WsePerfModel())
+        for at in (0.0, 5.0, 10.0):
+            rt.inject((0, 0), COLOR, np.ones(1, dtype=np.float32), at=at)
+        with pytest.raises(FabricStallError) as info:
+            rt.run(watchdog_cycles=500.0)
+        err = info.value
+        report = err.report
+        assert report["pending_events"] == len(rt.pending()) == 3
+        dues = [item["due"] for item in report["in_flight"]]
+        assert dues == sorted(dues) == [p[0] for p in rt.pending()]
+        assert dues[0] == err.idle_cycles
+        assert [item["event"] for item in report["in_flight"]] == ["arrival"] * 3
+        # the stopped event is still queued: resuming runs it first
+        before = rt.stats.events_processed
+        with pytest.raises(EventBudgetError):
+            rt.run(max_events=1)
+        assert rt.stats.events_processed == before + 1
+        assert rt.now == dues[0]
 
     def test_constructor_default_applies_to_every_run(self):
         fabric = ping_pong_fabric()

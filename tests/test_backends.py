@@ -256,6 +256,52 @@ class TestTable:
         per_pe = retained / (side * side)
         assert per_pe <= 5.9 * 1024, f"{per_pe / 1024:.2f} KiB per PE"
 
+    def test_event_drain_queues_per_timestamp_not_per_event(self):
+        """A drain budget with no clock in it: over one 24x24x8
+        application, C calls into `_heapq` and Python frames entered
+        (Python 3.11).  A `(time, seq)` heap entry per event made 32 456
+        heap calls (16 228 pushes, as many pops) and 78 915 frames; the
+        calendar queue pushes and pops each of the application's 15
+        distinct timestamps once (30 calls) and enters no frame of its
+        own.  A per-event heap coming back lands over 2 calls per
+        timestamp, a queue helper frame per push over 78 915 frames.
+        The timestamps are the clock values seen on entry to the
+        runtime's inject / transmit / deliver.  The collector is off
+        while counting: a gc callback (hypothesis installs one) would
+        add frames that are not the runtime's."""
+        import gc
+        import sys
+
+        mesh = make_geomodel(24, 24, 8, kind="lognormal", seed=7)
+        drv = BACKENDS["event"].build(mesh, FLUID, dtype=np.float32)
+        pressure = [random_pressure(mesh, seed=1).astype(np.float32)]
+        drv.run(pressure)  # warm: lazy imports
+        frames = heap_calls = 0
+        times = set()
+
+        def count(frame, event, arg):
+            nonlocal frames, heap_calls
+            if event == "call":
+                frames += 1
+                if frame.f_code.co_name in ("inject", "_transmit", "_deliver"):
+                    times.add(frame.f_locals["self"].now)
+            elif event == "c_call":
+                heap_calls += getattr(arg, "__module__", None) == "_heapq"
+
+        previous, collecting = sys.getprofile(), gc.isenabled()
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            drv.run(pressure)
+        finally:
+            sys.setprofile(previous)
+            if collecting:
+                gc.enable()
+            release(drv)
+        assert drv.last_runtime.stats.events_processed == 16_228
+        assert heap_calls <= 2 * len(times), (heap_calls, len(times))
+        assert frames <= 78_915
+
     @staticmethod
     def _event_lowering(side):
         """``lower() -> driver``: `lower_to_event` of a lognormal

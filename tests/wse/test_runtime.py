@@ -1,13 +1,19 @@
 """Unit tests for the discrete-event runtime: routing, timing, control."""
 
+import heapq
+from itertools import count
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.faults import EventBudgetError
 from repro.wse.fabric import Fabric
 from repro.wse.geometry import Port
-from repro.wse.packet import KIND_CONTROL, Message
+from repro.wse.packet import KIND_CONTROL, KIND_DATA, Message
 from repro.wse.perf import WsePerfModel
-from repro.wse.runtime import EventRuntime
+from repro.wse.runtime import _EV_ARRIVE, EventRuntime
 
 COLOR = 0
 
@@ -187,8 +193,25 @@ class TestTiming:
 
     def test_schedule_negative_rejected(self):
         _, rt = make_runtime(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot schedule into the past$"):
             rt.schedule(-1.0, lambda: None)
+
+    def test_schedule_nan_rejected(self):
+        """``nan < 0`` is False: a NaN delay used to run before t = 1."""
+        _, rt = make_runtime(1, 1)
+        with pytest.raises(ValueError, match="^schedule delay is NaN$"):
+            rt.schedule(float("nan"), lambda: None)
+        assert rt.idle
+
+    def test_inject_at_nan_rejected(self):
+        """A NaN entry time used to deliver at ``now == nan``."""
+        _, rt = make_runtime(1, 1)
+        with pytest.raises(
+            ValueError, match=r"^cannot inject at nan: the entry time is NaN$"
+        ):
+            rt.inject((0, 0), COLOR, np.zeros(1, dtype=np.float32), at=float("nan"))
+        assert rt.idle
+        assert rt.stats.messages_injected == 0
 
 
 class TestControlWavelets:
@@ -240,6 +263,26 @@ class TestRunSafety:
         rt.schedule(0.0, reschedule)
         with pytest.raises(RuntimeError, match="budget"):
             rt.run(max_events=50)
+
+    def test_raising_task_leaves_the_rest_queued(self):
+        """A task that raises is dropped with the events before it, as a
+        heap pop dropped it; the rest of its timestamp runs next time."""
+        fabric, rt = make_runtime(1, 1)
+        ran = []
+
+        def fail():
+            raise KeyError("task failed")
+
+        rt.schedule(0.0, ran.append, "a")
+        rt.schedule(0.0, fail)
+        rt.schedule(0.0, ran.append, "c")
+        rt.schedule(1.0, ran.append, "d")
+        with pytest.raises(KeyError):
+            rt.run()
+        assert [p[3] for p in rt.pending()] == [("c",), ("d",)]
+        rt.run()
+        assert ran == ["a", "c", "d"]
+        assert rt.stats.events_processed == 4
 
     def test_idle_property(self):
         fabric, rt = make_runtime(1, 1)
@@ -387,3 +430,158 @@ class TestRuntimeStatsMerge:
         assert merged.events_processed == (
             rt_a.stats.events_processed + rt_b.stats.events_processed
         )
+
+
+class ReferenceRuntime(EventRuntime):
+    """The runtime on a per-event ``(time, seq)`` heap: pushes land in
+    :attr:`heap` (see :class:`_HeapPushes`) and :meth:`run` pops one
+    event at a time."""
+
+    def __init__(self, fabric):
+        super().__init__(fabric, WsePerfModel())
+        self.heap, self.snapshot = [], None
+        self._calendar = _HeapPushes(self.heap)
+
+    def run(self, *, snapshot_at=None):
+        processed = 0
+        while self.heap:
+            if processed == snapshot_at:
+                self.snapshot = [(t, *event) for t, _, event in sorted(self.heap)]
+            self.now, _, event = heapq.heappop(self.heap)
+            processed += 1
+            if event[0] == _EV_ARRIVE:
+                self._arrive(*event[1:])
+            else:
+                event[1](*event[2])
+        self.stats.events_processed += processed
+        return self.now
+
+
+class _HeapPushes:
+    """Stands in for the calendar dict: no time has a bucket, so each
+    push opens one, and its one event goes onto a ``(time, seq)`` heap."""
+
+    def __init__(self, heap):
+        self.heap, self.seq = heap, count()
+
+    def get(self, due):
+        return None
+
+    def __setitem__(self, due, bucket):
+        (event,) = bucket
+        heapq.heappush(self.heap, (due, next(self.seq), event))
+
+
+DELAYS = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 7.0])
+INJECT = st.tuples(
+    st.just("inject"),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.sampled_from([0, 1]),  # color
+    st.sampled_from([None, 0.0, 4.0]),  # entry offset from now
+    st.booleans(),  # control wavelet
+)
+NODE = st.recursive(
+    INJECT | st.just(("call", ())),
+    lambda kids: st.tuples(
+        st.just("call"), st.lists(st.tuples(DELAYS, kids), max_size=3)
+    ),
+    max_leaves=10,
+)
+PROGRAM = st.lists(st.tuples(DELAYS, NODE), min_size=1, max_size=5)
+
+
+def order_fabric(log):
+    """3x3 fabric: color 0 multicasts east/south (ties, contention and
+    off-chip drops); color 1 switches between two routes on control
+    wavelets.  Every task logs and echoes once at ``now``."""
+    fabric = Fabric(3, 3)
+    fabric.configure_color(
+        0,
+        lambda c: [
+            {
+                Port.RAMP: (Port.EAST, Port.SOUTH),
+                Port.WEST: (Port.RAMP, Port.EAST),
+                Port.NORTH: (Port.RAMP, Port.SOUTH),
+            }
+        ],
+    )
+    fabric.configure_color(
+        1,
+        lambda c: [
+            {Port.RAMP: (Port.EAST,), Port.WEST: (Port.RAMP, Port.EAST)},
+            {Port.RAMP: (Port.SOUTH,), Port.NORTH: (Port.RAMP, Port.SOUTH)},
+        ],
+        initial_for=lambda c: (c[0] + c[1]) % 2,
+    )
+
+    def task(rt, pe, msg):
+        log.append((rt.now, pe.coord, msg.meta["path"], msg.hops, msg.kind))
+        rt.schedule(0.0, lambda: log.append((rt.now, "echo", pe.coord)))
+
+    for color in (0, 1):
+        fabric.bind_all(color, task)
+        fabric.bind_all(color, task, control=True)
+    return fabric
+
+
+def play(rt, program, log):
+    """Schedule *program* on *rt*: calls log and schedule their children,
+    injects send a message tagged with their path."""
+
+    def node(path, spec):
+        log.append((rt.now, path))
+        if spec[0] == "call":
+            for i, (delay, child) in enumerate(spec[1]):
+                rt.schedule(delay, node, path + (i,), child)
+            return
+        _, coord, color, offset, control = spec
+        rt.inject(
+            coord,
+            color,
+            None if control else np.zeros(1 + len(path) % 3, dtype=np.float32),
+            kind=KIND_CONTROL if control else KIND_DATA,
+            at=None if offset is None else rt.now + offset,
+            meta={"path": path},
+        )
+
+    for i, (delay, spec) in enumerate(program):
+        rt.schedule(delay, node, (i,), spec)
+
+
+class TestCalendarOrder:
+    """The calendar queue runs events in exactly the ``(time, seq)``
+    order of the per-event heap it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=PROGRAM, second=PROGRAM, budget=st.integers(0, 40))
+    def test_matches_the_reference_heap(self, first, second, budget):
+        want, got = [], []
+        ref_fabric, fabric = order_fabric(want), order_fabric(got)
+        ref, rt = ReferenceRuntime(ref_fabric), EventRuntime(fabric, WsePerfModel())
+        for program in (first, second):
+            play(ref, program, want)
+            want_end = ref.run()
+            play(rt, program, got)
+            assert rt.run() == want_end
+            assert got == want
+            assert rt.idle and rt.stats == ref.stats
+            # reset() between applications, as the event driver does
+            ref = ReferenceRuntime(ref_fabric)
+            rt.reset()
+
+        # a budget stop leaves the unrun events queued in run order, and
+        # the resumed run finishes in the unbudgeted order
+        play(ref, first, want)
+        ref.run(snapshot_at=budget)
+        play(rt, first, got)
+        try:
+            rt.run(max_events=budget)
+        except EventBudgetError as err:
+            pending = [(p[0], p[1]) for p in rt.pending()]
+            assert pending == [(p[0], p[1]) for p in ref.snapshot]
+            assert err.pending == len(ref.snapshot)
+            rt.run()
+        else:
+            assert ref.snapshot is None
+        assert got == want
+        assert rt.now == ref.now
