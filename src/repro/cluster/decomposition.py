@@ -49,10 +49,6 @@ class Block:
     gy1: int
 
     @property
-    def owned_cells_xy(self) -> int:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    @property
     def padded_shape_xy(self) -> tuple[int, int]:
         return (self.gx1 - self.gx0, self.gy1 - self.gy0)
 

@@ -178,11 +178,6 @@ class ClusterRunResult:
     retransmissions: int = 0
     recovery_seconds: float = 0.0
 
-    @property
-    def halo_bytes_per_cell(self) -> float:
-        """Halo traffic per owned cell per application."""
-        return self.halo_bytes_per_application / self.residual.size
-
     def as_metrics(self) -> dict:
         """Counters as a plain dict for the obs metrics registry."""
         return {

@@ -31,11 +31,13 @@ and, optionally, two round hooks for work that spans the whole fabric:
     aborts never reaches it, and the next ``begin_round`` starts clean.
 
 The exchange owns the rest: color allocation in the canonical
-cardinal-then-diagonal order, route install, the per-PE protocol state
-(``logical``, ``expected``, ``step1_channels``, and per round ``sent`` /
-``received``), task binding, the send-once rule, the kick-off, the
-``exec_start`` / ``busy_until`` bookkeeping of the start task and the
-exactly-once delivery check.
+cardinal-then-diagonal order, route install, task binding, the
+send-once rule, the kick-off, the ``exec_start`` / ``busy_until``
+bookkeeping of the start task, the exactly-once delivery check, and
+the protocol tables ``expected``, ``step1_channels`` and per round
+``received`` / ``sent``.  They are indexed by ``pe.row``, a PE's index
+in :attr:`ColumnExchange.pes` and its row of the PE-major block a
+program installs over them (``-1`` off the program).
 
 **Two install sources.**  Given a :class:`~repro.ir.schema.FabricProgramIR`
 the routes come from its class tables (``Fabric.install_routes``) and
@@ -175,7 +177,7 @@ class ColumnExchange:
             )
 
     def _bind(self, ir) -> None:
-        """Per-PE protocol state, then the data and control tasks."""
+        """The protocol tables, then the data and control tasks."""
         nx, ny = self.nx, self.ny
         # in-bounds X-Y neighbours of (x, y): the cells of its 3x3 block
         # that exist, minus itself — how many of the exchange IR's
@@ -192,18 +194,30 @@ class ColumnExchange:
                 if is_step1_sender((x, y), channel, nx, ny)
             }
 
-        senders = [(ch, step1_senders(ch)) for ch, _color in self._cardinals]
-        for x, y, pe in self.pes:
-            coord, state = pe.coord, pe.state
-            state["logical"] = (x, y)
-            state["expected"] = across[x] * down[y] - 1
-            state["step1_channels"] = [
-                ch for ch, coords in senders if coord in coords
-            ]
+        cardinals = [ch for ch, _color in self._cardinals]
+        senders = [(1 << i, step1_senders(ch)) for i, ch in enumerate(cardinals)]
+        subsets = [  # by bit mask, shared by the rows
+            tuple(ch for i, ch in enumerate(cardinals) if mask >> i & 1)
+            for mask in range(1 << len(cardinals))
+        ]
+        #: Per row: X-Y neighbour columns a round delivers to the PE.
+        self.expected = []
+        #: Per row: the cardinal channels the PE sends on in step 1.
+        self.step1_channels = []
+        for row, (x, y, pe) in enumerate(self.pes):
+            pe.row, coord, mask = row, pe.coord, 0
+            for bit, coords in senders:
+                if coord in coords:
+                    mask |= bit
+            self.expected.append(across[x] * down[y] - 1)
+            self.step1_channels.append(subsets[mask])
+        #: Per row, this round: columns delivered, and bits ``1 << color``
+        #: of the cardinal colors sent on (the send-once rule).
+        self.received, self.sent = [0] * len(self.pes), [0] * len(self.pes)
         for channel, color in self.channels:
 
             def deliver(rt, pe, msg, _conn=channel.delivers):
-                pe.state["received"] += 1
+                self.received[pe.row] += 1
                 self.on_data(pe, msg, _conn)
 
             self.fabric.bind_all(color, deliver)
@@ -223,9 +237,8 @@ class ColumnExchange:
         """
         if self.begin_round is not None:
             self.begin_round()
+        self.received, self.sent = [0] * len(self.pes), [0] * len(self.pes)
         for _x, _y, pe in self.pes:
-            pe.state["sent"] = set()
-            pe.state["received"] = 0
             pe.busy_until = 0.0
             rt.schedule(0.0, self._start, rt, pe)
 
@@ -242,7 +255,7 @@ class ColumnExchange:
         for _channel, color in self._diagonals:
             rt.inject(pe.coord, color, payload, at=at)
         # cardinal step-1 senders (Fig. 6b, step 1; resolved at set-up)
-        for channel in pe.state["step1_channels"]:
+        for channel in self.step1_channels[pe.row]:
             self._send(rt, pe, self._cardinal_color[channel.name])
         pe.busy_until = start + (pe.dsd.cycles - before)
 
@@ -252,10 +265,10 @@ class ColumnExchange:
     def _send(self, rt: EventRuntime, pe, color: int) -> None:
         """Transmit this PE's column on cardinal *color*, once per round,
         followed by the control wavelet that flips the switches."""
-        sent = pe.state["sent"]
-        if color in sent:
+        sent, row, bit = self.sent, pe.row, 1 << color
+        if sent[row] & bit:
             return
-        sent.add(color)
+        sent[row] |= bit
         payload = self.payload(pe)
         at = rt.pe_send_time(pe)
         rt.inject(pe.coord, color, payload, at=at)
@@ -265,8 +278,7 @@ class ColumnExchange:
         """Assert every PE received exactly one column per X-Y neighbour;
         ``RuntimeError`` on a lost or duplicated delivery (protocol bug,
         dropped link) — the one delivery-error text of every program."""
-        for _x, _y, pe in self.pes:
-            got, want = pe.state["received"], pe.state["expected"]
+        for (_x, _y, pe), got, want in zip(self.pes, self.received, self.expected):
             if got != want:
                 raise RuntimeError(
                     f"PE {pe.coord}: received {got} neighbour columns, "

@@ -44,8 +44,7 @@ __all__ = ["WseMatrixFreeJacobian"]
 
 #: Every PE's Z columns, in allocation order: four working columns and
 #: the diagonal, then one off-diagonal coefficient column per connection.
-_STATE = ("v", "out", "recv", "tmp", "diag")
-_COLUMNS = (*_STATE, *(f"offd_{conn.name}" for conn in ALL_CONNECTIONS))
+_COLUMNS = ("v", "out", "recv", "tmp", "diag", *(f"offd_{c.name}" for c in ALL_CONNECTIONS))
 
 
 class WseMatrixFreeJacobian:
@@ -81,19 +80,17 @@ class WseMatrixFreeJacobian:
             mesh.nx,
             mesh.ny,
             start=self._start_pe,
-            payload=lambda pe: pe.state["v"],
+            payload=lambda pe: self._columns["v"][pe.row],
             on_data=self._on_data,
             ir=derive_exchange(mesh.nx, mesh.ny),
         )
         self.colors = self.exchange.colors
-        pes = self.exchange.pes
-        columns = self.fabric.install_memory(
+        #: ``name -> (n_pes, nz)`` block columns; a PE's is row ``pe.row``
+        self._columns = columns = self.fabric.install_memory(
             column_plan(_COLUMNS, mesh.nz, np.float64),
-            [pe.coord for _x, _y, pe in pes],
+            [pe.coord for _x, _y, pe in self.exchange.pes],
         )
-        for (_x, _y, pe), *arrays in zip(pes, *columns.values()):
-            pe.state.update(zip(_STATE, arrays))
-            pe.state["offd"] = dict(zip(ALL_CONNECTIONS, arrays[len(_STATE):]))
+        self._offd = {c: columns[f"offd_{c.name}"] for c in ALL_CONNECTIONS}
         #: ``name -> (nz, ny, nx)`` view of every PE's column at once: row
         #: i of a block column is the PE of logical cell (i % nx, i // nx)
         self._fields = fields = {
@@ -124,21 +121,23 @@ class WseMatrixFreeJacobian:
 
     # ------------------------------------------------------------------ #
     def _on_data(self, pe, msg, conn: Connection) -> None:
-        recv, tmp, out = pe.state["recv"], pe.state["tmp"], pe.state["out"]
+        row, columns = pe.row, self._columns
+        recv, tmp, out = columns["recv"][row], columns["tmp"][row], columns["out"][row]
         pe.dsd.fmovs(recv, msg.payload, from_fabric=True)
-        pe.dsd.fmuls(tmp, recv, pe.state["offd"][conn])
+        pe.dsd.fmuls(tmp, recv, self._offd[conn][row])
         pe.dsd.fadds(out, out, tmp)
 
     def _start_pe(self, pe) -> None:
-        v, out, tmp = pe.state["v"], pe.state["out"], pe.state["tmp"]
-        offd = pe.state["offd"]
+        row, columns = pe.row, self._columns
+        v, out, tmp = columns["v"][row], columns["out"][row], columns["tmp"][row]
+        up, down = self._offd[Connection.UP][row], self._offd[Connection.DOWN][row]
         nz = self.mesh.nz
-        pe.dsd.fmuls(out, v, pe.state["diag"])
+        pe.dsd.fmuls(out, v, columns["diag"][row])
         if nz >= 2:
             # vertical neighbours live in PE memory
-            pe.dsd.fmuls(tmp[: nz - 1], v[1:], offd[Connection.UP][: nz - 1])
+            pe.dsd.fmuls(tmp[: nz - 1], v[1:], up[: nz - 1])
             pe.dsd.fadds(out[: nz - 1], out[: nz - 1], tmp[: nz - 1])
-            pe.dsd.fmuls(tmp[1:], v[: nz - 1], offd[Connection.DOWN][1:])
+            pe.dsd.fmuls(tmp[1:], v[: nz - 1], down[1:])
             pe.dsd.fadds(out[1:], out[1:], tmp[1:])
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Builds the per-PE flux program: colors, routing, tasks, memory.
+"""Builds the flux program: colors, routing, tasks, memory.
 
 This module translates the paper's Sec. 5 into an executable fabric
 configuration:
@@ -6,9 +6,11 @@ configuration:
 * configures the eight routable colors (4 cardinal channels with switch
   positions, 4 diagonal channels with static two-hop routes, Sec. 5.2)
   through the shared :class:`~repro.dataflow.exchange.ColumnExchange`;
-* builds every PE's memory layout (Sec. 5.1) and fills the static data
-  (elevation column, 10 transmissibility columns);
-* supplies the exchange's physics and round hooks.
+* builds every PE's memory layout (Sec. 5.1) over one PE-major block
+  and fills the static data (elevation column, 10 transmissibility
+  columns) a block column at a time;
+* supplies the exchange's physics and round hooks, which read a PE's
+  rows of the block and of the exchange's tables by ``pe.row``.
 
 Receive-compute overlap ("the corresponding flux computation will occur
 immediately in an asynchronous fashion", Sec. 5.2.1) is modelled in the
@@ -50,6 +52,9 @@ from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 from repro.wse.pe import ProcessingElement
 
 __all__ = ["FluxProgram"]
+
+#: X-Y slots per PE: halo keys are ``_SLOTS * block row + slot``.
+_SLOTS = len(XY_CONNECTIONS)
 
 
 @dataclass
@@ -240,18 +245,18 @@ class FluxProgram:
 
         The map is planned once, on a probe scratchpad, and installed on
         every program PE over one PE-major block; static data is written
-        a column of the block at a time.  Per PE only its trains are
-        looked up: rows of the block's train columns.
+        a column of the block at a time.  Nothing is bound per PE: the
+        hooks read a PE's trains and windows as rows of the block's
+        columns, by ``pe.row``.
         """
         mesh, nz = self.mesh, self.mesh.nz
         probe = Scratchpad(self.pe_memory_bytes, reserved=self.pe_memory_reserved)
         plan_pe_memory(probe, nz, dtype=self.dtype, reuse_buffers=self.reuse_buffers)
-        program_pes = self.exchange.pes
         # ``name -> (n_pes, *shape)`` views of the PE-major block: block
         # row i is the PE of logical cell (i % nx, i // nx), so a
         # (nz, ny, nx) field is a column's transpose, reshaped
         self._columns = columns = self.fabric.install_memory(
-            probe.plan(), [pe.coord for _x, _y, pe in program_pes]
+            probe.plan(), [pe.coord for _x, _y, pe in self.exchange.pes]
         )
         columns["z"][:] = mesh.elevation.reshape(nz, -1).T
         trans_fields = padded_trans_fields(mesh, self.trans, self.dtype)
@@ -272,20 +277,11 @@ class FluxProgram:
                 lower = np.s_[:, : nz - 1]
                 cut = [columns[name][lower] for name in FluxScratch.NAMES]
                 self._vertical_scratch = FluxScratch(*cut, _select_buffer(cut[0]))
-        trains, windows = bind_trains(columns, reuse_buffers=self.reuse_buffers)
-        staging = None if self.reuse_buffers else columns["send_staging"]
-        slots = len(XY_CONNECTIONS)
-        for row, (_x, _y, pe) in enumerate(program_pes):
-            state = pe.state
-            state["train"] = trains[row]
-            if staging is not None:
-                state["staging"] = (staging[row], p_rho[row])
-            # what the receive task touches, resolved once: the task runs
-            # per message and every dict/method hop shows up there
-            state["halos"] = {
-                conn: (windows[conn][row], slots * row + slot)
-                for slot, conn in enumerate(XY_CONNECTIONS)
-            }
+        # what the hooks read per PE, by ``pe.row``: rows of these
+        self._trains, windows = bind_trains(columns, reuse_buffers=self.reuse_buffers)
+        self._staging = None if self.reuse_buffers else columns["send_staging"]
+        #: ``conn -> (its window rows, its X-Y slot)``
+        self._halos = {c: (windows[c], slot) for slot, c in enumerate(XY_CONNECTIONS)}
 
     # ------------------------------------------------------------------ #
     # The exchange's physics hooks: bookings at the simulated times
@@ -300,31 +296,31 @@ class FluxProgram:
         neighbour, 8 neighbours).  The flux is logged for the round's
         X-Y pass (:meth:`_end_round`), which reads the delivered payload.
         """
-        state = pe.state
-        window, key = state["halos"][conn]
+        row = pe.row
+        windows, slot = self._halos[conn]
         dsd = pe.dsd
-        dsd.fmovs(window, msg.payload, from_fabric=True)
+        dsd.fmovs(windows[row], msg.payload, from_fabric=True)
         if not self.compute_fluxes:
             return
-        self.round_log.append((key, msg.payload))
+        self.round_log.append((_SLOTS * row + slot, msg.payload))
         nz = self.mesh.nz
         if self.overlap_compute:
             dsd.account_flux_column(nz)
-        elif state["received"] == state["expected"]:
+        elif self.exchange.received[row] == self.exchange.expected[row]:
             # deferred: every halo stayed resident until the last arrival
-            for _ in range(state["expected"]):
+            for _ in range(self.exchange.expected[row]):
                 dsd.account_flux_column(nz)
 
     def _send_train(self, pe: ProcessingElement) -> np.ndarray:
         """The outgoing ``(p, rho)`` train: the live ``p_rho`` with buffer
         reuse; without, staged into the send buffer per send by two
         local moves, booked."""
-        state = pe.state
-        if not self.reuse_buffers:
-            staging, p_rho = state["staging"]
+        row = pe.row
+        if self._staging is not None:
+            staging, p_rho = self._staging[row], self._columns["p_rho"][row]
             pe.dsd.fmovs(staging[0], p_rho[0])
             pe.dsd.fmovs(staging[1], p_rho[1])
-        return state["train"]
+        return self._trains[row]
 
     def _start_pe(self, pe: ProcessingElement) -> None:
         """What opens an application of Algorithm 1 on one PE, booked:
@@ -390,7 +386,7 @@ class FluxProgram:
             columns, nz = self._columns, self.mesh.nz
             keys, payloads = zip(*log)
             keys = np.array(keys)
-            rows = keys // len(XY_CONNECTIONS)
+            rows = keys // _SLOTS
             trains = np.concatenate(payloads).reshape(len(keys), 2, nz)
             p_k, rho_k = self._pressure[rows], self._density[rows]
             # X-Y neighbours share the elevation column: one object

@@ -98,9 +98,6 @@ class GpuFluxComputation:
             raise ValueError("trans was built for a different mesh")
         tx, ty, tz = PAPER_TILE
         self.occupancy = OccupancyModel(A100_40GB, threads_per_block=tx * ty * tz)
-        self._flops = 0
-        self._tiles = 0
-        self._launches = 0
         #: Optional :class:`~repro.obs.replay.ReplayRecorder`; recording
         #: adds one d2h readback per application (normally the residual
         #: stays device-resident until the batch-final copy).
@@ -175,8 +172,9 @@ class GpuFluxComputation:
 
     # ------------------------------------------------------------------ #
     def run(self, pressures) -> GpuRunResult:
-        """Run one density + flux kernel pair per pressure field."""
-        applications = 0
+        """Run one density + flux kernel pair per pressure field; the
+        result counts this run's launches, tiles and FLOPs only."""
+        applications = self._flops = self._tiles = self._launches = 0
         host_residual = np.zeros(self.mesh.shape_zyx, dtype=self.dtype)
         for pressure in pressures:
             with span("gpu.application", backend=f"gpu/{self.variant}"):

@@ -432,8 +432,9 @@ def build_ir(program) -> FabricProgramIR:
     )
 
     senders: dict[str, list] = {ch.name: [] for ch in CARDINAL_CHANNELS}
-    for _lx, _ly, pe in program.program_pes():
-        for channel in pe.state["step1_channels"]:
+    exchange = program.exchange
+    for (_lx, _ly, pe), channels in zip(exchange.pes, exchange.step1_channels):
+        for channel in channels:
             senders[channel.name].append(pe.coord)
     for channel in DIAGONAL_CHANNELS:
         senders[channel.name] = program_coords

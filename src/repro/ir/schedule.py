@@ -323,7 +323,8 @@ def probe_schedule(
     on_data = exchange.on_data
 
     def capture(pe, msg, conn):
-        orders.setdefault(pe.state["logical"], []).append(conn)
+        lx, ly, _pe = exchange.pes[pe.row]
+        orders.setdefault((lx, ly), []).append(conn)
         on_data(pe, msg, conn)
 
     exchange.on_data = capture  # the receive tasks read it at call time

@@ -484,10 +484,6 @@ class FabricProgramIR:
             for entry in plan
         )
 
-    @property
-    def fold_contract(self) -> str | None:
-        return self.doc.get("contracts", {}).get("fold")
-
     # ------------------------------------------------------------------ #
     # Annotations (derived, not hashed)
     # ------------------------------------------------------------------ #

@@ -238,10 +238,6 @@ class ProcPool:
         return len(self.handles)
 
     @property
-    def procs(self) -> list[mp.Process]:
-        return [handle.proc for handle in self.handles]
-
-    @property
     def conns(self) -> list:
         return [handle.conn for handle in self.handles]
 

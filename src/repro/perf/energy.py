@@ -66,11 +66,6 @@ class EnergyComparison:
         return self.total_flops / self.cs2_seconds / self.cs2_power_w / 1e9
 
     @property
-    def a100_gflops_per_watt(self) -> float:
-        """A100 energy efficiency at the model-projected kernel time."""
-        return self.total_flops / self.a100_seconds / self.a100_power_w / 1e9
-
-    @property
     def energy_efficiency_ratio(self) -> float:
         """A100 energy / CS-2 energy per job (2.2x in the paper)."""
         return self.a100_joules / self.cs2_joules

@@ -76,43 +76,47 @@ class WseWavePropagator:
             mesh.nx,
             mesh.ny,
             start=self._start_pe,
-            payload=lambda pe: pe.state["send_field"],
+            payload=lambda pe: self._u_curr[pe.row],
             on_data=self._on_data,
             ir=derive_exchange(mesh.nx, mesh.ny),
         )
         self.colors = self.exchange.colors
-        names = ("u_prev", "u_curr", "lap", "recv", "tmp")
-        pes = self.exchange.pes
-        columns = self.fabric.install_memory(
-            column_plan(names, mesh.nz, self.dtype),
-            [pe.coord for _x, _y, pe in pes],
+        #: ``name -> (n_pes, nz)`` block columns; a PE's is row ``pe.row``
+        self._columns = columns = self.fabric.install_memory(
+            column_plan(("u_prev", "u_curr", "lap", "recv", "tmp"), mesh.nz, self.dtype),
+            [pe.coord for _x, _y, pe in self.exchange.pes],
         )
-        for (_x, _y, pe), *arrays in zip(pes, *columns.values()):
-            pe.state.update(zip(names, arrays))
+        # the leapfrog's two wavefield columns, named for their roles in
+        # the first step; every PE swaps the roles once per step, so the
+        # swap is one for the whole block (:meth:`step`)
+        self._u_prev, self._u_curr = columns["u_prev"], columns["u_curr"]
 
     # ------------------------------------------------------------------ #
     def _on_data(self, pe, msg, conn: Connection) -> None:
         """Accumulate one neighbour's horizontal stencil contribution."""
-        recv = pe.state["recv"]
+        row, columns = pe.row, self._columns
+        recv = columns["recv"][row]
         pe.dsd.fmovs(recv, msg.payload, from_fabric=True)
         a, _ = self.coeffs[conn]
-        lap, tmp = pe.state["lap"], pe.state["tmp"]
+        lap, tmp = columns["lap"][row], columns["tmp"][row]
         pe.dsd.fmuls(tmp, recv, a)
         pe.dsd.fadds(lap, lap, tmp)
-        if pe.state["received"] == pe.state["expected"]:
+        exchange = self.exchange
+        if exchange.received[row] == exchange.expected[row]:
             self._finalize(pe)
 
     def _start_pe(self, pe) -> None:
         """Local stencil parts of one step."""
-        u = pe.state["u_curr"]
-        # neighbours get the field captured here: a step-2 send may be
-        # triggered *after* this PE already finalized its own update, and
-        # the neighbour must see the pre-update field.  The captured
-        # array is never written in place during the step, so sharing
-        # the buffer with in-flight messages is safe (the same
-        # discipline as the flux kernel's zero-copy send train).
-        pe.state["send_field"] = u
-        lap, tmp = pe.state["lap"], pe.state["tmp"]
+        row, columns = pe.row, self._columns
+        # neighbours get u_curr: a step-2 send may be triggered *after*
+        # this PE already finalized its own update, and the neighbour
+        # must see the pre-update field.  The update goes to u_prev and
+        # the roles swap only when the step ends, so u_curr is never
+        # written in place during the step and sharing it with
+        # in-flight messages is safe (the same discipline as the flux
+        # kernel's zero-copy send train).
+        u = self._u_curr[row]
+        lap, tmp = columns["lap"][row], columns["tmp"][row]
         lap.fill(0.0)
         nz = self.mesh.nz
         # vertical second derivative (in-memory neighbours)
@@ -138,13 +142,14 @@ class WseWavePropagator:
                 continue
             pe.dsd.fmacs(tmp, u, b, lap)
             pe.dsd.fmovs(lap, tmp)
-        if pe.state["expected"] == 0:  # a 1x1 fabric hears nothing
+        if self.exchange.expected[row] == 0:  # a 1x1 fabric hears nothing
             self._finalize(pe)
 
     def _finalize(self, pe) -> None:
         """Complete the leapfrog update for this PE's column."""
-        u, u_prev = pe.state["u_curr"], pe.state["u_prev"]
-        lap, tmp = pe.state["lap"], pe.state["tmp"]
+        row, columns = pe.row, self._columns
+        u, u_prev = self._u_curr[row], self._u_prev[row]
+        lap, tmp = columns["lap"][row], columns["tmp"][row]
         # u_next = 2 u - u_prev + scale * lap  (into u_prev's storage)
         pe.dsd.fmuls(tmp, u, 2.0)
         pe.dsd.fsubs(tmp, tmp, u_prev)
@@ -155,14 +160,14 @@ class WseWavePropagator:
             and pe.coord == (self._source[0], self._source[1])
         ):
             u_prev[self._source[2]] += self.dt**2 * self._source_amplitude
-        # swap roles: u_prev now holds u_next
-        pe.state["u_prev"], pe.state["u_curr"] = u, u_prev
 
     # ------------------------------------------------------------------ #
     def step(self, source_amplitude: float = 0.0) -> None:
         """Advance one time step through the full fabric protocol."""
         self._source_amplitude = float(source_amplitude)
         self.exchange.run(EventRuntime(self.fabric))
+        # swap roles: every PE's u_prev now holds its u_next
+        self._u_prev, self._u_curr = self._u_curr, self._u_prev
         self.step_count += 1
 
     def run(self, wavelet: np.ndarray) -> np.ndarray:
@@ -173,7 +178,4 @@ class WseWavePropagator:
 
     def wavefield(self) -> np.ndarray:
         """Gather the current wavefield into a (nz, ny, nx) array."""
-        out = np.zeros(self.mesh.shape_zyx, dtype=self.dtype)
-        for x, y, pe in self.exchange.pes:
-            out[:, y, x] = pe.state["u_curr"]
-        return out
+        return self._u_curr.T.reshape(self.mesh.shape_zyx).copy()

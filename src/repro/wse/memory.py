@@ -24,7 +24,7 @@ probe's — they are the same numbers on every PE and need no per-PE work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -82,12 +82,14 @@ class MemoryPlan:
     #: ``(name, offset, nbytes, shape, dtype)`` in allocation order;
     #: aliases repeat the offset of the allocation they overlay.
     records: tuple[tuple[str, int, int, tuple[int, ...], np.dtype], ...]
+    #: Bytes of one PE's row: everything above the reserved region, up
+    #: to the high-water mark, rounded up to the row alignment.  Set once
+    #: per plan: every adopting PE checks its row against it.
+    row_bytes: int = field(init=False)
 
-    @property
-    def row_bytes(self) -> int:
-        """Bytes of one PE's row: everything above the reserved region,
-        up to the high-water mark, rounded up to the row alignment."""
-        return -(-(self.high_water - self.reserved) // _ROW_ALIGN) * _ROW_ALIGN
+    def __post_init__(self) -> None:
+        used = self.high_water - self.reserved
+        object.__setattr__(self, "row_bytes", -(-used // _ROW_ALIGN) * _ROW_ALIGN)
 
     def block(self, n_pes: int) -> np.ndarray:
         """Zeroed PE-major storage for *n_pes* scratchpads: C-contiguous

@@ -6,7 +6,9 @@ instruction accounting).  In the CSL programming model receiving a
 wavelet of a color activates the task bound to that color; every program
 here runs the same code on every PE, so the tasks are per color, held
 once by the fabric (:meth:`~repro.wse.fabric.Fabric.bind_all`), and the
-runtime runs them with the receiving PE as their argument.
+runtime runs them with the receiving PE as their argument.  What a
+program keeps per PE lives in its PE-major memory block and its
+exchange's tables, indexed by the PE's :attr:`~ProcessingElement.row`.
 """
 
 from __future__ import annotations
@@ -35,19 +37,21 @@ class ProcessingElement:
         Cycle time until which the PE's datapath is occupied; the runtime
         serializes task executions behind it (routers and links operate
         independently of the PE, Sec. 5.3.2).
-    state:
-        Free-form per-program scratch (iteration flags, counters).
+    row:
+        The PE's row in the PE-major memory block of the program it runs
+        (its index in ``ColumnExchange.pes``); ``-1`` while it runs none,
+        e.g. in a bypassed column.  A program keeps its per-PE data as
+        rows of block columns and reads them by this index.
     """
 
     coord: tuple[int, int]
     memory: Scratchpad = field(default_factory=Scratchpad)
     dsd: DsdEngine = field(default_factory=DsdEngine)
     busy_until: float = 0.0
-    state: dict = field(default_factory=dict)
+    row: int = -1
     #: Start time / cycle counter of the task currently executing on this
     #: PE (set by the runtime before each task; read by
-    #: ``EventRuntime.pe_send_time``).  Plain attributes rather than
-    #: ``state`` entries: they are written on every delivery.
+    #: ``EventRuntime.pe_send_time``).
     exec_start: float | None = None
     cycles_at_start: float = 0.0
     messages_received: int = 0

@@ -129,13 +129,17 @@ def test_class_installed_fabric_equals_the_per_pe_reference(name, lowered):
     assert build_ir(program) == ir
 
 
-def _trains(pe) -> list:
-    """Every train view the program handed *pe*: outgoing, staging and
-    the eight receive windows."""
-    state = pe.state
+def _trains(program, pe) -> list:
+    """Every train view the program's hooks read for *pe*, as rows
+    ``pe.row`` of the block: outgoing, staging and the eight receive
+    windows."""
+    row = pe.row
+    staging = () if program._staging is None else (
+        program._staging[row], program._columns["p_rho"][row]
+    )
     return [
-        state["train"], *state.get("staging", ()),
-        *(window for window, _key in state["halos"].values()),
+        program._trains[row], *staging,
+        *(windows[row] for windows, _slot in program._halos.values()),
     ]
 
 
@@ -149,27 +153,29 @@ def test_a_pe_writes_only_its_own_memory(reuse):
             pe.memory.array(name)[...] = i + 1
     for i, pe in enumerate(pes):
         # the per-PE views and the lazily built records are one storage
-        assert np.shares_memory(pe.state["train"], pe.memory.array("p_rho")) == reuse
-        for arr in _trains(pe):
+        train = program._trains[pe.row]
+        assert np.shares_memory(train, pe.memory.array("p_rho")) == reuse
+        for arr in _trains(program, pe):
             assert np.all(arr == i + 1)
     for a, b in zip(pes, pes[1:]):
         for name in a.memory.names():
             assert not np.shares_memory(a.memory.array(name), b.memory.array(name))
-        for mine, theirs in zip(_trains(a), _trains(b)):
+        for mine, theirs in zip(_trains(program, a), _trains(program, b)):
             assert not np.shares_memory(mine, theirs)
 
 
 def test_the_send_train_is_the_live_pressure_and_density():
     program = FluxProgram(CartesianMesh3D(4, 3, 5), FluidProperties())
     for _x, _y, pe in program.program_pes():
-        train = pe.state["train"]
+        train = program._trains[pe.row]
         pressure, density = pe.memory.array("p_rho")
         assert np.shares_memory(train, pressure)
         assert np.shares_memory(train, density)
         pressure[:] = 3.0
         density[:] = 5.0
         assert train.tolist() == [3.0] * 5 + [5.0] * 5
-        for flat, _key in pe.state["halos"].values():
+        for windows, _slot in program._halos.values():
+            flat = windows[pe.row]
             window = pe.memory.array("recv_shared")
             assert np.shares_memory(flat, window)
             flat[:] = np.arange(10)
@@ -312,10 +318,10 @@ EXTENSIONS = {
 }
 
 
-def _bound_columns(pe) -> dict:
-    """name -> the array the program's physics reads for that column."""
-    offd = pe.state.get("offd", {})
-    return {**pe.state, **{f"offd_{c.name}": a for c, a in offd.items()}}
+def _bound_columns(program, pe) -> dict:
+    """name -> the array the program's physics reads for that column:
+    row ``pe.row`` of the block column."""
+    return {name: column[pe.row] for name, column in program._columns.items()}
 
 
 @pytest.mark.parametrize(
@@ -333,7 +339,7 @@ def test_extension_memory_equals_the_per_pe_reference(kind, dims):
         for name in names:
             reference.alloc_array(name, dims[2], np.float64)
         assert _memory_facts(pe.memory) == _memory_facts(reference), pe.coord
-        bound = _bound_columns(pe)
+        bound = _bound_columns(program, pe)
         for name in names:
             assert np.shares_memory(bound[name], pe.memory.array(name))
     for a, b in combinations(pes, 2):
@@ -345,10 +351,10 @@ def test_matfree_coefficients_land_in_their_own_pe():
     jac = _matfree(4, 3, 2)()
     diag = jac.diagonal()
     for x, y, pe in jac.exchange.pes:
-        assert np.array_equal(pe.state["diag"], diag[:, y, x])
-        for conn, column in pe.state["offd"].items():
+        assert np.array_equal(jac._columns["diag"][pe.row], diag[:, y, x])
+        for conn, columns in jac._offd.items():
             field = jac._fields[f"offd_{conn.name}"]
-            assert np.array_equal(column, field[:, y, x])
+            assert np.array_equal(columns[pe.row], field[:, y, x])
 
 
 def test_an_over_budget_wave_column_raises_the_per_pe_text():

@@ -126,20 +126,23 @@ class TestProtocolAccounting:
         mesh = CartesianMesh3D(5, 5, 2)
         wse = WseFluxComputation(mesh, fluid, dtype=np.float32)
         wse.run_single(random_pressure(mesh, seed=0))
-        for pe in wse.program.fabric.pes():
-            assert pe.state["received"] == pe.state["expected"]
+        exchange = wse.program.exchange
+        assert len(exchange.received) == wse.program.fabric.num_pes
+        assert exchange.received == exchange.expected
 
     def test_interior_pe_receives_eight(self, fluid):
         mesh = CartesianMesh3D(3, 3, 2)
         wse = WseFluxComputation(mesh, fluid, dtype=np.float32)
         wse.run_single(random_pressure(mesh, seed=0))
-        assert wse.program.fabric.pe(1, 1).state["expected"] == 8
+        program = wse.program
+        assert program.exchange.expected[program.fabric.pe(1, 1).row] == 8
 
     def test_corner_pe_receives_three(self, fluid):
         mesh = CartesianMesh3D(3, 3, 2)
         wse = WseFluxComputation(mesh, fluid, dtype=np.float32)
         wse.run_single(random_pressure(mesh, seed=0))
-        assert wse.program.fabric.pe(0, 0).state["expected"] == 3
+        program = wse.program
+        assert program.exchange.expected[program.fabric.pe(0, 0).row] == 3
 
     def test_max_two_hops(self, fluid):
         mesh = CartesianMesh3D(4, 4, 2)

@@ -44,17 +44,20 @@ class Tagged:
         self.exchange = ColumnExchange(
             self.fabric, nx, ny,
             start=lambda pe: None,
-            payload=lambda pe: pe.state["tag"],
+            payload=lambda pe: self.tags[pe.row],
             on_data=self.on_data,
             ir=derive_exchange(nx, ny, remap=remap) if source == "ir" else None,
             remap=remap,
         )
-        for x, y, pe in self.exchange.pes:
-            pe.state["tag"] = np.array([x, y], dtype=np.float32)
+        # row i of the tags is the PE at exchange.pes[i]
+        self.tags = np.array(
+            [(x, y) for x, y, _pe in self.exchange.pes], dtype=np.float32
+        )
 
     def on_data(self, pe, msg, conn):
         tag = tuple(int(v) for v in msg.payload)
-        self.log.setdefault(pe.state["logical"], []).append((conn, tag))
+        lx, ly, _pe = self.exchange.pes[pe.row]
+        self.log.setdefault((lx, ly), []).append((conn, tag))
 
     def round(self):
         """One round: ``(device cycles, arrival log)``."""
@@ -102,8 +105,10 @@ class TestExactlyOnce:
             set(ir.expected_receivers(color))
             for _ch, color in tagged.exchange.channels
         ]
-        for _x, _y, pe in tagged.exchange.pes:
-            assert pe.state["expected"] == sum(pe.coord in r for r in receivers)
+        exchange = tagged.exchange
+        assert len(exchange.expected) == len(exchange.pes)
+        for (_x, _y, pe), expected in zip(exchange.pes, exchange.expected):
+            assert expected == sum(pe.coord in r for r in receivers)
 
     @pytest.mark.parametrize("nx, ny, source, dead", _cases())
     def test_a_round_leaves_the_switches_where_it_found_them(
@@ -120,10 +125,16 @@ class TestExactlyOnce:
         a, b = (Tagged(nx, ny, source, dead) for source in SOURCES)
         assert a.switch_state() == b.switch_state()
         assert a.round() == b.round()
-        for (_x, _y, pa), (_x, _y, pb) in zip(a.exchange.pes, b.exchange.pes):
-            assert pa.coord == pb.coord
-            for key in ("logical", "expected", "step1_channels"):
-                assert pa.state[key] == pb.state[key]
+        ea, eb = a.exchange, b.exchange
+        assert [(x, y, pe.coord) for x, y, pe in ea.pes] == [
+            (x, y, pe.coord) for x, y, pe in eb.pes
+        ]
+        assert ea.expected == eb.expected
+        assert ea.step1_channels == eb.step1_channels
+        assert [pe.row for _x, _y, pe in ea.pes] == list(range(len(ea.pes)))
+        # a bypassed column runs no program: its PEs have no row
+        bypassed = [pe for pe in a.fabric.pes() if pe.x in a.fabric.bypass_columns]
+        assert bypassed and all(pe.row == -1 for pe in bypassed)
 
     def test_a_color_table_that_disagrees_is_refused(self):
         ir = derive_exchange(3, 3)

@@ -64,6 +64,12 @@ def _pes(program):
     return [pe for _x, _y, pe in program.program_pes()]
 
 
+def _windows(program, pe):
+    """``conn -> pe``'s receive window: row ``pe.row`` of the block's
+    window rows the receive task reads."""
+    return {conn: rows[pe.row] for conn, (rows, _slot) in program._halos.items()}
+
+
 def _address(array):
     return array.__array_interface__["data"][0]
 
@@ -98,8 +104,9 @@ class TestPEColumnLayout:
 
     def test_shared_recv_window(self, pad):
         assert "recv_shared" in pad.names()
-        for pe in _pes(_program()):
-            windows = [w for w, _key in pe.state["halos"].values()]
+        program = _program()
+        for pe in _pes(program):
+            windows = list(_windows(program, pe).values())
             assert len(windows) == 8
             # one window reused for all 8 neighbours
             assert set(map(_address, windows)) == {
@@ -108,10 +115,9 @@ class TestPEColumnLayout:
             assert all(w.shape == (16,) for w in windows)
 
     def test_separate_recv_without_reuse(self):
-        for pe in _pes(_program(reuse_buffers=False)):
-            windows = {
-                conn: w for conn, (w, _key) in pe.state["halos"].items()
-            }
+        program = _program(reuse_buffers=False)
+        for pe in _pes(program):
+            windows = _windows(program, pe)
             assert len(set(map(_address, windows.values()))) == 8
             for conn, window in windows.items():
                 assert np.shares_memory(window, pe.memory.array(f"recv_{conn.name}"))
@@ -160,4 +166,5 @@ class TestPEColumnLayout:
         program = _program(dtype=np.float64)
         for pe in _pes(program):
             assert program.exchange.payload(pe).dtype == np.float64
-            assert all(w.dtype == np.float64 for w, _key in pe.state["halos"].values())
+            windows = _windows(program, pe).values()
+            assert all(w.dtype == np.float64 for w in windows)

@@ -133,6 +133,18 @@ class TestGpuFluxComputation:
         result = gpu.run([p])
         assert 100 < result.flops_per_cell <= 140
 
+    def test_a_reused_driver_counts_each_run_alone(self, fluid):
+        """Launches, tiles and FLOPs are this run's, not the driver's
+        since construction: the second run reads as the first."""
+        mesh = make_geomodel(8, 6, 5, kind="lognormal", seed=7)
+        seq = PressureSequence(mesh, num_applications=2, seed=3)
+        gpu = GpuFluxComputation(mesh, fluid)
+        first, second = gpu.run(seq), gpu.run(seq)
+        assert first.as_metrics() == second.as_metrics()
+        assert first.kernel_launches == 4
+        assert first.flops_per_cell <= 140
+        assert second.flops_per_cell <= 140
+
     def test_occupancy_attached(self, problem):
         mesh, fluid, trans, p, _ = problem
         gpu = GpuFluxComputation(mesh, fluid, trans, dtype=np.float32)

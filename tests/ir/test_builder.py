@@ -147,7 +147,7 @@ class TestInjectorSets:
         ir = build_ir(program)
         live = {ch.name: set() for ch in CARDINAL_CHANNELS}
         for _lx, _ly, pe in program.program_pes():
-            for channel in pe.state["step1_channels"]:
+            for channel in program.exchange.step1_channels[pe.row]:
                 live[channel.name].add(pe.coord)
         for name, coords in live.items():
             assert ir.injector_coords(name) == coords

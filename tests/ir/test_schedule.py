@@ -209,7 +209,8 @@ class TestProbeInvariances:
         original = program.exchange.on_data
 
         def capture(pe, msg, conn):
-            orders.setdefault(pe.state["logical"], []).append(conn.name)
+            lx, ly, _pe = program.exchange.pes[pe.row]
+            orders.setdefault((lx, ly), []).append(conn.name)
             original(pe, msg, conn)
 
         program.exchange.on_data = capture

@@ -99,4 +99,4 @@ class TestState:
         assert pe.messages_received == 0
         assert pe.words_sent == 0
         assert pe.busy_until == 0.0
-        assert pe.state == {}
+        assert pe.row == -1  # runs no program yet
