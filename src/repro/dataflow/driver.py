@@ -172,13 +172,14 @@ class WseFluxComputation:
             TraceSink(capacity=trace_capacity) if trace else None
         )
         #: Optional FaultInjector / progress-watchdog threshold threaded
-        #: through to every EventRuntime this driver creates.
+        #: through to the driver's EventRuntime.
         self.faults = faults
         self.watchdog_cycles = watchdog_cycles
         #: Optional :class:`~repro.obs.replay.ReplayRecorder`; when set,
         #: every application's (pressure, residual) pair is digested into
         #: the replay artifact right after the gather.
         self.record = record
+        #: The runtime every run() drains on, built by the first.
         self.last_runtime: EventRuntime | None = None
 
     # ------------------------------------------------------------------ #
@@ -191,21 +192,21 @@ class WseFluxComputation:
         applications = 0
         residual = None
         totals = RuntimeStats()
-        # one runtime serves every application: reset() clears the event
-        # heap, clock, link-occupancy map and per-run stats without
-        # rebuilding them per pressure field
-        rt = EventRuntime(
-            program.fabric,
-            WSE2,
-            trace_sink=self.trace_sink,
-            faults=self.faults,
-            watchdog_cycles=self.watchdog_cycles,
-        )
-        self.last_runtime = rt
+        # one runtime serves every application of every run(), built on
+        # the first: reset() clears the event queue, clock,
+        # link-occupancy map and per-run stats
+        rt = self.last_runtime
+        if rt is None:
+            rt = self.last_runtime = EventRuntime(
+                program.fabric,
+                WSE2,
+                trace_sink=self.trace_sink,
+                faults=self.faults,
+                watchdog_cycles=self.watchdog_cycles,
+            )
         for pressure in pressures:
             with span("wse.application", backend="event") as sp:
-                if applications:
-                    rt.reset()
+                rt.reset()
                 with span("wse.load_pressure"):
                     program.load_pressure(np.ascontiguousarray(pressure))
                 exchange.begin(rt)

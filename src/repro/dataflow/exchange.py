@@ -15,7 +15,9 @@ copy per kernel.  A program supplies only its physics:
 ``payload(pe)``
     the column to transmit, called once per send — it may book cycles
     (the flux kernel's no-reuse layout stages ``(p, rho)`` with two
-    FMOVs every time);
+    FMOVs every time).  A 1-D ndarray, the PE's row of a block column:
+    the exchange sends it through ``EventRuntime.send``, which does not
+    check it;
 ``on_data(pe, msg, conn)``
     one neighbour's column has arrived; ``conn`` names the neighbour.
 
@@ -49,8 +51,10 @@ assigns each router.  That path stays because it is the reference:
 ``build_ir(program) == derive_ir(...)`` pins the IR compiler to a fabric
 configured without it.
 
-**The ``at`` / staging asymmetry.**  The kick-off reads
-``rt.pe_send_time(pe)`` *before* calling ``payload(pe)`` and issues the
+**The ``at`` / staging asymmetry.**  A send enters the fabric after
+the compute its task has booked so far: at ``pe.exec_start +
+(pe.dsd.cycles - pe.cycles_at_start)``, the *send time*.  The kick-off
+reads the send time *before* calling ``payload(pe)`` and issues the
 diagonal sends at that time; a cardinal send calls ``payload(pe)``
 first and reads the time *after*.  When staging books cycles
 (``reuse_buffers=False``) the two orders give different timestamps, and
@@ -250,10 +254,10 @@ class ColumnExchange:
         self.start(pe)
         # diagonal flows: every PE is a source (Fig. 5b, step 1.b); the
         # send time is read before staging (module docstring)
-        at = rt.pe_send_time(pe)
+        at = start + (pe.dsd.cycles - before)
         payload = self.payload(pe)
         for _channel, color in self._diagonals:
-            rt.inject(pe.coord, color, payload, at=at)
+            rt.send(pe, color, payload, at)
         # cardinal step-1 senders (Fig. 6b, step 1; resolved at set-up)
         for channel in self.step1_channels[pe.row]:
             self._send(rt, pe, self._cardinal_color[channel.name])
@@ -270,9 +274,10 @@ class ColumnExchange:
             return
         sent[row] |= bit
         payload = self.payload(pe)
-        at = rt.pe_send_time(pe)
-        rt.inject(pe.coord, color, payload, at=at)
-        rt.inject(pe.coord, color, kind=KIND_CONTROL, at=at)
+        # the send time, read after staging (module docstring)
+        at = pe.exec_start + (pe.dsd.cycles - pe.cycles_at_start)
+        rt.send(pe, color, payload, at)
+        rt.send(pe, color, None, at, KIND_CONTROL)
 
     def verify(self) -> None:
         """Assert every PE received exactly one column per X-Y neighbour;

@@ -14,13 +14,14 @@ configuration:
 
 Receive-compute overlap ("the corresponding flux computation will occur
 immediately in an asynchronous fashion", Sec. 5.2.1) is modelled in the
-**cycle booking**: a receive task books its FMOV and its partial flux on
-arrival (or, without overlap, every partial flux at the last arrival),
-so the timeline is per event.  No booking depends on data, so the
-arithmetic itself runs once per round over the PE-major block
+**cycle booking**: a receive task adds the cycles of its FMOV and its
+partial flux on arrival (or, without overlap, of every partial flux at
+the last arrival), so the timeline is per event.  No booking depends on
+data, so everything else runs once per round over the PE-major block
 (DESIGN.md §8 item 7): density and the UP/DOWN fluxes when the round
-begins, and after the drain one face-flux call over every logged halo,
-folded into each PE's residual in that PE's arrival order.
+begins; after the drain, the receive tasks' Table-4 counters, the move
+of each window's last train into it, and one face-flux call over every
+logged halo, folded into each PE's residual in that PE's arrival order.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class FluxProgram:
     exchange: ColumnExchange = field(init=False)
     colors: ColorAllocator = field(init=False)
     #: This round's X-Y halos in delivery order, ``(halo key, payload)``
-    #: with key ``8 * block row + X-Y slot``; cleared when a round begins.
+    #: with key ``8 * block row + X-Y slot``; cleared when a round begins
+    #: and read by :meth:`_end_round` (the windows, the X-Y pass).
     round_log: list = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
@@ -282,6 +284,16 @@ class FluxProgram:
         self._staging = None if self.reuse_buffers else columns["send_staging"]
         #: ``conn -> (its window rows, its X-Y slot)``
         self._halos = {c: (windows[c], slot) for slot, c in enumerate(XY_CONNECTIONS)}
+        # a receive task's cycles: what ``fmovs(window, train,
+        # from_fabric=True)`` and ``account_flux_column(nz)`` add
+        dsd = self.exchange.pes[0][2].dsd
+        per_element = (
+            dsd.cycles_per_element_vector
+            if dsd.vectorized
+            else dsd.cycles_per_element_scalar
+        )
+        self._fmov_cycles = per_element * (2 * nz)
+        self._flux_cycles = 14 * per_element * nz if self.compute_fluxes else 0.0
 
     # ------------------------------------------------------------------ #
     # The exchange's physics hooks: bookings at the simulated times
@@ -289,27 +301,27 @@ class FluxProgram:
     def _receive_neighbour(
         self, pe: ProcessingElement, msg, conn: Connection
     ) -> None:
-        """Drain a neighbour's (p, rho) train and book its partial flux.
-
-        The FMOV from the fabric queue into the receive window is the 16
-        FMOV / 16 fabric loads per cell of Table 4 (2 words per cell per
-        neighbour, 8 neighbours).  The flux is logged for the round's
-        X-Y pass (:meth:`_end_round`), which reads the delivered payload.
+        """Log a neighbour's (p, rho) train and add the receive task's
+        cycles: the FMOV from the fabric queue into the receive window
+        (the 16 FMOV / 16 fabric loads per cell of Table 4: 2 words per
+        cell per neighbour, 8 neighbours) and the partial flux — on
+        arrival, or every partial flux at the last arrival without
+        overlap.  Cycles are all the timeline reads; :meth:`_end_round`
+        books the counters, fills the window and runs the flux.
         """
         row = pe.row
-        windows, slot = self._halos[conn]
+        self.round_log.append((_SLOTS * row + self._halos[conn][1], msg.payload))
         dsd = pe.dsd
-        dsd.fmovs(windows[row], msg.payload, from_fabric=True)
-        if not self.compute_fluxes:
-            return
-        self.round_log.append((_SLOTS * row + slot, msg.payload))
-        nz = self.mesh.nz
         if self.overlap_compute:
-            dsd.account_flux_column(nz)
-        elif self.exchange.received[row] == self.exchange.expected[row]:
+            # (cycles + FMOV) + flux: the order the two bookings added
+            dsd.cycles = dsd.cycles + self._fmov_cycles + self._flux_cycles
+            return
+        dsd.cycles += self._fmov_cycles
+        expected = self.exchange.expected[row]
+        if self.exchange.received[row] == expected:
             # deferred: every halo stayed resident until the last arrival
-            for _ in range(self.exchange.expected[row]):
-                dsd.account_flux_column(nz)
+            for _ in range(expected):
+                dsd.cycles += self._flux_cycles
 
     def _send_train(self, pe: ProcessingElement) -> np.ndarray:
         """The outgoing ``(p, rho)`` train: the live ``p_rho`` with buffer
@@ -371,23 +383,50 @@ class FluxProgram:
                 )
 
     def _end_round(self) -> None:
-        """One face-flux call over the round's logged X-Y halos, folded
-        into each PE's residual in that PE's arrival order.
+        """Settle the round's receive tasks, then one face-flux call over
+        the logged X-Y halos, folded into each PE's residual in that
+        PE's arrival order.
 
-        The payloads are the delivered trains (a fault injector's
-        corrupted copy included): a sent train is not written again
-        before the round ends.  Pass ``k`` adds every PE's ``k``-th
-        arrival — the per-PE ``r += F`` sequence of the hardware.
+        Settling books each PE's Table-4 counters for the columns it
+        received and fills its receive windows with their last logged
+        payloads.  The payloads are the delivered trains (a fault
+        injector's corrupted copy included): a sent train is not
+        written again before the round ends.  Pass ``k`` of the fold
+        adds every PE's ``k``-th arrival — the per-PE ``r += F``
+        sequence of the hardware.
         """
         log = self.round_log
         if not log:
             return
         with span("wse.flux_round", halos=len(log)):
             columns, nz = self._columns, self.mesh.nz
+            # per column received: a window's FMOV, a partial flux
+            exchange, flux = self.exchange, nz if self.compute_fluxes else 0
+            for (_x, _y, pe), got in zip(exchange.pes, exchange.received):
+                if got:
+                    pe.dsd.book_receives(got * 2 * nz, got * flux)
             keys, payloads = zip(*log)
             keys = np.array(keys)
             rows = keys // _SLOTS
-            trains = np.concatenate(payloads).reshape(len(keys), 2, nz)
+            trains = np.concatenate(payloads).reshape(len(keys), 2 * nz)
+            # each PE's arrivals in delivery order, from a stable sort
+            order = np.argsort(rows, kind="stable")
+            by_pe = rows[order]
+            last = order[np.flatnonzero(np.append(by_pe[1:] != by_pe[:-1], True))]
+            if self.reuse_buffers:
+                # one window per PE, shared by the eight neighbours: it
+                # holds the PE's last arrival
+                windows = self._halos[XY_CONNECTIONS[0]][0]
+                windows[rows[last]] = trains[last]
+            else:
+                # one window per PE and neighbour, filled once a round
+                slots = keys - _SLOTS * rows
+                for windows, slot in self._halos.values():
+                    here = slots == slot
+                    windows[rows[here]] = trains[here]
+            if not self.compute_fluxes:
+                return
+            trains = trains.reshape(len(keys), 2, nz)
             p_k, rho_k = self._pressure[rows], self._density[rows]
             # X-Y neighbours share the elevation column: one object
             # twice takes the kernel's collapsed branch
@@ -400,9 +439,7 @@ class FluxProgram:
                 self._swept, scratch, p_k, trains[:, 0], z, z, rho_k,
                 trains[:, 1], self._xy_trans[keys], flux, **self._kernel,
             )
-            # each delivery's arrival rank on its PE, from a stable sort
-            order = np.argsort(rows, kind="stable")
-            by_pe = rows[order]
+            # each delivery's arrival rank on its PE
             rank = np.empty_like(order)
             rank[order] = np.arange(len(order)) - np.searchsorted(by_pe, by_pe)
             residual = columns["residual"]
@@ -411,7 +448,6 @@ class FluxProgram:
                 residual[rows[here]] += flux[here]
             # the scratch columns end as the per-PE kernel leaves them:
             # the last arrival's dp and F (its collapsed branch)
-            last = order[np.flatnonzero(np.append(by_pe[1:] != by_pe[:-1], True))]
             columns["scratch_dp"][rows[last]] = scratch.dp[last]
             columns["scratch_a"][rows[last]] = flux[last]
 

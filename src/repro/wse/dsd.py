@@ -24,6 +24,16 @@ Every operation processes ``n`` elements (the DSD length) and counts ``n``
 instruction-elements; the throughput is constant regardless of length
 ("no matter how long the input and output arrays are, the throughput of
 the instruction will be constant since there is no cache", Sec. 5.3.3).
+
+Where a receive task's counts are booked: the flux program's receive
+task (``FluxProgram._receive_neighbour``) adds only its cycles on
+arrival — the FMOV into the receive window and the partial flux, the
+bookings the event timeline reads.  Its Table-4 counters (FMOV, fabric
+loads, the flux column's FLOPs, loads and stores) are settled once per
+round by :meth:`DsdEngine.book_receives`, from the number of columns the
+PE received, in the key order the first task would have created.  The
+wave and matrix-free programs still call :meth:`DsdEngine.fmovs` per
+arrival.
 """
 
 from __future__ import annotations
@@ -157,6 +167,21 @@ class DsdEngine:
         )
         self.cycles += 14 * per_elem * n
 
+    def book_receives(self, moved: int, flux_elements: int) -> None:
+        """The Table-4 counters, not the cycles, of receive tasks that
+        moved *moved* elements out of the fabric and booked
+        *flux_elements* elements of flux columns: what as many
+        ``fmovs(..., from_fabric=True)`` and :meth:`account_flux_column`
+        calls count, keys created in the order the first task would.
+        The flux program's receive tasks add their cycles on arrival
+        and settle these once per round."""
+        cycles = self.cycles  # the tasks added theirs on arrival
+        if moved:
+            self.account_fabric_moves(moved)
+        if flux_elements:
+            self.account_flux_column(flux_elements)
+        self.cycles = cycles
+
     def account_fabric_moves(self, n: int) -> None:
         """Book what ``fmovs(dst, src, from_fabric=True)`` books for an
         *n*-element destination, without moving anything."""
@@ -228,17 +253,17 @@ class DsdEngine:
                 else self.cycles_per_element_scalar
             ) * n
         else:
-            # local register/memory move: store-only, no fabric traffic
-            traffic = OpTraffic(loads=1, stores=1)
-            self.counts["FMOV_LOCAL"] = self.counts.get("FMOV_LOCAL", 0) + n
-            self.loads += traffic.loads * n
-            self.stores += traffic.stores * n
-            per_elem = (
+            # local register/memory move: 1 load and 1 store per
+            # element, no fabric traffic
+            counts = self.counts
+            counts["FMOV_LOCAL"] = counts.get("FMOV_LOCAL", 0) + n
+            self.loads += n
+            self.stores += n
+            self.cycles += (
                 self.cycles_per_element_vector
                 if self.vectorized
                 else self.cycles_per_element_scalar
-            )
-            self.cycles += per_elem * n
+            ) * n
         return dst
 
     def select(self, dst: np.ndarray, mask: np.ndarray, a, b) -> np.ndarray:

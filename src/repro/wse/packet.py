@@ -15,13 +15,16 @@ injection and (on true multicast fan-out) per fork, and every link hop
 reads :attr:`num_words`.  The class is therefore ``__slots__``-based,
 ``num_words`` is computed once at construction, ``meta`` is allocated
 lazily, and :meth:`fork` copies validated state without re-validating.
+:func:`check_payload` is the validation; ``EventRuntime.send`` builds a
+message from a payload that passed it (or that its sender fixed at
+build) the way :meth:`fork` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Message", "KIND_DATA", "KIND_CONTROL", "WORD_BYTES"]
+__all__ = ["Message", "KIND_DATA", "KIND_CONTROL", "WORD_BYTES", "check_payload"]
 
 #: Bytes per fabric word: links transfer data in 32-bit packets (Sec. 4).
 WORD_BYTES = 4
@@ -31,6 +34,27 @@ KIND_DATA = "data"
 
 #: Router command wavelet (advances switch positions along its path).
 KIND_CONTROL = "control"
+
+
+def check_payload(payload, kind: str):
+    """The payload a message of *kind* carries, validated: a 1-D ndarray
+    for a data train (a scalar becomes one element), ``None`` for a
+    control wavelet.  ``ValueError`` on anything else."""
+    if kind == KIND_DATA:
+        if type(payload) is not np.ndarray:
+            if payload is None:
+                raise ValueError("data message requires a payload")
+            payload = np.asarray(payload)
+        if payload.ndim != 1:
+            if payload.ndim == 0:
+                return payload.reshape(1)
+            raise ValueError("payload must be one-dimensional")
+        return payload
+    if kind == KIND_CONTROL:
+        if payload is not None:
+            raise ValueError("control message must not carry a payload")
+        return None
+    raise ValueError(f"unknown message kind {kind!r}")
 
 
 class Message:
@@ -74,26 +98,11 @@ class Message:
         hops: int = 0,
         meta: dict | None = None,
     ) -> None:
-        if kind == KIND_DATA:
-            if type(payload) is not np.ndarray:
-                if payload is None:
-                    raise ValueError("data message requires a payload")
-                payload = np.asarray(payload)
-            if payload.ndim != 1:
-                if payload.ndim == 0:
-                    payload = payload.reshape(1)
-                else:
-                    raise ValueError("payload must be one-dimensional")
-            words_per_element = payload.itemsize // WORD_BYTES
-            if words_per_element < 1:
-                words_per_element = 1
-            self.num_words = payload.size * words_per_element
-        elif kind == KIND_CONTROL:
-            if payload is not None:
-                raise ValueError("control message must not carry a payload")
+        payload = check_payload(payload, kind)
+        if payload is None:
             self.num_words = 1
         else:
-            raise ValueError(f"unknown message kind {kind!r}")
+            self.num_words = payload.size * (payload.itemsize // WORD_BYTES or 1)
         self.color = color
         self.payload = payload
         self.kind = kind

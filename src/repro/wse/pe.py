@@ -50,8 +50,9 @@ class ProcessingElement:
     busy_until: float = 0.0
     row: int = -1
     #: Start time / cycle counter of the task currently executing on this
-    #: PE (set by the runtime before each task; read by
-    #: ``EventRuntime.pe_send_time``).
+    #: PE (set by the runtime before each task): a send the task issues
+    #: enters the fabric at ``exec_start + (dsd.cycles - cycles_at_start)``,
+    #: after the compute it has booked so far.
     exec_start: float | None = None
     cycles_at_start: float = 0.0
     messages_received: int = 0

@@ -25,12 +25,25 @@ and runs in the same pass).  Push order within a timestamp is the
 are *typed* tuples ``(kind, ...)``, dispatched without a closure per
 hop: arrivals carry ``(coord, in_port, message)`` inline; generic
 callbacks (per-application kick-off, not per hop) ride on ``_EV_CALL``.
+
+No runtime frame per hop or delivery.  The unbudgeted drain inlines
+the bodies of :meth:`~EventRuntime._arrive`, ``_transmit`` and
+``_deliver``; the frames left are the bound tasks'.  A traced or
+faulted runtime calls ``_arrive`` (and through it the other two) behind
+one local boolean, and so does the budget / watchdog loop: the methods
+are the per-event reference the tests pin the inlined bodies to.  A
+PE's send is one :meth:`~EventRuntime.send` frame: the column exchange
+hands it the PE and a checked block-row train, so it skips
+:meth:`inject`'s coordinate lookup and payload checks (``inject`` does
+both, then the same push).
+
 Fabric/router/perf lookups are cached on the runtime at construction, a
 message forwarded through a single-output route is passed on without a
 :meth:`~repro.wse.packet.Message.fork` (the copy is only needed on true
-multicast fan-out), and route queries hit the router's flattened current
-table directly.  :meth:`EventRuntime.reset` clears all per-run state so
-one runtime (and its link-busy map) can be reused across applications.
+multicast fan-out), and route queries hit the router's flattened
+current table directly.  :meth:`EventRuntime.reset` clears all per-run
+state so one runtime (and its link-busy map) is reused across
+applications and across a driver's ``run()`` calls.
 """
 
 from __future__ import annotations
@@ -42,7 +55,9 @@ from typing import Callable
 from repro.faults.errors import EventBudgetError, FabricStallError
 from repro.wse.fabric import Fabric
 from repro.wse.geometry import OFFSET, OPPOSITE, Port
-from repro.wse.packet import KIND_CONTROL, KIND_DATA, Message
+from repro.wse.packet import (
+    KIND_CONTROL, KIND_DATA, WORD_BYTES, Message, check_payload,
+)
 from repro.wse.perf import WSE2, WsePerfModel
 from repro.wse.router import PORT_SHIFT
 
@@ -228,8 +243,8 @@ class EventRuntime:
             raise ValueError("schedule delay is NaN")
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        # the calendar push, inlined here, in inject() and in _transmit():
-        # a bucket per new time, its time onto the heap
+        # the calendar push, inlined here, in send(), in _transmit() and
+        # in run()'s hop: a bucket per new time, its time onto the heap
         due, event = self.now + delay, (_EV_CALL, fn, args, None)
         bucket = self._calendar.get(due)
         if bucket is None:
@@ -304,12 +319,15 @@ class EventRuntime:
         bucket: list = []
         try:
             if max_events is None and watchdog_cycles is None:
-                # common path: no budget check, and the _arrive body is
-                # inlined to drop one Python call per fabric event
-                routers = self._routers
-                route_gets = self._route_gets
-                deliver = self._deliver
-                transmit = self._transmit
+                # common path: no budget check, and the bodies of
+                # _arrive, _transmit and _deliver inlined, so a hop or a
+                # delivery enters no Python frame of the runtime's.  A
+                # traced or faulted runtime (`hooked`) calls _arrive.
+                hooked = self._trace or self._fault_check
+                routers, route_gets = self._routers, self._route_gets
+                pes, dests, link_busy = self._pes, self._dests, self._link_busy
+                tasks, control_tasks = self._tasks, self._control_tasks
+                hop_latency, link_rate = self._hop_latency, self._link_rate
                 stats = self.stats
                 while times:
                     # the earliest time stays at the heap's root while
@@ -320,29 +338,67 @@ class EventRuntime:
                     first = processed
                     for event in bucket:
                         processed += 1
-                        if event[0] == _EV_ARRIVE:
-                            _, coord, in_port, msg = event
-                            outputs = route_gets[coord](
-                                (msg.color << PORT_SHIFT) | in_port
-                            )
-                            if outputs:
-                                if len(outputs) == 1:
-                                    out = outputs[0]
-                                    if out is Port.RAMP:
-                                        deliver(coord, msg)
-                                    else:
-                                        transmit(coord, out, msg)
-                                else:
-                                    for out in outputs:
-                                        if out is Port.RAMP:
-                                            deliver(coord, msg.fork())
-                                        else:
-                                            transmit(coord, out, msg.fork())
-                            if msg.kind == KIND_CONTROL:
-                                routers[coord].advance(msg.color)
-                                stats.control_advances += 1
-                        else:
+                        if event[0] != _EV_ARRIVE:
                             event[1](*event[2])
+                            continue
+                        _, coord, in_port, msg = event
+                        if hooked:
+                            arrive(coord, in_port, msg)
+                            continue
+                        outputs = route_gets[coord]((msg.color << PORT_SHIFT) | in_port)
+                        if outputs:
+                            # one output forwards the message itself
+                            # (one consumer), a fan-out forks per output
+                            fan_out = len(outputs) > 1
+                            for out in outputs:
+                                m = msg.fork() if fan_out else msg
+                                if out is Port.RAMP:  # _deliver
+                                    pe = pes[coord]
+                                    pe.messages_received += 1
+                                    pe.words_received += m.num_words
+                                    stats.messages_delivered += 1
+                                    if m.kind == KIND_CONTROL:
+                                        task = control_tasks.get(m.color)
+                                    else:
+                                        task = tasks.get(m.color)
+                                    if task is None:
+                                        continue
+                                    start = pe.busy_until
+                                    if start < time:
+                                        start = time
+                                    dsd = pe.dsd
+                                    before = dsd.cycles
+                                    pe.exec_start = start
+                                    pe.cycles_at_start = before
+                                    task(self, pe, m)
+                                    pe.busy_until = start + (dsd.cycles - before)
+                                else:  # _transmit
+                                    dest = dests[coord][out]
+                                    if dest is None:
+                                        stats.messages_dropped_offchip += 1
+                                        continue
+                                    key = (((coord[0] << 16) | coord[1]) << 3) | out
+                                    start = link_busy.get(key, 0.0)
+                                    if start < time:
+                                        start = time
+                                    words = m.num_words
+                                    finish = start + hop_latency + words / link_rate
+                                    link_busy[key] = finish
+                                    stats.fabric_word_hops += words
+                                    hops = m.hops = m.hops + 1
+                                    if hops > stats.max_hops_seen:
+                                        stats.max_hops_seen = hops
+                                    due = time + (finish - time)
+                                    arrival = (_EV_ARRIVE, dest, OPPOSITE[out], m)
+                                    later = calendar.get(due)
+                                    if later is None:
+                                        calendar[due] = [arrival]
+                                        heappush(times, due)
+                                    else:
+                                        later.append(arrival)
+                        if msg.kind == KIND_CONTROL:
+                            routers[coord].advance(msg.color)
+                            stats.control_advances += 1
                     heappop(times)
                     del calendar[time]
             else:
@@ -416,29 +472,50 @@ class EventRuntime:
 
         ``at`` overrides the entry time (defaults to ``now`` plus the
         injection overhead); tasks use this to model sends issued after
-        their compute finishes.
+        their compute finishes.  The coordinate and the payload are
+        checked here; :meth:`send` is the push both share.
         """
         pe = self._pes.get(coord)
         if pe is None:
             pe = self.fabric.pe(*coord)  # raises with coordinate context
-        entry = (at if at is not None else self.now) + self._injection_overhead
+        msg = self.send(
+            pe, color, check_payload(payload, kind),
+            self.now if at is None else at, kind,
+        )
+        if meta:
+            msg.meta.update(meta)
+        return msg
+
+    def send(
+        self, pe, color: int, payload, at: float, kind: str = KIND_DATA
+    ) -> Message:
+        """:meth:`inject` for a caller that holds the sending PE and a
+        checked payload (:func:`~repro.wse.packet.check_payload`): the
+        column exchange's block-row trains, whose shape the program
+        fixed at build.  No coordinate lookup, no payload validation."""
         # entry time arithmetic mirrors schedule(delay) exactly
         # (now + (entry - now)) so event timestamps — and therefore event
         # order and summation order — stay bit-identical
-        delay = entry - self.now
+        delay = at + self._injection_overhead - self.now
         if not delay >= 0.0:
             if delay != delay:
                 raise ValueError(f"cannot inject at {at!r}: the entry time is NaN")
             delay = 0.0
-        msg = Message(color=color, payload=payload, kind=kind, source=coord)
-        if meta:
-            msg.meta.update(meta)
+        # Message.__init__ without its checks (as Message.fork builds)
+        coord = pe.coord
+        msg = Message.__new__(Message)
+        msg.color, msg.payload, msg.kind = color, payload, kind
+        msg.source, msg.hops, msg.born, msg._meta = coord, 0, 0.0, None
+        words = msg.num_words = (
+            1 if payload is None
+            else payload.size * (payload.itemsize // WORD_BYTES or 1)
+        )
         if self._fault_check and coord in self._fault_dead:
             # a dead PE never gets to run its send
             self.faults.stats.injections_suppressed += 1
             return msg
         pe.messages_sent += 1
-        pe.words_sent += msg.num_words
+        pe.words_sent += words
         self.stats.messages_injected += 1
         due = msg.born = self.now + delay
         event = (_EV_ARRIVE, coord, Port.RAMP, msg)
@@ -572,14 +649,6 @@ class EventRuntime:
         pe.cycles_at_start = cycles_before
         task(self, pe, msg)
         pe.busy_until = start + (pe.dsd.cycles - cycles_before)
-
-    def pe_send_time(self, pe) -> float:
-        """Time at which a send issued by the currently-running task of
-        *pe* enters the fabric: after the compute executed so far."""
-        start = pe.exec_start
-        if start is None:  # no task context: sends enter immediately
-            return self.now
-        return start + (pe.dsd.cycles - pe.cycles_at_start)
 
     # ------------------------------------------------------------------ #
     def elapsed_seconds(self) -> float:

@@ -284,6 +284,45 @@ class TestOptimizationKnobs:
         assert sca.device_cycles > vec.device_cycles
 
 
+class TestRuntimeReuse:
+    """One driver builds its runtime on the first ``run()`` and resets
+    it per application: its second run reads what a fresh driver's
+    first run of the same fields reads."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"reuse_buffers": False, "overlap_compute": False},
+         {"compute_fluxes": False}],
+        ids=["overlap", "deferred", "comm-only"],
+    )
+    def test_second_run_equals_a_fresh_driver(self, fluid, options):
+        mesh = make_geomodel(6, 5, 4, kind="lognormal", seed=7)
+        batches = [
+            list(PressureSequence(mesh, num_applications=2, seed=seed))
+            for seed in (7, 8)
+        ]
+
+        def outcome(result):
+            return (
+                result.residual.tobytes(),
+                result.device_cycles,
+                result.compute_cycles,
+                result.stats,
+                list(result.instruction_counts.items()),
+            )
+
+        wse = WseFluxComputation(mesh, fluid, **options)
+        reused = [outcome(wse.run(batch)) for batch in batches]
+        runtime = wse.last_runtime
+        wse.run(batches[0])
+        assert wse.last_runtime is runtime
+        fresh = [
+            outcome(WseFluxComputation(mesh, fluid, **options).run(batch))
+            for batch in batches
+        ]
+        assert reused == fresh
+
+
 class TestValidation:
     def test_memory_overflow_reported(self, fluid):
         from repro.wse.memory import PEMemoryError

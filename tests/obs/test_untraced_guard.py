@@ -1,8 +1,9 @@
 """Guard: disabled observability must add zero work or allocations.
 
-The runtime's hot paths (_transmit/_deliver) carry a trace branch; when
-tracing is off that branch must be a single predictable bool test — no
-sink object, no record tuples, no aggregate updates.  The poison test
+The runtime's hop and delivery (_transmit/_deliver) carry a trace
+branch, and only a traced or faulted runtime calls them: an untraced
+drain runs their inlined bodies, which have none — no sink object, no
+record tuples, no aggregate updates.  The poison test
 proves the branch is never entered: any attribute access or call on the
 planted objects raises.  The same holds for phase spans: with no
 recorder installed, a fused construction + run must never build a span.

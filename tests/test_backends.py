@@ -264,15 +264,54 @@ class TestTable:
 
     def test_event_drain_queues_per_timestamp_not_per_event(self):
         """A drain budget with no clock in it: over one 24x24x8
-        application, C calls into `_heapq` and Python frames entered
-        (Python 3.11).  A `(time, seq)` heap entry per event made 32 456
-        heap calls (16 228 pushes, as many pops) and 78 915 frames; the
-        calendar queue pushes and pops each of the application's 15
-        distinct timestamps once (30 calls) and enters no frame of its
-        own.  A per-event heap coming back lands over 2 calls per
-        timestamp, a queue helper frame per push over 78 915 frames.
-        The timestamps are the clock values seen on entry to the
-        runtime's inject / transmit / deliver.  The collector is off
+        application, C calls into `_heapq` (Python 3.11).  A `(time,
+        seq)` heap entry per event made 32 456 heap calls (16 228
+        pushes, as many pops); the calendar queue pushes and pops each
+        of the application's 15 distinct timestamps once (30 calls).  A
+        per-event heap coming back lands over 2 calls per timestamp.
+        The timestamps are the ``due`` times the pushing frame (the
+        runtime's `schedule`, `send` or inlined hop) hands the heap."""
+        heap_calls = 0
+        times = set()
+
+        def count(frame, event, arg):
+            nonlocal heap_calls
+            if event == "c_call" and getattr(arg, "__module__", None) == "_heapq":
+                heap_calls += 1
+                if arg.__name__ == "heappush":
+                    times.add(frame.f_locals["due"])
+
+        drv = self._profile_event_application(count)
+        assert drv.last_runtime.stats.events_processed == 16_228
+        assert heap_calls <= 2 * len(times), (heap_calls, len(times))
+
+    def test_event_drain_enters_about_one_frame_per_event(self):
+        """The other drain budget with no clock in it: Python frames
+        entered over one warm 24x24x8 application, per event (Python
+        3.11).  A `_transmit` / `_deliver` frame per hop and delivery, a
+        checked `inject` and `Message` per send, and an FMOV and a flux
+        booking per received column read 78 915 (4.86).  With those
+        bodies inlined in the drain loop, unchecked exchange sends and
+        receive tasks that book only cycles it reads 38 476 (2.37): per
+        message one `send`, per received column the exchange's task and
+        `on_data`, per control wavelet the router's `advance`.  A
+        per-hop, per-delivery or per-send frame coming back lands over
+        2.6."""
+        frames = 0
+
+        def count(frame, event, arg):
+            nonlocal frames
+            frames += event == "call"
+
+        drv = self._profile_event_application(count)
+        events = drv.last_runtime.stats.events_processed
+        assert events == 16_228
+        assert frames <= 2.6 * events, f"{frames / events:.2f} frames per event"
+
+    @staticmethod
+    def _profile_event_application(count):
+        """One warm 24x24x8 event application under ``sys.setprofile(
+        count)``; returns the released driver.  The collector is off
         while counting: a gc callback (hypothesis installs one) would
         add frames that are not the runtime's."""
         import gc
@@ -282,18 +321,6 @@ class TestTable:
         drv = BACKENDS["event"].build(mesh, FLUID, dtype=np.float32)
         pressure = [random_pressure(mesh, seed=1).astype(np.float32)]
         drv.run(pressure)  # warm: lazy imports
-        frames = heap_calls = 0
-        times = set()
-
-        def count(frame, event, arg):
-            nonlocal frames, heap_calls
-            if event == "call":
-                frames += 1
-                if frame.f_code.co_name in ("inject", "_transmit", "_deliver"):
-                    times.add(frame.f_locals["self"].now)
-            elif event == "c_call":
-                heap_calls += getattr(arg, "__module__", None) == "_heapq"
-
         previous, collecting = sys.getprofile(), gc.isenabled()
         gc.disable()
         sys.setprofile(count)
@@ -304,9 +331,7 @@ class TestTable:
             if collecting:
                 gc.enable()
             release(drv)
-        assert drv.last_runtime.stats.events_processed == 16_228
-        assert heap_calls <= 2 * len(times), (heap_calls, len(times))
-        assert frames <= 78_915
+        return drv
 
     @staticmethod
     def _event_lowering(side):

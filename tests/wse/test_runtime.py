@@ -5,10 +5,10 @@ from itertools import count
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import EventBudgetError
+from repro.faults import EventBudgetError, FaultInjector, FaultPlan, LinkFault
 from repro.wse.fabric import Fabric
 from repro.wse.geometry import Port
 from repro.wse.packet import KIND_CONTROL, KIND_DATA, Message
@@ -437,8 +437,8 @@ class ReferenceRuntime(EventRuntime):
     :attr:`heap` (see :class:`_HeapPushes`) and :meth:`run` pops one
     event at a time."""
 
-    def __init__(self, fabric):
-        super().__init__(fabric, WsePerfModel())
+    def __init__(self, fabric, **options):
+        super().__init__(fabric, WsePerfModel(), **options)
         self.heap, self.snapshot = [], None
         self._calendar = _HeapPushes(self.heap)
 
@@ -548,26 +548,42 @@ def play(rt, program, log):
         rt.schedule(delay, node, (i,), spec)
 
 
+def pe_state(rt):
+    """What a runtime leaves on its PEs: traffic counters, busy time."""
+    return [
+        (pe.messages_received, pe.words_received, pe.messages_sent,
+         pe.words_sent, pe.busy_until)
+        for pe in rt.fabric.pes()
+    ]
+
+
 class TestCalendarOrder:
     """The calendar queue runs events in exactly the ``(time, seq)``
-    order of the per-event heap it replaced."""
+    order of the per-event heap it replaced, and the unbudgeted drain's
+    inlined hop and delivery do what ``_transmit`` / ``_deliver`` do:
+    the reference and a traced or faulted runtime take those methods."""
 
     @settings(max_examples=60, deadline=None)
     @given(first=PROGRAM, second=PROGRAM, budget=st.integers(0, 40))
     def test_matches_the_reference_heap(self, first, second, budget):
-        want, got = [], []
+        want, got, traced_log = [], [], []
         ref_fabric, fabric = order_fabric(want), order_fabric(got)
         ref, rt = ReferenceRuntime(ref_fabric), EventRuntime(fabric, WsePerfModel())
+        traced = EventRuntime(order_fabric(traced_log), WsePerfModel(), trace=True)
         for program in (first, second):
             play(ref, program, want)
             want_end = ref.run()
             play(rt, program, got)
             assert rt.run() == want_end
-            assert got == want
-            assert rt.idle and rt.stats == ref.stats
+            play(traced, program, traced_log)
+            assert traced.run() == want_end
+            assert got == want == traced_log
+            assert rt.idle and rt.stats == ref.stats == traced.stats
+            assert pe_state(rt) == pe_state(ref) == pe_state(traced)
             # reset() between applications, as the event driver does
             ref = ReferenceRuntime(ref_fabric)
             rt.reset()
+            traced.reset()
 
         # a budget stop leaves the unrun events queued in run order, and
         # the resumed run finishes in the unbudgeted order
@@ -585,3 +601,33 @@ class TestCalendarOrder:
             assert ref.snapshot is None
         assert got == want
         assert rt.now == ref.now
+
+    @settings(max_examples=30, deadline=None)
+    @given(program=PROGRAM)
+    @example(  # both faults fire: color 0 leaves (0, 0) east, (1, 1) south
+        program=[
+            (0.0, ("inject", (0, 0), 0, None, False)),
+            (0.0, ("inject", (1, 0), 0, None, False)),
+        ]
+    )
+    def test_a_faulted_runtime_matches_the_reference_heap(self, program):
+        """A dropped and a delayed link: the faulted runtime's unbudgeted
+        drain reaches ``_transmit``'s fault branch in heap order."""
+        plan = FaultPlan(
+            seed=5,
+            link_faults=(
+                LinkFault(0, 0, Port.EAST, mode="drop"),
+                LinkFault(1, 1, Port.SOUTH, mode="delay", delay_cycles=3.0),
+            ),
+        )
+        want, got = [], []
+        ref = ReferenceRuntime(order_fabric(want), faults=FaultInjector(plan))
+        rt = EventRuntime(
+            order_fabric(got), WsePerfModel(), faults=FaultInjector(plan)
+        )
+        play(ref, program, want)
+        play(rt, program, got)
+        assert rt.run() == ref.run()
+        assert got == want
+        assert rt.stats == ref.stats and pe_state(rt) == pe_state(ref)
+        assert rt.faults.stats == ref.faults.stats
