@@ -412,26 +412,35 @@ def _check_rank_grid(px: int, py: int, nx: int, ny: int) -> str | None:
     return None
 
 
+def _load(path: str, load, what: str, *errors):
+    """``load(path)``; None after printing ``error: <path>: <reason>``
+    when the file cannot be read, or ``load`` rejects it with one of
+    *errors* as not a *what* (the caller exits 2)."""
+    try:
+        return load(path)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except errors as exc:
+        reason = f"not a {what} ({type(exc).__name__}: {exc})"
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return None
+
+
 def _load_plan(path: str):
-    """The :class:`~repro.faults.plan.FaultPlan` in the JSON file *path*;
-    None after printing ``error: <path>: <reason>`` when the file cannot
-    be read or is not a plan (the caller exits 2)."""
+    """The :class:`~repro.faults.plan.FaultPlan` in the JSON file *path*,
+    or None (see :func:`_load`)."""
     import json
     from pathlib import Path
 
     from repro.faults import FaultPlan
 
-    try:
+    def load(path):
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise TypeError("expected a JSON object")
         return FaultPlan.from_dict(data)
-    except OSError as exc:
-        reason = exc.strerror
-    except (ValueError, KeyError, TypeError) as exc:
-        reason = f"not a fault plan ({type(exc).__name__}: {exc})"
-    print(f"error: {path}: {reason}", file=sys.stderr)
-    return None
+
+    return _load(path, load, "fault plan", ValueError, KeyError, TypeError)
 
 
 def _cmd_tables(out) -> int:
@@ -646,6 +655,12 @@ def _cmd_trace(args, out) -> int:
         if problem is not None:
             print(problem, file=sys.stderr)
             return 2
+    baseline = None
+    if args.profile_baseline:
+        # read before the traced run, so a bad path costs no run
+        baseline = _load(args.profile_baseline, load_rows, "profile", ValueError)
+        if baseline is None:
+            return 2
     mesh = make_geomodel(args.nx, args.ny, args.nz, kind=args.geomodel, seed=args.seed)
     fluid = FluidProperties()
     pressures = [
@@ -743,8 +758,8 @@ def _cmd_trace(args, out) -> int:
         print("", file=out)
         print("hottest functions (cumulative seconds):", file=out)
         print(render_rows(rows), file=out)
-        if args.profile_baseline:
-            delta = diff_rows(load_rows(args.profile_baseline), rows)
+        if baseline is not None:
+            delta = diff_rows(baseline, rows)
             print("", file=out)
             print(f"profile delta vs {args.profile_baseline}:", file=out)
             print(render_rows(delta), file=out)
@@ -1310,7 +1325,14 @@ def _cmd_conform(args, out) -> int:
     if not args.backend:
         print("error: replay requires --backend", file=sys.stderr)
         return 2
-    artifact = ReplayArtifact.load(args.artifact)
+    import zipfile
+
+    artifact = _load(
+        args.artifact, ReplayArtifact.load, "replay artifact",
+        zipfile.BadZipFile, KeyError, ValueError,
+    )
+    if artifact is None:
+        return 2
     result = replay(
         artifact,
         args.backend,

@@ -25,6 +25,9 @@ __all__ = [
     "render_rows",
 ]
 
+#: the fields of a :func:`profile_rows` row that :func:`diff_rows` reads
+_ROW_KEYS = frozenset({"function", "ncalls", "tottime", "cumtime"})
+
 
 def profile_call(fn: Callable[[], Any]) -> tuple[Any, pstats.Stats]:
     """Run ``fn()`` under cProfile; return its result and the stats."""
@@ -83,7 +86,14 @@ def save_rows(rows: list[dict], path) -> None:
 
 
 def load_rows(path) -> list[dict]:
-    return json.loads(Path(path).read_text())
+    """The rows :func:`save_rows` wrote to *path*; ValueError when the
+    file is not JSON or not a list of profile rows."""
+    rows = json.loads(Path(path).read_text())
+    if not isinstance(rows, list) or not all(
+        isinstance(row, dict) and _ROW_KEYS <= row.keys() for row in rows
+    ):
+        raise ValueError("expected a JSON list of profile rows")
+    return rows
 
 
 def render_rows(rows: list[dict], *, limit: int = 15) -> str:

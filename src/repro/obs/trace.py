@@ -1,9 +1,11 @@
 """Streaming trace aggregation: bounded ring + O(1)-per-event statistics.
 
-``EventRuntime(trace=True)`` used to append every delivery to an
-unbounded Python list, which dominated memory at benchmark-scale event
-counts (ROADMAP: "trace compression for large runs").  The
-:class:`TraceSink` replaces that list with
+A traced event run (``EventRuntime(trace_sink=...)``, the sink owned
+by the caller: the event driver's, so it aggregates a whole
+multi-application run) streams every delivery and hop into a
+:class:`TraceSink` instead of an unbounded list of deliveries, which
+dominated memory at benchmark-scale event counts (ROADMAP: "trace
+compression for large runs").  The sink keeps
 
 * a **bounded ring** of the most recent deliveries (``capacity``
   records; ``None`` keeps everything for tiny debugging fabrics) — the
@@ -17,7 +19,7 @@ counts (ROADMAP: "trace compression for large runs").  The
 The sink's two hot entry points — :meth:`delivery` and the inlined
 per-hop link accounting (the runtime updates the internal ``_links``
 map directly) — are written as a single dict lookup plus in-place list
-increments so ``trace=True`` stays cheap (the ``bench/`` ledger's
+increments so a traced run stays cheap (the ``bench/`` ledger's
 ``obs.trace_overhead_frac``); all public views are read-time projections.
 
 Link keys use the event runtime's packed encoding

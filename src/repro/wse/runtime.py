@@ -26,12 +26,15 @@ are *typed* tuples ``(kind, ...)``, dispatched without a closure per
 hop: arrivals carry ``(coord, in_port, message)`` inline; generic
 callbacks (per-application kick-off, not per hop) ride on ``_EV_CALL``.
 
-No runtime frame per hop or delivery.  The unbudgeted drain inlines
-the bodies of :meth:`~EventRuntime._arrive`, ``_transmit`` and
+No runtime frame per hop or delivery.  The one drain loop inlines the
+bodies of :meth:`~EventRuntime._arrive`, ``_transmit`` and
 ``_deliver``; the frames left are the bound tasks'.  A traced or
 faulted runtime calls ``_arrive`` (and through it the other two) behind
-one local boolean, and so does the budget / watchdog loop: the methods
-are the per-event reference the tests pin the inlined bodies to.  A
+one local boolean: the methods are the per-event reference the tests
+pin the inlined bodies to.  The event budget and the progress watchdog
+are checked once per timestamp, before ``now`` advances (a budget cuts
+the bucket with ``islice`` and stops at the next boundary), so an
+armed run walks the same loop at the same cost per event.  A
 PE's send is one :meth:`~EventRuntime.send` frame: the column exchange
 hands it the PE and a checked block-row train, so it skips
 :meth:`inject`'s coordinate lookup and payload checks (``inject`` does
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Callable
 
 from repro.faults.errors import EventBudgetError, FabricStallError
@@ -117,30 +121,24 @@ class EventRuntime:
         The PE/router grid to simulate.
     perf:
         Cost model converting words and instruction elements to cycles.
-    trace:
-        When True, deliveries and link hops stream into a bounded
-        :class:`~repro.obs.trace.TraceSink` (O(1) memory per event):
-        per-color histograms, latency distributions and the link-traffic
-        heatmap aggregate on the fly, and the last ``trace_capacity``
-        deliveries stay inspectable via :attr:`trace_log`.
-    trace_capacity:
-        Ring size of the internally-created sink (``None`` keeps every
-        delivery — debugging-scale fabrics only).
     trace_sink:
-        Use this sink instead of creating one (implies ``trace=True``).
-        Externally-owned sinks survive :meth:`reset`, so one sink can
-        aggregate a whole multi-application run.
+        A :class:`~repro.obs.trace.TraceSink` that deliveries and link
+        hops stream into (O(1) memory per event): per-color histograms,
+        latency distributions and the link-traffic heatmap aggregate on
+        the fly.  The caller owns it: it survives :meth:`reset`, so one
+        sink aggregates a whole multi-application run.  ``None`` (the
+        default) compiles the trace hooks down to one false boolean.
     faults:
         A :class:`~repro.faults.injector.FaultInjector` to consult on
         every injection, hop and delivery.  ``None`` (the default)
         compiles the fault hooks down to a single false boolean check —
         the same zero-cost-when-disabled pattern as the trace guard.
     watchdog_cycles:
-        Progress watchdog threshold: if the gap between an event's
-        timestamp and the last delivery exceeds this many cycles,
-        :meth:`run` raises :class:`~repro.faults.errors.FabricStallError`
-        with an obs-layer diagnostic report.  ``None`` disables the
-        watchdog (and keeps the tight event loop).
+        Progress watchdog threshold: if the gap between a timestamp and
+        the last delivery exceeds this many cycles, :meth:`run` raises
+        :class:`~repro.faults.errors.FabricStallError` with an obs-layer
+        diagnostic report before running that timestamp's events.
+        ``None`` disables the watchdog.
     """
 
     def __init__(
@@ -148,8 +146,6 @@ class EventRuntime:
         fabric: Fabric,
         perf: WsePerfModel = WSE2,
         *,
-        trace: bool = False,
-        trace_capacity: int | None = 1024,
         trace_sink=None,
         faults=None,
         watchdog_cycles: float | None = None,
@@ -158,18 +154,8 @@ class EventRuntime:
         self.perf = perf
         self.now: float = 0.0
         self.stats = RuntimeStats()
-        if trace_sink is not None:
-            self.trace_sink = trace_sink
-            self._owns_sink = False
-        elif trace:
-            from repro.obs.trace import TraceSink
-
-            self.trace_sink = TraceSink(capacity=trace_capacity)
-            self._owns_sink = True
-        else:
-            self.trace_sink = None
-            self._owns_sink = False
-        self._trace = self.trace_sink is not None
+        self.trace_sink = trace_sink
+        self._trace = trace_sink is not None
         if self._trace:
             from repro.obs.trace import LATENCY_BUCKETS
 
@@ -258,42 +244,22 @@ class EventRuntime:
         (a read-only copy: the stall report's view of the queue)."""
         return [(t, *e) for t in sorted(self._times) for e in self._calendar[t]]
 
-    @property
-    def trace_log(self) -> list:
-        """The retained delivery timeline as ``(time, coord, message)``
-        records (named-tuple :class:`~repro.obs.trace.DeliveryRecord`
-        entries; empty when tracing is off).
-
-        Backwards-compatible view of what used to be an unbounded list:
-        only the sink ring's last ``capacity`` deliveries are retained.
-        """
-        if self.trace_sink is None:
-            return []
-        return list(self.trace_sink.ring)
-
     def reset(self) -> None:
         """Discard all per-run state, keeping the fabric/perf configuration.
 
-        Clears the event queue, simulation clock, link occupancy, counters
-        and (internally-owned) trace sink so the runtime can be reused
-        for the next application without rebuilding (PE/router
-        configuration is owned by the fabric and survives untouched; an
-        externally-provided sink keeps aggregating across resets).
+        Clears the event queue, simulation clock, link occupancy and
+        counters so the runtime can be reused for the next application
+        without rebuilding (PE/router configuration is owned by the
+        fabric and survives untouched; the trace sink keeps aggregating
+        across resets).
         """
         self._calendar.clear()
         self._times.clear()
         self.now = 0.0
         self._link_busy.clear()
         self.stats = RuntimeStats()
-        if self._owns_sink:
-            self.trace_sink.clear()
 
-    def run(
-        self,
-        *,
-        max_events: int | None = None,
-        watchdog_cycles: float | None = None,
-    ) -> float:
+    def run(self, *, max_events: int | None = None) -> float:
         """Drain the event queue; return the final simulation time.
 
         Raises
@@ -304,144 +270,133 @@ class EventRuntime:
             :attr:`RuntimeStats.runs_truncated` — a budgeted run can no
             longer silently masquerade as a completed one.
         FabricStallError
-            When the watchdog (``watchdog_cycles`` here, or the
-            constructor default) sees the gap between the next event's
-            timestamp and the last delivery exceed the threshold.  The
-            error carries a diagnostic report of in-flight messages and
-            last-active links; the offending event and everything after
-            it stay queued, so :meth:`pending` lists them post-mortem.
+            When the watchdog (``watchdog_cycles`` at construction) sees
+            the gap between the next timestamp and the last delivery
+            exceed the threshold.  The error carries a diagnostic report
+            of in-flight messages and last-active links; the offending
+            timestamp's events stay queued, so :meth:`pending` lists them
+            post-mortem.
         """
-        if watchdog_cycles is None:
-            watchdog_cycles = self.watchdog_cycles
+        watchdog_cycles = self.watchdog_cycles
+        armed = max_events is not None or watchdog_cycles is not None
         calendar, times = self._calendar, self._times
+        # the bodies of _arrive, _transmit and _deliver are inlined, so a
+        # hop or a delivery enters no Python frame of the runtime's.  A
+        # traced or faulted runtime (`hooked`) calls _arrive.
         arrive = self._arrive
+        hooked = self._trace or self._fault_check
+        routers, route_gets = self._routers, self._route_gets
+        pes, dests, link_busy = self._pes, self._dests, self._link_busy
+        tasks, control_tasks = self._tasks, self._control_tasks
+        hop_latency, link_rate = self._hop_latency, self._link_rate
+        stats = self.stats
+        delivered, last_progress = stats.messages_delivered, self.now
         processed = first = 0
         bucket: list = []
         try:
-            if max_events is None and watchdog_cycles is None:
-                # common path: no budget check, and the bodies of
-                # _arrive, _transmit and _deliver inlined, so a hop or a
-                # delivery enters no Python frame of the runtime's.  A
-                # traced or faulted runtime (`hooked`) calls _arrive.
-                hooked = self._trace or self._fault_check
-                routers, route_gets = self._routers, self._route_gets
-                pes, dests, link_busy = self._pes, self._dests, self._link_busy
-                tasks, control_tasks = self._tasks, self._control_tasks
-                hop_latency, link_rate = self._hop_latency, self._link_rate
-                stats = self.stats
-                while times:
-                    # the earliest time stays at the heap's root while
-                    # its bucket drains: later pushes are due later
-                    time = times[0]
-                    self.now = time
-                    bucket = calendar[time]
-                    first = processed
-                    for event in bucket:
-                        processed += 1
-                        if event[0] != _EV_ARRIVE:
-                            event[1](*event[2])
-                            continue
-                        _, coord, in_port, msg = event
-                        if hooked:
-                            arrive(coord, in_port, msg)
-                            continue
-                        outputs = route_gets[coord]((msg.color << PORT_SHIFT) | in_port)
-                        if outputs:
-                            # one output forwards the message itself
-                            # (one consumer), a fan-out forks per output
-                            fan_out = len(outputs) > 1
-                            for out in outputs:
-                                m = msg.fork() if fan_out else msg
-                                if out is Port.RAMP:  # _deliver
-                                    pe = pes[coord]
-                                    pe.messages_received += 1
-                                    pe.words_received += m.num_words
-                                    stats.messages_delivered += 1
-                                    if m.kind == KIND_CONTROL:
-                                        task = control_tasks.get(m.color)
-                                    else:
-                                        task = tasks.get(m.color)
-                                    if task is None:
-                                        continue
-                                    start = pe.busy_until
-                                    if start < time:
-                                        start = time
-                                    dsd = pe.dsd
-                                    before = dsd.cycles
-                                    pe.exec_start = start
-                                    pe.cycles_at_start = before
-                                    task(self, pe, m)
-                                    pe.busy_until = start + (dsd.cycles - before)
-                                else:  # _transmit
-                                    dest = dests[coord][out]
-                                    if dest is None:
-                                        stats.messages_dropped_offchip += 1
-                                        continue
-                                    key = (((coord[0] << 16) | coord[1]) << 3) | out
-                                    start = link_busy.get(key, 0.0)
-                                    if start < time:
-                                        start = time
-                                    words = m.num_words
-                                    finish = start + hop_latency + words / link_rate
-                                    link_busy[key] = finish
-                                    stats.fabric_word_hops += words
-                                    hops = m.hops = m.hops + 1
-                                    if hops > stats.max_hops_seen:
-                                        stats.max_hops_seen = hops
-                                    due = time + (finish - time)
-                                    arrival = (_EV_ARRIVE, dest, OPPOSITE[out], m)
-                                    later = calendar.get(due)
-                                    if later is None:
-                                        calendar[due] = [arrival]
-                                        heappush(times, due)
-                                    else:
-                                        later.append(arrival)
-                        if msg.kind == KIND_CONTROL:
-                            routers[coord].advance(msg.color)
-                            stats.control_advances += 1
-                    heappop(times)
-                    del calendar[time]
-            else:
-                stats = self.stats
-                delivered = stats.messages_delivered
-                last_progress = self.now
-                while times:
-                    time = times[0]
-                    bucket = calendar[time]
-                    first = processed
-                    for event in bucket:
-                        if max_events is not None and processed >= max_events:
+            while times:
+                # the earliest time stays at the heap's root while its
+                # bucket drains: later pushes are due later
+                time = times[0]
+                bucket = events = calendar[time]
+                first = processed
+                if armed:
+                    # both guards stop before the timestamp's first event,
+                    # with `now` still the previous one's: a budget spent
+                    # inside a bucket comes back here with the rest queued
+                    if max_events is not None:
+                        if processed >= max_events and bucket:
                             stats.runs_truncated += 1
-                            ran = processed - first  # dropped on the way out
                             raise EventBudgetError(
                                 processed=processed,
-                                pending=sum(map(len, calendar.values())) - ran,
+                                pending=sum(map(len, calendar.values())),
                                 now=self.now,
                             )
-                        if watchdog_cycles is not None:
-                            if stats.messages_delivered != delivered:
-                                delivered = stats.messages_delivered
-                                last_progress = self.now
-                            # idle only falls within a bucket, so this
-                            # trips at its first event: nothing ran yet
-                            idle = time - last_progress
-                            if idle > watchdog_cycles:
-                                from repro.obs.report import stall_report
+                        events = islice(bucket, max_events - processed)
+                    if watchdog_cycles is not None:
+                        if stats.messages_delivered != delivered:
+                            delivered = stats.messages_delivered
+                            last_progress = self.now
+                        idle = time - last_progress
+                        if idle > watchdog_cycles:
+                            from repro.obs.report import stall_report
 
-                                raise FabricStallError(
-                                    now=self.now,
-                                    idle_cycles=idle,
-                                    watchdog_cycles=watchdog_cycles,
-                                    report=stall_report(self),
-                                )
-                        self.now = time
-                        processed += 1
-                        if event[0] == _EV_ARRIVE:
-                            arrive(event[1], event[2], event[3])
-                        else:
-                            event[1](*event[2])
-                    heappop(times)
-                    del calendar[time]
+                            raise FabricStallError(
+                                now=self.now,
+                                idle_cycles=idle,
+                                watchdog_cycles=watchdog_cycles,
+                                report=stall_report(self),
+                            )
+                self.now = time
+                for event in events:
+                    processed += 1
+                    if event[0] != _EV_ARRIVE:
+                        event[1](*event[2])
+                        continue
+                    _, coord, in_port, msg = event
+                    if hooked:
+                        arrive(coord, in_port, msg)
+                        continue
+                    outputs = route_gets[coord]((msg.color << PORT_SHIFT) | in_port)
+                    if outputs:
+                        # one output forwards the message itself (one
+                        # consumer), a fan-out forks per output
+                        fan_out = len(outputs) > 1
+                        for out in outputs:
+                            m = msg.fork() if fan_out else msg
+                            if out is Port.RAMP:  # _deliver
+                                pe = pes[coord]
+                                pe.messages_received += 1
+                                pe.words_received += m.num_words
+                                stats.messages_delivered += 1
+                                if m.kind == KIND_CONTROL:
+                                    task = control_tasks.get(m.color)
+                                else:
+                                    task = tasks.get(m.color)
+                                if task is None:
+                                    continue
+                                start = pe.busy_until
+                                if start < time:
+                                    start = time
+                                dsd = pe.dsd
+                                before = dsd.cycles
+                                pe.exec_start = start
+                                pe.cycles_at_start = before
+                                task(self, pe, m)
+                                pe.busy_until = start + (dsd.cycles - before)
+                            else:  # _transmit
+                                dest = dests[coord][out]
+                                if dest is None:
+                                    stats.messages_dropped_offchip += 1
+                                    continue
+                                key = (((coord[0] << 16) | coord[1]) << 3) | out
+                                start = link_busy.get(key, 0.0)
+                                if start < time:
+                                    start = time
+                                words = m.num_words
+                                finish = start + hop_latency + words / link_rate
+                                link_busy[key] = finish
+                                stats.fabric_word_hops += words
+                                hops = m.hops = m.hops + 1
+                                if hops > stats.max_hops_seen:
+                                    stats.max_hops_seen = hops
+                                due = time + (finish - time)
+                                arrival = (_EV_ARRIVE, dest, OPPOSITE[out], m)
+                                later = calendar.get(due)
+                                if later is None:
+                                    calendar[due] = [arrival]
+                                    heappush(times, due)
+                                else:
+                                    later.append(arrival)
+                    if msg.kind == KIND_CONTROL:
+                        routers[coord].advance(msg.color)
+                        stats.control_advances += 1
+                if processed - first < len(bucket):
+                    # the budget cut this bucket short: drop what ran
+                    del bucket[: processed - first]
+                    continue
+                heappop(times)
+                del calendar[time]
         except BaseException:
             # drop the events that ran: the queue keeps only unrun ones
             del bucket[: processed - first]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import zipfile
 
 import pytest
 
@@ -88,6 +89,27 @@ class TestConformCommand:
     def test_no_mode_is_usage_error(self):
         code, _ = run_cli(["conform"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            (b"not a zip", "not a replay artifact (BadZipFile"),
+            ("zip", "not a replay artifact (KeyError"),  # no meta.json
+        ],
+    )
+    def test_unreadable_artifact_is_a_usage_error(
+        self, content, reason, tmp_path, capsys
+    ):
+        path = tmp_path / "run.rpz"
+        if content == "zip":
+            with zipfile.ZipFile(path, "w") as zf:
+                zf.writestr("snapshots/step0.npy", b"")
+        elif content is not None:
+            path.write_bytes(content)
+        code, text = run_cli(["conform", str(path), "--backend", "event"])
+        assert code == 2 and text == ""
+        assert f"error: {path}: {reason}" in capsys.readouterr().err
 
 
 class TestTraceParBackend:

@@ -148,10 +148,10 @@ class TestEventBudget:
 class TestWatchdog:
     def test_misrouted_color_trips_watchdog(self):
         fabric = ping_pong_fabric()
-        rt = EventRuntime(fabric, WsePerfModel())
+        rt = EventRuntime(fabric, WsePerfModel(), watchdog_cycles=500.0)
         rt.inject((0, 0), COLOR, np.ones(1, dtype=np.float32))
         with pytest.raises(FabricStallError, match="stalled") as info:
-            rt.run(watchdog_cycles=500.0)
+            rt.run()
         err = info.value
         assert err.idle_cycles > err.watchdog_cycles == 500.0
         assert err.report["pending_events"] >= 1
@@ -163,11 +163,11 @@ class TestWatchdog:
         them by due time, and leads with the event the watchdog stopped
         at (nothing was ever delivered, so it is due at ``idle_cycles``)."""
         fabric = ping_pong_fabric()
-        rt = EventRuntime(fabric, WsePerfModel())
+        rt = EventRuntime(fabric, WsePerfModel(), watchdog_cycles=500.0)
         for at in (0.0, 5.0, 10.0):
             rt.inject((0, 0), COLOR, np.ones(1, dtype=np.float32), at=at)
         with pytest.raises(FabricStallError) as info:
-            rt.run(watchdog_cycles=500.0)
+            rt.run()
         err = info.value
         report = err.report
         assert report["pending_events"] == len(rt.pending()) == 3
@@ -175,7 +175,9 @@ class TestWatchdog:
         assert dues == sorted(dues) == [p[0] for p in rt.pending()]
         assert dues[0] == err.idle_cycles
         assert [item["event"] for item in report["in_flight"]] == ["arrival"] * 3
-        # the stopped event is still queued: resuming runs it first
+        # the stopped event is still queued: resuming (watchdog off) runs
+        # it first
+        rt.watchdog_cycles = None
         before = rt.stats.events_processed
         with pytest.raises(EventBudgetError):
             rt.run(max_events=1)

@@ -136,3 +136,24 @@ class TestProfileFlag:
         )
         assert code == 0
         assert "delta" in text  # diff columns rendered
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            ("{not json", "not a profile (JSONDecodeError"),
+            ('{"function": "f"}', "not a profile (ValueError"),
+        ],
+    )
+    def test_unreadable_baseline_is_a_usage_error_before_the_run(
+        self, content, reason, tmp_path, capsys
+    ):
+        path = tmp_path / "profile.json"
+        if content is not None:
+            path.write_text(content)
+        code, text = run_cli(
+            ["trace", "--nx", "3", "--ny", "3", "--nz", "3", "--profile",
+             "--profile-baseline", str(path)]
+        )
+        assert code == 2 and text == ""  # nothing ran, nothing printed
+        assert f"error: {path}: {reason}" in capsys.readouterr().err

@@ -77,7 +77,7 @@ class TestRing:
         assert rec.coord == (1, 2)
         assert rec.message is msg
         assert rec.color == 3 and rec.hops == 2
-        # positional unpacking (the old trace_log contract) still works
+        # a record unpacks positionally as (time, coord, message)
         t, coord, m = rec
         assert (t, coord, m) == (5.0, (1, 2), msg)
 

@@ -33,7 +33,7 @@ class _Poison:
 
 def make_untraced_runtime():
     fabric = Fabric(3, 3)
-    rt = EventRuntime(fabric, WsePerfModel())  # trace defaults to False
+    rt = EventRuntime(fabric, WsePerfModel())  # no trace_sink: untraced
     fabric.configure_color(
         COLOR,
         lambda c: [
@@ -52,7 +52,6 @@ class TestUntracedDefaults:
         _, rt = make_untraced_runtime()
         assert rt.trace_sink is None
         assert rt._trace is False
-        assert rt.trace_log == []
         # the cached hot-path bindings only exist on traced runtimes
         assert not hasattr(rt, "_sink_agg")
         assert not hasattr(rt, "_sink_links")
@@ -90,19 +89,6 @@ class TestUntracedDefaults:
         # a caller-owned sink survives reset (the runtime doesn't own it)
         rt.reset()
         assert sink.deliveries == 1
-
-    def test_owned_sink_cleared_on_reset(self):
-        fabric = Fabric(2, 1)
-        rt = EventRuntime(fabric, WsePerfModel(), trace=True)
-        fabric.configure_color(
-            COLOR, lambda c: [{Port.RAMP: (Port.EAST,), Port.WEST: (Port.RAMP,)}]
-        )
-        rt.inject((0, 0), COLOR, np.zeros(1, dtype=np.float32))
-        rt.run()
-        assert rt.trace_sink.deliveries == 1
-        rt.reset()
-        assert rt.trace_sink.deliveries == 0
-        assert rt.trace_log == []
 
 
 class TestUnrecordedSpans:

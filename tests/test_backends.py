@@ -281,7 +281,7 @@ class TestTable:
                 if arg.__name__ == "heappush":
                     times.add(frame.f_locals["due"])
 
-        drv = self._profile_event_application(count)
+        drv, _ = self._profile_event_application(count)
         assert drv.last_runtime.stats.events_processed == 16_228
         assert heap_calls <= 2 * len(times), (heap_calls, len(times))
 
@@ -296,42 +296,54 @@ class TestTable:
         message one `send`, per received column the exchange's task and
         `on_data`, per control wavelet the router's `advance`.  A
         per-hop, per-delivery or per-send frame coming back lands over
-        2.6."""
-        frames = 0
+        2.6.  A watchdog-armed application (every `repro chaos` and
+        `repro supervise --inject` driver) walks the same loop, checked
+        once per timestamp, to the same bytes: a per-event loop of
+        `_arrive` frames for armed runs read 4.30."""
+        counts = {}
+        residuals = {}
+        for watchdog in (None, 20_000.0):
+            frames = 0
 
-        def count(frame, event, arg):
-            nonlocal frames
-            frames += event == "call"
+            def count(frame, event, arg):
+                nonlocal frames
+                frames += event == "call"
 
-        drv = self._profile_event_application(count)
-        events = drv.last_runtime.stats.events_processed
-        assert events == 16_228
-        assert frames <= 2.6 * events, f"{frames / events:.2f} frames per event"
+            drv, result = self._profile_event_application(
+                count, watchdog_cycles=watchdog
+            )
+            events = drv.last_runtime.stats.events_processed
+            assert events == 16_228
+            counts[watchdog] = frames / events
+            residuals[watchdog] = result.residual.tobytes()
+        assert max(counts.values()) <= 2.6, counts
+        assert residuals[20_000.0] == residuals[None]
 
     @staticmethod
-    def _profile_event_application(count):
+    def _profile_event_application(count, **options):
         """One warm 24x24x8 event application under ``sys.setprofile(
-        count)``; returns the released driver.  The collector is off
-        while counting: a gc callback (hypothesis installs one) would
-        add frames that are not the runtime's."""
+        count)``; returns the released driver and the profiled run's
+        result.  *options* go to the event backend's ``build``.  The
+        collector is off while counting: a gc callback (hypothesis
+        installs one) would add frames that are not the runtime's."""
         import gc
         import sys
 
         mesh = make_geomodel(24, 24, 8, kind="lognormal", seed=7)
-        drv = BACKENDS["event"].build(mesh, FLUID, dtype=np.float32)
+        drv = BACKENDS["event"].build(mesh, FLUID, dtype=np.float32, **options)
         pressure = [random_pressure(mesh, seed=1).astype(np.float32)]
         drv.run(pressure)  # warm: lazy imports
         previous, collecting = sys.getprofile(), gc.isenabled()
         gc.disable()
         sys.setprofile(count)
         try:
-            drv.run(pressure)
+            result = drv.run(pressure)
         finally:
             sys.setprofile(previous)
             if collecting:
                 gc.enable()
             release(drv)
-        return drv
+        return drv, result
 
     @staticmethod
     def _event_lowering(side):

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event runtime: routing, timing, control."""
 
 import heapq
+import inspect
 from itertools import count
 
 import numpy as np
@@ -8,7 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import EventBudgetError, FaultInjector, FaultPlan, LinkFault
+from repro.faults import (
+    EventBudgetError, FabricStallError, FaultInjector, FaultPlan, LinkFault,
+)
+from repro.obs.report import stall_report
+from repro.obs.trace import TraceSink
 from repro.wse.fabric import Fabric
 from repro.wse.geometry import Port
 from repro.wse.packet import KIND_CONTROL, KIND_DATA, Message
@@ -21,7 +26,7 @@ COLOR = 0
 def make_runtime(width=3, height=3, **perf_kwargs):
     fabric = Fabric(width, height)
     perf = WsePerfModel(**perf_kwargs) if perf_kwargs else WsePerfModel()
-    return fabric, EventRuntime(fabric, perf, trace=True)
+    return fabric, EventRuntime(fabric, perf, trace_sink=TraceSink())
 
 
 class TestPointToPoint:
@@ -264,6 +269,21 @@ class TestRunSafety:
         with pytest.raises(RuntimeError, match="budget"):
             rt.run(max_events=50)
 
+    def test_each_guard_arms_one_way(self):
+        """A trace sink, a fault injector and the watchdog arm at
+        construction; a run takes only its event budget."""
+        keyword = inspect.Parameter.KEYWORD_ONLY
+        params = inspect.signature(EventRuntime).parameters
+        assert list(params) == [
+            "fabric", "perf", "trace_sink", "faults", "watchdog_cycles"
+        ]
+        assert [p.name for p in params.values() if p.kind is keyword] == [
+            "trace_sink", "faults", "watchdog_cycles"
+        ]
+        assert all(params[p].default is None for p in list(params)[2:])
+        (budget,) = list(inspect.signature(EventRuntime.run).parameters.values())[1:]
+        assert (budget.name, budget.kind, budget.default) == ("max_events", keyword, None)
+
     def test_raising_task_leaves_the_rest_queued(self):
         """A task that raises is dropped with the events before it, as a
         heap pop dropped it; the rest of its timestamp runs next time."""
@@ -300,8 +320,8 @@ class TestRunSafety:
         fabric.bind_all(COLOR, lambda r, pe, m: None)
         rt.inject((0, 0), COLOR, np.zeros(1, dtype=np.float32))
         rt.run()
-        assert len(rt.trace_log) == 1
-        _, coord, msg = rt.trace_log[0]
+        assert len(rt.trace_sink.ring) == 1
+        _, coord, msg = rt.trace_sink.ring[0]
         assert coord == (1, 0)
         assert isinstance(msg, Message)
 
@@ -320,7 +340,6 @@ class TestResetAndReuse:
         assert rt.now == 0.0
         assert rt.idle
         assert rt.stats.events_processed == 0
-        assert rt.trace_log == []
 
     def test_reuse_reproduces_timing_exactly(self):
         """A reset runtime replays the same injection with the same
@@ -435,25 +454,48 @@ class TestRuntimeStatsMerge:
 class ReferenceRuntime(EventRuntime):
     """The runtime on a per-event ``(time, seq)`` heap: pushes land in
     :attr:`heap` (see :class:`_HeapPushes`) and :meth:`run` pops one
-    event at a time."""
+    event at a time, checking the event budget and the progress watchdog
+    before each one."""
 
     def __init__(self, fabric, **options):
         super().__init__(fabric, WsePerfModel(), **options)
-        self.heap, self.snapshot = [], None
+        self.heap = []
         self._calendar = _HeapPushes(self.heap)
 
-    def run(self, *, snapshot_at=None):
+    def pending(self):
+        return [(t, *event) for t, _, event in sorted(self.heap)]
+
+    def run(self, *, max_events=None):
+        watchdog, stats = self.watchdog_cycles, self.stats
+        delivered, last_progress = stats.messages_delivered, self.now
         processed = 0
-        while self.heap:
-            if processed == snapshot_at:
-                self.snapshot = [(t, *event) for t, _, event in sorted(self.heap)]
-            self.now, _, event = heapq.heappop(self.heap)
-            processed += 1
-            if event[0] == _EV_ARRIVE:
-                self._arrive(*event[1:])
-            else:
-                event[1](*event[2])
-        self.stats.events_processed += processed
+        try:
+            while self.heap:
+                if max_events is not None and processed >= max_events:
+                    stats.runs_truncated += 1
+                    raise EventBudgetError(
+                        processed=processed, pending=len(self.heap), now=self.now
+                    )
+                if watchdog is not None:
+                    if stats.messages_delivered != delivered:
+                        delivered = stats.messages_delivered
+                        last_progress = self.now
+                    idle = self.heap[0][0] - last_progress
+                    if idle > watchdog:
+                        raise FabricStallError(
+                            now=self.now,
+                            idle_cycles=idle,
+                            watchdog_cycles=watchdog,
+                            report=stall_report(self),
+                        )
+                self.now, _, event = heapq.heappop(self.heap)
+                processed += 1
+                if event[0] == _EV_ARRIVE:
+                    self._arrive(*event[1:])
+                else:
+                    event[1](*event[2])
+        finally:
+            stats.events_processed += processed
         return self.now
 
 
@@ -548,6 +590,29 @@ def play(rt, program, log):
         rt.schedule(delay, node, (i,), spec)
 
 
+def queue(rt):
+    """What :meth:`~EventRuntime.pending` lists, comparable across
+    runtimes: arrivals by their message's fields, calls by name."""
+    out = []
+    for due, kind, *event in rt.pending():
+        if kind == _EV_ARRIVE:
+            coord, in_port, msg = event
+            event = (coord, in_port, msg.color, msg.kind, msg.hops, msg.meta)
+        else:
+            event = (event[0].__name__, event[1])
+        out.append((due, kind, *event))
+    return out
+
+
+def stop(rt, max_events):
+    """``rt.run(max_events=...)``: the guard error it raises, or None."""
+    try:
+        rt.run(max_events=max_events)
+    except (EventBudgetError, FabricStallError) as err:
+        return err
+    return None
+
+
 def pe_state(rt):
     """What a runtime leaves on its PEs: traffic counters, busy time."""
     return [
@@ -559,17 +624,20 @@ def pe_state(rt):
 
 class TestCalendarOrder:
     """The calendar queue runs events in exactly the ``(time, seq)``
-    order of the per-event heap it replaced, and the unbudgeted drain's
-    inlined hop and delivery do what ``_transmit`` / ``_deliver`` do:
-    the reference and a traced or faulted runtime take those methods."""
+    order of the per-event heap it replaced, the drain's inlined hop and
+    delivery do what ``_transmit`` / ``_deliver`` do (the reference and
+    a traced or faulted runtime take those methods), and its per-
+    timestamp budget and watchdog stop where a per-event check did."""
 
     @settings(max_examples=60, deadline=None)
-    @given(first=PROGRAM, second=PROGRAM, budget=st.integers(0, 40))
-    def test_matches_the_reference_heap(self, first, second, budget):
+    @given(first=PROGRAM, second=PROGRAM)
+    def test_matches_the_reference_heap(self, first, second):
         want, got, traced_log = [], [], []
         ref_fabric, fabric = order_fabric(want), order_fabric(got)
         ref, rt = ReferenceRuntime(ref_fabric), EventRuntime(fabric, WsePerfModel())
-        traced = EventRuntime(order_fabric(traced_log), WsePerfModel(), trace=True)
+        traced = EventRuntime(
+            order_fabric(traced_log), WsePerfModel(), trace_sink=TraceSink()
+        )
         for program in (first, second):
             play(ref, program, want)
             want_end = ref.run()
@@ -585,22 +653,40 @@ class TestCalendarOrder:
             rt.reset()
             traced.reset()
 
-        # a budget stop leaves the unrun events queued in run order, and
-        # the resumed run finishes in the unbudgeted order
-        play(ref, first, want)
-        ref.run(snapshot_at=budget)
-        play(rt, first, got)
-        try:
-            rt.run(max_events=budget)
-        except EventBudgetError as err:
-            pending = [(p[0], p[1]) for p in rt.pending()]
-            assert pending == [(p[0], p[1]) for p in ref.snapshot]
-            assert err.pending == len(ref.snapshot)
-            rt.run()
-        else:
-            assert ref.snapshot is None
-        assert got == want
-        assert rt.now == ref.now
+    @settings(max_examples=80, deadline=None)
+    @given(
+        program=PROGRAM,
+        watchdog=st.sampled_from([None, 0.0, 1.0, 3.0, 6.5]),
+        budget=st.none() | st.integers(0, 12),
+    )
+    def test_stops_match_the_per_event_reference(self, program, watchdog, budget):
+        """The drain checks the budget and the watchdog once per
+        timestamp; the reference checks both before every event.  Each
+        stop raises the same error with the same fields and leaves the
+        same queue and counters, and resumed runs finish the same log."""
+        want, got = [], []
+        ref = ReferenceRuntime(order_fabric(want), watchdog_cycles=watchdog)
+        rt = EventRuntime(order_fabric(got), WsePerfModel(), watchdog_cycles=watchdog)
+        play(ref, program, want)
+        play(rt, program, got)
+        while True:
+            want_stop, got_stop = stop(ref, budget), stop(rt, budget)
+            assert type(got_stop) is type(want_stop)
+            if want_stop is None:
+                break
+            assert got_stop.args == want_stop.args
+            assert vars(got_stop) == vars(want_stop)
+            assert queue(rt) == queue(ref)
+            assert rt.now == ref.now and rt.stats == ref.stats
+            assert got == want and pe_state(rt) == pe_state(ref)
+            # resume: the watchdog would stop at the same event again, an
+            # empty budget would never let one run
+            if isinstance(want_stop, FabricStallError):
+                ref.watchdog_cycles = rt.watchdog_cycles = None
+            elif budget == 0:
+                budget = None
+        assert rt.idle and rt.now == ref.now and rt.stats == ref.stats
+        assert got == want and pe_state(rt) == pe_state(ref)
 
     @settings(max_examples=30, deadline=None)
     @given(program=PROGRAM)
