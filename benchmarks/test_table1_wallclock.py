@@ -18,8 +18,8 @@ import pytest
 
 from repro.core import FluidProperties, PressureSequence, Transmissibility
 from repro.core.constants import PAPER_ITERATIONS, PAPER_MESH
-from repro.dataflow import LockstepWseSimulation
 from repro.gpu import GpuFluxComputation
+from repro.ir import derive_ir, lower_to_lockstep
 from repro.perf import (
     A100_CUDA_TIME_MODEL,
     A100_RAJA_TIME_MODEL,
@@ -87,5 +87,5 @@ def test_gpu_kernel_functional(benchmark, workload, variant):
 def test_dataflow_lockstep_functional(benchmark, workload):
     """Time one functional application of the dataflow (lockstep) kernel."""
     mesh, trans, pressure = workload
-    sim = LockstepWseSimulation(mesh, FLUID, trans, dtype=np.float32)
+    sim = lower_to_lockstep(derive_ir(mesh, dtype=np.float32), mesh, FLUID, trans)
     benchmark(lambda: sim.run_application(pressure))

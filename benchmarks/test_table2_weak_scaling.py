@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import FluidProperties, Transmissibility, random_pressure
 from repro.core.constants import PAPER_WEAK_SCALING_MESHES
-from repro.dataflow import LockstepWseSimulation
+from repro.ir import derive_ir, lower_to_lockstep
 from repro.perf import (
     PAPER_TABLE2_A100_SECONDS,
     PAPER_TABLE2_CS2_SECONDS,
@@ -89,7 +89,7 @@ def test_lockstep_weak_scaling_functional(benchmark, dims):
     """Functional sweep: per-cell dataflow work is constant across sizes."""
     mesh = make_geomodel(*dims, kind="uniform")
     trans = Transmissibility(mesh, dtype=np.float32)
-    sim = LockstepWseSimulation(mesh, FLUID, trans, dtype=np.float32)
+    sim = lower_to_lockstep(derive_ir(mesh, dtype=np.float32), mesh, FLUID, trans)
     pressure = random_pressure(mesh, seed=1, dtype=np.float32)
     benchmark(lambda: sim.run_application(pressure))
     # modelled per-PE cycles are independent of the X-Y extent

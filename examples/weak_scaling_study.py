@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import FluidProperties, Transmissibility, random_pressure
 from repro.core.constants import PAPER_WEAK_SCALING_MESHES
-from repro.dataflow import LockstepWseSimulation
+from repro.ir import derive_ir, lower_to_lockstep
 from repro.perf import PAPER_TABLE2_CS2_SECONDS, PAPER_TABLE2_A100_SECONDS, weak_scaling_row
 from repro.workloads import make_geomodel
 
@@ -46,7 +46,7 @@ def functional_sweep() -> None:
     for n in (12, 24, 36, 48, 64):
         mesh = make_geomodel(n, n, nz, kind="uniform")
         trans = Transmissibility(mesh, dtype=np.float32)
-        sim = LockstepWseSimulation(mesh, fluid, trans, dtype=np.float32)
+        sim = lower_to_lockstep(derive_ir(mesh, dtype=np.float32), mesh, fluid, trans)
         pressure = random_pressure(mesh, seed=0, dtype=np.float32)
         t0 = time.perf_counter()
         sim.run_application(pressure)

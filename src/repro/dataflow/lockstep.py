@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import EXCHANGE_PLAN
 from repro.core.transmissibility import Transmissibility
 from repro.dataflow.padded import LockstepReport, LockstepRunResult, PaddedFlatLayout, PaddedSweep
 
@@ -40,8 +39,10 @@ __all__ = ["LockstepWseSimulation", "LockstepReport", "LockstepRunResult"]
 class LockstepWseSimulation(PaddedSweep):
     """Vectorized whole-fabric execution of the dataflow flux program.
 
-    Parameters match :class:`~repro.dataflow.driver.WseFluxComputation`
-    where applicable.  ``compute_fluxes=False`` reproduces the comm-only
+    Like :class:`~repro.ir.fused.FusedFluxComputation` it takes its
+    program as a flux-program IR (:func:`repro.ir.builder.derive_ir`)
+    and nothing that restates it; the IR's exchange plan is its fold
+    order.  An IR with ``compute_fluxes=False`` reproduces the comm-only
     accounting of the paper's Table 3 experiment.
     """
 
@@ -51,22 +52,12 @@ class LockstepWseSimulation(PaddedSweep):
         fluid: FluidProperties,
         trans: Transmissibility | None = None,
         *,
-        dtype=np.float32,
-        vectorized: bool = True,
-        compute_fluxes: bool = True,
+        ir,
         record=None,
-        ir=None,
     ) -> None:
-        #: Fold-order contract: ``(connections, hops, phase)`` per
-        #: communication phase — the IR's exchange plan, else the
-        #: paper's cardinal-then-diagonal :data:`EXCHANGE_PLAN`.
-        self.exchange_plan = ir.exchange_plan if ir is not None else EXCHANGE_PLAN
-        layout = PaddedFlatLayout(
-            mesh, fluid, trans, dtype, self.exchange_plan,
-            vectorized=vectorized, compute_fluxes=compute_fluxes, halo_copies=True,
-        )
-        fold = [(conn, None) for conns, _hops, _phase in self.exchange_plan for conn in conns]
-        super().__init__(layout, fold, "lockstep", record=record, ir=ir)
+        layout = PaddedFlatLayout(mesh, fluid, trans, ir, halo_copies=True)
+        fold = [(conn, None) for conns, _hops, _phase in layout.exchange_plan for conn in conns]
+        super().__init__(layout, fold, "lockstep", record=record)
 
     def run_application(self, pressure: np.ndarray) -> np.ndarray:
         """One application of Algorithm 1; returns the residual field."""

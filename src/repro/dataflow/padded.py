@@ -102,11 +102,14 @@ class LockstepRunResult:
 class PaddedFlatLayout:
     """Geometry, fields and accounting of one mesh on the padded layout.
 
-    *exchange_plan* is ``(connections, hops, phase)`` per communication
-    phase, in fold order.  ``halo_copies`` says whether the backend
-    books the fabric's moves of neighbour columns into halo storage
-    (lockstep: two FMOVs per face) or traffic only (fused).  Both read
-    the neighbour in place.
+    *ir* is the program's :class:`~repro.ir.schema.FabricProgramIR`: its
+    ``params`` give the dtype and ``compute_fluxes``, ``vectorized`` the
+    DSD cost model, and its exchange plan, ``(connections, hops,
+    phase)`` per communication phase in fold order, the X-Y faces.  An
+    IR built for another mesh, or one with no exchange plan, is refused.
+    ``halo_copies`` says whether the backend books the fabric's moves of
+    neighbour columns into halo storage (lockstep: two FMOVs per face)
+    or traffic only (fused).  Both read the neighbour in place.
     """
 
     def __init__(
@@ -114,15 +117,24 @@ class PaddedFlatLayout:
         mesh: CartesianMesh3D,
         fluid: FluidProperties,
         trans: Transmissibility | None,
-        dtype,
-        exchange_plan,
+        ir,
         *,
-        vectorized: bool,
-        compute_fluxes: bool,
         halo_copies: bool,
     ) -> None:
+        shape = (mesh.nx, mesh.ny, mesh.nz)
+        if ir.mesh_shape != shape:
+            raise ValueError(
+                f"IR mismatch on mesh shape: program has {shape!r}, IR says {ir.mesh_shape!r}"
+            )
+        #: fold order: ``(connections, hops, phase)`` per phase
+        self.exchange_plan = ir.exchange_plan
+        if not self.exchange_plan:
+            raise ValueError("IR carries no exchange plan to lower")
+        #: the :class:`~repro.ir.schema.FabricProgramIR` this layout runs
+        self.ir = ir
+        params = ir.params
         self.mesh = mesh
-        self.dtype = dtype = np.dtype(dtype)
+        self.dtype = dtype = np.dtype(params["dtype"])
         if trans is None:
             trans = Transmissibility(mesh, dtype=dtype)
         elif trans.mesh is not mesh:
@@ -131,13 +143,12 @@ class PaddedFlatLayout:
         #: the flux kernels' keyword arguments
         g, inv_mu = dtype.type(constants.GRAVITY), dtype.type(1.0 / fluid.viscosity)
         self.kernel = {"gravity": g, "inv_viscosity": inv_mu}
-        self.exchange_plan = exchange_plan
-        self.compute_fluxes = compute_fluxes
+        self.compute_fluxes = params["compute_fluxes"]
         self.halo_copies = halo_copies
         #: booked at true cell and face counts by :meth:`book`
-        self.engine = DsdEngine(vectorized=vectorized)
+        self.engine = DsdEngine(vectorized=ir.vectorized)
         #: what the kernels are handed: books swept lanes, never read
-        self.swept = DsdEngine(vectorized=vectorized)
+        self.swept = DsdEngine(vectorized=ir.vectorized)
         self.applications = self.fabric_loads = self.fabric_word_hops = 0
         self._words_per_element = max(1, dtype.itemsize // 4)
 
@@ -204,30 +215,13 @@ class PaddedSweep:
     *fold* is the driver's fold program, ``(connection, lane mask)``
     steps over the X-Y connections (module docstring); *name* prefixes
     the spans (``.run``, ``.local``, ``.rounds`` for the stored
-    kernels, ``.fold``).  *ir*, when given, must describe *layout*'s
-    program: a mismatch raises rather than run something its
-    ``content_hash`` does not name.
+    kernels, ``.fold``).
     """
 
-    def __init__(self, layout: PaddedFlatLayout, fold, name: str, *, record, ir) -> None:
-        if ir is not None:
-            if not ir.exchange_plan:
-                raise ValueError("IR carries no exchange plan to lower")
-            mesh = layout.mesh
-            for field, mine, theirs in (
-                ("mesh shape", (mesh.nx, mesh.ny, mesh.nz), ir.mesh_shape),
-                ("dtype", layout.dtype.name, ir.params["dtype"]),
-                ("vectorized", layout.engine.vectorized, ir.vectorized),
-                ("compute_fluxes", layout.compute_fluxes, ir.params["compute_fluxes"]),
-            ):
-                if mine != theirs:
-                    raise ValueError(
-                        f"IR mismatch on {field}: program has {mine!r}, IR says {theirs!r}"
-                    )
+    def __init__(self, layout: PaddedFlatLayout, fold, name: str, *, record) -> None:
         self.mesh, self.fluid, self.dtype = layout.mesh, layout.fluid, layout.dtype
-        #: the :class:`~repro.ir.schema.FabricProgramIR` this driver was
-        #: lowered from (:mod:`repro.ir.lower`), or None when built directly
-        self.ir = ir
+        #: the :class:`~repro.ir.schema.FabricProgramIR` this driver runs
+        self.ir = layout.ir
         #: optional :class:`~repro.obs.replay.ReplayRecorder` digesting
         #: every (pressure, residual) application pair
         self.record = record

@@ -4,8 +4,10 @@ Instead of simulating one message at a time (event), fused batches all
 applications of a run along a leading axis and runs the slab sweep of
 :mod:`repro.dataflow.padded` (shared with lockstep; DESIGN.md §16): the
 ufunc count grows with the number of z-slabs (at most ``nz``), not with
-the number of applications.  What fused adds is its fold program and
-the schedule annotation that program is derived from.
+the number of applications.  What fused adds is its fold program, derived
+from the fold schedule of :mod:`repro.ir.schedule`.  That schedule is
+the one a program with Sec. 5.3.1 buffer reuse has, so fused lowers
+such programs only; the event backend runs the others.
 
 Bit-identity with the event backend (same conform fold class) comes from
 two properties:
@@ -52,9 +54,9 @@ class FusedFluxComputation(PaddedSweep):
     Built by :func:`repro.ir.lower.lower_to_fused`, which checks that
     the flux-program :class:`FabricProgramIR`
     (:func:`repro.ir.builder.derive_ir`) can be lowered here; its
-    ``params`` block carries the dtype and the program options
-    (``reuse_buffers``, ``vectorized``, ``compute_fluxes``,
-    ``overlap_compute``).
+    ``params`` block carries the dtype and the program options, and a
+    program without buffer reuse is refused here, where its fold
+    schedule would be chosen.
     """
 
     def __init__(
@@ -66,28 +68,19 @@ class FusedFluxComputation(PaddedSweep):
         ir: FabricProgramIR,
         record=None,
     ) -> None:
-        params = ir.params
-        layout = PaddedFlatLayout(
-            mesh, fluid, trans, params["dtype"], ir.exchange_plan,
-            vectorized=ir.vectorized, compute_fluxes=params["compute_fluxes"],
-            halo_copies=False,
-        )
-        # the fold schedule is a derived annotation: it amortizes like a
-        # backend compile step and stays out of the content hash
-        with span("fused.schedule"):
-            classes = schedule_classes(
-                mesh.nx, mesh.ny, reuse_buffers=params["reuse_buffers"],
-                overlap_compute=params["overlap_compute"], vectorized=ir.vectorized,
-                nz=mesh.nz, dtype=params["dtype"],
-                compute_fluxes=params["compute_fluxes"],
+        layout = PaddedFlatLayout(mesh, fluid, trans, ir, halo_copies=False)
+        if not ir.params["reuse_buffers"]:
+            raise ValueError(
+                "fused backend lowers buffer-reuse programs only (its fold "
+                "schedule is derived for reuse_buffers=True; lower a "
+                "reuse_buffers=False IR to the event backend)"
             )
+        # the fold schedule amortizes like a backend compile step
+        with span("fused.schedule"):
+            classes = schedule_classes(mesh.nx, mesh.ny)
             # plane-periodic and batch-independent
             fold = _fold_steps(classes, layout.padded_shape[1:], layout.dtype)
-        super().__init__(layout, fold, "fused", record=record, ir=ir)
-        ir.annotate("fold_schedule", [
-            {"order": list(order), "y": _triple(ys), "x": _triple(xs)}
-            for order, ys, xs in classes
-        ])
+        super().__init__(layout, fold, "fused", record=record)
 
 
 def _fold_steps(classes, plane_shape, dtype) -> list[tuple[Connection, np.ndarray]]:
@@ -107,7 +100,3 @@ def _fold_steps(classes, plane_shape, dtype) -> list[tuple[Connection, np.ndarra
         steps.append((Connection[name], mask.ravel()))
     return steps
 
-
-def _triple(s: slice) -> list[int]:
-    """``range(*_triple(s))`` are the indices a class's slice selects."""
-    return list(s.indices(s.stop))

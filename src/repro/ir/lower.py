@@ -79,21 +79,13 @@ def lower_to_lockstep(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
     """IR -> lockstep simulation (fold order from the IR contract)."""
     from repro.dataflow.lockstep import LockstepWseSimulation
 
-    params = _require_program_ir(ir, mesh, "lockstep")
-    return LockstepWseSimulation(
-        mesh,
-        fluid,
-        trans,
-        dtype=np.dtype(params["dtype"]),
-        compute_fluxes=params["compute_fluxes"],
-        vectorized=ir.vectorized,
-        ir=ir,
-        **kwargs,
-    )
+    _require_program_ir(ir, mesh, "lockstep")
+    return LockstepWseSimulation(mesh, fluid, trans, ir=ir, **kwargs)
 
 
 def lower_to_fused(ir: FabricProgramIR, mesh, fluid, trans=None, **kwargs):
-    """IR -> fused whole-array backend (dtype and options from the IR)."""
+    """IR -> fused whole-array backend (dtype and options from the IR;
+    buffer-reuse programs only)."""
     _require_program_ir(ir, mesh, "fused")
     if ir.remap is not None:
         raise ValueError(

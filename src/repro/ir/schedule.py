@@ -43,17 +43,17 @@ and on the parities of ``x``, ``nx - 1 - x``, ``y``, ``ny - 1 - y``
 sender lies inside the fabric along its flow and shares the PE's other
 coordinate, so its ``b`` does too.  An ``n``-wide axis thus has the
 classes first, odd interior, even interior and last (one per index when
-``n <= 5``, as the annotation always had), and every class has a
+``n <= 5``), and every class has a
 stand-in on the ``k(nx) x k(ny)`` fabric, ``k(n) = n if n <= 5 else
 4 + n % 2`` (keeping the parity of ``n``): the orders are derived there
 and tiled.
 
 *Without buffer reuse* every send stages its train (``2 nz`` cycles),
 which spreads a PE's sends apart by amounts that compete with ``W`` and
-``F``: the order depends on ``nz``, dtype and the kernel.  There
-:func:`probe_schedule` runs one event application of the program on the
-same reduced fabric, tiled by the same classes.  The full-fabric probe
-is the oracle of both in ``tests/ir/test_schedule.py``.
+``F``: the order depends on ``nz``, dtype and the kernel, and no
+derivation here covers it.  The fused backend refuses such a program;
+the event backend runs it.  The full-fabric event application is the
+derivation's oracle in ``tests/ir/test_schedule.py``.
 
 **The fold program.**  The classes partition the fabric, so one serial
 fold can serve all of them at once: :func:`fold_program` merges the
@@ -64,22 +64,13 @@ added and nothing reordered, so a backend that adds the step's
 connection on the members' lanes (and ``+0.0`` everywhere else) replays
 every PE's serial fold with whole-array operations — the fused backend's
 contiguous masked adds (DESIGN.md §16).  The merge is the weighted
-majority heuristic — no search: 16 steps at 48x48 with default options
-(84 class-slice adds before), 12 with ``reuse_buffers=False``; no
-fabric needs fewer than its longest order, 8.
-
-The schedule is a *derived annotation* of the IR
-(:meth:`FabricProgramIR.annotate` under ``"fold_schedule"``, one entry
-per class: its order and its y and x slice triples — O(classes), not
-O(PEs)): it is excluded from the content hash and from the IR-build
-cost.
+majority heuristic — no search: 16 steps at 48x48 (84 class-slice adds
+before); no fabric needs fewer than its longest order, 8.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 from repro.dataflow.cardinal import (
     CARDINAL_CHANNELS,
@@ -88,7 +79,7 @@ from repro.dataflow.cardinal import (
 )
 from repro.dataflow.diagonal import DIAGONAL_CHANNELS
 
-__all__ = ["arrival_schedule", "schedule_classes", "fold_program", "probe_schedule"]
+__all__ = ["arrival_schedule", "schedule_classes", "fold_program"]
 
 #: Arrival roles in time order (module docstring); equal roles tie in time.
 _STEP1, _FREE, _QUEUED, _STEP2 = range(4)
@@ -108,7 +99,7 @@ _DIAGONALS = [
 
 
 def _reduced(n: int) -> int:
-    """``k(n)``: the derived or probed stand-in for an ``n``-wide axis."""
+    """``k(n)``: the derived stand-in for an ``n``-wide axis."""
     return n if n <= 5 else 4 + n % 2
 
 
@@ -147,9 +138,9 @@ def _arrivals(x: int, y: int, nx: int, ny: int) -> list:
 
 @lru_cache(maxsize=None)
 def _derive_schedule(nx: int, ny: int) -> dict[tuple[int, int], tuple[str, ...]]:
-    """:func:`probe_schedule` with buffer reuse, on a <= 5x5 fabric:
-    each PE's arrivals sorted by role, by a step-2 sender's early
-    receives ``b``, then by the row-major tie-break (module docstring)."""
+    """Each PE's arrival order on a <= 5x5 fabric: its arrivals sorted
+    by role, by a step-2 sender's early receives ``b``, then by the
+    row-major tie-break (module docstring)."""
     arrivals = {
         (x, y): _arrivals(x, y, nx, ny) for y in range(ny) for x in range(nx)
     }
@@ -168,39 +159,14 @@ def _derive_schedule(nx: int, ny: int) -> dict[tuple[int, int], tuple[str, ...]]
     }
 
 
-def schedule_classes(
-    nx: int,
-    ny: int,
-    *,
-    reuse_buffers: bool = True,
-    overlap_compute: bool = True,
-    vectorized: bool = True,
-    nz: int = 1,
-    dtype=np.float32,
-    compute_fluxes: bool = False,
-) -> list[tuple[tuple[str, ...], slice, slice]]:
+def schedule_classes(nx: int, ny: int) -> list[tuple[tuple[str, ...], slice, slice]]:
     """The fabric as ``(order, y-slice, x-slice)`` rectangles of stride <= 2.
 
     The rectangles partition the ``ny x nx`` fabric; every PE inside one
-    shares ``order``, its X-Y halo arrival order as connection names.
-    With buffer reuse the order is derived (nothing else counts);
-    without, ``nz``, ``dtype`` and ``compute_fluxes`` are probed too
-    (module docstring).
+    shares ``order``, its X-Y halo arrival order as connection names,
+    derived for a program with buffer reuse (module docstring).
     """
-    if reuse_buffers and not overlap_compute:
-        # FluxProgram's refusal, raised before anything is built
-        raise ValueError(
-            "overlap_compute=False requires reuse_buffers=False "
-            "(deferred partial fluxes need all eight halos resident)"
-        )
-    if reuse_buffers:
-        reduced = _derive_schedule(_reduced(nx), _reduced(ny))
-    else:
-        reduced = probe_schedule(
-            _reduced(nx), _reduced(ny), False, bool(overlap_compute),
-            bool(vectorized), int(nz), np.dtype(dtype).name,
-            bool(compute_fluxes),
-        )
+    reduced = _derive_schedule(_reduced(nx), _reduced(ny))
     return [
         (reduced[rx, ry], ys, xs)
         for ry, ys in _axis_classes(ny)
@@ -209,36 +175,16 @@ def schedule_classes(
     ]
 
 
-def arrival_schedule(
-    nx: int,
-    ny: int,
-    *,
-    reuse_buffers: bool = True,
-    overlap_compute: bool = True,
-    vectorized: bool = True,
-    nz: int = 1,
-    dtype=np.float32,
-    compute_fluxes: bool = False,
-) -> dict[tuple[int, int], tuple[str, ...]]:
+def arrival_schedule(nx: int, ny: int) -> dict[tuple[int, int], tuple[str, ...]]:
     """Per-PE X-Y halo arrival order, as connection names.
 
     Maps each logical ``(x, y)`` to the tuple of connection names in the
     order the event runtime delivers them — the serial fold order of
     that PE's residual accumulation.
     """
-    classes = schedule_classes(
-        nx,
-        ny,
-        reuse_buffers=reuse_buffers,
-        overlap_compute=overlap_compute,
-        vectorized=vectorized,
-        nz=nz,
-        dtype=dtype,
-        compute_fluxes=compute_fluxes,
-    )
     return {
         (x, y): order
-        for order, ys, xs in classes
+        for order, ys, xs in schedule_classes(nx, ny)
         for y in range(*ys.indices(ny))
         for x in range(*xs.indices(nx))
     }
@@ -282,55 +228,3 @@ def fold_program(classes) -> list[tuple[str, tuple[int, ...]]]:
 def _slice_len(s: slice) -> int:
     """PEs along one axis of a class (its slices carry explicit bounds)."""
     return len(range(*s.indices(s.stop)))
-
-
-@lru_cache(maxsize=None)
-def probe_schedule(
-    nx: int,
-    ny: int,
-    reuse_buffers: bool,
-    overlap_compute: bool,
-    vectorized: bool,
-    nz: int = 1,
-    dtype: str = "float32",
-    compute_fluxes: bool = False,
-) -> dict[tuple[int, int], tuple[str, ...]]:
-    """The arrival order of one event application of the program.
-
-    Cached: :func:`schedule_classes` asks only for reduced (<= 5x5)
-    no-reuse shapes; the tests run it past the cache on full fabrics as
-    the oracle of the derivation.
-    """
-    # the simulator is loaded by repro.ir.lower, not by this module
-    from repro.core.fluid import FluidProperties
-    from repro.core.mesh import CartesianMesh3D
-    from repro.dataflow.program import FluxProgram
-    from repro.wse.perf import WSE2
-    from repro.wse.runtime import EventRuntime
-
-    mesh = CartesianMesh3D(nx, ny, nz)
-    program = FluxProgram(
-        mesh,
-        FluidProperties(),
-        dtype=np.dtype(dtype).type,
-        reuse_buffers=reuse_buffers,
-        overlap_compute=overlap_compute,
-        vectorized=vectorized,
-        compute_fluxes=compute_fluxes,
-    )
-    orders: dict[tuple[int, int], list] = {}
-    exchange = program.exchange
-    on_data = exchange.on_data
-
-    def capture(pe, msg, conn):
-        lx, ly, _pe = exchange.pes[pe.row]
-        orders.setdefault((lx, ly), []).append(conn)
-        on_data(pe, msg, conn)
-
-    exchange.on_data = capture  # the receive tasks read it at call time
-    program.load_pressure(np.zeros((nz, ny, nx)))
-    exchange.run(EventRuntime(program.fabric, WSE2))
-    return {
-        coord: tuple(conn.name for conn in arrivals)
-        for coord, arrivals in orders.items()
-    }

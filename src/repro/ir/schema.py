@@ -18,9 +18,9 @@ document primary makes two properties trivial:
 * ``to_json``/``from_json`` round-trip byte-for-byte;
 * :attr:`FabricProgramIR.content_hash` — SHA-256 over the stable dump of
   the static definition — is identical across processes and platforms.
-  Derived data (e.g. the probed fold schedule) lives under
-  ``annotations`` and is *excluded* from the hash: annotations are
-  recomputable caches, not part of the program's identity.
+  The ``annotations`` object (room for derived, recomputable data; the
+  builders leave it empty) is *excluded* from the hash: it is not part
+  of the program's identity.
 
 Document layout (schema version 2)::
 
@@ -483,14 +483,3 @@ class FabricProgramIR:
             )
             for entry in plan
         )
-
-    # ------------------------------------------------------------------ #
-    # Annotations (derived, not hashed)
-    # ------------------------------------------------------------------ #
-    @property
-    def annotations(self) -> dict:
-        return self.doc["annotations"]
-
-    def annotate(self, key: str, value) -> None:
-        """Attach derived data (kept out of the content hash)."""
-        self.doc["annotations"][key] = value

@@ -53,6 +53,9 @@ SCHEMA_VERSION = 1
 #: Sanity marker distinguishing replay bundles from arbitrary ZIPs.
 ARTIFACT_KIND = "repro-replay-artifact"
 
+#: What a replay reads of ``meta.json`` before its first step.
+_REPLAYED_KEYS = ("backend", "mesh", "dtype", "pressure_seed", "applications", "steps")
+
 #: Fixed ZIP entry timestamp (the format's epoch) so identical content
 #: always produces identical bytes.
 _EPOCH = (1980, 1, 1, 0, 0, 0)
@@ -235,14 +238,20 @@ class ReplayArtifact:
 
     @classmethod
     def load(cls, path) -> "ReplayArtifact":
-        """Read a bundle written by :meth:`save`; validates the schema."""
+        """Read a bundle written by :meth:`save`; validates the schema
+        and that ``meta.json`` holds what a replay reads (ValueError)."""
         path = Path(path)
         with zipfile.ZipFile(path, "r") as zf:
             import json
 
             meta = json.loads(zf.read("meta.json"))
+            if not isinstance(meta, dict):
+                raise ValueError("meta.json is not a JSON object")
             if meta.get("kind") != ARTIFACT_KIND:
                 raise ValueError(f"{path} is not a replay artifact")
+            missing = [key for key in _REPLAYED_KEYS if key not in meta]
+            if missing:
+                raise ValueError(f"meta.json lacks {', '.join(missing)}")
             if int(meta.get("schema", -1)) > SCHEMA_VERSION:
                 raise ValueError(
                     f"{path} uses artifact schema {meta.get('schema')}; "

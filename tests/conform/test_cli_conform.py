@@ -3,16 +3,37 @@
 import io
 import json
 import zipfile
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 
 
+GOLDEN = Path(__file__).parent / "golden" / "small-lognormal.rpz"
+_NOT_META = "not a replay artifact (ValueError: meta.json"
+
+
 def run_cli(args):
     out = io.StringIO()
     code = main(args, out=out)
     return code, out.getvalue()
+
+
+def _edit_golden_meta(path, edit):
+    """A copy of a golden bundle at *path* whose ``meta.json`` is a JSON
+    list (*edit* ``"list"``) or lacks the key ``edit[1:]``."""
+    with zipfile.ZipFile(GOLDEN) as src, zipfile.ZipFile(path, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            if name == "meta.json":
+                meta = json.loads(data)
+                if edit == "list":
+                    meta = list(meta)
+                else:
+                    del meta[edit[1:]]
+                data = json.dumps(meta)
+            dst.writestr(name, data)
 
 
 class TestConformCommand:
@@ -96,6 +117,12 @@ class TestConformCommand:
             (None, "No such file or directory"),
             (b"not a zip", "not a replay artifact (BadZipFile"),
             ("zip", "not a replay artifact (KeyError"),  # no meta.json
+            # a golden bundle whose meta.json is a list or lacks a key
+            # the replay reads before its first step
+            ("list", f"{_NOT_META} is not a JSON object"),
+            ("-backend", f"{_NOT_META} lacks backend"),
+            ("-mesh", f"{_NOT_META} lacks mesh"),
+            ("-steps", f"{_NOT_META} lacks steps"),
         ],
     )
     def test_unreadable_artifact_is_a_usage_error(
@@ -105,6 +132,8 @@ class TestConformCommand:
         if content == "zip":
             with zipfile.ZipFile(path, "w") as zf:
                 zf.writestr("snapshots/step0.npy", b"")
+        elif content in ("list", "-backend", "-mesh", "-steps"):
+            _edit_golden_meta(path, content)
         elif content is not None:
             path.write_bytes(content)
         code, text = run_cli(["conform", str(path), "--backend", "event"])

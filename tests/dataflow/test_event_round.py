@@ -316,11 +316,9 @@ class TestAbortedRound:
 # ---------------------------------------------------------------------- #
 # Event == fused on generated inputs (ROADMAP item 1's event row)
 # ---------------------------------------------------------------------- #
-#: the program options the fused backend lowers
+#: the program options the fused backend lowers (buffer reuse only)
 FUSED_OPTIONS = [
     {},
-    {"reuse_buffers": False},
-    {"reuse_buffers": False, "overlap_compute": False},
     {"compute_fluxes": False},
     {"vectorized": False},
 ]

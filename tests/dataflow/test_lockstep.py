@@ -37,7 +37,7 @@ class TestNumerics:
         mesh = make_geomodel(12, 10, 6, kind="lognormal", seed=2)
         trans = Transmissibility(mesh)
         p = random_pressure(mesh, seed=9)
-        sim = LockstepWseSimulation(mesh, fluid, trans, dtype=np.float64)
+        sim = LockstepWseSimulation(mesh, fluid, trans, ir=derive_ir(mesh, dtype=np.float64))
         r = sim.run_application(p)
         ref = compute_flux_residual(mesh, fluid, p, trans)
         scale = np.abs(ref).max()
@@ -48,7 +48,7 @@ class TestNumerics:
         mesh = CartesianMesh3D(5, 4, 3)
         trans = Transmissibility(mesh)
         p = random_pressure(mesh, seed=1)
-        lock = LockstepWseSimulation(mesh, fluid, trans, dtype=np.float64)
+        lock = LockstepWseSimulation(mesh, fluid, trans, ir=derive_ir(mesh, dtype=np.float64))
         event = WseFluxComputation(mesh, fluid, trans, dtype=np.float64)
         r_lock = lock.run_application(p)
         r_event = event.run_single(p).residual
@@ -58,7 +58,7 @@ class TestNumerics:
     def test_run_over_sequence(self, fluid):
         mesh = CartesianMesh3D(4, 4, 3)
         seq = PressureSequence(mesh, num_applications=3, seed=0)
-        sim = LockstepWseSimulation(mesh, fluid, dtype=np.float64)
+        sim = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh, dtype=np.float64))
         result = sim.run(seq)
         r = result.residual
         assert result.applications == 3
@@ -71,14 +71,15 @@ class TestNumerics:
     def test_float32(self, fluid):
         mesh = CartesianMesh3D(6, 5, 4)
         p = random_pressure(mesh, seed=3)
-        sim = LockstepWseSimulation(mesh, fluid, dtype=np.float32)
+        sim = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh, dtype=np.float32))
         r = sim.run_application(p)
         ref = compute_flux_residual(mesh, fluid, p)
         scale = np.abs(ref).max()
         np.testing.assert_allclose(r, ref, atol=5e-4 * scale)
 
     def test_empty_run_rejected(self, fluid):
-        sim = LockstepWseSimulation(CartesianMesh3D(2, 2, 2), fluid)
+        mesh = CartesianMesh3D(2, 2, 2)
+        sim = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh))
         with pytest.raises(ValueError):
             sim.run([])
 
@@ -88,7 +89,7 @@ class TestAccounting:
         mesh = CartesianMesh3D(4, 3, 3)
         trans = Transmissibility(mesh)
         p = random_pressure(mesh, seed=1)
-        lock = LockstepWseSimulation(mesh, fluid, trans, dtype=np.float64)
+        lock = LockstepWseSimulation(mesh, fluid, trans, ir=derive_ir(mesh, dtype=np.float64))
         lock.run_application(p)
         event = WseFluxComputation(mesh, fluid, trans, dtype=np.float64)
         ev = event.run_single(p)
@@ -101,7 +102,7 @@ class TestAccounting:
 
     def test_fabric_hops_cardinal_one_diagonal_two(self, fluid):
         mesh = CartesianMesh3D(3, 3, 2)
-        sim = LockstepWseSimulation(mesh, fluid, dtype=np.float32)
+        sim = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh, dtype=np.float32))
         sim.run_application(random_pressure(mesh, seed=0))
         rep = sim.report()
         nz, words = 2, 2
@@ -113,7 +114,7 @@ class TestAccounting:
         mesh = CartesianMesh3D(4, 4, 3)
         p = random_pressure(mesh, seed=0)
         sim = LockstepWseSimulation(
-            mesh, fluid, dtype=np.float32, compute_fluxes=False
+            mesh, fluid, ir=derive_ir(mesh, dtype=np.float32, compute_fluxes=False)
         )
         r = sim.run_application(p)
         np.testing.assert_array_equal(r, 0.0)
@@ -123,7 +124,7 @@ class TestAccounting:
 
     def test_flops_scale_with_applications(self, fluid):
         mesh = CartesianMesh3D(3, 3, 3)
-        sim = LockstepWseSimulation(mesh, fluid, dtype=np.float64)
+        sim = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh, dtype=np.float64))
         p = random_pressure(mesh, seed=0)
         sim.run_application(p)
         one = sim.report().flops
@@ -133,7 +134,7 @@ class TestAccounting:
     def test_scales_to_larger_meshes(self, fluid):
         """Lockstep handles meshes far beyond event-sim tractability."""
         mesh = CartesianMesh3D(40, 30, 10)
-        sim = LockstepWseSimulation(mesh, fluid, dtype=np.float32)
+        sim = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh, dtype=np.float32))
         p = random_pressure(mesh, seed=0, dtype=np.float32)
         r = sim.run_application(p)
         assert r.shape == mesh.shape_zyx
@@ -183,9 +184,10 @@ def strided_reference(mesh, fluid, fields, dtype, plan, compute_fluxes=True, vec
 
 
 def _build(mesh, fluid, dtype, lowered, **options):
+    ir = derive_ir(mesh, dtype=dtype, **options)
     if lowered:
-        return lower_to_lockstep(derive_ir(mesh, dtype=dtype, **options), mesh, fluid)
-    return LockstepWseSimulation(mesh, fluid, dtype=dtype, **options)
+        return lower_to_lockstep(ir, mesh, fluid)
+    return LockstepWseSimulation(mesh, fluid, ir=ir)
 
 
 class TestBitIdentityWithTheStridedPath:
@@ -204,7 +206,7 @@ class TestBitIdentityWithTheStridedPath:
         fields = list(PressureSequence(mesh, num_applications=3, seed=5))
         sim = _build(mesh, fluid, dtype, lowered)
         result = sim.run(fields)  # buffers persist between applications
-        residuals, report = strided_reference(mesh, fluid, fields, dtype, sim.exchange_plan)
+        residuals, report = strided_reference(mesh, fluid, fields, dtype, sim.ir.exchange_plan)
         assert result.residual.tobytes() == residuals[-1].tobytes()
         assert result.residual.flags.c_contiguous and result.residual.dtype == dtype
         assert result.report == report == sim.report()
@@ -222,7 +224,7 @@ class TestBitIdentityWithTheStridedPath:
         sim = _build(mesh, fluid, np.float32, lowered, **options)
         got = [sim.run_application(field) for field in fields]
         residuals, report = strided_reference(
-            mesh, fluid, fields, np.float32, sim.exchange_plan, **options
+            mesh, fluid, fields, np.float32, sim.ir.exchange_plan, **options
         )
         assert [r.tobytes() for r in got] == [r.tobytes() for r in residuals]
         assert sim.report() == report
@@ -238,17 +240,17 @@ class TestBitIdentityWithTheStridedPath:
         mesh = make_geomodel(6, 5, 4, kind="lognormal", seed=3)
         field = np.array(random_pressure(mesh, seed=2))
         field[cell] = bad
-        sim = LockstepWseSimulation(mesh, fluid, dtype=dtype)
+        sim = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh, dtype=dtype))
         with np.errstate(all="ignore"):
             got = sim.run_application(field)
-            (want,), _report = strided_reference(mesh, fluid, [field], dtype, sim.exchange_plan)
+            (want,), _report = strided_reference(mesh, fluid, [field], dtype, sim.ir.exchange_plan)
         finite = np.isfinite(want)
         assert not finite[cell] and 0 < finite.sum() < finite.size
         assert got[finite].tobytes() == want[finite].tobytes()
         assert not np.isfinite(got[~finite]).any()
         # and nothing non-finite stays behind in the persistent buffers
         clean = random_pressure(mesh, seed=2)
-        (after,), _report = strided_reference(mesh, fluid, [clean], dtype, sim.exchange_plan)
+        (after,), _report = strided_reference(mesh, fluid, [clean], dtype, sim.ir.exchange_plan)
         assert sim.run_application(clean).tobytes() == after.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -265,11 +267,13 @@ class TestBitIdentityWithTheStridedPath:
             def record_step(self, pressure, residual):
                 recorded.append(residual.tobytes())
 
-        batched = LockstepWseSimulation(mesh, fluid, dtype=dtype, record=Recorder())
+        batched = LockstepWseSimulation(
+            mesh, fluid, ir=derive_ir(mesh, dtype=dtype), record=Recorder()
+        )
         result = batched.run(fields)
-        single = LockstepWseSimulation(mesh, fluid, dtype=dtype)
+        single = LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh, dtype=dtype))
         one_at_a_time = [single.run_application(field).tobytes() for field in fields]
-        residuals, report = strided_reference(mesh, fluid, fields, dtype, batched.exchange_plan)
+        residuals, report = strided_reference(mesh, fluid, fields, dtype, batched.ir.exchange_plan)
         assert recorded == one_at_a_time == [r.tobytes() for r in residuals]
         assert result.residual.tobytes() == one_at_a_time[-1]
         assert result.report == single.report() == report
@@ -295,7 +299,7 @@ def test_strided_bytes_at_the_ledger_size(fluid, slab, monkeypatch):
     mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=7)
     fields = list(PressureSequence(mesh, num_applications=8, seed=7))
     sim = lower_to_lockstep(derive_ir(mesh), mesh, fluid)
-    residuals, report = strided_reference(mesh, fluid, fields, np.float32, sim.exchange_plan)
+    residuals, report = strided_reference(mesh, fluid, fields, np.float32, sim.ir.exchange_plan)
     assert [sim.run_application(f).tobytes() for f in fields] == [r.tobytes() for r in residuals]
     assert sim.report() == report
     assert sim.run(fields).residual.tobytes() == residuals[-1].tobytes()
@@ -303,17 +307,12 @@ def test_strided_bytes_at_the_ledger_size(fluid, slab, monkeypatch):
 
 class TestIrCheck:
     """A driver runs the program its IR's ``content_hash`` names, or
-    refuses to be built."""
+    refuses to be built: every program value comes from the IR, so the
+    mesh is the one thing a caller can pass that an IR can contradict."""
 
     @pytest.mark.parametrize(
         "build, field",
         [
-            (lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(m, dtype=np.float64)), "dtype"),
-            (lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(m, vectorized=False)), "vectorized"),
-            (
-                lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(m, compute_fluxes=False)),
-                "compute_fluxes",
-            ),
             (
                 lambda m, f: LockstepWseSimulation(m, f, ir=derive_ir(CartesianMesh3D(4, 3, 2))),
                 "mesh shape",
@@ -323,8 +322,7 @@ class TestIrCheck:
                 "mesh shape",
             ),
         ],
-        ids=["lockstep-dtype", "lockstep-vectorized", "lockstep-compute_fluxes",
-             "lockstep-mesh", "fused-mesh"],
+        ids=["lockstep-mesh", "fused-mesh"],
     )
     def test_a_mismatched_ir_is_refused(self, fluid, build, field):
         with pytest.raises(ValueError, match=f"IR mismatch on {field}: program has"):
@@ -369,7 +367,7 @@ class TestCollapsedBranch:
             )
         mesh = CartesianMesh3D(5, 4, 3)
         p = random_pressure(mesh, seed=1)
-        LockstepWseSimulation(mesh, fluid).run_application(p)
+        LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh)).run_application(p)
         # UP and DOWN run the full sequence, the eight X-Y connections
         # the collapsed one — what fused's X-Y kernels issue
         assert accumulated == [(False, 2, 7)] * 2 + [(True, 1, 3)] * 8

@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.dataflow import LockstepWseSimulation, WseFluxComputation
 from repro.gpu import GpuFluxComputation
+from repro.ir import derive_ir
 from repro.workloads import FluxScenario, make_geomodel
 
 
@@ -71,7 +72,7 @@ class TestAllImplementationsAgree:
 
     def test_dataflow_lockstep(self, workload):
         mesh, fluid, trans, p, ref = workload
-        sim = LockstepWseSimulation(mesh, fluid, trans, dtype=np.float64)
+        sim = LockstepWseSimulation(mesh, fluid, trans, ir=derive_ir(mesh, dtype=np.float64))
         np.testing.assert_allclose(
             sim.run_application(p), ref, atol=ATOL_F64 * np.abs(ref).max()
         )
@@ -87,7 +88,7 @@ class TestAllImplementationsAgree:
             "wse": WseFluxComputation(mesh, fluid, trans, dtype=np.float32)
             .run_single(p)
             .residual,
-            "lock": LockstepWseSimulation(mesh, fluid, trans, dtype=np.float32)
+            "lock": LockstepWseSimulation(mesh, fluid, trans, ir=derive_ir(mesh, dtype=np.float32))
             .run_application(p),
         }
         scale = np.abs(ref).max()
@@ -147,7 +148,7 @@ class TestAccountingConsistency:
     def test_flop_totals_agree_event_vs_lockstep(self, workload):
         mesh, fluid, trans, p, _ = workload
         ev = WseFluxComputation(mesh, fluid, trans, dtype=np.float64).run_single(p)
-        lk = LockstepWseSimulation(mesh, fluid, trans, dtype=np.float64)
+        lk = LockstepWseSimulation(mesh, fluid, trans, ir=derive_ir(mesh, dtype=np.float64))
         lk.run_application(p)
         assert ev.flops == lk.report().flops
 

@@ -34,6 +34,7 @@ from repro.core import (
     random_pressure,
 )
 from repro.dataflow import LockstepWseSimulation, WseFluxComputation
+from repro.ir import derive_ir
 
 DTYPES = (np.float32, np.float64)
 
@@ -50,7 +51,7 @@ def _pair(dims, dtype, seed=11):
     trans = Transmissibility(mesh, dtype=dtype)
     pressure = random_pressure(mesh, seed=seed)
     event = WseFluxComputation(mesh, fluid, trans, dtype=dtype)
-    lockstep = LockstepWseSimulation(mesh, fluid, trans, dtype=dtype)
+    lockstep = LockstepWseSimulation(mesh, fluid, trans, ir=derive_ir(mesh, dtype=dtype))
     return mesh, fluid, trans, pressure, event, lockstep
 
 

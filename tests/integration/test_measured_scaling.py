@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.dataflow import LockstepWseSimulation, WseFluxComputation
+from repro.ir import derive_ir
 
 FLUID = FluidProperties()
 
@@ -72,7 +73,7 @@ class TestLockstepGpuContrast:
         per_cell = []
         for n in (8, 16, 32):
             mesh = CartesianMesh3D(n, n, 6)
-            sim = LockstepWseSimulation(mesh, FLUID, dtype=np.float32)
+            sim = LockstepWseSimulation(mesh, FLUID, ir=derive_ir(mesh, dtype=np.float32))
             sim.run_application(random_pressure(mesh, seed=0, dtype=np.float32))
             per_cell.append(sim.report().flops / mesh.num_cells)
         assert per_cell[0] < per_cell[1] < per_cell[2] < 140.0

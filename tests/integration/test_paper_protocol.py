@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.core.kernels import FLOPS_PER_CELL
 from repro.dataflow import LockstepWseSimulation, WseFluxComputation
+from repro.ir import derive_ir
 from repro.workloads import make_geomodel
 
 FLUID = FluidProperties()
@@ -30,7 +31,7 @@ class TestThousandApplications:
         mesh = make_geomodel(6, 5, 4, kind="lognormal", seed=30)
         trans = Transmissibility(mesh)
         seq = PressureSequence(mesh, num_applications=1000, seed=31)
-        sim = LockstepWseSimulation(mesh, FLUID, trans, dtype=np.float64)
+        sim = LockstepWseSimulation(mesh, FLUID, trans, ir=derive_ir(mesh, dtype=np.float64))
 
         checks = {0, 499, 999}
         for i, pressure in enumerate(seq):

@@ -188,6 +188,37 @@ class TestLoweringGuards:
         )
 
     @pytest.mark.parametrize(
+        "options",
+        [{"reuse_buffers": False}, {"reuse_buffers": False, "overlap_compute": False}],
+        ids=["no-reuse", "no-reuse-deferred"],
+    )
+    def test_a_program_without_buffer_reuse_is_refused(self, options):
+        """Fused folds in the order a buffer-reuse program's halos
+        arrive; it refuses another program, by either way in, and says
+        which backend runs it."""
+        from repro.ir.fused import FusedFluxComputation
+
+        mesh, fluid = CartesianMesh3D(5, 4, 3), FluidProperties()
+        ir = derive_ir(mesh, **options)
+        for build in (
+            lambda: lower_to_fused(ir, mesh, fluid),
+            lambda: FusedFluxComputation(mesh, fluid, ir=ir),
+        ):
+            with pytest.raises(ValueError, match="reuse_buffers=False IR to the event backend"):
+                build()
+
+    @pytest.mark.parametrize(
+        "lower", [lower_to_event, lower_to_lockstep, lower_to_fused],
+        ids=["event", "lockstep", "fused"],
+    )
+    def test_lowering_does_not_edit_its_input(self, lower):
+        mesh = CartesianMesh3D(6, 5, 3)
+        ir = derive_ir(mesh)
+        before = ir.dumps()
+        lower(ir, mesh, FluidProperties()).run([random_pressure(mesh, seed=2)])
+        assert ir.dumps() == before
+
+    @pytest.mark.parametrize(
         "shape, dead, cycles",
         [
             ((5, 4, 3), (2, 1), 311.0),

@@ -1,16 +1,13 @@
-"""The derived fold schedule against its oracle, the full-fabric probe.
+"""The derived fold schedule against its oracle, a full-fabric event run.
 
-With buffer reuse ``arrival_schedule`` simulates nothing: it derives
-every PE's arrival order from the exchange protocol's timing
-(``repro.ir.schedule``'s docstring).  Without buffer reuse it probes a
-<= 5x5 fabric and tiles the result.  The oracle of both is one event
-application of the program on the unreduced shape
-(``probe_schedule.__wrapped__`` — past the cache, which must only ever
-hold reduced no-reuse shapes).
+``arrival_schedule`` simulates nothing: it derives every PE's arrival
+order from the exchange protocol's timing, for a program with buffer
+reuse (``repro.ir.schedule``'s docstring) — the only programs the fused
+backend lowers.  The oracle is :func:`event_orders`, one event
+application of the program on the unreduced shape.
 """
 
 import ast
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -24,23 +21,17 @@ from repro.dataflow.program import FluxProgram
 from repro.ir import derive_ir, lower_to_fused
 from repro.ir import schedule as schedule_module
 from repro.ir.fused import _fold_steps
-from repro.ir.schedule import (
-    arrival_schedule,
-    fold_program,
-    probe_schedule,
-    schedule_classes,
-)
+from repro.ir.schedule import arrival_schedule, fold_program, schedule_classes
 from repro.wse.perf import WSE2
 from repro.wse.runtime import EventRuntime
 
 OPTION_NAMES = ("reuse_buffers", "overlap_compute", "vectorized")
-#: every legal (reuse_buffers, overlap_compute, vectorized)
+#: every option set fused lowers: buffer reuse (which needs overlap),
+#: vectorized or scalar
 OPTION_SETS = [
-    dict(zip(OPTION_NAMES, bits))
-    for bits in product((True, False), repeat=3)
-    if bits[1] or not bits[0]
+    {"reuse_buffers": True, "overlap_compute": True, "vectorized": vectorized}
+    for vectorized in (True, False)
 ]
-REUSE_OPTION_SETS = [o for o in OPTION_SETS if o["reuse_buffers"]]
 TIER1_SHAPES = [(nx, ny) for nx in range(1, 10) for ny in range(1, 10)] + [
     (24, 24),
     (25, 24),
@@ -59,20 +50,40 @@ def _option_id(options):
     )
 
 
-def full_fabric_probe(nx, ny, options, **program):
-    """The oracle: one event application of the program on ``nx x ny``;
-    *program* is ``nz``, ``dtype`` (a name) and ``compute_fluxes``."""
-    return probe_schedule.__wrapped__(
-        nx, ny, *(options[name] for name in OPTION_NAMES), **program
+def event_orders(
+    nx, ny, *, nz=1, dtype="float32", compute_fluxes=False, vectorized=True,
+    pressure=0.0,
+):
+    """The oracle: each PE's X-Y arrival order, as connection names, in
+    one event application of the buffer-reuse program on ``nx x ny``."""
+    program = FluxProgram(
+        CartesianMesh3D(nx, ny, nz),
+        FluidProperties(),
+        dtype=np.dtype(dtype).type,
+        vectorized=vectorized,
+        compute_fluxes=compute_fluxes,
     )
+    orders = {}
+    exchange = program.exchange
+    on_data = exchange.on_data
+
+    def capture(pe, msg, conn):
+        lx, ly, _pe = exchange.pes[pe.row]
+        orders.setdefault((lx, ly), []).append(conn.name)
+        on_data(pe, msg, conn)
+
+    exchange.on_data = capture  # the receive tasks read it at call time
+    program.load_pressure(np.full((nz, ny, nx), pressure))
+    exchange.run(EventRuntime(program.fabric, WSE2))
+    return {coord: tuple(order) for coord, order in orders.items()}
 
 
 def _mismatches(shapes, options, **program):
     return [
         shape
         for shape in shapes
-        if arrival_schedule(*shape, **options, **program)
-        != full_fabric_probe(*shape, options, **program)
+        if arrival_schedule(*shape)
+        != event_orders(*shape, vectorized=options["vectorized"], **program)
     ]
 
 
@@ -98,20 +109,18 @@ class TestTilingMatchesTheFullProbe:
     @pytest.mark.slow
     def test_sweep(self, options):
         """CI's conform job: a change to ``wse.runtime`` timing or the
-        router cost model that the derivation (or, without buffer reuse,
-        the period-2 tiling) does not follow fails here rather than
-        silently changing fused's summation order."""
+        router cost model that the derivation does not follow fails here
+        rather than silently changing fused's summation order."""
         assert _mismatches(SLOW_SHAPES, options) == []
-        if options["reuse_buffers"]:
-            # a deep float64 program with the kernel on: the derivation
-            # is handed none of the three
-            deep = dict(nz=8, dtype="float64", compute_fluxes=True)
-            assert _mismatches(SLOW_SHAPES, options, **deep) == []
+        # a deep float64 program with the kernel on: the derivation is
+        # handed none of the three
+        deep = dict(nz=8, dtype="float64", compute_fluxes=True)
+        assert _mismatches(SLOW_SHAPES, options, **deep) == []
 
 
 class TestDerivedScheduleIsTheProbe:
-    """With buffer reuse no ``nz``, dtype, kernel or ``vectorized``
-    value reorders the full-fabric probe away from the derivation."""
+    """No ``nz``, dtype, kernel or ``vectorized`` value reorders the
+    full-fabric event run away from the derivation."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -120,14 +129,14 @@ class TestDerivedScheduleIsTheProbe:
         nz=st.integers(min_value=1, max_value=8),
         dtype=st.sampled_from(["float32", "float64"]),
         compute_fluxes=st.booleans(),
-        options=st.sampled_from(REUSE_OPTION_SETS),
+        options=st.sampled_from(OPTION_SETS),
     )
     def test_any_program_with_buffer_reuse(
         self, nx, ny, nz, dtype, compute_fluxes, options
     ):
-        program = dict(nz=nz, dtype=dtype, compute_fluxes=compute_fluxes)
-        assert arrival_schedule(nx, ny, **options, **program) == (
-            full_fabric_probe(nx, ny, options, **program)
+        assert arrival_schedule(nx, ny) == event_orders(
+            nx, ny, nz=nz, dtype=dtype, compute_fluxes=compute_fluxes,
+            vectorized=options["vectorized"],
         )
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -136,10 +145,8 @@ class TestDerivedScheduleIsTheProbe:
     def test_deep_columns(self, shape, nz, dtype):
         """Long trains and long receive bookings: ``W`` and ``F`` grow
         with ``nz``, the roles' order does not."""
-        options = REUSE_OPTION_SETS[0]
-        program = dict(nz=nz, dtype=dtype, compute_fluxes=True)
-        assert arrival_schedule(*shape) == (
-            full_fabric_probe(*shape, options, **program)
+        assert arrival_schedule(*shape) == event_orders(
+            *shape, nz=nz, dtype=dtype, compute_fluxes=True
         )
 
     @pytest.mark.parametrize("shape", TIER1_SHAPES + SLOW_SHAPES[-3:])
@@ -153,78 +160,47 @@ class TestDerivedScheduleIsTheProbe:
         self, monkeypatch
     ):
         mesh = CartesianMesh3D(7, 6, 3)
-        probe_schedule.cache_clear()
         built = _spy_on_the_simulator(monkeypatch)
         for options in [{}, {"vectorized": False}, {"dtype": np.float64},
                         {"compute_fluxes": False}]:
             lower_to_fused(derive_ir(mesh, **options), mesh, FluidProperties())
+        # a program without buffer reuse is refused, not probed
+        with pytest.raises(ValueError, match="event backend"):
+            lower_to_fused(
+                derive_ir(mesh, reuse_buffers=False), mesh, FluidProperties()
+            )
         assert built == []
-        # the spy does see the probe that a no-reuse program still runs
-        lower_to_fused(
-            derive_ir(mesh, reuse_buffers=False), mesh, FluidProperties()
-        )
-        assert built == ["FluxProgram", "EventRuntime"]
 
     def test_the_module_imports_no_simulator(self):
         """``repro.ir.schedule`` loads neither the event program nor the
-        wse layer; only the no-reuse probe imports them, when it runs."""
+        wse layer, at module level or inside a function."""
         tree = ast.parse(Path(schedule_module.__file__).read_text())
-        module_level, anywhere = [], []
+        anywhere = []
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                anywhere.append(node.module)
-        pending = list(tree.body)
-        while pending:
-            node = pending.pop()
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
             if isinstance(node, ast.Import):
-                module_level += [alias.name for alias in node.names]
+                anywhere += [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                module_level.append(node.module)
-            else:
-                pending.extend(ast.iter_child_nodes(node))
+                anywhere.append(node.module)
         simulator = [
-            name for name in module_level
+            name for name in anywhere
             if name == "repro.dataflow.program" or name.startswith("repro.wse")
         ]
         assert simulator == []
-        assert "repro.dataflow.program" in anywhere  # the guard is not vacuous
+        assert "repro.dataflow.cardinal" in anywhere  # the walk sees imports
 
 
 class TestProbeInvariances:
     """What lets one derivation, handed no ``nz``, dtype or kernel,
-    stand for every program with buffer reuse: a probe of the real
+    stand for every program with buffer reuse: an event run of the real
     program, on real pressure, orders the same."""
-
-    @staticmethod
-    def _orders(nx, ny, nz, dtype, compute_fluxes):
-        program = FluxProgram(
-            CartesianMesh3D(nx, ny, nz),
-            FluidProperties(),
-            dtype=dtype,
-            compute_fluxes=compute_fluxes,
-        )
-        orders = {}
-        original = program.exchange.on_data
-
-        def capture(pe, msg, conn):
-            lx, ly, _pe = program.exchange.pes[pe.row]
-            orders.setdefault((lx, ly), []).append(conn.name)
-            original(pe, msg, conn)
-
-        program.exchange.on_data = capture
-        program.load_pressure(np.full((nz, ny, nx), 1.0e7))
-        program.exchange.run(EventRuntime(program.fabric, WSE2))
-        return {coord: tuple(order) for coord, order in orders.items()}
 
     @pytest.mark.parametrize(
         "nz, dtype, compute_fluxes",
         [
-            (7, np.float32, False),
-            (1, np.float64, False),
-            (1, np.float32, True),
-            (5, np.float64, True),
+            (7, "float32", False),
+            (1, "float64", False),
+            (1, "float32", True),
+            (5, "float64", True),
         ],
         ids=["nz", "dtype", "compute_fluxes", "all-three"],
     )
@@ -232,53 +208,17 @@ class TestProbeInvariances:
     def test_order_ignores_nz_dtype_and_the_flux_kernel(
         self, shape, nz, dtype, compute_fluxes
     ):
-        assert self._orders(*shape, nz, dtype, compute_fluxes) == (
-            arrival_schedule(*shape)
-        )
-
-
-class TestWithoutBufferReuse:
-    """Without buffer reuse the order follows ``nz``, the dtype and the
-    flux kernel, so the probe runs the program's own values."""
-
-    PROGRAMS = [
-        (1, "float64", False),
-        (2, "float32", True),
-        (3, "float64", True),
-    ]
-
-    @pytest.mark.parametrize("nz, dtype, compute_fluxes", PROGRAMS)
-    @pytest.mark.parametrize("overlap_compute", [True, False])
-    @pytest.mark.parametrize("shape", [(5, 5), (7, 7), (9, 6)])
-    def test_tiling_matches_the_full_probe_of_the_program(
-        self, shape, overlap_compute, nz, dtype, compute_fluxes
-    ):
-        program = dict(nz=nz, dtype=dtype, compute_fluxes=compute_fluxes)
-        options = dict(reuse_buffers=False, overlap_compute=overlap_compute)
-        full = probe_schedule.__wrapped__(
-            *shape, False, overlap_compute, True, nz, dtype, compute_fluxes
-        )
-        assert arrival_schedule(*shape, **options, **program) == full
-
-    def test_the_canonical_probe_would_misorder_them(self):
-        canonical = arrival_schedule(5, 5, reuse_buffers=False)
-        assert all(
-            arrival_schedule(
-                5, 5, reuse_buffers=False, nz=nz, dtype=dtype,
-                compute_fluxes=compute_fluxes,
-            ) != canonical
-            for nz, dtype, compute_fluxes in self.PROGRAMS
-        )
+        assert event_orders(
+            *shape, nz=nz, dtype=dtype, compute_fluxes=compute_fluxes,
+            pressure=1.0e7,
+        ) == arrival_schedule(*shape)
 
 
 class TestScheduleShape:
-    @pytest.mark.parametrize("options", OPTION_SETS, ids=_option_id)
     @pytest.mark.parametrize("shape", [(5, 5), (6, 6), (7, 12), (48, 48)])
-    def test_few_orders_each_a_permutation_of_the_neighbours(
-        self, shape, options
-    ):
+    def test_few_orders_each_a_permutation_of_the_neighbours(self, shape):
         nx, ny = shape
-        schedule = arrival_schedule(nx, ny, **options)
+        schedule = arrival_schedule(nx, ny)
         assert len(schedule) == nx * ny
         assert len(set(schedule.values())) <= 16
         xy = [c for c in Connection if c.offset[2] == 0]
@@ -291,38 +231,20 @@ class TestScheduleShape:
             assert len(order) == len(neighbours)
             assert set(order) == neighbours
 
-    def test_only_reduced_fabrics_are_ever_probed(self):
-        """With buffer reuse nothing is probed; without, only the
-        reduced stand-ins of each shape."""
-        probe_schedule.cache_clear()
-        shapes = [(6, 6), (48, 48), (65, 47), (750, 994), (3, 200)]
-        for shape in shapes:
-            schedule_classes(*shape)
-            schedule_classes(*shape, vectorized=False)
-        assert probe_schedule.cache_info().currsize == 0
-        for shape in shapes:
-            schedule_classes(*shape, reuse_buffers=False)
-        info = probe_schedule.cache_info()
-        # 4x4, 4x4 again, 5x5, 4x4 again, 3x4
-        assert (info.currsize, info.hits) == (3, 2)
+    def test_only_reduced_fabrics_are_ever_derived(self, monkeypatch):
+        """A fabric of any size derives its orders on its <= 5x5
+        stand-in (the tiling law) and tiles them."""
+        derived = []
+        derive = schedule_module._derive_schedule
 
-    def test_illegal_option_set_raises_and_caches_nothing(self, monkeypatch):
-        """The program's own refusal, word for word, with no program
-        built to raise it."""
-        probe_schedule.cache_clear()
-        built = _spy_on_the_simulator(monkeypatch)
-        with pytest.raises(ValueError, match="overlap_compute=False") as derived:
-            arrival_schedule(
-                8, 8, reuse_buffers=True, overlap_compute=False
-            )
-        assert built == []
-        assert probe_schedule.cache_info().currsize == 0
-        with pytest.raises(ValueError) as program:
-            FluxProgram(
-                CartesianMesh3D(8, 8, 1), FluidProperties(),
-                overlap_compute=False,
-            )
-        assert str(derived.value) == str(program.value)
+        def spy(nx, ny):
+            derived.append((nx, ny))
+            return derive(nx, ny)
+
+        monkeypatch.setattr(schedule_module, "_derive_schedule", spy)
+        for shape in [(6, 6), (48, 48), (65, 47), (750, 994), (3, 200)]:
+            schedule_classes(*shape)
+        assert derived == [(4, 4), (4, 4), (5, 5), (4, 4), (3, 4)]
 
 
 class TestFoldPlan:
@@ -332,9 +254,10 @@ class TestFoldPlan:
     )
     def test_plan_covers_each_pe_arrival_exactly_once(self, shape, options):
         """Project the fold program's lane masks onto each PE: the steps
-        whose mask selects it are its own arrivals, in its own order."""
+        whose mask selects it are its own arrivals, in the order an
+        event run of the program delivers them."""
         nx, ny = shape
-        classes = schedule_classes(nx, ny, **options)
+        classes = schedule_classes(nx, ny)
         program = fold_program(classes)
         assert all(members for _name, members in program)
         steps = _fold_steps(classes, (ny + 2, nx + 2), np.dtype(np.float32))
@@ -350,7 +273,7 @@ class TestFoldPlan:
                 rebuilt.setdefault((int(x), int(y)), []).append(conn.name)
         assert {
             coord: tuple(order) for coord, order in rebuilt.items()
-        } == arrival_schedule(nx, ny, **options)
+        } == event_orders(nx, ny, vectorized=options["vectorized"])
 
     def test_masks_are_all_ones_words_of_the_dtype_width(self):
         classes = schedule_classes(7, 9)
@@ -367,34 +290,3 @@ class TestFoldPlan:
         # a common supersequence of 16 orders of <= 8 arrivals each, in
         # place of 84 class-slice adds
         assert 8 <= len(fold_program(classes)) <= 16
-        unordered = schedule_classes(48, 48, reuse_buffers=False)
-        assert len(fold_program(unordered)) <= 12
-
-    @pytest.mark.parametrize(
-        "options",
-        [{}, {"reuse_buffers": False}, {"vectorized": False}],
-        ids=["default", "no-reuse", "scalar"],
-    )
-    @pytest.mark.parametrize("shape", [(5, 5), (7, 9), (48, 48)])
-    def test_annotation_is_per_class_and_expands_to_the_schedule(
-        self, shape, options
-    ):
-        """``"fold_schedule"`` on a lowered IR: O(classes) entries, not
-        O(PEs), that still say every PE's order."""
-        nx, ny = shape
-        mesh = CartesianMesh3D(nx, ny, 2)
-        ir = derive_ir(mesh, **options)
-        lower_to_fused(ir, mesh, FluidProperties())
-        annotation = ir.annotations["fold_schedule"]
-        assert len(annotation) <= (16 if min(shape) > 5 else nx * ny)
-        expanded = {
-            (x, y): tuple(entry["order"])
-            for entry in annotation
-            for y in range(*entry["y"])
-            for x in range(*entry["x"])
-        }
-        # the lowered program's own schedule: nz and the kernel only
-        # count without buffer reuse (module docstring)
-        assert expanded == arrival_schedule(
-            nx, ny, nz=mesh.nz, compute_fluxes=True, **options
-        )

@@ -185,9 +185,10 @@ class TestDiskCheckpoints:
 class TestDegradation:
     def test_gpu_exhaustion_degrades_to_lockstep_conformant(self):
         from repro.dataflow.lockstep import LockstepWseSimulation
+        from repro.ir import derive_ir
 
         lockstep_ref = LockstepWseSimulation(
-            MESH, FLUID, dtype=np.float64
+            MESH, FLUID, ir=derive_ir(MESH, dtype=np.float64)
         ).run([PRESSURES[-1]]).residual
         policy = ResiliencePolicy(
             max_restarts=1, backoff_base=0.0, backoff_jitter=0.0,

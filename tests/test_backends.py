@@ -429,14 +429,9 @@ SIGNATURES = {
         " overlap_compute pe_memory_bytes pe_memory_reserved remap ir"
     ),
     "repro.ir.fused.FusedFluxComputation": "mesh fluid trans ir record",
-    "repro.dataflow.lockstep.LockstepWseSimulation": (
-        "mesh fluid trans dtype vectorized compute_fluxes record ir"
-    ),
-    "repro.dataflow.padded.PaddedFlatLayout": (
-        "mesh fluid trans dtype exchange_plan vectorized compute_fluxes"
-        " halo_copies"
-    ),
-    "repro.dataflow.padded.PaddedSweep": "layout fold name record ir",
+    "repro.dataflow.lockstep.LockstepWseSimulation": "mesh fluid trans ir record",
+    "repro.dataflow.padded.PaddedFlatLayout": "mesh fluid trans ir halo_copies",
+    "repro.dataflow.padded.PaddedSweep": "layout fold name record",
     "repro.gpu.reference.GpuFluxComputation": (
         "mesh fluid trans variant dtype record"
     ),
