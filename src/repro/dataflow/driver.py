@@ -232,7 +232,7 @@ class WseFluxComputation:
             applications=applications,
             device_cycles=total_cycles,
             device_seconds=WSE2.seconds(total_cycles),
-            compute_cycles=sum(pe.dsd.cycles for pe in fabric.pes()),
+            compute_cycles=fabric.compute_cycles(),
             instruction_counts=fabric.total_counts(),
             flops=fabric.total_flops(),
             fabric_word_hops=totals.fabric_word_hops,

@@ -18,8 +18,12 @@ copy per kernel.  A program supplies only its physics:
     FMOVs every time).  A 1-D ndarray, the PE's row of a block column:
     the exchange sends it through ``EventRuntime.send``, which does not
     check it;
-``on_data(pe, msg, conn)``
+``on_data(conn, rt, pe, msg)``
     one neighbour's column has arrived; ``conn`` names the neighbour.
+    It *is* the data task of the neighbour's color (bound as
+    ``partial(on_data, conn)``: a delivered column enters one Python
+    frame, the program's), so it counts the column first:
+    ``exchange.received[pe.row] += 1``, which :meth:`verify` checks.
 
 and, optionally, two round hooks for work that spans the whole fabric:
 
@@ -33,9 +37,9 @@ and, optionally, two round hooks for work that spans the whole fabric:
     aborts never reaches it, and the next ``begin_round`` starts clean.
 
 The exchange owns the rest: color allocation in the canonical
-cardinal-then-diagonal order, route install, task binding, the
-send-once rule, the kick-off, the ``exec_start`` / ``busy_until``
-bookkeeping of the start task, the exactly-once delivery check, and
+cardinal-then-diagonal order, route install, task binding (a control
+wavelet's task is the send itself), the send-once rule, the kick-off,
+the ``exec_start`` / ``busy_until`` bookkeeping of the start task, the exactly-once delivery check, and
 the protocol tables ``expected``, ``step1_channels`` and per round
 ``received`` / ``sent``.  They are indexed by ``pe.row``, a PE's index
 in :attr:`ColumnExchange.pes` and its row of the PE-major block a
@@ -63,6 +67,8 @@ the no-reuse golden pins both.  Preserve it, do not tidy it.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.dataflow.cardinal import (
     CARDINAL_CHANNELS,
     is_step1_sender,
@@ -89,8 +95,9 @@ class ColumnExchange:
     nx, ny:
         The logical PE rectangle running the program.
     start, payload, on_data:
-        The program's physics (module docstring).  ``on_data`` is read
-        from the attribute at call time, so a probe may wrap it.
+        The program's physics (module docstring).  ``on_data`` is bound
+        once per color at construction; a probe wraps the bound tasks
+        (``fabric.tasks``), not the attribute.
     begin_round, end_round:
         Optional round hooks (module docstring).
     ir:
@@ -215,18 +222,15 @@ class ColumnExchange:
                     mask |= bit
             self.expected.append(across[x] * down[y] - 1)
             self.step1_channels.append(subsets[mask])
-        #: Per row, this round: columns delivered, and bits ``1 << color``
-        #: of the cardinal colors sent on (the send-once rule).
+        #: Per row, this round: columns delivered (counted by
+        #: ``on_data``), and bits ``1 << color`` of the cardinal colors
+        #: sent on (the send-once rule).
         self.received, self.sent = [0] * len(self.pes), [0] * len(self.pes)
+        # one Python frame per task: a partial of the hook itself
         for channel, color in self.channels:
-
-            def deliver(rt, pe, msg, _conn=channel.delivers):
-                self.received[pe.row] += 1
-                self.on_data(pe, msg, _conn)
-
-            self.fabric.bind_all(color, deliver)
+            self.fabric.bind_all(color, partial(self.on_data, channel.delivers))
         for _channel, color in self._cardinals:
-            self.fabric.bind_all(color, self._on_control, control=True)
+            self.fabric.bind_all(color, partial(self._send, color), control=True)
 
     # ------------------------------------------------------------------ #
     # One round
@@ -260,15 +264,14 @@ class ColumnExchange:
             rt.send(pe, color, payload, at)
         # cardinal step-1 senders (Fig. 6b, step 1; resolved at set-up)
         for channel in self.step1_channels[pe.row]:
-            self._send(rt, pe, self._cardinal_color[channel.name])
+            self._send(self._cardinal_color[channel.name], rt, pe)
         pe.busy_until = start + (pe.dsd.cycles - before)
 
-    def _on_control(self, rt, pe, msg) -> None:
-        self._send(rt, pe, msg.color)
-
-    def _send(self, rt: EventRuntime, pe, color: int) -> None:
+    def _send(self, color: int, rt: EventRuntime, pe, _msg=None) -> None:
         """Transmit this PE's column on cardinal *color*, once per round,
-        followed by the control wavelet that flips the switches."""
+        followed by the control wavelet that flips the switches.  Also
+        the control task of *color*: a step-2 sender's control wavelet
+        runs it as ``partial(_send, color)(rt, pe, msg)``."""
         sent, row, bit = self.sent, pe.row, 1 << color
         if sent[row] & bit:
             return

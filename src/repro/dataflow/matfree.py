@@ -120,8 +120,9 @@ class WseMatrixFreeJacobian:
         self.total_device_cycles = 0.0
 
     # ------------------------------------------------------------------ #
-    def _on_data(self, pe, msg, conn: Connection) -> None:
+    def _on_data(self, conn: Connection, rt, pe, msg) -> None:
         row, columns = pe.row, self._columns
+        self.exchange.received[row] += 1
         recv, tmp, out = columns["recv"][row], columns["tmp"][row], columns["out"][row]
         pe.dsd.fmovs(recv, msg.payload, from_fabric=True)
         pe.dsd.fmuls(tmp, recv, self._offd[conn][row])

@@ -299,17 +299,18 @@ class FluxProgram:
     # The exchange's physics hooks: bookings at the simulated times
     # ------------------------------------------------------------------ #
     def _receive_neighbour(
-        self, pe: ProcessingElement, msg, conn: Connection
+        self, conn: Connection, rt, pe: ProcessingElement, msg
     ) -> None:
-        """Log a neighbour's (p, rho) train and add the receive task's
-        cycles: the FMOV from the fabric queue into the receive window
-        (the 16 FMOV / 16 fabric loads per cell of Table 4: 2 words per
-        cell per neighbour, 8 neighbours) and the partial flux — on
-        arrival, or every partial flux at the last arrival without
+        """Count and log a neighbour's (p, rho) train and add the receive
+        task's cycles: the FMOV from the fabric queue into the receive
+        window (the 16 FMOV / 16 fabric loads per cell of Table 4: 2
+        words per cell per neighbour, 8 neighbours) and the partial flux
+        — on arrival, or every partial flux at the last arrival without
         overlap.  Cycles are all the timeline reads; :meth:`_end_round`
         books the counters, fills the window and runs the flux.
         """
-        row = pe.row
+        row, exchange = pe.row, self.exchange
+        exchange.received[row] += 1
         self.round_log.append((_SLOTS * row + self._halos[conn][1], msg.payload))
         dsd = pe.dsd
         if self.overlap_compute:
@@ -317,8 +318,8 @@ class FluxProgram:
             dsd.cycles = dsd.cycles + self._fmov_cycles + self._flux_cycles
             return
         dsd.cycles += self._fmov_cycles
-        expected = self.exchange.expected[row]
-        if self.exchange.received[row] == expected:
+        expected = exchange.expected[row]
+        if exchange.received[row] == expected:
             # deferred: every halo stayed resident until the last arrival
             for _ in range(expected):
                 dsd.cycles += self._flux_cycles

@@ -87,8 +87,8 @@ class FaultInjector:
         self.dead: frozenset[tuple[int, int]] = frozenset(
             d.coord for d in plan.dead_pes
         )
-        #: packed ``(x << 16 | y) << 3 | port`` -> LinkFault (same key
-        #: layout as EventRuntime._link_busy)
+        #: packed ``(x << 16 | y) << 3 | port`` -> LinkFault (the key
+        #: layout of the trace sink's links, repro.obs.trace.pack_link)
         self._links = {
             (((lf.x << 16) | lf.y) << 3) | lf.port: lf for lf in plan.link_faults
         }

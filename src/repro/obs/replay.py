@@ -166,6 +166,46 @@ class ReplayRecorder:
         return ReplayArtifact(meta=meta, snapshots=dict(self.snapshots))
 
 
+def _check_replayed_values(meta: dict) -> None:
+    """ValueError unless the values a replay reads before its first step
+    have the shapes :func:`repro.conform.replay` indexes them by."""
+
+    def count(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    mesh = meta["mesh"]
+    if not isinstance(mesh, dict):
+        raise ValueError("meta.json mesh is not a JSON object")
+    if not isinstance(mesh.get("kind"), str):
+        raise ValueError("meta.json mesh lacks a kind")
+    for axis in ("nx", "ny", "nz"):
+        if not (count(mesh.get(axis)) and mesh[axis] >= 1):
+            raise ValueError(f"meta.json mesh {axis} is not a positive integer")
+    if mesh["kind"] != "plain" and not count(mesh.get("seed")):
+        raise ValueError("meta.json mesh seed is not an integer")
+    dtype = meta["dtype"]
+    try:
+        floating = isinstance(dtype, str) and np.dtype(dtype).kind == "f"
+    except TypeError:  # a name NumPy does not know
+        floating = False
+    if not floating:
+        raise ValueError(f"meta.json dtype {dtype!r} is not a float dtype")
+    applications, steps = meta["applications"], meta["steps"]
+    if not (count(applications) and applications >= 1):
+        raise ValueError("meta.json applications is not a positive integer")
+    if not (
+        isinstance(steps, list)
+        and len(steps) == applications
+        and all(
+            isinstance(step, dict)
+            and isinstance(step.get("pressure_sha256"), str)
+            and isinstance(step.get("residual_sha256"), str)
+            for step in steps
+        )
+    ):
+        raise ValueError("meta.json steps is not one digest record per application")
+
+
 class ReplayArtifact:
     """One recorded run: byte-stable metadata + residual snapshots.
 
@@ -252,6 +292,7 @@ class ReplayArtifact:
             missing = [key for key in _REPLAYED_KEYS if key not in meta]
             if missing:
                 raise ValueError(f"meta.json lacks {', '.join(missing)}")
+            _check_replayed_values(meta)
             if int(meta.get("schema", -1)) > SCHEMA_VERSION:
                 raise ValueError(
                     f"{path} uses artifact schema {meta.get('schema')}; "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.trace import TraceSink, latency_bucket_bounds, unpack_link
+from repro.obs.trace import TraceSink, latency_bucket_bounds
 from repro.util.reporting import Table
 
 __all__ = [
@@ -91,9 +91,12 @@ def stall_report(runtime, *, max_items: int = 8) -> dict:
                     "fn": getattr(event[0], "__name__", repr(event[0])),
                 }
             )
+    # link-busy keys are ``index << 3 | port``: name the link by its
+    # router's coordinate
+    coords = runtime.coords
     last_active = [
         {
-            "link": "({}, {})->{}".format(*unpack_link_named(key)),
+            "link": "({}, {})->{}".format(*coords[key >> 3], Port(key & 7).name),
             "busy_until": busy,
         }
         for key, busy in sorted(
@@ -107,14 +110,6 @@ def stall_report(runtime, *, max_items: int = 8) -> dict:
         "last_active_links": last_active,
         "stats": asdict(runtime.stats),
     }
-
-
-def unpack_link_named(key: int) -> tuple[int, int, str]:
-    """(x, y, port-name) of a packed directed-link key."""
-    from repro.wse.geometry import Port
-
-    x, y, port = unpack_link(key)
-    return x, y, Port(port).name
 
 
 def render_stall(report: dict) -> str:

@@ -22,10 +22,11 @@ map directly) — are written as a single dict lookup plus in-place list
 increments so a traced run stays cheap (the ``bench/`` ledger's
 ``obs.trace_overhead_frac``); all public views are read-time projections.
 
-Link keys use the event runtime's packed encoding
+Link keys pack the sender's coordinate,
 ``((x << 16) | y) << 3 | out_port`` (see :func:`pack_link` /
-:func:`unpack_link`), so the runtime can reuse the key it already
-computed for the link-busy map.
+:func:`unpack_link`): the traced runtime packs them from its
+``coords[index]`` per hop (its own link-busy map is keyed by the PE's
+row-major index, ``index << 3 | out_port``).
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ class TraceSink:
         agg[1] += msg.num_words
 
     # The per-hop side has no method: the runtime updates ``_links``
-    # directly with the packed key it already holds (one dict lookup
-    # per hop keeps traced runs inside the overhead budget).
+    # directly with the key it packs per hop (one dict lookup per hop
+    # keeps traced runs inside the overhead budget).
 
     # ------------------------------------------------------------------ #
     # Lifecycle / aggregation

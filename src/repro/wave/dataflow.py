@@ -92,16 +92,17 @@ class WseWavePropagator:
         self._u_prev, self._u_curr = columns["u_prev"], columns["u_curr"]
 
     # ------------------------------------------------------------------ #
-    def _on_data(self, pe, msg, conn: Connection) -> None:
-        """Accumulate one neighbour's horizontal stencil contribution."""
-        row, columns = pe.row, self._columns
+    def _on_data(self, conn: Connection, rt, pe, msg) -> None:
+        """Count and accumulate one neighbour's horizontal stencil
+        contribution."""
+        row, columns, exchange = pe.row, self._columns, self.exchange
+        exchange.received[row] += 1
         recv = columns["recv"][row]
         pe.dsd.fmovs(recv, msg.payload, from_fabric=True)
         a, _ = self.coeffs[conn]
         lap, tmp = columns["lap"][row], columns["tmp"][row]
         pe.dsd.fmuls(tmp, recv, a)
         pe.dsd.fadds(lap, lap, tmp)
-        exchange = self.exchange
         if exchange.received[row] == exchange.expected[row]:
             self._finalize(pe)
 

@@ -97,19 +97,21 @@ class Fabric:
             raise ValueError("cannot bypass every fabric column")
         self.width = width
         self.height = height
-        self._pes: dict[tuple[int, int], ProcessingElement] = {}
-        self._routers: dict[tuple[int, int], Router] = {}
-        for y in range(height):
-            for x in range(width):
-                coord = (x, y)
-                self._pes[coord] = ProcessingElement(
-                    coord=coord,
-                    memory=Scratchpad(
-                        pe_memory_bytes, reserved=pe_memory_reserved
-                    ),
-                    dsd=DsdEngine(vectorized=vectorized),
-                )
-                self._routers[coord] = Router(coord=coord)
+        #: Every PE and router by physical row-major index (``pe.index``,
+        #: ``y * width + x``): what the event runtime reads per event.
+        self.pe_list = [
+            ProcessingElement(
+                coord=(x, y),
+                memory=Scratchpad(pe_memory_bytes, reserved=pe_memory_reserved),
+                dsd=DsdEngine(vectorized=vectorized),
+                index=y * width + x,
+            )
+            for y in range(height)
+            for x in range(width)
+        ]
+        self.router_list = [Router(coord=pe.coord) for pe in self.pe_list]
+        self._pes = {pe.coord: pe for pe in self.pe_list}
+        self._routers = {r.coord: r for r in self.router_list}
         #: color -> the data / control task every PE runs for it
         #: (filled by :meth:`bind_all`; the runtime caches both dicts)
         self.tasks: dict[int, Task] = {}
@@ -157,9 +159,7 @@ class Fabric:
 
     def pes(self) -> Iterator[ProcessingElement]:
         """Iterate all PEs in row-major order."""
-        for y in range(self.height):
-            for x in range(self.width):
-                yield self._pes[(x, y)]
+        return iter(self.pe_list)
 
     def configured_colors(self) -> set[int]:
         """Union of colors with routing installed on any router."""
@@ -234,7 +234,7 @@ class Fabric:
                 f"of {self.num_pes} PEs"
             )
         prepared: dict[int, ColorConfig] = {}  # classes in use, built once
-        for router, idx in zip(self._routers.values(), assignment):
+        for router, idx in zip(self.router_list, assignment):
             if idx < 0:
                 continue
             cfg = prepared.get(idx)
@@ -280,25 +280,31 @@ class Fabric:
     # ------------------------------------------------------------------ #
     # Aggregate accounting
     # ------------------------------------------------------------------ #
+    # Row-major over ``pe_list`` and with no generator: a per-PE resume
+    # is a Python frame per PE per application of the event driver.
+    def compute_cycles(self) -> float:
+        """Total PE datapath cycles, summed in row-major order."""
+        return sum([pe.dsd.cycles for pe in self.pe_list])
+
     def total_counts(self) -> dict[str, int]:
         """Sum of DSD instruction counts over all PEs."""
         totals: dict[str, int] = {}
-        for pe in self.pes():
+        for pe in self.pe_list:
             for op, n in pe.dsd.counts.items():
                 totals[op] = totals.get(op, 0) + n
         return totals
 
     def total_flops(self) -> int:
         """Total floating point operations executed on the fabric."""
-        return sum(pe.dsd.flops for pe in self.pes())
+        return sum([pe.dsd.flops for pe in self.pe_list])
 
     def max_memory_high_water(self) -> int:
         """Largest scratchpad high-water mark across PEs (bytes)."""
-        return max(pe.memory.high_water for pe in self.pes())
+        return max([pe.memory.high_water for pe in self.pe_list])
 
     def reset_counters(self) -> None:
         """Zero all PE instruction counters and busy times."""
-        for pe in self.pes():
+        for pe in self.pe_list:
             pe.dsd.reset()
             pe.busy_until = 0.0
             pe.messages_received = pe.messages_sent = 0

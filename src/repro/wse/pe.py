@@ -42,6 +42,10 @@ class ProcessingElement:
         (its index in ``ColumnExchange.pes``); ``-1`` while it runs none,
         e.g. in a bypassed column.  A program keeps its per-PE data as
         rows of block columns and reads them by this index.
+    index:
+        The PE's physical row-major index on its fabric, ``y * width +
+        x`` (``-1`` off a fabric): how the event runtime addresses it
+        and its router.
     """
 
     coord: tuple[int, int]
@@ -49,6 +53,7 @@ class ProcessingElement:
     dsd: DsdEngine = field(default_factory=DsdEngine)
     busy_until: float = 0.0
     row: int = -1
+    index: int = -1
     #: Start time / cycle counter of the task currently executing on this
     #: PE (set by the runtime before each task): a send the task issues
     #: enters the fabric at ``exec_start + (dsd.cycles - cycles_at_start)``,

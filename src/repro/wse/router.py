@@ -20,9 +20,16 @@ Route lookups are the single hottest query of the event simulator (one
 per message per router traversal), so ``table`` is a flattened
 ``key -> outputs`` map of the *current* switch positions, keyed by the
 packed int ``(color << PORT_SHIFT) | in_port`` (ports fit in 3 bits).
-The schedule's positions come pre-flattened (``ColorConfig.flat``), so
-:meth:`Router.advance` only pops the outgoing position's few keys and
-bulk-inserts the incoming one — no per-advance rebuild.
+The schedule's positions come pre-flattened with their successors
+(``ColorConfig.moves``), so an advance only drops the outgoing
+position's keys the incoming one lacks and bulk-inserts the incoming
+one — no per-advance rebuild.  Switch positions live in one place
+each: the schedule in the class's :class:`ColorConfig` (what
+:meth:`Router.positions_of`, the IR capture and ``repro check`` read),
+the current position in the router's ``current`` (what
+:meth:`Router.advance` and the event runtime's drain loop, which
+inlines it, write and :meth:`Router.position` reads).  No table beside
+them copies a position.
 """
 
 from __future__ import annotations
@@ -63,6 +70,11 @@ class ColorConfig:
     initial: int = 0
     allow_loops: InitVar[bool] = False
     flat: tuple[_FlatPosition, ...] = field(init=False, repr=False, compare=False)
+    #: Per position: ``(keys to drop, next position, its flat table)`` —
+    #: one advance, precomputed.
+    moves: tuple[tuple[tuple[int, ...], int, _FlatPosition], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self, allow_loops: bool) -> None:
         self.positions = tuple(map(dict, self.positions))
@@ -82,6 +94,12 @@ class ColorConfig:
             {base | in_port: tuple(outs) for in_port, outs in pos.items()}
             for pos in self.positions
         )
+        moves = []
+        for i, here in enumerate(self.flat):
+            after = (i + 1) % len(self.flat)
+            table = self.flat[after]
+            moves.append((tuple(k for k in here if k not in table), after, table))
+        self.moves = tuple(moves)
 
 
 @dataclass(slots=True)
@@ -153,21 +171,16 @@ class Router:
         return self.table.get((color << PORT_SHIFT) | in_port, ())
 
     def advance(self, color: int) -> None:
-        """Advance the switch position of *color* (no-op when single-position)."""
+        """Advance the switch position of *color* (no-op when unconfigured;
+        a single position advances onto itself)."""
         cfg = self.configs.get(color)
         if cfg is None:
             return
-        flat = cfg.flat
-        table = self.table
-        current = self.current
-        pos = current[color]
-        for key in flat[pos]:
-            table.pop(key, None)
-        pos += 1
-        if pos == len(flat):
-            pos = 0
-        current[color] = pos
-        table.update(flat[pos])
+        current, table = self.current, self.table
+        drop, current[color], flat = cfg.moves[current[color]]
+        for key in drop:
+            del table[key]
+        table.update(flat)
 
     def position(self, color: int) -> int:
         """Current switch position of *color*."""

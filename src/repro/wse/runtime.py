@@ -23,25 +23,36 @@ that bucket to its end (an event pushed at ``now`` meanwhile is appended
 and runs in the same pass).  Push order within a timestamp is the
 ``(time, seq)`` order a per-event heap gave, so no event moves.  Events
 are *typed* tuples ``(kind, ...)``, dispatched without a closure per
-hop: arrivals carry ``(coord, in_port, message)`` inline; generic
+hop: arrivals carry ``(index, in_port, message)`` inline; generic
 callbacks (per-application kick-off, not per hop) ride on ``_EV_CALL``.
 
-No runtime frame per hop or delivery.  The one drain loop inlines the
-bodies of :meth:`~EventRuntime._arrive`, ``_transmit`` and
-``_deliver``; the frames left are the bound tasks'.  A traced or
-faulted runtime calls ``_arrive`` (and through it the other two) behind
-one local boolean: the methods are the per-event reference the tests
-pin the inlined bodies to.  The event budget and the progress watchdog
-are checked once per timestamp, before ``now`` advances (a budget cuts
-the bucket with ``islice`` and stops at the next boundary), so an
-armed run walks the same loop at the same cost per event.  A
-PE's send is one :meth:`~EventRuntime.send` frame: the column exchange
-hands it the PE and a checked block-row train, so it skips
-:meth:`inject`'s coordinate lookup and payload checks (``inject`` does
-both, then the same push).
+A PE is an integer: its physical row-major index
+(:attr:`~repro.wse.pe.ProcessingElement.index`).  Everything the drain
+reads per event is a list by it — the PEs, the routers, each router's
+bound route-table ``get``, and the link destinations by ``index << 3 |
+port`` (the key of link occupancy too), each the destination's index
+(bypassed columns walked past) or ``None`` off the fabric — so no
+coordinate tuple is built or hashed per event.  The trace sink, the
+fault injector, :meth:`~EventRuntime.pending` and the stall report get
+coordinates through the one :attr:`EventRuntime.coords` list.
 
-Fabric/router/perf lookups are cached on the runtime at construction, a
-message forwarded through a single-output route is passed on without a
+No runtime frame per hop, delivery or switch advance: the one drain
+loop inlines the bodies of :meth:`~EventRuntime._arrive`,
+``_transmit``, ``_deliver`` and :meth:`~repro.wse.router.Router.advance`
+(on the router's own ``current`` and ``table``).  A traced or faulted
+runtime calls ``_arrive`` (and through it the other three) behind one
+local boolean: the methods are the per-event reference the tests pin
+the inlined bodies to.  The event budget and the progress watchdog are
+checked once per timestamp, before ``now`` advances (a budget cuts the
+bucket with ``islice`` and stops at the next boundary), so an armed run
+walks the same loop at the same cost per event.  A PE's send is one
+:meth:`~EventRuntime.send` frame: the column exchange hands it the PE
+and a checked block-row train, so it skips :meth:`inject`'s coordinate
+lookup and payload checks (``inject`` does both, then the same push).
+The frames left are the tasks' (DESIGN.md §8 item 8).
+
+Perf lookups are cached on the runtime at construction, a message
+forwarded through a single-output route is passed on without a
 :meth:`~repro.wse.packet.Message.fork` (the copy is only needed on true
 multicast fan-out), and route queries hit the router's flattened
 current table directly.  :meth:`EventRuntime.reset` clears all per-run
@@ -68,9 +79,15 @@ from repro.wse.router import PORT_SHIFT
 __all__ = ["EventRuntime", "RuntimeStats"]
 
 #: Event kinds, the first field of an event.  ``_EV_CALL`` events carry
-#: ``(fn, args, None)``; ``_EV_ARRIVE`` events carry ``(coord, in_port, msg)``.
+#: ``(fn, args, None)``; ``_EV_ARRIVE`` events carry ``(index, in_port, msg)``
+#: with the router's row-major index (:meth:`EventRuntime.pending` lists
+#: its coordinate instead).
 _EV_CALL = 0
 _EV_ARRIVE = 1
+
+#: ``Port.RAMP`` as a plain global: an enum member read off its class
+#: costs ~0.1 us, a global ~0.01 us, and a send reads it per message.
+_RAMP = Port.RAMP
 
 #: Counters merged by taking the maximum rather than the sum.
 _MERGE_BY_MAX = frozenset({"max_hops_seen"})
@@ -178,43 +195,40 @@ class EventRuntime:
         self._calendar: dict[float, list[tuple]] = {}
         self._times: list[float] = []
         #: busy-until time of each directed link, keyed by the packed int
-        #: ``(x << 16 | y) << 3 | out_port``
+        #: ``index << 3 | out_port``
         self._link_busy: dict[int, float] = {}
-        # hot-path caches: resolved once, read on every event
-        self._pes = fabric.pe_map
-        self._routers = fabric.router_map
-        self._width = fabric.width
-        self._height = fabric.height
+        # hot-path tables, by the PE's row-major index: resolved once,
+        # read on every event
+        self._pes = fabric.pe_list
+        self._routers = fabric.router_list
+        #: index -> ``(x, y)``: the one translation to coordinates (the
+        #: hooked path, :meth:`pending`, the stall report)
+        self.coords = [pe.coord for pe in self._pes]
         self._hop_latency = perf.hop_latency_cycles
         self._link_rate = perf.link_words_per_cycle
         self._injection_overhead = perf.injection_overhead_cycles
-        #: coord -> port-indexed tuple of link destinations (None when the
-        #: link leaves the fabric): replaces per-hop coordinate arithmetic
-        #: and bounds checks with one lookup.  Bypassed columns (spare-
-        #: column remap of dead PEs, CS-2 yield style) are walked past
-        #: transparently on east/west links: one logical hop still costs
-        #: one link transfer, so event timestamps — and summation order —
-        #: match the healthy fabric bit-for-bit.
-        width, height = self._width, self._height
-        bypass = getattr(fabric, "bypass_columns", frozenset())
-        self._dests: dict[tuple[int, int], tuple] = {}
-        for (x, y) in self._pes:
-            row = []
-            for dx, dy in OFFSET:
+        #: ``index << 3 | port`` -> the index of the link's destination
+        #: router (None when the link leaves the fabric): replaces per-hop
+        #: coordinate arithmetic and bounds checks with one lookup.
+        #: Bypassed columns (spare-column remap of dead PEs, CS-2 yield
+        #: style) are walked past transparently on east/west links: one
+        #: logical hop still costs one link transfer, so event timestamps
+        #: — and summation order — match the healthy fabric bit-for-bit.
+        width, height = fabric.width, fabric.height
+        bypass = fabric.bypass_columns
+        self._dests: list[int | None] = [None] * (len(self.coords) << 3)
+        for index, (x, y) in enumerate(self.coords):
+            for port, (dx, dy) in enumerate(OFFSET):
                 nx, ny = x + dx, y + dy
                 if dx and bypass:
                     while 0 <= nx < width and nx in bypass:
                         nx += dx
-                row.append(
-                    (nx, ny) if 0 <= nx < width and 0 <= ny < height else None
-                )
-            self._dests[(x, y)] = tuple(row)
-        #: coord -> bound ``table.get`` of that router's flattened route
+                if 0 <= nx < width and 0 <= ny < height:
+                    self._dests[index << 3 | port] = ny * width + nx
+        #: index -> bound ``table.get`` of that router's flattened route
         #: table.  Routers mutate their table dict in place (never rebind
         #: it), so the bound method stays valid across switch advances.
-        self._route_gets = {
-            coord: router.table.get for coord, router in self._routers.items()
-        }
+        self._route_gets = [router.table.get for router in self._routers]
         #: the fabric's per-color task tables (filled in place by
         #: ``Fabric.bind_all``, so binding after construction is seen)
         self._tasks = fabric.tasks
@@ -241,8 +255,14 @@ class EventRuntime:
 
     def pending(self) -> list[tuple]:
         """The pending events in run order, as ``(due, kind, ...)`` tuples
-        (a read-only copy: the stall report's view of the queue)."""
-        return [(t, *e) for t in sorted(self._times) for e in self._calendar[t]]
+        (a read-only copy: the stall report's view of the queue); an
+        arrival as ``(due, kind, coord, in_port, msg)``."""
+        coords = self.coords
+        return [
+            (t, kind, coords[a], *rest) if kind == _EV_ARRIVE else (t, kind, a, *rest)
+            for t in sorted(self._times)
+            for kind, a, *rest in self._calendar[t]
+        ]
 
     def reset(self) -> None:
         """Discard all per-run state, keeping the fabric/perf configuration.
@@ -280,15 +300,17 @@ class EventRuntime:
         watchdog_cycles = self.watchdog_cycles
         armed = max_events is not None or watchdog_cycles is not None
         calendar, times = self._calendar, self._times
-        # the bodies of _arrive, _transmit and _deliver are inlined, so a
-        # hop or a delivery enters no Python frame of the runtime's.  A
-        # traced or faulted runtime (`hooked`) calls _arrive.
+        # the bodies of _arrive, _transmit, _deliver and Router.advance
+        # are inlined, so a hop, a delivery or a switch advance enters no
+        # Python frame of the runtime's.  A traced or faulted runtime
+        # (`hooked`) calls _arrive.
         arrive = self._arrive
         hooked = self._trace or self._fault_check
         routers, route_gets = self._routers, self._route_gets
         pes, dests, link_busy = self._pes, self._dests, self._link_busy
         tasks, control_tasks = self._tasks, self._control_tasks
         hop_latency, link_rate = self._hop_latency, self._link_rate
+        ramp = _RAMP
         stats = self.stats
         delivered, last_progress = stats.messages_delivered, self.now
         processed = first = 0
@@ -333,19 +355,20 @@ class EventRuntime:
                     if event[0] != _EV_ARRIVE:
                         event[1](*event[2])
                         continue
-                    _, coord, in_port, msg = event
+                    _, index, in_port, msg = event
                     if hooked:
-                        arrive(coord, in_port, msg)
+                        arrive(index, in_port, msg)
                         continue
-                    outputs = route_gets[coord]((msg.color << PORT_SHIFT) | in_port)
+                    color = msg.color
+                    outputs = route_gets[index]((color << PORT_SHIFT) | in_port)
                     if outputs:
                         # one output forwards the message itself (one
                         # consumer), a fan-out forks per output
                         fan_out = len(outputs) > 1
                         for out in outputs:
                             m = msg.fork() if fan_out else msg
-                            if out is Port.RAMP:  # _deliver
-                                pe = pes[coord]
+                            if out is ramp:  # _deliver
+                                pe = pes[index]
                                 pe.messages_received += 1
                                 pe.words_received += m.num_words
                                 stats.messages_delivered += 1
@@ -365,11 +388,11 @@ class EventRuntime:
                                 task(self, pe, m)
                                 pe.busy_until = start + (dsd.cycles - before)
                             else:  # _transmit
-                                dest = dests[coord][out]
+                                key = index << 3 | out
+                                dest = dests[key]
                                 if dest is None:
                                     stats.messages_dropped_offchip += 1
                                     continue
-                                key = (((coord[0] << 16) | coord[1]) << 3) | out
                                 start = link_busy.get(key, 0.0)
                                 if start < time:
                                     start = time
@@ -388,8 +411,15 @@ class EventRuntime:
                                     heappush(times, due)
                                 else:
                                     later.append(arrival)
-                    if msg.kind == KIND_CONTROL:
-                        routers[coord].advance(msg.color)
+                    if msg.kind == KIND_CONTROL:  # Router.advance
+                        router = routers[index]
+                        cfg = router.configs.get(color)
+                        if cfg is not None:
+                            current, table = router.current, router.table
+                            drop, current[color], flat = cfg.moves[current[color]]
+                            for dropped in drop:
+                                del table[dropped]
+                            table.update(flat)
                         stats.control_advances += 1
                 if processed - first < len(bucket):
                     # the budget cut this bucket short: drop what ran
@@ -430,7 +460,7 @@ class EventRuntime:
         their compute finishes.  The coordinate and the payload are
         checked here; :meth:`send` is the push both share.
         """
-        pe = self._pes.get(coord)
+        pe = self.fabric.pe_map.get(coord)
         if pe is None:
             pe = self.fabric.pe(*coord)  # raises with coordinate context
         msg = self.send(
@@ -473,7 +503,7 @@ class EventRuntime:
         pe.words_sent += words
         self.stats.messages_injected += 1
         due = msg.born = self.now + delay
-        event = (_EV_ARRIVE, coord, Port.RAMP, msg)
+        event = (_EV_ARRIVE, pe.index, _RAMP, msg)
         bucket = self._calendar.get(due)
         if bucket is None:
             self._calendar[due] = [event]
@@ -482,48 +512,46 @@ class EventRuntime:
             bucket.append(event)
         return msg
 
-    def _arrive(self, coord: tuple[int, int], in_port: Port, msg: Message) -> None:
-        """A message reaches the router at *coord* through *in_port*."""
-        router = self._routers[coord]
+    def _arrive(self, index: int, in_port: Port, msg: Message) -> None:
+        """A message reaches the router of PE *index* through *in_port*."""
+        router = self._routers[index]
         outputs = router.table.get((msg.color << PORT_SHIFT) | in_port)
         if outputs:
             if len(outputs) == 1:
                 # single-output route: forward the message itself —
                 # exactly one consumer ever sees it, so no copy is needed
                 out = outputs[0]
-                if out is Port.RAMP:
-                    self._deliver(coord, msg)
+                if out is _RAMP:
+                    self._deliver(index, msg)
                 else:
-                    self._transmit(coord, out, msg)
+                    self._transmit(index, out, msg)
             else:
                 for out in outputs:
-                    if out is Port.RAMP:
-                        self._deliver(coord, msg.fork())
+                    if out is _RAMP:
+                        self._deliver(index, msg.fork())
                     else:
-                        self._transmit(coord, out, msg.fork())
+                        self._transmit(index, out, msg.fork())
         if msg.kind == KIND_CONTROL:
             # the command advances this router's switch position after
             # being forwarded along the current configuration (Fig. 6b)
             router.advance(msg.color)
             self.stats.control_advances += 1
 
-    def _transmit(
-        self, coord: tuple[int, int], out_port: Port, msg: Message
-    ) -> None:
-        """Send a train over the directed link (coord, out_port)."""
-        dest = self._dests[coord][out_port]
+    def _transmit(self, index: int, out_port: Port, msg: Message) -> None:
+        """Send a train over the directed link (index, out_port)."""
+        # directed-link key packed as an int (index, port) — cheaper to
+        # hash than a nested tuple at per-hop rates
+        key = index << 3 | out_port
+        dest = self._dests[key]
         if dest is None:
             self.stats.messages_dropped_offchip += 1
             return
-        # directed-link key packed as an int (x, y, port) — cheaper to
-        # hash than a nested tuple at per-hop rates
-        key = (((coord[0] << 16) | coord[1]) << 3) | out_port
         link_busy = self._link_busy
         start = link_busy.get(key, 0.0)
         if start < self.now:
             start = self.now
         if self._fault_check:
-            fate = self.faults.on_hop(coord, out_port, msg)
+            fate = self.faults.on_hop(self.coords[index], out_port, msg)
             if fate < 0.0:
                 # dropped at the sender's egress: the packet never
                 # occupies the link
@@ -537,10 +565,13 @@ class EventRuntime:
         stats.fabric_word_hops += words
         if self._trace:
             # streaming link accounting: one dict lookup per hop keeps
-            # traced runs within the benchmark's overhead gate
-            agg = self._sink_links.get(key)
+            # traced runs within the benchmark's overhead gate; the sink
+            # keys links by coordinate (repro.obs.trace.pack_link)
+            x, y = self.coords[index]
+            link = (((x << 16) | y) << 3) | out_port
+            agg = self._sink_links.get(link)
             if agg is None:
-                agg = self._sink_links[key] = [0, 0.0]
+                agg = self._sink_links[link] = [0, 0.0]
             agg[0] += words
             wait = start - self.now
             if wait > 0.0:
@@ -559,13 +590,14 @@ class EventRuntime:
         else:
             bucket.append(event)
 
-    def _deliver(self, coord: tuple[int, int], msg: Message) -> None:
-        """Hand a message to the PE at *coord* and run its bound task."""
+    def _deliver(self, index: int, msg: Message) -> None:
+        """Hand a message to PE *index* and run its bound task."""
+        coord = self.coords[index]
         if self._fault_check and coord in self._fault_dead:
             # a dead PE's RAMP eats the wavelet silently
             self.faults.stats.deliveries_suppressed += 1
             return
-        pe = self._pes[coord]
+        pe = self._pes[index]
         pe.messages_received += 1
         pe.words_received += msg.num_words
         self.stats.messages_delivered += 1

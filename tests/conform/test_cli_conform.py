@@ -20,9 +20,21 @@ def run_cli(args):
     return code, out.getvalue()
 
 
+#: Edits of a golden bundle's ``meta.json`` that leave every key present
+#: but a value a replay cannot read.
+_BAD_VALUES = {
+    "mesh-without-kind": lambda meta: meta["mesh"].pop("kind"),
+    "mesh-list": lambda meta: meta.update(mesh=list(meta["mesh"])),
+    "dtype-float99": lambda meta: meta.update(dtype="float99"),
+    "applications-x": lambda meta: meta.update(applications="x"),
+    "steps-5": lambda meta: meta.update(steps=5),
+}
+
+
 def _edit_golden_meta(path, edit):
     """A copy of a golden bundle at *path* whose ``meta.json`` is a JSON
-    list (*edit* ``"list"``) or lacks the key ``edit[1:]``."""
+    list (*edit* ``"list"``), lacks the key ``edit[1:]`` or has one of
+    the :data:`_BAD_VALUES`."""
     with zipfile.ZipFile(GOLDEN) as src, zipfile.ZipFile(path, "w") as dst:
         for name in src.namelist():
             data = src.read(name)
@@ -30,6 +42,8 @@ def _edit_golden_meta(path, edit):
                 meta = json.loads(data)
                 if edit == "list":
                     meta = list(meta)
+                elif edit in _BAD_VALUES:
+                    _BAD_VALUES[edit](meta)
                 else:
                     del meta[edit[1:]]
                 data = json.dumps(meta)
@@ -123,6 +137,13 @@ class TestConformCommand:
             ("-backend", f"{_NOT_META} lacks backend"),
             ("-mesh", f"{_NOT_META} lacks mesh"),
             ("-steps", f"{_NOT_META} lacks steps"),
+            # every key present, a value the replay cannot read (each
+            # was a traceback and exit 1)
+            ("mesh-without-kind", f"{_NOT_META} mesh lacks a kind"),
+            ("mesh-list", f"{_NOT_META} mesh is not a JSON object"),
+            ("dtype-float99", f"{_NOT_META} dtype 'float99' is not a float dtype"),
+            ("applications-x", f"{_NOT_META} applications is not a positive integer"),
+            ("steps-5", f"{_NOT_META} steps is not one digest record per application"),
         ],
     )
     def test_unreadable_artifact_is_a_usage_error(
@@ -132,7 +153,7 @@ class TestConformCommand:
         if content == "zip":
             with zipfile.ZipFile(path, "w") as zf:
                 zf.writestr("snapshots/step0.npy", b"")
-        elif content in ("list", "-backend", "-mesh", "-steps"):
+        elif content in ("list", "-backend", "-mesh", "-steps", *_BAD_VALUES):
             _edit_golden_meta(path, content)
         elif content is not None:
             path.write_bytes(content)

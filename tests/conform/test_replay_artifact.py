@@ -148,7 +148,8 @@ class TestRecorder:
         def run_once():
             mesh = CartesianMesh3D(4, 4, 3)
             recorder = ReplayRecorder(
-                {"backend": "event", "mesh": {"nx": 4, "ny": 4, "nz": 3},
+                {"backend": "event",
+                 "mesh": {"kind": "plain", "nx": 4, "ny": 4, "nz": 3},
                  "dtype": "float32", "pressure_seed": 0}
             )
             wse = WseFluxComputation(

@@ -54,7 +54,8 @@ class Tagged:
             [(x, y) for x, y, _pe in self.exchange.pes], dtype=np.float32
         )
 
-    def on_data(self, pe, msg, conn):
+    def on_data(self, conn, rt, pe, msg):
+        self.exchange.received[pe.row] += 1
         tag = tuple(int(v) for v in msg.payload)
         lx, ly, _pe = self.exchange.pes[pe.row]
         self.log.setdefault((lx, ly), []).append((conn, tag))

@@ -64,15 +64,15 @@ def event_orders(
         compute_fluxes=compute_fluxes,
     )
     orders = {}
-    exchange = program.exchange
-    on_data = exchange.on_data
+    exchange, tasks = program.exchange, program.fabric.tasks
+    for color, task in tasks.items():  # partial(on_data, conn)
 
-    def capture(pe, msg, conn):
-        lx, ly, _pe = exchange.pes[pe.row]
-        orders.setdefault((lx, ly), []).append(conn.name)
-        on_data(pe, msg, conn)
+        def capture(rt, pe, msg, _task=task):
+            lx, ly, _pe = exchange.pes[pe.row]
+            orders.setdefault((lx, ly), []).append(_task.args[0].name)
+            _task(rt, pe, msg)
 
-    exchange.on_data = capture  # the receive tasks read it at call time
+        tasks[color] = capture  # the runtime reads the table at call time
     program.load_pressure(np.full((nz, ny, nx), pressure))
     exchange.run(EventRuntime(program.fabric, WSE2))
     return {coord: tuple(order) for coord, order in orders.items()}

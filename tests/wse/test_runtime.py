@@ -463,7 +463,11 @@ class ReferenceRuntime(EventRuntime):
         self._calendar = _HeapPushes(self.heap)
 
     def pending(self):
-        return [(t, *event) for t, _, event in sorted(self.heap)]
+        coords = self.coords  # arrivals carry the router's index
+        return [
+            (t, kind, coords[a], *rest) if kind == _EV_ARRIVE else (t, kind, a, *rest)
+            for t, _, (kind, a, *rest) in sorted(self.heap)
+        ]
 
     def run(self, *, max_events=None):
         watchdog, stats = self.watchdog_cycles, self.stats
@@ -532,11 +536,18 @@ NODE = st.recursive(
 PROGRAM = st.lists(st.tuples(DELAYS, NODE), min_size=1, max_size=5)
 
 
-def order_fabric(log):
-    """3x3 fabric: color 0 multicasts east/south (ties, contention and
-    off-chip drops); color 1 switches between two routes on control
-    wavelets.  Every task logs and echoes once at ``now``."""
-    fabric = Fabric(3, 3)
+#: The fabrics every order test runs on: 3x3, and 4x3 with column 1
+#: bypassed (east/west links walk past it; the programs still address
+#: x in 0..2, so column 1's own router sees injections only).
+BYPASSES = ((), (1,))
+
+
+def order_fabric(log, bypass=()):
+    """3x3 fabric (4x3 with *bypass* columns): color 0 multicasts
+    east/south (ties, contention and off-chip drops); color 1 switches
+    between two routes on control wavelets.  Every task logs and echoes
+    once at ``now``."""
+    fabric = Fabric(3 + len(bypass), 3, bypass_columns=bypass)
     fabric.configure_color(
         0,
         lambda c: [
@@ -614,11 +625,12 @@ def stop(rt, max_events):
 
 
 def pe_state(rt):
-    """What a runtime leaves on its PEs: traffic counters, busy time."""
+    """What a runtime leaves on its PEs and routers: traffic counters,
+    busy time, switch positions and the live route table."""
     return [
         (pe.messages_received, pe.words_received, pe.messages_sent,
-         pe.words_sent, pe.busy_until)
-        for pe in rt.fabric.pes()
+         pe.words_sent, pe.busy_until, router.current, router.table)
+        for pe, router in zip(rt.fabric.pe_list, rt.fabric.router_list)
     ]
 
 
@@ -632,11 +644,16 @@ class TestCalendarOrder:
     @settings(max_examples=60, deadline=None)
     @given(first=PROGRAM, second=PROGRAM)
     def test_matches_the_reference_heap(self, first, second):
+        for bypass in BYPASSES:
+            self._match_the_reference_heap(first, second, bypass)
+
+    @staticmethod
+    def _match_the_reference_heap(first, second, bypass):
         want, got, traced_log = [], [], []
-        ref_fabric, fabric = order_fabric(want), order_fabric(got)
+        ref_fabric, fabric = order_fabric(want, bypass), order_fabric(got, bypass)
         ref, rt = ReferenceRuntime(ref_fabric), EventRuntime(fabric, WsePerfModel())
         traced = EventRuntime(
-            order_fabric(traced_log), WsePerfModel(), trace_sink=TraceSink()
+            order_fabric(traced_log, bypass), WsePerfModel(), trace_sink=TraceSink()
         )
         for program in (first, second):
             play(ref, program, want)
@@ -706,14 +723,45 @@ class TestCalendarOrder:
                 LinkFault(1, 1, Port.SOUTH, mode="delay", delay_cycles=3.0),
             ),
         )
-        want, got = [], []
-        ref = ReferenceRuntime(order_fabric(want), faults=FaultInjector(plan))
-        rt = EventRuntime(
-            order_fabric(got), WsePerfModel(), faults=FaultInjector(plan)
+        for bypass in BYPASSES:
+            want, got = [], []
+            ref = ReferenceRuntime(
+                order_fabric(want, bypass), faults=FaultInjector(plan)
+            )
+            rt = EventRuntime(
+                order_fabric(got, bypass), WsePerfModel(), faults=FaultInjector(plan)
+            )
+            play(ref, program, want)
+            play(rt, program, got)
+            assert rt.run() == ref.run()
+            assert got == want
+            assert rt.stats == ref.stats and pe_state(rt) == pe_state(ref)
+            assert rt.faults.stats == ref.faults.stats
+
+
+class TestIndexedFabric:
+    """The drain addresses a PE by its row-major index; whatever leaves
+    the runtime names it by coordinate, bypassed columns walked past."""
+
+    def test_pending_and_the_stall_report_name_coordinates(self):
+        fabric = Fabric(4, 2, bypass_columns=(1,))
+        fabric.configure_color(
+            COLOR, lambda c: [{Port.RAMP: (Port.EAST,), Port.WEST: (Port.RAMP,)}]
         )
-        play(ref, program, want)
-        play(rt, program, got)
-        assert rt.run() == ref.run()
-        assert got == want
-        assert rt.stats == ref.stats and pe_state(rt) == pe_state(ref)
-        assert rt.faults.stats == ref.faults.stats
+        assert [pe.index for pe in fabric.pes()] == list(range(8))
+        rt = EventRuntime(fabric, WsePerfModel())
+        rt.inject((0, 1), COLOR, np.ones(2, dtype=np.float32))
+        with pytest.raises(EventBudgetError):
+            rt.run(max_events=1)  # the RAMP entry runs, the hop is queued
+        ((due, kind, coord, in_port, msg),) = rt.pending()
+        # (0, 1) east walks past bypassed column 1 to (2, 1)
+        assert (kind, coord, in_port, msg.source) == (_EV_ARRIVE, (2, 1), Port.WEST, (0, 1))
+        report = stall_report(rt)
+        assert report["in_flight"][0]["dest"] == [2, 1]
+        assert report["in_flight"][0]["in_port"] == "WEST"
+        assert [link["link"] for link in report["last_active_links"]] == [
+            "(0, 1)->EAST"
+        ]
+        rt.run()
+        assert fabric.pe(2, 1).messages_received == 1
+        assert fabric.pe(1, 1).messages_received == 0
