@@ -143,8 +143,8 @@ class Backend:
 # order vs phased order) but coincide on the forced-order fabric shapes
 # — the golden registry encodes that per artifact via
 # tolerance_overrides.  fused replays the IR's per-PE arrival schedule,
-# so it shares the event class; cluster/par fold in host order over
-# disjoint owned regions.
+# so it shares the event class; gpu tiles and the cluster/par ranks run
+# the same face-flux statement and fold in ALL_CONNECTIONS order.
 BACKENDS = MappingProxyType({
     b.name: b
     for b in (
@@ -155,7 +155,7 @@ BACKENDS = MappingProxyType({
         ),
         Backend("fused", "event", None, partial(_lowered, "fused")),
         Backend("lockstep", "lockstep", None, partial(_lowered, "lockstep")),
-        Backend("gpu", "gpu", None, _gpu, config=("variant",)),
+        Backend("gpu", "host", None, _gpu, config=("variant",)),
         Backend(
             "cluster", "host", "ranks", _cluster, config=("px", "py"),
             rank_decomposed=True,

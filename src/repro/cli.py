@@ -1333,14 +1333,18 @@ def _cmd_conform(args, out) -> int:
     )
     if artifact is None:
         return 2
-    result = replay(
-        artifact,
-        args.backend,
-        tolerance=(
-            named_tolerance(args.tolerance) if args.tolerance else None
-        ),
-        artifact_name=Path(args.artifact).name,
-    )
+    try:
+        result = replay(
+            artifact,
+            args.backend,
+            tolerance=(
+                named_tolerance(args.tolerance) if args.tolerance else None
+            ),
+            artifact_name=Path(args.artifact).name,
+        )
+    except ValueError as exc:
+        print(f"error: {args.artifact}: {exc}", file=sys.stderr)
+        return 2
     print(result.render(), file=out)
     write_reports([result])
     return 0 if result.ok else 1

@@ -383,8 +383,13 @@ def replay(
     tolerance: ToleranceClass | None = None,
     artifact_name: str = "<artifact>",
 ) -> ConformResult:
-    """Re-execute *artifact* on *backend* and diff against the recording."""
+    """Re-execute *artifact* on *backend* and diff against the recording;
+    ValueError if it records no pressure seed (a post-mortem bundle)."""
     meta = artifact.meta
+    if meta["pressure_seed"] is None:
+        raise ValueError(
+            "the artifact records no pressure seed; its pressures cannot be replayed"
+        )
     tol = tolerance or default_tolerance(artifact.backend, backend)
     mesh = _build_mesh(meta["mesh"])
     checker = _CheckingRecorder(artifact, backend, tol)

@@ -6,14 +6,14 @@ module turns that knowledge into two standardized tolerance classes:
 
 * **bit-exact** — same bytes, no exceptions.  Applies when the
   recording and replaying backends share a residual *fold class*
-  (identical summation order; declared per backend in
-  :mod:`repro.backends`): cluster vs par (disjoint owned regions,
-  host-order fold), or event vs lockstep on forced-order meshes.
+  (identical summation order of one face-flux statement; declared per
+  backend in :mod:`repro.backends`): gpu vs cluster vs par (host-order
+  fold), event vs fused, or event vs lockstep on forced-order meshes.
 * **ulp-bounded** — each cell within ``max_ulps`` units in the last
   place of the recording, OR within ``rtol * scale`` absolutely (the
   absolute escape keeps near-zero cells, where a fixed ulp budget is
   meaninglessly tight, from flagging rounding noise).  Applies across
-  fold classes: event vs cluster, gpu vs anything, etc.
+  fold classes: event vs cluster, lockstep vs gpu, etc.
 
 ``ulp_distance`` maps IEEE-754 bit patterns onto an order-preserving
 integer line (negative floats get reflected below zero), so the
@@ -149,7 +149,7 @@ BIT_EXACT = ToleranceClass("bit-exact", bit_exact=True)
 
 #: Different fold classes: rounding-order differences only.  16 ulps is
 #: generous for a single fold over O(10) face contributions; the
-#: 1e-12 relative escape covers near-zero cells (observed gpu-vs-host
+#: 1e-12 relative escape covers near-zero cells (observed cross-class
 #: spread in tests/integration/test_equivalence.py is ~1e-12 * scale).
 ULP_BOUNDED = ToleranceClass("ulp-bounded", max_ulps=16, rtol=1e-12)
 

@@ -7,7 +7,7 @@ reference vectorized implementation of Algorithm 1.
 
 from repro.core import constants
 from repro.core.flux import FluxKernel, compute_face_fluxes, compute_flux_residual
-from repro.core.fluid import FluidProperties, upwind_mobility
+from repro.core.fluid import FluidProperties
 from repro.core.kernels import (
     FLOPS_PER_CELL,
     FLOPS_PER_FLUX,
@@ -35,7 +35,6 @@ __all__ = [
     "constants",
     "CartesianMesh3D",
     "FluidProperties",
-    "upwind_mobility",
     "Transmissibility",
     "CANONICAL_CONNECTIONS",
     "Connection",

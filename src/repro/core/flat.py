@@ -1,35 +1,26 @@
 """Algorithm 1 in host fold order on the halo-padded flat layout.
 
 :class:`FlatFluxKernel` is the per-rank kernel of the cluster and par
-backends.  It evaluates what ``FluxKernel(method="cell")`` (the oracle,
-:mod:`repro.core.flux`) evaluates — the same per-face operation
-sequence, connections folded in ``ALL_CONNECTIONS`` order — and returns
-the same bytes, on the layout the fused backend uses (DESIGN.md §16):
-one x/y halo cell around every z-plane, flattened, so cell ``(z, y, x)``
-sits at ``z*plane + (y+1)*row + (x+1)`` and every connection is the
-constant flat shift ``dz*plane + dy*row + dx``.  Halo faces carry zero
-transmissibility and halo pressure is the fluid's reference pressure.
+backends.  Per connection, in ``ALL_CONNECTIONS`` order, it runs the one
+face-flux statement, :func:`repro.core.kernels.face_flux`, and adds the
+fluxes into the residual — the gpu backend's sequence and fold, hence
+its bytes.  It works on the layout the fused backend uses (DESIGN.md
+§16): one x/y halo cell around every z-plane, flattened, so cell
+``(z, y, x)`` sits at ``z*plane + (y+1)*row + (x+1)`` and every
+connection is the constant flat shift ``dz*plane + dy*row + dx``.  Halo
+faces carry zero transmissibility and halo pressure is the fluid's
+reference pressure.
 
-Three rewrites separate it from the oracle, each exact in IEEE
-arithmetic:
-
-1. ``lambda = rho / mu`` is divided once per application, before the
-   upwind select instead of after it for every connection:
-   ``select(rho_K, rho_L) / mu == select(rho_K / mu, rho_L / mu)``.
-2. The select is the integer bit-select ``lam_L ^ ((lam_K ^ lam_L) &
-   -(dphi > 0))`` on same-width unsigned views (as in
-   :mod:`repro.dataflow.flux_pe`): the bits of exactly one operand per
-   lane, like ``np.where``.
-3. Every connection sweeps one contiguous span — X-Y connections from
-   the first interior cell of a slab of planes to its last, vertical
-   ones whole planes — and ends with one contiguous ``res[span] +=
-   flux``.  Lanes that are not a real face have zero transmissibility,
-   so they add ``+-0.0`` to a sum that started from ``+0.0``, which
-   cannot change a bit.  X-Y faces skip the gravity term, which is
-   ``+0.0`` for a :class:`~repro.core.mesh.CartesianMesh3D` (elevation
-   is a layer column); the one bit that drops — ``dphi += +0.0`` turns
-   a ``-0.0`` difference into ``+0.0`` — only changes the sign of a
-   zero flux, unobservable by the same argument.
+Every connection sweeps one contiguous span — X-Y connections from the
+first interior cell of a slab of planes to its last, vertical ones
+whole planes — and ends with one contiguous ``res[span] += flux``.
+Lanes that are not a real face have zero transmissibility, so they add
+``+-0.0`` to a sum that started from ``+0.0``, which cannot change a
+bit.  X-Y faces hand the statement one elevation object twice, its
+collapsed branch (elevation is a layer column on a
+:class:`~repro.core.mesh.CartesianMesh3D`); vertical faces hand it the
+slab's elevations as columns, so ``g*dz`` is formed once per plane and
+broadcast along it.
 
 Planes are swept in slabs small enough to stay cache-resident; a cell's
 ten connections fold inside exactly one slab, in order, so the slab size
@@ -37,10 +28,10 @@ cannot change a bit either.
 
 **Non-finite input.**  ``validate_field`` checks shape only.  On a block
 of more than one cell whose pressure holds ``inf`` or ``NaN`` cells,
-every cell whose oracle residual is finite gets the oracle's bytes, and
-every cell that is non-finite in the oracle is non-finite here: a halo
-face contributes ``+-inf * 0 = NaN`` only to a cell that already has a
-non-finite flux through a real face.
+every cell whose residual is finite in the same fold over real faces
+(the gpu backend's) gets those bytes, and every cell that is non-finite
+there is non-finite here: a halo face contributes ``+-inf * 0 = NaN``
+only to a cell that already has a non-finite flux through a real face.
 """
 
 from __future__ import annotations
@@ -49,6 +40,7 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
+from repro.core.kernels import FluxScratch, face_flux
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import ALL_CONNECTIONS, interior_slices, opposite
 from repro.core.transmissibility import CANONICAL_CONNECTIONS, Transmissibility
@@ -68,6 +60,16 @@ def _layout(shape_zyx: tuple[int, int, int]) -> tuple[int, int, int]:
     return row, plane, max(1, min(nz, _SLAB_LANES // plane))
 
 
+def _cache_line(n: int, dtype) -> np.ndarray:
+    """*n* items of *dtype* on a 64-byte boundary: the kernels ran 13-16 %
+    slower on slab scratch malloc placed 8-, 16- or 48-byte aligned
+    (DESIGN.md §18), so a run's speed depended on heap layout."""
+    dtype = np.dtype(dtype)
+    raw = np.empty(n * dtype.itemsize + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + n * dtype.itemsize].view(dtype)
+
+
 class FlatWorkspace:
     """What lives only inside one :meth:`FlatFluxKernel.compute`.
 
@@ -83,24 +85,24 @@ class FlatWorkspace:
 
     def __init__(self, shapes, dtype=np.float64) -> None:
         self.dtype = dtype = np.dtype(dtype)
-        lanes = slab = 0
+        lanes = slab = planes = 0
         for shape in shapes:
             _row, plane, per_slab = _layout(shape)
             lanes = max(lanes, shape[0] * plane)
             slab = max(slab, per_slab * plane)
+            planes = max(planes, per_slab)
         self.rho = np.empty(lanes, dtype)
         self.lam = np.empty(lanes, dtype)
         self.res = np.empty(lanes, dtype)
-        self.a = np.empty(slab, dtype)
-        self.b = np.empty(slab, dtype)
-        self.sel = np.empty(slab, f"u{dtype.itemsize}")
-        #: the oracle's gravity term is float64 whatever the dtype
-        #: (elevation is) and rounds once, when added into dphi
-        self.grav = self.b if dtype == np.float64 else np.empty(slab, np.float64)
+        #: one slab's scratch; ``gz`` holds one ``g*dz`` per plane
+        self.scratch = FluxScratch(
+            _cache_line(slab, dtype), np.empty((planes, 1), dtype), _cache_line(slab, dtype),
+            _cache_line(slab, dtype), _cache_line(slab, f"u{dtype.itemsize}"),
+        )
 
 
 class FlatFluxKernel:
-    """Algorithm 1 for one block; same bytes as ``FluxKernel(method="cell")``.
+    """Algorithm 1 for one block; the gpu backend's bytes.
 
     Build once per block, write the field into :attr:`pressure` (the
     ``(nz, ny, nx)`` interior view of the padded buffer — scatter and
@@ -121,7 +123,8 @@ class FlatFluxKernel:
         nz, ny, nx = shape
         row, plane, per_slab = _layout(shape)
         lanes = nz * plane
-        if lanes > workspace.res.size or per_slab * plane > workspace.a.size:
+        ws = workspace.scratch
+        if lanes > workspace.res.size or per_slab * plane > ws.dp.size or per_slab > len(ws.gz):
             raise ValueError(f"workspace was not sized for a {shape} block")
         self._padded = (nz, ny + 2, row)
         self._rho = workspace.rho[:lanes]
@@ -142,11 +145,10 @@ class FlatFluxKernel:
             field[:, 1:-1, 1:-1][:, ys, xs] = unpadded.face_array(conn)
             trans[conn] = trans[opposite(conn)] = field.ravel()
 
-        z = mesh.elevation[:, 0, 0]
-        bits = workspace.sel.dtype
-        lam_bits = self._lam.view(bits)
-        #: per (slab, connection), in fold order: the operand views of
-        #: one pass of :meth:`compute`
+        z = mesh.elevation[:, 0, 0].astype(dtype)
+        g = dtype.type(constants.GRAVITY)
+        #: per (slab, connection), in fold order: the statement's
+        #: arguments, its flux target and the residual span
         self._plan = []
         for z0 in range(0, nz, per_slab):
             z1 = min(nz, z0 + per_slab)
@@ -155,30 +157,35 @@ class FlatFluxKernel:
                 shift = dz * plane + dy * row + dx
                 if dz:
                     # the slab's planes that have the neighbour, 2-D so
-                    # the gravity column broadcasts along each plane
+                    # the elevation columns broadcast along each plane
                     first, last = max(z0, -dz), min(z1, nz - dz)
                     if first >= last:
                         continue
                     lo, count = first * plane, (last - first) * plane
                     form = (last - first, plane)
-                    gz = (z[first + dz : last + dz] - z[first:last]) * constants.GRAVITY
+                    z_k, z_l = z[first:last, None], z[first + dz : last + dz, None]
+                    gz = ws.gz[: last - first]
                 else:
                     lo, count = z0 * plane + row + 1, (z1 - z0) * plane - 2 * (row + 1)
                     form = (count,)
+                    z_k = z_l = z  # one object twice: the collapsed branch
+                    gz = ws.gz
 
                 def span(flat, start):
                     return flat[start : start + count].reshape(form)
 
                 there = lo + shift
-                b = span(workspace.b, 0)
+                scratch = FluxScratch(
+                    span(ws.dp, 0), gz, span(ws.a, 0), span(ws.b, 0), span(ws.sel, 0)
+                )
+                flux = scratch.dp if dz else scratch.a
                 self._plan.append((
-                    span(self._p, lo), span(self._p, there),
-                    span(lam_bits, lo), span(lam_bits, there),
-                    span(trans[conn], lo if conn in CANONICAL_CONNECTIONS else there),
-                    span(self._res, lo), span(workspace.a, 0), b, b.view(bits),
-                    span(workspace.sel, 0),
-                    (span(self._rho, lo), span(self._rho, there), gz[:, None],
-                     span(workspace.grav, 0)) if dz else None,
+                    (scratch, span(self._p, lo), span(self._p, there), z_k, z_l,
+                     span(self._rho, lo), span(self._rho, there),
+                     span(self._lam, lo), span(self._lam, there),
+                     span(trans[conn], lo if conn in CANONICAL_CONNECTIONS else there),
+                     flux, g),
+                    flux, span(self._res, lo),
                 ))
 
     def _interior(self, flat: np.ndarray) -> np.ndarray:
@@ -187,26 +194,13 @@ class FlatFluxKernel:
     def compute(self) -> np.ndarray:
         """The residual of what :attr:`pressure` holds: the ``(nz, ny,
         nx)`` interior view of the workspace's accumulator."""
-        self.fluid.density(self._p, out=self._rho)
-        np.divide(self._rho, self.fluid.viscosity, out=self._lam)
+        fluid = self.fluid
+        fluid.density(self._p, out=self._rho)
+        fluid.mobility(self._rho, out=self._lam)
         self._res.fill(0.0)
-        for p_k, p_l, lam_k, lam_l, trans, res, a, b, b_bits, sel, grav in self._plan:
-            np.subtract(p_l, p_k, out=a)
-            if grav is not None:
-                rho_k, rho_l, gz, g = grav
-                np.add(rho_k, rho_l, out=b)
-                np.multiply(b, 0.5, out=b)
-                np.multiply(b, gz, out=g)
-                np.add(a, g, out=a)
-            # upwinded mobility (Eq. 4): lam_K where dphi > 0, else lam_L
-            np.greater(a, 0.0, out=sel)
-            np.negative(sel, out=sel)
-            np.bitwise_xor(lam_k, lam_l, out=b_bits)
-            np.bitwise_and(b_bits, sel, out=b_bits)
-            np.bitwise_xor(b_bits, lam_l, out=b_bits)
-            np.multiply(a, b, out=a)
-            np.multiply(a, trans, out=a)
-            np.add(res, a, out=res)
+        for args, flux, res in self._plan:
+            face_flux(*args)
+            np.add(res, flux, res)
         return self._interior(self._res)
 
     def residual(

@@ -10,7 +10,8 @@ and a constant viscosity.  The upwinded mobility used by the TPFA flux is
                = rho_L / mu   otherwise                              (Eq. 4)
 
 which matches the paper's convention exactly (including the sign choice of
-Eq. 4 as printed).
+Eq. 4 as printed).  :meth:`FluidProperties.mobility` forms ``rho * (1/mu)``
+per cell; the select is :func:`repro.core.kernels.upwind_select`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from repro.core import constants
 from repro.util.arrays import check_positive
 
-__all__ = ["FluidProperties", "upwind_mobility"]
+__all__ = ["FluidProperties"]
 
 
 @dataclass(frozen=True)
@@ -74,33 +75,8 @@ class FluidProperties:
         """d(rho)/dp = c_f * rho(p); used by the implicit solver's Jacobian."""
         return self.compressibility * self.density(pressure)
 
-    def mobility(self, density) -> np.ndarray:
-        """Single-phase mobility rho / mu for a given density."""
-        return np.asarray(density) / self.viscosity
-
-
-def upwind_mobility(
-    potential_difference,
-    density_K,
-    density_L,
-    viscosity: float,
-) -> np.ndarray:
-    """Single-point upwinding of the mobility (Eq. 4), vectorized.
-
-    Parameters
-    ----------
-    potential_difference:
-        ``dPhi_KL = p_L - p_K + rho_avg * g * (z_L - z_K)`` (Eq. 3b).
-    density_K, density_L:
-        Densities in the local cell K and its neighbour L.
-    viscosity:
-        Constant dynamic viscosity ``mu``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``rho_K / mu`` where ``dPhi > 0``, else ``rho_L / mu``.
-    """
-    dphi = np.asarray(potential_difference)
-    rho = np.where(dphi > 0, density_K, density_L)
-    return rho / viscosity
+    def mobility(self, density, out: np.ndarray | None = None) -> np.ndarray:
+        """Mobility ``rho * (1/mu)`` in *density*'s dtype, what the flux
+        kernels' upwind select picks from: a multiply by the reciprocal,
+        the bits of the DSD sequence's step 10 (paper Sec. 7.3)."""
+        return np.multiply(density, 1.0 / self.viscosity, out=out)

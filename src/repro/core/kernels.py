@@ -1,13 +1,16 @@
 """Per-face TPFA flux kernels (paper Eqs. 3-4).
 
-Three variants of the identical math live here:
+One production statement and three independent float64 restatements:
 
-* :func:`face_flux_scalar` — one face at a time; the code the paper's CSL
-  and CUDA kernels execute per neighbour, used by the per-PE dataflow
-  simulator and as a brute-force oracle in tests.
-* :func:`face_flux_array` — vectorized over arrays of faces with optional
-  pre-allocated scratch, the building block of the reference and simulated
-  GPU implementations.
+* :func:`face_flux` — steps 1-12 of the per-PE DSD sequence (the table
+  is in :mod:`repro.dataflow.flux_pe`, whose wrappers book it for the
+  event, fused and lockstep backends); the host kernel of cluster and
+  par (:mod:`repro.core.flat`) and the gpu tiles call it directly.
+* :func:`face_flux_array` — vectorized over arrays of faces, the
+  oracle's building block (:mod:`repro.core.flux`,
+  :mod:`repro.core.unstructured`, the implicit solver).
+* :func:`face_flux_scalar` — one face at a time, a brute-force oracle
+  in tests.
 * :func:`face_flux_with_derivatives` — flux plus analytic derivatives with
   respect to the two cell pressures (upwind direction frozen), used by the
   implicit solver's Jacobian (extension, paper Sec. 8).
@@ -18,7 +21,9 @@ All variants share the convention of Eq. 3:
     dPhi_KL = p_L - p_K + rho_avg * g * (z_L - z_K)
 
 with the upwinding of Eq. 4 exactly as printed (``rho_K`` when
-``dPhi_KL > 0``, else ``rho_L``).
+``dPhi_KL > 0``, else ``rho_L``).  They round differently: backends that
+fold :func:`face_flux` in the same order agree bitwise, the oracle
+agrees with them to rounding.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "FluxScratch",
+    "face_flux",
+    "upwind_select",
     "face_flux_scalar",
     "face_flux_array",
     "face_flux_with_derivatives",
@@ -43,6 +51,112 @@ FLUXES_PER_CELL = 10
 
 #: FLOPs per cell = 10 fluxes x 14 FLOPs (Sec. 7.3).
 FLOPS_PER_CELL = FLOPS_PER_FLUX * FLUXES_PER_CELL
+
+# module-level ufunc bindings: the statement issues ~14 ufunc calls per
+# column, each without a global or attribute load
+_sub = np.subtract
+_mul = np.multiply
+_add = np.add
+_gt = np.greater
+_neg = np.negative
+_xor = np.bitwise_xor
+_and = np.bitwise_and
+
+
+class FluxScratch:
+    """The four shared scratch columns of :func:`face_flux`, and its
+    select buffer.
+
+    On the fabric, one set per PE column in the PE memory (buffer reuse,
+    Sec. 5.3.1) serves every face direction, cut to a direction's faces
+    (``nz - 1`` vertical, ``nz`` X-Y) before the call.  ``dp``, ``a``
+    and ``b`` have the faces' shape; ``gz`` anything the faces'
+    elevations broadcast to (the host kernel's per-plane column).
+    ``sel`` is an unsigned-integer array of dp's shape and item width,
+    contiguous along its last axis: the upwind select negates there, and
+    NumPy 2.4's ``negative`` is wrong on unsigned views strided by four
+    elements (DESIGN.md §16).  The statement allocates nothing.
+    """
+
+    __slots__ = ("dp", "gz", "a", "b", "sel")
+
+    #: Scratchpad names of the four columns, in constructor order.
+    NAMES = ("scratch_dp", "scratch_gz", "scratch_a", "scratch_b")
+
+    def __init__(self, dp, gz, a, b, sel):
+        self.dp, self.gz, self.a, self.b, self.sel = dp, gz, a, b, sel
+
+    @classmethod
+    def empty(cls, shape, dtype) -> "FluxScratch":
+        """Fresh scratch for faces of *shape* in *dtype*."""
+        dtype = np.dtype(dtype)
+        return cls(
+            *(np.empty(shape, dtype) for _ in cls.NAMES),
+            np.empty(shape, f"u{dtype.itemsize}"),
+        )
+
+
+def face_flux(
+    s: FluxScratch,
+    p_k, p_l, z_k, z_l, rho_k, rho_l, lam_k, lam_l, trans, flux, gravity,
+) -> None:
+    """Steps 1-12 of the DSD sequence on the scratch *s*; the last
+    multiply writes ``F_KL`` into *flux* (which may be ``s.dp``, or
+    ``s.a`` on the collapsed branch).  ``lam`` is the cells' mobility
+    ``rho * (1/mu)`` (:meth:`~repro.core.fluid.FluidProperties.mobility`,
+    formed once per cell): selecting it is bit-identical to selecting
+    ``rho`` and multiplying by ``1/mu`` (step 10), one pass per face less.
+
+    The branch is chosen by **object identity**: ``z_l is z_k`` selects
+    the collapsed X-Y sequence (1 subtract, 2 multiplies), anything else
+    the full one (2 subtracts, 6 multiplies) — same observable bytes,
+    seven more passes.  Two equal slices of one array are two objects.
+    """
+    dp, gz, a, b = s.dp, s.gz, s.a, s.b
+    # out is passed positionally throughout: it skips the ufunc keyword
+    # parsing, which is measurable at this call rate on 8-element columns
+    _sub(p_l, p_k, dp)                              # 1: FSUB  dp
+    if z_l is z_k:
+        # X-Y neighbours share the elevation column, so steps 2-7 add a
+        # signed zero to dp (finite densities): dphi == dp except for the
+        # sign of a zero, which a residual accumulated from +0.0 cannot
+        # show.  The hardware still runs the full sequence.  dp doubles
+        # as dphi; the select (8-10) targets ``a`` so dphi survives 12.
+        upwind_select(s.sel, dp, lam_k, lam_l, a)
+        _mul(a, trans, a)                           # 11: FMUL Upsilon*lambda
+        _mul(a, dp, flux)                           # 12: FMUL F = ...*dphi
+        return
+    _sub(z_l, z_k, gz)                              # 2: FSUB  dz
+    _mul(gz, gravity, gz)                           # 3: FMUL  gz = g*dz
+    _mul(rho_k, gz, a)                              # 4: FMUL  a = rho_K*gz
+    _mul(rho_l, gz, b)                              # 5: FMUL  b = rho_L*gz
+    _add(a, b, a)                                   # 6: FADD  s = a + b
+    _mul(a, 0.5, b)                                 # 7: FMA   dphi = 0.5*s + dp
+    _add(b, dp, b)
+    upwind_select(s.sel, b, lam_k, lam_l, dp)       # 8-10: lambda_upw
+    _mul(dp, trans, dp)                             # 11: FMUL Upsilon*lambda
+    _mul(dp, b, flux)                               # 12: FMUL F = ...*dphi
+
+
+def upwind_select(sel, dphi, lam_k, lam_l, out) -> None:
+    """Eq. 4: ``out = lam_k if dphi > 0 else lam_l``, without a masked copy.
+
+    Steps 8-9 of the DSD sequence (FSUB ``cmp = -dphi``, SEL) with the
+    FSUB folded into the predicate — ``(0 - dphi) < 0`` iff ``dphi > 0``
+    exactly, signed zeros and NaN included — and step 10 (``*= 1/mu``)
+    hoisted into *lam*.  On same-width unsigned views,
+    ``lam_L ^ ((lam_K ^ lam_L) & m)`` with ``m = -(dphi > 0)`` (all ones
+    or zero) returns the bits of exactly one operand per element — the
+    masked copy's result for every input, NaN included — in four
+    contiguous integer passes after the compare.
+    """
+    u = sel.dtype
+    k, l, o = lam_k.view(u), lam_l.view(u), out.view(u)
+    _gt(dphi, 0.0, sel)
+    _neg(sel, sel)
+    _xor(k, l, o)
+    _and(o, sel, o)
+    _xor(o, l, o)
 
 
 def face_flux_scalar(

@@ -24,7 +24,6 @@ __getattr__, __dir__ = lazy_exports(
         "driver": ("WseFluxComputation", "WseRunResult"),
         "exchange": ("ColumnExchange",),
         "flux_pe": (
-            "FluxScratch",
             "compute_face_flux_column",
             "evaluate_density_column",
         ),
@@ -73,7 +72,6 @@ __all__ = [
     "DiagonalChannel",
     "DIAGONAL_CHANNELS",
     "static_position",
-    "FluxScratch",
     "compute_face_flux_column",
     "evaluate_density_column",
     "layout_words_per_cell",

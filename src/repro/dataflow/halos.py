@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import FluxScratch
 from repro.core.stencil import XY_CONNECTIONS, Connection
-from repro.dataflow.flux_pe import FluxScratch
 from repro.wse.memory import PEMemoryError, Scratchpad
 
 __all__ = [

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import FLUXES_PER_CELL
-from repro.dataflow.flux_pe import FluxScratch, compute_face_flux_column
+from repro.core.kernels import FLUXES_PER_CELL, FluxScratch
+from repro.dataflow.flux_pe import compute_face_flux_column
 from repro.wse.dsd import OP_FLOPS, OP_TRAFFIC, DsdEngine, WORD_BYTES
 
 __all__ = [
@@ -50,17 +50,15 @@ def measure_flux_instruction_mix(n: int = 64) -> dict[str, int]:
     engine = DsdEngine()
     rng = np.random.default_rng(0)
     make = lambda: rng.random(n).astype(np.float64)
-    scratch = FluxScratch(make(), make(), make(), make(), np.empty(n, np.uint64))
-    residual = np.zeros(n)
+    rho_k, rho_l = 700.0 + make(), 700.0 + make()
     compute_face_flux_column(
         engine,
-        scratch,
+        FluxScratch.empty(n, np.float64),
         make(), make(), make(), make(),
-        700.0 + make(), 700.0 + make(),
+        rho_k, rho_l, rho_k / 5e-5, rho_l / 5e-5,
         1e-13 * (1.0 + make()),
-        residual,
+        np.zeros(n),
         gravity=9.80665,
-        inv_viscosity=1.0 / 5e-5,
     )
     mix: dict[str, int] = {}
     for op, count in engine.counts.items():

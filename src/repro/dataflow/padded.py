@@ -43,12 +43,12 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
+from repro.core.kernels import FluxScratch
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import Connection
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.dataflow.flux_pe import (
     DENSITY_EXP_CYCLES_PER_ELEMENT,
-    FluxScratch,
     compute_face_flux_column,
     evaluate_density_column,
     store_face_flux_column,
@@ -141,8 +141,7 @@ class PaddedFlatLayout:
             raise ValueError("trans was built for a different mesh")
         self.fluid = fluid
         #: the flux kernels' keyword arguments
-        g, inv_mu = dtype.type(constants.GRAVITY), dtype.type(1.0 / fluid.viscosity)
-        self.kernel = {"gravity": g, "inv_viscosity": inv_mu}
+        self.kernel = {"gravity": dtype.type(constants.GRAVITY)}
         self.compute_fluxes = params["compute_fluxes"]
         self.halo_copies = halo_copies
         #: booked at true cell and face counts by :meth:`book`
@@ -259,6 +258,7 @@ class PaddedSweep:
                     reference_density=fluid.reference_density,
                     reference_pressure=fluid.reference_pressure,
                 )
+                fluid.mobility(ws.rho, out=ws.lam)
             for slab in ws.slabs:
                 if slab.vertical:
                     with span(local):
@@ -297,7 +297,7 @@ class PaddedSweep:
 class _Workspace:
     """What a run needs but does not return, for one batch size.
 
-    Whole-batch pressure and density, halo-padded and flat
+    Whole-batch pressure, density and mobility, halo-padded and flat
     ``(batch, nz*(ny+2)*(nx+2))``, and everything else one slab long, in
     one ``(batch, buffers, slab lanes)`` block: three float scratch
     buffers, the integer select buffer, the masked fold operand and one
@@ -324,6 +324,7 @@ class _Workspace:
         depth = max(1, min(nz, _SLAB_ELEMENTS // (batch * plane)))
         self.p = p = np.full((batch, nz * plane), layout.fluid.reference_pressure, dtype)
         self.rho = rho = np.empty_like(p)
+        self.lam = lam = np.empty_like(p)
         self.pressure = layout.interior(p)
         stored = list(dict.fromkeys(conn for conn, mask in program if mask is not None))
         block = np.zeros((batch, 5 + len(stored), depth * plane), dtype)
@@ -349,8 +350,9 @@ class _Workspace:
 
         def operands(conn, lo, lanes):
             """The flux kernel's operands up to its target, *lanes* cells
-            from *lo*: the scratch cut to the span, then p, z and rho of
-            the cells and of their *conn* neighbours, one flat shift away."""
+            from *lo*: the scratch cut to the span, then p, z, rho and
+            lambda of the cells and of their *conn* neighbours, one flat
+            shift away."""
             here = slice(lo, lo + lanes)
             there = slice(lo + shifts[conn], lo + shifts[conn] + lanes)
             # X-Y neighbours share the elevation column: the same view object
@@ -360,7 +362,7 @@ class _Workspace:
             return (
                 FluxScratch(*(x[..., :lanes] for x in (dp, gz, a, b, sel))),
                 p[..., here], p[..., there], z_k, z_l, rho[..., here], rho[..., there],
-                trans[conn][here],
+                lam[..., here], lam[..., there], trans[conn][here],
             )
 
         self.slabs = []

@@ -32,13 +32,13 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
+from repro.core.kernels import FluxScratch
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import XY_CONNECTIONS, Connection
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.dataflow.exchange import ColumnExchange
 from repro.dataflow.flux_pe import (
     DENSITY_EXP_CYCLES_PER_ELEMENT,
-    FluxScratch,
     compute_face_flux_column,
     evaluate_density_column,
     store_face_flux_column,
@@ -158,13 +158,9 @@ class FluxProgram:
         )
         if self.ir is not None:
             self._validate_ir(self.ir)
-        # scalar kernel parameters pre-cast to the PE dtype: the ufuncs
-        # cast them per call otherwise (same bits, avoidable overhead)
-        _scalar = np.dtype(self.dtype).type
-        self._kernel = {
-            "gravity": _scalar(constants.GRAVITY),
-            "inv_viscosity": _scalar(1.0 / self.fluid.viscosity),
-        }
+        # gravity pre-cast to the PE dtype: the ufuncs cast it per call
+        # otherwise (same bits, avoidable overhead)
+        self._kernel = {"gravity": np.dtype(self.dtype).type(constants.GRAVITY)}
         # what the fabric-wide kernels are handed: its counts are never
         # read, the PEs' engines book per PE at the simulated times
         self._swept = DsdEngine()
@@ -266,6 +262,9 @@ class FluxProgram:
             columns[name][:] = trans_fields[conn].reshape(nz, -1).T
         p_rho = columns["p_rho"]
         self._pressure, self._density = p_rho[:, 0], p_rho[:, 1]
+        # the mobility rho * (1/mu) the kernels select from: a temporary
+        # of the round's arithmetic, not a PE-memory column
+        self._mobility = np.empty_like(self._density)
         self._pressure_field = self._pressure.T.reshape(mesh.shape_zyx)
         self._residual_field = columns["residual"].T.reshape(mesh.shape_zyx)
         if self.compute_fluxes:
@@ -278,7 +277,8 @@ class FluxProgram:
                 # the vertical faces, with one select buffer for good
                 lower = np.s_[:, : nz - 1]
                 cut = [columns[name][lower] for name in FluxScratch.NAMES]
-                self._vertical_scratch = FluxScratch(*cut, _select_buffer(cut[0]))
+                sel = np.empty(cut[0].shape, f"u{cut[0].itemsize}")
+                self._vertical_scratch = FluxScratch(*cut, sel)
         # what the hooks read per PE, by ``pe.row``: rows of these
         self._trains, windows = bind_trains(columns, reuse_buffers=self.reuse_buffers)
         self._staging = None if self.reuse_buffers else columns["send_staging"]
@@ -350,7 +350,8 @@ class FluxProgram:
     # The round hooks: the arithmetic, once per round over the block
     # ------------------------------------------------------------------ #
     def _begin_round(self) -> None:
-        """Zero the residual, then density and UP/DOWN over every PE.
+        """Zero the residual, then density, mobility and UP/DOWN over
+        every PE.
 
         Runs before any PE starts, so every train sent carries its
         final density.  The vertical kernels use the block's own scratch
@@ -367,7 +368,10 @@ class FluxProgram:
                 reference_pressure=fluid.reference_pressure,
             )
             nz = self.mesh.nz
-            if not self.compute_fluxes or nz < 2:
+            if not self.compute_fluxes:
+                return
+            lam = fluid.mobility(rho, out=self._mobility)
+            if nz < 2:
                 return
             z, residual = columns["z"], columns["residual"]
             lower, upper = np.s_[:, : nz - 1], np.s_[:, 1:]
@@ -379,8 +383,8 @@ class FluxProgram:
             ):
                 compute_face_flux_column(
                     self._swept, scratch, p[own], p[other], z[own], z[other],
-                    rho[own], rho[other], columns[TRANS_NAMES[conn]][own],
-                    residual[own], **self._kernel,
+                    rho[own], rho[other], lam[own], lam[other],
+                    columns[TRANS_NAMES[conn]][own], residual[own], **self._kernel,
                 )
 
     def _end_round(self) -> None:
@@ -429,16 +433,19 @@ class FluxProgram:
                 return
             trains = trains.reshape(len(keys), 2, nz)
             p_k, rho_k = self._pressure[rows], self._density[rows]
+            # the neighbour's mobility from the density it delivered (a
+            # fault injector's corrupted copy included)
+            rho_l = trains[:, 1]
+            lam_l = self.fluid.mobility(rho_l, out=np.empty_like(rho_l))
             # X-Y neighbours share the elevation column: one object
             # twice takes the kernel's collapsed branch
             z = columns["z"][rows]
-            scratch = FluxScratch(
-                *(np.empty_like(p_k) for _ in range(4)), _select_buffer(p_k)
-            )
+            scratch = FluxScratch.empty(p_k.shape, p_k.dtype)
             flux = np.empty_like(p_k)
             store_face_flux_column(
-                self._swept, scratch, p_k, trains[:, 0], z, z, rho_k,
-                trains[:, 1], self._xy_trans[keys], flux, **self._kernel,
+                self._swept, scratch, p_k, trains[:, 0], z, z, rho_k, rho_l,
+                self._mobility[rows], lam_l, self._xy_trans[keys], flux,
+                **self._kernel,
             )
             # each delivery's arrival rank on its PE
             rank = np.empty_like(order)
@@ -473,8 +480,3 @@ class FluxProgram:
         out[...] = residual
         return out
 
-
-def _select_buffer(like: np.ndarray) -> np.ndarray:
-    """A contiguous unsigned array of *like*'s shape and item width: the
-    flux kernel's select buffer (:class:`FluxScratch`)."""
-    return np.empty(like.shape, f"u{like.itemsize}")

@@ -17,7 +17,7 @@ mismatch), and whether the recovery mechanism **recovered** from it:
                    :class:`~repro.faults.errors.FabricStallError`;
 - rank failures -> halo re-exchange with retry/backoff recovers the
                    lost strips and the residual still matches the
-                   reference kernel;
+                   gpu backend's (the same fold class, undecomposed);
 - plus a checkpoint/restart drill: the implicit solver is killed
   mid-campaign and must resume bit-identically from its last
   checkpoint.
@@ -43,12 +43,7 @@ from typing import Callable
 import numpy as np
 
 from repro.backends import get_backend, release
-from repro.core import (
-    CartesianMesh3D,
-    FluidProperties,
-    compute_flux_residual,
-    random_pressure,
-)
+from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.faults.errors import (
     CheckpointCorruptError,
@@ -376,9 +371,10 @@ def _router_stall(ctx, name):
 
 def _rank_failure(ctx, name):
     """Halo re-exchange with retry must recover the lost strips, and the
-    residual must still match the reference kernel."""
+    residual must still match the reference: the gpu backend, which runs
+    the same face-flux statement in the same fold order undecomposed."""
     ranks = _label(ctx.plan.rank_failures, "rank")
-    reference = compute_flux_residual(ctx.mesh, ctx.fluid, ctx.pressure)
+    reference = ctx.build("gpu").run([ctx.pressure]).residual
     drv = ctx.build("cluster", ctx.plan)
     stats = drv.faults.stats
     out = FaultOutcome(name, f"transient failure of rank(s) {ranks}")

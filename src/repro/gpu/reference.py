@@ -5,8 +5,9 @@ implementations end to end: host and device allocation, the one-time bulk
 H2D copy, per-application kernel launches over 3D threadblocks (RAJA-like
 clamped tiles or CUDA-like manually-bounded tiles), and the final D2H
 copy.  The flux function is "logically identical" to the dataflow one
-(Sec. 6); here both ultimately evaluate Eqs. 3-4, and the test suite
-cross-validates all implementations numerically.
+(Sec. 6): each tile runs the statement the fabric kernels book,
+:func:`repro.core.kernels.face_flux`, and folds in ``ALL_CONNECTIONS``
+order like the host backends, whose bytes it returns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
-from repro.core.kernels import FLOPS_PER_CELL, face_flux_array
+from repro.core.kernels import FLOPS_PER_CELL, FluxScratch, face_flux
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import ALL_CONNECTIONS
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
@@ -118,18 +119,20 @@ class GpuFluxComputation:
         for conn in ALL_CONNECTIONS:
             self.dev.h2d(f"trans_{conn.name}", trans_fields[conn])
         self._launch_helper = TiledLaunch(shape, PAPER_TILE, clamp=True)
+        #: the mobility rho * (1/mu), formed by the density kernel: a
+        #: temporary of the model, not a device allocation
+        self._mobility = np.empty(shape, self.dtype)
+        self._gravity = self.dtype.type(constants.GRAVITY)
 
     # ------------------------------------------------------------------ #
     # Device kernels
     # ------------------------------------------------------------------ #
     def _density_tile(self, tile: Tile) -> None:
-        """Eq. 5 for one tile (the density kernel)."""
+        """Eq. 5 and the mobility for one tile (the density kernel)."""
         p = self.dev.get("pressure")[tile.slices]
         rho = self.dev.get("density")[tile.slices]
-        np.subtract(p, self.fluid.reference_pressure, out=rho)
-        rho *= self.fluid.compressibility
-        np.exp(rho, out=rho)
-        rho *= self.fluid.reference_density
+        self.fluid.density(p, out=rho)
+        self.fluid.mobility(rho, out=self._mobility[tile.slices])
 
     def _flux_tile(self, tile: Tile) -> None:
         """All ten per-cell fluxes for one tile (the flux kernel body).
@@ -141,6 +144,7 @@ class GpuFluxComputation:
         """
         p = self.dev.get("pressure")
         rho = self.dev.get("density")
+        lam = self._mobility
         z = self.dev.get("elevation")
         res = self.dev.get("residual")
         res[tile.slices] = 0.0
@@ -149,16 +153,15 @@ class GpuFluxComputation:
             if views is None:
                 continue
             local, neigh = views
-            flux = face_flux_array(
-                p[local], p[neigh],
-                z[local], z[neigh],
-                rho[local], rho[neigh],
-                self.dev.get(f"trans_{conn.name}")[local],
-                constants.GRAVITY,
-                self.fluid.viscosity,
+            scratch = FluxScratch.empty(res[local].shape, self.dtype)
+            face_flux(
+                scratch, p[local], p[neigh], z[local], z[neigh],
+                rho[local], rho[neigh], lam[local], lam[neigh],
+                self.dev.get(f"trans_{conn.name}")[local], scratch.dp,
+                self._gravity,
             )
-            res[local] += flux
-            self._flops += flux.size * (FLOPS_PER_CELL // 10)
+            res[local] += scratch.dp
+            self._flops += scratch.dp.size * (FLOPS_PER_CELL // 10)
 
     def _launch(self, body) -> int:
         """Dispatch one kernel with the configured launch style."""

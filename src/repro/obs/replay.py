@@ -183,6 +183,11 @@ def _check_replayed_values(meta: dict) -> None:
             raise ValueError(f"meta.json mesh {axis} is not a positive integer")
     if mesh["kind"] != "plain" and not count(mesh.get("seed")):
         raise ValueError("meta.json mesh seed is not an integer")
+    # null: the run's pressures were not seeded (a supervisor post-mortem
+    # bundle); such an artifact loads, and replay refuses it
+    seed = meta["pressure_seed"]
+    if seed is not None and not count(seed):
+        raise ValueError("meta.json pressure_seed is neither null nor an integer")
     dtype = meta["dtype"]
     try:
         floating = isinstance(dtype, str) and np.dtype(dtype).kind == "f"

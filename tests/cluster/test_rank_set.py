@@ -2,11 +2,13 @@
 
 ``(nx, ny, nz, px, py)`` is drawn with one-wide blocks and ``px == nx``
 among the cases.  Three oracles, none of them a second backend: the
-serial cluster backend returns ``FluxKernel(method="cell")``'s bytes; a
-closed domain's residual sums to zero within the rounding of its
-per-cell folds; and a :class:`~repro.cluster.flux.RankSet` over a
-subset of the ranks — what a par worker builds — holds exactly the
-all-rank set's strips for those ranks and computes their bytes.
+serial cluster backend returns the bytes of the face-flux statement
+folded over whole interior slices (the ``statement_fold`` fixture) and
+``FluxKernel(method="cell")``'s values to rounding; a closed domain's
+residual sums to zero within the rounding of its per-cell folds; and a
+:class:`~repro.cluster.flux.RankSet` over a subset of the ranks — what
+a par worker builds — holds exactly the all-rank set's strips for those
+ranks and computes their bytes.
 """
 
 import math
@@ -48,10 +50,12 @@ def cluster_residual(mesh, grid, pressure):
 @given(grid=grids(), seed=SEEDS)
 @example(grid=(6, 4, 2, 6, 2), seed=3)  # px == nx: every block one cell wide
 @example(grid=(3, 3, 1, 3, 3), seed=4)  # one cell per rank
-def test_cluster_returns_the_oracle_bytes(grid, seed):
+def test_cluster_returns_the_oracle_bytes(statement_fold, grid, seed):
     mesh, p = problem(grid, seed)
+    residual = cluster_residual(mesh, grid, p)
+    assert residual.tobytes() == statement_fold(mesh, FLUID, p).tobytes()
     oracle = FluxKernel(mesh, FLUID, method="cell").residual(p)
-    assert cluster_residual(mesh, grid, p).tobytes() == oracle.tobytes()
+    assert np.abs(residual - oracle).max() <= 1e-12 * np.abs(oracle).max(initial=0.0)
 
 
 @settings(max_examples=15, deadline=None)

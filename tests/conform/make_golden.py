@@ -91,8 +91,9 @@ def main() -> int:
     entries = []
 
     # 1. The flagship: a cluster recording that every backend must
-    #    reproduce.  cluster/par replay bit-exactly (same host fold
-    #    order); event/fused/lockstep/gpu replay within the ulp budget.
+    #    reproduce.  gpu/cluster/par replay bit-exactly (one face-flux
+    #    statement, host fold order); event/fused/lockstep replay within
+    #    the ulp budget.
     art = record_run(
         "cluster", nx=4, ny=4, nz=3, geomodel="lognormal", seed=0,
         applications=3, px=2, py=2,

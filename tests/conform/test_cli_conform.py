@@ -28,6 +28,9 @@ _BAD_VALUES = {
     "dtype-float99": lambda meta: meta.update(dtype="float99"),
     "applications-x": lambda meta: meta.update(applications="x"),
     "steps-5": lambda meta: meta.update(steps=5),
+    "pressure-seed-str": lambda meta: meta.update(pressure_seed="7"),
+    # loads (a supervisor post-mortem bundle records null); replay refuses
+    "pressure-seed-null": lambda meta: meta.update(pressure_seed=None),
 }
 
 
@@ -144,6 +147,7 @@ class TestConformCommand:
             ("dtype-float99", f"{_NOT_META} dtype 'float99' is not a float dtype"),
             ("applications-x", f"{_NOT_META} applications is not a positive integer"),
             ("steps-5", f"{_NOT_META} steps is not one digest record per application"),
+            ("pressure-seed-str", f"{_NOT_META} pressure_seed is neither null nor an integer"),
         ],
     )
     def test_unreadable_artifact_is_a_usage_error(
@@ -160,6 +164,19 @@ class TestConformCommand:
         code, text = run_cli(["conform", str(path), "--backend", "event"])
         assert code == 2 and text == ""
         assert f"error: {path}: {reason}" in capsys.readouterr().err
+
+
+    def test_an_artifact_without_a_pressure_seed_is_refused(self, tmp_path, capsys):
+        """A null ``pressure_seed`` loads (supervisor post-mortem bundles
+        write it) and replay refuses it: exit 2, not a TypeError."""
+        from repro.obs.replay import ReplayArtifact
+
+        path = tmp_path / "run.rpz"
+        _edit_golden_meta(path, "pressure-seed-null")
+        assert ReplayArtifact.load(path).meta["pressure_seed"] is None
+        code, text = run_cli(["conform", str(path), "--backend", "fused"])
+        assert code == 2 and text == ""
+        assert f"error: {path}: the artifact records no pressure seed" in capsys.readouterr().err
 
 
 class TestTraceParBackend:

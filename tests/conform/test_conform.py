@@ -135,7 +135,8 @@ class TestFaultedReplay:
         assert art.meta["fault_plan"]
         result = replay(art, backend)
         assert result.ok, result.render()
-        assert result.tolerance == "ulp-bounded"
+        # gpu shares the cluster recording's fold class
+        assert result.tolerance == ("bit-exact" if backend == "gpu" else "ulp-bounded")
 
 
 class TestGoldenRegistry:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import FluidProperties, constants, upwind_mobility
+from repro.core import FluidProperties, constants
+from repro.core.kernels import upwind_select
 
 
 class TestFluidProperties:
@@ -47,6 +48,16 @@ class TestFluidProperties:
         rho = 700.0
         assert fluid.mobility(rho) == pytest.approx(rho / fluid.viscosity)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mobility_multiplies_by_the_reciprocal_in_place(self, fluid, dtype):
+        """``rho * (1/mu)`` in the density's dtype, into ``out``: the
+        bits the DSD sequence's per-face multiply gives (step 10)."""
+        rho = (700.0 + np.random.default_rng(0).random(64)).astype(dtype)
+        out = np.empty_like(rho)
+        assert fluid.mobility(rho, out=out) is out
+        want = rho * dtype(1.0 / fluid.viscosity)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+
     def test_rejects_nonpositive_viscosity(self):
         with pytest.raises(ValueError, match="viscosity"):
             FluidProperties(viscosity=0.0)
@@ -69,21 +80,36 @@ class TestFluidProperties:
         assert f.compressibility == constants.DEFAULT_COMPRESSIBILITY
 
 
+def upwind_mobility(dphi, rho_k, rho_l, viscosity):
+    """Eq. 4 as the flux kernels form it: each side's mobility from
+    :meth:`FluidProperties.mobility`, then :func:`upwind_select`."""
+    fluid = FluidProperties(viscosity=viscosity)
+    dphi, rho_k, rho_l = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, np.float64)) for x in (dphi, rho_k, rho_l))
+    )
+    out = np.empty(dphi.shape)
+    upwind_select(
+        np.empty(dphi.shape, np.uint64), dphi,
+        fluid.mobility(rho_k), fluid.mobility(rho_l), out,
+    )
+    return out
+
+
 class TestUpwindMobility:
-    """Eq. 4: rho_K when dPhi > 0, rho_L otherwise."""
+    """Eq. 4: rho_K / mu when dPhi > 0, rho_L / mu otherwise."""
 
     def test_positive_potential_picks_local(self):
         lam = upwind_mobility(1.0, 700.0, 800.0, viscosity=2.0)
-        assert lam == pytest.approx(350.0)
+        assert lam.tolist() == [350.0]
 
     def test_negative_potential_picks_neighbour(self):
         lam = upwind_mobility(-1.0, 700.0, 800.0, viscosity=2.0)
-        assert lam == pytest.approx(400.0)
+        assert lam.tolist() == [400.0]
 
     def test_zero_potential_picks_neighbour_branch(self):
         # Eq. 4's 'otherwise' covers dPhi == 0 (flux is zero regardless).
         lam = upwind_mobility(0.0, 700.0, 800.0, viscosity=2.0)
-        assert lam == pytest.approx(400.0)
+        assert lam.tolist() == [400.0]
 
     def test_vectorized(self):
         dphi = np.array([2.0, -3.0, 0.0])

@@ -11,6 +11,7 @@ from repro.core import (
     face_flux_scalar,
     face_flux_with_derivatives,
 )
+from repro.core.kernels import FluxScratch, face_flux, upwind_select
 
 G = 9.80665
 MU = 5e-5
@@ -115,6 +116,90 @@ class TestArrayFlux:
         ref = face_flux_array(**face_data, gravity=G, viscosity=MU)
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, ref, rtol=2e-4, atol=1e-12)
+
+
+def select(dphi, lam_k, lam_l):
+    """:func:`upwind_select` on float64 arrays broadcast from the inputs."""
+    dphi, lam_k, lam_l = np.broadcast_arrays(
+        *(np.array(x, np.float64) for x in (dphi, lam_k, lam_l))
+    )
+    out = np.empty(dphi.shape)
+    upwind_select(np.empty(dphi.shape, np.uint64), dphi, lam_k.copy(), lam_l.copy(), out)
+    return out
+
+
+class TestUpwindSelect:
+    """The select's edge cases of Eq. 4's 'otherwise' (the sign cases on
+    the mobility are ``tests/core/test_fluid.py::TestUpwindMobility``)."""
+
+    def test_zero_potential_picks_neighbour_branch(self):
+        # Eq. 4's 'otherwise' covers dPhi == 0 (flux is zero regardless),
+        # either signed zero
+        assert select([0.0, -0.0], 350.0, 400.0).tolist() == [400.0, 400.0]
+
+    def test_nan_potential_picks_neighbour_branch(self):
+        assert select([np.nan], 350.0, 400.0).tolist() == [400.0]
+
+
+class TestFaceFluxStatement:
+    """The one production statement: every backend's bytes come from it."""
+
+    def run(self, data, dtype, *, collapsed=False, inv_mu=1.0 / MU):
+        data = {k: v.astype(dtype) for k, v in data.items()}
+        if collapsed:
+            data["z_l"] = data["z_k"]  # one object: the collapsed branch
+        s = FluxScratch.empty(data["p_k"].shape, dtype)
+        lam_k, lam_l = (data[k] * dtype(inv_mu) for k in ("rho_k", "rho_l"))
+        face_flux(
+            s, data["p_k"], data["p_l"], data["z_k"], data["z_l"],
+            data["rho_k"], data["rho_l"], lam_k, lam_l, data["trans"], s.dp,
+            dtype(G),
+        )
+        return s.dp
+
+    @pytest.fixture
+    def face_data(self):
+        rng = np.random.default_rng(5)
+        n = 257
+        data = dict(
+            p_k=1e7 + 1e6 * rng.standard_normal(n),
+            p_l=1e7 + 1e6 * rng.standard_normal(n),
+            z_k=10.0 * rng.random(n),
+            z_l=10.0 * rng.random(n),
+            rho_k=700.0 + rng.random(n),
+            rho_l=700.0 + rng.random(n),
+            trans=1e-13 * (0.5 + rng.random(n)),
+        )
+        data["p_l"][::9] = data["p_k"][::9]  # pressure-equal faces
+        return data
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-13), (np.float32, 2e-4)])
+    def test_within_rounding_of_the_oracle(self, face_data, dtype, rtol):
+        flux = self.run(face_data, dtype)
+        oracle = face_flux_array(**face_data, gravity=G, viscosity=MU)
+        np.testing.assert_allclose(flux, oracle, rtol=rtol, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hoisted_mobility_is_select_then_multiply(self, face_data, dtype):
+        """Selecting ``rho * (1/mu)`` is bit-identical to selecting
+        ``rho`` and multiplying by ``1/mu`` per face (the DSD step 10)."""
+        d = {k: v.astype(dtype) for k, v in face_data.items()}
+        dphi = (d["p_l"] - d["p_k"]) + (
+            (d["rho_k"] * ((d["z_l"] - d["z_k"]) * dtype(G)))
+            + (d["rho_l"] * ((d["z_l"] - d["z_k"]) * dtype(G)))
+        ) * dtype(0.5)
+        rho = np.where(dphi > 0.0, d["rho_k"], d["rho_l"])
+        literal = ((rho * dtype(1.0 / MU)) * d["trans"]) * dphi
+        assert self.run(face_data, dtype).tobytes() == literal.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_collapsed_branch_on_a_shared_elevation(self, face_data, dtype):
+        """X-Y faces (equal elevations): the collapsed branch's fluxes
+        added to ``+0.0`` give the full sequence's bytes."""
+        face_data["z_l"] = face_data["z_k"].copy()  # equal, two objects
+        full = self.run(face_data, dtype)
+        collapsed = self.run(face_data, dtype, collapsed=True)
+        assert (0.0 + collapsed).tobytes() == (0.0 + full).tobytes()
 
 
 class TestDerivatives:

@@ -74,3 +74,13 @@ class TestTopLevel:
         )
         from repro.dataflow import WseFluxComputation  # noqa: F401
         from repro.workloads import make_geomodel  # noqa: F401
+
+    def test_eq4_is_selected_in_one_place(self):
+        """The upwind select is the face-flux statement's; the fluid
+        model only forms the mobility it selects from."""
+        import repro.core
+        from repro.core import fluid, kernels
+
+        assert "upwind_mobility" not in repro.core.__all__
+        assert not hasattr(fluid, "upwind_mobility")
+        assert {"FluxScratch", "face_flux", "upwind_select"} <= set(kernels.__all__)

@@ -245,13 +245,13 @@ class TestParentBytes:
 def kernel_calls(monkeypatch):
     """Counts every face-flux kernel call (both entry points share it)."""
     calls = []
-    original = flux_pe._face_flux
+    original = flux_pe.face_flux
 
     def spy(*args):
         calls.append(args)
         original(*args)
 
-    monkeypatch.setattr(flux_pe, "_face_flux", spy)
+    monkeypatch.setattr(flux_pe, "face_flux", spy)
     return calls
 
 

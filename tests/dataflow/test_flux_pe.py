@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import face_flux_array
+from repro.core.kernels import FluxScratch, face_flux_array, upwind_select
 from repro.dataflow.flux_pe import (
-    FluxScratch,
-    _bit_select,
     compute_face_flux_column,
     evaluate_density_column,
     store_face_flux_column,
@@ -32,11 +30,15 @@ def make_face_data(n, seed=0):
     )
 
 
+def with_mobility(data, viscosity=MU):
+    """*data* plus each side's mobility ``rho * (1/mu)``, the kernel's
+    hoisted operand; :func:`face_flux_array` takes the viscosity."""
+    inv = 1.0 / viscosity
+    return {**data, "lam_k": data["rho_k"] * inv, "lam_l": data["rho_l"] * inv}
+
+
 def make_scratch(shape, dtype=np.float64):
-    return FluxScratch(
-        *(np.empty(shape, dtype) for _ in range(4)),
-        np.empty(shape, f"u{np.dtype(dtype).itemsize}"),
-    )
+    return FluxScratch.empty(shape, dtype)
 
 
 def in_one_block(arrays):
@@ -64,10 +66,9 @@ class TestFluxColumn:
         compute_face_flux_column(
             engine,
             make_scratch(n),
-            **data,
+            **with_mobility(data),
             residual=residual,
             gravity=G,
-            inv_viscosity=1.0 / MU,
         )
         expected = face_flux_array(**data, gravity=G, viscosity=MU)
         np.testing.assert_allclose(residual, expected, rtol=1e-12)
@@ -78,8 +79,8 @@ class TestFluxColumn:
         engine = DsdEngine()
         residual = np.ones(n)
         compute_face_flux_column(
-            engine, make_scratch(n), **data,
-            residual=residual, gravity=G, inv_viscosity=1.0 / MU,
+            engine, make_scratch(n), **with_mobility(data),
+            residual=residual, gravity=G,
         )
         expected = 1.0 + face_flux_array(**data, gravity=G, viscosity=MU)
         np.testing.assert_allclose(residual, expected, rtol=1e-12)
@@ -90,8 +91,8 @@ class TestFluxColumn:
         engine = DsdEngine()
         residual = np.zeros(n)
         compute_face_flux_column(
-            engine, make_scratch(n), **make_face_data(n),
-            residual=residual, gravity=G, inv_viscosity=1.0 / MU,
+            engine, make_scratch(n), **with_mobility(make_face_data(n)),
+            residual=residual, gravity=G,
         )
         assert engine.counts["FMUL"] == 6 * n
         assert engine.counts["FSUB"] == 4 * n
@@ -113,10 +114,11 @@ class TestFluxColumn:
             z_l=np.zeros(2),
             rho_k=np.array([700.0, 700.0]),
             rho_l=np.array([800.0, 800.0]),
+            lam_k=np.array([700.0, 700.0]),
+            lam_l=np.array([800.0, 800.0]),
             trans=np.ones(2),
             residual=residual,
             gravity=G,
-            inv_viscosity=1.0,
         )
         assert residual[0] == pytest.approx(700.0)   # dPhi=+1 -> rho_K
         assert residual[1] == pytest.approx(-800.0)  # dPhi=-1 -> rho_L
@@ -133,8 +135,8 @@ class TestFluxColumn:
         engine = DsdEngine()
         residual = np.zeros(n - 1)
         compute_face_flux_column(
-            engine, scratch, **data,
-            residual=residual, gravity=G, inv_viscosity=1.0 / MU,
+            engine, scratch, **with_mobility(data),
+            residual=residual, gravity=G,
         )
         expected = face_flux_array(**data, gravity=G, viscosity=MU)
         np.testing.assert_allclose(residual, expected, rtol=1e-12)
@@ -147,13 +149,14 @@ class TestFluxColumn:
                 p_k=np.zeros((3, 2)), p_l=np.zeros((3, 2)),
                 z_k=np.zeros((3, 2)), z_l=np.zeros((3, 2)),
                 rho_k=np.zeros((3, 2)), rho_l=np.zeros((3, 2)),
+                lam_k=np.zeros((3, 2)), lam_l=np.zeros((3, 2)),
                 trans=np.zeros((3, 2)), residual=np.zeros((3, 2)),
-                gravity=G, inv_viscosity=1.0,
+                gravity=G,
             )
 
 
 class TestBitSelect:
-    """The upwind select of steps 8-9 is a bit-select; it must agree on
+    """The upwind select of steps 8-10 is a bit-select; it must agree on
     every bit with the masked copy it replaced, the oracle here."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -169,7 +172,7 @@ class TestBitSelect:
         out = np.empty(n, dtype)
         sel = np.empty(n, f"u{out.itemsize}")
         with np.errstate(all="raise"):
-            _bit_select(sel, dphi, rho_k, rho_l, out)
+            upwind_select(sel, dphi, rho_k, rho_l, out)
         want = rho_l.copy()
         np.copyto(want, rho_k, where=dphi > 0.0)
         assert out.tobytes() == want.tobytes()
@@ -200,7 +203,7 @@ class TestBitSelect:
         out[...] = np.nan
         sel = np.empty(out.shape, f"u{out.itemsize}")
         with np.errstate(all="raise"):
-            _bit_select(sel, dphi, rho_k, rho_l, out)
+            upwind_select(sel, dphi, rho_k, rho_l, out)
         want = rho_l.copy()
         np.copyto(want, rho_k, where=dphi > 0.0)
         assert out.tobytes() == want.tobytes()
@@ -214,7 +217,7 @@ class TestBitSelect:
         shape = (3, 41)
         data = {
             k: v.reshape(shape).astype(dtype)
-            for k, v in make_face_data(3 * 41, seed=9).items()
+            for k, v in with_mobility(make_face_data(3 * 41, seed=9)).items()
         }
         data["p_l"][:, ::7] = data["p_k"][:, ::7]  # dphi == 0 lanes
         if collapsed:
@@ -231,8 +234,7 @@ class TestBitSelect:
                 arrays["z_l"] = arrays["z_k"]  # one object: the collapsed branch
             sel = np.empty(shape, f"u{np.dtype(dtype).itemsize}")
             compute_face_flux_column(
-                DsdEngine(), FluxScratch(dp, gz, a, b, sel), **arrays,
-                gravity=G, inv_viscosity=1.0 / MU,
+                DsdEngine(), FluxScratch(dp, gz, a, b, sel), **arrays, gravity=G,
             )
             residuals.append(arrays["residual"].tobytes())
         assert residuals[0] == residuals[1]
@@ -249,6 +251,7 @@ class TestStoreForm:
         count for count; the stored flux keeps its signed zeros."""
         n = 41
         data = {k: v.astype(dtype) for k, v in make_face_data(n, seed=3).items()}
+        data = with_mobility(data)
         data["p_l"][::7] = data["p_k"][::7]  # dphi == 0 lanes
         data["trans"][::5] = 0.0  # zero faces: F = +-0.0
         if collapsed:
@@ -264,7 +267,7 @@ class TestStoreForm:
                 np.empty(n, f"u{np.dtype(dtype).itemsize}"),
             )
 
-        kernel = dict(gravity=dtype(G), inv_viscosity=dtype(1.0 / MU))
+        kernel = dict(gravity=dtype(G))
         start = np.linspace(-1.0, 1.0, n).astype(dtype)
         accumulated, booked = start.copy(), DsdEngine()
         compute_face_flux_column(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import repro.dataflow.flux_pe as flux_pe
+import repro.core.kernels as kernels_module
 import repro.dataflow.lockstep as lockstep_module
 import repro.dataflow.padded as padded_module
 import repro.ir.fused as fused_module
@@ -18,8 +18,8 @@ from repro.core import (
 )
 from repro.core.stencil import Connection, interior_slices
 from repro.core.transmissibility import padded_trans_fields
+from repro.core.kernels import FluxScratch
 from repro.dataflow import (
-    FluxScratch,
     LockstepReport,
     LockstepWseSimulation,
     WseFluxComputation,
@@ -156,20 +156,22 @@ def strided_reference(mesh, fluid, fields, dtype, plan, compute_fluxes=True, vec
     words, word_hops, residuals = max(1, dtype.itemsize // 4), 0, []
     words_dtype = f"u{dtype.itemsize}"
     density = {k: getattr(fluid, k) for k in ("compressibility", "reference_density", "reference_pressure")}
-    kernel = {"gravity": constants.GRAVITY, "inv_viscosity": 1.0 / fluid.viscosity}
+    lam = np.zeros(shape, dtype)
 
     def face_flux(conn, local, p_l, rho_l, z_l):
         if compute_fluxes:
             compute_face_flux_column(
                 engine, FluxScratch(*(x[local] for x in scratch), np.empty(p[local].shape, words_dtype)),
-                p[local], p_l, elev[local], z_l,
-                rho[local], rho_l, trans[conn][local], residuals[-1][local], **kernel,
+                p[local], p_l, elev[local], z_l, rho[local], rho_l, lam[local],
+                fluid.mobility(rho_l), trans[conn][local], residuals[-1][local],
+                gravity=constants.GRAVITY,
             )
 
     for field in fields:
         p = np.ascontiguousarray(field, dtype=dtype)
         residuals.append(np.zeros(shape, dtype))
         evaluate_density_column(engine, p, rho, **density)
+        fluid.mobility(rho, out=lam)
         for conn in (Connection.UP, Connection.DOWN):
             local, neigh = interior_slices(shape, conn)
             face_flux(conn, local, p[neigh], rho[neigh], elev[neigh])
@@ -331,13 +333,13 @@ class TestIrCheck:
 
 class TestCollapsedBranch:
     def test_xy_connections_issue_the_collapsed_sequence(self, fluid, monkeypatch):
-        """``_face_flux`` picks its branch by ``z_l is z_k``: two equal
+        """``face_flux`` picks its branch by ``z_l is z_k``: two equal
         slices of one elevation array are two objects and silently cost
         seven more passes per connection (lockstep did, until PR 23)."""
         issued = {"sub": 0, "mul": 0}
 
         def counting(name):
-            ufunc = getattr(flux_pe, f"_{name}")
+            ufunc = getattr(kernels_module, f"_{name}")
 
             def call(*args):
                 issued[name] += 1
@@ -355,8 +357,8 @@ class TestCollapsedBranch:
 
             return call
 
-        monkeypatch.setattr(flux_pe, "_sub", counting("sub"))
-        monkeypatch.setattr(flux_pe, "_mul", counting("mul"))
+        monkeypatch.setattr(kernels_module, "_sub", counting("sub"))
+        monkeypatch.setattr(kernels_module, "_mul", counting("mul"))
         # the one sweep calls the kernels for both drivers
         accumulated, stored = [], []
         for name, calls in (
@@ -370,12 +372,12 @@ class TestCollapsedBranch:
         LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh)).run_application(p)
         # UP and DOWN run the full sequence, the eight X-Y connections
         # the collapsed one — what fused's X-Y kernels issue
-        assert accumulated == [(False, 2, 7)] * 2 + [(True, 1, 3)] * 8
+        assert accumulated == [(False, 2, 6)] * 2 + [(True, 1, 2)] * 8
         assert stored == []
         accumulated.clear()
         lower_to_fused(derive_ir(mesh), mesh, fluid).run([p])
-        assert accumulated == [(False, 2, 7)] * 2
-        assert stored == [(True, 1, 3)] * 8
+        assert accumulated == [(False, 2, 6)] * 2
+        assert stored == [(True, 1, 2)] * 8
 
 
 def test_fused_and_lockstep_share_one_report_class():

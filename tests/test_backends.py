@@ -136,6 +136,29 @@ class TestTable:
             kernels.__contains__,
         ) == []
 
+    def test_one_face_flux_statement(self):
+        """Eq. 4's bit-select is built in ``core/kernels.py`` alone — no
+        other module names ``bitwise_xor`` or ``upwind_select`` — and the
+        float64 oracle's ``face_flux_array`` is called by the oracle
+        modules only.  A backend that restates the face flux, or borrows
+        the oracle's, fails here."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(set(root.rglob("*.py")) - {root / "core" / "kernels.py"}):
+            for node in ast.walk(ast.parse(path.read_text())):
+                named = (
+                    getattr(node, "id", None) or getattr(node, "attr", None)
+                    or (isinstance(node, ast.alias) and node.name)
+                )
+                if named in ("bitwise_xor", "upwind_select"):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno} {named}")
+        assert offenders == []
+        assert _calls_outside(
+            {"core/flux.py", "core/unstructured.py"}, "face_flux_array".__eq__
+        ) == []
+
     def test_only_the_exchange_states_the_neighbour_protocol(self):
         """The Sec. 5.2 protocol has one statement: the channel formulas
         are named (imported, called, passed on) only by the modules that
@@ -553,7 +576,7 @@ class TestFoldClasses:
             classes.setdefault(entry.fold_class, []).append(name)
         assert classes == {
             "event": ["event", "fused"], "lockstep": ["lockstep"],
-            "gpu": ["gpu"], "host": ["cluster", "par"],
+            "host": ["gpu", "cluster", "par"],
         }
 
 
