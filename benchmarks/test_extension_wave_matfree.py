@@ -40,13 +40,13 @@ def test_extension_wave_fabric_step(report, benchmark):
     for a in wavelet:
         wse.step(float(a))
         ref.step(float(a))
-    benchmark(wse.step)
-    for _ in range(wse.step_count - ref.step_count):
-        ref.step()
-
+    # the table reads the wavelet's steps: how often the timer calls
+    # ``wse.step`` depends on its mode, and the table is committed
+    steps = wse.step_count
     u_w, u_r = wse.wavefield(), ref.u_curr
     scale = np.abs(u_r).max()
     err = np.abs(u_w - u_r).max() / scale
+    benchmark(wse.step)
 
     table = Table(
         "Extension — Sec. 8 wave equation on the fabric",
@@ -54,7 +54,7 @@ def test_extension_wave_fabric_step(report, benchmark):
     )
     table.add_row(["medium", f"eps={medium.epsilon}, tilt={math.degrees(medium.theta):.0f} deg"])
     table.add_row(["u_xy coefficient (diagonal term)", f"{medium.wxy:.3f}"])
-    table.add_row(["steps executed on the fabric", wse.step_count])
+    table.add_row(["steps executed on the fabric", steps])
     table.add_row(["max rel. deviation vs reference", f"{err:.2e}"])
     table.add_row(["channels reused from the flux kernel", 8])
     report(table.render())

@@ -11,9 +11,11 @@ Each cell folds its faces in the phase order of Sec. 5: the vertical
 (in-memory) fluxes after density, then the cardinal exchange (one hop
 per word), then the diagonal one (two hops).  The driver is the slab
 sweep of :mod:`repro.dataflow.padded` (shared with fused) with that
-exchange plan as its fold program, every step a ``None`` mask: each X-Y
-kernel accumulates straight into the residual, reading the neighbour's
-``(p, rho)`` in place one flat shift away.  The fabric's halo moves are
+exchange plan as its fold program, every step a ``None`` mask: one
+kernel per X-Y face pair stores its fluxes, reading the neighbour's
+``(p, rho)`` in place one flat shift away, and each step adds them to
+the residual, or subtracts them shifted for the reciprocal connection,
+bit for bit what that connection's own kernel would add.  The fabric's halo moves are
 booked by ``PaddedFlatLayout.book``, not executed: a copy would hand the
 kernel the same values.  ``run`` batches its applications;
 ``run_application`` is a batch of one.
@@ -21,7 +23,8 @@ kernel the same values.  ``run`` batches its applications;
 With ``inf`` / ``NaN`` pressure cells, a cell whose per-face residual is
 finite keeps its bytes and a non-finite one stays non-finite: a halo
 face contributes ``+-inf * 0 = NaN`` only to a cell whose real faces are
-non-finite already.
+non-finite already, and a cell whose faces are all finite reads only
+fluxes computed from finite operands.
 """
 
 from __future__ import annotations

@@ -13,21 +13,31 @@ for the host-order kernel, which may not import ``repro.dataflow``).
 A run (:class:`PaddedSweep`) batches its applications along a leading
 axis and is **one sweep over z-slabs of whole planes**: density once
 over the batch (a vertical face reads the plane next to its slab), then
-per slab UP/DOWN into the residual and the X-Y faces by the driver's
-fold program, so the ~16 batch-wide arrays a cell's faces touch stay
-cache-resident from the first kernel to the last add.  A cell's
-contributions all meet inside its own slab, so the slab size cannot
-move a bit.  The fold program, ``(connection, lane mask)`` steps, is
-the only thing the drivers do differently:
+per slab UP/DOWN into the residual, one kernel per X-Y face pair, and
+the driver's fold program, so the ~16 batch-wide arrays a cell's faces
+touch stay cache-resident from the first kernel to the last add.  A
+cell's contributions all meet inside its own slab, so the slab size
+cannot move a bit.
+
+Each X-Y face is evaluated once (Eq. 3: cell L receives ``-F_KL`` from
+the face K computes).  The member of a face pair with a positive flat
+shift ``s`` (EAST, SOUTH, SOUTHEAST, SOUTHWEST) stores its fluxes ``C``
+in a contribution buffer, ``s`` lanes earlier than the fold needs them;
+the reciprocal connection's fold step subtracts ``C[xy - s]``.  That is
+the reciprocal kernel's bytes: both sides read one transmissibility,
+the collapsed branch negates exactly, a zero flux may differ only in
+its sign, and ``r - C`` is ``r + (-C)`` (DESIGN.md §16).  The fold
+program, ``(connection, lane mask)`` steps, is the only thing the
+drivers do differently:
 
 * a ``None`` mask (lockstep's exchange plan) means every lane: the
-  step's kernel accumulates straight into the residual;
+  step adds or subtracts the contribution over the slab's cells;
 * a lane mask (fused's arrival orders; one padded plane of same-width
-  unsigned words) folds the contribution the connection's kernel stored
-  earlier in the slab: ``contribution & mask``, then ``residual +=
-  that``.  Lanes the mask leaves out receive ``+0.0``, which changes
-  neither a finite residual accumulated from ``+0.0`` (it can never be
-  ``-0.0``) nor a non-finite one.
+  unsigned words) first keeps the contribution on the mask's lanes:
+  ``contribution & mask``, then ``residual +=`` or ``-=`` that.  Lanes
+  the mask leaves out receive ``+0.0``, which changes neither a finite
+  residual accumulated from ``+0.0`` (it can never be ``-0.0``) nor a
+  non-finite one.
 
 The kernels sweep padded lanes, so what they book on
 :attr:`PaddedFlatLayout.swept` is never read;
@@ -45,7 +55,7 @@ from repro.core import constants
 from repro.core.fluid import FluidProperties
 from repro.core.kernels import FluxScratch
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import Connection
+from repro.core.stencil import Connection, opposite
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.dataflow.flux_pe import (
     DENSITY_EXP_CYCLES_PER_ELEMENT,
@@ -67,6 +77,7 @@ _SLAB_ELEMENTS = 1 << 16
 
 _and = np.bitwise_and
 _add = np.add
+_sub = np.subtract
 
 
 @dataclass
@@ -265,21 +276,17 @@ class PaddedSweep:
                         for operands, here in slab.vertical:
                             compute_face_flux_column(swept, *operands, residual[:, here], **kernel)
                 if slab.stored:
-                    # one whole-slab kernel call per masked connection,
-                    # each into its own contribution buffer
+                    # one kernel call per face pair, each into its own
+                    # contribution buffer
                     with span(rounds):
                         for operands in slab.stored:
                             store_face_flux_column(swept, *operands, **kernel)
                 with span(fold):
-                    target = residual[:, slab.here]
-                    for mask, *step in slab.fold:
-                        if mask is None:
-                            operands, here = step
-                            compute_face_flux_column(swept, *operands, residual[:, here], **kernel)
-                        else:
-                            contribution, words, masked = step
-                            _and(contribution, mask, words)
-                            _add(target, masked, target)
+                    target = residual[:, slab.xy]
+                    for op, mask, words, masked_words, operand in slab.fold:
+                        if mask is not None:
+                            _and(words, mask, masked_words)
+                        op(target, operand, target)
             layout.book(batch)
             residual = layout.interior(residual)
 
@@ -301,13 +308,15 @@ class _Workspace:
     ``(batch, nz*(ny+2)*(nx+2))``, and everything else one slab long, in
     one ``(batch, buffers, slab lanes)`` block: three float scratch
     buffers, the integer select buffer, the masked fold operand and one
-    contribution buffer per connection a masked step folds.  None needs
-    initialising per run: halo pressure is a finite constant set here
-    (so halo density is finite too), and the contribution lanes no
-    kernel writes — the halo lanes at either end of a slab, all of them
-    with ``compute_fluxes=False`` — stay the zeros they are allocated
-    as.  Every kernel and fold operand is a view sliced here once, and
-    with ``compute_fluxes=False`` no kernel is listed at all.
+    contribution buffer per X-Y face pair the fold program folds (four;
+    none with ``compute_fluxes=False`` on lockstep, whose steps then
+    vanish).  None needs initialising per run: halo pressure is a finite
+    constant set here (so halo density is finite too), and the
+    contribution lanes no kernel writes — the halo lanes at either end
+    of a slab, all of them with ``compute_fluxes=False`` — stay the
+    zeros they are allocated as.  Every kernel and fold operand is a
+    view sliced here once, and with ``compute_fluxes=False`` no kernel
+    is listed at all.
 
     One block rather than an array per buffer, so that a slab buffer is
     a strided view exactly like a slab of pressure or residual: where a
@@ -319,6 +328,7 @@ class _Workspace:
     def __init__(self, layout: PaddedFlatLayout, program, batch: int) -> None:
         dtype, compute = layout.dtype, layout.compute_fluxes
         (nz, _rows, row), plane = layout.padded_shape, layout.plane
+        shifts = layout.shifts
         self.batch = batch
         # whole planes per slab, and never more scratch than the block
         depth = max(1, min(nz, _SLAB_ELEMENTS // (batch * plane)))
@@ -326,27 +336,23 @@ class _Workspace:
         self.rho = rho = np.empty_like(p)
         self.lam = lam = np.empty_like(p)
         self.pressure = layout.interior(p)
-        stored = list(dict.fromkeys(conn for conn, mask in program if mask is not None))
+        # the member of each face pair with a positive shift computes the
+        # pair's one flux; its reciprocal folds that flux negated, shifted
+        program = [(conn, mask) for conn, mask in program if mask is not None or compute]
+        kept = {conn: conn if shifts[conn] > 0 else opposite(conn) for conn, _mask in program}
+        stored = list(dict.fromkeys(kept.values()))
         block = np.zeros((batch, 5 + len(stored), depth * plane), dtype)
         dp, a, b, masked, sel, *buffers = np.moveaxis(block, 1, 0)
         words = f"u{dtype.itemsize}"
         sel = sel.view(words)
         contributions = dict(zip(stored, buffers))
         gz = np.empty(depth * plane, dtype)  # g*(z_L - z_K) is the same for every field
-        # (lane mask, contribution words, masked words, masked) per masked
-        # step, one slab deep.  The plane masks are tiled to the slab:
-        # broadcasting one over a (batch, planes, plane) view costs
-        # NumPy's iterator 0.3 us per row, 13 against 8 us per step at
-        # (8, 3, 2500)
-        masked_steps = [
-            None if mask is None else (
-                np.tile(mask, depth), contributions[conn].view(words),
-                masked.view(words), masked,
-            )
-            for conn, mask in program
-        ]
+        # the plane masks are tiled to the slab: broadcasting one over a
+        # (batch, planes, plane) view costs NumPy's iterator 0.3 us per
+        # row, 13 against 8 us per step at (8, 3, 2500)
+        masks = [None if mask is None else np.tile(mask, depth) for _conn, mask in program]
 
-        shifts, elevation, trans = layout.shifts, layout.elevation, layout.trans
+        elevation, trans = layout.elevation, layout.trans
 
         def operands(conn, lo, lanes):
             """The flux kernel's operands up to its target, *lanes* cells
@@ -369,10 +375,11 @@ class _Workspace:
         for z0 in range(0, nz, depth):
             z1 = min(nz, z0 + depth)
             lo, lanes = z0 * plane, (z1 - z0) * plane
-            # X-Y sweeps run from the slab's first interior cell to its
-            # last: ``edge`` lanes in from either end
+            # the fold runs from the slab's first interior cell to its
+            # last, ``edge`` lanes in from either end; every mask bit
+            # lies in that span
             edge = row + 1
-            xy, xy_lanes = slice(lo + edge, lo + lanes - edge), lanes - 2 * edge
+            xy, inner = slice(lo + edge, lo + lanes - edge), slice(edge, lanes - edge)
             vertical, stored_kernels = [], []
             if compute:
                 for conn in (Connection.UP, Connection.DOWN):
@@ -381,17 +388,31 @@ class _Workspace:
                     first, last = max(z0, -dz) * plane, min(z1, nz - dz) * plane
                     if last > first:
                         vertical.append((operands(conn, first, last - first), slice(first, last)))
-                stored_kernels = [
-                    operands(conn, xy.start, xy_lanes) + (buffer[:, edge : lanes - edge],)
-                    for conn, buffer in contributions.items()
-                ]
-            fold = [
-                (None, operands(conn, xy.start, xy_lanes), xy) if step is None
-                else tuple(x[..., :lanes] for x in step)
-                for (conn, _mask), step in zip(program, masked_steps)
-                if step is not None or compute
-            ]
-            self.slabs.append(_Slab(slice(lo, lo + lanes), vertical, stored_kernels, fold))
+                for conn, buffer in contributions.items():
+                    # s lanes early, so that the reciprocal finds every
+                    # flux it folds at xy - s
+                    s = shifts[conn]
+                    stored_kernels.append(
+                        operands(conn, xy.start - s, xy.stop - xy.start + s)
+                        + (buffer[:, edge - s : lanes - edge],)
+                    )
+            fold = []
+            for (conn, _mask), mask in zip(program, masks):
+                # r - (-F) is r + F bit for bit: IEEE subtraction adds the
+                # exact negation (DESIGN.md §16 has the reciprocity argument)
+                s = 0 if kept[conn] is conn else shifts[kept[conn]]
+                contribution = contributions[kept[conn]][:, edge - s : lanes - edge - s]
+                op = _add if s == 0 else _sub
+                if mask is None:
+                    fold.append((op, None, None, None, contribution))
+                else:
+                    fold.append((
+                        op, mask[inner], contribution.view(words),
+                        masked[:, inner].view(words), masked[:, inner],
+                    ))
+            self.slabs.append(
+                _Slab(slice(lo, lo + lanes), xy, vertical, stored_kernels, fold)
+            )
 
 
 @dataclass(frozen=True)
@@ -399,10 +420,13 @@ class _Slab:
     """One z-slab of whole planes: its lanes and prebuilt operand views."""
 
     here: slice
+    #: the fold's lanes: the slab's first interior cell to its last
+    xy: slice
     #: (accumulate-kernel operands, residual lanes) per vertical connection
     vertical: list
-    #: store-kernel operands, contribution target included, per masked connection
+    #: store-kernel operands, contribution target included, per face pair
     stored: list
-    #: per fold step: ``(None, accumulate-kernel operands, residual lanes)``
-    #: or ``(lane mask, contribution words, masked words, masked)``
+    #: per fold step: ``(add or subtract, lane mask, contribution words,
+    #: masked words, operand)``; without a mask the operand is the
+    #: contribution itself, else the masked copy the ``and`` writes
     fold: list

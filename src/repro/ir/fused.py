@@ -17,17 +17,21 @@ two properties:
   ufuncs over a batched array produce the same bits per element as
   per-column calls.  X-Y faces take the kernel's collapsed branch
   exactly like the event backend's receive task does.
-* Each X-Y kernel stores its fluxes into a contribution buffer, and the
-  IR's fold program (:func:`repro.ir.schedule.fold_program`: a common
-  supersequence of the <= 16 class orders) adds them under lane masks
-  that select the classes whose next arrival is that connection.  So
-  every PE sees its own arrivals, in its own order, and nothing else.
-  The contribution holds ``F`` itself, signed zeros included, as the
-  event backend's ``r += F`` sees it.
+* Each X-Y face pair's kernel stores its fluxes into one contribution
+  buffer, and the IR's fold program
+  (:func:`repro.ir.schedule.fold_program`: a common supersequence of
+  the <= 16 class orders) adds them, or subtracts the reciprocal's
+  shifted fluxes, under lane masks that select the classes whose next
+  arrival is that connection.  So every PE sees its own arrivals, in
+  its own order, and nothing else.  The contribution holds ``F``
+  itself, as the event backend's ``r += F`` sees it; ``r - F`` is the
+  reciprocal's ``r += -F`` up to the sign of a zero flux, which the
+  residual cannot show.
 
 Fabric traffic is accounted arithmetically from the IR's exchange plan;
-no halo copies are performed or booked.  The contribution buffers and
-masked fold passes buy the event fold class's bytes, not speed.
+no halo copies are performed or booked.  The masked fold passes buy the
+event fold class's bytes; the shared contribution buffers halve the X-Y
+kernel passes of both padded backends.
 """
 
 from __future__ import annotations

@@ -165,14 +165,8 @@ class TraceSink:
     # keeps traced runs inside the overhead budget).
 
     # ------------------------------------------------------------------ #
-    # Lifecycle / aggregation
+    # Aggregation
     # ------------------------------------------------------------------ #
-    def clear(self) -> None:
-        """Drop the ring and reset every aggregate."""
-        self.ring.clear()
-        self._agg.clear()
-        self._links.clear()
-
     def merge(self, other: "TraceSink") -> "TraceSink":
         """Accumulate *other*'s aggregates (and ring tail) into this sink."""
         for key, (msgs, words) in other._agg.items():
@@ -195,7 +189,7 @@ class TraceSink:
     # ------------------------------------------------------------------ #
     @property
     def deliveries(self) -> int:
-        """Deliveries observed since the last clear (ring may hold fewer)."""
+        """Deliveries observed (the ring may hold fewer)."""
         return sum(agg[0] for agg in self._agg.values())
 
     @property

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     FLOPS_PER_CELL,
@@ -12,6 +15,9 @@ from repro.core import (
     face_flux_with_derivatives,
 )
 from repro.core.kernels import FluxScratch, face_flux, upwind_select
+from repro.core.stencil import XY_CONNECTIONS, opposite
+from repro.core.transmissibility import Transmissibility, padded_trans_fields
+from repro.workloads import make_geomodel
 
 G = 9.80665
 MU = 5e-5
@@ -200,6 +206,58 @@ class TestFaceFluxStatement:
         full = self.run(face_data, dtype)
         collapsed = self.run(face_data, dtype, collapsed=True)
         assert (0.0 + collapsed).tobytes() == (0.0 + full).tobytes()
+
+
+@st.composite
+def collapsed_faces(draw):
+    """Finite ``(p_k, p_l, lam_k, lam_l, trans)`` columns of one float
+    width, bounded so that no product of three overflows."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 16))
+    elements = st.floats(-(2.0**40), 2.0**40, width=np.dtype(dtype).itemsize * 8)
+    column = hnp.arrays(dtype, n, elements=elements)
+    # equal pressures are the case the sign of a zero flux hangs on
+    p_k = draw(column)
+    p_l = draw(st.one_of(column, st.just(p_k.copy())))
+    return dtype, p_k, p_l, draw(column), draw(column), draw(column)
+
+
+class TestReciprocity:
+    """The two premises of the padded sweep's one kernel per X-Y face
+    pair (DESIGN.md §16): the reciprocal side's flux is the negated
+    flux, and both sides read one transmissibility."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(collapsed_faces())
+    def test_collapsed_flux_negates_from_the_other_side(self, faces):
+        dtype, p_k, p_l, lam_k, lam_l, trans = faces
+        z = np.zeros(p_k.size, dtype)
+
+        def flux(p_k, p_l, lam_k, lam_l):
+            s = FluxScratch.empty(p_k.shape, dtype)
+            face_flux(s, p_k, p_l, z, z, lam_k, lam_l, lam_k, lam_l, trans, s.a, dtype(G))
+            return s.a
+
+        with np.errstate(under="ignore"):
+            f_kl = flux(p_k, p_l, lam_k, lam_l)
+            f_lk = flux(p_l, p_k, lam_l, lam_k)
+        zeros = (f_kl == 0) & (f_lk == 0)
+        assert (-f_kl[~zeros]).tobytes() == f_lk[~zeros].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [(9, 7, 3), (1, 9, 2)], ids=["lognormal", "1xn-strip"])
+    def test_padded_trans_is_shared_by_a_face_pair(self, dims, dtype):
+        mesh = make_geomodel(*dims, kind="lognormal", seed=4)
+        fields = padded_trans_fields(mesh, Transmissibility(mesh, dtype=dtype), dtype, xy_halo=1)
+        row = mesh.nx + 2
+        for conn in XY_CONNECTIONS:
+            dx, dy, _dz = conn.offset
+            shift = dy * row + dx
+            mine, theirs = fields[conn].ravel(), fields[opposite(conn)].ravel()
+            n = mine.size - abs(shift)
+            here, there = (mine[:n], theirs[shift:]) if shift > 0 else (mine[-shift:], theirs[:n])
+            assert here.tobytes() == there.tobytes()
+            assert np.count_nonzero(here) == mesh.nz * (mesh.ny - abs(dy)) * (mesh.nx - abs(dx))
 
 
 class TestDerivatives:

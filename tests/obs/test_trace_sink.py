@@ -81,15 +81,6 @@ class TestRing:
         t, coord, m = rec
         assert (t, coord, m) == (5.0, (1, 2), msg)
 
-    def test_clear_resets_everything(self):
-        sink = TraceSink()
-        sink.delivery(1.0, (0, 0), FakeMsg())
-        sink._links[pack_link(0, 0, Port.EAST)] = [7, 1.5]
-        sink.clear()
-        assert sink.deliveries == 0
-        assert len(sink.ring) == 0
-        assert sink.link_words == {}
-
 
 class TestLinkKeys:
     def test_pack_unpack_roundtrip(self):
