@@ -5,8 +5,9 @@ The traditional-HPC baseline the paper positions itself against
 application performs an 8-neighbour halo exchange of the pressure field
 (sides and corners — on MPI a corner is a single direct message, unlike
 the fabric's two-hop forward), densities are evaluated locally, and each
-rank runs the host-order flat kernel (:mod:`repro.core.flat`) on its
-halo-padded block — the reference kernel's bytes.
+rank runs the core slab sweep (:mod:`repro.core.sweep`) with the host
+fold program, ``HOST_PROGRAM``, on its halo-padded block — the gpu
+backend's bytes.
 
 Numerically identical to the global reference; the communicator counts
 the per-application traffic the decomposition actually moves.  The rank
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flat import FlatFluxKernel, FlatWorkspace
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
+from repro.core.sweep import HOST_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
 from repro.cluster.comm import CartGrid, RetryPolicy, SimComm
 from repro.cluster.decomposition import Block, BlockDecomposition
 from repro.obs.spans import span
@@ -113,28 +114,31 @@ def halo_links(decomp: BlockDecomposition, grid: CartGrid) -> list[HaloLink]:
 class RankSet:
     """The rank program of the host backends, over the *ranks* given.
 
-    Per rank the block and a :class:`~repro.core.flat.FlatFluxKernel`
-    whose padded pressure buffer is the rank's field, plus one
-    :class:`~repro.core.flat.FlatWorkspace` for all of them (the ranks
-    compute in turn, on one thread).  :attr:`outgoing` / :attr:`incoming`
-    map each strip of *links* these ranks send / receive to its view,
-    made once, in the order and under the key the transport is called
-    with: ``(source, dest, tag)`` in canonical link order for ``isend``,
-    ``(dest, source, tag)`` by receiving rank, then tag, for ``recv``.
+    Per rank the block, its :class:`~repro.core.sweep.PaddedLayout` and
+    a :class:`~repro.core.sweep.SlabSweep` of ``HOST_PROGRAM`` whose
+    padded pressure buffer is the rank's field, over one
+    :class:`~repro.core.sweep.SlabWorkspace` and one residual
+    accumulator for all of them (the ranks compute in turn, on one
+    thread).  :attr:`outgoing` / :attr:`incoming` map each strip of
+    *links* these ranks send / receive to its view, made once, in the
+    order and under the key the transport is called with: ``(source,
+    dest, tag)`` in canonical link order for ``isend``, ``(dest, source,
+    tag)`` by receiving rank, then tag, for ``recv``.
     """
 
     def __init__(self, decomp: BlockDecomposition, ranks, fluid: FluidProperties,
                  dtype, links) -> None:
         self.ranks = tuple(ranks)
         self.blocks = [decomp.block(rank) for rank in self.ranks]
-        meshes = [decomp.local_mesh(block) for block in self.blocks]
-        workspace = FlatWorkspace([m.shape_zyx for m in meshes], dtype)
-        self.kernels = [FlatFluxKernel(m, fluid, workspace) for m in meshes]
+        layouts = [PaddedLayout(decomp.local_mesh(b), fluid, dtype) for b in self.blocks]
+        workspace = SlabWorkspace(layouts)
+        self.sweeps = [SlabSweep(layout, HOST_PROGRAM, workspace) for layout in layouts]
+        self._residual = np.empty((1, workspace.lanes), workspace.dtype)
         index = {rank: i for i, rank in enumerate(self.ranks)}
 
         def strip(link, rank):
             i = index[rank]
-            return link.strip(self.kernels[i].pressure, self.blocks[i])
+            return link.strip(self.sweeps[i].pressure[0], self.blocks[i])
 
         self.outgoing = {
             (lk.source, lk.dest, lk.tag): strip(lk, lk.source)
@@ -148,20 +152,23 @@ class RankSet:
 
     def scatter(self, pressure: np.ndarray) -> None:
         """Each rank takes its block's cells of the global *pressure*."""
-        for block, kernel in zip(self.blocks, self.kernels):
+        for block, sweep in zip(self.blocks, self.sweeps):
             ys, xs = block.owned_slices_in_padded()
-            kernel.pressure[:, ys, xs] = pressure[
+            sweep.pressure[0, :, ys, xs] = pressure[
                 :, block.y0 : block.y1, block.x0 : block.x1
             ]
 
     def compute(self, residual: np.ndarray, index: int | None = None) -> None:
-        """Run every rank's kernel — or ``ranks[index]``'s alone — and
+        """Run every rank's sweep — or ``ranks[index]``'s alone — and
         write its owned block into the global *residual*."""
         for i in range(len(self.ranks)) if index is None else (index,):
-            block = self.blocks[i]
+            block, sweep = self.blocks[i], self.sweeps[i]
+            accumulator = self._residual[:, : sweep.layout.lanes]
+            accumulator.fill(0.0)
+            sweep.run(accumulator)
             ys, xs = block.owned_slices_in_padded()
             residual[:, block.y0 : block.y1, block.x0 : block.x1] = (
-                self.kernels[i].compute()[:, ys, xs]
+                sweep.layout.interior(accumulator)[0, :, ys, xs]
             )
 
 

@@ -3,9 +3,10 @@
 One production statement and three independent float64 restatements:
 
 * :func:`face_flux` — steps 1-12 of the per-PE DSD sequence (the table
-  is in :mod:`repro.dataflow.flux_pe`, whose wrappers book it for the
-  event, fused and lockstep backends); the host kernel of cluster and
-  par (:mod:`repro.core.flat`) and the gpu tiles call it directly.
+  is at :meth:`repro.wse.dsd.DsdEngine.account_flux_column`, which books
+  it); its callers are the core slab sweep (:mod:`repro.core.sweep`:
+  fused, lockstep, cluster and par), the event program's round hooks
+  and the gpu tiles.
 * :func:`face_flux_array` — vectorized over arrays of faces, the
   oracle's building block (:mod:`repro.core.flux`,
   :mod:`repro.core.unstructured`, the implicit solver).
@@ -61,6 +62,7 @@ _gt = np.greater
 _neg = np.negative
 _xor = np.bitwise_xor
 _and = np.bitwise_and
+_copyto = np.copyto
 
 
 class FluxScratch:
@@ -71,11 +73,12 @@ class FluxScratch:
     Sec. 5.3.1) serves every face direction, cut to a direction's faces
     (``nz - 1`` vertical, ``nz`` X-Y) before the call.  ``dp``, ``a``
     and ``b`` have the faces' shape; ``gz`` anything the faces'
-    elevations broadcast to (the host kernel's per-plane column).
-    ``sel`` is an unsigned-integer array of dp's shape and item width,
-    contiguous along its last axis: the upwind select negates there, and
-    NumPy 2.4's ``negative`` is wrong on unsigned views strided by four
-    elements (DESIGN.md §16).  The statement allocates nothing.
+    elevations broadcast to.  ``sel`` is an unsigned-integer array of
+    dp's shape and item width, contiguous along its last axis and an
+    allocation of its own: the upwind select compares and negates
+    there, NumPy 2.4's ``negative`` is wrong on unsigned views strided
+    by four elements (DESIGN.md §16), and the copy out of it must not
+    overlap the other columns.  The statement allocates nothing.
     """
 
     __slots__ = ("dp", "gz", "a", "b", "sel")
@@ -147,15 +150,25 @@ def upwind_select(sel, dphi, lam_k, lam_l, out) -> None:
     hoisted into *lam*.  On same-width unsigned views,
     ``lam_L ^ ((lam_K ^ lam_L) & m)`` with ``m = -(dphi > 0)`` (all ones
     or zero) returns the bits of exactly one operand per element — the
-    masked copy's result for every input, NaN included — in four
-    contiguous integer passes after the compare.
+    masked copy's result for every input, NaN included — in three
+    integer passes after the mask.
+
+    The compare writes one bool per element into the first bytes of
+    *sel*, which ``negative`` turns into 0 or -1 as ``int8`` and a
+    signed copy widens into *out*, where the select ends.  A compare
+    straight into an unsigned buffer made NumPy buffer a bool-to-unsigned
+    cast, allocating a temporary on every call; the copy allocates
+    nothing as long as *sel* and *out* are separate arrays (NumPy copies
+    the source whole when their bounds overlap).
     """
     u = sel.dtype
     k, l, o = lam_k.view(u), lam_l.view(u), out.view(u)
-    _gt(dphi, 0.0, sel)
-    _neg(sel, sel)
-    _xor(k, l, o)
-    _and(o, sel, o)
+    flags = sel.view(np.int8)[..., : sel.shape[-1]]
+    _gt(dphi, 0.0, flags.view(np.bool_))
+    _neg(flags, flags)
+    _copyto(out.view(f"i{u.itemsize}"), flags)
+    _xor(k, l, sel)
+    _and(sel, o, o)
     _xor(o, l, o)
 
 

@@ -177,22 +177,17 @@ def padded_trans_fields(
     mesh: CartesianMesh3D,
     trans: Transmissibility,
     dtype=np.float32,
-    *,
-    xy_halo: int = 0,
 ) -> dict[Connection, np.ndarray]:
     """Full-mesh transmissibility fields, zero where no neighbour exists.
 
     ``out[conn][z, y, x]`` is ``Upsilon`` between cell (x, y, z) and its
     *conn* neighbour (0 on the boundary), ready to slice into per-PE
-    columns.  ``xy_halo`` surrounds every z-plane with that many further
-    zero cells (the fused backend's layout), shifting y and x by it.
+    columns.
     """
-    nz, ny, nx = mesh.shape_zyx
-    h = xy_halo
     out: dict[Connection, np.ndarray] = {}
     for conn in ALL_CONNECTIONS:
-        full = np.zeros((nz, ny + 2 * h, nx + 2 * h), dtype=dtype)
+        full = np.zeros(mesh.shape_zyx, dtype=dtype)
         local, _ = interior_slices(mesh.shape_zyx, conn)
-        full[:, h : h + ny, h : h + nx][local] = trans.face_array(conn)
+        full[local] = trans.face_array(conn)
         out[conn] = full
     return out

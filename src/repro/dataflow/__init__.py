@@ -23,10 +23,6 @@ __getattr__, __dir__ = lazy_exports(
         "codegen": ("generate_listing",),
         "driver": ("WseFluxComputation", "WseRunResult"),
         "exchange": ("ColumnExchange",),
-        "flux_pe": (
-            "compute_face_flux_column",
-            "evaluate_density_column",
-        ),
         "halos": ("layout_words_per_cell", "max_nz_for_memory", "plan_pe_memory"),
         "instrcount": (
             "CellInstructionTable",
@@ -72,8 +68,6 @@ __all__ = [
     "DiagonalChannel",
     "DIAGONAL_CHANNELS",
     "static_position",
-    "compute_face_flux_column",
-    "evaluate_density_column",
     "layout_words_per_cell",
     "max_nz_for_memory",
     "plan_pe_memory",

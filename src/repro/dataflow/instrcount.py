@@ -1,8 +1,8 @@
 """Instruction and traffic accounting: regenerates paper Table 4.
 
 Nothing here is hard-coded from the paper: the per-flux instruction mix
-is *measured* by executing the DSD flux kernel on a probe column with a
-fresh engine, the per-cell fabric traffic is measured from the event
+is *measured* by booking one DSD flux column on a fresh engine, the
+per-cell fabric traffic is measured from the event
 simulator (an interior PE receiving all eight neighbour columns), and the
 table is assembled from those measurements plus the per-op traffic
 constants of the DSD ISA (:data:`repro.wse.dsd.OP_TRAFFIC`).
@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.kernels import FLUXES_PER_CELL, FluxScratch
-from repro.dataflow.flux_pe import compute_face_flux_column
+from repro.core.kernels import FLUXES_PER_CELL
 from repro.wse.dsd import OP_FLOPS, OP_TRAFFIC, DsdEngine, WORD_BYTES
 
 __all__ = [
@@ -40,26 +37,15 @@ _TABLE4_OPS = ("FMUL", "FSUB", "FNEG", "FADD", "FMA", "FMOV")
 
 
 def measure_flux_instruction_mix(n: int = 64) -> dict[str, int]:
-    """Execute one flux direction on a probe column; return ops per flux.
+    """Book one flux direction of ``n`` faces; return ops per flux.
 
-    Runs :func:`compute_face_flux_column` on ``n`` faces with a fresh
-    engine and divides each instruction count by ``n`` — asserting the
-    counts are exact multiples, i.e. the kernel's cost is strictly linear
-    in the DSD length.
+    Books :meth:`~repro.wse.dsd.DsdEngine.account_flux_column` on a
+    fresh engine and divides each instruction count by ``n`` — asserting
+    the counts are exact multiples, i.e. the kernel's cost is strictly
+    linear in the DSD length.
     """
     engine = DsdEngine()
-    rng = np.random.default_rng(0)
-    make = lambda: rng.random(n).astype(np.float64)
-    rho_k, rho_l = 700.0 + make(), 700.0 + make()
-    compute_face_flux_column(
-        engine,
-        FluxScratch.empty(n, np.float64),
-        make(), make(), make(), make(),
-        rho_k, rho_l, rho_k / 5e-5, rho_l / 5e-5,
-        1e-13 * (1.0 + make()),
-        np.zeros(n),
-        gravity=9.80665,
-    )
+    engine.account_flux_column(n)
     mix: dict[str, int] = {}
     for op, count in engine.counts.items():
         if count % n != 0:

@@ -9,16 +9,16 @@ fabric-wide instruction and traffic totals, at NumPy speed.
 
 Each cell folds its faces in the phase order of Sec. 5: the vertical
 (in-memory) fluxes after density, then the cardinal exchange (one hop
-per word), then the diagonal one (two hops).  The driver is the slab
-sweep of :mod:`repro.dataflow.padded` (shared with fused) with that
-exchange plan as its fold program, every step a ``None`` mask: one
-kernel per X-Y face pair stores its fluxes, reading the neighbour's
-``(p, rho)`` in place one flat shift away, and each step adds them to
-the residual, or subtracts them shifted for the reciprocal connection,
-bit for bit what that connection's own kernel would add.  The fabric's halo moves are
-booked by ``PaddedFlatLayout.book``, not executed: a copy would hand the
-kernel the same values.  ``run`` batches its applications;
-``run_application`` is a batch of one.
+per word), then the diagonal one (two hops).  The driver is the core
+slab sweep (:mod:`repro.core.sweep`, shared with fused, cluster and
+par) with UP, DOWN and that exchange plan as its fold program, every
+step a ``None`` mask: one kernel per X-Y face pair stores its fluxes,
+reading the neighbour's ``(p, rho)`` in place one flat shift away, and
+each step adds them to the residual, or subtracts them shifted for the
+reciprocal connection, bit for bit what that connection's own kernel
+would add.  The fabric's halo moves are booked by ``PaddedSweep.book``,
+not executed: a copy would hand the kernel the same values.  ``run``
+batches its applications; ``run_application`` is a batch of one.
 
 With ``inf`` / ``NaN`` pressure cells, a cell whose per-face residual is
 finite keeps its bytes and a non-finite one stays non-finite: a halo
@@ -33,8 +33,9 @@ import numpy as np
 
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
+from repro.core.stencil import VERTICAL
 from repro.core.transmissibility import Transmissibility
-from repro.dataflow.padded import LockstepReport, LockstepRunResult, PaddedFlatLayout, PaddedSweep
+from repro.dataflow.padded import LockstepReport, LockstepRunResult, PaddedSweep
 
 __all__ = ["LockstepWseSimulation", "LockstepReport", "LockstepRunResult"]
 
@@ -58,9 +59,12 @@ class LockstepWseSimulation(PaddedSweep):
         ir,
         record=None,
     ) -> None:
-        layout = PaddedFlatLayout(mesh, fluid, trans, ir, halo_copies=True)
-        fold = [(conn, None) for conns, _hops, _phase in layout.exchange_plan for conn in conns]
-        super().__init__(layout, fold, "lockstep", record=record)
+        program = [(conn, None) for conn in VERTICAL] + [
+            (conn, None) for conns, _hops, _phase in ir.exchange_plan for conn in conns
+        ]
+        super().__init__(
+            mesh, fluid, trans, ir, program, "lockstep", halo_copies=True, record=record
+        )
 
     def run_application(self, pressure: np.ndarray) -> np.ndarray:
         """One application of Algorithm 1; returns the residual field."""

@@ -32,22 +32,16 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
-from repro.core.kernels import FluxScratch
+from repro.core.kernels import FluxScratch, face_flux
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import XY_CONNECTIONS, Connection
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.dataflow.exchange import ColumnExchange
-from repro.dataflow.flux_pe import (
-    DENSITY_EXP_CYCLES_PER_ELEMENT,
-    compute_face_flux_column,
-    evaluate_density_column,
-    store_face_flux_column,
-)
 from repro.dataflow.halos import TRANS_NAMES, bind_trains, plan_pe_memory
 from repro.dataflow.mapping import SpareColumnRemap
 from repro.obs.spans import span
 from repro.wse.color import ColorAllocator
-from repro.wse.dsd import DsdEngine
+from repro.wse.dsd import DENSITY_EXP_CYCLES_PER_ELEMENT
 from repro.wse.fabric import Fabric
 from repro.wse.memory import WSE2_PE_MEMORY_BYTES, Scratchpad
 from repro.wse.pe import ProcessingElement
@@ -160,10 +154,7 @@ class FluxProgram:
             self._validate_ir(self.ir)
         # gravity pre-cast to the PE dtype: the ufuncs cast it per call
         # otherwise (same bits, avoidable overhead)
-        self._kernel = {"gravity": np.dtype(self.dtype).type(constants.GRAVITY)}
-        # what the fabric-wide kernels are handed: its counts are never
-        # read, the PEs' engines book per PE at the simulated times
-        self._swept = DsdEngine()
+        self._gravity = np.dtype(self.dtype).type(constants.GRAVITY)
         with span("program.build", cat="build",
                   fabric=f"{self.mesh.nx}x{self.mesh.ny}"):
             self.exchange = ColumnExchange(
@@ -362,11 +353,7 @@ class FluxProgram:
             columns, p, rho = self._columns, self._pressure, self._density
             columns["residual"].fill(0.0)
             fluid = self.fluid
-            evaluate_density_column(
-                self._swept, p, rho, compressibility=fluid.compressibility,
-                reference_density=fluid.reference_density,
-                reference_pressure=fluid.reference_pressure,
-            )
+            fluid.density(p, out=rho)
             nz = self.mesh.nz
             if not self.compute_fluxes:
                 return
@@ -381,11 +368,13 @@ class FluxProgram:
                 (Connection.UP, lower, upper),
                 (Connection.DOWN, upper, lower),
             ):
-                compute_face_flux_column(
-                    self._swept, scratch, p[own], p[other], z[own], z[other],
-                    rho[own], rho[other], lam[own], lam[other],
-                    columns[TRANS_NAMES[conn]][own], residual[own], **self._kernel,
+                face_flux(
+                    scratch, p[own], p[other], z[own], z[other], rho[own],
+                    rho[other], lam[own], lam[other],
+                    columns[TRANS_NAMES[conn]][own], scratch.dp, self._gravity,
                 )
+                target = residual[own]
+                np.add(target, scratch.dp, target)
 
     def _end_round(self) -> None:
         """Settle the round's receive tasks, then one face-flux call over
@@ -442,10 +431,10 @@ class FluxProgram:
             z = columns["z"][rows]
             scratch = FluxScratch.empty(p_k.shape, p_k.dtype)
             flux = np.empty_like(p_k)
-            store_face_flux_column(
-                self._swept, scratch, p_k, trains[:, 0], z, z, rho_k, rho_l,
+            face_flux(
+                scratch, p_k, trains[:, 0], z, z, rho_k, rho_l,
                 self._mobility[rows], lam_l, self._xy_trans[keys], flux,
-                **self._kernel,
+                self._gravity,
             )
             # each delivery's arrival rank on its PE
             rank = np.empty_like(order)

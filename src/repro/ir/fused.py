@@ -1,11 +1,12 @@
 """The fused backend: the event fold class at whole-array speed.
 
 Instead of simulating one message at a time (event), fused batches all
-applications of a run along a leading axis and runs the slab sweep of
-:mod:`repro.dataflow.padded` (shared with lockstep; DESIGN.md §16): the
-ufunc count grows with the number of z-slabs (at most ``nz``), not with
-the number of applications.  What fused adds is its fold program, derived
-from the fold schedule of :mod:`repro.ir.schedule`.  That schedule is
+applications of a run along a leading axis and runs the core slab sweep
+of :mod:`repro.core.sweep` (shared with lockstep, cluster and par;
+DESIGN.md §16): the ufunc count grows with the number of z-slabs (at
+most ``nz``), not with the number of applications.  What fused adds is
+its fold program, UP, DOWN and then masked X-Y steps derived from the
+fold schedule of :mod:`repro.ir.schedule`.  That schedule is
 the one a program with Sec. 5.3.1 buffer reuse has, so fused lowers
 such programs only; the event backend runs the others.
 
@@ -13,7 +14,7 @@ Bit-identity with the event backend (same conform fold class) comes from
 two properties:
 
 * Every kernel call issues exactly the element-wise operations of
-  :mod:`repro.dataflow.flux_pe` on the same values — element-wise
+  :func:`repro.core.kernels.face_flux` on the same values — element-wise
   ufuncs over a batched array produce the same bits per element as
   per-column calls.  X-Y faces take the kernel's collapsed branch
   exactly like the event backend's receive task does.
@@ -31,7 +32,7 @@ two properties:
 Fabric traffic is accounted arithmetically from the IR's exchange plan;
 no halo copies are performed or booked.  The masked fold passes buy the
 event fold class's bytes; the shared contribution buffers halve the X-Y
-kernel passes of both padded backends.
+kernel passes of every backend on the sweep.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ import numpy as np
 
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import Connection
+from repro.core.stencil import VERTICAL, Connection
 from repro.core.transmissibility import Transmissibility
 from repro.dataflow.padded import LockstepReport as FusedReport
 from repro.dataflow.padded import LockstepRunResult as FusedRunResult
-from repro.dataflow.padded import PaddedFlatLayout, PaddedSweep
+from repro.dataflow.padded import PaddedSweep
 from repro.ir.schema import FabricProgramIR
 from repro.ir.schedule import fold_program, schedule_classes
 from repro.obs.spans import span
@@ -72,7 +73,6 @@ class FusedFluxComputation(PaddedSweep):
         ir: FabricProgramIR,
         record=None,
     ) -> None:
-        layout = PaddedFlatLayout(mesh, fluid, trans, ir, halo_copies=False)
         if not ir.params["reuse_buffers"]:
             raise ValueError(
                 "fused backend lowers buffer-reuse programs only (its fold "
@@ -83,8 +83,11 @@ class FusedFluxComputation(PaddedSweep):
         with span("fused.schedule"):
             classes = schedule_classes(mesh.nx, mesh.ny)
             # plane-periodic and batch-independent
-            fold = _fold_steps(classes, layout.padded_shape[1:], layout.dtype)
-        super().__init__(layout, fold, "fused", record=record)
+            fold = _fold_steps(classes, (mesh.ny + 2, mesh.nx + 2), ir.params["dtype"])
+        program = [(conn, None) for conn in VERTICAL] + fold
+        super().__init__(
+            mesh, fluid, trans, ir, program, "fused", halo_copies=False, record=record
+        )
 
 
 def _fold_steps(classes, plane_shape, dtype) -> list[tuple[Connection, np.ndarray]]:
@@ -96,7 +99,7 @@ def _fold_steps(classes, plane_shape, dtype) -> list[tuple[Connection, np.ndarra
     """
     steps = []
     for name, members in fold_program(classes):
-        mask = np.zeros(plane_shape, f"u{dtype.itemsize}")
+        mask = np.zeros(plane_shape, f"u{np.dtype(dtype).itemsize}")
         interior = mask[1:-1, 1:-1]
         for member in members:
             _order, ys, xs = classes[member]

@@ -42,9 +42,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DsdEngine", "OpTraffic", "OP_TRAFFIC", "OP_FLOPS", "WORD_BYTES"]
+__all__ = [
+    "DsdEngine", "OpTraffic", "OP_TRAFFIC", "OP_FLOPS", "WORD_BYTES",
+    "DENSITY_EXP_CYCLES_PER_ELEMENT",
+]
 
 WORD_BYTES = 4
+
+#: Modelled cost of the Eq. 5 exponential per element (cycles); the exp is
+#: evaluated once per cell per application and is excluded from Table 4
+#: (booked as ``AUX_FEXP``).
+DENSITY_EXP_CYCLES_PER_ELEMENT = 12.0
 
 
 @dataclass(frozen=True)
@@ -133,9 +141,44 @@ class DsdEngine:
     def account_flux_column(self, n: int) -> None:
         """Aggregate accounting of one flux-kernel column of length *n*.
 
-        Books exactly what the kernel's instruction sequence (4 FSUB,
-        6 FMUL, 1 FADD, 1 FMA, 1 FNEG, 1 predicated SELECT per element;
-        see :mod:`repro.dataflow.flux_pe`) would book through fourteen
+        This is the dataflow analogue of the CSL kernel (paper Secs.
+        5.3, 7.3): one column of fluxes for one face direction,
+        accumulated into the PE's local residual.  The sequence is a
+        canonical decomposition of Eqs. 3-4 that matches the paper's
+        accounting *exactly* — per flux: 6 FMUL, 4 FSUB, 1 FADD, 1 FMA,
+        1 FNEG (14 FLOPs) — so Table 4 is regenerated from this booking.
+        Steps 1-12 are :func:`repro.core.kernels.face_flux`, the one
+        statement every backend runs.  With the hand-crafted buffer
+        reuse of Sec. 5.3.1, four scratch columns serve every face
+        direction:
+
+        ====  =====  ==========================================
+        step  op     effect
+        ====  =====  ==========================================
+        1     FSUB   dp   = p_L - p_K
+        2     FSUB   gz   = z_L - z_K
+        3     FMUL   gz  *= g                (in-place reuse)
+        4     FMUL   a    = rho_K * gz
+        5     FMUL   b    = rho_L * gz
+        6     FADD   a   += b                (s = a + b)
+        7     FMA    b    = 0.5 * a + dp     (dphi)
+        8     FSUB   a    = 0 - dphi         (upwind compare)
+        9     SEL    dp   = rho_K if a < 0 else rho_L  (predicated, no FLOP)
+        10    FMUL   dp  *= 1/mu             (upwinded mobility, hoisted)
+        11    FMUL   dp  *= Upsilon
+        12    FMUL   dp  *= dphi             (F_KL)
+        13    FNEG   a    = -F
+        14    FSUB   r    = r - a            (residual accumulate)
+        ====  =====  ==========================================
+
+        Step 10 is hoisted: the statement selects from the mobility
+        ``rho * (1/mu)``, which the caller forms once per cell per
+        application — the same bits as the per-face multiply, which is
+        booked and not executed, like the FSUB of step 8 and the FNEG of
+        step 13 (``r - (-F)`` is ``r + F`` bit for bit).
+
+        Books what the fourteen steps (4 FSUB, 6 FMUL, 1 FADD, 1 FMA,
+        1 FNEG, 1 predicated SELECT per element) would book through
         individual calls, in one update: 14 FLOPs, 26 loads, 13 stores
         and 14 datapath cycles per element, with the counts dict touched
         once per opcode.  Counter values are identical to the unrolled

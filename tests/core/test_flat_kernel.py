@@ -1,19 +1,21 @@
-"""Byte-identity tests for the host-order flat kernel.
+"""Byte-identity tests for the host kernel: the core slab sweep with
+the host fold program.
 
-:class:`~repro.core.flat.FlatFluxKernel` (the per-rank kernel of the
-cluster and par backends) must reproduce the face-flux statement's
-fold over whole interior slices (the ``statement_fold`` fixture) to the
-last bit, in both dtypes, on every block shape, without tripping a
-floating-point error on its halo lanes; and stay within rounding of the
-float64 oracle, :class:`~repro.core.flux.FluxKernel`.
+:class:`~repro.core.sweep.SlabSweep` running ``HOST_PROGRAM`` (the
+per-rank kernel of the cluster and par backends) must reproduce the
+face-flux statement's fold over whole interior slices (the
+``statement_fold`` fixture) to the last bit, in both dtypes, on every
+block shape, without tripping a floating-point error on its halo lanes;
+and stay within rounding of the float64 oracle,
+:class:`~repro.core.flux.FluxKernel`.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import CartesianMesh3D, FluidProperties, PressureSequence
-from repro.core import flat
-from repro.core.flat import FlatFluxKernel, FlatWorkspace
+from repro.core import sweep as sweep_module
+from repro.core.sweep import HOST_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
 from repro.core.flux import FluxKernel
 from repro.cluster.decomposition import BlockDecomposition
 from repro.workloads import make_geomodel
@@ -46,15 +48,40 @@ def assert_matches(res, mesh, fluid, pressure, reference):
     assert np.abs(res - oracle).max() <= ORACLE_RTOL[res.dtype] * scale
 
 
+def host_kernels(meshes, fluid, dtype):
+    """The host program on each of *meshes*, over one workspace (what
+    ``RankSet`` builds for its ranks)."""
+    layouts = [PaddedLayout(mesh, fluid, dtype) for mesh in meshes]
+    workspace = SlabWorkspace(layouts)
+    return [SlabSweep(layout, HOST_PROGRAM, workspace) for layout in layouts]
+
+
 def flat_kernel(mesh, fluid, dtype):
-    return FlatFluxKernel(mesh, fluid, FlatWorkspace([mesh.shape_zyx], dtype))
+    return host_kernels([mesh], fluid, dtype)[0]
+
+
+def compute(kernel):
+    """The residual of what ``kernel.pressure`` holds, as a ``(nz, ny,
+    nx)`` view of a fresh accumulator."""
+    residual = np.zeros_like(kernel.p)
+    kernel.run(residual)
+    return kernel.layout.interior(residual)[0]
+
+
+def residual(kernel, pressure, out=None):
+    """Load *pressure*, run, and copy the residual out."""
+    kernel.load([pressure])
+    if out is None:
+        return compute(kernel).copy()
+    out[...] = compute(kernel)
+    return out
 
 
 def assert_same_bytes(mesh, fluid, seed, reference):
     for dtype in DTYPES:
         p = field(mesh, seed, dtype)
         with np.errstate(all="raise"):
-            res = flat_kernel(mesh, fluid, dtype).residual(p)
+            res = residual(flat_kernel(mesh, fluid, dtype), p)
         assert res.dtype == p.dtype
         assert_matches(res, mesh, fluid, p, reference)
 
@@ -70,7 +97,7 @@ class TestFullBlock:
             for i in range(2):
                 p = seq.field(i).astype(dtype)
                 with np.errstate(all="raise"):
-                    kernel.residual(p, out=out)
+                    residual(kernel, p, out=out)
                 assert_matches(out, mesh, fluid, p, statement_fold)
 
     def test_variable_layer_thickness(self, fluid, statement_fold):
@@ -89,12 +116,11 @@ class TestFullBlock:
         assert len({m.shape_zyx for m in meshes}) > 1
         for dtype in DTYPES:
             p = field(mesh, 11, dtype)
-            workspace = FlatWorkspace([m.shape_zyx for m in meshes], dtype)
-            for block, local_mesh in zip(decomp.blocks, meshes):
+            kernels = host_kernels(meshes, fluid, dtype)
+            for block, local_mesh, kernel in zip(decomp.blocks, meshes, kernels):
                 local_p = np.ascontiguousarray(p[decomp.padded_field_slices(block)])
-                kernel = FlatFluxKernel(local_mesh, fluid, workspace)
                 with np.errstate(all="raise"):
-                    res = kernel.residual(local_p)
+                    res = residual(kernel, local_p)
                 assert_matches(res, local_mesh, fluid, local_p, statement_fold)
 
     @pytest.mark.parametrize(
@@ -109,7 +135,7 @@ class TestFullBlock:
         self, fluid, monkeypatch, slab_lanes, statement_fold
     ):
         """One plane per slab, a few, the whole block: same bytes."""
-        monkeypatch.setattr(flat, "_SLAB_LANES", slab_lanes)
+        monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 8 * slab_lanes)
         assert_same_bytes(make_geomodel(6, 5, 7, seed=9), fluid, 9, statement_fold)
 
 
@@ -120,17 +146,31 @@ class TestWorkspace:
         mesh_a = make_geomodel(7, 6, 3, kind="lognormal", seed=1)
         mesh_b = make_geomodel(7, 6, 3, kind="channelized", seed=2)
         for dtype in DTYPES:
-            workspace = FlatWorkspace([mesh_a.shape_zyx], dtype)
+            kernels = host_kernels([mesh_a, mesh_b], fluid, dtype)
             pairs = [
-                (FlatFluxKernel(mesh, fluid, workspace), mesh, field(mesh, seed, dtype))
-                for mesh, seed in ((mesh_a, 1), (mesh_b, 2))
+                (kernel, mesh, field(mesh, seed, dtype))
+                for kernel, mesh, seed in zip(kernels, (mesh_a, mesh_b), (1, 2))
             ]
             for kernel, _mesh, p in pairs:
-                kernel.pressure[...] = p
+                kernel.pressure[0] = p
             for _ in range(3):
                 for kernel, mesh, p in pairs:
                     with np.errstate(all="raise"):
-                        res = kernel.compute()
+                        res = compute(kernel)
+                    assert res.tobytes() == statement_fold(mesh, fluid, p).tobytes()
+
+    def test_shared_workspace_respreads_the_elevation(self, fluid, statement_fold):
+        """Two blocks of one padded size whose layers differ share the
+        workspace's spread elevation: each run spreads its own."""
+        thin = CartesianMesh3D(6, 5, 4, dz_layers=[1.0, 2.5, 0.75, 3.0])
+        thick = CartesianMesh3D(6, 5, 4, dz_layers=[4.0, 0.5, 2.0, 1.0])
+        for dtype in DTYPES:
+            kernels = host_kernels([thin, thick], fluid, dtype)
+            for _ in range(2):
+                for kernel, mesh, seed in zip(kernels, (thin, thick), (3, 4)):
+                    p = field(mesh, seed, dtype)
+                    with np.errstate(all="raise"):
+                        res = residual(kernel, p)
                     assert res.tobytes() == statement_fold(mesh, fluid, p).tobytes()
 
     def test_pressure_view_equals_copy_in(self, fluid):
@@ -139,28 +179,22 @@ class TestWorkspace:
         mesh = make_geomodel(9, 8, 4, seed=6)
         p = field(mesh, 6, np.float64)
         kernel = flat_kernel(mesh, fluid, np.float64)
-        copied = kernel.residual(p)
+        copied = residual(kernel, p)
         other = flat_kernel(mesh, fluid, np.float64)
-        other.pressure[:, :, :4] = p[:, :, :4]
-        other.pressure[:, :, 4:] = p[:, :, 4:]
-        assert other.compute().tobytes() == copied.tobytes()
+        other.pressure[0, :, :, :4] = p[:, :, :4]
+        other.pressure[0, :, :, 4:] = p[:, :, 4:]
+        assert compute(other).tobytes() == copied.tobytes()
 
     def test_undersized_workspace_is_rejected(self, fluid):
         mesh = make_geomodel(6, 6, 2, seed=0)
+        small = SlabWorkspace([PaddedLayout(make_geomodel(6, 5, 2, seed=0), fluid, np.float64)])
         with pytest.raises(ValueError, match="not sized"):
-            FlatFluxKernel(mesh, fluid, FlatWorkspace([(2, 5, 6)]))
-
-    def test_workspace_with_too_few_gravity_planes_is_rejected(self, fluid):
-        """Sized for one wide plane per slab, enough lanes, but a slab of
-        four small planes needs four ``g*dz`` rows."""
-        mesh = make_geomodel(8, 8, 4, seed=0)
-        with pytest.raises(ValueError, match="not sized"):
-            FlatFluxKernel(mesh, fluid, FlatWorkspace([(1, 200, 200)]))
+            SlabSweep(PaddedLayout(mesh, fluid, np.float64), HOST_PROGRAM, small)
 
     def test_residual_checks_the_shape(self, fluid):
         mesh = make_geomodel(4, 4, 2, seed=0)
         with pytest.raises(ValueError, match="expected shape"):
-            flat_kernel(mesh, fluid, np.float64).residual(np.zeros((2, 4)))
+            residual(flat_kernel(mesh, fluid, np.float64), np.zeros((2, 4)))
 
 
 class TestNonFinite:
@@ -174,7 +208,7 @@ class TestNonFinite:
         p[2, 3, 6] = np.nan  # an edge cell
         with np.errstate(all="ignore"):
             ref = statement_fold(mesh, fluid, p)
-            res = flat_kernel(mesh, fluid, dtype).residual(p)
+            res = residual(flat_kernel(mesh, fluid, dtype), p)
         finite = np.isfinite(ref)
         assert not finite.all() and finite.any()
         assert res[finite].tobytes() == ref[finite].tobytes()

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.dataflow.flux_pe as flux_pe
+import repro.dataflow.program as program_module
 from repro.core import FluidProperties, PressureSequence
 from repro.dataflow import SpareColumnRemap, WseFluxComputation
 from repro.faults.errors import FabricStallError
@@ -243,15 +243,16 @@ class TestParentBytes:
 # ---------------------------------------------------------------------- #
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts every face-flux kernel call (both entry points share it)."""
+    """Counts every face-flux kernel call of the event program's round
+    hooks."""
     calls = []
-    original = flux_pe.face_flux
+    original = program_module.face_flux
 
     def spy(*args):
         calls.append(args)
         original(*args)
 
-    monkeypatch.setattr(flux_pe, "face_flux", spy)
+    monkeypatch.setattr(program_module, "face_flux", spy)
     return calls
 
 

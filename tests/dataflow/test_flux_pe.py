@@ -1,16 +1,13 @@
-"""Unit tests for the per-PE DSD flux kernel."""
+"""Unit tests for the per-PE DSD flux kernel: the face-flux statement
+every backend runs, and the per-column booking of its fourteen steps."""
 
 import numpy as np
 import pytest
 
-from repro.core.kernels import FluxScratch, face_flux_array, upwind_select
-from repro.dataflow.flux_pe import (
-    compute_face_flux_column,
-    evaluate_density_column,
-    store_face_flux_column,
-)
+from repro.core import FluidProperties
+from repro.core.kernels import FluxScratch, face_flux, face_flux_array, upwind_select
 from repro.dataflow.halos import plan_pe_memory
-from repro.wse.dsd import DsdEngine
+from repro.wse.dsd import DENSITY_EXP_CYCLES_PER_ELEMENT, DsdEngine
 from repro.wse.memory import Scratchpad
 
 G = 9.80665
@@ -41,6 +38,24 @@ def make_scratch(shape, dtype=np.float64):
     return FluxScratch.empty(shape, dtype)
 
 
+def accumulate_column(engine, scratch, *, residual, gravity, **data):
+    """One direction's fluxes accumulated into *residual* (``r += F``,
+    the event and lockstep form), booked as one column on *engine*.
+    ``F`` lands in the scratch column that carried the upwinded
+    mobility (``a`` on the collapsed branch, ``dp`` otherwise)."""
+    flux = scratch.a if data["z_l"] is data["z_k"] else scratch.dp
+    face_flux(scratch, **data, flux=flux, gravity=gravity)
+    np.add(residual, flux, residual)
+    engine.account_flux_column(residual.size)
+
+
+def store_column(engine, scratch, *, flux, gravity, **data):
+    """One direction's fluxes written into *flux* (the fused and event
+    round form), booked as one column on *engine*."""
+    face_flux(scratch, **data, flux=flux, gravity=gravity)
+    engine.account_flux_column(flux.size)
+
+
 def in_one_block(arrays):
     """Copies of same-shape ``(rows, n)`` arrays as the columns of one
     PE-major ``(rows, len(arrays), n)`` block: each strided by a row."""
@@ -63,7 +78,7 @@ class TestFluxColumn:
         data = make_face_data(n)
         engine = DsdEngine()
         residual = np.zeros(n)
-        compute_face_flux_column(
+        accumulate_column(
             engine,
             make_scratch(n),
             **with_mobility(data),
@@ -78,7 +93,7 @@ class TestFluxColumn:
         data = make_face_data(n)
         engine = DsdEngine()
         residual = np.ones(n)
-        compute_face_flux_column(
+        accumulate_column(
             engine, make_scratch(n), **with_mobility(data),
             residual=residual, gravity=G,
         )
@@ -90,7 +105,7 @@ class TestFluxColumn:
         n = 13
         engine = DsdEngine()
         residual = np.zeros(n)
-        compute_face_flux_column(
+        accumulate_column(
             engine, make_scratch(n), **with_mobility(make_face_data(n)),
             residual=residual, gravity=G,
         )
@@ -105,7 +120,7 @@ class TestFluxColumn:
         """dPhi > 0 picks rho_K (Eq. 4 as printed)."""
         engine = DsdEngine()
         residual = np.zeros(2)
-        compute_face_flux_column(
+        accumulate_column(
             engine,
             make_scratch(2),
             p_k=np.array([1.0, 2.0]),
@@ -122,37 +137,6 @@ class TestFluxColumn:
         )
         assert residual[0] == pytest.approx(700.0)   # dPhi=+1 -> rho_K
         assert residual[1] == pytest.approx(-800.0)  # dPhi=-1 -> rho_L
-
-    def test_scratch_views_shorter_than_storage(self):
-        """Vertical faces reuse the same scratch, cut to length n-1."""
-        n = 10
-        storage = make_scratch(n)
-        scratch = FluxScratch(
-            *(x[: n - 1] for x in (storage.dp, storage.gz, storage.a, storage.b)),
-            storage.sel[: n - 1],
-        )
-        data = make_face_data(n - 1)
-        engine = DsdEngine()
-        residual = np.zeros(n - 1)
-        compute_face_flux_column(
-            engine, scratch, **with_mobility(data),
-            residual=residual, gravity=G,
-        )
-        expected = face_flux_array(**data, gravity=G, viscosity=MU)
-        np.testing.assert_allclose(residual, expected, rtol=1e-12)
-
-    def test_3d_scratch_shape_mismatch_rejected(self):
-        scratch = make_scratch((2, 3))
-        with pytest.raises(ValueError, match="scratch shape"):
-            compute_face_flux_column(
-                DsdEngine(), scratch,
-                p_k=np.zeros((3, 2)), p_l=np.zeros((3, 2)),
-                z_k=np.zeros((3, 2)), z_l=np.zeros((3, 2)),
-                rho_k=np.zeros((3, 2)), rho_l=np.zeros((3, 2)),
-                lam_k=np.zeros((3, 2)), lam_l=np.zeros((3, 2)),
-                trans=np.zeros((3, 2)), residual=np.zeros((3, 2)),
-                gravity=G,
-            )
 
 
 class TestBitSelect:
@@ -233,7 +217,7 @@ class TestBitSelect:
             if collapsed:
                 arrays["z_l"] = arrays["z_k"]  # one object: the collapsed branch
             sel = np.empty(shape, f"u{np.dtype(dtype).itemsize}")
-            compute_face_flux_column(
+            accumulate_column(
                 DsdEngine(), FluxScratch(dp, gz, a, b, sel), **arrays, gravity=G,
             )
             residuals.append(arrays["residual"].tobytes())
@@ -270,11 +254,11 @@ class TestStoreForm:
         kernel = dict(gravity=dtype(G))
         start = np.linspace(-1.0, 1.0, n).astype(dtype)
         accumulated, booked = start.copy(), DsdEngine()
-        compute_face_flux_column(
+        accumulate_column(
             booked, scratch(), **data, residual=accumulated, **kernel
         )
         flux, stored = np.full(n, np.nan, dtype), DsdEngine()
-        store_face_flux_column(stored, scratch(), **data, flux=flux, **kernel)
+        store_column(stored, scratch(), **data, flux=flux, **kernel)
         assert (start + flux).tobytes() == accumulated.tobytes()
         assert np.signbit(flux[data["trans"] == 0.0]).any()  # -0.0 kept as is
         assert stored.snapshot() == booked.snapshot()
@@ -282,27 +266,18 @@ class TestStoreForm:
 
 class TestDensityColumn:
     def test_matches_eq5(self):
-        engine = DsdEngine()
         p = np.array([1e7, 1.5e7, 2e7])
         rho = np.empty(3)
-        evaluate_density_column(
-            engine, p, rho,
-            compressibility=1e-9,
-            reference_density=700.0,
-            reference_pressure=1e7,
+        fluid = FluidProperties(
+            compressibility=1e-9, reference_density=700.0, reference_pressure=1e7
         )
+        fluid.density(p, out=rho)
         expected = 700.0 * np.exp(1e-9 * (p - 1e7))
         np.testing.assert_allclose(rho, expected, rtol=1e-14)
 
     def test_counts_as_aux_not_table4(self):
         engine = DsdEngine()
-        p = np.full(5, 1e7)
-        rho = np.empty(5)
-        evaluate_density_column(
-            engine, p, rho,
-            compressibility=1e-9, reference_density=700.0,
-            reference_pressure=1e7,
-        )
+        engine.aux("FEXP", 5, cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT)
         assert engine.counts == {"AUX_FEXP": 5}
         assert engine.flops == 0
         assert engine.cycles > 0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import CartesianMesh3D, FluidProperties
 from repro.core.stencil import Connection
-from repro.dataflow.flux_pe import FluxScratch
+from repro.core.kernels import FluxScratch
 from repro.dataflow.halos import (
     TRANS_NAMES,
     layout_words_per_cell,

@@ -5,7 +5,7 @@ import pytest
 
 import repro.core.kernels as kernels_module
 import repro.dataflow.lockstep as lockstep_module
-import repro.dataflow.padded as padded_module
+import repro.core.sweep as sweep_module
 import repro.ir.fused as fused_module
 from repro.core import (
     CartesianMesh3D,
@@ -19,17 +19,12 @@ from repro.core import (
 from repro.core.stencil import Connection, interior_slices
 from repro.core.transmissibility import padded_trans_fields
 from repro.core.kernels import FluxScratch
-from repro.dataflow import (
-    LockstepReport,
-    LockstepWseSimulation,
-    WseFluxComputation,
-    compute_face_flux_column,
-    evaluate_density_column,
-)
+from repro.core.kernels import face_flux as face_flux_statement
+from repro.dataflow import LockstepReport, LockstepWseSimulation, WseFluxComputation
 from repro.ir import FusedReport, derive_ir, lower_to_fused, lower_to_lockstep
 from repro.ir.fused import FusedFluxComputation
 from repro.workloads import make_geomodel
-from repro.wse.dsd import DsdEngine
+from repro.wse.dsd import DENSITY_EXP_CYCLES_PER_ELEMENT, DsdEngine
 
 
 class TestNumerics:
@@ -155,22 +150,24 @@ def strided_reference(mesh, fluid, fields, dtype, plan, compute_fluxes=True, vec
     rho, halo_p, halo_rho, *scratch = (np.zeros(shape, dtype) for _ in range(7))
     words, word_hops, residuals = max(1, dtype.itemsize // 4), 0, []
     words_dtype = f"u{dtype.itemsize}"
-    density = {k: getattr(fluid, k) for k in ("compressibility", "reference_density", "reference_pressure")}
     lam = np.zeros(shape, dtype)
 
     def face_flux(conn, local, p_l, rho_l, z_l):
         if compute_fluxes:
-            compute_face_flux_column(
-                engine, FluxScratch(*(x[local] for x in scratch), np.empty(p[local].shape, words_dtype)),
-                p[local], p_l, elev[local], z_l, rho[local], rho_l, lam[local],
-                fluid.mobility(rho_l), trans[conn][local], residuals[-1][local],
-                gravity=constants.GRAVITY,
+            s = FluxScratch(*(x[local] for x in scratch), np.empty(p[local].shape, words_dtype))
+            face_flux_statement(
+                s, p[local], p_l, elev[local], z_l, rho[local], rho_l, lam[local],
+                fluid.mobility(rho_l), trans[conn][local], s.dp, constants.GRAVITY,
             )
+            target = residuals[-1][local]
+            np.add(target, s.dp, target)
+            engine.account_flux_column(target.size)
 
     for field in fields:
         p = np.ascontiguousarray(field, dtype=dtype)
         residuals.append(np.zeros(shape, dtype))
-        evaluate_density_column(engine, p, rho, **density)
+        fluid.density(p, out=rho)
+        engine.aux("FEXP", rho.size, cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT)
         fluid.mobility(rho, out=lam)
         for conn in (Connection.UP, Connection.DOWN):
             local, neigh = interior_slices(shape, conn)
@@ -238,7 +235,7 @@ class TestBitIdentityWithTheStridedPath:
     def test_non_finite_cells_stay_where_the_reference_has_them(self, fluid, cell, bad, dtype):
         """Halo lanes compute now (``+-inf * 0``): every cell whose
         strided residual is finite keeps its bytes, every non-finite one
-        stays non-finite (PR 16's contract for ``core/flat.py``)."""
+        stays non-finite (the contract of ``core/sweep.py``)."""
         mesh = make_geomodel(6, 5, 4, kind="lognormal", seed=3)
         field = np.array(random_pressure(mesh, seed=2))
         field[cell] = bad
@@ -288,7 +285,7 @@ class TestBitIdentityAtOnePlanePerSlab(TestBitIdentityWithTheStridedPath):
 
     @pytest.fixture(autouse=True)
     def one_plane_per_slab(self, monkeypatch):
-        monkeypatch.setattr(padded_module, "_SLAB_ELEMENTS", 1)
+        monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 1)
 
 
 @pytest.mark.slow
@@ -297,7 +294,7 @@ def test_strided_bytes_at_the_ledger_size(fluid, slab, monkeypatch):
     """``warm_lockstep_48x48x16``'s shape: 48x48x16 float32, 8
     applications, batched and one at a time."""
     if slab == "one-plane":
-        monkeypatch.setattr(padded_module, "_SLAB_ELEMENTS", 1)
+        monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 1)
     mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=7)
     fields = list(PressureSequence(mesh, num_applications=8, seed=7))
     sim = lower_to_lockstep(derive_ir(mesh), mesh, fluid)
@@ -347,26 +344,20 @@ class TestCollapsedBranch:
 
             return call
 
-        def spying(kernel, calls):
-            def call(engine, scratch, p_k, p_l, z_k, z_l, *rest, **kwargs):
-                before = dict(issued)
-                kernel(engine, scratch, p_k, p_l, z_k, z_l, *rest, **kwargs)
-                calls.append(
-                    (z_l is z_k, issued["sub"] - before["sub"], issued["mul"] - before["mul"])
-                )
+        calls = []
 
-            return call
+        def spying(*args):
+            before = dict(issued)
+            kernels_module.face_flux(*args)
+            _scratch, _p_k, _p_l, z_k, z_l, *_rest = args
+            calls.append(
+                (z_l is z_k, issued["sub"] - before["sub"], issued["mul"] - before["mul"])
+            )
 
         monkeypatch.setattr(kernels_module, "_sub", counting("sub"))
         monkeypatch.setattr(kernels_module, "_mul", counting("mul"))
-        # the one sweep calls the kernels for both drivers
-        accumulated, stored = [], []
-        for name, calls in (
-            ("compute_face_flux_column", accumulated), ("store_face_flux_column", stored)
-        ):
-            monkeypatch.setattr(
-                padded_module, name, spying(getattr(padded_module, name), calls)
-            )
+        # the one sweep calls the statement for both drivers
+        monkeypatch.setattr(sweep_module, "face_flux", spying)
         mesh = CartesianMesh3D(5, 4, 3)
         p = random_pressure(mesh, seed=1)
         # UP and DOWN run the full sequence; each of the four X-Y face
@@ -375,11 +366,9 @@ class TestCollapsedBranch:
             lambda: LockstepWseSimulation(mesh, fluid, ir=derive_ir(mesh)).run_application(p),
             lambda: lower_to_fused(derive_ir(mesh), mesh, fluid).run([p]),
         ):
-            accumulated.clear()
-            stored.clear()
+            calls.clear()
             run()
-            assert accumulated == [(False, 2, 6)] * 2
-            assert stored == [(True, 1, 2)] * 4
+            assert sorted(calls) == [(False, 2, 6)] * 2 + [(True, 1, 2)] * 4
 
 
 def test_fused_and_lockstep_share_one_report_class():

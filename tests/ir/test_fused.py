@@ -15,7 +15,7 @@ import pytest
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.core.stencil import Connection
 from repro.dataflow import WseFluxComputation
-from repro.dataflow import padded as padded_module
+from repro.core import sweep as sweep_module
 from repro.ir import derive_ir, ir_from_fabric
 from repro.ir.lower import (
     lower_to_event,
@@ -292,7 +292,7 @@ class TestPaddedLayout:
     @pytest.mark.parametrize("slab", ["measured", "one-plane"])
     def test_fused_bytes_equal_event_at_the_benchmark_size(self, slab, monkeypatch):
         if slab == "one-plane":
-            monkeypatch.setattr(padded_module, "_SLAB_ELEMENTS", 1)
+            monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 1)
         mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=0)
         fluid = FluidProperties()
         ir = derive_ir(mesh)
@@ -367,7 +367,8 @@ class TestSlabSweep:
         than the rest), and the whole block."""
         nx, ny = 7, 6
         monkeypatch.setattr(
-            padded_module, "_SLAB_ELEMENTS", planes * batch * (ny + 2) * (nx + 2)
+            sweep_module, "_SLAB_BYTES",
+            planes * batch * (ny + 2) * (nx + 2) * np.dtype(dtype).itemsize,
         )
         mesh = make_geomodel(nx, ny, nz, kind="lognormal", seed=nz)
         fluid = FluidProperties()
@@ -375,10 +376,9 @@ class TestSlabSweep:
         fused = lower_to_fused(ir, mesh, fluid)
         pressures = [random_pressure(mesh, seed=k) for k in range(batch)]
         _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, pressures)
-        slabs = [s.here.stop - s.here.start for s in fused._workspace.slabs]
-        plane = (ny + 2) * (nx + 2)
-        assert sum(slabs) == nz * plane
-        assert max(slabs) == min(planes, nz) * plane  # scratch capped at nz planes
+        depth = fused.layout.depth(batch)
+        assert depth == min(planes, nz)  # scratch capped at nz planes
+        assert len(fused._sweep._slabs) == -(-nz // depth)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_signed_zero_fluxes_fold_to_positive_zero(self, dtype):

@@ -17,6 +17,7 @@ import pytest
 
 from repro.backends import BACKENDS, Backend, get_backend, release
 from repro.core import FluidProperties, compute_flux_residual, random_pressure
+from repro.core.stencil import ALL_CONNECTIONS, EXCHANGE_PLAN
 from repro.faults import FaultPlan
 from repro.workloads import make_geomodel
 
@@ -126,14 +127,15 @@ class TestTable:
         ) == []
 
     def test_only_the_sweeps_call_a_flux_kernel(self):
-        """The face-flux kernels have three callers: the padded slab
-        sweep (lockstep and fused), the event program's round hooks and
-        the instruction counter.  A driver that grows its own slab or phase
-        loop again fails here."""
-        kernels = {"compute_face_flux_column", "store_face_flux_column"}
+        """The face-flux statement has three callers: the core slab
+        sweep (fused, lockstep, cluster and par), the event program's
+        round hooks and the gpu tiles; the oracle modules may too.  A
+        driver that grows its own padded layout, slab or phase loop
+        again fails here."""
         assert _calls_outside(
-            {"dataflow/padded.py", "dataflow/program.py", "dataflow/instrcount.py"},
-            kernels.__contains__,
+            {"core/sweep.py", "dataflow/program.py", "gpu/reference.py",
+             "core/flux.py", "core/unstructured.py"},
+            "face_flux".__eq__,
         ) == []
 
     def test_one_face_flux_statement(self):
@@ -198,12 +200,13 @@ class TestTable:
         assert offenders == []
 
     def test_only_the_rank_program_builds_a_host_kernel(self):
-        """``FlatFluxKernel`` and ``FlatWorkspace`` are built in one
-        place, ``cluster/flux.py::RankSet``: the cluster driver runs that
-        rank program over every rank and each par worker over its own,
-        so par == cluster is one program over two transports.  A host
-        driver that builds its own kernels or workspace again fails
-        here."""
+        """``PaddedLayout``, ``SlabWorkspace`` and ``SlabSweep`` are
+        built in two places: the fabric models' batched driver
+        (``dataflow/padded.py``) and ``cluster/flux.py::RankSet``.  The
+        cluster driver runs that rank program over every rank and each
+        par worker over its own, so par == cluster is one program over
+        two transports.  A host driver that builds its own sweep or
+        workspace again fails here."""
         import repro
 
         flux = Path(repro.__file__).parent / "cluster" / "flux.py"
@@ -212,14 +215,17 @@ class TestTable:
             if isinstance(node, ast.ClassDef) and node.name == "RankSet"
         )
         lines = range(rank_set.lineno, rank_set.end_lineno + 1)
-        sites = _calls_outside(set(), {"FlatFluxKernel", "FlatWorkspace"}.__contains__)
+        sites = _calls_outside(
+            {"dataflow/padded.py"},
+            {"PaddedLayout", "SlabWorkspace", "SlabSweep"}.__contains__,
+        )
 
         def in_rank_set(site):
             path, line = site.split()[0].rsplit(":", 1)
             return path == "cluster/flux.py" and int(line) in lines
 
         assert [site for site in sites if not in_rank_set(site)] == []
-        assert len(sites) == 2
+        assert len(sites) == 3
 
     @pytest.mark.parametrize("side", [24, 48])
     def test_event_lowering_is_by_class_not_by_pe(self, side):
@@ -462,8 +468,9 @@ SIGNATURES = {
     ),
     "repro.ir.fused.FusedFluxComputation": "mesh fluid trans ir record",
     "repro.dataflow.lockstep.LockstepWseSimulation": "mesh fluid trans ir record",
-    "repro.dataflow.padded.PaddedFlatLayout": "mesh fluid trans ir halo_copies",
-    "repro.dataflow.padded.PaddedSweep": "layout fold name record",
+    "repro.dataflow.padded.PaddedSweep": (
+        "mesh fluid trans ir program name halo_copies record"
+    ),
     "repro.gpu.reference.GpuFluxComputation": (
         "mesh fluid trans variant dtype record"
     ),
@@ -474,7 +481,8 @@ SIGNATURES = {
         "mesh fluid px py workers dtype plan respawn record lease_seconds"
         " failure_mode"
     ),
-    "repro.core.flat.FlatFluxKernel": "mesh fluid workspace",
+    "repro.core.sweep.PaddedLayout": "mesh fluid dtype trans",
+    "repro.core.sweep.SlabSweep": "layout program workspace name compute_fluxes",
 }
 #: the six driver classes among them
 DRIVERS = [p for p in SIGNATURES if p.endswith(("Computation", "Simulation"))]
@@ -569,6 +577,54 @@ class TestFoldClasses:
     )
     def test_same_class_is_byte_equal(self, runs, a, b):
         assert runs[a][0].residual.tobytes() == runs[b][0].residual.tobytes()
+
+    def test_one_fold_class_hands_the_sweep_one_program(self, monkeypatch):
+        """The backends that run the core slab sweep differ only in the
+        fold program they hand it, and one fold class hands it one
+        program: every cluster rank and every rank of a par worker's
+        rank program get ``HOST_PROGRAM``; lockstep gets UP, DOWN and
+        its exchange plan, unmasked; fused UP, DOWN and masked steps."""
+        from repro.cluster.decomposition import BlockDecomposition
+        from repro.cluster.flux import RankSet, halo_links
+        from repro.core import sweep
+        from repro.core.stencil import VERTICAL
+        from repro.par import worker
+
+        seen = []
+        build = sweep.SlabSweep.__init__
+
+        def spy(self, layout, program, *args, **kwargs):
+            seen.append(tuple((conn, mask is None) for conn, mask in program))
+            build(self, layout, program, *args, **kwargs)
+
+        monkeypatch.setattr(sweep.SlabSweep, "__init__", spy)
+        programs = {}
+        for name in ("fused", "lockstep", "cluster"):
+            seen.clear()
+            drv = BACKENDS[name].build(MESH, FLUID, dtype=np.float64, px=2, py=2)
+            try:
+                drv.run(PRESSURES)
+            finally:
+                release(drv)
+            programs[name] = set(seen)
+        # a par worker builds the rank program the way the cluster does
+        assert worker.RankSet is RankSet
+        cluster = BACKENDS["cluster"].build(MESH, FLUID, dtype=np.float64, px=2, py=2)
+        seen.clear()
+        RankSet(BlockDecomposition(MESH, 2, 2), (1, 3), FLUID, np.float64,
+                halo_links(cluster.decomp, cluster.grid))
+        programs["par"] = set(seen)
+
+        host = tuple((conn, True) for conn, _mask in sweep.HOST_PROGRAM)
+        assert [conn for conn, _all in host] == list(ALL_CONNECTIONS)
+        assert programs["cluster"] == programs["par"] == {host}
+        vertical = tuple((conn, True) for conn in VERTICAL)
+        plan = tuple(
+            (conn, True) for conns, _hops, _phase in EXCHANGE_PLAN for conn in conns
+        )
+        assert programs["lockstep"] == {vertical + plan}
+        (fused,) = programs["fused"]
+        assert fused[:2] == vertical and not any(unmasked for _c, unmasked in fused[2:])
 
     def test_the_pairs_are_the_documented_ones(self):
         classes = {}
