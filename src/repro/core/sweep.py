@@ -11,30 +11,34 @@ reach no real cell (DESIGN.md §16).
 A sweep (:class:`SlabSweep`) runs *batch* fields of one layout along a
 leading axis: density and mobility once over the padded batch (a
 vertical face reads the plane next to its slab), then **per z-slab of
-whole planes** the four X-Y store kernels and the caller's fold
-program, so the arrays a cell's faces touch stay cache-resident from
-the first kernel to the last add.  A cell's contributions all meet
+whole planes** the five store kernels and the caller's fold program, so
+the arrays a cell's faces touch stay cache-resident from the first
+kernel to the last add.  The ``ceil(nz / depth)`` slabs are balanced,
+their depths at most one plane apart.  A cell's contributions all meet
 inside its own slab, in program order, so the slab size cannot move a
 bit.
 
-Each X-Y face is evaluated once (Eq. 3: cell L receives ``-F_KL`` from
+Each face is evaluated once (Eq. 3: cell L receives ``-F_KL`` from
 the face K computes).  The member of a face pair with a positive flat
-shift ``s`` (EAST, SOUTH, SOUTHEAST, SOUTHWEST) stores its fluxes ``C``
-in a contribution buffer, ``s`` lanes earlier than the fold needs them;
-the reciprocal connection's fold step subtracts ``C[xy - s]``.  That is
-the reciprocal kernel's bytes: both sides read one transmissibility,
-the collapsed branch negates exactly, a zero flux may differ only in
-its sign, and ``r - C`` is ``r + (-C)`` (DESIGN.md §16).
+shift ``s`` (EAST, SOUTH, SOUTHEAST, SOUTHWEST, UP) stores its fluxes
+``C`` in a contribution buffer; the reciprocal connection's fold step
+subtracts ``C[cells - s]``.  An X-Y store starts ``s`` lanes before its
+slab's first interior cell.  UP stores the slab's planes that have an
+upper neighbour one plane into its buffer, whose front plane holds the
+previous slab's last UP fluxes (carried there through a spare plane at
+the end of each slab), so DOWN finds every flux it folds without a
+kernel of its own.  That is the reciprocal kernel's bytes: both sides
+read one transmissibility, the collapsed X-Y branch and the full
+vertical sequence negate exactly, a zero flux may differ only in its
+sign, and ``r - C`` is ``r + (-C)`` (DESIGN.md §16).
 
 The **fold program**, ``(connection, lane mask | None)`` steps in
 order, is the only thing the backends do differently
 (:data:`HOST_PROGRAM` for cluster and par, UP, DOWN and the exchange
 plan for lockstep, UP, DOWN and the masked schedule for fused):
 
-* UP and DOWN accumulate the face-flux statement over the slab's
-  planes that have that neighbour;
-* an X-Y step with a ``None`` mask adds or subtracts the contribution
-  over the slab's cells;
+* a step with a ``None`` mask adds or subtracts the contribution over
+  the slab's cells that have that neighbour;
 * an X-Y step with a lane mask (one padded plane of same-width unsigned
   words) first keeps the contribution on the mask's lanes:
   ``contribution & mask``, then ``residual +=`` or ``-=`` that.  Lanes
@@ -52,7 +56,6 @@ finite reads only fluxes computed from finite operands.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import groupby
 
 import numpy as np
 
@@ -84,6 +87,7 @@ _POSITIVE = (Connection.EAST, Connection.SOUTH, Connection.SOUTHEAST,
 _and = np.bitwise_and
 _add = np.add
 _sub = np.subtract
+_copyto = np.copyto
 _QUIET = nullcontext()
 
 
@@ -148,6 +152,12 @@ def _cache_lines(shape, dtype) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
+def _whole_lines(lanes: int, dtype) -> int:
+    """*lanes* rounded up to a whole number of 64-byte cache lines."""
+    itemsize = np.dtype(dtype).itemsize
+    return -(-lanes * itemsize // 64) * 64 // itemsize
+
+
 class SlabWorkspace:
     """What lives only inside one :meth:`SlabSweep.run`, for *batch*
     fields of any of *layouts* (one dtype), run one at a time.
@@ -159,14 +169,17 @@ class SlabWorkspace:
     float scratch buffers and one contribution buffer per X-Y face pair
     (a masked fold step writes its masked operand into the third
     scratch buffer, which no kernel is using between steps); beside it
-    a slab of ``g*dz`` and the integer select buffer, an allocation of
-    its own (:class:`~repro.core.kernels.FluxScratch`).  One block rather than
-    an array per buffer, so that a slab buffer is a strided view exactly
-    like a slab of pressure or residual: where a C-contiguous 2-D
-    operand of short rows (one 48x48 plane) meets strided ones, NumPy's
-    iterator runs 2-3x slower than on operands that are all strided
-    (measured, NumPy 2.4; DESIGN.md §16).  Every row starts on a cache
-    line.
+    a slab of ``g*dz``, the integer select buffer, an allocation of
+    its own (:class:`~repro.core.kernels.FluxScratch`), the vertical
+    pair's contribution buffer :attr:`up`, ``(batch, plane + slab)``
+    lanes whose front plane carries the previous slab's last UP fluxes,
+    and the one-plane :attr:`spare` the carry goes through.  One block
+    rather than an array per X-Y buffer, so that a slab buffer is a
+    strided view exactly like a slab of pressure or residual: where a
+    C-contiguous 2-D operand of short rows (one 48x48 plane) meets
+    strided ones, NumPy's iterator runs 2-3x slower than on operands
+    that are all strided (measured, NumPy 2.4; DESIGN.md §16).  Every
+    row starts on a cache line.
     """
 
     def __init__(self, layouts, batch: int = 1) -> None:
@@ -174,8 +187,9 @@ class SlabWorkspace:
         self.dtype = dtype = layouts[0].dtype
         self.batch = batch
         self.lanes = max(layout.lanes for layout in layouts)
+        self.plane = plane = max(layout.plane for layout in layouts)
         slab = max(layout.depth(batch) * layout.plane for layout in layouts)
-        self.slab = slab = -(-slab * dtype.itemsize // 64) * 64 // dtype.itemsize
+        self.slab = slab = _whole_lines(slab, dtype)
         self.rho = np.empty((batch, self.lanes), dtype)
         self.lam = np.empty_like(self.rho)
         self.elevation = np.empty(self.lanes, dtype)
@@ -184,6 +198,8 @@ class SlabWorkspace:
         self.block = _cache_lines((batch, 3 + 4, slab), dtype)
         self.gz = _cache_lines((slab,), dtype)
         self.sel = _cache_lines((batch, slab), f"u{dtype.itemsize}")
+        self.up = _cache_lines((batch, _whole_lines(plane + slab, dtype)), dtype)
+        self.spare = _cache_lines((batch, _whole_lines(plane, dtype)), dtype)
 
 
 class SlabSweep:
@@ -192,8 +208,8 @@ class SlabSweep:
     Holds the padded pressure of *workspace*'s batch (:attr:`pressure`
     is its ``(batch, nz, ny, nx)`` interior view) and every kernel and
     fold operand, sliced once.  *name*, if given, prefixes the spans
-    (``.local`` for density and the vertical steps, ``.rounds`` for the
-    store kernels, ``.fold`` for the X-Y steps).  With
+    (``.local`` for density and mobility, ``.rounds`` for the store
+    kernels, ``.fold`` for the fold program).  With
     ``compute_fluxes=False`` no store kernel runs and the X-Y steps fold
     the zeros the contribution buffers are allocated as.
     """
@@ -203,7 +219,8 @@ class SlabSweep:
         dtype, batch = layout.dtype, workspace.batch
         (nz, _rows, row), plane, lanes = layout.padded_shape, layout.plane, layout.lanes
         depth = layout.depth(batch)
-        if dtype != workspace.dtype or lanes > workspace.lanes or depth * plane > workspace.slab:
+        if (dtype != workspace.dtype or lanes > workspace.lanes
+                or depth * plane > workspace.slab or plane > workspace.plane):
             raise ValueError(f"workspace was not sized for a {layout.mesh.shape_zyx} block")
         self.layout, program = layout, tuple(program)
         self._spans = (
@@ -222,9 +239,13 @@ class SlabSweep:
         # pair's one flux; its reciprocal folds that flux negated, shifted
         kept = {
             conn: conn if shifts[conn] > 0 else opposite(conn)
-            for conn, _mask in program if not conn.is_vertical
+            for conn, _mask in program
         }
-        contributions = dict(zip(dict.fromkeys(kept.values()), buffers))
+        contributions = dict(zip(
+            (conn for conn in dict.fromkeys(kept.values()) if not conn.is_vertical), buffers
+        ))
+        if Connection.UP in kept.values():
+            contributions[Connection.UP] = workspace.up
         # the plane masks are tiled to the slab: broadcasting one over a
         # (batch, planes, plane) view costs NumPy's iterator 0.3 us per
         # row, 13 against 8 us per step at (8, 3, 2500)
@@ -253,58 +274,71 @@ class SlabSweep:
                 lam[:, here], lam[:, there], layout.trans[pair][faces],
             )
 
-        #: per slab: ``(store-kernel arguments, [(vertical?, steps)])``;
-        #: a step is ``(kernel arguments or None, residual lanes, add or
-        #: subtract, lane mask, contribution words, masked words,
-        #: operand)``
+        edge = row + 1
+
+        def cells(conn, z0, z1):
+            """The lanes of slab ``[z0, z1)`` that fold *conn*: the planes
+            whose cells have that vertical neighbour, or from the slab's
+            first interior cell to its last, ``edge`` lanes in from either
+            end (every mask bit lies in that span)."""
+            if conn.is_vertical:
+                dz = conn.offset[2]
+                return slice(max(z0, -dz) * plane, min(z1, nz - dz) * plane)
+            return slice(z0 * plane + edge, z1 * plane - edge)
+
+        # lane i of a contribution buffer is lane lo - front + i of a slab
+        # from lane lo; an X-Y store starts s lanes early, so that its
+        # reciprocal finds every flux it folds at cells - s, while UP's
+        # early plane is the previous slab's last, carried to the front
+        front = {conn: plane if conn.is_vertical else 0 for conn in contributions}
+        early = {conn: 0 if conn.is_vertical else shifts[conn] for conn in contributions}
+        #: per slab: ``(store-kernel arguments, steps, carry)``; a step
+        #: is ``(residual lanes, add or subtract, lane mask, contribution
+        #: words, masked words, operand)``, the carry ``(source, spare,
+        #: front)`` or None
         self._slabs = []
-        for z0 in range(0, nz, depth):
-            z1 = min(nz, z0 + depth)
+        for z0, z1 in _balanced(nz, depth):
             lo, n = z0 * plane, (z1 - z0) * plane
-            # the X-Y steps run from the slab's first interior cell to
-            # its last, ``edge`` lanes in from either end; every mask
-            # bit lies in that span
-            edge = row + 1
-            xy, inner = slice(lo + edge, lo + n - edge), slice(edge, n - edge)
+            inner = slice(edge, n - edge)
             stored = []
             if compute_fluxes:
                 for conn, buffer in contributions.items():
-                    # s lanes early, so that the reciprocal finds every
-                    # flux it folds at xy - s
-                    s = shifts[conn]
-                    stored.append(
-                        operands(conn, xy.start - s, xy.stop - xy.start + s)
-                        + (buffer[:, edge - s : n - edge], gravity)
-                    )
+                    lanes = cells(conn, z0, z1)
+                    first, last = lanes.start - early[conn], lanes.stop
+                    if last > first:
+                        stored.append(
+                            operands(conn, first, last - first)
+                            + (buffer[:, first - lo + front[conn] : last - lo + front[conn]],
+                               gravity)
+                        )
             steps = []
             for (conn, _mask), mask in zip(program, masks):
-                if conn.is_vertical:
-                    # the slab's planes whose cells have a conn neighbour
-                    dz = conn.offset[2]
-                    first, last = max(z0, -dz) * plane, min(z1, nz - dz) * plane
-                    if last > first:
-                        args = operands(conn, first, last - first)
-                        args += (args[0].dp, gravity)
-                        steps.append((True, (args, slice(first, last), _add, None, None,
-                                             None, args[0].dp)))
+                lanes = cells(conn, z0, z1)
+                if lanes.stop <= lanes.start:
                     continue
                 # r - (-F) is r + F bit for bit: IEEE subtraction adds the
                 # exact negation (DESIGN.md §16 has the reciprocity argument)
-                s = 0 if kept[conn] is conn else shifts[kept[conn]]
-                contribution = contributions[kept[conn]][:, edge - s : n - edge - s]
+                pair = kept[conn]
+                s = 0 if pair is conn else shifts[pair]
+                contribution = contributions[pair][
+                    :, lanes.start - lo + front[pair] - s : lanes.stop - lo + front[pair] - s
+                ]
                 op = _add if s == 0 else _sub
                 if mask is None:
-                    steps.append((False, (None, xy, op, None, None, None, contribution)))
+                    steps.append((lanes, op, None, None, None, contribution))
                 else:
-                    steps.append((False, (
-                        None, xy, op, mask[inner], contribution.view(words),
+                    steps.append((
+                        lanes, op, mask[inner], contribution.view(words),
                         b[:, inner].view(words), b[:, inner],
-                    )))
-            segments = [
-                (vertical, [step for _v, step in group])
-                for vertical, group in groupby(steps, key=lambda item: item[0])
-            ]
-            self._slabs.append((stored, segments))
+                    ))
+            carry = None
+            if stored and Connection.UP in contributions and z1 < nz:
+                # UP's last plane, z1 - 1, to the front for the next slab's
+                # first DOWN plane, through the spare: a copy between views
+                # whose bounds overlap makes NumPy copy the source first
+                up = contributions[Connection.UP]
+                carry = (up[:, n : n + plane], workspace.spare[:, :plane], up[:, :plane])
+            self._slabs.append((stored, steps, carry))
 
     def load(self, fields) -> None:
         """Cast each of the batch's *fields* into :attr:`pressure`."""
@@ -327,22 +361,41 @@ class SlabSweep:
         with opened(local):  # Eq. 5 over the padded block, halo lanes included
             fluid.density(self.p, out=self._rho)
             fluid.mobility(self._rho, out=self._lam)
-        for stored, segments in self._slabs:
+        for stored, steps, carry in self._slabs:
             if stored:
                 # one kernel call per face pair, each into its own
                 # contribution buffer
                 with opened(rounds):
                     for args in stored:
                         face_flux(*args)
-            for vertical, steps in segments:
-                with opened(local if vertical else fold):
-                    for args, lanes, op, mask, words, masked_words, operand in steps:
-                        if args is not None:
-                            face_flux(*args)
-                        elif mask is not None:
-                            _and(words, mask, masked_words)
-                        target = residual[:, lanes]
-                        op(target, operand, target)
+            with opened(fold):
+                for lanes, op, mask, words, masked_words, operand in steps:
+                    if mask is not None:
+                        _and(words, mask, masked_words)
+                    target = residual[:, lanes]
+                    op(target, operand, target)
+            if carry is not None:
+                last, spare, first = carry
+                _copyto(spare, last)
+                _copyto(first, spare)
+
+
+def _balanced(nz: int, depth: int):
+    """``(z0, z1)`` of ``ceil(nz / depth)`` slabs whose depths differ by
+    at most one plane: 16 planes at depth 3 are 3, 3, 2, 2, 3, 3, not a
+    one-plane tail.  The deeper slabs go to the two ends, where DOWN
+    (first slab) and UP (last slab) span one plane less than the slab:
+    NumPy's iterator buffers operands whose rows are shorter than a third
+    of its buffer (one 48x48 plane at batch 8 allocates 61 KB per call)."""
+    count = -(-nz // depth)
+    base, extra = divmod(nz, count)
+    z0 = 0
+    for i in range(count):
+        # ends first: 0, count - 1, 1, count - 2, ...
+        rank = 2 * min(i, count - 1 - i) + (i > count - 1 - i)
+        z1 = z0 + base + (rank < extra)
+        yield z0, z1
+        z0 = z1
 
 
 def _quiet(_label):

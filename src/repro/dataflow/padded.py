@@ -6,8 +6,10 @@ batch of applications with their own fold program: UP, DOWN, then the
 exchange plan (lockstep) or the masked fold schedule (fused).
 :class:`PaddedSweep` casts the fields in, runs the sweep under the
 backend's spans, hands every residual to ``record=`` and books one batch
-at true cell and face counts (:meth:`PaddedSweep.book`), which
-:meth:`PaddedSweep.report` reports for both backends.
+at true cell and face counts (:meth:`PaddedSweep.book`: both faces of
+every pair, as the hardware computes them, although the sweep evaluates
+each face once), which :meth:`PaddedSweep.report` reports for both
+backends.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class PaddedSweep:
         for conn in Connection:
             dx, dy, dz = conn.offset
             self.faces[conn] = (nz - abs(dz)) * (ny - abs(dy)) * (nx - abs(dx))
+        self._per_application = self._book_one_application()
 
     def run(self, pressures) -> LockstepRunResult:
         """Run one application per pressure field, batched."""
@@ -143,25 +146,45 @@ class PaddedSweep:
         # the result is a contiguous copy: it does not pin the padded batch
         return LockstepRunResult(residual[batch - 1].copy(), batch, self.report())
 
-    def book(self, batch: int) -> None:
-        """One batch of applications at its true cell and face counts,
-        in per-face execution order (``compute_cycles`` is a float sum);
-        traffic from the exchange plan."""
-        engine, faces = self.engine, self.faces
-        engine.aux("FEXP", self.cells * batch, cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT)
+    def _book_one_application(self) -> tuple:
+        """What :meth:`book` adds per application: one application's
+        bookings on a scratch engine, at true cell and face counts, in
+        per-face execution order; traffic from the exchange plan."""
+        engine, faces = DsdEngine(vectorized=self.engine.vectorized), self.faces
+        engine.aux("FEXP", self.cells, cycles_per_element=DENSITY_EXP_CYCLES_PER_ELEMENT)
         if self.compute_fluxes:
             for conn in (Connection.UP, Connection.DOWN):
-                engine.account_flux_column(faces[conn] * batch)
+                engine.account_flux_column(faces[conn])
+        loads = word_hops = 0
         for connections, hops, _phase in self.exchange_plan:
             for conn in connections:
-                n = faces[conn] * batch
+                n = faces[conn]
                 if self.halo_copies:
                     engine.account_fabric_moves(n)  # pressure
                     engine.account_fabric_moves(n)  # density
                 if self.compute_fluxes:
                     engine.account_flux_column(n)
-                self.fabric_loads += 2 * n
-                self.fabric_word_hops += 2 * n * self._words_per_element * hops
+                loads += 2 * n
+                word_hops += 2 * n * self._words_per_element * hops
+        return engine, loads, word_hops
+
+    def book(self, batch: int) -> None:
+        """One batch of applications: *batch* times one application's
+        bookings.  Every count and cycle booked is an integer (far below
+        2**53), so the sums are exact in any grouping, ``compute_cycles``
+        (a float) included, and the counts keep the keys' first-booking
+        order."""
+        one, fabric_loads, word_hops = self._per_application
+        engine = self.engine
+        for key, n in one.counts.items():
+            engine.counts[key] = engine.counts.get(key, 0) + batch * n
+        engine.loads += batch * one.loads
+        engine.stores += batch * one.stores
+        engine.fabric_loads += batch * one.fabric_loads
+        engine.flops += batch * one.flops
+        engine.cycles += batch * one.cycles
+        self.fabric_loads += batch * fabric_loads
+        self.fabric_word_hops += batch * word_hops
         self.applications += batch
 
     def report(self) -> LockstepReport:

@@ -18,8 +18,8 @@ two properties:
   ufuncs over a batched array produce the same bits per element as
   per-column calls.  X-Y faces take the kernel's collapsed branch
   exactly like the event backend's receive task does.
-* Each X-Y face pair's kernel stores its fluxes into one contribution
-  buffer, and the IR's fold program
+* Each face pair's kernel, the vertical pair's too, stores its fluxes
+  into one contribution buffer, and the IR's fold program
   (:func:`repro.ir.schedule.fold_program`: a common supersequence of
   the <= 16 class orders) adds them, or subtracts the reciprocal's
   shifted fluxes, under lane masks that select the classes whose next
@@ -31,8 +31,16 @@ two properties:
 
 Fabric traffic is accounted arithmetically from the IR's exchange plan;
 no halo copies are performed or booked.  The masked fold passes buy the
-event fold class's bytes; the shared contribution buffers halve the X-Y
+event fold class's bytes; the shared contribution buffers halve the
 kernel passes of every backend on the sweep.
+
+**Non-finite input.**  With ``inf`` / ``NaN`` pressure cells, every cell
+whose event residual is finite gets event's bytes and every cell that
+is non-finite there is non-finite here; the batch's other fields are
+event's bytes (the contract of :mod:`repro.core.sweep`).  A flux
+computed from a non-finite operand is non-finite from either side of
+its face, so where a face is evaluated cannot move a cell between the
+two sets.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from repro.core import CartesianMesh3D, FluidProperties, PressureSequence
 from repro.core import sweep as sweep_module
 from repro.core.sweep import HOST_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
 from repro.core.flux import FluxKernel
+from repro.cluster import ClusterFluxComputation
 from repro.cluster.decomposition import BlockDecomposition
 from repro.workloads import make_geomodel
 
@@ -130,11 +131,14 @@ class TestFullBlock:
     def test_degenerate_shapes(self, fluid, shape, statement_fold):
         assert_same_bytes(make_geomodel(*shape, seed=4), fluid, 4, statement_fold)
 
-    @pytest.mark.parametrize("slab_lanes", [1, 100, 1 << 30])
+    @pytest.mark.parametrize("slab_lanes", [1, 100, 112, 168, 1 << 30])
     def test_slab_size_cannot_change_a_bit(
         self, fluid, monkeypatch, slab_lanes, statement_fold
     ):
-        """One plane per slab, a few, the whole block: same bytes."""
+        """One plane per slab, a few, the whole block: same bytes.  The
+        padded plane is 56 lanes: 100 and 112 are one and two float64
+        planes (2, 2, 1, 2 over 7 layers: an inner slab a plane short),
+        168 three (3, 2, 2: a short tail); float32 fits twice the lanes."""
         monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 8 * slab_lanes)
         assert_same_bytes(make_geomodel(6, 5, 7, seed=9), fluid, 9, statement_fold)
 
@@ -213,3 +217,19 @@ class TestNonFinite:
         assert not finite.all() and finite.any()
         assert res[finite].tobytes() == ref[finite].tobytes()
         assert not np.isfinite(res[~finite]).any()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("slab", ["measured", "one-plane"])
+def test_cluster_bytes_at_the_ledger_size(fluid, slab, monkeypatch, statement_fold):
+    """``cluster_serial_128x128x16``'s shape: 128x128x16 float64 on 2x2
+    ranks returns the statement's fold, at the measured slab size and at
+    one plane per slab."""
+    if slab == "one-plane":
+        monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 1)
+    mesh = make_geomodel(128, 128, 16, kind="lognormal", seed=7)
+    p = PressureSequence(mesh, num_applications=1, seed=7).field(0)
+    cluster = ClusterFluxComputation(mesh, fluid, px=2, py=2)
+    residual = cluster.run([p]).residual
+    assert residual.dtype == np.float64
+    assert residual.tobytes() == statement_fold(mesh, fluid, p).tobytes()

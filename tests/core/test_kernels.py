@@ -16,7 +16,7 @@ from repro.core import (
     face_flux_with_derivatives,
 )
 from repro.core.kernels import FluxScratch, face_flux, upwind_select
-from repro.core.stencil import XY_CONNECTIONS, opposite
+from repro.core.stencil import VERTICAL, XY_CONNECTIONS, Connection, interior_slices, opposite
 from repro.core.sweep import PaddedLayout
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.workloads import make_geomodel
@@ -253,10 +253,32 @@ def collapsed_faces(draw):
     return dtype, p_k, p_l, draw(column), draw(column), draw(column)
 
 
+@st.composite
+def full_faces(draw):
+    """Finite columns of one float width for the full sequence: the
+    elevations and densities of both sides drawn apart (equal
+    elevations, two objects, among them), bounded so that nothing
+    overflows."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 16))
+    width = np.dtype(dtype).itemsize * 8
+
+    def column(low, high):
+        return hnp.arrays(dtype, n, elements=st.floats(low, high, width=width))
+
+    p_k = draw(column(-(2.0**40), 2.0**40))
+    p_l = draw(st.one_of(column(-(2.0**40), 2.0**40), st.just(p_k.copy())))
+    z_k = draw(column(-(2.0**12), 2.0**12))
+    z_l = draw(st.one_of(column(-(2.0**12), 2.0**12), st.just(z_k.copy())))
+    rho_k, rho_l, lam_k, lam_l, trans = (draw(column(0.0, 2.0**12)) for _ in range(5))
+    return dtype, p_k, p_l, z_k, z_l, rho_k, rho_l, lam_k, lam_l, trans
+
+
 class TestReciprocity:
-    """The two premises of the padded sweep's one kernel per X-Y face
-    pair (DESIGN.md §16): the reciprocal side's flux is the negated
-    flux, and both sides read one transmissibility."""
+    """The two premises of the padded sweep's one kernel per face pair
+    (DESIGN.md §16): the reciprocal side's flux is the negated flux, on
+    the collapsed X-Y branch and on the full vertical sequence, and both
+    sides read one transmissibility."""
 
     @settings(max_examples=200, deadline=None)
     @given(collapsed_faces())
@@ -275,12 +297,32 @@ class TestReciprocity:
         zeros = (f_kl == 0) & (f_lk == 0)
         assert (-f_kl[~zeros]).tobytes() == f_lk[~zeros].tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(full_faces())
+    def test_full_flux_negates_from_the_other_side(self, faces):
+        """What lets DOWN subtract UP's stored flux: ``dp``, ``gz``,
+        ``a <-> -b``, ``s``, ``0.5*s + dp`` all negate exactly, and both
+        sides select the same ``lambda`` unless ``dphi`` is zero."""
+        dtype, p_k, p_l, z_k, z_l, rho_k, rho_l, lam_k, lam_l, trans = faces
+
+        def flux(p_k, p_l, z_k, z_l, rho_k, rho_l, lam_k, lam_l):
+            s, out = FluxScratch.empty(p_k.shape, dtype), np.empty(p_k.shape, dtype)
+            assert z_l is not z_k  # the full sequence
+            face_flux(s, p_k, p_l, z_k, z_l, rho_k, rho_l, lam_k, lam_l, trans, out, dtype(G))
+            return out
+
+        with np.errstate(under="ignore"):
+            f_kl = flux(p_k, p_l, z_k, z_l, rho_k, rho_l, lam_k, lam_l)
+            f_lk = flux(p_l, p_k, z_l, z_k, rho_l, rho_k, lam_l, lam_k)
+        zeros = (f_kl == 0) & (f_lk == 0)
+        assert (-f_kl[~zeros]).tobytes() == f_lk[~zeros].tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dims", [(9, 7, 3), (1, 9, 2)], ids=["lognormal", "1xn-strip"])
     def test_padded_trans_is_shared_by_a_face_pair(self, dims, dtype):
-        """The sweep's layout keeps one field per face pair: each X-Y
-        connection reads, one flat shift early for the negative member,
-        exactly its own zero-padded face field."""
+        """The sweep's layout keeps one field per face pair: each
+        connection, UP and DOWN too, reads, one flat shift early for the
+        negative member, exactly its own zero-padded face field."""
         mesh = make_geomodel(*dims, kind="lognormal", seed=4)
         trans = Transmissibility(mesh, dtype=dtype)
         layout = PaddedLayout(mesh, FluidProperties(), dtype, trans)
@@ -295,6 +337,14 @@ class TestReciprocity:
             assert np.count_nonzero(field) == mesh.nz * (mesh.ny - abs(conn.offset[1])) * (
                 mesh.nx - abs(conn.offset[0])
             )
+        field = layout.trans[Connection.UP]
+        lanes = np.arange(field.size).reshape(layout.padded_shape)[:, 1:-1, 1:-1]
+        for conn in VERTICAL:
+            # the planes whose cells have a conn neighbour
+            local, _neighbour = interior_slices(mesh.shape_zyx, conn)
+            read = field[lanes[local] + min(layout.shifts[conn], 0)]
+            assert read.tobytes() == own[conn][local].tobytes()
+        assert np.count_nonzero(field) == (mesh.nz - 1) * mesh.ny * mesh.nx
 
 
 class TestDerivatives:

@@ -9,6 +9,8 @@ additions — see tests/integration/test_equivalence.py).  On
 forced-order fabric shapes all three coincide exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,48 @@ class TestSlabSweep:
         assert depth == min(planes, nz)  # scratch capped at nz planes
         assert len(fused._sweep._slabs) == -(-nz // depth)
 
+    def test_slabs_are_balanced_with_the_deeper_ones_at_the_ends(self):
+        """``ceil(nz / depth)`` slabs, depths at most ``depth`` and one
+        plane apart, the deeper ones first at the two ends (DOWN's span
+        in the first slab and UP's in the last are a plane short)."""
+        spans = lambda nz, depth: [z1 - z0 for z0, z1 in sweep_module._balanced(nz, depth)]
+        assert spans(16, 3) == [3, 3, 2, 2, 3, 3]  # warm_fused_48x48x16
+        assert spans(16, 7) == [6, 5, 5]  # a cluster_serial_128x128x16 rank block
+        for nz in range(1, 20):
+            for depth in range(1, nz + 2):
+                got = spans(nz, depth)
+                assert sum(got) == nz and len(got) == -(-nz // depth)
+                assert max(got) <= depth and max(got) - min(got) <= 1
+                # deeper, shallower, deeper: a valley, its first end deepest
+                valley = got.index(min(got))
+                assert got[: valley + 1] == sorted(got[: valley + 1], reverse=True)
+                assert got[valley:] == sorted(got[valley:]) and got[0] >= got[-1]
+
+    @pytest.mark.parametrize(
+        "lower", [lower_to_fused, lower_to_lockstep], ids=["fused", "lockstep"]
+    )
+    def test_a_warm_sweep_allocates_only_views(self, lower):
+        """``warm_fused_48x48x16``'s shape, float32 batch 8: a warm
+        ``SlabSweep.run`` allocates view objects and nothing else.  NumPy
+        buffers a call whose rows are shorter than a third of its 8192-
+        element buffer, 15-61 KB per call (one 48x48 plane is 2500
+        lanes), and copies an operand whose bounds overlap the output;
+        balanced slabs and UP's spare carry plane keep every span of
+        this shape off both paths."""
+        mesh = make_geomodel(48, 48, 16, kind="lognormal", seed=7)
+        driver = lower(derive_ir(mesh), mesh, FluidProperties())
+        driver.run([random_pressure(mesh, seed=k) for k in range(8)])
+        sweep = driver._sweep
+        residual = np.zeros_like(sweep.p)
+        sweep.run(residual)
+        tracemalloc.start()
+        try:
+            sweep.run(residual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_signed_zero_fluxes_fold_to_positive_zero(self, dtype):
         """Uniform pressure on one flat layer: every X-Y flux is an exact
@@ -393,3 +437,41 @@ class TestSlabSweep:
             lower_to_fused(ir, mesh, fluid), ir, mesh, fluid, [pressure] * 2
         )
         assert got.residual.tobytes() == bytes(got.residual.nbytes)
+
+
+class TestNonFinite:
+    """The contract of ``ir/fused.py``: with ``inf`` / ``NaN`` pressure
+    cells, every cell whose event residual is finite keeps event's
+    bytes and every non-finite one stays non-finite; the other fields of
+    the batch are event's bytes."""
+
+    @pytest.mark.parametrize("slab", ["measured", "one-plane"])
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "cell", [(0, 0, 0), (0, 2, 5), (2, 2, 3)], ids=["corner", "edge", "interior"]
+    )
+    def test_non_finite_cells_stay_where_event_has_them(
+        self, cell, bad, dtype, slab, monkeypatch
+    ):
+        if slab == "one-plane":
+            monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 1)
+        mesh = make_geomodel(6, 5, 4, kind="lognormal", seed=3)
+        fluid = FluidProperties()
+        field = np.array(random_pressure(mesh, seed=2))
+        field[cell] = bad
+        clean = random_pressure(mesh, seed=5)
+        ir = derive_ir(mesh, dtype=dtype)
+        fused = lower_to_fused(ir, mesh, fluid, record=Residuals())
+        event = lower_to_event(ir, mesh, fluid)
+        with np.errstate(all="ignore"):
+            fused.run([field, clean])
+            want = event.run_single(field).residual
+        got, got_clean = fused.record
+        finite = np.isfinite(want)
+        assert not finite[cell] and 0 < finite.sum() < finite.size
+        assert got[finite].tobytes() == want[finite].tobytes()
+        assert not np.isfinite(got[~finite]).any()
+        assert got_clean.tobytes() == event.run_single(clean).residual.tobytes()
+        # and nothing non-finite stays behind in the workspace
+        _assert_fused_bytes_equal_event(fused, ir, mesh, fluid, [clean, clean])
