@@ -139,12 +139,11 @@ class Backend:
         return {self.name: result.as_metrics}
 
 
-# event/lockstep are distinct fold classes in general (fabric arrival
-# order vs phased order) but coincide on the forced-order fabric shapes
-# — the golden registry encodes that per artifact via
-# tolerance_overrides.  fused replays the IR's per-PE arrival schedule,
-# so it shares the event class; gpu tiles and the cluster/par ranks run
-# the same face-flux statement and fold in ALL_CONNECTIONS order.
+# Two fold classes: "event" (the fabric's arrival order, which fused
+# replays from the IR) and "phased" (the Sec. 5.2 order of
+# core.sweep.PHASED_PROGRAM: lockstep, gpu tiles, cluster/par ranks).
+# They coincide on the forced-order fabric shapes — the golden registry
+# encodes that per artifact via tolerance_overrides.
 BACKENDS = MappingProxyType({
     b.name: b
     for b in (
@@ -154,14 +153,14 @@ BACKENDS = MappingProxyType({
             _metrics=_event_metrics,
         ),
         Backend("fused", "event", None, partial(_lowered, "fused")),
-        Backend("lockstep", "lockstep", None, partial(_lowered, "lockstep")),
-        Backend("gpu", "host", None, _gpu, config=("variant",)),
+        Backend("lockstep", "phased", None, partial(_lowered, "lockstep")),
+        Backend("gpu", "phased", None, _gpu, config=("variant",)),
         Backend(
-            "cluster", "host", "ranks", _cluster, config=("px", "py"),
+            "cluster", "phased", "ranks", _cluster, config=("px", "py"),
             rank_decomposed=True,
         ),
         Backend(
-            "par", "host", "ranks", _par,
+            "par", "phased", "ranks", _par,
             config=("px", "py", "workers", "respawn", "lease_seconds",
                     "failure_mode"),
             rank_decomposed=True, multi_process=True, _metrics=_par_metrics,

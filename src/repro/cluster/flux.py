@@ -5,9 +5,9 @@ The traditional-HPC baseline the paper positions itself against
 application performs an 8-neighbour halo exchange of the pressure field
 (sides and corners — on MPI a corner is a single direct message, unlike
 the fabric's two-hop forward), densities are evaluated locally, and each
-rank runs the core slab sweep (:mod:`repro.core.sweep`) with the host
-fold program, ``HOST_PROGRAM``, on its halo-padded block — the gpu
-backend's bytes.
+rank runs the core slab sweep (:mod:`repro.core.sweep`) with the
+phased fold program, ``PHASED_PROGRAM``, on its halo-padded block —
+lockstep's and the gpu backend's bytes.
 
 Numerically identical to the global reference; the communicator counts
 the per-application traffic the decomposition actually moves.  The rank
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
-from repro.core.sweep import HOST_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
+from repro.core.sweep import PHASED_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
 from repro.cluster.comm import CartGrid, RetryPolicy, SimComm
 from repro.cluster.decomposition import Block, BlockDecomposition
 from repro.obs.spans import span
@@ -112,10 +112,10 @@ def halo_links(decomp: BlockDecomposition, grid: CartGrid) -> list[HaloLink]:
 
 
 class RankSet:
-    """The rank program of the host backends, over the *ranks* given.
+    """The rank program of cluster and par, over the *ranks* given.
 
     Per rank the block, its :class:`~repro.core.sweep.PaddedLayout` and
-    a :class:`~repro.core.sweep.SlabSweep` of ``HOST_PROGRAM`` whose
+    a :class:`~repro.core.sweep.SlabSweep` of ``PHASED_PROGRAM`` whose
     padded pressure buffer is the rank's field, over one
     :class:`~repro.core.sweep.SlabWorkspace` and one residual
     accumulator for all of them (the ranks compute in turn, on one
@@ -132,7 +132,7 @@ class RankSet:
         self.blocks = [decomp.block(rank) for rank in self.ranks]
         layouts = [PaddedLayout(decomp.local_mesh(b), fluid, dtype) for b in self.blocks]
         workspace = SlabWorkspace(layouts)
-        self.sweeps = [SlabSweep(layout, HOST_PROGRAM, workspace) for layout in layouts]
+        self.sweeps = [SlabSweep(layout, PHASED_PROGRAM, workspace) for layout in layouts]
         self._residual = np.empty((1, workspace.lanes), workspace.dtype)
         index = {rank: i for i, rank in enumerate(self.ranks)}
 

@@ -11,9 +11,9 @@ expected/actual bit patterns).
 
 The golden registry (``tests/conform/golden/``) is a set of recorded
 artifacts plus ``registry.json`` naming, for each, the backends it must
-replay on and any per-backend tolerance overrides (event vs lockstep is
-bit-exact only on the forced-order fabric shapes, so the override lives
-with the artifact that was recorded on one).
+replay on and any per-backend tolerance overrides (event vs the phased
+fold class is bit-exact only on the forced-order fabric shapes, so the
+override lives with the artifact that was recorded on one).
 """
 
 from __future__ import annotations

@@ -7,13 +7,13 @@ module turns that knowledge into two standardized tolerance classes:
 * **bit-exact** — same bytes, no exceptions.  Applies when the
   recording and replaying backends share a residual *fold class*
   (identical summation order of one face-flux statement; declared per
-  backend in :mod:`repro.backends`): gpu vs cluster vs par (host-order
-  fold), event vs fused, or event vs lockstep on forced-order meshes.
+  backend in :mod:`repro.backends`): two of lockstep/gpu/cluster/par
+  (phased fold), event vs fused, or event vs phased on forced-order meshes.
 * **ulp-bounded** — each cell within ``max_ulps`` units in the last
   place of the recording, OR within ``rtol * scale`` absolutely (the
   absolute escape keeps near-zero cells, where a fixed ulp budget is
   meaninglessly tight, from flagging rounding noise).  Applies across
-  fold classes: event vs cluster, lockstep vs gpu, etc.
+  the two fold classes: event or fused vs any phased backend.
 
 ``ulp_distance`` maps IEEE-754 bit patterns onto an order-preserving
 integer line (negative floats get reflected below zero), so the
@@ -147,7 +147,7 @@ class ToleranceClass:
 #: Same fold class: the replay must reproduce the recording's bytes.
 BIT_EXACT = ToleranceClass("bit-exact", bit_exact=True)
 
-#: Different fold classes: rounding-order differences only.  16 ulps is
+#: Event vs phased fold class: rounding-order differences only.  16 ulps is
 #: generous for a single fold over O(10) face contributions; the
 #: 1e-12 relative escape covers near-zero cells (observed cross-class
 #: spread in tests/integration/test_equivalence.py is ~1e-12 * scale).

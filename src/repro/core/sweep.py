@@ -34,8 +34,8 @@ sign, and ``r - C`` is ``r + (-C)`` (DESIGN.md §16).
 
 The **fold program**, ``(connection, lane mask | None)`` steps in
 order, is the only thing the backends do differently
-(:data:`HOST_PROGRAM` for cluster and par, UP, DOWN and the exchange
-plan for lockstep, UP, DOWN and the masked schedule for fused):
+(:data:`PHASED_PROGRAM` for cluster and par, its steps from the IR's
+exchange plan for lockstep, UP, DOWN and the masked schedule for fused):
 
 * a step with a ``None`` mask adds or subtracts the contribution over
   the slab's cells that have that neighbour;
@@ -61,11 +61,11 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.kernels import FluxScratch, face_flux
-from repro.core.stencil import ALL_CONNECTIONS, Connection, interior_slices, opposite
+from repro.core.stencil import VERTICAL, XY_CONNECTIONS, Connection, interior_slices, opposite
 from repro.core.transmissibility import Transmissibility
 from repro.obs.spans import span
 
-__all__ = ["HOST_PROGRAM", "PaddedLayout", "SlabSweep", "SlabWorkspace"]
+__all__ = ["PHASED_PROGRAM", "PaddedLayout", "SlabSweep", "SlabWorkspace"]
 
 #: Bytes of ``batch x lanes`` elements one z-slab (whole planes, at
 #: least one, at most the block) holds per array: small enough that a
@@ -75,9 +75,9 @@ __all__ = ["HOST_PROGRAM", "PaddedLayout", "SlabSweep", "SlabWorkspace"]
 #: tests monkeypatch it.
 _SLAB_BYTES = 1 << 18
 
-#: The host fold class's program (gpu, cluster, par): every connection
-#: in ``ALL_CONNECTIONS`` order over every lane, vertical last.
-HOST_PROGRAM = tuple((conn, None) for conn in ALL_CONNECTIONS)
+#: The phased fold class's program (lockstep, gpu, cluster, par): UP and
+#: DOWN from memory, then the Sec. 5.2 exchange's cardinals and diagonals.
+PHASED_PROGRAM = tuple((conn, None) for conn in VERTICAL + XY_CONNECTIONS)
 
 #: The member of each face pair with a positive flat shift, whose
 #: kernel stores the pair's fluxes; UP reads the vertical pair's field.

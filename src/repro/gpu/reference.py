@@ -6,8 +6,8 @@ H2D copy, per-application kernel launches over 3D threadblocks (RAJA-like
 clamped tiles or CUDA-like manually-bounded tiles), and the final D2H
 copy.  The flux function is "logically identical" to the dataflow one
 (Sec. 6): each tile runs the statement the fabric kernels book,
-:func:`repro.core.kernels.face_flux`, and folds in ``ALL_CONNECTIONS``
-order like the host backends, whose bytes it returns.
+:func:`repro.core.kernels.face_flux`, and folds in the PE program's
+order, :data:`repro.core.sweep.PHASED_PROGRAM`: lockstep's bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core.fluid import FluidProperties
 from repro.core.kernels import FLOPS_PER_CELL, FluxScratch, face_flux
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import ALL_CONNECTIONS
+from repro.core.sweep import PHASED_PROGRAM
 from repro.core.transmissibility import Transmissibility, padded_trans_fields
 from repro.gpu.cuda import cuda_kernel
 from repro.gpu.device import A100_40GB, OccupancyModel
@@ -148,7 +149,7 @@ class GpuFluxComputation:
         z = self.dev.get("elevation")
         res = self.dev.get("residual")
         res[tile.slices] = 0.0
-        for conn in ALL_CONNECTIONS:
+        for conn, _mask in PHASED_PROGRAM:
             views = self._launch_helper.tile_direction_views(tile, conn)
             if views is None:
                 continue

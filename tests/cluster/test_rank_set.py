@@ -2,8 +2,9 @@
 
 ``(nx, ny, nz, px, py)`` is drawn with one-wide blocks and ``px == nx``
 among the cases.  Three oracles, none of them a second backend: the
-serial cluster backend returns the bytes of the face-flux statement
-folded over whole interior slices (the ``statement_fold`` fixture) and
+serial cluster backend, and lockstep and gpu beside it (one phased fold
+class), return the bytes of the face-flux statement folded over whole
+interior slices (the ``statement_fold`` fixture), and cluster returns
 ``FluxKernel(method="cell")``'s values to rounding; a closed domain's
 residual sums to zero within the rounding of its per-cell folds; and a
 :class:`~repro.cluster.flux.RankSet` over a subset of the ranks — what
@@ -17,6 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.backends import BACKENDS, release
 from repro.cluster import BlockDecomposition, CartGrid, ClusterFluxComputation, halo_links
 from repro.cluster.flux import RankSet
 from repro.core import FluidProperties, random_pressure
@@ -53,7 +55,14 @@ def cluster_residual(mesh, grid, pressure):
 def test_cluster_returns_the_oracle_bytes(statement_fold, grid, seed):
     mesh, p = problem(grid, seed)
     residual = cluster_residual(mesh, grid, p)
-    assert residual.tobytes() == statement_fold(mesh, FLUID, p).tobytes()
+    expected = statement_fold(mesh, FLUID, p).tobytes()
+    assert residual.tobytes() == expected
+    for name in ("lockstep", "gpu"):
+        driver = BACKENDS[name].build(mesh, FLUID, dtype=p.dtype)
+        try:
+            assert driver.run([p]).residual.tobytes() == expected, name
+        finally:
+            release(driver)
     oracle = FluxKernel(mesh, FLUID, method="cell").residual(p)
     assert np.abs(residual - oracle).max() <= 1e-12 * np.abs(oracle).max(initial=0.0)
 

@@ -13,11 +13,13 @@ files are committed.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
 from repro.conform import record_run
 from repro.faults import FaultPlan
+from repro.obs.replay import ReplayArtifact
 from repro.util.jsonio import write_stable_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -91,9 +93,9 @@ def main() -> int:
     entries = []
 
     # 1. The flagship: a cluster recording that every backend must
-    #    reproduce.  gpu/cluster/par replay bit-exactly (one face-flux
-    #    statement, host fold order); event/fused/lockstep replay within
-    #    the ulp budget.
+    #    reproduce.  lockstep/gpu/cluster/par replay bit-exactly (one
+    #    face-flux statement, phased fold order); event/fused replay
+    #    within the ulp budget.
     art = record_run(
         "cluster", nx=4, ny=4, nz=3, geomodel="lognormal", seed=0,
         applications=3, px=2, py=2,
@@ -108,9 +110,10 @@ def main() -> int:
     )
 
     # 2. A forced-order mesh (single interior column along Y): the
-    #    event fabric's arrival order is forced, so lockstep must
-    #    match it bit-for-bit, not just within tolerance.  fused shares
-    #    the event fold class, so it is bit-exact on every shape.
+    #    event fabric's arrival order is forced, so the phased fold
+    #    class (lockstep, and gpu's tiles) must match it bit-for-bit,
+    #    not just within tolerance.  fused shares the event fold class,
+    #    so it is bit-exact on every shape.
     art = record_run(
         "event", nx=2, ny=1, nz=5, geomodel="layered", seed=1,
         applications=2,
@@ -120,8 +123,8 @@ def main() -> int:
         {
             "name": "forced-order",
             "file": "forced-order.rpz",
-            "backends": ["event", "fused", "lockstep"],
-            "tolerance_overrides": {"lockstep": "bit-exact"},
+            "backends": ["event", "fused", "lockstep", "gpu"],
+            "tolerance_overrides": {"lockstep": "bit-exact", "gpu": "bit-exact"},
         }
     )
 
@@ -174,10 +177,18 @@ def main() -> int:
     )
 
     write_stable_json(GOLDEN / "registry.json", {"artifacts": entries})
+    # each file's sha256 and its steps' residual_sha256, 16 hex apiece:
+    # what a migration note quotes
     for entry in entries:
-        print(f"wrote {GOLDEN / entry['file']}")
-    print(f"wrote {GOLDEN / 'registry.json'}")
+        path = GOLDEN / entry["file"]
+        steps = " ".join(s["residual_sha256"][:16] for s in ReplayArtifact.load(path).steps)
+        print(f"wrote {path} sha256 {_sha16(path)} residuals {steps}")
+    print(f"wrote {GOLDEN / 'registry.json'} sha256 {_sha16(GOLDEN / 'registry.json')}")
     return 0
+
+
+def _sha16(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 if __name__ == "__main__":

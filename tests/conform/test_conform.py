@@ -135,8 +135,8 @@ class TestFaultedReplay:
         assert art.meta["fault_plan"]
         result = replay(art, backend)
         assert result.ok, result.render()
-        # gpu shares the cluster recording's fold class
-        assert result.tolerance == ("bit-exact" if backend == "gpu" else "ulp-bounded")
+        # lockstep and gpu share the cluster recording's fold class
+        assert result.tolerance == ("ulp-bounded" if backend == "fused" else "bit-exact")
 
 
 class TestGoldenRegistry:
@@ -147,7 +147,7 @@ class TestGoldenRegistry:
         assert not failed, "\n".join(failed)
 
     def test_forced_order_entry_demands_bits(self):
-        results = run_golden(backends=["lockstep"], skip_par=True)
+        results = run_golden(backends=["lockstep", "gpu"], skip_par=True)
         forced = [r for r in results if r.artifact == "forced-order"]
-        assert forced and forced[0].tolerance == "bit-exact"
-        assert forced[0].ok
+        assert [r.replay_backend for r in forced] == ["lockstep", "gpu"]
+        assert all(r.tolerance == "bit-exact" and r.ok for r in forced)

@@ -151,8 +151,9 @@ class TestDefaultTolerance:
         assert default_tolerance("par", "cluster") is BIT_EXACT
         assert default_tolerance("event", "event") is BIT_EXACT
         assert default_tolerance("gpu", "cluster") is BIT_EXACT
+        assert default_tolerance("gpu", "lockstep") is BIT_EXACT
 
     def test_cross_fold_class_is_ulp_bounded(self):
         assert default_tolerance("cluster", "event") is ULP_BOUNDED
         assert default_tolerance("event", "lockstep") is ULP_BOUNDED
-        assert default_tolerance("gpu", "lockstep") is ULP_BOUNDED
+        assert default_tolerance("fused", "gpu") is ULP_BOUNDED

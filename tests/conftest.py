@@ -41,11 +41,13 @@ def fresh_interpreter():
 def statement_fold():
     """``fold(mesh, fluid, pressure) -> residual``: the face-flux
     statement (:func:`repro.core.kernels.face_flux`) on whole
-    ``interior_slices`` views, each cell's fluxes added in
-    ``ALL_CONNECTIONS`` order from ``+0.0`` — the bytes the host fold
-    class (gpu, cluster, par) returns, in the pressure's dtype."""
-    from repro.core import ALL_CONNECTIONS, constants, interior_slices
+    ``interior_slices`` views, each cell's fluxes added in the phased
+    order of ``PHASED_PROGRAM`` from ``+0.0`` — the bytes the phased
+    fold class (lockstep, gpu, cluster, par) returns, in the pressure's
+    dtype."""
+    from repro.core import constants, interior_slices
     from repro.core.kernels import FluxScratch, face_flux
+    from repro.core.sweep import PHASED_PROGRAM
     from repro.core.transmissibility import padded_trans_fields
 
     def fold(mesh, fluid, pressure):
@@ -55,7 +57,7 @@ def statement_fold():
         rho = fluid.density(pressure)
         lam = fluid.mobility(rho)
         residual = np.zeros(mesh.shape_zyx, dtype)
-        for conn in ALL_CONNECTIONS:
+        for conn, _mask in PHASED_PROGRAM:
             local, neigh = interior_slices(mesh.shape_zyx, conn)
             s = FluxScratch.empty(residual[local].shape, dtype)
             face_flux(

@@ -1,7 +1,7 @@
-"""Byte-identity tests for the host kernel: the core slab sweep with
-the host fold program.
+"""Byte-identity tests for the rank kernel: the core slab sweep with
+the phased fold program.
 
-:class:`~repro.core.sweep.SlabSweep` running ``HOST_PROGRAM`` (the
+:class:`~repro.core.sweep.SlabSweep` running ``PHASED_PROGRAM`` (the
 per-rank kernel of the cluster and par backends) must reproduce the
 face-flux statement's fold over whole interior slices (the
 ``statement_fold`` fixture) to the last bit, in both dtypes, on every
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import CartesianMesh3D, FluidProperties, PressureSequence
 from repro.core import sweep as sweep_module
-from repro.core.sweep import HOST_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
+from repro.core.sweep import PHASED_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
 from repro.core.flux import FluxKernel
 from repro.cluster import ClusterFluxComputation
 from repro.cluster.decomposition import BlockDecomposition
@@ -49,16 +49,16 @@ def assert_matches(res, mesh, fluid, pressure, reference):
     assert np.abs(res - oracle).max() <= ORACLE_RTOL[res.dtype] * scale
 
 
-def host_kernels(meshes, fluid, dtype):
-    """The host program on each of *meshes*, over one workspace (what
+def rank_kernels(meshes, fluid, dtype):
+    """The phased program on each of *meshes*, over one workspace (what
     ``RankSet`` builds for its ranks)."""
     layouts = [PaddedLayout(mesh, fluid, dtype) for mesh in meshes]
     workspace = SlabWorkspace(layouts)
-    return [SlabSweep(layout, HOST_PROGRAM, workspace) for layout in layouts]
+    return [SlabSweep(layout, PHASED_PROGRAM, workspace) for layout in layouts]
 
 
 def flat_kernel(mesh, fluid, dtype):
-    return host_kernels([mesh], fluid, dtype)[0]
+    return rank_kernels([mesh], fluid, dtype)[0]
 
 
 def compute(kernel):
@@ -117,7 +117,7 @@ class TestFullBlock:
         assert len({m.shape_zyx for m in meshes}) > 1
         for dtype in DTYPES:
             p = field(mesh, 11, dtype)
-            kernels = host_kernels(meshes, fluid, dtype)
+            kernels = rank_kernels(meshes, fluid, dtype)
             for block, local_mesh, kernel in zip(decomp.blocks, meshes, kernels):
                 local_p = np.ascontiguousarray(p[decomp.padded_field_slices(block)])
                 with np.errstate(all="raise"):
@@ -150,7 +150,7 @@ class TestWorkspace:
         mesh_a = make_geomodel(7, 6, 3, kind="lognormal", seed=1)
         mesh_b = make_geomodel(7, 6, 3, kind="channelized", seed=2)
         for dtype in DTYPES:
-            kernels = host_kernels([mesh_a, mesh_b], fluid, dtype)
+            kernels = rank_kernels([mesh_a, mesh_b], fluid, dtype)
             pairs = [
                 (kernel, mesh, field(mesh, seed, dtype))
                 for kernel, mesh, seed in zip(kernels, (mesh_a, mesh_b), (1, 2))
@@ -169,7 +169,7 @@ class TestWorkspace:
         thin = CartesianMesh3D(6, 5, 4, dz_layers=[1.0, 2.5, 0.75, 3.0])
         thick = CartesianMesh3D(6, 5, 4, dz_layers=[4.0, 0.5, 2.0, 1.0])
         for dtype in DTYPES:
-            kernels = host_kernels([thin, thick], fluid, dtype)
+            kernels = rank_kernels([thin, thick], fluid, dtype)
             for _ in range(2):
                 for kernel, mesh, seed in zip(kernels, (thin, thick), (3, 4)):
                     p = field(mesh, seed, dtype)
@@ -193,7 +193,7 @@ class TestWorkspace:
         mesh = make_geomodel(6, 6, 2, seed=0)
         small = SlabWorkspace([PaddedLayout(make_geomodel(6, 5, 2, seed=0), fluid, np.float64)])
         with pytest.raises(ValueError, match="not sized"):
-            SlabSweep(PaddedLayout(mesh, fluid, np.float64), HOST_PROGRAM, small)
+            SlabSweep(PaddedLayout(mesh, fluid, np.float64), PHASED_PROGRAM, small)
 
     def test_residual_checks_the_shape(self, fluid):
         mesh = make_geomodel(4, 4, 2, seed=0)

@@ -6,7 +6,8 @@ lowerings of the same IR must agree **bitwise** (they share a conform
 fold class), and lockstep must agree within the documented
 summation-order tolerance (identical operations, different final
 additions — see tests/integration/test_equivalence.py).  On
-forced-order fabric shapes all three coincide exactly.
+forced-order fabric shapes all three coincide exactly, and the rest of
+lockstep's fold class (gpu, cluster) with them.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.backends import BACKENDS, release
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.core.stencil import Connection
 from repro.dataflow import WseFluxComputation
@@ -94,6 +96,13 @@ class TestLoweringsAgree:
         r_fused = lower_to_fused(ir, mesh, fluid).run([pressure]).residual
         assert (r_event == r_lock).all()
         assert (r_event == r_fused).all()
+        # the rest of the phased fold class: gpu's tiles and cluster's ranks
+        for name, config in (("gpu", {}), ("cluster", {"px": 2, "py": 1})):
+            driver = BACKENDS[name].build(mesh, fluid, dtype=dtype, **config)
+            try:
+                assert driver.run([pressure]).residual.tobytes() == r_event.tobytes(), name
+            finally:
+                release(driver)
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     @pytest.mark.parametrize(

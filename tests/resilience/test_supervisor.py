@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.conform.tolerance import BIT_EXACT
 from repro.core import CartesianMesh3D, FluidProperties, random_pressure
 from repro.faults.errors import CommTimeoutError
 from repro.obs.replay import ReplayArtifact, digest_array
@@ -224,6 +225,9 @@ class TestDegradation:
         )
         assert verify["ok"]
         assert verify["reference_backend"] == "gpu"
+        # gpu and lockstep share the phased fold class: the fallback
+        # replay-verifies bytes
+        assert verify["rule"] == BIT_EXACT.describe()
         assert res.residual.tobytes() == lockstep_ref.tobytes()
 
 

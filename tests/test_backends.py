@@ -17,7 +17,7 @@ import pytest
 
 from repro.backends import BACKENDS, Backend, get_backend, release
 from repro.core import FluidProperties, compute_flux_residual, random_pressure
-from repro.core.stencil import ALL_CONNECTIONS, EXCHANGE_PLAN
+from repro.core.stencil import EXCHANGE_PLAN
 from repro.faults import FaultPlan
 from repro.workloads import make_geomodel
 
@@ -581,9 +581,10 @@ class TestFoldClasses:
     def test_one_fold_class_hands_the_sweep_one_program(self, monkeypatch):
         """The backends that run the core slab sweep differ only in the
         fold program they hand it, and one fold class hands it one
-        program: every cluster rank and every rank of a par worker's
-        rank program get ``HOST_PROGRAM``; lockstep gets UP, DOWN and
-        its exchange plan, unmasked; fused UP, DOWN and masked steps."""
+        program: lockstep's UP, DOWN and exchange plan, unmasked, is
+        ``PHASED_PROGRAM``, which every cluster rank and every rank of a
+        par worker's rank program get; fused gets UP, DOWN and masked
+        steps."""
         from repro.cluster.decomposition import BlockDecomposition
         from repro.cluster.flux import RankSet, halo_links
         from repro.core import sweep
@@ -615,14 +616,13 @@ class TestFoldClasses:
                 halo_links(cluster.decomp, cluster.grid))
         programs["par"] = set(seen)
 
-        host = tuple((conn, True) for conn, _mask in sweep.HOST_PROGRAM)
-        assert [conn for conn, _all in host] == list(ALL_CONNECTIONS)
-        assert programs["cluster"] == programs["par"] == {host}
+        phased = tuple((conn, True) for conn, _mask in sweep.PHASED_PROGRAM)
         vertical = tuple((conn, True) for conn in VERTICAL)
         plan = tuple(
             (conn, True) for conns, _hops, _phase in EXCHANGE_PLAN for conn in conns
         )
-        assert programs["lockstep"] == {vertical + plan}
+        assert phased == vertical + plan
+        assert programs["lockstep"] == programs["cluster"] == programs["par"] == {phased}
         (fused,) = programs["fused"]
         assert fused[:2] == vertical and not any(unmasked for _c, unmasked in fused[2:])
 
@@ -631,8 +631,8 @@ class TestFoldClasses:
         for name, entry in BACKENDS.items():
             classes.setdefault(entry.fold_class, []).append(name)
         assert classes == {
-            "event": ["event", "fused"], "lockstep": ["lockstep"],
-            "host": ["gpu", "cluster", "par"],
+            "event": ["event", "fused"],
+            "phased": ["lockstep", "gpu", "cluster", "par"],
         }
 
 
