@@ -119,7 +119,13 @@ class BlockDecomposition:
 
         Permeability is sliced from the global field so the harmonic
         face transmissibilities inside the padded region match the
-        global build exactly.
+        global build exactly.  Porosity is not carried (the sub-mesh
+        has the default): the flux reads permeability alone
+        (:class:`~repro.core.transmissibility.Transmissibility`).  So
+        ``self.mesh`` needs the geometry of a
+        :class:`~repro.core.mesh.CartesianMesh3D` and its permeability
+        and nothing else — a par worker's stand-in reads the latter
+        from shared memory.
         """
         mesh = self.mesh
         pw, ph = block.padded_shape_xy
@@ -136,12 +142,7 @@ class BlockDecomposition:
                 mesh.origin[1] + block.gy0 * mesh.dy,
                 mesh.origin[2],
             ),
-            permeability=np.ascontiguousarray(
-                mesh.permeability[self.padded_field_slices(block)]
-            ),
-            porosity=np.ascontiguousarray(
-                mesh.porosity[self.padded_field_slices(block)]
-            ),
+            permeability=mesh.permeability[self.padded_field_slices(block)],
         )
 
     def coverage_check(self) -> None:

@@ -46,7 +46,7 @@ from repro.obs.spans import get_recorder, ingest_spans, span
 from repro.par.layout import NUM_PARITIES, HaloLayout
 from repro.par.runtime import ProcPool
 from repro.par.shm import SharedArena
-from repro.par.worker import WorkerSpec
+from repro.par.worker import WorkerSpec, mesh_geometry
 
 __all__ = ["ParClusterFluxComputation", "ParClusterRunResult"]
 
@@ -127,7 +127,9 @@ class ParClusterFluxComputation:
     Parameters
     ----------
     mesh, fluid:
-        Problem definition (global); both must pickle (they do).
+        Problem definition (global).  Workers get the mesh's geometry
+        and the fluid over their pipes and its permeability through
+        the shared arena; the arrays are never pickled.
     px, py:
         Process grid dimensions (rank grid, as in the serial backend).
     workers:
@@ -202,6 +204,7 @@ class ParClusterFluxComputation:
         self.layout = HaloLayout.from_decomposition(
             self.decomp, self.grid, dtype=self.dtype
         )
+        self._geometry = mesh_geometry(mesh)
         #: rank ranges per worker, contiguous (worker i runs ranks
         #: ``range(*self.rank_split[i])``)
         self.rank_split = _split(size, self.workers)
@@ -241,7 +244,7 @@ class ParClusterFluxComputation:
                     ranks=tuple(range(lo, hi)),
                     arena_name=self._arena.name,
                     layout=self.layout,
-                    mesh=self.mesh,
+                    **self._geometry,
                     fluid=self.fluid,
                     px=self.grid.px,
                     py=self.grid.py,
@@ -263,6 +266,9 @@ class ParClusterFluxComputation:
     def _ensure_pool(self) -> None:
         if self._arena is None:
             self._arena = SharedArena(self.layout, create=True)
+            # written once, before any setup is sent (the send orders it
+            # before every worker's read); read-only from here on
+            np.copyto(self._arena.permeability, self.mesh.permeability)
             self._arena.reset_seqs(self._exchanges_done)
         if self._pool is None:
             try:

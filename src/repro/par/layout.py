@@ -12,6 +12,12 @@ segment holds, in order:
   scattering from;
 * the global **residual** field (each worker writes its ranks' owned
   blocks — disjoint regions, so no locking is needed);
+* the global **permeability** field, always ``float64`` (the mesh's own
+  dtype, whatever the flux dtype): the parent writes it once, when it
+  creates the arena and before any worker is sent ``setup``, and from
+  then on it is only read — each worker cuts its ranks' padded blocks
+  out of it.  It is the problem's one large input, so it crosses
+  processes here and not through the pipes; it survives respawns;
 * one **heartbeat** counter per rank (``uint64``): workers bump their
   ranks' counters at every phase boundary (and periodically inside
   recv spin loops), and the parent's lease-liveness check reads them to
@@ -54,6 +60,10 @@ SEQ_BYTES = 8
 #: exchanges alternate slots, which is sufficient because pipelined
 #: endpoints are never more than one exchange apart.
 NUM_PARITIES = 2
+
+#: Storage dtype of the arena's permeability field: the mesh's
+#: (``CartesianMesh3D`` stores rock properties as float64).
+PERMEABILITY_DTYPE = np.dtype(np.float64)
 
 
 def _align8(offset: int) -> int:
@@ -99,8 +109,11 @@ class HaloLayout:
         field_bytes = nz * ny * nx * self.dtype.itemsize
         self.pressure_offsets = (0, _align8(field_bytes))
         self.residual_offset = _align8(self.pressure_offsets[1] + field_bytes)
-        # one uint64 heartbeat counter per rank, after the residual field
-        self.heartbeat_offset = _align8(self.residual_offset + field_bytes)
+        self.permeability_offset = _align8(self.residual_offset + field_bytes)
+        # one uint64 heartbeat counter per rank, after the permeability
+        self.heartbeat_offset = _align8(
+            self.permeability_offset + nz * ny * nx * PERMEABILITY_DTYPE.itemsize
+        )
         heartbeat_bytes = self.px * self.py * SEQ_BYTES
         offset = _align8(self.heartbeat_offset + heartbeat_bytes)
         slots: list[LinkSlot] = []

@@ -16,10 +16,15 @@ with the warm pool neither happens per *problem* either:
   reservoir, ships each its :class:`~repro.par.worker.WorkerSpec` via a
   ``("setup", spec)`` command (the one-time state build, executed in
   parallel across workers), then drives applications with ``("run",)``
-  commands.  ``shutdown()`` tears the problem state down and releases
-  the workers back to the reservoir; ``terminate()`` (the crash path)
-  kills them instead — a worker that crashed or may hold wedged state
-  never re-enters the reservoir.
+  commands.  A spec is a couple of KB of plain values — rank slice,
+  arena name and map, mesh geometry, fluid, fault plan — so the sends
+  do not serialise the workers' builds: the mesh's permeability, the
+  one large input, is already in the shared arena (the parent writes
+  it before the first ``setup``), and its porosity is not needed.
+  ``shutdown()`` tears the problem state down and releases the workers
+  back to the reservoir; ``terminate()`` (the crash path) kills them
+  instead — a worker that crashed or may hold wedged state never
+  re-enters the reservoir.
 
 The collect loop polls each pipe in short slices interleaved with
 liveness checks, so a worker that died (injected kill, OOM, organic
@@ -28,9 +33,12 @@ crash) surfaces as a structured
 instead of hanging the parent until a timeout.
 
 ``fork`` is preferred (no re-import cost); everything is pickle-clean
-so ``spawn`` works where fork is unavailable.  Workers are daemons:
-they can never outlive the parent process, and idle reservoir workers
-cost one sleeping process each until :func:`shutdown_warm_pool`.
+so ``spawn`` works where fork is unavailable (a cold interpreter then
+imports the worker module and attaches the arena, permeability region
+included, by name; ``tests/par/test_warm_pool.py`` runs that path).
+Workers are daemons: they can never outlive the parent process, and
+idle reservoir workers cost one sleeping process each until
+:func:`shutdown_warm_pool`.
 """
 
 from __future__ import annotations

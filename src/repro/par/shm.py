@@ -22,7 +22,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.par.layout import NUM_PARITIES, HaloLayout, LinkSlot
+from repro.par.layout import NUM_PARITIES, PERMEABILITY_DTYPE, HaloLayout, LinkSlot
 
 __all__ = ["SharedArena"]
 
@@ -78,6 +78,13 @@ class SharedArena:
             (nz, ny, nx), dtype=layout.dtype, buffer=buf,
             offset=layout.residual_offset,
         )
+        #: Global permeability: the parent fills it once, right after
+        #: creating the arena; every attached view is read-only.
+        self.permeability = np.ndarray(
+            (nz, ny, nx), dtype=PERMEABILITY_DTYPE, buffer=buf,
+            offset=layout.permeability_offset,
+        )
+        self.permeability.flags.writeable = create
         #: Per-rank liveness counters (workers bump; parent reads).
         #: Zero-initialized by the OS on create.
         self.heartbeats = np.ndarray(
@@ -194,6 +201,7 @@ class SharedArena:
         self._payloads = {}
         self._pressures = ()
         self.residual = None
+        self.permeability = None
         self.heartbeats = None
         if self._finalizer is not None:
             self._finalizer()  # close + unlink, idempotent

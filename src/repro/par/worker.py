@@ -7,12 +7,19 @@ number of flux applications — and any number of *problems* — without
 ever being respawned:
 
 * ``("ping",)`` → ``("pong", pid)`` — liveness probe;
-* ``("setup", WorkerSpec)`` → ``("ready", pid)`` — build the rank
-  program over this worker's ranks (:class:`~repro.cluster.flux.RankSet`:
-  flat kernels with their padded pressure and transmissibility arrays,
-  one shared workspace, strip views) once and attach the shared arena.
-  This is the one-time prologue that warm pooling amortizes: only
-  pressure payloads flow per application afterwards;
+* ``("setup", WorkerSpec)`` → ``("ready", pid)`` — attach the shared
+  arena and build the rank program over this worker's ranks
+  (:class:`~repro.cluster.flux.RankSet`: flat kernels with their padded
+  pressure and transmissibility arrays, one shared workspace, strip
+  views) once.  The spec carries no array: the global mesh's geometry
+  (:data:`GEOMETRY`) comes in it, the permeability is the arena's
+  region, which the parent wrote before sending ``setup`` and nobody
+  writes after (the send is the happens-before), and each rank's
+  padded block is cut from it by the cluster backend's
+  ``BlockDecomposition.local_mesh``.  Porosity is not shipped: the flux
+  reads permeability alone.  This is the one-time prologue that warm
+  pooling amortizes: only pressure payloads flow per application
+  afterwards;
 * ``("run",)`` → ``("ok", payload)`` — one flux application;
 * ``("teardown",)`` → ``("released", pid)`` — drop the application
   state (detach the arena) and go idle, ready for the next ``setup``;
@@ -47,6 +54,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.core.fluid import FluidProperties
 from repro.core.mesh import CartesianMesh3D
@@ -59,11 +67,26 @@ from repro.par.comm import ProcComm
 from repro.par.layout import HaloLayout
 from repro.par.shm import SharedArena
 
-__all__ = ["WorkerSpec", "worker_main", "KILL_EXIT_CODE"]
+__all__ = ["GEOMETRY", "WorkerSpec", "worker_main", "KILL_EXIT_CODE", "mesh_geometry"]
 
 #: Exit code of a worker killed by an injected rank failure — lets the
 #: parent (and tests) tell an injected crash from an organic one.
 KILL_EXIT_CODE = 73
+
+#: The :class:`~repro.core.mesh.CartesianMesh3D` fields a
+#: :class:`WorkerSpec` carries: everything
+#: :meth:`~repro.cluster.decomposition.BlockDecomposition.local_mesh`
+#: reads of the global mesh but its permeability.
+GEOMETRY = ("nx", "ny", "nz", "dx", "dy", "dz", "origin", "dz_layers")
+
+
+def mesh_geometry(mesh: CartesianMesh3D) -> dict:
+    """*mesh*'s :data:`GEOMETRY` as plain Python values (no arrays)."""
+    geometry = {name: getattr(mesh, name) for name in GEOMETRY}
+    geometry["origin"] = tuple(mesh.origin)
+    if mesh.dz_layers is not None:
+        geometry["dz_layers"] = tuple(mesh.dz_layers.tolist())
+    return geometry
 
 
 @dataclass
@@ -74,7 +97,16 @@ class WorkerSpec:
     ranks: tuple[int, ...]
     arena_name: str
     layout: HaloLayout
-    mesh: CartesianMesh3D
+    #: The global mesh's geometry (:data:`GEOMETRY`); its permeability
+    #: is the arena's shared field, and porosity is not shipped.
+    nx: int
+    ny: int
+    nz: int
+    dx: float
+    dy: float
+    dz: float
+    origin: tuple[float, float, float]
+    dz_layers: tuple[float, ...] | None
     fluid: FluidProperties
     px: int
     py: int
@@ -94,6 +126,16 @@ class WorkerSpec:
     #: re-dying on the same exchange.
     attempt_offset: int = 0
 
+    def global_mesh(self, permeability) -> SimpleNamespace:
+        """The global mesh as ``BlockDecomposition`` reads it: this
+        spec's geometry over *permeability* (the arena's shared field).
+        No cell array is built or copied here; ``local_mesh`` copies
+        each padded block."""
+        return SimpleNamespace(
+            **{name: getattr(self, name) for name in GEOMETRY},
+            permeability=permeability,
+        )
+
 
 def _record(recorder: SpanRecorder, name: str, start_ns: int,
             end_ns: int, **args) -> None:
@@ -110,12 +152,14 @@ class _AppRuntime:
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
-        self.rank_set = RankSet(
-            BlockDecomposition(spec.mesh, spec.px, spec.py), spec.ranks,
-            spec.fluid, spec.dtype, spec.layout.links,
-        )
         self.arena = SharedArena(spec.layout, name=spec.arena_name,
                                  create=False)
+        self.rank_set = RankSet(
+            BlockDecomposition(spec.global_mesh(self.arena.permeability),
+                               spec.px, spec.py),
+            spec.ranks,
+            spec.fluid, spec.dtype, spec.layout.links,
+        )
 
         self.injector = None
         if spec.plan is not None and spec.plan.rank_failures:

@@ -37,6 +37,16 @@ class TestHaloLayout:
                     >= slot.seq_offsets[parity] + SEQ_BYTES
                 )
 
+    def test_permeability_region_is_float64_and_disjoint(self):
+        for dtype in (np.float32, np.float64):
+            layout, _, _ = make_layout(dtype=dtype)
+            field_bytes = 3 * 8 * 8 * layout.dtype.itemsize
+            assert layout.permeability_offset % 8 == 0
+            assert (layout.permeability_offset
+                    >= layout.residual_offset + field_bytes)
+            assert (layout.heartbeat_offset
+                    >= layout.permeability_offset + 3 * 8 * 8 * 8)
+
     def test_slots_do_not_overlap(self):
         layout, _, _ = make_layout(px=3, py=2, nx=9)
         prev_end = layout.residual_offset + 3 * 8 * 9 * 8
@@ -95,6 +105,23 @@ class TestSharedArena:
                 assert float(other.payload(key, 1).ravel()[0]) == 2.25
                 assert other.seq(key, 0) == 3
                 assert other.seq(key, 1) == 0
+            finally:
+                other.close()
+        finally:
+            arena.close()
+
+    def test_permeability_is_read_only_where_attached(self):
+        layout, _, _ = make_layout(dtype=np.float32)
+        arena = SharedArena(layout, create=True)
+        try:
+            kappa = np.arange(3 * 8 * 8, dtype=np.float64).reshape(3, 8, 8)
+            np.copyto(arena.permeability, kappa)
+            other = SharedArena(layout, name=arena.name, create=False)
+            try:
+                assert other.permeability.dtype == np.float64
+                assert other.permeability.tobytes() == kappa.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    other.permeability[0, 0, 0] = 1.0
             finally:
                 other.close()
         finally:

@@ -6,15 +6,19 @@ workers (distinct PIDs), plus real crash detection and respawn
 recovery under an injected rank failure.
 """
 
+from dataclasses import fields
+from multiprocessing.reduction import ForkingPickler
+
 import numpy as np
 import pytest
 
-from repro.core import FluidProperties, PressureSequence
+from repro.core import CartesianMesh3D, FluidProperties, PressureSequence
+from repro.cluster.decomposition import BlockDecomposition
 from repro.cluster.flux import ClusterFluxComputation
 from repro.faults.errors import WorkerCrashError
 from repro.faults.plan import FaultPlan, RankFailure
 from repro.par import ParClusterFluxComputation
-from repro.par.worker import KILL_EXIT_CODE
+from repro.par.worker import GEOMETRY, KILL_EXIT_CODE
 from repro.workloads import make_geomodel
 
 
@@ -129,3 +133,95 @@ class TestCrashRecovery:
             res = par.run(iter(seq))
         assert res.respawns == 1
         assert np.array_equal(res.residual, ref.residual)
+
+
+#: Meshes on which every geometry field changes the residual's bytes:
+#: non-uniform layers under a shifted origin, and uniform non-default
+#: spacing on every axis.
+GEOMETRIES = {
+    "dz-layers": dict(dx=7.0, dy=12.0, origin=(100.0, -50.0, 1234.5),
+                      dz_layers=(1.0, 2.5, 0.75, 4.0)),
+    "uniform": dict(dx=13.0, dy=6.0, dz=3.5, origin=(-3.0, 8.0, 250.25)),
+}
+
+
+def _capture_specs(monkeypatch, par, pressure):
+    """The specs ``par`` would send, with no worker started."""
+    import repro.par.flux as flux_mod
+
+    captured = []
+
+    class CapturePool:
+        def __init__(self, specs, **kwargs):
+            captured.extend(specs)
+            raise RuntimeError("captured")
+
+    monkeypatch.setattr(flux_mod, "ProcPool", CapturePool)
+    with pytest.raises(RuntimeError, match="captured"):
+        par.run([pressure])
+    return captured
+
+
+class TestShippedGeometry:
+    """A worker rebuilds its blocks from the spec's geometry and the
+    arena's permeability: par == cluster wherever the geometry shows."""
+
+    @pytest.fixture(params=sorted(GEOMETRIES))
+    def mesh(self, request):
+        rng = np.random.default_rng(5)
+        kappa = rng.lognormal(np.log(1e-13), 1.0, size=(4, 5, 7))
+        return CartesianMesh3D(7, 5, 4, permeability=kappa,
+                               **GEOMETRIES[request.param])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uneven_split_matches_cluster(self, mesh, dtype):
+        fluid = FluidProperties()
+        seq = PressureSequence(mesh, num_applications=2, seed=3)
+        ref = ClusterFluxComputation(
+            mesh, fluid, px=2, py=2, dtype=dtype
+        ).run(iter(seq))
+        with ParClusterFluxComputation(
+            mesh, fluid, px=2, py=2, workers=2, dtype=dtype
+        ) as par:
+            res = par.run(iter(seq))
+        assert res.residual.dtype == dtype
+        assert res.residual.tobytes() == ref.residual.tobytes()
+
+    def test_worker_blocks_equal_cluster_blocks(self, mesh, monkeypatch):
+        """Every field of a worker's local mesh is cluster's: a geometry
+        field the spec drops or garbles shows here."""
+        par = ParClusterFluxComputation(
+            mesh, FluidProperties(), px=2, py=2, workers=2
+        )
+        specs = _capture_specs(monkeypatch, par, mesh.full(2e7))
+        decomp = BlockDecomposition(mesh, 2, 2)
+        for spec in specs:
+            assert {f.name for f in fields(spec)} >= set(GEOMETRY)
+            worker = BlockDecomposition(
+                spec.global_mesh(mesh.permeability.copy()), 2, 2
+            )
+            for rank in spec.ranks:
+                ours = worker.local_mesh(worker.block(rank))
+                theirs = decomp.local_mesh(decomp.block(rank))
+                assert ours.shape_zyx == theirs.shape_zyx
+                assert ours.spacing == theirs.spacing
+                assert ours.origin == theirs.origin
+                for name in ("permeability", "elevation", "dz_column"):
+                    assert (getattr(ours, name).tobytes()
+                            == getattr(theirs, name).tobytes()), name
+
+
+class TestSetupPayload:
+    def test_setup_message_ships_no_array(self, monkeypatch):
+        """The pickled ``("setup", spec)`` is plain values: under 64 KiB
+        at 128x128x16, where the whole mesh pickled to 6.3 MB."""
+        mesh = CartesianMesh3D(128, 128, 16)
+        par = ParClusterFluxComputation(
+            mesh, FluidProperties(), px=2, py=2, workers=2
+        )
+        specs = _capture_specs(monkeypatch, par, mesh.full(2e7))
+        assert len(specs) == 2
+        for spec in specs:
+            assert not any(isinstance(getattr(spec, f.name), np.ndarray)
+                           for f in fields(spec))
+            assert len(ForkingPickler.dumps(("setup", spec))) < 64 * 1024

@@ -202,3 +202,32 @@ class TestUnrecoveredCrash:
         assert not os.path.exists(f"/dev/shm/{segment}")
         assert fresh_reservoir.idle_count == 0
         assert all(not h.proc.is_alive() for h in handles)
+
+
+class TestSpawnStartMethod:
+    def test_spawned_workers_match_cluster(
+        self, problem, fresh_reservoir, monkeypatch
+    ):
+        """Where fork is unavailable a cold interpreter imports the
+        worker, unpickles its spec and attaches the arena (permeability
+        region included) by name: same bytes, nothing left in /dev/shm."""
+        import multiprocessing as mp
+
+        import repro.par.runtime as runtime
+
+        monkeypatch.setattr(runtime, "_context",
+                            lambda: mp.get_context("spawn"))
+        mesh, fluid, seq = problem
+        ref = ClusterFluxComputation(mesh, fluid, px=2, py=2).run(
+            [seq.field(0)]
+        )
+        with ParClusterFluxComputation(
+            mesh, fluid, px=2, py=2, workers=2
+        ) as par:
+            res = par.run([seq.field(0)])
+            segment = par._arena.name
+            kinds = {type(h.proc).__name__ for h in par._pool.handles}
+        assert kinds == {"SpawnProcess"}
+        assert res.distinct_pids == 2
+        assert res.residual.tobytes() == ref.residual.tobytes()
+        assert not os.path.exists(f"/dev/shm/{segment}")
