@@ -181,7 +181,7 @@ def get_backend(name: str) -> Backend:
 
 def release(driver) -> None:
     """Free what *driver* holds beyond its arrays (par: the worker pool
-    and the shared-memory segment); a no-op for the in-process drivers."""
+    and the shared arena); a no-op for the in-process drivers."""
     close = getattr(driver, "close", None)
     if close is not None:
         close()

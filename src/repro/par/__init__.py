@@ -5,7 +5,8 @@ loop serially in one process, so its weak-scaling numbers
 are *modelled*.  This package supplies the missing execution substrate:
 ranks of a :class:`~repro.cluster.decomposition.BlockDecomposition` are
 sharded across ``multiprocessing`` workers that exchange halos through
-``multiprocessing.shared_memory`` buffers with per-link sequence
+one anonymous shared memory file (Linux ``memfd_create``, its
+descriptor passed over the worker pipes) with per-link sequence
 numbers, following the same deadlock-free all-send-then-all-receive
 phase schedule — so compute/wait/exchange splits and parallel
 efficiency are *measured* wall-clock quantities.
@@ -16,7 +17,7 @@ Pieces:
   global pressure/residual field pair plus one fixed slot (8-byte
   sequence header + payload) per directed halo link;
 * :mod:`repro.par.shm` — :class:`SharedArena`, the owning/attaching
-  wrapper around one ``SharedMemory`` segment with numpy views;
+  wrapper around that memory file's mapping with numpy views;
 * :mod:`repro.par.comm` — :class:`ProcComm`, the
   :class:`~repro.cluster.comm.HaloComm` implementation over arena
   slots (spin-with-yield receives, per-rank :class:`RankStats`,

@@ -52,7 +52,7 @@ class ProcComm(HaloComm):
     Parameters
     ----------
     layout, arena:
-        The shared map and an attached segment for it.
+        The shared map and an arena mapped for it.
     ranks:
         Ranks executed by this process (sends originate only from
         these; receives land only on these).

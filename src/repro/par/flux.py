@@ -242,7 +242,6 @@ class ParClusterFluxComputation:
                 WorkerSpec(
                     index=i,
                     ranks=tuple(range(lo, hi)),
-                    arena_name=self._arena.name,
                     layout=self.layout,
                     **self._geometry,
                     fluid=self.fluid,
@@ -277,13 +276,14 @@ class ParClusterFluxComputation:
                 # build in parallel across them
                 self._pool = ProcPool(
                     self._specs(),
+                    arena_fd=self._arena.fd,
                     liveness=self._liveness,
                     lease_seconds=self.lease_seconds,
                     attempt=self._respawns,
                 )
             except BaseException:
-                # nothing usable was set up — release the segment now
-                # instead of leaking it until interpreter exit
+                # nothing usable was set up — release the arena now
+                # instead of holding its memory until interpreter exit
                 self._arena.close()
                 self._arena = None
                 raise
@@ -303,6 +303,7 @@ class ParClusterFluxComputation:
         self._arena.reset_seqs(self._exchanges_done)
         self._pool = ProcPool(
             self._specs(attempt_offset=self._respawns),
+            arena_fd=self._arena.fd,
             liveness=self._liveness,
             lease_seconds=self.lease_seconds,
             attempt=self._respawns,
@@ -433,7 +434,7 @@ class ParClusterFluxComputation:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Stop the workers and release the shared segment."""
+        """Stop the workers and release the shared arena."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None

@@ -2,8 +2,8 @@
 
 Both the parent and every worker derive the identical
 :class:`HaloLayout` from ``(mesh shape, px, py, dtype)``, so no offsets
-ever travel between processes — only the segment name does.  The
-segment holds, in order:
+ever travel between processes — only the arena's file descriptor
+does.  The arena holds, in order:
 
 * **two** global **pressure** fields, one per application parity — the
   parent writes application ``k``'s pressures into slot ``k % 2``,
@@ -72,7 +72,7 @@ def _align8(offset: int) -> int:
 
 @dataclass(frozen=True)
 class LinkSlot:
-    """One halo link's fixed regions (both parities) in the segment."""
+    """One halo link's fixed regions (both parities) in the arena."""
 
     link: HaloLink
     seq_offsets: tuple[int, int]

@@ -14,13 +14,15 @@ with the warm pool neither happens per *problem* either:
   the same OS processes — ``spawn once, ship work over pipes``.
 * :class:`ProcPool` is the per-problem view: it leases workers from the
   reservoir, ships each its :class:`~repro.par.worker.WorkerSpec` via a
-  ``("setup", spec)`` command (the one-time state build, executed in
-  parallel across workers), then drives applications with ``("run",)``
-  commands.  A spec is a couple of KB of plain values — rank slice,
-  arena name and map, mesh geometry, fluid, fault plan — so the sends
-  do not serialise the workers' builds: the mesh's permeability, the
-  one large input, is already in the shared arena (the parent writes
-  it before the first ``setup``), and its porosity is not needed.
+  ``("setup", spec)`` command followed by the shared arena's file
+  descriptor (:func:`multiprocessing.reduction.send_handle` over the
+  same socketpair; the one-time state build then runs in parallel
+  across workers), and drives applications with ``("run",)`` commands.
+  A spec is a couple of KB of plain values — rank slice, arena map,
+  mesh geometry, fluid, fault plan — so the sends do not serialise the
+  workers' builds: the mesh's permeability, the one large input, is
+  already in the shared arena (the parent writes it before the first
+  ``setup``), and its porosity is not needed.
   ``shutdown()`` tears the problem state down and releases the workers
   back to the reservoir; ``terminate()`` (the crash path) kills them
   instead — a worker that crashed or may hold wedged state never
@@ -34,8 +36,9 @@ instead of hanging the parent until a timeout.
 
 ``fork`` is preferred (no re-import cost); everything is pickle-clean
 so ``spawn`` works where fork is unavailable (a cold interpreter then
-imports the worker module and attaches the arena, permeability region
-included, by name; ``tests/par/test_warm_pool.py`` runs that path).
+imports the worker module and maps the arena, permeability region
+included, from the descriptor it is sent; ``tests/par/test_warm_pool.py``
+runs that path).
 Workers are daemons: they can never outlive the parent process, and
 idle reservoir workers cost one sleeping process each until
 :func:`shutdown_warm_pool`.
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from multiprocessing.reduction import send_handle
 
 from repro.faults.errors import WorkerCrashError, WorkerLeaseExpiredError
 from repro.par.worker import WorkerSpec, worker_main
@@ -201,7 +205,9 @@ class ProcPool:
     """A fixed set of SPMD workers leased from a warm reservoir.
 
     Construction leases (or spawns) one worker per spec, ships the
-    specs, and waits for every ``("ready", pid)`` ack — the per-problem
+    specs, each followed by *arena_fd* (the
+    :class:`~repro.par.shm.SharedArena` descriptor), and waits for
+    every ``("ready", pid)`` ack — the per-problem
     state build runs in parallel across the workers.  If anything goes
     wrong mid-setup (a spec that fails to pickle, a worker that dies
     building its state), every leased worker is killed before the
@@ -213,6 +219,7 @@ class ProcPool:
         self,
         specs: list[WorkerSpec],
         *,
+        arena_fd: int,
         reservoir: WarmPool | None = None,
         setup_timeout_seconds: float = 120.0,
         liveness=None,
@@ -234,6 +241,7 @@ class ProcPool:
             self.handles = self._reservoir.lease(len(self.specs))
             for spec, handle in zip(self.specs, self.handles):
                 handle.conn.send(("setup", spec))
+                send_handle(handle.conn, arena_fd, handle.proc.pid)
             self._gather("ready", phase="setup",
                          timeout_seconds=setup_timeout_seconds)
         except BaseException:

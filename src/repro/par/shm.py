@@ -1,24 +1,26 @@
-"""One shared-memory segment per SPMD run, with typed numpy views.
+"""One anonymous shared memory file per SPMD run, with typed numpy views.
 
-The parent *owns* the segment (``create=True``): it allocates, repairs
-sequence headers across respawns, and unlinks at shutdown.  Workers
-*attach* by name and immediately unregister from the
-``resource_tracker`` — the stdlib registers every attach and would
-otherwise unlink the segment when the first worker exits (the
-long-standing bpo-38119 behaviour); ownership stays with the parent.
+The parent *owns* the arena (``create=True``): it makes a Linux memory
+file (``memfd_create``), sizes and maps it, and repairs sequence headers
+across respawns.  Workers *attach* to the file descriptor the parent
+sends them over their pipe right after ``setup``
+(:mod:`repro.par.runtime`): the arena maps it and closes it.
 
-The owner additionally arms a :func:`weakref.finalize` on itself, so a
-segment whose arena is dropped without :meth:`SharedArena.close` — a
-``ProcPool`` spawn that blew up halfway, a ``WorkerCrashError`` that
-unwound past the cleanup, plain garbage collection, or interpreter exit
-(``finalize`` registers with ``atexit``) — is still unlinked from
-``/dev/shm`` instead of leaking until reboot.
+Nothing is ever named in ``/dev/shm``, so nothing needs unlinking and
+no resource tracker is needed: the kernel frees the memory when its
+last holder exits, on any exit, a SIGKILLed parent included (its
+orphaned workers exit at their next parent check).  The owner's
+descriptor is closed by :meth:`SharedArena.close`, or by a
+:func:`weakref.finalize` when an arena is dropped without it.  Linux
+only: where ``os.memfd_create`` is missing, creating an arena raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import weakref
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -26,45 +28,41 @@ from repro.par.layout import NUM_PARITIES, PERMEABILITY_DTYPE, HaloLayout, LinkS
 
 __all__ = ["SharedArena"]
 
-
-def _cleanup_segment(shm: shared_memory.SharedMemory) -> None:
-    """Best-effort close-and-unlink used by owner teardown paths.
-
-    ``close()`` can raise ``BufferError`` when some view into the
-    mapping is still alive; the *unlink* must still happen — removing
-    the ``/dev/shm`` name is what prevents the leak, and the mapping
-    itself lives only until the process exits anyway.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
+#: Name of every arena's memory file, as ``/proc/<pid>/fd`` shows it
+#: (``/memfd:repro-par-arena (deleted)``); the kernel adds no uniqueness.
+MEMFD_NAME = "repro-par-arena"
 
 
 class SharedArena:
-    """Typed views over one :class:`HaloLayout`-shaped shared segment."""
+    """Typed views over one :class:`HaloLayout`-shaped shared memory file.
+
+    ``SharedArena(layout, create=True)`` creates it; ``SharedArena(layout,
+    fd=fd)`` maps a received descriptor of it and closes that descriptor.
+    """
 
     def __init__(
-        self, layout: HaloLayout, *, name: str | None = None, create: bool = False
+        self, layout: HaloLayout, *, fd: int | None = None, create: bool = False
     ) -> None:
         self.layout = layout
-        self.owner = create
+        #: The owner's descriptor, which the pool sends to each worker
+        #: (``None`` in an attached arena).
+        self.fd = None
+        self._close_fd = None
         if create:
-            self.shm = shared_memory.SharedMemory(
-                name=name, create=True, size=layout.total_bytes
-            )
-            self._finalizer = weakref.finalize(
-                self, _cleanup_segment, self.shm
-            )
-        else:
-            self.shm = self._attach_untracked(name, layout.total_bytes)
-            self._finalizer = None
+            if not hasattr(os, "memfd_create"):
+                raise RuntimeError(
+                    "repro.par needs os.memfd_create (Linux) for its "
+                    "shared arena"
+                )
+            fd = self.fd = os.memfd_create(MEMFD_NAME, os.MFD_CLOEXEC)
+            self._close_fd = weakref.finalize(self, os.close, fd)
+            os.ftruncate(fd, layout.total_bytes)
+        # mmap keeps a duplicate of the descriptor for itself
+        self._mmap = mmap.mmap(fd, layout.total_bytes)
+        if not create:
+            os.close(fd)
         nz, ny, nx = layout.shape_zyx
-        buf = self.shm.buf
+        buf = self._mmap
         #: Per-parity global pressure fields (parent writes application
         #: ``k`` into parity ``k % 2`` before issuing it).
         self._pressures = tuple(
@@ -105,33 +103,6 @@ class SharedArena:
                 )
                 for off in slot.payload_offsets
             )
-
-    @staticmethod
-    def _attach_untracked(name: str, size: int) -> shared_memory.SharedMemory:
-        """Attach without registering with the ``resource_tracker``.
-
-        The stdlib registers *every* attach as an ownership claim (the
-        bpo-38119 behaviour); with several workers sharing the parent's
-        forked tracker, the N attach registrations collapse into one set
-        entry and the N matching unregisters then spray KeyErrors at
-        shutdown.  Ownership lives solely with the creating parent —
-        its ``unlink()`` already unregisters — so attaching processes
-        simply skip registration.
-        """
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _skip_shared_memory(rname, rtype):
-            if rtype != "shared_memory":  # pragma: no cover - unused types
-                original(rname, rtype)
-
-        resource_tracker.register = _skip_shared_memory
-        try:
-            return shared_memory.SharedMemory(name=name, create=False,
-                                              size=size)
-        finally:
-            resource_tracker.register = original
 
     # ------------------------------------------------------------------ #
     def pressure(self, parity: int) -> np.ndarray:
@@ -194,7 +165,7 @@ class SharedArena:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the local mapping (owner also unlinks the segment)."""
+        """Release the local mapping and, on the owner, its descriptor."""
         # numpy views keep exported pointers into the mmap; drop them
         # before closing or mmap.close() raises BufferError
         self._seqs = {}
@@ -203,14 +174,9 @@ class SharedArena:
         self.residual = None
         self.permeability = None
         self.heartbeats = None
-        if self._finalizer is not None:
-            self._finalizer()  # close + unlink, idempotent
-            return
         try:
-            self.shm.close()
+            self._mmap.close()
         except BufferError:  # pragma: no cover - stray external view
             pass
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
+        if self._close_fd is not None:
+            self._close_fd()  # idempotent

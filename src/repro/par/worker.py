@@ -7,8 +7,9 @@ number of flux applications — and any number of *problems* — without
 ever being respawned:
 
 * ``("ping",)`` → ``("pong", pid)`` — liveness probe;
-* ``("setup", WorkerSpec)`` → ``("ready", pid)`` — attach the shared
-  arena and build the rank program over this worker's ranks
+* ``("setup", WorkerSpec)`` then the shared arena's file descriptor
+  → ``("ready", pid)`` — map the arena, close the descriptor and build
+  the rank program over this worker's ranks
   (:class:`~repro.cluster.flux.RankSet`: flat kernels with their padded
   pressure and transmissibility arrays, one shared workspace, strip
   views) once.  The spec carries no array: the global mesh's geometry
@@ -22,7 +23,7 @@ ever being respawned:
   afterwards;
 * ``("run",)`` → ``("ok", payload)`` — one flux application;
 * ``("teardown",)`` → ``("released", pid)`` — drop the application
-  state (detach the arena) and go idle, ready for the next ``setup``;
+  state (unmap the arena) and go idle, ready for the next ``setup``;
 * ``("quit",)`` — exit.
 
 One worker executes one or more contiguous ranks of the decomposition.
@@ -54,6 +55,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass
+from multiprocessing.reduction import recv_handle
 from types import SimpleNamespace
 
 from repro.core.fluid import FluidProperties
@@ -95,7 +97,6 @@ class WorkerSpec:
 
     index: int
     ranks: tuple[int, ...]
-    arena_name: str
     layout: HaloLayout
     #: The global mesh's geometry (:data:`GEOMETRY`); its permeability
     #: is the arena's shared field, and porosity is not shipped.
@@ -150,10 +151,9 @@ def _record(recorder: SpanRecorder, name: str, start_ns: int,
 class _AppRuntime:
     """Per-``setup`` state: the rank program, arena, communicator."""
 
-    def __init__(self, spec: WorkerSpec) -> None:
+    def __init__(self, spec: WorkerSpec, arena_fd: int) -> None:
         self.spec = spec
-        self.arena = SharedArena(spec.layout, name=spec.arena_name,
-                                 create=False)
+        self.arena = SharedArena(spec.layout, fd=arena_fd)
         self.rank_set = RankSet(
             BlockDecomposition(spec.global_mesh(self.arena.permeability),
                                spec.px, spec.py),
@@ -305,8 +305,8 @@ def _command_loop(conn) -> None:
         # parent died.  A pipe EOF is not enough: under ``fork`` a
         # later-spawned sibling inherits this pipe's parent end, so a
         # SIGKILLed parent leaves the pipe open — the reparenting check
-        # is what lets every worker (and with them the resource
-        # tracker's segment registrations) wind down.
+        # is what lets every worker wind down, and with the last holder
+        # of the arena's memory file gone the kernel frees it.
         while not conn.poll(0.5):
             if os.getppid() != parent:
                 os._exit(2)
@@ -319,7 +319,7 @@ def _command_loop(conn) -> None:
         elif op == "setup":
             if app is not None:  # pragma: no cover - defensive re-setup
                 app.close()
-            app = _AppRuntime(cmd[1])
+            app = _AppRuntime(cmd[1], recv_handle(conn))
             conn.send(("ready", os.getpid()))
         elif op == "teardown":
             if app is not None:

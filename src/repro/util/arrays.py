@@ -99,10 +99,10 @@ def broadcast_to_shape(
     """Broadcast a scalar or array *value* to a dense array of *shape*.
 
     Scalars become constant fields; arrays must already match *shape*.
-    A fresh writable array is always returned.
+    A fresh, writable, C-contiguous array is always returned, copied
+    once whatever the input's strides or dtype.
     """
-    arr = np.asarray(value, dtype=dtype)
+    arr = np.array(value, dtype=dtype, order="C")
     if arr.ndim == 0:
-        return np.full(tuple(shape), float(arr), dtype=dtype)
-    check_shape(arr, shape, name=name)
-    return np.ascontiguousarray(arr, dtype=dtype).copy()
+        return np.full(tuple(shape), arr, dtype=dtype)
+    return check_shape(arr, shape, name=name)

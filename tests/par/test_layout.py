@@ -1,5 +1,6 @@
 """Unit tests for the shared-memory layout and arena."""
 
+import os
 import pickle
 
 import numpy as np
@@ -96,8 +97,8 @@ class TestSharedArena:
             assert arena.seq(key, 0) == 0
             arena.set_seq(key, 0, 3)
             assert arena.seq(key, 1) == 0  # parities are independent
-            # a second attachment sees the same bytes
-            other = SharedArena(layout, name=arena.name, create=False)
+            # a second mapping of the descriptor sees the same bytes
+            other = SharedArena(layout, fd=os.dup(arena.fd))
             try:
                 assert float(other.pressure(0)[0, 0, 0]) == 7.5
                 assert float(other.pressure(1)[0, 0, 0]) == 8.5
@@ -116,7 +117,7 @@ class TestSharedArena:
         try:
             kappa = np.arange(3 * 8 * 8, dtype=np.float64).reshape(3, 8, 8)
             np.copyto(arena.permeability, kappa)
-            other = SharedArena(layout, name=arena.name, create=False)
+            other = SharedArena(layout, fd=os.dup(arena.fd))
             try:
                 assert other.permeability.dtype == np.float64
                 assert other.permeability.tobytes() == kappa.tobytes()
@@ -151,23 +152,38 @@ class TestSharedArena:
         finally:
             arena.close()
 
-    def test_owner_unlinks(self):
+    def test_close_releases_fd(self, arena_holders):
         layout, _, _ = make_layout()
         arena = SharedArena(layout, create=True)
-        name = arena.name
+        inode = os.fstat(arena.fd).st_ino
+        assert arena_holders(inode)
         arena.close()
-        from multiprocessing import shared_memory
+        assert arena_holders(inode) == []
 
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
-
-    def test_finalizer_unlinks_without_close(self):
-        """An arena dropped without close() must not leak the segment."""
+    def test_dropped_arena_releases_fd(self, arena_holders):
+        """An arena dropped without close() must not hold its memory."""
         layout, _, _ = make_layout()
         arena = SharedArena(layout, create=True)
-        name = arena.name
-        arena._finalizer()  # what gc / atexit would run
-        from multiprocessing import shared_memory
+        inode = os.fstat(arena.fd).st_ino
+        del arena
+        assert arena_holders(inode) == []
 
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
+    def test_attach_closes_the_received_fd(self, arena_holders):
+        layout, _, _ = make_layout()
+        arena = SharedArena(layout, create=True)
+        try:
+            inode = os.fstat(arena.fd).st_ino
+            held = len(arena_holders(inode))
+            other = SharedArena(layout, fd=os.dup(arena.fd))
+            # the mapping keeps one descriptor; the received one is closed
+            assert len(arena_holders(inode)) == held + 1
+            other.close()
+            assert len(arena_holders(inode)) == held
+        finally:
+            arena.close()
+
+    def test_missing_memfd_create_raises(self, monkeypatch):
+        monkeypatch.delattr(os, "memfd_create")
+        layout, _, _ = make_layout()
+        with pytest.raises(RuntimeError, match="os.memfd_create"):
+            SharedArena(layout, create=True)

@@ -182,7 +182,7 @@ class TestUnrecoveredCrash:
         ids=["exit", "hang"],
     )
     def test_close_is_prompt_and_leaves_nothing_behind(
-        self, problem, fresh_reservoir, options
+        self, problem, fresh_reservoir, options, arena_holders
     ):
         mesh, fluid, seq = problem
         plan = FaultPlan(
@@ -195,22 +195,24 @@ class TestUnrecoveredCrash:
         )
         with pytest.raises(WorkerCrashError):
             par.run(iter(seq))
-        segment, handles = par._arena.name, par._pool.handles
+        inode = os.fstat(par._arena.fd).st_ino
+        handles = par._pool.handles
         started = time.perf_counter()
         par.close()
         assert time.perf_counter() - started < 2.0
-        assert not os.path.exists(f"/dev/shm/{segment}")
+        assert arena_holders(inode) == []
         assert fresh_reservoir.idle_count == 0
         assert all(not h.proc.is_alive() for h in handles)
 
 
 class TestSpawnStartMethod:
     def test_spawned_workers_match_cluster(
-        self, problem, fresh_reservoir, monkeypatch
+        self, problem, fresh_reservoir, monkeypatch, arena_holders
     ):
         """Where fork is unavailable a cold interpreter imports the
-        worker, unpickles its spec and attaches the arena (permeability
-        region included) by name: same bytes, nothing left in /dev/shm."""
+        worker, unpickles its spec and maps the arena (permeability
+        region included) from the descriptor sent after it: same bytes,
+        and once the workers are released nobody holds the arena."""
         import multiprocessing as mp
 
         import repro.par.runtime as runtime
@@ -225,9 +227,13 @@ class TestSpawnStartMethod:
             mesh, fluid, px=2, py=2, workers=2
         ) as par:
             res = par.run([seq.field(0)])
-            segment = par._arena.name
+            inode = os.fstat(par._arena.fd).st_ino
             kinds = {type(h.proc).__name__ for h in par._pool.handles}
+            assert {pid for pid, _ in arena_holders(inode)} >= set(
+                par._pool.pids()
+            )
         assert kinds == {"SpawnProcess"}
         assert res.distinct_pids == 2
         assert res.residual.tobytes() == ref.residual.tobytes()
-        assert not os.path.exists(f"/dev/shm/{segment}")
+        assert fresh_reservoir.idle_count == 2  # released warm ...
+        assert arena_holders(inode) == []  # ... with the arena unmapped

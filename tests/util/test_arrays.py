@@ -110,3 +110,25 @@ class TestBroadcastToShape:
     def test_array_mismatch(self):
         with pytest.raises(ValueError, match="expected shape"):
             broadcast_to_shape(np.zeros((2, 2)), (2, 3))
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_one_fresh_contiguous_copy(self, strided):
+        """Strided or not, the input is copied once, into a C-contiguous,
+        writable array that shares no memory with it."""
+        import tracemalloc
+
+        base = np.arange(2 * 64 * 64, dtype=np.float64).reshape(2, 64, 64)
+        src = base[:, ::2, 1::2] if strided else base[:, :32, :32].copy()
+        base.flags.writeable = False
+        src.flags.writeable = False
+        tracemalloc.start()
+        try:
+            out = broadcast_to_shape(src, (2, 32, 32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, src)
+        np.testing.assert_array_equal(out, src)
+        # one array's bytes (plus a little bookkeeping), not two
+        assert out.nbytes <= peak < 2 * out.nbytes
