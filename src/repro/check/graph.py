@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.check.findings import Finding, Severity
 from repro.wse.fabric import Fabric
 from repro.wse.geometry import OFFSET, OPPOSITE, Port
-from repro.wse.router import Router
+from repro.wse.router import ColorConfig
 
 __all__ = ["Channel", "ChannelGraph", "build_channel_graph", "find_deadlocks"]
 
@@ -113,9 +113,9 @@ def _link_dest(
     return None
 
 
-def _union_routes(router: Router, color: int) -> dict[Port, set[Port]]:
-    """``in_port -> union of output ports`` over all switch positions."""
-    cfg = router.configs.get(color)
+def _union_routes(cfg: ColorConfig | None) -> dict[Port, set[Port]]:
+    """``in_port -> union of output ports`` over all switch positions of
+    one router's schedule (None: the router does not route the color)."""
     if cfg is None:
         return {}
     merged: dict[Port, set[Port]] = {}
@@ -133,8 +133,8 @@ def build_channel_graph(fabric: Fabric, color: int) -> ChannelGraph:
 
     # route entries, resolved once per router
     tables = {
-        coord: _union_routes(router, color)
-        for coord, router in fabric.router_map.items()
+        (index % width, index // width): _union_routes(cfg)
+        for index, cfg in enumerate(fabric.color_configs(color))
     }
 
     # every channel the route tables claim: seeded from a RAMP or named

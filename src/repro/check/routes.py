@@ -47,16 +47,24 @@ def _fmt(coord: tuple[int, int], port: Port) -> str:
     return f"({coord[0]},{coord[1]})->{port.name}"
 
 
+def _schedules(fabric: Fabric, color: int) -> list:
+    """``(coord, schedule)`` of every router routing *color*, in
+    coordinate order (``x`` first)."""
+    width, configs = fabric.width, fabric.color_configs(color)
+    return [
+        ((x, y), configs[y * width + x])
+        for x in range(width)
+        for y in range(fabric.height)
+        if configs[y * width + x] is not None
+    ]
+
+
 def check_color_conflicts(
     fabric: Fabric, color: int, *, color_name: str | None = None
 ) -> list[Finding]:
     """Two input ports merging onto one output link in one position."""
     findings: list[Finding] = []
-    for coord in sorted(fabric.router_map):
-        router = fabric.router_map[coord]
-        cfg = router.configs.get(color)
-        if cfg is None:
-            continue
+    for coord, cfg in _schedules(fabric, color):
         for pos_i, pos in enumerate(cfg.positions):
             claimed: dict[Port, list[Port]] = {}
             for in_port, outs in sorted(pos.items()):
@@ -187,10 +195,8 @@ def check_switch_schedules(
         graph = build_channel_graph(fabric, color)
     arrivals = graph.arrivals()
     findings: list[Finding] = []
-    for coord in sorted(fabric.router_map):
-        router = fabric.router_map[coord]
-        cfg = router.configs.get(color)
-        if cfg is None or len(cfg.positions) < 2:
+    for coord, cfg in _schedules(fabric, color):
+        if len(cfg.positions) < 2:
             continue
         distinct = {
             tuple(sorted((p, tuple(outs)) for p, outs in pos.items()))

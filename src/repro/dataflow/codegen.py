@@ -91,9 +91,9 @@ def generate_listing(program: FluxProgram) -> str:
             "even distance": None,
             "odd distance": None,
         }
-        for pe in program.fabric.pes():
-            router = program.fabric.router(*pe.coord)
-            cfg = router.configs[color]
+        for cfg in program.fabric.color_configs(color):
+            if cfg is None:  # a bypassed column
+                continue
             if cfg.positions[0] == cfg.positions[1]:
                 key = "seed edge"
             elif cfg.initial == 0:

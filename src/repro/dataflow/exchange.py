@@ -69,6 +69,8 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
+
 from repro.dataflow.cardinal import (
     CARDINAL_CHANNELS,
     is_step1_sender,
@@ -149,6 +151,8 @@ class ColumnExchange:
                     fabric.install_routes(color, *ir.route_table(color))
             else:
                 self._install_from_formulas(remap)
+            # every color is in: the routers' switch states, built once
+            fabric.switch_tables()
         with span("program.tasks", cat="build"):
             self._bind(ir)
 
@@ -195,33 +199,29 @@ class ColumnExchange:
         # receiver sets hold the PE
         across = [1 + (x > 0) + (x < nx - 1) for x in range(nx)]
         down = [1 + (y > 0) + (y < ny - 1) for y in range(ny)]
-
-        def step1_senders(channel) -> set:
-            if ir is not None:
-                return ir.injector_coords(channel.name)
-            return {
-                pe.coord
-                for x, y, pe in self.pes
-                if is_step1_sender((x, y), channel, nx, ny)
-            }
-
+        #: Per row: X-Y neighbour columns a round delivers to the PE.
+        self.expected = [a * d - 1 for d in down for a in across]
+        phys = []
+        for row, (_x, _y, pe) in enumerate(self.pes):
+            pe.row = row
+            phys.append(pe.index)
+        # per router, row-major: 1 where the PE is a step-1 sender of
+        # the cardinal channel, one list per channel
         cardinals = [ch for ch, _color in self._cardinals]
-        senders = [(1 << i, step1_senders(ch)) for i, ch in enumerate(cardinals)]
+        if ir is not None:
+            flags = [ir.injector_flags(ch.name) for ch in cardinals]
+        else:
+            flags = [[0] * self.fabric.num_pes for _ch in cardinals]
+            for ch, cells in zip(cardinals, flags):
+                for x, y, pe in self.pes:
+                    cells[pe.index] = int(is_step1_sender((x, y), ch, nx, ny))
+        masks = np.array(flags, dtype=np.intp).T @ (1 << np.arange(len(flags)))
         subsets = [  # by bit mask, shared by the rows
-            tuple(ch for i, ch in enumerate(cardinals) if mask >> i & 1)
+            tuple([ch for i, ch in enumerate(cardinals) if mask >> i & 1])
             for mask in range(1 << len(cardinals))
         ]
-        #: Per row: X-Y neighbour columns a round delivers to the PE.
-        self.expected = []
         #: Per row: the cardinal channels the PE sends on in step 1.
-        self.step1_channels = []
-        for row, (x, y, pe) in enumerate(self.pes):
-            pe.row, coord, mask = row, pe.coord, 0
-            for bit, coords in senders:
-                if coord in coords:
-                    mask |= bit
-            self.expected.append(across[x] * down[y] - 1)
-            self.step1_channels.append(subsets[mask])
+        self.step1_channels = list(map(subsets.__getitem__, masks[phys].tolist()))
         #: Per row, this round: columns delivered (counted by
         #: ``on_data``), and bits ``1 << color`` of the cardinal colors
         #: sent on (the send-once rule).

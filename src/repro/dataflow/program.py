@@ -52,6 +52,22 @@ __all__ = ["FluxProgram"]
 _SLOTS = len(XY_CONNECTIONS)
 
 
+def _side_by_side(columns: list[np.ndarray]) -> np.ndarray:
+    """One read-only ``(n_pes, len(columns), nz)`` view of block columns
+    that follow each other in every block row."""
+    first = columns[0]
+    rows, nz = first.shape
+    row_stride, step = first.strides
+    start = first.__array_interface__["data"][0]
+    for i, column in enumerate(columns):
+        if column.__array_interface__["data"][0] != start + i * nz * step:
+            raise ValueError("the columns are not adjacent in the block row")
+    return np.lib.stride_tricks.as_strided(
+        first, (rows, len(columns), nz), (row_stride, nz * step, step),
+        writeable=False,
+    )
+
+
 @dataclass
 class FluxProgram:
     """A configured fabric ready to run applications of Algorithm 1.
@@ -259,10 +275,12 @@ class FluxProgram:
         self._pressure_field = self._pressure.T.reshape(mesh.shape_zyx)
         self._residual_field = columns["residual"].T.reshape(mesh.shape_zyx)
         if self.compute_fluxes:
-            # the X-Y columns stacked by halo key (static data)
-            self._xy_trans = np.stack(
-                [columns[TRANS_NAMES[conn]] for conn in XY_CONNECTIONS], axis=1
-            ).reshape(-1, nz)
+            # the X-Y columns by block row and X-Y slot: plan_pe_memory
+            # puts them side by side in that order, so one view of the
+            # block (static data, read per halo key)
+            self._xy_trans = _side_by_side(
+                [columns[TRANS_NAMES[conn]] for conn in XY_CONNECTIONS]
+            )
             if nz > 1:
                 # UP/DOWN run on the block's own scratch columns, cut to
                 # the vertical faces, with one select buffer for good
@@ -402,6 +420,7 @@ class FluxProgram:
             keys, payloads = zip(*log)
             keys = np.array(keys)
             rows = keys // _SLOTS
+            slots = keys - _SLOTS * rows
             trains = np.concatenate(payloads).reshape(len(keys), 2 * nz)
             # each PE's arrivals in delivery order, from a stable sort
             order = np.argsort(rows, kind="stable")
@@ -414,7 +433,6 @@ class FluxProgram:
                 windows[rows[last]] = trains[last]
             else:
                 # one window per PE and neighbour, filled once a round
-                slots = keys - _SLOTS * rows
                 for windows, slot in self._halos.values():
                     here = slots == slot
                     windows[rows[here]] = trains[here]
@@ -433,7 +451,7 @@ class FluxProgram:
             flux = np.empty_like(p_k)
             face_flux(
                 scratch, p_k, trains[:, 0], z, z, rho_k, rho_l,
-                self._mobility[rows], lam_l, self._xy_trans[keys], flux,
+                self._mobility[rows], lam_l, self._xy_trans[rows, slots], flux,
                 self._gravity,
             )
             # each delivery's arrival rank on its PE

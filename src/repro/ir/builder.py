@@ -346,12 +346,12 @@ def _capture_routes(fabric, coords, colors) -> dict:
     for color in colors:
         table = _ClassTable()
         assignment = [-1] * (width * fabric.height)
+        configs = fabric.color_configs(color)
         for coord in coords:
-            router = fabric.router_map[coord]
-            cfg = router.configs.get(color)
+            cfg = configs[coord[1] * width + coord[0]]
             if cfg is None:
                 continue
-            positions = router.positions_of(color)
+            positions = [dict(pos) for pos in cfg.positions]
             assignment[coord[1] * width + coord[0]] = table.intern(
                 _route_key(positions, cfg.initial),
                 lambda: _route_class_doc(positions, cfg.initial),
@@ -384,8 +384,8 @@ def _fabric_doc(fabric) -> dict:
     return {
         "width": fabric.width,
         "height": fabric.height,
-        "pe_memory_bytes": sample.memory.capacity,
-        "pe_memory_reserved": sample.memory.reserved,
+        "pe_memory_bytes": fabric.pe_memory_bytes,
+        "pe_memory_reserved": fabric.pe_memory_reserved,
         "vectorized": sample.dsd.vectorized,
         "bypass_columns": sorted(fabric.bypass_columns),
     }
@@ -469,13 +469,7 @@ def ir_from_fabric(
             {"id": cid, "name": name} for cid, name in sorted(colors.items())
         ]
     coords = [pe.coord for pe in fabric.pes()]
-    color_ids = sorted(
-        {
-            color
-            for router in fabric.router_map.values()
-            for color in router.configured_colors()
-        }
-    )
+    color_ids = sorted(fabric.configured_colors())
     doc["routes"] = _capture_routes(fabric, coords, color_ids)
     if expected_receivers:
         doc["expected_receivers"] = {

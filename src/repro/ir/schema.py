@@ -448,6 +448,12 @@ class FabricProgramIR:
         flags = self.doc["injectors"].get(channel_name, [])
         return set(_coords_above(flags, self.width, 0))
 
+    def injector_flags(self, channel_name: str) -> list[int]:
+        """The row-major 0/1 step-1 sender list of *channel_name* (all
+        zeros when the IR has none); the document's own: read-only."""
+        flags = self.doc["injectors"].get(channel_name)
+        return [0] * (self.width * self.height) if flags is None else flags
+
     # ------------------------------------------------------------------ #
     # Memory
     # ------------------------------------------------------------------ #

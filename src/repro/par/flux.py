@@ -262,21 +262,27 @@ class ParClusterFluxComputation:
         lo, hi = self.rank_split[worker_index]
         return sum(self._arena.heartbeat(r) for r in range(lo, hi))
 
+    def _open_arena(self) -> int:
+        """Create the problem's arena; its descriptor for the setup."""
+        self._arena = SharedArena(self.layout, create=True)
+        # written once, before any setup is sent (the send orders it
+        # before every worker's read); read-only from here on
+        np.copyto(self._arena.permeability, self.mesh.permeability)
+        self._arena.reset_seqs(self._exchanges_done)
+        return self._arena.fd
+
     def _ensure_pool(self) -> None:
-        if self._arena is None:
-            self._arena = SharedArena(self.layout, create=True)
-            # written once, before any setup is sent (the send orders it
-            # before every worker's read); read-only from here on
-            np.copyto(self._arena.permeability, self.mesh.permeability)
-            self._arena.reset_seqs(self._exchanges_done)
         if self._pool is None:
             try:
-                # workers come warm from the process-wide reservoir;
-                # setup ships the specs and runs the per-rank state
-                # build in parallel across them
+                # workers come warm from the process-wide reservoir,
+                # leased before the arena exists: a worker forked for
+                # the lease inherits no descriptor or mapping of it, so
+                # the reservoir keeps nothing of a closed arena.  setup
+                # ships the specs and runs the per-rank state build in
+                # parallel across them
                 self._pool = ProcPool(
                     self._specs(),
-                    arena_fd=self._arena.fd,
+                    arena=self._open_arena,
                     liveness=self._liveness,
                     lease_seconds=self.lease_seconds,
                     attempt=self._respawns,
@@ -284,8 +290,9 @@ class ParClusterFluxComputation:
             except BaseException:
                 # nothing usable was set up — release the arena now
                 # instead of holding its memory until interpreter exit
-                self._arena.close()
-                self._arena = None
+                if self._arena is not None:
+                    self._arena.close()
+                    self._arena = None
                 raise
             self._cum = [
                 dict.fromkeys(_COUNTERS, 0) for _ in range(self.grid.size)
@@ -301,9 +308,11 @@ class ParClusterFluxComputation:
         self._pool.terminate()
         self._respawns += 1
         self._arena.reset_seqs(self._exchanges_done)
+        # the one fork with the arena open: a worker spawned here to
+        # replace a crashed one holds it for life (DESIGN.md §12)
         self._pool = ProcPool(
             self._specs(attempt_offset=self._respawns),
-            arena_fd=self._arena.fd,
+            arena=lambda: self._arena.fd,
             liveness=self._liveness,
             lease_seconds=self.lease_seconds,
             attempt=self._respawns,

@@ -34,11 +34,14 @@ crash) surfaces as a structured
 :class:`~repro.faults.errors.WorkerCrashError` within one poll slice
 instead of hanging the parent until a timeout.
 
-``fork`` is preferred (no re-import cost); everything is pickle-clean
-so ``spawn`` works where fork is unavailable (a cold interpreter then
-imports the worker module and maps the arena, permeability region
-included, from the descriptor it is sent; ``tests/par/test_warm_pool.py``
-runs that path).
+``fork`` is preferred (no re-import cost); a pool leases its workers
+before its arena exists, so a worker forked for the lease carries no
+descriptor or mapping of it into the reservoir (a crash respawn, which
+forks with the arena open, is the one exception).  Everything is
+pickle-clean so ``spawn`` works where fork is unavailable (a cold
+interpreter then imports the worker module and maps the arena,
+permeability region included, from the descriptor it is sent;
+``tests/par/test_warm_pool.py`` runs that path).
 Workers are daemons: they can never outlive the parent process, and
 idle reservoir workers cost one sleeping process each until
 :func:`shutdown_warm_pool`.
@@ -49,6 +52,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from multiprocessing.reduction import send_handle
+from typing import Callable
 
 from repro.faults.errors import WorkerCrashError, WorkerLeaseExpiredError
 from repro.par.worker import WorkerSpec, worker_main
@@ -204,11 +208,12 @@ def shutdown_warm_pool() -> None:
 class ProcPool:
     """A fixed set of SPMD workers leased from a warm reservoir.
 
-    Construction leases (or spawns) one worker per spec, ships the
-    specs, each followed by *arena_fd* (the
-    :class:`~repro.par.shm.SharedArena` descriptor), and waits for
-    every ``("ready", pid)`` ack — the per-problem
-    state build runs in parallel across the workers.  If anything goes
+    Construction leases (or spawns) one worker per spec, then calls
+    *arena* for the :class:`~repro.par.shm.SharedArena` descriptor —
+    after the lease, so a worker forked for it inherits no arena the
+    caller creates there — ships the specs, each followed by that
+    descriptor, and waits for every ``("ready", pid)`` ack — the
+    per-problem state build runs in parallel across the workers.  If anything goes
     wrong mid-setup (a spec that fails to pickle, a worker that dies
     building its state), every leased worker is killed before the
     exception propagates, so no half-configured process can ever
@@ -219,7 +224,7 @@ class ProcPool:
         self,
         specs: list[WorkerSpec],
         *,
-        arena_fd: int,
+        arena: Callable[[], int],
         reservoir: WarmPool | None = None,
         setup_timeout_seconds: float = 120.0,
         liveness=None,
@@ -239,6 +244,7 @@ class ProcPool:
         self._attempt = int(attempt)
         try:
             self.handles = self._reservoir.lease(len(self.specs))
+            arena_fd = arena()
             for spec, handle in zip(self.specs, self.handles):
                 handle.conn.send(("setup", spec))
                 send_handle(handle.conn, arena_fd, handle.proc.pid)

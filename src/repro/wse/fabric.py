@@ -2,20 +2,27 @@
 
 "The WSE ... comes with a 2D-mesh interconnection fabric that connects
 processing elements (PEs) where computations take place" (Sec. 4).  The
-fabric object wires one :class:`Router` to every
-:class:`ProcessingElement` and offers bulk configuration helpers used by
-the dataflow program builder.
+fabric object holds every :class:`ProcessingElement` and the routing of
+every router, and offers the bulk configuration the dataflow programs
+use.
 
 The fabric holds once what the paper's one program gives every PE.
 Tasks are per color (:meth:`Fabric.bind_all`): every program here runs
 the same code on every PE, so one data-task and one control-task table
-serve the whole fabric.  A switch schedule is per *route class*: it is
-validated and flattened once per distinct schedule and every router of
-the class holds that one :class:`~repro.wse.router.ColorConfig`
-(:meth:`Fabric.install_routes`, which :meth:`Fabric.configure_color`
-feeds).  A memory map is planned once and backed by one PE-major block
-for the whole PE rectangle (:meth:`Fabric.install_memory`).  What is
-left per PE is what differs per PE.
+serve the whole fabric.  Routing is per *route class*: a color's
+distinct switch schedules are validated and flattened once each
+(:class:`~repro.wse.router.ColorConfig`) and every router holds a class
+index per color (:meth:`Fabric.install_routes`, which
+:meth:`Fabric.configure_color` feeds).  The switch states the routers'
+signatures can reach are built once per signature, and a router's
+state is one integer of the fabric's
+:class:`~repro.wse.router.SwitchTables` (:meth:`Fabric.switch_tables`);
+:meth:`Fabric.router` builds a :class:`~repro.wse.router.Router` view on
+demand.  A memory map is planned once and backed by one PE-major block
+for the whole PE rectangle (:meth:`Fabric.install_memory`); a PE's
+scratchpad is built over its row only when tooling reads
+``pe.memory``.  What is left per PE is what differs per PE: its
+:class:`~repro.wse.dsd.DsdEngine`, counters and busy time.
 """
 
 from __future__ import annotations
@@ -24,12 +31,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.wse.dsd import DsdEngine
 from repro.wse.geometry import in_bounds
 from repro.wse.memory import MemoryPlan, Scratchpad, WSE2_PE_MEMORY_BYTES
 from repro.wse.packet import Message
 from repro.wse.pe import ProcessingElement
-from repro.wse.router import ColorConfig, RoutePosition, Router
+from repro.wse.router import ColorConfig, RoutePosition, Router, SwitchTables
 
 __all__ = ["Fabric", "WSE2_MAX_FABRIC"]
 
@@ -97,21 +103,26 @@ class Fabric:
             raise ValueError("cannot bypass every fabric column")
         self.width = width
         self.height = height
-        #: Every PE and router by physical row-major index (``pe.index``,
-        #: ``y * width + x``): what the event runtime reads per event.
-        self.pe_list = [
-            ProcessingElement(
-                coord=(x, y),
-                memory=Scratchpad(pe_memory_bytes, reserved=pe_memory_reserved),
-                dsd=DsdEngine(vectorized=vectorized),
-                index=y * width + x,
-            )
-            for y in range(height)
-            for x in range(width)
-        ]
-        self.router_list = [Router(coord=pe.coord) for pe in self.pe_list]
+        self.pe_memory_bytes = pe_memory_bytes
+        self.pe_memory_reserved = pe_memory_reserved
+        #: Every PE by physical row-major index (``pe.index``, ``y *
+        #: width + x``): what the event runtime reads per event.
+        self.pe_list = ProcessingElement.grid(self, vectorized=vectorized)
         self._pes = {pe.coord: pe for pe in self.pe_list}
-        self._routers = {r.coord: r for r in self.router_list}
+        #: color -> ``(class configs, assignment)`` as installed
+        #: (:meth:`install_routes`); the switch states built from them,
+        #: rebuilt after an install (:meth:`switch_tables`)
+        self._routes: dict[int, tuple[list, Sequence[int]]] = {}
+        self._switch: SwitchTables | None = None
+        self._switch_stale = True
+        #: installed memory plans ``(plan, block)``, and per PE (by
+        #: index) the plan it runs and its row of that plan's block
+        #: (``-1``: none); the PEs whose scratchpad was built
+        #: (``pe.memory``)
+        self._memory_blocks: list[tuple[MemoryPlan, np.ndarray]] = []
+        self._memory_plan = np.full(self.num_pes, -1, dtype=np.intp)
+        self._memory_row = np.full(self.num_pes, -1, dtype=np.intp)
+        self._memory_built: set[int] = set()
         #: color -> the data / control task every PE runs for it
         #: (filled by :meth:`bind_all`; the runtime caches both dicts)
         self.tasks: dict[int, Task] = {}
@@ -129,12 +140,6 @@ class Fabric:
         treat as read-only)."""
         return self._pes
 
-    @property
-    def router_map(self) -> dict[tuple[int, int], Router]:
-        """Coordinate-keyed router table (hot-path access for the
-        runtime; treat as read-only)."""
-        return self._routers
-
     def pe(self, x: int, y: int) -> ProcessingElement:
         """PE at coordinate ``(x, y)``."""
         try:
@@ -145,13 +150,12 @@ class Fabric:
             ) from None
 
     def router(self, x: int, y: int) -> Router:
-        """Router at coordinate ``(x, y)``."""
-        try:
-            return self._routers[(x, y)]
-        except KeyError:
+        """A view of the router at coordinate ``(x, y)``."""
+        if not (0 <= x < self.width and 0 <= y < self.height):
             raise IndexError(
                 f"router ({x}, {y}) outside fabric {self.width}x{self.height}"
-            ) from None
+            )
+        return Router(self, y * self.width + x)
 
     def contains(self, coord: tuple[int, int]) -> bool:
         """True when *coord* is on the fabric."""
@@ -162,11 +166,39 @@ class Fabric:
         return iter(self.pe_list)
 
     def configured_colors(self) -> set[int]:
-        """Union of colors with routing installed on any router."""
-        colors: set[int] = set()
-        for router in self._routers.values():
-            colors.update(router.configs)
-        return colors
+        """Colors with routing installed on any router."""
+        return {
+            color
+            for color, (configs, _assignment) in self._routes.items()
+            if any(cfg is not None for cfg in configs)
+        }
+
+    def color_config(self, color: int, index: int) -> ColorConfig | None:
+        """The schedule of *color* on the router of PE *index* (its
+        class's, shared), or None where the router does not configure
+        it."""
+        entry = self._routes.get(color)
+        if entry is None:
+            return None
+        configs, assignment = entry
+        idx = assignment[index]
+        return configs[idx] if idx >= 0 else None
+
+    def color_configs(self, color: int) -> list[ColorConfig | None]:
+        """:meth:`color_config` of every router, row-major."""
+        entry = self._routes.get(color)
+        if entry is None:
+            return [None] * self.num_pes
+        configs, assignment = entry
+        return [configs[idx] if idx >= 0 else None for idx in assignment]
+
+    def switch_tables(self) -> SwitchTables:
+        """The switch states of every router (built once per signature,
+        after the last install) and each router's current one."""
+        if self._switch_stale:
+            self._switch = SwitchTables(self._routes, self.num_pes, self._switch)
+            self._switch_stale = False
+        return self._switch
 
     # ------------------------------------------------------------------ #
     def configure_color(
@@ -190,7 +222,8 @@ class Fabric:
         classes: list[tuple[list[RoutePosition], int]] = []
         index: dict[tuple, int] = {}
         assignment: list[int] = []
-        for coord in self._routers:
+        for pe in self.pe_list:
+            coord = pe.coord
             positions = positions_for(coord)
             if positions is None:
                 assignment.append(-1)
@@ -228,29 +261,35 @@ class Fabric:
         allow_loops:
             See :class:`~repro.wse.router.ColorConfig`.
         """
-        if len(assignment) != self.num_pes:
+        n = self.num_pes
+        if len(assignment) != n:
             raise ValueError(
                 f"assignment has {len(assignment)} entries for a fabric "
-                f"of {self.num_pes} PEs"
+                f"of {n} PEs"
             )
-        prepared: dict[int, ColorConfig] = {}  # classes in use, built once
-        for router, idx in zip(self.router_list, assignment):
-            if idx < 0:
-                continue
-            cfg = prepared.get(idx)
-            if cfg is None:
+        # the classes in use, validated and flattened once each, in the
+        # order routers first use them
+        configs: list[ColorConfig | None] = [None] * len(classes)
+        for idx in dict.fromkeys(assignment):
+            if idx >= 0:
                 positions, initial = classes[idx]
-                cfg = prepared[idx] = ColorConfig(
-                    color, positions, initial, allow_loops
-                )
-            # inline per router: a call here is a frame per PE per color
-            if color in router.configs:
-                raise ValueError(
-                    f"router {router.coord}: color {color} already configured"
-                )
-            router.configs[color] = cfg
-            router.current[color] = cfg.initial
-            router.table.update(cfg.flat[cfg.initial])
+                configs[idx] = ColorConfig(color, positions, initial, allow_loops)
+        entry = self._routes.get(color)
+        if entry is not None:
+            old_configs, old = entry
+            for index, (a, b) in enumerate(zip(old, assignment)):
+                if a >= 0 and b >= 0:
+                    raise ValueError(
+                        f"router {(index % self.width, index // self.width)}: "
+                        f"color {color} already configured"
+                    )
+            offset = len(old_configs)
+            configs = old_configs + configs
+            assignment = [a if b < 0 else b + offset for a, b in zip(old, assignment)]
+        # kept, not copied: the caller's table (an IR's cached one) must
+        # not change after the install
+        self._routes[color] = (configs, assignment)
+        self._switch_stale = True
 
     def install_memory(
         self, plan: MemoryPlan, coords: Iterable[tuple[int, int]]
@@ -261,12 +300,45 @@ class Fabric:
         Returns ``name -> (n_pes, *shape)`` views over the block, entry
         ``i`` being the array of the ``i``-th coordinate — the arrays a
         program binds, and the handle for filling static data fabric-wide.
+        The plan is checked once, here; a PE's scratchpad over its row is
+        built when ``pe.memory`` is first read.
         """
-        memories = [self._pes[coord].memory for coord in coords]
-        block = plan.block(len(memories))
-        for memory, row in zip(memories, block):
-            memory.adopt(plan, row)
+        if (plan.capacity, plan.reserved) != (
+            self.pe_memory_bytes, self.pe_memory_reserved,
+        ):
+            raise ValueError(
+                f"plan was made for {plan.capacity} B with {plan.reserved} B "
+                f"reserved, this fabric's PEs have {self.pe_memory_bytes} B "
+                f"with {self.pe_memory_reserved} B reserved"
+            )
+        pes = list(map(self._pes.__getitem__, coords))
+        indices = np.array([pe.index for pe in pes], dtype=np.intp)
+        if (
+            len(set(indices.tolist())) < len(indices)
+            or (self._memory_plan[indices] >= 0).any()
+        ):
+            raise ValueError("only an unused scratchpad can adopt a plan")
+        block = plan.block(len(pes))
+        if self._memory_built:
+            # a scratchpad tooling already built takes the plan over
+            for row, pe in enumerate(pes):
+                if pe.index in self._memory_built:
+                    pe.memory.adopt(plan, block[row])
+        self._memory_plan[indices] = len(self._memory_blocks)
+        self._memory_row[indices] = np.arange(len(pes))
+        self._memory_blocks.append((plan, block))
         return plan.columns(block)
+
+    def scratchpad(self, index: int) -> Scratchpad:
+        """A new scratchpad for PE *index*: over its row of the block of
+        its installed plan, or empty (what ``pe.memory`` holds)."""
+        self._memory_built.add(index)
+        pad = Scratchpad(self.pe_memory_bytes, reserved=self.pe_memory_reserved)
+        install = int(self._memory_plan[index])
+        if install >= 0:
+            plan, block = self._memory_blocks[install]
+            pad.adopt(plan, block[int(self._memory_row[index])])
+        return pad
 
     def bind_all(self, color: int, task: Task, *, control: bool = False) -> None:
         """Bind *task* as the data (or control) task of *color* on every
@@ -299,8 +371,13 @@ class Fabric:
         return sum([pe.dsd.flops for pe in self.pe_list])
 
     def max_memory_high_water(self) -> int:
-        """Largest scratchpad high-water mark across PEs (bytes)."""
-        return max([pe.memory.high_water for pe in self.pe_list])
+        """Largest scratchpad high-water mark across PEs (bytes): a
+        built scratchpad's own, else its plan's, else the reserved
+        region."""
+        marks = [plan.high_water for plan, _block in self._memory_blocks]
+        for index in self._memory_built:
+            marks.append(self.pe_list[index].memory.high_water)
+        return max(marks, default=self.pe_memory_reserved)
 
     def reset_counters(self) -> None:
         """Zero all PE instruction counters and busy times."""

@@ -15,11 +15,13 @@ The paper gives every PE the *same* memory map (Sec. 5.1), so a program
 plans its layout once, on one probe scratchpad, and installs the
 resulting :class:`MemoryPlan` on the whole PE rectangle
 (:meth:`repro.wse.fabric.Fabric.install_memory`): one PE-major block
-backs every PE, each scratchpad takes over the shared immutable plan and
-its own row of the block (:meth:`Scratchpad.adopt`), and builds its
-:class:`Allocation` records only when somebody asks for them.  All
-capacity arithmetic, error texts, offsets and ``high_water`` are the
-probe's — they are the same numbers on every PE and need no per-PE work.
+backs every PE, and a PE's memory is its row of that block.  Only when
+tooling reads ``pe.memory`` does the fabric build the PE a scratchpad,
+which takes over the shared immutable plan and the row
+(:meth:`Scratchpad.adopt`) and builds its :class:`Allocation` records
+only when somebody asks for them.  All capacity arithmetic, error
+texts, offsets and ``high_water`` are the probe's — they are the same
+numbers on every PE and need no per-PE work.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class Scratchpad:
         # sized before it is allocated: a request the PE cannot hold must
         # not reach the host allocator first
         dims = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-        nbytes = prod(int(d) for d in dims) * np.dtype(dtype).itemsize
+        nbytes = prod(map(int, dims)) * np.dtype(dtype).itemsize
         if self._cursor + nbytes > self.capacity:
             raise PEMemoryError(
                 f"PE memory overflow allocating {name!r}: need {nbytes} B, "

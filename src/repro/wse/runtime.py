@@ -28,18 +28,21 @@ callbacks (per-application kick-off, not per hop) ride on ``_EV_CALL``.
 
 A PE is an integer: its physical row-major index
 (:attr:`~repro.wse.pe.ProcessingElement.index`).  Everything the drain
-reads per event is a list by it — the PEs, the routers, each router's
-bound route-table ``get``, and the link destinations by ``index << 3 |
-port`` (the key of link occupancy too), each the destination's index
-(bypassed columns walked past) or ``None`` off the fabric — so no
-coordinate tuple is built or hashed per event.  The trace sink, the
+reads per event is a list by it — the PEs, each router's switch state
+and the bound ``get`` of that state's shared route table (the fabric's
+:class:`~repro.wse.router.SwitchTables`), and the link destinations by
+``index << 3 | port`` (the key of link occupancy too), each the
+destination's index (bypassed columns walked past) or ``None`` off the
+fabric — so no coordinate tuple is built or hashed per event.  The trace sink, the
 fault injector, :meth:`~EventRuntime.pending` and the stall report get
 coordinates through the one :attr:`EventRuntime.coords` list.
 
 No runtime frame per hop, delivery or switch advance: the one drain
 loop inlines the bodies of :meth:`~EventRuntime._arrive`,
-``_transmit``, ``_deliver`` and :meth:`~repro.wse.router.Router.advance`
-(on the router's own ``current`` and ``table``).  A traced or faulted
+``_transmit``, ``_deliver`` and
+:meth:`~repro.wse.router.SwitchTables.advance` (the router's state
+integer moves to its successor and its ``get`` is rebound to that
+state's table).  A traced or faulted
 runtime calls ``_arrive`` (and through it the other three) behind one
 local boolean: the methods are the per-event reference the tests pin
 the inlined bodies to.  The event budget and the progress watchdog are
@@ -54,10 +57,11 @@ The frames left are the tasks' (DESIGN.md §8 item 8).
 Perf lookups are cached on the runtime at construction, a message
 forwarded through a single-output route is passed on without a
 :meth:`~repro.wse.packet.Message.fork` (the copy is only needed on true
-multicast fan-out), and route queries hit the router's flattened
-current table directly.  :meth:`EventRuntime.reset` clears all per-run
-state so one runtime (and its link-busy map) is reused across
-applications and across a driver's ``run()`` calls.
+multicast fan-out), and route queries hit the flattened table of the
+router's current switch state directly.  :meth:`EventRuntime.reset`
+clears all per-run state so one runtime (and its link-busy map) is
+reused across applications and across a driver's ``run()`` calls; the
+routers' switch states are the fabric's and survive it.
 """
 
 from __future__ import annotations
@@ -198,9 +202,10 @@ class EventRuntime:
         #: ``index << 3 | out_port``
         self._link_busy: dict[int, float] = {}
         # hot-path tables, by the PE's row-major index: resolved once,
-        # read on every event
+        # read on every event (the routers' switch states are the
+        # fabric's, read when a run starts: :meth:`run`)
         self._pes = fabric.pe_list
-        self._routers = fabric.router_list
+        self._switch = None
         #: index -> ``(x, y)``: the one translation to coordinates (the
         #: hooked path, :meth:`pending`, the stall report)
         self.coords = [pe.coord for pe in self._pes]
@@ -225,10 +230,6 @@ class EventRuntime:
                         nx += dx
                 if 0 <= nx < width and 0 <= ny < height:
                     self._dests[index << 3 | port] = ny * width + nx
-        #: index -> bound ``table.get`` of that router's flattened route
-        #: table.  Routers mutate their table dict in place (never rebind
-        #: it), so the bound method stays valid across switch advances.
-        self._route_gets = [router.table.get for router in self._routers]
         #: the fabric's per-color task tables (filled in place by
         #: ``Fabric.bind_all``, so binding after construction is seen)
         self._tasks = fabric.tasks
@@ -300,13 +301,15 @@ class EventRuntime:
         watchdog_cycles = self.watchdog_cycles
         armed = max_events is not None or watchdog_cycles is not None
         calendar, times = self._calendar, self._times
-        # the bodies of _arrive, _transmit, _deliver and Router.advance
-        # are inlined, so a hop, a delivery or a switch advance enters no
-        # Python frame of the runtime's.  A traced or faulted runtime
-        # (`hooked`) calls _arrive.
+        # the bodies of _arrive, _transmit, _deliver and
+        # SwitchTables.advance are inlined, so a hop, a delivery or a
+        # switch advance enters no Python frame of the runtime's.  A
+        # traced or faulted runtime (`hooked`) calls _arrive.
         arrive = self._arrive
         hooked = self._trace or self._fault_check
-        routers, route_gets = self._routers, self._route_gets
+        switch = self._switch = self.fabric.switch_tables()
+        states, route_gets = switch.state, switch.route_gets
+        state_gets, steps = switch.gets, switch.steps
         pes, dests, link_busy = self._pes, self._dests, self._link_busy
         tasks, control_tasks = self._tasks, self._control_tasks
         hop_latency, link_rate = self._hop_latency, self._link_rate
@@ -411,15 +414,12 @@ class EventRuntime:
                                     heappush(times, due)
                                 else:
                                     later.append(arrival)
-                    if msg.kind == KIND_CONTROL:  # Router.advance
-                        router = routers[index]
-                        cfg = router.configs.get(color)
-                        if cfg is not None:
-                            current, table = router.current, router.table
-                            drop, current[color], flat = cfg.moves[current[color]]
-                            for dropped in drop:
-                                del table[dropped]
-                            table.update(flat)
+                    if msg.kind == KIND_CONTROL:  # SwitchTables.advance
+                        state = states[index]
+                        step = steps[state].get(color)
+                        if step is not None:
+                            state = states[index] = state + step
+                            route_gets[index] = state_gets[state]
                         stats.control_advances += 1
                 if processed - first < len(bucket):
                     # the budget cut this bucket short: drop what ran
@@ -514,8 +514,10 @@ class EventRuntime:
 
     def _arrive(self, index: int, in_port: Port, msg: Message) -> None:
         """A message reaches the router of PE *index* through *in_port*."""
-        router = self._routers[index]
-        outputs = router.table.get((msg.color << PORT_SHIFT) | in_port)
+        switch = self._switch  # the fabric's, as run() last read them
+        if switch is None:
+            switch = self._switch = self.fabric.switch_tables()
+        outputs = switch.route_gets[index]((msg.color << PORT_SHIFT) | in_port)
         if outputs:
             if len(outputs) == 1:
                 # single-output route: forward the message itself —
@@ -534,7 +536,7 @@ class EventRuntime:
         if msg.kind == KIND_CONTROL:
             # the command advances this router's switch position after
             # being forwarded along the current configuration (Fig. 6b)
-            router.advance(msg.color)
+            switch.advance(index, msg.color)
             self.stats.control_advances += 1
 
     def _transmit(self, index: int, out_port: Port, msg: Message) -> None:

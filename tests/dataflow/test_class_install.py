@@ -66,7 +66,7 @@ def _per_pe_reference(ir) -> Fabric:
     for color in ir.route_color_ids():
         for coord in ir.route_coords(color):
             positions, initial = ir.route_for(color, coord)
-            fabric.router_map[coord].configure(color, positions, initial=initial)
+            fabric.router(*coord).configure(color, positions, initial=initial)
     for coord in ir.memory_coords():
         plan_pe_memory(
             fabric.pe_map[coord].memory,
@@ -92,16 +92,19 @@ def _memory_facts(memory) -> dict:
 
 
 def _router_facts(router) -> dict:
+    colors = router.configured_colors()
     return {
-        "configs": copy.deepcopy(router.configs),
+        "coord": router.coord,
+        "configs": {c: router.config(c) for c in colors},
         "table": dict(router.table),
-        "position": {c: router.position(c) for c in router.configs},
-        "routes": {
-            (c, port): router.routes(c, port)
-            for c in router.configs
-            for port in Port
-        },
+        "position": {c: router.position(c) for c in colors},
+        "routes": {(c, port): router.routes(c, port) for c in colors for port in Port},
     }
+
+
+def _routers(fabric) -> dict:
+    """Every router of *fabric* as a view, by coordinate."""
+    return {pe.coord: fabric.router(*pe.coord) for pe in fabric.pes()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -114,10 +117,9 @@ def test_class_installed_fabric_equals_the_per_pe_reference(name, lowered):
         mesh, FluidProperties(), ir=ir if lowered else None, **kwargs
     )
     reference = _per_pe_reference(ir)
-    assert reference.router_map.keys() == program.fabric.router_map.keys()
-    for coord, router in program.fabric.router_map.items():
-        assert router == reference.router_map[coord]
-        assert _router_facts(router) == _router_facts(reference.router_map[coord])
+    assert reference.pe_map.keys() == program.fabric.pe_map.keys()
+    for coord, router in _routers(program.fabric).items():
+        assert _router_facts(router) == _router_facts(reference.router(*coord))
     for coord, pe in program.fabric.pe_map.items():
         assert _memory_facts(pe.memory) == _memory_facts(
             reference.pe_map[coord].memory
@@ -208,7 +210,7 @@ class TestRouterIsolation:
         program = self._program()
         color = program.colors.lookup("card_east")
         victim = (2, 2)
-        before = {c: _router_facts(r) for c, r in program.fabric.router_map.items()}
+        before = {c: _router_facts(r) for c, r in _routers(program.fabric).items()}
 
         def change(positions):
             if edit == "replace-list":
@@ -219,11 +221,11 @@ class TestRouterIsolation:
 
         mesh = program.mesh
         ir = edit_route(derive_ir(mesh), color, victim, change)
-        routers = FluxProgram(mesh, FluidProperties(), ir=ir).fabric.router_map
+        routers = _routers(FluxProgram(mesh, FluidProperties(), ir=ir).fabric)
         router = routers[victim]
         assert router.routes(color, Port.RAMP) == (Port.NORTH,)
         # (4, 3) was its class-mate and keeps the class's schedule
-        assert router.configs[color] is not routers[(4, 3)].configs[color]
+        assert router.config(color) is not routers[(4, 3)].config(color)
         router.advance(color)
         assert router.table.keys().isdisjoint((color << 3) | port for port in Port)
         for coord, other in routers.items():
@@ -232,15 +234,30 @@ class TestRouterIsolation:
 
     def test_advancing_one_router_leaves_its_class_mates_in_place(self):
         program = self._program()
-        routers = program.fabric.router_map
+        routers = _routers(program.fabric)
         color = program.colors.lookup("card_east")
         # (4, 3) is a class-mate: the two hold one schedule object
-        assert routers[(2, 2)].configs[color] is routers[(4, 3)].configs[color]
+        assert routers[(2, 2)].config(color) is routers[(4, 3)].config(color)
         start = routers[(4, 3)].position(color)
         routers[(2, 2)].advance(color)
         assert routers[(2, 2)].position(color) == 1 - start
         assert routers[(4, 3)].position(color) == start
         assert routers[(4, 3)].table != routers[(2, 2)].table
+
+
+def test_the_flux_fabric_has_a_handful_of_switch_states():
+    """At 24x24 the routers fall into 16 route signatures (seed edge,
+    even and odd distance per cardinal, crossed); their 256 reachable
+    switch states read 16 distinct tables — at 48x48 too: the switch
+    state tables do not grow with the fabric."""
+    for side in (24, 48):
+        mesh = CartesianMesh3D(side, side, 1)
+        fabric = FluxProgram(mesh, FluidProperties(), ir=derive_ir(mesh)).fabric
+        switch = fabric.switch_tables()
+        assert len(switch.parts) == 16
+        assert len(switch.tables) == 256
+        assert len({id(table) for table in switch.tables}) == 16
+        assert len({id(steps) for steps in switch.steps}) == 16
 
 
 def test_a_corrupted_ir_still_materializes_with_the_per_router_findings():
@@ -255,7 +272,7 @@ def test_a_corrupted_ir_still_materializes_with_the_per_router_findings():
         FluxProgram(CartesianMesh3D(4, 3, 2), FluidProperties(), ir=ir)
 
     reference = _empty_fabric(ir)
-    cells = list(reference.router_map)
+    cells = [pe.coord for pe in reference.pes()]
     for color in ir.route_color_ids():
         for coord in ir.route_coords(color):
             reference.install_routes(

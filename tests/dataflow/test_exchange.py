@@ -69,8 +69,8 @@ class Tagged:
     def switch_state(self):
         """Every router's live (flattened) route table."""
         return {
-            coord: dict(router.table)
-            for coord, router in self.fabric.router_map.items()
+            pe.coord: dict(self.fabric.router(*pe.coord).table)
+            for pe in self.fabric.pes()
         }
 
 

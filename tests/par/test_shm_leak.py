@@ -153,8 +153,9 @@ class TestMidSpawnException:
         captured = {}
 
         class BoomPool:
-            def __init__(self, specs, *, arena_fd, **kwargs):
-                captured["inode"] = os.fstat(arena_fd).st_ino
+            def __init__(self, specs, *, arena, **kwargs):
+                # the pool opens the arena once its workers are leased
+                captured["inode"] = os.fstat(arena()).st_ino
                 raise RuntimeError("injected spawn failure")
 
         monkeypatch.setattr(flux_mod, "ProcPool", BoomPool)

@@ -205,6 +205,31 @@ class TestUnrecoveredCrash:
         assert all(not h.proc.is_alive() for h in handles)
 
 
+class TestForkedReservoir:
+    def test_released_workers_keep_nothing_of_a_closed_arena(
+        self, problem, fresh_reservoir, arena_holders
+    ):
+        """Under ``fork`` the pool leases (and forks) its workers before
+        it creates the arena: a worker back in the reservoir holds no
+        descriptor or mapping of it, so ``close()`` frees its memory
+        (with the arena created first, each freshly forked worker kept
+        the parent's two descriptors and its mapping for life)."""
+        mesh, fluid, seq = problem
+        with ParClusterFluxComputation(
+            mesh, fluid, px=2, py=2, workers=2
+        ) as par:
+            par.run([seq.field(0)])
+            inode = os.fstat(par._arena.fd).st_ino
+            pids = set(par._pool.pids())
+            kinds = {type(h.proc).__name__ for h in par._pool.handles}
+            assert {pid for pid, _ in arena_holders(inode)} >= pids
+        assert kinds == {"ForkProcess"}
+        assert fresh_reservoir.total_spawned - fresh_reservoir._base_spawned == 2
+        assert fresh_reservoir.idle_count == 2  # released warm ...
+        assert all(os.path.exists(f"/proc/{pid}") for pid in pids)
+        assert arena_holders(inode) == []  # ... holding nothing of it
+
+
 class TestSpawnStartMethod:
     def test_spawned_workers_match_cluster(
         self, problem, fresh_reservoir, monkeypatch, arena_holders

@@ -106,22 +106,25 @@ class TestRouteClasses:
         assert f.router(1, 0).routes(4, Port.WEST) == (Port.RAMP,)
         assert f.router(2, 0).routes(4, Port.WEST) == (Port.EAST,)
         assert f.router(0, 1).configured_colors() == ()
-        assert f.router(1, 1).configs[4] == f.router(0, 0).configs[4]
-        assert f.router(2, 1).configs[4].initial == 1
+        assert f.router(1, 1).config(4) is f.router(0, 0).config(4)
+        assert f.router(2, 1).config(4).initial == 1
+        assert f.color_configs(4)[3] is None
 
     def test_class_mates_share_nothing_they_can_change(self):
         """Class-mates hold the one schedule object, which nothing
-        writes; the position and table a control wavelet changes are
-        each router's own."""
+        writes; what a control wavelet changes is each router's own state
+        integer, and a router in another state reads another table."""
         f = Fabric(2, 1)
         positions = [dict(p) for p in self.SEND]
         f.install_routes(0, [(positions, 0)], [0, 0])
         a, b = f.router(0, 0), f.router(1, 0)
-        assert a.configs[0] is b.configs[0]
-        assert a.configs[0].positions[0] is not positions[0]  # not the caller's
-        assert a.current is not b.current and a.table is not b.table
+        assert a.config(0) is b.config(0)
+        assert a.config(0).positions[0] is not positions[0]  # not the caller's
+        switch = f.switch_tables()
+        assert switch.state[0] == switch.state[1] and a.table is b.table
         positions[0][Port.RAMP] = (Port.NORTH,)
         a.advance(0)
+        assert switch.state[0] != switch.state[1] and a.table is not b.table
         assert a.position(0) == 1 and a.routes(0, Port.RAMP) == ()
         assert b.routes(0, Port.RAMP) == (Port.EAST,)
         assert b.position(0) == 0
@@ -168,7 +171,7 @@ class TestRouteClasses:
             lambda coord: [{Port.RAMP: [Port.EAST]}, {Port.WEST: (Port.RAMP,)}],
             initial_for=lambda coord: coord[0] % 2,
         )
-        cfg = [f.router(x, 0).configs[0] for x in range(4)]
+        cfg = [f.router(x, 0).config(0) for x in range(4)]
         assert cfg[0] is cfg[2] and cfg[1] is cfg[3]
         assert cfg[0] is not cfg[1]  # same positions, other initial
         assert [f.router(x, 0).position(0) for x in range(4)] == [0, 1, 0, 1]

@@ -100,3 +100,16 @@ class TestState:
         assert pe.words_sent == 0
         assert pe.busy_until == 0.0
         assert pe.row == -1  # runs no program yet
+
+    def test_a_fabric_pe_starts_as_a_constructed_one(self):
+        """`ProcessingElement.grid` builds a fabric's PEs without a
+        constructor call each: every slot holds what `__init__` sets."""
+        fabric = Fabric(3, 2, vectorized=False)
+        built = fabric.pe(2, 1)
+        made = ProcessingElement((2, 1), index=5)
+        for name in ProcessingElement.__slots__:
+            if name not in ("dsd", "_memory", "_fabric"):
+                assert getattr(built, name) == getattr(made, name), name
+        assert built.dsd == type(made.dsd)(vectorized=False)
+        assert built._fabric is fabric and built._memory is None
+        assert [pe.index for pe in fabric.pes()] == list(range(6))

@@ -627,11 +627,15 @@ def stop(rt, max_events):
 def pe_state(rt):
     """What a runtime leaves on its PEs and routers: traffic counters,
     busy time, switch positions and the live route table."""
-    return [
-        (pe.messages_received, pe.words_received, pe.messages_sent,
-         pe.words_sent, pe.busy_until, router.current, router.table)
-        for pe, router in zip(rt.fabric.pe_list, rt.fabric.router_list)
-    ]
+    state = []
+    for pe in rt.fabric.pe_list:
+        router = rt.fabric.router(*pe.coord)
+        positions = {c: router.position(c) for c in router.configured_colors()}
+        state.append(
+            (pe.messages_received, pe.words_received, pe.messages_sent,
+             pe.words_sent, pe.busy_until, positions, dict(router.table))
+        )
+    return state
 
 
 class TestCalendarOrder:
