@@ -5,8 +5,9 @@ The package implements the paper's TPFA finite-volume flux kernel three
 ways and cross-validates them:
 
 * :mod:`repro.core` — vectorized NumPy reference (ground truth);
-* :mod:`repro.gpu` — RAJA-like and CUDA-like kernels on a simulated
-  A100-class device with an occupancy/bandwidth cost model;
+* :mod:`repro.gpu` — the RAJA and CUDA reference kernels as a cost
+  model on a simulated A100-class device (launches, transfers,
+  occupancy) around the core slab sweep;
 * :mod:`repro.dataflow` — the paper's contribution: a cell-based mapping
   onto a simulated wafer-scale engine (:mod:`repro.wse`) with the two-step
   cardinal router-switch protocol and the two-hop diagonal exchange.

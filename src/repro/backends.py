@@ -141,7 +141,7 @@ class Backend:
 
 # Two fold classes: "event" (the fabric's arrival order, which fused
 # replays from the IR) and "phased" (the Sec. 5.2 order of
-# core.sweep.PHASED_PROGRAM: lockstep, gpu tiles, cluster/par ranks).
+# core.sweep.PHASED_PROGRAM: lockstep, gpu's block, cluster/par ranks).
 # They coincide on the forced-order fabric shapes — the golden registry
 # encodes that per artifact via tolerance_overrides.
 BACKENDS = MappingProxyType({

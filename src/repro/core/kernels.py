@@ -5,8 +5,8 @@ One production statement and three independent float64 restatements:
 * :func:`face_flux` — steps 1-12 of the per-PE DSD sequence (the table
   is at :meth:`repro.wse.dsd.DsdEngine.account_flux_column`, which books
   it); its callers are the core slab sweep (:mod:`repro.core.sweep`:
-  fused, lockstep, cluster and par), the event program's round hooks
-  and the gpu tiles.
+  fused, lockstep, gpu, cluster and par) and the event program's round
+  hooks.
 * :func:`face_flux_array` — vectorized over arrays of faces, the
   oracle's building block (:mod:`repro.core.flux`,
   :mod:`repro.core.unstructured`, the implicit solver).

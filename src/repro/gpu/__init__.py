@@ -1,15 +1,13 @@
-"""Reference GPU implementations on a simulated A100-class device.
+"""Reference GPU implementation on a simulated A100-class device.
 
-RAJA-like and CUDA-like kernel front-ends (paper Sec. 6) over a device
-model with host/device memory, tiled 3D threadblock launches, and an
-occupancy model matching the paper's Nsight readings.
+The paper's RAJA and CUDA kernels (Sec. 6) as a cost model: the residual
+is the phased slab sweep's (:mod:`repro.core.sweep`), and the device
+model counts 16x8x8-tiled 1024-thread launches, host/device transfers
+and an occupancy matching the paper's Nsight readings.
 """
 
-from repro.gpu.cuda import CudaLaunchRecord, cuda_kernel, dim3
-from repro.gpu.device import A100_40GB, DeviceSpec, OccupancyModel
-from repro.gpu.launch import PAPER_TILE, Tile, TiledLaunch
-from repro.gpu.memory import DeviceMemoryManager, TransferLog
-from repro.gpu.raja import PAPER_POLICY, KernelPolicy, raja_kernel
+from repro.gpu.device import A100_40GB, DeviceSpec, OccupancyModel, TransferLog
+from repro.gpu.launch import PAPER_TILE, TiledLaunch
 from repro.gpu.reference import GpuFluxComputation, GpuRunResult
 
 __all__ = [
@@ -18,15 +16,7 @@ __all__ = [
     "DeviceSpec",
     "A100_40GB",
     "OccupancyModel",
-    "DeviceMemoryManager",
     "TransferLog",
     "TiledLaunch",
-    "Tile",
     "PAPER_TILE",
-    "KernelPolicy",
-    "PAPER_POLICY",
-    "raja_kernel",
-    "cuda_kernel",
-    "CudaLaunchRecord",
-    "dim3",
 ]

@@ -5,14 +5,15 @@ The paper's reference platform is *Cypress*: four NVIDIA A100-40GB GPUs
 hardware parameters the cost and roofline models need;
 :class:`OccupancyModel` reproduces the occupancy math Nsight reported for
 the reference kernel (Sec. 7.2: 30.79 of 32 theoretical warps per SM,
-48.11% of 50% theoretical occupancy).
+48.11% of 50% theoretical occupancy); :class:`TransferLog` accounts the
+host/device copies against the PCIe bandwidth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DeviceSpec", "OccupancyModel", "A100_40GB"]
+__all__ = ["DeviceSpec", "OccupancyModel", "A100_40GB", "TransferLog"]
 
 
 @dataclass(frozen=True)
@@ -125,3 +126,27 @@ class OccupancyModel:
     def achieved_occupancy(self) -> float:
         """Achieved occupancy (0.4811 in the paper)."""
         return self.theoretical_occupancy * self.achieved_fraction
+
+
+@dataclass
+class TransferLog:
+    """Accumulated host<->device traffic."""
+
+    h2d_bytes: int = 0
+    d2h_bytes: int = 0
+    h2d_transfers: int = 0
+    d2h_transfers: int = 0
+
+    def h2d(self, nbytes: int, count: int = 1) -> None:
+        """Book *count* host-to-device copies of *nbytes* each."""
+        self.h2d_bytes += nbytes * count
+        self.h2d_transfers += count
+
+    def d2h(self, nbytes: int) -> None:
+        """Book one device-to-host copy of *nbytes*."""
+        self.d2h_bytes += nbytes
+        self.d2h_transfers += 1
+
+    def transfer_seconds(self, device: DeviceSpec) -> float:
+        """Modelled PCIe time of all transfers so far."""
+        return (self.h2d_bytes + self.d2h_bytes) / device.pcie_bandwidth

@@ -1,48 +1,21 @@
-"""Threadblock/tile decomposition of a kernel launch.
+"""Threadblock geometry of a kernel launch.
 
 The reference kernels launch 3D threadblocks of 1024 threads tiled
 ``16 x 8 x 8`` with 16 along the innermost (X) dimension (paper Sec. 6).
-:class:`TiledLaunch` computes the grid, iterates tile index ranges, and
-intersects a tile with a stencil direction's interior region — the
-building blocks both the RAJA-like and the CUDA-like kernels share.
+:class:`TiledLaunch` computes the grid the GPU model counts its tiles
+on; the RAJA-like launch clamps its tiles to the mesh, the CUDA-like
+one bounds-checks each lane, and both launch the same grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
-from repro.core.stencil import Connection, interior_slices
-
-__all__ = ["TiledLaunch", "Tile", "PAPER_TILE"]
+__all__ = ["TiledLaunch", "PAPER_TILE"]
 
 #: The paper's threadblock tiling (X, Y, Z) = (16, 8, 8).
 PAPER_TILE = (16, 8, 8)
-
-
-@dataclass(frozen=True)
-class Tile:
-    """One threadblock's cell range, as (z, y, x) slices."""
-
-    zs: slice
-    ys: slice
-    xs: slice
-    block_index: tuple[int, int, int]
-
-    @property
-    def slices(self) -> tuple[slice, slice, slice]:
-        """Index tuple into (nz, ny, nx) fields."""
-        return (self.zs, self.ys, self.xs)
-
-    @property
-    def num_cells(self) -> int:
-        """Cells covered by this tile (after mesh clamping)."""
-        return (
-            (self.zs.stop - self.zs.start)
-            * (self.ys.stop - self.ys.start)
-            * (self.xs.stop - self.xs.start)
-        )
 
 
 @dataclass(frozen=True)
@@ -57,9 +30,8 @@ class TiledLaunch:
         Threads per block along (X, Y, Z); the product must not exceed
         1024 (the GPU block-size limit the paper respects).
     clamp:
-        When True (RAJA-style) tiles are clamped to the mesh before
-        execution; when False the launch enumerates full tiles and the
-        kernel must bounds-check each lane (CUDA-style).
+        True for RAJA-style tiles clamped to the mesh, False for
+        CUDA-style full tiles whose kernel bounds-checks each lane.
     """
 
     shape_zyx: tuple[int, int, int]
@@ -108,62 +80,3 @@ class TiledLaunch:
             "threads_per_block": self.threads_per_block,
             "clamp": self.clamp,
         }
-
-    def tiles(self) -> Iterator[Tile]:
-        """Enumerate every threadblock's cell range.
-
-        With ``clamp=True`` ranges are pre-clipped to the mesh; otherwise
-        full tile extents are yielded and callers must mask out-of-range
-        lanes (the CUDA kernel's explicit boundary check).
-        """
-        nz, ny, nx = self.shape_zyx
-        tx, ty, tz = self.tile_xyz
-        gx, gy, gz = self.grid_dims
-        for bz in range(gz):
-            for by in range(gy):
-                for bx in range(gx):
-                    x0, y0, z0 = bx * tx, by * ty, bz * tz
-                    if self.clamp:
-                        yield Tile(
-                            zs=slice(z0, min(z0 + tz, nz)),
-                            ys=slice(y0, min(y0 + ty, ny)),
-                            xs=slice(x0, min(x0 + tx, nx)),
-                            block_index=(bx, by, bz),
-                        )
-                    else:
-                        yield Tile(
-                            zs=slice(z0, z0 + tz),
-                            ys=slice(y0, y0 + ty),
-                            xs=slice(x0, x0 + tx),
-                            block_index=(bx, by, bz),
-                        )
-
-    # ------------------------------------------------------------------ #
-    def tile_direction_views(
-        self, tile: Tile, conn: Connection
-    ) -> tuple[tuple[slice, slice, slice], tuple[slice, slice, slice]] | None:
-        """Restrict a stencil direction to one tile.
-
-        Returns ``(local, neighbour)`` absolute index tuples covering the
-        tile's cells that have a *conn* neighbour, or None when the tile
-        contains no such cell.  ``field[local]`` are the tile's cells,
-        ``field[neighbour]`` their neighbours (which may live in another
-        tile — device memory is shared among all threads, Sec. 6).
-        """
-        region, _ = interior_slices(self.shape_zyx, conn)
-        dx, dy, dz = conn.offset
-        out_local = []
-        out_neigh = []
-        for t, r, d, n in (
-            (tile.zs, region[0], dz, self.shape_zyx[0]),
-            (tile.ys, region[1], dy, self.shape_zyx[1]),
-            (tile.xs, region[2], dx, self.shape_zyx[2]),
-        ):
-            lo = max(t.start, r.start if r.start is not None else 0)
-            hi = min(t.stop, r.stop if r.stop is not None else n)
-            hi = min(hi, n)
-            if lo >= hi:
-                return None
-            out_local.append(slice(lo, hi))
-            out_neigh.append(slice(lo + d, hi + d))
-        return tuple(out_local), tuple(out_neigh)

@@ -1,13 +1,16 @@
-"""The GPU reference flux computation (paper Sec. 6).
+"""The GPU reference flux computation (paper Sec. 6) as a cost model.
 
-:class:`GpuFluxComputation` reproduces the structure of the reference
-implementations end to end: host and device allocation, the one-time bulk
-H2D copy, per-application kernel launches over 3D threadblocks (RAJA-like
-clamped tiles or CUDA-like manually-bounded tiles), and the final D2H
-copy.  The flux function is "logically identical" to the dataflow one
-(Sec. 6): each tile runs the statement the fabric kernels book,
-:func:`repro.core.kernels.face_flux`, and folds in the PE program's
-order, :data:`repro.core.sweep.PHASED_PROGRAM`: lockstep's bytes.
+The reference kernels are "logically identical" to the dataflow one
+(Sec. 6), so :class:`GpuFluxComputation` computes the residual with the
+phased slab sweep lockstep, cluster and par run
+(:class:`~repro.core.sweep.SlabSweep` over
+:data:`~repro.core.sweep.PHASED_PROGRAM`, one block): lockstep's bytes.
+What is the A100's own is the accounting around it, computed from the
+mesh shape: the 14 device fields checked against device memory, the
+one-time bulk H2D copy, one density and one flux launch of ``16 x 8 x 8``
+threadblocks per application (RAJA-like clamped tiles and CUDA-like
+bounds-checked ones launch the same grid), the pressure upload per
+application and the residual's D2H copies.
 """
 
 from __future__ import annotations
@@ -16,21 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import constants
 from repro.core.fluid import FluidProperties
-from repro.core.kernels import FLOPS_PER_CELL, FluxScratch, face_flux
+from repro.core.kernels import FLOPS_PER_FLUX
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import ALL_CONNECTIONS
-from repro.core.sweep import PHASED_PROGRAM
-from repro.core.transmissibility import Transmissibility, padded_trans_fields
-from repro.gpu.cuda import cuda_kernel
-from repro.gpu.device import A100_40GB, OccupancyModel
-from repro.gpu.launch import PAPER_TILE, Tile, TiledLaunch
-from repro.gpu.memory import DeviceMemoryManager, TransferLog
-from repro.gpu.raja import raja_kernel
+from repro.core.sweep import PHASED_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
+from repro.core.transmissibility import Transmissibility
+from repro.gpu.device import A100_40GB, OccupancyModel, TransferLog
+from repro.gpu.launch import PAPER_TILE, TiledLaunch
 from repro.obs.spans import span
 
 __all__ = ["GpuFluxComputation", "GpuRunResult"]
+
+#: The reference's device allocations, in allocation order (Sec. 6).
+DEVICE_FIELDS = ("pressure", "density", "residual", "elevation") + tuple(
+    f"trans_{conn.name}" for conn in ALL_CONNECTIONS
+)
 
 
 @dataclass
@@ -94,118 +98,70 @@ class GpuFluxComputation:
         self.fluid = fluid
         self.variant = variant
         self.dtype = np.dtype(dtype)
-        if trans is None:
-            trans = Transmissibility(mesh, dtype=dtype)
-        elif trans.mesh is not mesh:
-            raise ValueError("trans was built for a different mesh")
-        tx, ty, tz = PAPER_TILE
-        self.occupancy = OccupancyModel(A100_40GB, threads_per_block=tx * ty * tz)
         #: Optional :class:`~repro.obs.replay.ReplayRecorder`; recording
         #: adds one d2h readback per application (normally the residual
         #: stays device-resident until the batch-final copy).
         self.record = record
-
-        # --- allocate device memory and upload the static mesh data ----
-        shape = mesh.shape_zyx
-        self.dev = DeviceMemoryManager(A100_40GB)
-        self.dev.alloc("pressure", shape, self.dtype)
-        self.dev.alloc("density", shape, self.dtype)
-        self.dev.alloc("residual", shape, self.dtype)
-        self.dev.alloc("elevation", shape, self.dtype)
-        trans_fields = padded_trans_fields(mesh, trans, self.dtype)
-        for conn in ALL_CONNECTIONS:
-            self.dev.alloc(f"trans_{conn.name}", shape, self.dtype)
-        # one bulk host-to-device copy before any kernel runs (Sec. 6)
-        self.dev.h2d("elevation", np.asarray(mesh.elevation, dtype=self.dtype))
-        for conn in ALL_CONNECTIONS:
-            self.dev.h2d(f"trans_{conn.name}", trans_fields[conn])
-        self._launch_helper = TiledLaunch(shape, PAPER_TILE, clamp=True)
-        #: the mobility rho * (1/mu), formed by the density kernel: a
-        #: temporary of the model, not a device allocation
-        self._mobility = np.empty(shape, self.dtype)
-        self._gravity = self.dtype.type(constants.GRAVITY)
-
-    # ------------------------------------------------------------------ #
-    # Device kernels
-    # ------------------------------------------------------------------ #
-    def _density_tile(self, tile: Tile) -> None:
-        """Eq. 5 and the mobility for one tile (the density kernel)."""
-        p = self.dev.get("pressure")[tile.slices]
-        rho = self.dev.get("density")[tile.slices]
-        self.fluid.density(p, out=rho)
-        self.fluid.mobility(rho, out=self._mobility[tile.slices])
-
-    def _flux_tile(self, tile: Tile) -> None:
-        """All ten per-cell fluxes for one tile (the flux kernel body).
-
-        Each cell reads its own and its neighbours' state straight from
-        shared device memory — "we do not need to transfer the data among
-        cells and can directly refer to the data using simple index
-        arithmetic" (Sec. 6).
-        """
-        p = self.dev.get("pressure")
-        rho = self.dev.get("density")
-        lam = self._mobility
-        z = self.dev.get("elevation")
-        res = self.dev.get("residual")
-        res[tile.slices] = 0.0
-        for conn, _mask in PHASED_PROGRAM:
-            views = self._launch_helper.tile_direction_views(tile, conn)
-            if views is None:
-                continue
-            local, neigh = views
-            scratch = FluxScratch.empty(res[local].shape, self.dtype)
-            face_flux(
-                scratch, p[local], p[neigh], z[local], z[neigh],
-                rho[local], rho[neigh], lam[local], lam[neigh],
-                self.dev.get(f"trans_{conn.name}")[local], scratch.dp,
-                self._gravity,
+        self._field_bytes = mesh.num_cells * self.dtype.itemsize
+        # the paper's mesh fits the 40 GB device whole (Sec. 6)
+        capacity = A100_40GB.device_memory_bytes
+        fits = capacity // self._field_bytes
+        if fits < len(DEVICE_FIELDS):
+            raise MemoryError(
+                f"device OOM allocating {DEVICE_FIELDS[fits]!r}: need "
+                f"{self._field_bytes} B, used {fits * self._field_bytes} of {capacity} B"
             )
-            res[local] += scratch.dp
-            self._flops += scratch.dp.size * (FLOPS_PER_CELL // 10)
+        self._launch = TiledLaunch(mesh.shape_zyx, PAPER_TILE, clamp=variant == "raja")
+        self.occupancy = OccupancyModel(A100_40GB, self._launch.threads_per_block)
+        nz, ny, nx = mesh.shape_zyx
+        # fluxes the cell-based kernel evaluates per application: every
+        # face once from either side
+        self._faces = sum(
+            (nz - abs(dz)) * (ny - abs(dy)) * (nx - abs(dx))
+            for dx, dy, dz in (conn.offset for conn in ALL_CONNECTIONS)
+        )
+        layout = PaddedLayout(mesh, fluid, self.dtype, trans)
+        self._sweep = SlabSweep(layout, PHASED_PROGRAM, SlabWorkspace([layout]), "gpu")
+        self._residual = np.empty((1, layout.lanes), self.dtype)
+        self._interior = layout.interior(self._residual)[0]
+        # one bulk host-to-device copy before any kernel runs (Sec. 6):
+        # the elevation and the ten transmissibility fields
+        self.transfers = TransferLog()
+        self.transfers.h2d(self._field_bytes, 11)
 
-    def _launch(self, body) -> int:
-        """Dispatch one kernel with the configured launch style."""
-        with span(
-            f"gpu.{body.__name__.lstrip('_')}",
-            backend=f"gpu/{self.variant}",
-            **self._launch_helper.describe(),
-        ):
-            launch = raja_kernel if self.variant == "raja" else cuda_kernel
-            return launch(self.mesh.shape_zyx, body).tiles_executed
-
-    # ------------------------------------------------------------------ #
     def run(self, pressures) -> GpuRunResult:
         """Run one density + flux kernel pair per pressure field; the
         result counts this run's launches, tiles and FLOPs only."""
-        applications = self._flops = self._tiles = self._launches = 0
-        host_residual = np.zeros(self.mesh.shape_zyx, dtype=self.dtype)
+        applications = 0
+        residual = np.empty(self.mesh.shape_zyx, self.dtype)
+        backend = f"gpu/{self.variant}"
         for pressure in pressures:
-            with span("gpu.application", backend=f"gpu/{self.variant}"):
-                self.mesh.validate_field(pressure, name="pressure")
+            with span("gpu.application", backend=backend, **self._launch.describe()):
                 with span("gpu.h2d"):
-                    self.dev.h2d(
-                        "pressure", np.asarray(pressure, dtype=self.dtype)
-                    )
-                self._tiles += self._launch(self._density_tile)
-                self._tiles += self._launch(self._flux_tile)
-                self._launches += 2
+                    self._sweep.load([pressure])
+                    self.transfers.h2d(self._field_bytes)
+                self._residual.fill(0)
+                self._sweep.run(self._residual)
                 applications += 1
                 if self.record is not None:
                     with span("gpu.d2h"):
-                        self.dev.d2h("residual", host_residual)
-                    self.record.record_step(pressure, host_residual)
+                        self._d2h(residual)
+                    self.record.record_step(pressure, residual)
         if applications == 0:
             raise ValueError("no pressure fields supplied")
         with span("gpu.d2h"):
-            self.dev.d2h("residual", host_residual)
+            self._d2h(residual)
         return GpuRunResult(
-            residual=host_residual,
+            residual=residual,
             applications=applications,
-            kernel_launches=self._launches,
-            tiles_executed=self._tiles,
+            kernel_launches=2 * applications,
+            tiles_executed=2 * applications * self._launch.num_blocks,
             occupancy=self.occupancy,
-            transfers=self.dev.transfers,
-            flops=self._flops,
+            transfers=self.transfers,
+            flops=applications * FLOPS_PER_FLUX * self._faces,
             variant=self.variant,
         )
+
+    def _d2h(self, host: np.ndarray) -> None:
+        np.copyto(host, self._interior)
+        self.transfers.d2h(self._field_bytes)

@@ -111,7 +111,7 @@ def main() -> int:
 
     # 2. A forced-order mesh (single interior column along Y): the
     #    event fabric's arrival order is forced, so the phased fold
-    #    class (lockstep, and gpu's tiles) must match it bit-for-bit,
+    #    class (lockstep, and gpu's sweep) must match it bit-for-bit,
     #    not just within tolerance.  fused shares the event fold class,
     #    so it is bit-exact on every shape.
     art = record_run(

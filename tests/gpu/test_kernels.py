@@ -1,5 +1,7 @@
-"""Tests for the RAJA-like / CUDA-like kernel front-ends and the
-end-to-end GPU flux computation."""
+"""Tests for the end-to-end GPU flux computation: the phased sweep's
+residual and the device model's counters."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,57 +14,14 @@ from repro.core import (
     compute_flux_residual,
     random_pressure,
 )
-from repro.gpu import GpuFluxComputation, KernelPolicy, cuda_kernel, raja_kernel
-from repro.gpu.raja import PAPER_POLICY
+from repro.gpu import GpuFluxComputation
 from repro.workloads import make_geomodel
-
-
-class TestRajaFrontend:
-    def test_paper_policy(self):
-        assert PAPER_POLICY.tile_xyz == (16, 8, 8)
-        assert PAPER_POLICY.block_size == 1024
-        assert PAPER_POLICY.thread_policies == (
-            "cuda_thread_z_loop",
-            "cuda_thread_y_loop",
-            "cuda_thread_x_loop",
-        )
-
-    def test_kernel_executes_every_tile(self):
-        seen = []
-        record = raja_kernel((5, 5, 5), seen.append, policy=KernelPolicy((4, 4, 4)))
-        assert record.tiles_executed == len(seen) == 8
-        assert record.threads_per_block == 64
-
-    def test_rejects_oversized_policy(self):
-        with pytest.raises(ValueError, match="1024"):
-            raja_kernel((4, 4, 4), lambda t: None, policy=KernelPolicy((32, 8, 8)))
-
-
-class TestCudaFrontend:
-    def test_manual_grid_dims(self):
-        record = cuda_kernel((10, 9, 17), lambda t: None, tile_xyz=(16, 8, 8))
-        assert (record.grid.x, record.grid.y, record.grid.z) == (2, 2, 2)
-        assert record.block.total == 1024
-
-    def test_boundary_lanes_masked(self):
-        """17x9x10 mesh in 16x8x8 tiles: lanes beyond the grid are masked."""
-        record = cuda_kernel((10, 9, 17), lambda t: None, tile_xyz=(16, 8, 8))
-        total_lanes = record.grid.x * record.grid.y * record.grid.z * 1024
-        assert record.lanes_masked_out == total_lanes - 10 * 9 * 17
-
-    def test_exact_mesh_no_masking(self):
-        record = cuda_kernel((8, 8, 16), lambda t: None, tile_xyz=(16, 8, 8))
-        assert record.lanes_masked_out == 0
-
-    def test_body_receives_clipped_tiles(self):
-        cells = []
-        cuda_kernel((5, 5, 5), lambda t: cells.append(t.num_cells), tile_xyz=(4, 4, 4))
-        assert sum(cells) == 125
 
 
 def test_import_loads_no_fabric_module(fresh_interpreter):
     """The GPU model shares ``repro.core`` with the fabric backends and
-    nothing else (``padded_trans_fields`` is ``core.transmissibility``'s)."""
+    nothing else: its sweep is ``core.sweep``'s, which loads no fabric
+    module either."""
     out = fresh_interpreter(
         "import sys, repro.gpu.reference\n"
         "print(sorted(m for m in sys.modules"
@@ -92,7 +51,7 @@ class TestGpuFluxComputation:
         np.testing.assert_allclose(result.residual, ref, atol=1e-12 * scale)
 
     def test_variants_agree_exactly(self, problem):
-        """RAJA and CUDA launches execute identical tile math."""
+        """RAJA and CUDA launches run the same sweep."""
         mesh, fluid, trans, p, _ = problem
         a = GpuFluxComputation(mesh, fluid, trans, variant="raja", dtype=np.float64)
         b = GpuFluxComputation(mesh, fluid, trans, variant="cuda", dtype=np.float64)
@@ -166,3 +125,44 @@ class TestGpuFluxComputation:
         gpu = GpuFluxComputation(mesh, fluid, dtype=np.float64)
         result = gpu.run([mesh.full(1e7)])
         np.testing.assert_array_equal(result.residual, 0.0)
+
+    def test_rejects_trans_of_another_mesh(self, problem, fluid):
+        _, _, trans, _, _ = problem
+        other = make_geomodel(18, 11, 7, kind="lognormal", seed=8)
+        with pytest.raises(ValueError, match="trans was built for a different mesh"):
+            GpuFluxComputation(other, fluid, trans)
+
+
+#: Counters and residual digests of three applications, computed with
+#: the tile-by-tile reference (density and flux kernels per 16x8x8 tile,
+#: device buffers) that the phased sweep replaced.
+COUNTER_PINS = {
+    ((17, 9, 10), "float32"): (48, 565908, 85680, 6120, "2382fb734e461940"),
+    ((17, 9, 10), "float64"): (48, 565908, 171360, 12240, "327357fbcbb94d29"),
+    ((18, 11, 7), "float32"): (24, 515508, 77616, 5544, "e0cf1caba3995cfb"),
+    ((18, 11, 7), "float64"): (24, 515508, 155232, 11088, "8f4aaf244a4409f8"),
+}
+
+
+@pytest.mark.parametrize("variant", ["raja", "cuda"])
+@pytest.mark.parametrize("dims, dtype", list(COUNTER_PINS))
+def test_counters_and_bytes_are_pinned(fluid, dims, dtype, variant):
+    """Launches, tiles, FLOPs, transfers, occupancy and the residual
+    bytes are the tile loop's: two launches of ``TiledLaunch.num_blocks``
+    tiles per application, 14 FLOPs per face, 11 static fields and one
+    pressure per application up, one residual down."""
+    tiles, flops, h2d, d2h, digest = COUNTER_PINS[dims, dtype]
+    mesh = make_geomodel(*dims, kind="lognormal", seed=5)
+    trans = Transmissibility(mesh, dtype=np.dtype(dtype))
+    gpu = GpuFluxComputation(mesh, fluid, trans, variant=variant, dtype=np.dtype(dtype))
+    result = gpu.run(PressureSequence(mesh, num_applications=3, seed=9))
+    assert result.as_metrics() == {
+        "variant": variant, "applications": 3, "kernel_launches": 6,
+        "tiles_executed": tiles, "flops": flops,
+    }
+    assert vars(result.transfers) == {
+        "h2d_bytes": h2d, "d2h_bytes": d2h, "h2d_transfers": 14, "d2h_transfers": 1,
+    }
+    assert result.occupancy.achieved_occupancy == 0.48109999999999997
+    assert result.residual.flags["C_CONTIGUOUS"] and result.residual.dtype == dtype
+    assert hashlib.sha256(result.residual.tobytes()).hexdigest()[:16] == digest

@@ -1,9 +1,7 @@
-"""Unit tests for threadblock tiling and tile/stencil intersection."""
+"""Unit tests for the threadblock geometry of a launch."""
 
-import numpy as np
 import pytest
 
-from repro.core.stencil import ALL_CONNECTIONS, Connection, interior_slices
 from repro.gpu.launch import PAPER_TILE, TiledLaunch
 
 
@@ -29,70 +27,3 @@ class TestGrid:
     def test_rejects_zero_tile(self):
         with pytest.raises(ValueError):
             TiledLaunch((4, 4, 4), (0, 8, 8))
-
-
-class TestTileEnumeration:
-    def test_clamped_tiles_cover_mesh_exactly(self):
-        shape = (10, 9, 17)
-        launch = TiledLaunch(shape, (16, 8, 8), clamp=True)
-        covered = np.zeros(shape, dtype=int)
-        for tile in launch.tiles():
-            covered[tile.slices] += 1
-        assert np.all(covered == 1)
-
-    def test_unclamped_tiles_are_full(self):
-        launch = TiledLaunch((10, 9, 17), (16, 8, 8), clamp=False)
-        for tile in launch.tiles():
-            assert tile.num_cells == 1024
-
-    def test_tile_count_matches_grid(self):
-        launch = TiledLaunch((20, 20, 20), (16, 8, 8))
-        assert len(list(launch.tiles())) == launch.num_blocks
-
-    def test_block_indices_unique(self):
-        launch = TiledLaunch((20, 20, 20), (16, 8, 8))
-        idx = [t.block_index for t in launch.tiles()]
-        assert len(set(idx)) == len(idx)
-
-
-class TestDirectionViews:
-    @pytest.mark.parametrize("conn", ALL_CONNECTIONS)
-    def test_union_over_tiles_equals_interior(self, conn):
-        """Per-tile direction views tile the global interior region."""
-        shape = (5, 7, 9)
-        launch = TiledLaunch(shape, (4, 4, 4))
-        covered = np.zeros(shape, dtype=int)
-        for tile in launch.tiles():
-            views = launch.tile_direction_views(tile, conn)
-            if views is None:
-                continue
-            local, _ = views
-            covered[local] += 1
-        ref_local, _ = interior_slices(shape, conn)
-        expected = np.zeros(shape, dtype=int)
-        expected[ref_local] = 1
-        np.testing.assert_array_equal(covered, expected)
-
-    @pytest.mark.parametrize("conn", ALL_CONNECTIONS)
-    def test_neighbour_offset_consistent(self, conn):
-        shape = (4, 5, 6)
-        nz, ny, nx = shape
-        idx = np.arange(nz * ny * nx).reshape(shape)
-        launch = TiledLaunch(shape, (4, 4, 2))
-        dx, dy, dz = conn.offset
-        flat_off = dx + dy * nx + dz * nx * ny
-        for tile in launch.tiles():
-            views = launch.tile_direction_views(tile, conn)
-            if views is None:
-                continue
-            local, neigh = views
-            assert np.all(idx[neigh] - idx[local] == flat_off)
-
-    def test_none_when_tile_has_no_neighbours(self):
-        """A 1-cell-thick boundary tile may have no cells for a direction."""
-        shape = (1, 1, 8)
-        launch = TiledLaunch(shape, (4, 4, 4))
-        tiles = list(launch.tiles())
-        assert launch.tile_direction_views(tiles[0], Connection.NORTH) is None
-        assert launch.tile_direction_views(tiles[0], Connection.UP) is None
-        assert launch.tile_direction_views(tiles[0], Connection.EAST) is not None

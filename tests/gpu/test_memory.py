@@ -1,53 +1,25 @@
-"""Unit tests for the simulated device memory manager."""
+"""Unit tests for the device-memory capacity check and transfer accounting."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.gpu.device import A100_40GB, DeviceSpec
-from repro.gpu.memory import DeviceMemoryManager
-
-
-def small_device(mem_bytes=1024) -> DeviceSpec:
-    from dataclasses import replace
-
-    return replace(A100_40GB, device_memory_bytes=mem_bytes)
+import repro.gpu.reference as reference
+from repro.core import CartesianMesh3D
+from repro.gpu.device import A100_40GB, TransferLog
 
 
 class TestAllocation:
-    def test_alloc_and_get(self):
-        mgr = DeviceMemoryManager()
-        arr = mgr.alloc("a", (2, 3), np.float32)
-        assert arr.shape == (2, 3)
-        assert mgr.get("a") is arr
-        assert mgr.allocated_bytes == 24
-
-    def test_oom(self):
-        mgr = DeviceMemoryManager(small_device(100))
-        with pytest.raises(MemoryError, match="device OOM"):
-            mgr.alloc("big", 100, np.float32)
-
-    def test_duplicate_name(self):
-        mgr = DeviceMemoryManager()
-        mgr.alloc("a", 2)
-        with pytest.raises(ValueError):
-            mgr.alloc("a", 2)
-
-    def test_free_returns_capacity(self):
-        mgr = DeviceMemoryManager(small_device(100))
-        mgr.alloc("a", 20, np.float32)
-        mgr.free("a")
-        assert mgr.allocated_bytes == 0
-        mgr.alloc("b", 25, np.float32)  # fits again
-
-    def test_free_missing(self):
-        mgr = DeviceMemoryManager()
-        with pytest.raises(KeyError):
-            mgr.free("ghost")
-
-    def test_get_missing(self):
-        mgr = DeviceMemoryManager()
-        with pytest.raises(KeyError):
-            mgr.get("ghost")
+    def test_oom(self, monkeypatch, fluid):
+        """The 14 device fields are counted against device memory before
+        anything is built; the first that does not fit is named."""
+        monkeypatch.setattr(reference, "A100_40GB", replace(A100_40GB, device_memory_bytes=100))
+        with pytest.raises(
+            MemoryError,
+            match=r"^device OOM allocating 'elevation': need 32 B, used 96 of 100 B$",
+        ):
+            reference.GpuFluxComputation(CartesianMesh3D(2, 2, 2), fluid, dtype=np.float32)
 
     def test_paper_mesh_fits_a100(self):
         """The full 750x994x246 working set fits 40 GB (Sec. 6 claim)."""
@@ -57,35 +29,9 @@ class TestAllocation:
 
 
 class TestTransfers:
-    def test_h2d_copies_and_accounts(self):
-        mgr = DeviceMemoryManager()
-        mgr.alloc("a", 4, np.float32)
-        host = np.arange(4, dtype=np.float32)
-        mgr.h2d("a", host)
-        np.testing.assert_array_equal(mgr.get("a"), host)
-        assert mgr.transfers.h2d_bytes == 16
-        assert mgr.transfers.h2d_transfers == 1
-
-    def test_d2h_copies_and_accounts(self):
-        mgr = DeviceMemoryManager()
-        dev = mgr.alloc("a", 4, np.float32)
-        dev[:] = 7.0
-        host = np.zeros(4, dtype=np.float32)
-        mgr.d2h("a", host)
-        np.testing.assert_array_equal(host, 7.0)
-        assert mgr.transfers.d2h_bytes == 16
-
-    def test_shape_mismatch(self):
-        mgr = DeviceMemoryManager()
-        mgr.alloc("a", 4, np.float32)
-        with pytest.raises(ValueError, match="shape"):
-            mgr.h2d("a", np.zeros(5, dtype=np.float32))
-        with pytest.raises(ValueError, match="shape"):
-            mgr.d2h("a", np.zeros((2, 3), dtype=np.float32))
-
     def test_transfer_seconds_model(self):
-        mgr = DeviceMemoryManager()
-        mgr.alloc("a", 1024, np.float32)
-        mgr.h2d("a", np.zeros(1024, dtype=np.float32))
-        t = mgr.transfers.transfer_seconds(mgr.device)
-        assert t == pytest.approx(4096 / mgr.device.pcie_bandwidth)
+        log = TransferLog()
+        log.h2d(4096)
+        assert (log.h2d_bytes, log.h2d_transfers) == (4096, 1)
+        t = log.transfer_seconds(A100_40GB)
+        assert t == pytest.approx(4096 / A100_40GB.pcie_bandwidth)

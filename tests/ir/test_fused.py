@@ -96,7 +96,7 @@ class TestLoweringsAgree:
         r_fused = lower_to_fused(ir, mesh, fluid).run([pressure]).residual
         assert (r_event == r_lock).all()
         assert (r_event == r_fused).all()
-        # the rest of the phased fold class: gpu's tiles and cluster's ranks
+        # the rest of the phased fold class: gpu's block and cluster's ranks
         for name, config in (("gpu", {}), ("cluster", {"px": 2, "py": 1})):
             driver = BACKENDS[name].build(mesh, fluid, dtype=dtype, **config)
             try:

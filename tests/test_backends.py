@@ -127,13 +127,12 @@ class TestTable:
         ) == []
 
     def test_only_the_sweeps_call_a_flux_kernel(self):
-        """The face-flux statement has three callers: the core slab
-        sweep (fused, lockstep, cluster and par), the event program's
-        round hooks and the gpu tiles; the oracle modules may too.  A
-        driver that grows its own padded layout, slab or phase loop
-        again fails here."""
+        """The face-flux statement has two callers: the core slab sweep
+        (fused, lockstep, gpu, cluster and par) and the event program's
+        round hooks; the oracle modules may too.  A driver that grows its
+        own padded layout, slab, tile or phase loop again fails here."""
         assert _calls_outside(
-            {"core/sweep.py", "dataflow/program.py", "gpu/reference.py",
+            {"core/sweep.py", "dataflow/program.py",
              "core/flux.py", "core/unstructured.py"},
             "face_flux".__eq__,
         ) == []
@@ -201,31 +200,43 @@ class TestTable:
 
     def test_only_the_rank_program_builds_a_host_kernel(self):
         """``PaddedLayout``, ``SlabWorkspace`` and ``SlabSweep`` are
-        built in two places: the fabric models' batched driver
-        (``dataflow/padded.py``) and ``cluster/flux.py::RankSet``.  The
+        built in three places: the fabric models' batched driver
+        (``dataflow/padded.py``), ``cluster/flux.py::RankSet`` and gpu's
+        single-block sweep (``GpuFluxComputation.__init__``).  The
         cluster driver runs that rank program over every rank and each
         par worker over its own, so par == cluster is one program over
-        two transports.  A host driver that builds its own sweep or
-        workspace again fails here."""
+        two transports; gpu cannot be a one-rank ``RankSet``, whose
+        ranks derive their transmissibilities from their local meshes,
+        because it sweeps the caller's ``trans``.  A host driver that
+        builds its own sweep or workspace again fails here."""
         import repro
 
-        flux = Path(repro.__file__).parent / "cluster" / "flux.py"
-        rank_set = next(
-            node for node in ast.parse(flux.read_text()).body
-            if isinstance(node, ast.ClassDef) and node.name == "RankSet"
-        )
-        lines = range(rank_set.lineno, rank_set.end_lineno + 1)
+        root = Path(repro.__file__).parent
+
+        def lines(module, *path):
+            node = ast.parse((root / module).read_text())
+            for name in path:
+                node = next(
+                    child for child in node.body
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and child.name == name
+                )
+            return module, range(node.lineno, node.end_lineno + 1)
+
+        sanctioned = [
+            lines("cluster/flux.py", "RankSet"),
+            lines("gpu/reference.py", "GpuFluxComputation", "__init__"),
+        ]
         sites = _calls_outside(
             {"dataflow/padded.py"},
             {"PaddedLayout", "SlabWorkspace", "SlabSweep"}.__contains__,
         )
 
-        def in_rank_set(site):
+        def is_sanctioned(site):
             path, line = site.split()[0].rsplit(":", 1)
-            return path == "cluster/flux.py" and int(line) in lines
+            return any(path == module and int(line) in span for module, span in sanctioned)
 
-        assert [site for site in sites if not in_rank_set(site)] == []
-        assert len(sites) == 3
+        assert [site for site in sites if not is_sanctioned(site)] == []
+        assert len(sites) == 6
 
     @pytest.mark.parametrize("side", [24, 48])
     def test_event_lowering_is_by_class_not_by_pe(self, side):
@@ -612,9 +623,9 @@ class TestFoldClasses:
         """The backends that run the core slab sweep differ only in the
         fold program they hand it, and one fold class hands it one
         program: lockstep's UP, DOWN and exchange plan, unmasked, is
-        ``PHASED_PROGRAM``, which every cluster rank and every rank of a
-        par worker's rank program get; fused gets UP, DOWN and masked
-        steps."""
+        ``PHASED_PROGRAM``, which gpu's one block, every cluster rank and
+        every rank of a par worker's rank program get; fused gets UP,
+        DOWN and masked steps."""
         from repro.cluster.decomposition import BlockDecomposition
         from repro.cluster.flux import RankSet, halo_links
         from repro.core import sweep
@@ -630,7 +641,7 @@ class TestFoldClasses:
 
         monkeypatch.setattr(sweep.SlabSweep, "__init__", spy)
         programs = {}
-        for name in ("fused", "lockstep", "cluster"):
+        for name in ("fused", "lockstep", "gpu", "cluster"):
             seen.clear()
             drv = BACKENDS[name].build(MESH, FLUID, dtype=np.float64, px=2, py=2)
             try:
@@ -652,7 +663,8 @@ class TestFoldClasses:
             (conn, True) for conns, _hops, _phase in EXCHANGE_PLAN for conn in conns
         )
         assert phased == vertical + plan
-        assert programs["lockstep"] == programs["cluster"] == programs["par"] == {phased}
+        assert (programs["lockstep"] == programs["gpu"] == programs["cluster"]
+                == programs["par"] == {phased})
         (fused,) = programs["fused"]
         assert fused[:2] == vertical and not any(unmasked for _c, unmasked in fused[2:])
 
