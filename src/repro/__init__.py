@@ -1,10 +1,12 @@
 """repro — reproduction of "Massively Distributed Finite-Volume Flux
 Computation" (SC 2023).
 
-The package implements the paper's TPFA finite-volume flux kernel three
-ways and cross-validates them:
+The package implements the paper's TPFA finite-volume flux kernel as six
+backends (:mod:`repro.backends`) around one face-flux statement and
+checks each byte for byte against one reference fold:
 
-* :mod:`repro.core` — vectorized NumPy reference (ground truth);
+* :mod:`repro.core` — the reference fold, the statement over whole-array
+  views in either of the two fold orders (ground truth);
 * :mod:`repro.gpu` — the RAJA and CUDA reference kernels as a cost
   model on a simulated A100-class device (launches, transfers,
   occupancy) around the core slab sweep;
@@ -23,7 +25,6 @@ from repro.core import (
     CartesianMesh3D,
     Connection,
     FluidProperties,
-    FluxKernel,
     PressureSequence,
     Transmissibility,
     compute_flux_residual,
@@ -34,7 +35,6 @@ __all__ = [
     "CartesianMesh3D",
     "Connection",
     "FluidProperties",
-    "FluxKernel",
     "PressureSequence",
     "Transmissibility",
     "compute_flux_residual",

@@ -1,24 +1,28 @@
-"""Reference implementation of Algorithm 1: the flux part of the residual.
+"""The reference fold of Algorithm 1: the flux part of the residual.
 
 This module is the package's numerical ground truth.  It assembles
 
     (r_flux)_K = sum_{L in adj(K)} F_KL                      (Algorithm 1)
 
-over the 10-connection stencil with no-flow boundaries, fully vectorized
-over whole directions (one pair of array views per connection, following
-the NumPy optimization guidance: views not copies, in-place accumulation).
+over the 10-connection stencil with no-flow boundaries.  Every flux is
+:func:`repro.core.kernels.face_flux`, the statement every backend runs,
+evaluated once per connection over whole ``interior_slices`` views (each
+face from both of its cells, exactly like the paper's GPU kernels and
+per-PE programs).  Each cell's fluxes are added from ``+0.0`` in one of
+the package's two fold orders — asynchronous exchange changes only the
+order in which a PE's fluxes arrive (paper Sec. 5.3):
 
-Two assembly strategies mirror the two mappings of paper Fig. 3:
+* the **phased** order (lockstep, gpu, cluster, par): UP, DOWN, then
+  the Sec. 5.2 exchange's cardinals and diagonals, ``XY_CONNECTIONS``;
+* an **event** order (event, fused): UP, DOWN, then each PE's X-Y
+  arrival order, given as the rectangles of
+  :func:`repro.ir.schedule.schedule_classes`.
 
-* ``method="cell"`` — every cell evaluates all of its own fluxes (each
-  interior face is computed twice, once from each side), exactly like the
-  paper's GPU kernels and per-PE dataflow programs;
-* ``method="face"`` — every face is evaluated once and scattered with
-  opposite signs to its two cells, exploiting ``F_LK = -F_KL``.
-
-Both produce the same residual (antisymmetry is exact in IEEE arithmetic up
-to the commutativity of the shared subexpressions) and are cross-checked in
-the test suite.
+So a backend's residual equals the fold in its fold class's order byte
+for byte, in the pressure's dtype, and a test tells a reordering from an
+arithmetic defect.  The arithmetic itself is checked against the
+independent one-face restatement
+:func:`~repro.core.kernels.face_flux_scalar` in the test suite.
 """
 
 from __future__ import annotations
@@ -27,20 +31,12 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
-from repro.core.kernels import face_flux_array
+from repro.core.kernels import FluxScratch, face_flux
 from repro.core.mesh import CartesianMesh3D
-from repro.core.stencil import (
-    ALL_CONNECTIONS,
-    Connection,
-    interior_slices,
-)
-from repro.core.transmissibility import CANONICAL_CONNECTIONS, Transmissibility
+from repro.core.stencil import VERTICAL, XY_CONNECTIONS, interior_slices
+from repro.core.transmissibility import Transmissibility
 
-__all__ = [
-    "compute_flux_residual",
-    "compute_face_fluxes",
-    "FluxKernel",
-]
+__all__ = ["compute_flux_residual"]
 
 
 def compute_flux_residual(
@@ -49,9 +45,8 @@ def compute_flux_residual(
     pressure: np.ndarray,
     trans: Transmissibility | None = None,
     *,
+    order=None,
     gravity: float = constants.GRAVITY,
-    method: str = "cell",
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assemble the flux residual of Algorithm 1 for one pressure field.
 
@@ -60,143 +55,63 @@ def compute_flux_residual(
     mesh, fluid:
         Problem definition (geometry, rock and fluid properties).
     pressure:
-        Cell pressures, shape ``(nz, ny, nx)``.
+        Cell pressures, shape ``(nz, ny, nx)``; the residual has its dtype.
     trans:
-        Precomputed transmissibilities; built on the fly when omitted
-        (prefer passing one when calling repeatedly).
+        Precomputed transmissibilities, cast to the pressure's dtype;
+        built on the fly when omitted.
+    order:
+        ``None`` for the phased order, or an event order:
+        ``schedule_classes(nx, ny)``'s ``(connection names, y-slice,
+        x-slice)`` rectangles, each folding its X-Y fluxes in its names'
+        order.
     gravity:
         Gravitational acceleration ``g`` of Eq. 3b.
-    method:
-        ``"cell"`` or ``"face"`` (see module docstring).
-    out:
-        Optional output array, zeroed and filled in place.
 
     Returns
     -------
     numpy.ndarray
         The residual field ``r_flux``, shape ``(nz, ny, nx)``.
     """
-    kernel = FluxKernel(mesh, fluid, trans, gravity=gravity, method=method)
-    return kernel.residual(pressure, out=out)
-
-
-def compute_face_fluxes(
-    mesh: CartesianMesh3D,
-    fluid: FluidProperties,
-    pressure: np.ndarray,
-    trans: Transmissibility | None = None,
-    *,
-    gravity: float = constants.GRAVITY,
-) -> dict[Connection, np.ndarray]:
-    """Per-connection flux arrays ``F_KL`` for diagnostics and testing.
-
-    The array for connection ``c`` is aligned with
-    ``pressure[interior_slices(mesh.shape_zyx, c)[0]]``: entry ``i`` is the
-    flux from the ``i``-th cell that has a neighbour along ``c`` toward
-    that neighbour.
-    """
-    kernel = FluxKernel(mesh, fluid, trans, gravity=gravity)
+    mesh.validate_field(pressure, name="pressure")
+    if trans is None:
+        trans = Transmissibility(mesh, dtype=pressure.dtype)
+    elif trans.mesh is not mesh:
+        raise ValueError("trans was built for a different mesh")
+    shape, dtype = mesh.shape_zyx, pressure.dtype
     rho = fluid.density(pressure)
-    return {
-        conn: kernel.direction_flux(conn, pressure, rho)
-        for conn in ALL_CONNECTIONS
-    }
+    lam = fluid.mobility(rho)
+    z = np.asarray(mesh.elevation[:, :1, :1], dtype)
+    g = dtype.type(gravity)
+    residual = np.zeros(shape, dtype)
 
-
-class FluxKernel:
-    """Reusable Algorithm-1 evaluator with preallocated scratch buffers.
-
-    Build once, call :meth:`residual` per pressure vector — the paper
-    applies Algorithm 1 a thousand times with a different pressure each
-    call (Sec. 3), so setup cost (transmissibilities, scratch) is hoisted
-    out of the loop.
-    """
-
-    def __init__(
-        self,
-        mesh: CartesianMesh3D,
-        fluid: FluidProperties,
-        trans: Transmissibility | None = None,
-        *,
-        gravity: float = constants.GRAVITY,
-        method: str = "cell",
-        dtype=np.float64,
-    ) -> None:
-        if method not in ("cell", "face"):
-            raise ValueError(f"method must be 'cell' or 'face', got {method!r}")
-        self.mesh = mesh
-        self.fluid = fluid
-        self.gravity = float(gravity)
-        self.method = method
-        self.dtype = np.dtype(dtype)
-        self.trans = trans if trans is not None else Transmissibility(mesh, dtype=dtype)
-        if self.trans.mesh is not mesh:
-            raise ValueError("trans was built for a different mesh")
-        self._rho = np.empty(mesh.shape_zyx, dtype=self.dtype)
-        # largest per-direction scratch: a full-shape buffer is reused as a
-        # view for every connection (buffer-reuse idiom, paper Sec. 5.3.1)
-        self._scratch = np.empty(mesh.shape_zyx, dtype=self.dtype)
-
-    # ------------------------------------------------------------------ #
-    def direction_flux(
-        self,
-        conn: Connection,
-        pressure: np.ndarray,
-        rho: np.ndarray,
-        *,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Fluxes ``F_KL`` of every cell having a neighbour along *conn*."""
-        local, neigh = interior_slices(self.mesh.shape_zyx, conn)
-        z = self.mesh.elevation
-        return face_flux_array(
-            pressure[local],
-            pressure[neigh],
-            z[local],
-            z[neigh],
-            rho[local],
-            rho[neigh],
-            self.trans.face_array(conn),
-            self.gravity,
-            self.fluid.viscosity,
-            out=out,
+    def flux(conn):
+        """``(cells with a conn neighbour, their F_KL)``."""
+        local, neigh = interior_slices(shape, conn)
+        s = FluxScratch.empty(residual[local].shape, dtype)
+        # X-Y neighbours share the layer: one elevation object selects the
+        # statement's collapsed branch, whose bytes are the full one's
+        z_k = z[local[0]]
+        z_l = z[neigh[0]] if conn.is_vertical else z_k
+        face_flux(
+            s, pressure[local], pressure[neigh], z_k, z_l, rho[local], rho[neigh],
+            lam[local], lam[neigh], trans.face_array(conn).astype(dtype, copy=False),
+            s.dp, g,
         )
+        return local, s.dp
 
-    def residual(
-        self, pressure: np.ndarray, *, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Evaluate Algorithm 1 for one pressure field."""
-        self.mesh.validate_field(pressure, name="pressure")
-        if out is None:
-            out = np.zeros(self.mesh.shape_zyx, dtype=self.dtype)
-        else:
-            self.mesh.validate_field(out, name="out")
-            out.fill(0.0)
-        rho = self.fluid.density(pressure, out=self._rho)
-        if self.method == "cell":
-            self._assemble_cell_based(pressure, rho, out)
-        else:
-            self._assemble_face_based(pressure, rho, out)
-        return out
-
-    # ------------------------------------------------------------------ #
-    def _assemble_cell_based(
-        self, pressure: np.ndarray, rho: np.ndarray, res: np.ndarray
-    ) -> None:
-        """Each cell computes all 10 of its fluxes (paper's GPU/PE pattern)."""
-        for conn in ALL_CONNECTIONS:
-            local, _ = interior_slices(self.mesh.shape_zyx, conn)
-            scratch = self._scratch[local]
-            flux = self.direction_flux(conn, pressure, rho, out=scratch)
-            res[local] += flux
-
-    def _assemble_face_based(
-        self, pressure: np.ndarray, rho: np.ndarray, res: np.ndarray
-    ) -> None:
-        """Each face is computed once and scattered antisymmetrically."""
-        for conn in CANONICAL_CONNECTIONS:
-            local, neigh = interior_slices(self.mesh.shape_zyx, conn)
-            scratch = self._scratch[local]
-            flux = self.direction_flux(conn, pressure, rho, out=scratch)
-            res[local] += flux
-            res[neigh] -= flux
+    for conn in VERTICAL + (XY_CONNECTIONS if order is None else ()):
+        local, f = flux(conn)
+        residual[local] += f
+    if order is not None:
+        # each X-Y flux over the whole grid, +0.0 where a cell has no such
+        # neighbour: adding it leaves a residual folded from +0.0 as it is
+        fluxes = {}
+        for conn in XY_CONNECTIONS:
+            local, f = flux(conn)
+            fluxes[conn.name] = np.zeros(shape, dtype)
+            fluxes[conn.name][local] = f
+        for names, ys, xs in order:
+            cells = residual[:, ys, xs]
+            for name in names:
+                cells += fluxes[name][:, ys, xs]
+    return residual

@@ -1,17 +1,15 @@
 """Per-face TPFA flux kernels (paper Eqs. 3-4).
 
-One production statement and three independent float64 restatements:
+One production statement and two independent float64 restatements:
 
 * :func:`face_flux` — steps 1-12 of the per-PE DSD sequence (the table
   is at :meth:`repro.wse.dsd.DsdEngine.account_flux_column`, which books
   it); its callers are the core slab sweep (:mod:`repro.core.sweep`:
-  fused, lockstep, gpu, cluster and par) and the event program's round
-  hooks.
-* :func:`face_flux_array` — vectorized over arrays of faces, the
-  oracle's building block (:mod:`repro.core.flux`,
-  :mod:`repro.core.unstructured`, the implicit solver).
-* :func:`face_flux_scalar` — one face at a time, a brute-force oracle
-  in tests.
+  fused, lockstep, gpu, cluster and par), the event program's round
+  hooks, and the reference fold (:mod:`repro.core.flux`, the implicit
+  solver's residual) with the unstructured residual.
+* :func:`face_flux_scalar` — one face at a time, the test suite's
+  independent check of the statement's arithmetic.
 * :func:`face_flux_with_derivatives` — flux plus analytic derivatives with
   respect to the two cell pressures (upwind direction frozen), used by the
   implicit solver's Jacobian (extension, paper Sec. 8).
@@ -22,9 +20,9 @@ All variants share the convention of Eq. 3:
     dPhi_KL = p_L - p_K + rho_avg * g * (z_L - z_K)
 
 with the upwinding of Eq. 4 exactly as printed (``rho_K`` when
-``dPhi_KL > 0``, else ``rho_L``).  They round differently: backends that
-fold :func:`face_flux` in the same order agree bitwise, the oracle
-agrees with them to rounding.
+``dPhi_KL > 0``, else ``rho_L``).  They round differently: everything
+that folds :func:`face_flux` in the same order agrees bitwise, the
+restatements agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "face_flux",
     "upwind_select",
     "face_flux_scalar",
-    "face_flux_array",
     "face_flux_with_derivatives",
     "FLOPS_PER_FLUX",
     "FLUXES_PER_CELL",
@@ -193,37 +190,6 @@ def face_flux_scalar(
     dphi = (p_l - p_k) + rho_avg * gravity * (z_l - z_k)
     rho_upw = rho_k if dphi > 0.0 else rho_l
     return trans * (rho_upw / viscosity) * dphi
-
-
-def face_flux_array(
-    p_k: np.ndarray,
-    p_l: np.ndarray,
-    z_k: np.ndarray,
-    z_l: np.ndarray,
-    rho_k: np.ndarray,
-    rho_l: np.ndarray,
-    trans: np.ndarray,
-    gravity: float,
-    viscosity: float,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vectorized Eqs. 3-4 over arrays of element-aligned face data.
-
-    When *out* is given it receives the fluxes in place (and is returned),
-    avoiding one allocation in the hot loop.
-    """
-    # dPhi = (p_l - p_k) + 0.5*(rho_k + rho_l) * g * (z_l - z_k)
-    dphi = np.subtract(p_l, p_k, out=out)
-    grav = (z_l - z_k) * gravity
-    grav *= 0.5 * (rho_k + rho_l)
-    dphi += grav
-    # upwinded mobility (Eq. 4)
-    rho_upw = np.where(dphi > 0.0, rho_k, rho_l)
-    rho_upw /= viscosity
-    dphi *= rho_upw
-    dphi *= trans
-    return dphi
 
 
 def face_flux_with_derivatives(

@@ -11,7 +11,7 @@ a dataflow architecture" is the paper's first stated item of future work
 * :func:`unstructured_flux_residual` — Algorithm 1 vectorized over the
   connection list with gather/scatter (``np.add.at``);
 * constructors from a Cartesian mesh (used to validate against the
-  structured reference bit-for-bit at the face level), from a networkx
+  structured reference fold to rounding), from a networkx
   graph, and from a random Delaunay triangulation.
 
 The fabric-mapping side lives in :mod:`repro.dataflow.unstructured_map`.
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core import constants
 from repro.core.fluid import FluidProperties
-from repro.core.kernels import face_flux_array
+from repro.core.kernels import FluxScratch, face_flux
 from repro.core.mesh import CartesianMesh3D
 from repro.core.stencil import interior_slices
 from repro.core.transmissibility import CANONICAL_CONNECTIONS, Transmissibility
@@ -126,26 +126,25 @@ def unstructured_flux_residual(
 ) -> np.ndarray:
     """Algorithm 1 over a connection list (face-based assembly).
 
-    Each connection is evaluated once with the shared face kernel
+    Each connection is evaluated once with the face-flux statement
     (Eqs. 3-4) and scattered antisymmetrically to its two cells; on a
-    connection list built from a Cartesian mesh this reproduces the
-    structured reference exactly.
+    connection list built from a Cartesian mesh this agrees with the
+    structured reference fold to rounding (the scatter sums in the
+    connection list's order, not a fold order).
     """
     pressure = mesh.validate_vector(np.asarray(pressure, dtype=np.float64), name="pressure")
     rho = fluid.density(pressure)
+    lam = fluid.mobility(rho)
     z = mesh.elevation
     a, b = mesh.cell_a, mesh.cell_b
-    flux = face_flux_array(
-        pressure[a], pressure[b],
-        z[a], z[b],
-        rho[a], rho[b],
-        mesh.trans,
-        gravity,
-        fluid.viscosity,
+    s = FluxScratch.empty(a.shape, np.float64)
+    face_flux(
+        s, pressure[a], pressure[b], z[a], z[b], rho[a], rho[b], lam[a], lam[b],
+        mesh.trans, s.dp, gravity,
     )
     residual = np.zeros(mesh.num_cells)
-    np.add.at(residual, a, flux)
-    np.subtract.at(residual, b, flux)
+    np.add.at(residual, a, s.dp)
+    np.subtract.at(residual, b, s.dp)
     return residual
 
 

@@ -15,7 +15,7 @@ application and the residual's D2H copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class GpuRunResult:
     kernel_launches: int
     tiles_executed: int
     occupancy: OccupancyModel
+    #: the driver's traffic since construction, as of this run's end
     transfers: TransferLog
     flops: int
     variant: str = "raja"
@@ -157,7 +158,7 @@ class GpuFluxComputation:
             kernel_launches=2 * applications,
             tiles_executed=2 * applications * self._launch.num_blocks,
             occupancy=self.occupancy,
-            transfers=self.transfers,
+            transfers=replace(self.transfers),
             flops=applications * FLOPS_PER_FLUX * self._faces,
             variant=self.variant,
         )

@@ -20,11 +20,12 @@ Porosity depends linearly on pressure (Sec. 3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import constants
+from repro.core.flux import compute_flux_residual
 from repro.core.fluid import FluidProperties
 from repro.core.kernels import face_flux_with_derivatives
 from repro.core.mesh import CartesianMesh3D
@@ -81,20 +82,14 @@ class FlowResidual:
     gravity: float = constants.GRAVITY
     rock_compressibility: float = constants.DEFAULT_ROCK_COMPRESSIBILITY
     source: np.ndarray | None = None
-    _flux_kernel: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        from repro.core.flux import FluxKernel
-
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.trans is None:
             self.trans = Transmissibility(self.mesh)
         if self.source is not None:
             self.mesh.validate_field(self.source, name="source")
-        self._flux_kernel = FluxKernel(
-            self.mesh, self.fluid, self.trans, gravity=self.gravity
-        )
 
     # ------------------------------------------------------------------ #
     def mass_density(self, pressure: np.ndarray) -> np.ndarray:
@@ -124,8 +119,11 @@ class FlowResidual:
             ``(phi rho)^n`` of the previous time level (from
             :meth:`mass_density`).
         """
-        self.mesh.validate_field(pressure, name="pressure")
-        res = self._flux_kernel.residual(pressure)
+        # float64 in the phased fold order, whatever the candidate's dtype
+        res = compute_flux_residual(
+            self.mesh, self.fluid, np.asarray(pressure, np.float64), self.trans,
+            gravity=self.gravity,
+        )
         np.negative(res, out=res)  # accumulation balances net *inflow*
         acc = self.mass_density(pressure)
         acc -= previous_mass

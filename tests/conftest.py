@@ -38,40 +38,6 @@ def fresh_interpreter():
 
 
 @pytest.fixture(scope="session")
-def statement_fold():
-    """``fold(mesh, fluid, pressure) -> residual``: the face-flux
-    statement (:func:`repro.core.kernels.face_flux`) on whole
-    ``interior_slices`` views, each cell's fluxes added in the phased
-    order of ``PHASED_PROGRAM`` from ``+0.0`` — the bytes the phased
-    fold class (lockstep, gpu, cluster, par) returns, in the pressure's
-    dtype."""
-    from repro.core import constants, interior_slices
-    from repro.core.kernels import FluxScratch, face_flux
-    from repro.core.sweep import PHASED_PROGRAM
-    from repro.core.transmissibility import padded_trans_fields
-
-    def fold(mesh, fluid, pressure):
-        dtype = pressure.dtype
-        trans = padded_trans_fields(mesh, Transmissibility(mesh, dtype=dtype), dtype)
-        z = np.asarray(mesh.elevation, dtype=dtype)
-        rho = fluid.density(pressure)
-        lam = fluid.mobility(rho)
-        residual = np.zeros(mesh.shape_zyx, dtype)
-        for conn, _mask in PHASED_PROGRAM:
-            local, neigh = interior_slices(mesh.shape_zyx, conn)
-            s = FluxScratch.empty(residual[local].shape, dtype)
-            face_flux(
-                s, pressure[local], pressure[neigh], z[local], z[neigh],
-                rho[local], rho[neigh], lam[local], lam[neigh],
-                trans[conn][local], s.dp, dtype.type(constants.GRAVITY),
-            )
-            residual[local] += s.dp
-        return residual
-
-    return fold
-
-
-@pytest.fixture(scope="session")
 def edit_route():
     """``edit(ir, color, coord, change) -> ir``: a copy of *ir* in which
     the router at *coord* alone runs a new class of *color* — its own

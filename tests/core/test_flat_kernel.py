@@ -3,20 +3,23 @@ the phased fold program.
 
 :class:`~repro.core.sweep.SlabSweep` running ``PHASED_PROGRAM`` (the
 per-rank kernel of the cluster and par backends) must reproduce the
-face-flux statement's fold over whole interior slices (the
-``statement_fold`` fixture) to the last bit, in both dtypes, on every
-block shape, without tripping a floating-point error on its halo lanes;
-and stay within rounding of the float64 oracle,
-:class:`~repro.core.flux.FluxKernel`.
+reference fold in the phased order
+(:func:`~repro.core.flux.compute_flux_residual`) to the last bit, in
+both dtypes, on every block shape, without tripping a floating-point
+error on its halo lanes.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import CartesianMesh3D, FluidProperties, PressureSequence
+from repro.core import (
+    CartesianMesh3D,
+    FluidProperties,
+    PressureSequence,
+    compute_flux_residual,
+)
 from repro.core import sweep as sweep_module
 from repro.core.sweep import PHASED_PROGRAM, PaddedLayout, SlabSweep, SlabWorkspace
-from repro.core.flux import FluxKernel
 from repro.cluster import ClusterFluxComputation
 from repro.cluster.decomposition import BlockDecomposition
 from repro.workloads import make_geomodel
@@ -36,17 +39,9 @@ def field(mesh, seed, dtype):
     return p.astype(dtype)
 
 
-#: largest distance to the oracle, relative to its largest residual
-#: (a different rounding order, not a different result)
-ORACLE_RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
-
-
-def assert_matches(res, mesh, fluid, pressure, reference):
-    """The statement's bytes, and the oracle's values to rounding."""
-    assert res.tobytes() == reference(mesh, fluid, pressure).tobytes(), res.dtype
-    oracle = FluxKernel(mesh, fluid, dtype=pressure.dtype).residual(pressure)
-    scale = np.abs(oracle).max(initial=0.0)
-    assert np.abs(res - oracle).max() <= ORACLE_RTOL[res.dtype] * scale
+def assert_matches(res, mesh, fluid, pressure):
+    """The reference fold's bytes in the phased order."""
+    assert res.tobytes() == compute_flux_residual(mesh, fluid, pressure).tobytes(), res.dtype
 
 
 def rank_kernels(meshes, fluid, dtype):
@@ -78,18 +73,18 @@ def residual(kernel, pressure, out=None):
     return out
 
 
-def assert_same_bytes(mesh, fluid, seed, reference):
+def assert_same_bytes(mesh, fluid, seed):
     for dtype in DTYPES:
         p = field(mesh, seed, dtype)
         with np.errstate(all="raise"):
             res = residual(flat_kernel(mesh, fluid, dtype), p)
         assert res.dtype == p.dtype
-        assert_matches(res, mesh, fluid, p, reference)
+        assert_matches(res, mesh, fluid, p)
 
 
 class TestFullBlock:
     @pytest.mark.parametrize("kind", ["lognormal", "channelized", "layered"])
-    def test_matches_reference_kernel(self, fluid, kind, statement_fold):
+    def test_matches_reference_kernel(self, fluid, kind):
         mesh = make_geomodel(9, 7, 4, kind=kind, seed=5)
         seq = PressureSequence(mesh, num_applications=2, seed=5)
         for dtype in DTYPES:
@@ -99,16 +94,16 @@ class TestFullBlock:
                 p = seq.field(i).astype(dtype)
                 with np.errstate(all="raise"):
                     residual(kernel, p, out=out)
-                assert_matches(out, mesh, fluid, p, statement_fold)
+                assert_matches(out, mesh, fluid, p)
 
-    def test_variable_layer_thickness(self, fluid, statement_fold):
+    def test_variable_layer_thickness(self, fluid):
         mesh = CartesianMesh3D(6, 5, 4, dz_layers=[1.0, 2.5, 0.75, 3.0])
-        assert_same_bytes(mesh, fluid, 2, statement_fold)
+        assert_same_bytes(mesh, fluid, 2)
 
-    def test_single_layer_mesh(self, fluid, statement_fold):
-        assert_same_bytes(make_geomodel(8, 6, 1, seed=3), fluid, 3, statement_fold)
+    def test_single_layer_mesh(self, fluid):
+        assert_same_bytes(make_geomodel(8, 6, 1, seed=3), fluid, 3)
 
-    def test_padded_rank_blocks(self, fluid, statement_fold):
+    def test_padded_rank_blocks(self, fluid):
         """The actual driver inputs: halo-padded local meshes, one
         workspace for blocks of different sizes."""
         mesh = make_geomodel(15, 14, 3, kind="lognormal", seed=11)
@@ -122,29 +117,29 @@ class TestFullBlock:
                 local_p = np.ascontiguousarray(p[decomp.padded_field_slices(block)])
                 with np.errstate(all="raise"):
                     res = residual(kernel, local_p)
-                assert_matches(res, local_mesh, fluid, local_p, statement_fold)
+                assert_matches(res, local_mesh, fluid, local_p)
 
     @pytest.mark.parametrize(
         "shape",
         [(1, 1, 1), (1, 1, 5), (1, 6, 1), (7, 1, 1), (1, 4, 3), (5, 1, 3), (2, 2, 2)],
     )
-    def test_degenerate_shapes(self, fluid, shape, statement_fold):
-        assert_same_bytes(make_geomodel(*shape, seed=4), fluid, 4, statement_fold)
+    def test_degenerate_shapes(self, fluid, shape):
+        assert_same_bytes(make_geomodel(*shape, seed=4), fluid, 4)
 
     @pytest.mark.parametrize("slab_lanes", [1, 100, 112, 168, 1 << 30])
     def test_slab_size_cannot_change_a_bit(
-        self, fluid, monkeypatch, slab_lanes, statement_fold
+        self, fluid, monkeypatch, slab_lanes
     ):
         """One plane per slab, a few, the whole block: same bytes.  The
         padded plane is 56 lanes: 100 and 112 are one and two float64
         planes (2, 2, 1, 2 over 7 layers: an inner slab a plane short),
         168 three (3, 2, 2: a short tail); float32 fits twice the lanes."""
         monkeypatch.setattr(sweep_module, "_SLAB_BYTES", 8 * slab_lanes)
-        assert_same_bytes(make_geomodel(6, 5, 7, seed=9), fluid, 9, statement_fold)
+        assert_same_bytes(make_geomodel(6, 5, 7, seed=9), fluid, 9)
 
 
 class TestWorkspace:
-    def test_shared_workspace_called_alternately(self, fluid, statement_fold):
+    def test_shared_workspace_called_alternately(self, fluid):
         """Two kernels of equal padded size share every scratch array
         and the residual accumulator; neither may see the other."""
         mesh_a = make_geomodel(7, 6, 3, kind="lognormal", seed=1)
@@ -161,9 +156,9 @@ class TestWorkspace:
                 for kernel, mesh, p in pairs:
                     with np.errstate(all="raise"):
                         res = compute(kernel)
-                    assert res.tobytes() == statement_fold(mesh, fluid, p).tobytes()
+                    assert res.tobytes() == compute_flux_residual(mesh, fluid, p).tobytes()
 
-    def test_shared_workspace_respreads_the_elevation(self, fluid, statement_fold):
+    def test_shared_workspace_respreads_the_elevation(self, fluid):
         """Two blocks of one padded size whose layers differ share the
         workspace's spread elevation: each run spreads its own."""
         thin = CartesianMesh3D(6, 5, 4, dz_layers=[1.0, 2.5, 0.75, 3.0])
@@ -175,7 +170,7 @@ class TestWorkspace:
                     p = field(mesh, seed, dtype)
                     with np.errstate(all="raise"):
                         res = residual(kernel, p)
-                    assert res.tobytes() == statement_fold(mesh, fluid, p).tobytes()
+                    assert res.tobytes() == compute_flux_residual(mesh, fluid, p).tobytes()
 
     def test_pressure_view_equals_copy_in(self, fluid):
         """Writing the field into ``pressure`` in place (what the
@@ -205,13 +200,13 @@ class TestNonFinite:
     """The contract of the module docstring, pinned."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_inf_and_nan_cells(self, fluid, dtype, statement_fold):
+    def test_inf_and_nan_cells(self, fluid, dtype):
         mesh = make_geomodel(7, 6, 3, seed=8)
         p = field(mesh, 8, dtype)
         p[1, 0, 0] = np.inf  # a corner column: five halo faces
         p[2, 3, 6] = np.nan  # an edge cell
         with np.errstate(all="ignore"):
-            ref = statement_fold(mesh, fluid, p)
+            ref = compute_flux_residual(mesh, fluid, p)
             res = residual(flat_kernel(mesh, fluid, dtype), p)
         finite = np.isfinite(ref)
         assert not finite.all() and finite.any()
@@ -221,7 +216,7 @@ class TestNonFinite:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("slab", ["measured", "one-plane"])
-def test_cluster_bytes_at_the_ledger_size(fluid, slab, monkeypatch, statement_fold):
+def test_cluster_bytes_at_the_ledger_size(fluid, slab, monkeypatch):
     """``cluster_serial_128x128x16``'s shape: 128x128x16 float64 on 2x2
     ranks returns the statement's fold, at the measured slab size and at
     one plane per slab."""
@@ -232,4 +227,4 @@ def test_cluster_bytes_at_the_ledger_size(fluid, slab, monkeypatch, statement_fo
     cluster = ClusterFluxComputation(mesh, fluid, px=2, py=2)
     residual = cluster.run([p]).residual
     assert residual.dtype == np.float64
-    assert residual.tobytes() == statement_fold(mesh, fluid, p).tobytes()
+    assert residual.tobytes() == compute_flux_residual(mesh, fluid, p).tobytes()

@@ -11,7 +11,6 @@ from repro.core import (
     FLOPS_PER_FLUX,
     FLUXES_PER_CELL,
     FluidProperties,
-    face_flux_array,
     face_flux_scalar,
     face_flux_with_derivatives,
 )
@@ -23,6 +22,8 @@ from repro.workloads import make_geomodel
 
 G = 9.80665
 MU = 5e-5
+#: face_flux_scalar's face arguments, in order
+FACE_KEYS = ("p_k", "p_l", "z_k", "z_l", "rho_k", "rho_l", "trans")
 
 
 class TestScalarFlux:
@@ -74,7 +75,27 @@ class TestScalarFlux:
         assert f2 == pytest.approx(2 * f1, rel=1e-14)
 
 
+def statement(data, dtype, *, collapsed=False, inv_mu=1.0 / MU, target="dp"):
+    """:func:`face_flux` on *data* cast to *dtype*, its flux written to
+    the scratch column *target* (or a separate array for ``None``)."""
+    data = {k: np.asarray(v).astype(dtype) for k, v in data.items()}
+    if collapsed:
+        data["z_l"] = data["z_k"]  # one object: the collapsed branch
+    s = FluxScratch.empty(data["p_k"].shape, dtype)
+    flux = np.empty(data["p_k"].shape, dtype) if target is None else getattr(s, target)
+    lam_k, lam_l = (data[k] * dtype(inv_mu) for k in ("rho_k", "rho_l"))
+    face_flux(
+        s, data["p_k"], data["p_l"], data["z_k"], data["z_l"],
+        data["rho_k"], data["rho_l"], lam_k, lam_l, data["trans"], flux,
+        dtype(G),
+    )
+    return flux
+
+
 class TestArrayFlux:
+    """The statement over arrays of faces, against the scalar
+    restatement and against itself."""
+
     @pytest.fixture
     def face_data(self):
         rng = np.random.default_rng(3)
@@ -90,7 +111,9 @@ class TestArrayFlux:
         )
 
     def test_matches_scalar(self, face_data):
-        out = face_flux_array(**face_data, gravity=G, viscosity=MU)
+        """X-Y faces: the collapsed branch, one elevation per face."""
+        face_data["z_l"] = face_data["z_k"]
+        out = statement(face_data, np.float64, collapsed=True)
         for i in range(0, 257, 17):
             expected = face_flux_scalar(
                 face_data["p_k"][i], face_data["p_l"][i],
@@ -101,27 +124,28 @@ class TestArrayFlux:
             assert out[i] == pytest.approx(expected, rel=1e-13)
 
     def test_out_parameter(self, face_data):
-        buf = np.empty(257)
-        result = face_flux_array(**face_data, gravity=G, viscosity=MU, out=buf)
-        assert result is buf
-        np.testing.assert_allclose(
-            buf, face_flux_array(**face_data, gravity=G, viscosity=MU)
-        )
+        """The flux target may be a scratch column (``dp``, or ``a`` on
+        the collapsed branch) or an array of its own: same bytes."""
+        for collapsed, column in ((False, "dp"), (True, "a")):
+            got = [
+                statement(face_data, np.float64, collapsed=collapsed, target=t)
+                for t in (column, None)
+            ]
+            assert got[0].tobytes() == got[1].tobytes()
 
     def test_antisymmetry_vectorized(self, face_data):
-        fwd = face_flux_array(**face_data, gravity=G, viscosity=MU)
-        rev = face_flux_array(
+        fwd = statement(face_data, np.float64)
+        rev = statement(dict(
             p_k=face_data["p_l"], p_l=face_data["p_k"],
             z_k=face_data["z_l"], z_l=face_data["z_k"],
             rho_k=face_data["rho_l"], rho_l=face_data["rho_k"],
-            trans=face_data["trans"], gravity=G, viscosity=MU,
-        )
+            trans=face_data["trans"],
+        ), np.float64)
         np.testing.assert_array_equal(fwd, -rev)
 
     def test_float32(self, face_data):
-        data32 = {k: v.astype(np.float32) for k, v in face_data.items()}
-        out = face_flux_array(**data32, gravity=G, viscosity=MU)
-        ref = face_flux_array(**face_data, gravity=G, viscosity=MU)
+        out = statement(face_data, np.float32)
+        ref = statement(face_data, np.float64)
         assert out.dtype == np.float32
         np.testing.assert_allclose(out, ref, rtol=2e-4, atol=1e-12)
 
@@ -152,19 +176,6 @@ class TestUpwindSelect:
 class TestFaceFluxStatement:
     """The one production statement: every backend's bytes come from it."""
 
-    def run(self, data, dtype, *, collapsed=False, inv_mu=1.0 / MU):
-        data = {k: v.astype(dtype) for k, v in data.items()}
-        if collapsed:
-            data["z_l"] = data["z_k"]  # one object: the collapsed branch
-        s = FluxScratch.empty(data["p_k"].shape, dtype)
-        lam_k, lam_l = (data[k] * dtype(inv_mu) for k in ("rho_k", "rho_l"))
-        face_flux(
-            s, data["p_k"], data["p_l"], data["z_k"], data["z_l"],
-            data["rho_k"], data["rho_l"], lam_k, lam_l, data["trans"], s.dp,
-            dtype(G),
-        )
-        return s.dp
-
     @pytest.fixture
     def face_data(self):
         rng = np.random.default_rng(5)
@@ -183,8 +194,11 @@ class TestFaceFluxStatement:
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-13), (np.float32, 2e-4)])
     def test_within_rounding_of_the_oracle(self, face_data, dtype, rtol):
-        flux = self.run(face_data, dtype)
-        oracle = face_flux_array(**face_data, gravity=G, viscosity=MU)
+        flux = statement(face_data, dtype)
+        oracle = [
+            face_flux_scalar(*(face_data[k][i] for k in FACE_KEYS), G, MU)
+            for i in range(flux.size)
+        ]
         np.testing.assert_allclose(flux, oracle, rtol=rtol, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -198,15 +212,15 @@ class TestFaceFluxStatement:
         ) * dtype(0.5)
         rho = np.where(dphi > 0.0, d["rho_k"], d["rho_l"])
         literal = ((rho * dtype(1.0 / MU)) * d["trans"]) * dphi
-        assert self.run(face_data, dtype).tobytes() == literal.tobytes()
+        assert statement(face_data, dtype).tobytes() == literal.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_collapsed_branch_on_a_shared_elevation(self, face_data, dtype):
         """X-Y faces (equal elevations): the collapsed branch's fluxes
         added to ``+0.0`` give the full sequence's bytes."""
         face_data["z_l"] = face_data["z_k"].copy()  # equal, two objects
-        full = self.run(face_data, dtype)
-        collapsed = self.run(face_data, dtype, collapsed=True)
+        full = statement(face_data, dtype)
+        collapsed = statement(face_data, dtype, collapsed=True)
         assert (0.0 + collapsed).tobytes() == (0.0 + full).tobytes()
 
     @pytest.mark.parametrize("collapsed", [True, False], ids=["collapsed", "full"])

@@ -18,6 +18,7 @@ from repro.core import (
     random_pressure,
 )
 from repro.dataflow import WseFluxComputation
+from repro.ir.schedule import schedule_classes
 from repro.workloads import make_geomodel
 
 
@@ -28,14 +29,19 @@ class Residuals(list):
         self.append(residual)
 
 
+def event_fold(mesh, fluid, p, trans):
+    """The reference fold in the event program's arrival order."""
+    return compute_flux_residual(
+        mesh, fluid, p, trans, order=schedule_classes(mesh.nx, mesh.ny)
+    )
+
+
 def run_and_compare(mesh, fluid, seed=0, **kwargs):
     p = random_pressure(mesh, seed=seed)
     trans = Transmissibility(mesh)
     wse = WseFluxComputation(mesh, fluid, trans, dtype=np.float64, **kwargs)
     result = wse.run_single(p)
-    ref = compute_flux_residual(mesh, fluid, p, trans)
-    scale = np.abs(ref).max()
-    np.testing.assert_allclose(result.residual, ref, atol=1e-12 * scale)
+    assert result.residual.tobytes() == event_fold(mesh, fluid, p, trans).tobytes()
     return result
 
 
@@ -88,9 +94,7 @@ class TestNumericalEquivalence:
         assert len(residuals) == 3
         assert residuals[-1].tobytes() == result.residual.tobytes()
         for i, p in enumerate(seq):
-            ref = compute_flux_residual(mesh, fluid, p, trans)
-            scale = np.abs(ref).max()
-            np.testing.assert_allclose(residuals[i], ref, atol=1e-12 * scale)
+            assert residuals[i].tobytes() == event_fold(mesh, fluid, p, trans).tobytes()
 
     def test_float32_mode(self, fluid):
         mesh = CartesianMesh3D(4, 4, 3)
@@ -98,9 +102,9 @@ class TestNumericalEquivalence:
         p = random_pressure(mesh, seed=1)
         wse = WseFluxComputation(mesh, fluid, trans, dtype=np.float32)
         result = wse.run_single(p)
-        ref = compute_flux_residual(mesh, fluid, p, trans)
-        scale = np.abs(ref).max()
-        np.testing.assert_allclose(result.residual, ref, atol=5e-4 * scale)
+        assert result.residual.dtype == np.float32
+        ref = event_fold(mesh, fluid, p.astype(np.float32), trans)
+        assert result.residual.tobytes() == ref.tobytes()
 
 
 class TestProtocolAccounting:

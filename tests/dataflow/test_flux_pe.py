@@ -4,8 +4,8 @@ every backend runs, and the per-column booking of its fourteen steps."""
 import numpy as np
 import pytest
 
-from repro.core import FluidProperties
-from repro.core.kernels import FluxScratch, face_flux, face_flux_array, upwind_select
+from repro.core import FluidProperties, face_flux_scalar
+from repro.core.kernels import FluxScratch, face_flux, upwind_select
 from repro.dataflow.halos import plan_pe_memory
 from repro.wse.dsd import DENSITY_EXP_CYCLES_PER_ELEMENT, DsdEngine
 from repro.wse.memory import Scratchpad
@@ -29,9 +29,17 @@ def make_face_data(n, seed=0):
 
 def with_mobility(data, viscosity=MU):
     """*data* plus each side's mobility ``rho * (1/mu)``, the kernel's
-    hoisted operand; :func:`face_flux_array` takes the viscosity."""
+    hoisted operand; :func:`face_flux_scalar` takes the viscosity."""
     inv = 1.0 / viscosity
     return {**data, "lam_k": data["rho_k"] * inv, "lam_l": data["rho_l"] * inv}
+
+
+def scalar_fluxes(data):
+    """``F_KL`` of each face of *data*, one :func:`face_flux_scalar` call
+    per face (the independent restatement of Eqs. 3-4)."""
+    keys = ("p_k", "p_l", "z_k", "z_l", "rho_k", "rho_l", "trans")
+    n = data["p_k"].size
+    return np.array([face_flux_scalar(*(data[k][i] for k in keys), G, MU) for i in range(n)])
 
 
 def make_scratch(shape, dtype=np.float64):
@@ -85,7 +93,7 @@ class TestFluxColumn:
             residual=residual,
             gravity=G,
         )
-        expected = face_flux_array(**data, gravity=G, viscosity=MU)
+        expected = scalar_fluxes(data)
         np.testing.assert_allclose(residual, expected, rtol=1e-12)
 
     def test_accumulates_into_residual(self):
@@ -97,7 +105,7 @@ class TestFluxColumn:
             engine, make_scratch(n), **with_mobility(data),
             residual=residual, gravity=G,
         )
-        expected = 1.0 + face_flux_array(**data, gravity=G, viscosity=MU)
+        expected = 1.0 + scalar_fluxes(data)
         np.testing.assert_allclose(residual, expected, rtol=1e-12)
 
     def test_paper_instruction_mix(self):

@@ -5,7 +5,12 @@ import pytest
 
 from repro.cluster import RetryPolicy, SimComm
 from repro.cluster.flux import ClusterFluxComputation
-from repro.core import CartesianMesh3D, FluidProperties, random_pressure
+from repro.core import (
+    CartesianMesh3D,
+    FluidProperties,
+    compute_flux_residual,
+    random_pressure,
+)
 from repro.faults import (
     CommTimeoutError,
     FaultInjector,
@@ -111,9 +116,9 @@ class TestClusterRecovery:
         pressure = random_pressure(mesh, seed=5)
         return mesh, fluid, pressure
 
-    def test_transient_rank_failure_recovers_exactly(self, statement_fold):
+    def test_transient_rank_failure_recovers_exactly(self):
         mesh, fluid, pressure = self.make_problem()
-        reference = statement_fold(mesh, fluid, pressure)
+        reference = compute_flux_residual(mesh, fluid, pressure)
         injector = FaultInjector(
             FaultPlan(rank_failures=(RankFailure(rank=1, exchange=0),))
         )
@@ -130,7 +135,7 @@ class TestClusterRecovery:
             side="received"
         )
 
-    def test_second_application_is_unaffected(self, statement_fold):
+    def test_second_application_is_unaffected(self):
         """The failure window is exchange 0 only: application 2 runs with
         zero retransmissions and still matches the reference."""
         mesh, fluid, pressure = self.make_problem()
@@ -142,7 +147,7 @@ class TestClusterRecovery:
             mesh, fluid, px=2, py=2, faults=injector
         )
         result = cluster.run([pressure, p2])
-        assert result.residual.tobytes() == statement_fold(mesh, fluid, p2).tobytes()
+        assert result.residual.tobytes() == compute_flux_residual(mesh, fluid, p2).tobytes()
 
     def test_persistent_failure_exhausts_retries(self):
         mesh, fluid, pressure = self.make_problem()
@@ -157,10 +162,10 @@ class TestClusterRecovery:
         ):
             cluster.run([pressure])
 
-    def test_healthy_cluster_has_no_recovery_cost(self, statement_fold):
+    def test_healthy_cluster_has_no_recovery_cost(self):
         mesh, fluid, pressure = self.make_problem()
         cluster = ClusterFluxComputation(mesh, fluid, px=2, py=2)
         result = cluster.run([pressure])
         assert result.retransmissions == 0
         assert result.recovery_seconds == 0.0
-        assert result.residual.tobytes() == statement_fold(mesh, fluid, pressure).tobytes()
+        assert result.residual.tobytes() == compute_flux_residual(mesh, fluid, pressure).tobytes()

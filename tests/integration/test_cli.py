@@ -46,9 +46,13 @@ class TestValidate:
     def test_passes_on_default_mesh(self):
         code, out = run_cli("validate")
         assert code == 0
-        assert "VALIDATION PASSED" in out
-        for impl in ("gpu/raja", "gpu/cuda", "wse/event", "wse/lockstep"):
-            assert impl in out
+        assert out.splitlines()[1:] == [
+            "  gpu/raja      phased fold: bytes equal",
+            "  gpu/cuda      phased fold: bytes equal",
+            "  wse/event     event fold: bytes equal",
+            "  wse/lockstep  phased fold: bytes equal",
+            "VALIDATION PASSED",
+        ]
 
     def test_channelized_workload(self):
         code, out = run_cli(

@@ -2,17 +2,17 @@
 
 The event-driven simulator executes the full message-level protocol; the
 lockstep simulator runs the same DSD instruction sequence phase by phase
-over whole-fabric arrays; the NumPy reference assembles Eqs. 3-5
-directly.  All three must agree:
+over whole-fabric arrays; the reference fold runs the same face-flux
+statement over whole arrays, in either fold order.  All three must agree:
 
 * **bit-identical** residuals between the two fabric simulators whenever
   the per-element accumulation order is forced (every PE has at most one
   X-Y neighbour, so "vertical fluxes, then arrivals" admits exactly one
   order);
-* tight floating-point agreement on general meshes, where the event
-  simulator's arrival order differs from the lockstep phase order only
-  in the low bits of the final additions (documented summation-order
-  difference — the operations themselves are identical);
+* on general meshes, where the event simulator's arrival order differs
+  from the lockstep phase order in the low bits of the final additions
+  (the operations themselves are identical), each simulator returns the
+  reference fold's bytes in its own order;
 * **identical instruction counts** (every opcode, FLOPs, fabric loads)
   between the fabric simulators: both execute the same DSD program.
 
@@ -35,6 +35,7 @@ from repro.core import (
 )
 from repro.dataflow import LockstepWseSimulation, WseFluxComputation
 from repro.ir import derive_ir
+from repro.ir.schedule import schedule_classes
 
 DTYPES = (np.float32, np.float64)
 
@@ -87,16 +88,15 @@ class TestGeneralMeshAgreement:
         )
         r_event = event.run_single(pressure).residual
         r_lock = lockstep.run_application(pressure)
-        reference = compute_flux_residual(mesh, fluid, pressure, trans)
-        scale = np.abs(reference).max()
+        p = pressure.astype(dtype)
+        phased = compute_flux_residual(mesh, fluid, p, trans)
+        event = compute_flux_residual(
+            mesh, fluid, p, trans, order=schedule_classes(mesh.nx, mesh.ny)
+        )
         # event vs lockstep: identical operations, order differs only in
-        # the final residual additions -> a few ulps
-        tol = 1e-6 if dtype is np.float32 else 1e-14
-        np.testing.assert_allclose(r_event, r_lock, atol=tol * scale)
-        # both vs the float64 reference assembly
-        ref_tol = 5e-4 if dtype is np.float32 else 1e-12
-        np.testing.assert_allclose(r_event, reference, atol=ref_tol * scale)
-        np.testing.assert_allclose(r_lock, reference, atol=ref_tol * scale)
+        # the final residual additions
+        assert r_lock.tobytes() == phased.tobytes()
+        assert r_event.tobytes() == event.tobytes()
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_instruction_counts_identical(self, dtype):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backends import BACKENDS, release
-from repro.core import CartesianMesh3D, FluidProperties, random_pressure
+from repro.core import CartesianMesh3D, FluidProperties, compute_flux_residual, random_pressure
 from repro.core.stencil import Connection
 from repro.dataflow import WseFluxComputation
 from repro.core import sweep as sweep_module
@@ -26,6 +26,7 @@ from repro.ir.lower import (
     lower_to_fused,
     lower_to_lockstep,
 )
+from repro.ir.schedule import schedule_classes
 from repro.workloads.geomodels import make_geomodel
 from repro.wse.fabric import Fabric
 
@@ -72,6 +73,7 @@ class TestLoweringsAgree:
         lockstep = lower_to_lockstep(ir, mesh, fluid)
         batch = Residuals()
         lower_to_fused(ir, mesh, fluid, record=batch).run(pressures)
+        classes = schedule_classes(mesh.nx, mesh.ny)
         for k, pressure in enumerate(pressures):
             r_event = event.run_single(pressure).residual
             r_fused = batch[k]
@@ -84,6 +86,11 @@ class TestLoweringsAgree:
             tol = 1e-6 if dtype is np.float32 else 1e-14
             scale = float(np.abs(r_event).max())
             np.testing.assert_allclose(r_lock, r_event, atol=tol * scale)
+            # each is the reference fold's bytes in its own order
+            p = pressure.astype(dtype)
+            assert r_lock.tobytes() == compute_flux_residual(mesh, fluid, p).tobytes()
+            event_fold = compute_flux_residual(mesh, fluid, p, order=classes)
+            assert r_event.tobytes() == event_fold.tobytes()
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
     def test_forced_order_mesh_makes_all_three_bitwise(self, dtype):

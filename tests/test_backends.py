@@ -19,15 +19,19 @@ from repro.backends import BACKENDS, Backend, get_backend, release
 from repro.core import FluidProperties, compute_flux_residual, random_pressure
 from repro.core.stencil import EXCHANGE_PLAN
 from repro.faults import FaultPlan
+from repro.ir.schedule import schedule_classes
 from repro.workloads import make_geomodel
 
 MESH = make_geomodel(6, 5, 3, kind="lognormal", seed=4)
 FLUID = FluidProperties()
 PRESSURES = [random_pressure(MESH, seed=30 + i) for i in range(2)]
-REFERENCE = compute_flux_residual(MESH, FLUID, PRESSURES[-1])
-#: float64 agreement with the NumPy oracle across summation orders
-#: (the ``repro validate`` bound is 1e-10; observed ~1e-15)
-RTOL = 1e-12
+#: the reference fold of the last field in each fold class's order
+REFERENCE = {
+    "phased": compute_flux_residual(MESH, FLUID, PRESSURES[-1]),
+    "event": compute_flux_residual(
+        MESH, FLUID, PRESSURES[-1], order=schedule_classes(MESH.nx, MESH.ny)
+    ),
+}
 
 
 def _calls_outside(allowed, wanted) -> list[str]:
@@ -129,7 +133,8 @@ class TestTable:
     def test_only_the_sweeps_call_a_flux_kernel(self):
         """The face-flux statement has two callers: the core slab sweep
         (fused, lockstep, gpu, cluster and par) and the event program's
-        round hooks; the oracle modules may too.  A driver that grows its
+        round hooks; the reference fold and the unstructured residual may
+        too.  A driver that grows its
         own padded layout, slab, tile or phase loop again fails here."""
         assert _calls_outside(
             {"core/sweep.py", "dataflow/program.py",
@@ -139,10 +144,10 @@ class TestTable:
 
     def test_one_face_flux_statement(self):
         """Eq. 4's bit-select is built in ``core/kernels.py`` alone — no
-        other module names ``bitwise_xor`` or ``upwind_select`` — and the
-        float64 oracle's ``face_flux_array`` is called by the oracle
-        modules only.  A backend that restates the face flux, or borrows
-        the oracle's, fails here."""
+        other module names ``bitwise_xor`` or ``upwind_select`` — and no
+        module under ``src/repro`` defines a second vectorized face flux:
+        only ``core/kernels.py`` defines a function named ``face_flux*``.
+        A backend or oracle that restates the face flux fails here."""
         import repro
 
         root = Path(repro.__file__).parent
@@ -156,9 +161,13 @@ class TestTable:
                 if named in ("bitwise_xor", "upwind_select"):
                     offenders.append(f"{path.relative_to(root)}:{node.lineno} {named}")
         assert offenders == []
-        assert _calls_outside(
-            {"core/flux.py", "core/unstructured.py"}, "face_flux_array".__eq__
-        ) == []
+        definitions = [
+            f"{path.relative_to(root)}:{node.lineno} {node.name}"
+            for path in sorted(set(root.rglob("*.py")) - {root / "core" / "kernels.py"})
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("face_flux")
+        ]
+        assert definitions == []
 
     def test_only_the_exchange_states_the_neighbour_protocol(self):
         """The Sec. 5.2 protocol has one statement: the channel formulas
@@ -586,10 +595,10 @@ class TestFluxPathLoadsNoScipy:
 @pytest.mark.parametrize("name", list(BACKENDS))
 class TestEveryEntry:
     def test_residual_matches_the_reference(self, runs, name):
+        """The reference fold's bytes in the entry's fold order."""
         result, _metrics, _recorded, _leaked = runs[name]
-        scale = float(np.abs(REFERENCE).max())
         assert result.residual.dtype == np.float64
-        assert np.abs(result.residual - REFERENCE).max() <= RTOL * scale
+        assert result.residual.tobytes() == REFERENCE[BACKENDS[name].fold_class].tobytes()
 
     def test_record_hook_sees_every_application(self, runs, name):
         result, _metrics, recorded, _leaked = runs[name]
